@@ -38,8 +38,8 @@
 //! the run (exit 1) on any unordered conflicting pair.
 
 use fleche_bench::{
-    concat_dim, emit_host, fmt_ns, print_header, quick_mode, write_bench_json, JsonEmitter,
-    TextTable,
+    check_gpu_races, concat_dim, emit_host, fmt_ns, print_header, quick_mode, write_bench_json,
+    JsonEmitter, TextTable,
 };
 use fleche_chaos::FlashCrowdSpec;
 use fleche_core::{FlecheConfig, FlecheSystem, TenantCacheStats};
@@ -51,6 +51,9 @@ use fleche_store::api::EmbeddingCacheSystem;
 use fleche_store::CpuStore;
 use fleche_workload::{spec, DatasetSpec, DiurnalSpec, TraceDynamics, TraceGenerator};
 
+/// This drill's name in `--analyze` failures and the bench JSON.
+const DRILL: &str = "overload_drill";
+
 const TENANTS: usize = 2;
 /// HBM cache share each tenant may occupy (the rest is headroom).
 const CACHE_QUOTAS: [f64; TENANTS] = [0.45, 0.45];
@@ -59,25 +62,10 @@ const QUIET_LOAD: f64 = 400_000.0;
 /// Rolling window (batches) for drill-B recovery detection.
 const ROLL: usize = 4;
 
-fn check_gpu_races(gpu: &Gpu, what: &str) {
-    if let Some(rc) = gpu.race_checker() {
-        if rc.race_count() > 0 {
-            eprintln!(
-                "overload_drill --analyze: {} race(s) in {what}:",
-                rc.race_count()
-            );
-            for race in rc.report() {
-                eprintln!("  {race}");
-            }
-            std::process::exit(1);
-        }
-    }
-}
-
 fn check_admission_races(run: &MultiTenantRun, what: &str) {
     if let Some(races) = run.races {
         if races > 0 {
-            eprintln!("overload_drill --analyze: {races} race(s) replaying {what} admission rings");
+            eprintln!("{DRILL} --analyze: {races} race(s) replaying {what} admission rings");
             std::process::exit(1);
         }
     }
@@ -164,7 +152,7 @@ fn drill_flash_crowd(analyze: bool) -> FlashCrowdReport {
     let (mut engine, mut gens) =
         build_mt(&ds, [TraceDynamics::none(), TraceDynamics::none()], analyze);
     let base = serve_multi_tenant(&mut engine, &mut gens, &cfg);
-    check_gpu_races(engine.gpu(), "drill A baseline");
+    check_gpu_races(DRILL, engine.gpu(), "drill A baseline");
     check_admission_races(&base, "drill A baseline");
 
     // Crowd run: identical config plus the flash crowd on tenant 0 — a
@@ -183,7 +171,7 @@ fn drill_flash_crowd(analyze: bool) -> FlashCrowdReport {
     ];
     let (mut engine, mut gens) = build_mt(&ds, dynamics, analyze);
     let run = serve_multi_tenant(&mut engine, &mut gens, &crowd_cfg);
-    check_gpu_races(engine.gpu(), "drill A flash crowd");
+    check_gpu_races(DRILL, engine.gpu(), "drill A flash crowd");
     check_admission_races(&run, "drill A flash crowd");
     let cache = (0..TENANTS)
         .map(|t| engine.system().tenant_cache_stats(t))
@@ -262,7 +250,7 @@ fn drill_diurnal(analyze: bool) -> DiurnalReport {
         let out = sys.query_batch(&mut gpu, &b);
         rates.push(out.stats.hit_rate());
     }
-    check_gpu_races(&gpu, "drill B diurnal");
+    check_gpu_races(DRILL, &gpu, "drill B diurnal");
 
     // Rotation points: the measured batch in which each phase boundary
     // (sample index k * period) lands.
@@ -366,7 +354,7 @@ fn drill_overload(analyze: bool) -> OverloadReport {
     let (mut engine, mut gens) =
         build_mt(&ds, [TraceDynamics::none(), TraceDynamics::none()], analyze);
     let run = serve_multi_tenant(&mut engine, &mut gens, &cfg);
-    check_gpu_races(engine.gpu(), "drill C overload");
+    check_gpu_races(DRILL, engine.gpu(), "drill C overload");
     check_admission_races(&run, "drill C overload");
 
     let conserved = run
@@ -430,7 +418,7 @@ fn emit_tenant_json(j: &mut JsonEmitter, run: &MultiTenantRun) {
 
 fn emit_json(a: &FlashCrowdReport, b: &DiurnalReport, c: &OverloadReport) {
     let mut j = JsonEmitter::new();
-    j.field_str("bench", "overload_drill");
+    j.field_str("bench", DRILL);
     emit_host(&mut j);
     j.field_bool("quick", quick_mode());
 

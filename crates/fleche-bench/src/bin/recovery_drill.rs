@@ -30,7 +30,8 @@
 //! if any conflicting pair is unordered.
 
 use fleche_bench::{
-    emit_host, fmt_ns, print_header, quick_mode, write_bench_json, JsonEmitter, TextTable,
+    check_gpu_races, check_shard_races, emit_host, fmt_ns, print_header, quick_mode, rolling_mean,
+    write_bench_json, JsonEmitter, TextTable,
 };
 use fleche_chaos::{DeviceLossSpec, FaultPlan};
 use fleche_core::{CacheSnapshot, FlecheConfig, FlecheSystem, InterconnectSpec, MultiGpuFleche};
@@ -38,6 +39,9 @@ use fleche_gpu::{DeviceSpec, DramSpec, Gpu, Ns};
 use fleche_store::api::EmbeddingCacheSystem;
 use fleche_store::CpuStore;
 use fleche_workload::{spec, DatasetSpec, TraceGenerator, WorkloadStats};
+
+/// This drill's name in `--analyze` failures and the bench JSON.
+const DRILL: &str = "recovery_drill";
 
 const SEED: u64 = 0xFA11_BACC;
 const BATCH: usize = 256;
@@ -60,37 +64,6 @@ fn failover_dataset() -> DatasetSpec {
 const FAILOVER_FRACTION: f64 = 0.05;
 const SHARDS: usize = 4;
 const VICTIM: usize = 1;
-
-/// Mean of the last up-to-`window` entries (all of them when fewer).
-fn rolling_mean(rates: &[f64], window: usize) -> f64 {
-    if rates.is_empty() {
-        return 0.0;
-    }
-    let n = rates.len().min(window);
-    let tail = &rates[rates.len() - n..];
-    tail.iter().sum::<f64>() / n as f64
-}
-
-fn check_gpu_races(gpu: &Gpu, what: &str) {
-    if let Some(rc) = gpu.race_checker() {
-        if rc.race_count() > 0 {
-            eprintln!(
-                "recovery_drill --analyze: {} race(s) in {what}:",
-                rc.race_count()
-            );
-            for race in rc.report() {
-                eprintln!("  {race}");
-            }
-            std::process::exit(1);
-        }
-    }
-}
-
-fn check_shard_races(mg: &mut MultiGpuFleche, what: &str) {
-    for s in 0..mg.shard_count() {
-        check_gpu_races(mg.shard_gpu_mut(s), &format!("{what} (shard {s})"));
-    }
-}
 
 // ---------------------------------------------------------------------
 // Drill A: kill the process, restart cold / warm / from a rotten image.
@@ -182,7 +155,7 @@ fn drill_restart(analyze: bool) -> RestartReport {
             break;
         }
     }
-    check_gpu_races(&gpu, "drill A steady phase");
+    check_gpu_races(DRILL, &gpu, "drill A steady phase");
     let steady_hit = rolling_mean(&rates, 16);
     let target = 0.95 * steady_hit;
     let snap = snapshot.expect("steady phase longer than one checkpoint interval");
@@ -193,7 +166,7 @@ fn drill_restart(analyze: bool) -> RestartReport {
     let (mut cold_sys, mut cold_gpu) = fresh_restart_system(&ds, analyze);
     let (cold_batches, cold_first) =
         batches_to_target(&mut cold_sys, &mut cold_gpu, &ds, target, max_measure);
-    check_gpu_races(&cold_gpu, "drill A cold restart");
+    check_gpu_races(DRILL, &cold_gpu, "drill A cold restart");
 
     // ---- Warm restart: restore the latest checkpoint, then serve. ---
     let (mut warm_sys, mut warm_gpu) = fresh_restart_system(&ds, analyze);
@@ -203,7 +176,7 @@ fn drill_restart(analyze: bool) -> RestartReport {
     let restore_time = warm_gpu.now();
     let (warm_batches, warm_first) =
         batches_to_target(&mut warm_sys, &mut warm_gpu, &ds, target, max_measure);
-    check_gpu_races(&warm_gpu, "drill A warm restart");
+    check_gpu_races(DRILL, &warm_gpu, "drill A warm restart");
 
     // ---- Rotten image: must be rejected, then warm up from stats. ---
     let mut rotten = snap.clone();
@@ -222,7 +195,7 @@ fn drill_restart(analyze: bool) -> RestartReport {
     let prefetch_batches = fb_sys.warm_up(&mut fb_gpu, &hot_stats.hottest(hot_k), BATCH);
     let (fb_batches, fb_first) =
         batches_to_target(&mut fb_sys, &mut fb_gpu, &ds, target, max_measure);
-    check_gpu_races(&fb_gpu, "drill A corrupt-image fallback");
+    check_gpu_races(DRILL, &fb_gpu, "drill A corrupt-image fallback");
 
     RestartReport {
         steady_hit,
@@ -338,7 +311,7 @@ fn drill_failover(analyze: bool) -> FailoverReport {
         walls.push(timing.total);
         alive_trace.push(mg.alive_count());
     }
-    check_shard_races(&mut mg, "drill B failover sweep");
+    check_shard_races(DRILL, &mut mg, "drill B failover sweep");
 
     // Pre-loss steady state and the post-restore recovery point.
     let steady_hit = rolling_mean(&rates[..lost_at as usize], 16);
@@ -522,7 +495,7 @@ fn main() {
     );
 
     let mut j = JsonEmitter::new();
-    j.field_str("bench", "recovery_drill");
+    j.field_str("bench", DRILL);
     emit_host(&mut j);
     j.field_bool("quick", quick_mode());
     j.begin_obj("drill_a");

@@ -43,7 +43,8 @@
 use std::collections::BTreeMap;
 
 use fleche_bench::{
-    emit_host, fmt_ns, print_header, quick_mode, write_bench_json, JsonEmitter, TextTable,
+    check_gpu_races, check_shard_races, emit_host, fmt_ns, print_header, quick_mode, rolling_mean,
+    write_bench_json, JsonEmitter, TextTable,
 };
 use fleche_chaos::{DeviceLossSpec, FaultPlan, StalenessConfig, UpdateFaultSpec};
 use fleche_core::{FlecheConfig, FlecheSystem, InterconnectSpec, MultiGpuFleche, StalenessStats};
@@ -52,41 +53,13 @@ use fleche_store::api::EmbeddingCacheSystem;
 use fleche_store::{versioned_embedding_value, CpuStore, UpdateStream};
 use fleche_workload::{spec, DatasetSpec, TraceGenerator, WorkloadStats};
 
+/// This drill's name in `--analyze` failures and the bench JSON.
+const DRILL: &str = "update_drill";
+
 const SEED: u64 = 0x5741_1E55;
 const BATCH: usize = 256;
 /// Rolling window (batches) for the drill-B recovery threshold.
 const ROLL: usize = 4;
-
-fn check_gpu_races(gpu: &Gpu, what: &str) {
-    if let Some(rc) = gpu.race_checker() {
-        if rc.race_count() > 0 {
-            eprintln!(
-                "update_drill --analyze: {} race(s) in {what}:",
-                rc.race_count()
-            );
-            for race in rc.report() {
-                eprintln!("  {race}");
-            }
-            std::process::exit(1);
-        }
-    }
-}
-
-fn check_shard_races(mg: &mut MultiGpuFleche, what: &str) {
-    for s in 0..mg.shard_count() {
-        check_gpu_races(mg.shard_gpu_mut(s), &format!("{what} (shard {s})"));
-    }
-}
-
-/// Mean of the last up-to-`window` entries (all of them when fewer).
-fn rolling_mean(rates: &[f64], window: usize) -> f64 {
-    if rates.is_empty() {
-        return 0.0;
-    }
-    let n = rates.len().min(window);
-    let tail = &rates[rates.len() - n..];
-    tail.iter().sum::<f64>() / n as f64
-}
 
 fn p99_of(walls: &mut [f64]) -> Ns {
     walls.sort_by(|a, b| a.partial_cmp(b).expect("finite walls"));
@@ -215,7 +188,7 @@ fn drill_race(analyze: bool) -> RaceReport {
             }
         }
     }
-    check_gpu_races(&gpu, "drill A update race");
+    check_gpu_races(DRILL, &gpu, "drill A update race");
 
     RaceReport {
         generated: stream.total_pushed(),
@@ -349,7 +322,7 @@ fn drill_delta_rewarm(analyze: bool) -> DeltaRewarmReport {
             }
         }
     }
-    check_shard_races(&mut mg, "drill B delta re-warm");
+    check_shard_races(DRILL, &mut mg, "drill B delta re-warm");
 
     // Recovery point: rolling hit rate back to 99% of pre-loss steady.
     let steady = rolling_mean(&rates[..lost_at as usize], 16);
@@ -525,7 +498,7 @@ fn drill_outage(analyze: bool) -> OutageReport {
         }
         last_demoted = st.demoted;
     }
-    check_gpu_races(&gpu, "drill C outage");
+    check_gpu_races(DRILL, &gpu, "drill C outage");
 
     let policy = sys.staleness_policy().expect("configured above");
     OutageReport {
@@ -549,7 +522,7 @@ fn drill_outage(analyze: bool) -> OutageReport {
 
 fn emit_json(a: &RaceReport, b: &DeltaRewarmReport, c: &OutageReport) {
     let mut j = JsonEmitter::new();
-    j.field_str("bench", "update_drill");
+    j.field_str("bench", DRILL);
     emit_host(&mut j);
     j.field_bool("quick", quick_mode());
 

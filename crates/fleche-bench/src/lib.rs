@@ -10,7 +10,7 @@
 #![warn(missing_docs)]
 
 use fleche_baseline::{BaselineConfig, PerTableCacheSystem};
-use fleche_core::{FlecheConfig, FlecheSystem};
+use fleche_core::{FlecheConfig, FlecheSystem, MultiGpuFleche};
 use fleche_gpu::{DeviceSpec, DramSpec, Gpu, Ns};
 use fleche_model::{DenseModel, InferenceEngine, MeasuredRun, ModelMode};
 use fleche_store::CpuStore;
@@ -469,6 +469,38 @@ pub fn write_bench_json(name: &str, json: String) {
     match std::fs::write(&path, json) {
         Ok(()) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+    }
+}
+
+/// Mean of the last up-to-`window` entries (all of them when fewer).
+pub fn rolling_mean(rates: &[f64], window: usize) -> f64 {
+    if rates.is_empty() {
+        return 0.0;
+    }
+    let n = rates.len().min(window);
+    let tail = &rates[rates.len() - n..];
+    tail.iter().sum::<f64>() / n as f64
+}
+
+/// `--analyze` gate of the drills: if `gpu`'s race checker recorded any
+/// unordered conflicting pair during `what`, reports them under the
+/// drill's name and fails the run (exit 1).
+pub fn check_gpu_races(drill: &str, gpu: &Gpu, what: &str) {
+    if let Some(rc) = gpu.race_checker() {
+        if rc.race_count() > 0 {
+            eprintln!("{drill} --analyze: {} race(s) in {what}:", rc.race_count());
+            for race in rc.report() {
+                eprintln!("  {race}");
+            }
+            std::process::exit(1);
+        }
+    }
+}
+
+/// [`check_gpu_races`] over every shard of a multi-GPU system.
+pub fn check_shard_races(drill: &str, mg: &mut MultiGpuFleche, what: &str) {
+    for s in 0..mg.shard_count() {
+        check_gpu_races(drill, mg.shard_gpu_mut(s), &format!("{what} (shard {s})"));
     }
 }
 

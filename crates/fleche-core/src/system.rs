@@ -637,33 +637,10 @@ impl FlecheSystem {
     /// on the simulated timeline. Every captured slot is declared to the
     /// race checker as a read of the snapshot kernel.
     pub fn checkpoint(&mut self, gpu: &mut Gpu) -> CacheSnapshot {
-        gpu.sync_all();
-        if let Some(rc) = gpu.race_checker_mut() {
-            rc.note_epoch_advance();
-        }
-        self.cache.end_batch_with(|class, slot| {
-            if let Some(rc) = gpu.race_checker_mut() {
-                rc.host_write("reclaim", slot_resource(class, slot));
-            }
-        });
+        self.close_batch_boundary(gpu);
         self.checkpoint_epoch += 1;
         let (snap, slots) = self.cache.snapshot_at_with_slots(self.checkpoint_epoch);
-        let s = gpu.default_stream();
-        let kid = gpu.launch(
-            s,
-            KernelDesc::new(
-                "snapshot-scan",
-                16_384,
-                KernelWork::streaming(self.cache.scan_bytes() + snap.byte_len()),
-            ),
-        );
-        if let Some(rc) = gpu.race_checker_mut() {
-            for &(class, slot) in &slots {
-                rc.kernel_read(kid, slot_resource(class, slot));
-            }
-        }
-        gpu.sync_stream(s);
-        gpu.copy_blocking("snapshot-d2h", snap.byte_len().max(1), CopyApi::CudaMemcpy);
+        self.price_snapshot(gpu, &snap, &slots);
         // This image becomes the base a later delta chain patches: record
         // its per-key versions (key-sorted by construction) so delta
         // capture can binary-search what the base already holds.
@@ -690,15 +667,7 @@ impl FlecheSystem {
             Some(b) => (b.epoch, b.next_seq),
             None => return None,
         };
-        gpu.sync_all();
-        if let Some(rc) = gpu.race_checker_mut() {
-            rc.note_epoch_advance();
-        }
-        self.cache.end_batch_with(|class, slot| {
-            if let Some(rc) = gpu.race_checker_mut() {
-                rc.host_write("reclaim", slot_resource(class, slot));
-            }
-        });
+        self.close_batch_boundary(gpu);
         gpu.elapse_host(
             "delta-scan",
             Ns(self.cache.len() as f64 * self.update_costs.delta_scan_ns_per_entry),
@@ -712,22 +681,7 @@ impl FlecheSystem {
         if let Some(b) = &mut self.delta_base {
             b.next_seq += 1;
         }
-        let s = gpu.default_stream();
-        let kid = gpu.launch(
-            s,
-            KernelDesc::new(
-                "snapshot-scan",
-                16_384,
-                KernelWork::streaming(self.cache.scan_bytes() + snap.byte_len()),
-            ),
-        );
-        if let Some(rc) = gpu.race_checker_mut() {
-            for &(class, slot) in &slots {
-                rc.kernel_read(kid, slot_resource(class, slot));
-            }
-        }
-        gpu.sync_stream(s);
-        gpu.copy_blocking("snapshot-d2h", snap.byte_len().max(1), CopyApi::CudaMemcpy);
+        self.price_snapshot(gpu, &snap, &slots);
         Some(snap)
     }
 
@@ -749,22 +703,7 @@ impl FlecheSystem {
         gpu.elapse_host("snapshot-verify", Ns(snap.byte_len() as f64 * 0.1));
         let report = self.cache.restore(snap)?;
         self.clock = self.clock.max(report.max_stamp);
-        gpu.copy_blocking("snapshot-h2d", snap.byte_len().max(1), CopyApi::CudaMemcpy);
-        let s = gpu.default_stream();
-        let kid = gpu.launch(
-            s,
-            KernelDesc::new(
-                "restore-replay",
-                (report.restored as u32).saturating_mul(32).max(128),
-                KernelWork::streaming(snap.byte_len()),
-            ),
-        );
-        if let Some(rc) = gpu.race_checker_mut() {
-            for &(class, slot) in &report.slots {
-                rc.kernel_write(kid, slot_resource(class, slot));
-            }
-        }
-        gpu.sync_stream(s);
+        Self::price_restore(gpu, snap.byte_len(), &report);
         Ok(report)
     }
 
@@ -790,22 +729,7 @@ impl FlecheSystem {
         gpu.elapse_host("snapshot-verify", Ns(total_bytes as f64 * 0.1));
         let report = self.cache.restore_chain(base, deltas)?;
         self.clock = self.clock.max(report.max_stamp);
-        gpu.copy_blocking("snapshot-h2d", total_bytes.max(1), CopyApi::CudaMemcpy);
-        let s = gpu.default_stream();
-        let kid = gpu.launch(
-            s,
-            KernelDesc::new(
-                "restore-replay",
-                (report.restored as u32).saturating_mul(32).max(128),
-                KernelWork::streaming(total_bytes),
-            ),
-        );
-        if let Some(rc) = gpu.race_checker_mut() {
-            for &(class, slot) in &report.slots {
-                rc.kernel_write(kid, slot_resource(class, slot));
-            }
-        }
-        gpu.sync_stream(s);
+        Self::price_restore(gpu, total_bytes, &report);
         Ok(report)
     }
 
@@ -813,6 +737,22 @@ impl FlecheSystem {
     /// is cold and the next batches refill it through the normal workflow.
     /// Synchronizes first so no kernel is in flight over the wiped pool.
     pub fn wipe_cache(&mut self, gpu: &mut Gpu) {
+        self.close_batch_boundary(gpu);
+        // The wipe itself is a host-side write to every surviving slot;
+        // declared, so a replayed schedule that overlaps a kernel with the
+        // teardown is a reported race instead of a silent one.
+        self.cache.wipe_with(|class, slot| {
+            if let Some(rc) = gpu.race_checker_mut() {
+                rc.host_write("wipe", slot_resource(class, slot));
+            }
+        });
+    }
+
+    /// The batch-boundary close-out every lifecycle operation starts from:
+    /// synchronize the device, advance the epoch, and reclaim retired slots
+    /// (each a declared host write), so no retired slot or in-flight
+    /// replace-copy can leak into what follows.
+    fn close_batch_boundary(&mut self, gpu: &mut Gpu) {
         gpu.sync_all();
         if let Some(rc) = gpu.race_checker_mut() {
             rc.note_epoch_advance();
@@ -822,14 +762,50 @@ impl FlecheSystem {
                 rc.host_write("reclaim", slot_resource(class, slot));
             }
         });
-        // The wipe itself is a host-side write to every surviving slot;
-        // declared, so a replayed schedule that overlaps a kernel with the
-        // teardown is a reported race instead of a silent one.
-        self.cache.wipe_with(|class, slot| {
-            if let Some(rc) = gpu.race_checker_mut() {
-                rc.host_write("wipe", slot_resource(class, slot));
+    }
+
+    /// Prices capturing `snap` on the simulated timeline: the scan kernel,
+    /// with every captured slot declared as one of its reads, then the D2H
+    /// copy of the image.
+    fn price_snapshot(&self, gpu: &mut Gpu, snap: &CacheSnapshot, slots: &[(u16, u32)]) {
+        let s = gpu.default_stream();
+        let kid = gpu.launch(
+            s,
+            KernelDesc::new(
+                "snapshot-scan",
+                16_384,
+                KernelWork::streaming(self.cache.scan_bytes() + snap.byte_len()),
+            ),
+        );
+        if let Some(rc) = gpu.race_checker_mut() {
+            for &(class, slot) in slots {
+                rc.kernel_read(kid, slot_resource(class, slot));
             }
-        });
+        }
+        gpu.sync_stream(s);
+        gpu.copy_blocking("snapshot-d2h", snap.byte_len().max(1), CopyApi::CudaMemcpy);
+    }
+
+    /// Prices a warm restart on the simulated timeline: the H2D copy of the
+    /// `bytes` of image, then one replay kernel, with every restored slot
+    /// declared as one of its writes.
+    fn price_restore(gpu: &mut Gpu, bytes: u64, report: &RestoreReport) {
+        gpu.copy_blocking("snapshot-h2d", bytes.max(1), CopyApi::CudaMemcpy);
+        let s = gpu.default_stream();
+        let kid = gpu.launch(
+            s,
+            KernelDesc::new(
+                "restore-replay",
+                (report.restored as u32).saturating_mul(32).max(128),
+                KernelWork::streaming(bytes),
+            ),
+        );
+        if let Some(rc) = gpu.race_checker_mut() {
+            for &(class, slot) in &report.slots {
+                rc.kernel_write(kid, slot_resource(class, slot));
+            }
+        }
+        gpu.sync_stream(s);
     }
 
     /// Bounded cold-start warm-up: prefetches `hot` (hottest-first, e.g.

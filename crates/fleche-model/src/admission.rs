@@ -30,6 +30,16 @@
 //! (tenants are separate models — their requests cannot share a device
 //! batch), and cache hit rates are attributed per tenant from the
 //! system's lifetime counters.
+//!
+//! That loop is deliberately *not* the single-tenant window loop in
+//! [`server`](crate::server) (source → window/seal → shed → execute →
+//! tally). It admits against the queue bound *at arrival* and then sheds
+//! on deadline; the single-tenant loop sheds on deadline and then
+//! truncates the window to the bound. It also batches per tenant, and
+//! its warm-up walks the tenants round-robin. A shared loop would have to
+//! branch on which caller it serves — or change `overload_drill`'s
+//! numbers — so the two stay apart and share only the leaf rules
+//! ([`misses_deadline`], [`ARRIVAL_SEED`]).
 
 use crate::engine::InferenceEngine;
 use crate::latency::LatencyRecorder;

@@ -1,24 +1,26 @@
 //! Pipelined multi-worker serving front-end.
 //!
-//! [`serve`](crate::serve) is a single-threaded discrete-event loop: one
-//! engine, one arrival stream, simulated time only. This module adds the
-//! host-side concurrency layer a real serving deployment has — and
+//! [`server`](crate::server) holds the one single-tenant serving loop, in
+//! simulated time only (its module doc has the stage diagram). This module
+//! adds the host-side concurrency a real serving deployment has — and
 //! measures it in *wall-clock* time, which the simulator cannot fake:
 //!
 //! * a [`ShardedQueue`] — the bounded MPMC work queue. A feeder thread
-//!   draws the global Poisson arrival stream (bit-identical to the serial
-//!   server's: same [`ARRIVAL_SEED`](crate::server::ARRIVAL_SEED), same
-//!   gap expression) and shards it round-robin across per-worker lanes;
+//!   draws the global Poisson arrival stream (the one serial
+//!   [`serve`](crate::serve) draws in-thread) and shards it round-robin
+//!   across per-worker lanes;
 //! * N workers, each owning a full engine replica (built *inside* the
 //!   worker thread by a caller-supplied factory, so engines never cross
-//!   threads and need no `Send` bound);
+//!   threads and need no `Send` bound). Without a linger a worker feeds
+//!   its lane to the window loop `serve` runs, with an execute step that
+//!   adds wall-clock timing and paced dwell;
 //! * a [`MicroBatcher`] — pure logical-time request coalescing under a
 //!   latency budget: a batch seals at `first_arrival + linger` or when
 //!   `max_batch` requests have arrived, whichever is earlier, and
 //!   over-age requests are shed against the deadline at seal time;
-//! * a pipelined executor per worker — a prep stage (batch assembly +
-//!   dedup) runs one bounded channel ahead of the execute stage, so batch
-//!   `N+1`'s host work overlaps batch `N`'s device dwell.
+//! * under a linger, a pipelined executor per worker — a prep stage (seal,
+//!   batch assembly, dedup) runs one bounded channel ahead of the execute
+//!   stage, so batch `N+1`'s host work overlaps batch `N`'s device dwell.
 //!
 //! ## Where wall-clock scaling comes from
 //!
@@ -36,20 +38,19 @@
 //!
 //! Each worker's simulation is self-contained (own engine, own clock, own
 //! trace stream) and its shard receives its requests in arrival order, so
-//! every simulated output is independent of thread scheduling. With one
-//! worker, no linger, and the streaming batcher, the drive below is an
-//! exact transcription of the serial server's window logic — the results
-//! are bit-identical to [`serve`](crate::serve) (asserted by tests and
-//! the `serve_scaling` drill).
+//! every simulated output is independent of thread scheduling. One worker
+//! without a linger differs from serial `serve` only in where the window
+//! loop's arrivals come from, so the two are bit-identical (asserted by
+//! `tests/serve_props.rs` and the `serve_scaling` drill).
 
-use crate::engine::InferenceEngine;
-use crate::latency::LatencyRecorder;
-use crate::server::{ServedRun, ARRIVAL_SEED};
+use crate::engine::{InferenceEngine, InferenceTiming};
+use crate::server::{arrivals, drive_windows, misses_deadline, warm_up, ServedRun, Tally};
 use fleche_gpu::{declare_pipeline_handoffs, Ns, RaceChecker};
 use fleche_store::api::EmbeddingCacheSystem;
 use fleche_store::Deduped;
-use fleche_workload::{ArrivalGen, BurstWindow, TraceGenerator};
+use fleche_workload::{Batch, BurstWindow, TraceGenerator};
 use std::collections::VecDeque;
+use std::iter::Peekable;
 use std::sync::mpsc;
 use std::sync::{Barrier, Condvar, Mutex};
 use std::time::Duration;
@@ -198,7 +199,7 @@ pub struct MicroBatchPlan {
     pub shed: Vec<(u64, Ns)>,
 }
 
-/// Pure logical-time micro-batcher. Planning is a function of arrival
+/// Pure logical-time micro-batcher. Sealing is a function of arrival
 /// times only — no clocks, no threads — so its invariants (no request
 /// dropped or duplicated, batches within `max_batch`, linger budget
 /// respected) are property-testable in isolation, and a plan executes
@@ -208,44 +209,60 @@ pub struct MicroBatcher;
 impl MicroBatcher {
     /// Partitions `arrivals` (sorted ascending by arrival) into batches.
     pub fn plan(arrivals: &[(u64, Ns)], cfg: &MicroBatcherConfig) -> MicroBatchPlan {
-        assert!(cfg.max_batch > 0, "max batch must be positive");
-        assert!(cfg.linger.as_ns() >= 0.0, "linger must be non-negative");
         debug_assert!(
             arrivals.windows(2).all(|w| w[0].1 <= w[1].1),
             "arrivals must be sorted"
         );
+        let mut stream = arrivals.iter().copied().peekable();
         let mut plan = MicroBatchPlan::default();
-        let mut i = 0;
-        while i < arrivals.len() {
-            let first = arrivals[i].1;
-            let seal_by_linger = first + cfg.linger;
-            let cap = (i + cfg.max_batch).min(arrivals.len());
-            let mut end = i + 1;
-            while end < cap && arrivals[end].1 <= seal_by_linger {
-                end += 1;
+        while let Some((batch, shed)) = MicroBatcher::seal_next(&mut stream, cfg) {
+            plan.shed.extend(shed);
+            if !batch.members.is_empty() {
+                plan.batches.push(batch);
             }
-            // Full batches seal when their last rider arrives; short ones
-            // wait out the full linger.
-            let seal = if end - i == cfg.max_batch {
-                arrivals[end - 1].1
-            } else {
-                seal_by_linger
-            };
-            let mut members = Vec::with_capacity(end - i);
-            for &(seq, arr) in &arrivals[i..end] {
-                match cfg.deadline {
-                    Some(dl) if crate::server::misses_deadline(seal, arr, dl) => {
-                        plan.shed.push((seq, arr))
-                    }
-                    _ => members.push((seq, arr)),
-                }
-            }
-            if !members.is_empty() {
-                plan.batches.push(BatchPlan { seal, members });
-            }
-            i = end;
         }
         plan
+    }
+
+    /// The seal rule, one batch at a time: the batch at the head of
+    /// `stream` and the requests it sheds (`None` once the stream ends).
+    /// Pulls `stream` only as far as deciding this batch needs — at most
+    /// one arrival beyond its window stays buffered in the `Peekable` —
+    /// so the pipelined prep stage seals straight off its bounded lane
+    /// with the rule [`MicroBatcher::plan`]'s property tests pin.
+    pub(crate) fn seal_next(
+        stream: &mut Peekable<impl Iterator<Item = (u64, Ns)>>,
+        cfg: &MicroBatcherConfig,
+    ) -> Option<(BatchPlan, Vec<(u64, Ns)>)> {
+        assert!(cfg.max_batch > 0, "max batch must be positive");
+        assert!(cfg.linger.as_ns() >= 0.0, "linger must be non-negative");
+        let first = stream.next()?;
+        let seal_by_linger = first.1 + cfg.linger;
+        let mut members = vec![first];
+        while members.len() < cfg.max_batch {
+            let Some(rider) = stream.next_if(|r| r.1 <= seal_by_linger) else {
+                break;
+            };
+            members.push(rider);
+        }
+        // Full batches seal when their last rider arrives; short ones
+        // wait out the full linger.
+        let seal = if members.len() == cfg.max_batch {
+            members[members.len() - 1].1
+        } else {
+            seal_by_linger
+        };
+        let mut shed = Vec::new();
+        if let Some(dl) = cfg.deadline {
+            members.retain(|&r| {
+                let late = misses_deadline(seal, r.1, dl);
+                if late {
+                    shed.push(r);
+                }
+                !late
+            });
+        }
+        Some((BatchPlan { seal, members }, shed))
     }
 }
 
@@ -260,7 +277,8 @@ pub struct ConcurrentConfig {
     pub max_batch: usize,
     /// Requests to simulate (after warm-up), across all workers.
     pub requests: usize,
-    /// Requests each worker uses to warm its cache (not measured).
+    /// Sizes each worker's cache warm-up (not measured), by the rule on
+    /// [`ServerConfig::warmup_requests`](crate::ServerConfig::warmup_requests).
     pub warmup_requests: usize,
     /// Streaming-batcher admission bound (see
     /// [`ServerConfig`](crate::ServerConfig)); ignored under a linger.
@@ -305,6 +323,19 @@ impl ConcurrentConfig {
             bursts: Vec::new(),
             analyze: false,
             shard_capacity: DEFAULT_SHARD_CAPACITY,
+        }
+    }
+
+    /// The inverse of [`ConcurrentConfig::mirror_serial`]: what the
+    /// shared warm-up, arrival stream and window loop read.
+    fn serial(&self) -> crate::ServerConfig {
+        crate::ServerConfig {
+            offered_load: self.offered_load,
+            max_batch: self.max_batch,
+            requests: self.requests,
+            warmup_requests: self.warmup_requests,
+            queue_capacity: self.queue_capacity,
+            deadline: self.deadline,
         }
     }
 }
@@ -411,6 +442,7 @@ where
     assert!(config.offered_load > 0.0, "offered load must be positive");
     assert!(config.max_batch > 0, "max batch must be positive");
     let w = config.workers;
+    let serial = config.serial();
     let queue: ShardedQueue<QueuedRequest> = ShardedQueue::new(w, config.shard_capacity.max(1));
     let base_now: Mutex<Vec<Option<f64>>> = Mutex::new(vec![None; w]);
     // Workers + feeder + the timing thread all release together, after
@@ -436,17 +468,11 @@ where
                 }
                 first
             };
-            let mut agen = ArrivalGen::new(
-                ARRIVAL_SEED,
-                Ns::from_secs(1.0 / config.offered_load).as_ns(),
-            )
-            .with_bursts(config.bursts.clone());
-            // Accumulate exactly like the serial server (t += gap from
-            // the post-warmup clock) so arrivals are bit-identical.
-            let mut t = Ns(base);
-            for seq in 0..config.requests as u64 {
-                t += Ns(agen.next_gap_ns());
-                queue.push(seq as usize % w, QueuedRequest { seq, arrival: t });
+            // The serial server's stream, anchored at the same
+            // post-warmup clock, so arrivals are bit-identical.
+            for (seq, arrival) in arrivals(&serial, config.bursts.clone(), Ns(base)).enumerate() {
+                let seq = seq as u64;
+                queue.push(seq as usize % w, QueuedRequest { seq, arrival });
             }
             queue.close();
         });
@@ -457,20 +483,38 @@ where
             let base_now = &base_now;
             let start_barrier = &start_barrier;
             let results = &results;
+            let serial = &serial;
             scope.spawn(move || {
                 let (mut engine, mut gen) = factory(wid);
-                // Same warmup as the serial server.
-                for _ in 0..config.warmup_requests.div_ceil(config.max_batch) {
-                    let b = gen.next_batch(config.max_batch.min(256));
-                    engine.run_batch(&b);
-                }
-                engine.system_mut().reset_stats();
+                warm_up(&mut engine, &mut gen, serial);
                 base_now.lock().expect("base-now lock poisoned")[wid] =
                     Some(engine.gpu().now().as_ns());
                 start_barrier.wait();
-                let run = match config.linger {
-                    None => streaming_drive(&mut engine, &mut gen, queue, wid, config),
-                    Some(linger) => pipelined_drive(&mut engine, gen, queue, wid, config, linger),
+                let mut stage = StageWall::default();
+                let lane = std::iter::from_fn(|| queue.pop(wid));
+                let (tally, pipeline_handoffs, shed_at_dequeue) = match config.linger {
+                    // Streaming: the window loop serial `serve` runs, fed
+                    // from the lane, executing under the wall clock.
+                    None => {
+                        let run = |engine: &mut InferenceEngine<S>, count| {
+                            let batch = || engine.run_batch(&gen.next_batch(count));
+                            timed_exec(config.pace, &mut stage, batch)
+                        };
+                        let source = lane.map(|r| r.arrival);
+                        (drive_windows(&mut engine, serial, source, run), 0, 0)
+                    }
+                    Some(linger) => {
+                        pipelined_drive(&mut engine, gen, lane, config, linger, &mut stage)
+                    }
+                };
+                let run = WorkerRun {
+                    worker: wid,
+                    batches: tally.batches,
+                    queue_handoffs: tally.offered,
+                    run: tally.finish(&engine),
+                    stage,
+                    pipeline_handoffs,
+                    shed_at_dequeue,
                 };
                 results.lock().expect("results lock poisoned")[wid] = Some(run);
             });
@@ -528,330 +572,105 @@ where
     }
 }
 
-/// An in-flight request in a worker's streaming window. `done` mirrors
-/// the serial server's `done_flag`: shed-by-admission requests stay in
-/// place (their arrival still anchors the window) until the front pointer
-/// passes them.
-struct Pending {
-    arrival: Ns,
-    done: bool,
-}
-
-/// The engine-feedback streaming drive: an exact transcription of the
-/// serial [`serve`](crate::serve) loop onto a queue-fed pending buffer.
-/// With one worker the simulated results are bit-identical to it.
-fn streaming_drive<S: EmbeddingCacheSystem>(
-    engine: &mut InferenceEngine<S>,
-    gen: &mut TraceGenerator,
-    queue: &ShardedQueue<QueuedRequest>,
-    wid: usize,
-    config: &ConcurrentConfig,
-) -> WorkerRun {
-    let mut pending: VecDeque<Pending> = VecDeque::new();
-    let mut latency = LatencyRecorder::new();
-    let mut offered = 0u64;
-    let mut batches = 0u64;
-    let mut batched = 0u64;
-    let mut shed_queue = 0u64;
-    let mut shed_deadline = 0u64;
-    let mut busy = Ns::ZERO;
-    let mut stage = StageWall::default();
-    let t_start = engine.gpu().now();
-    let take = |pending: &mut VecDeque<Pending>, offered: &mut u64| match queue.pop(wid) {
-        Some(r) => {
-            *offered += 1;
-            pending.push_back(Pending {
-                arrival: r.arrival,
-                done: false,
-            });
-            true
-        }
-        None => false,
-    };
-    loop {
-        if pending.is_empty() && !take(&mut pending, &mut offered) {
-            break;
-        }
-        if pending.front().expect("pending non-empty").done {
-            pending.pop_front();
-            continue;
-        }
-        // The engine is idle at `now`; the window is everything arrived
-        // by the time the first waiter can start.
-        let now = engine.gpu().now();
-        let ready_from = now.max(pending.front().expect("pending non-empty").arrival);
-        // Pull until we have buffered one arrival beyond the window (or
-        // the stream ended) — the streaming equivalent of scanning the
-        // serial server's pre-drawn arrival array.
-        while pending.back().expect("pending non-empty").arrival <= ready_from
-            && take(&mut pending, &mut offered)
-        {}
-        let mut end = 0;
-        while end < pending.len() && pending[end].arrival <= ready_from {
-            end += 1;
-        }
-        // Deadline shedding, oldest first (mirrors the serial loop).
-        let mut idx = 0;
-        if let Some(dl) = config.deadline {
-            while idx < end && crate::server::misses_deadline(ready_from, pending[idx].arrival, dl)
-            {
-                if !pending[idx].done {
-                    shed_deadline += 1;
-                }
-                idx += 1;
-            }
-            if idx >= end {
-                pending.drain(..idx);
-                continue;
-            }
-        }
-        let mut live: Vec<usize> = (idx..end).filter(|&i| !pending[i].done).collect();
-        if let Some(cap) = config.queue_capacity {
-            let cap = cap.max(1);
-            if live.len() > cap {
-                for &i in &live[cap..] {
-                    pending[i].done = true;
-                }
-                shed_queue += (live.len() - cap) as u64;
-                live.truncate(cap);
-            }
-        }
-        live.truncate(config.max_batch);
-        let count = live.len();
-        let e0 = Instant::now();
-        let batch = gen.next_batch(count);
-        if pending[idx].arrival > now {
-            let gap = pending[idx].arrival - now;
-            engine.gpu_mut().elapse_host("idle", gap);
-        }
-        let t0 = engine.gpu().now();
-        let timing = engine.run_batch(&batch);
-        stage.exec_secs += e0.elapsed().as_secs_f64();
-        let done = engine.gpu().now();
-        busy += done - t0;
-        for &i in &live {
-            latency.record(done - pending[i].arrival);
-            pending[i].done = true;
-        }
-        batches += 1;
-        batched += count as u64;
-        pending.drain(..idx);
-        dwell(config.pace, timing.total, &mut stage);
-    }
-    let elapsed = engine.gpu().now() - t_start;
-    WorkerRun {
-        worker: wid,
-        run: ServedRun {
-            achieved: batched as f64 / elapsed.as_secs().max(1e-12),
-            mean_batch: batched as f64 / batches.max(1) as f64,
-            utilization: (busy / elapsed).min(1.0),
-            offered,
-            served: batched,
-            shed_queue,
-            shed_deadline,
-            lifetime: engine.system().lifetime_stats(),
-            latency,
-        },
-        batches,
-        stage,
-        queue_handoffs: offered,
-        pipeline_handoffs: 0,
-        shed_at_dequeue: 0,
-    }
-}
-
-/// One prepared batch crossing the prep→execute channel.
-struct PreparedBatch {
-    seal: Ns,
-    members: Vec<(u64, Ns)>,
-    batch: fleche_workload::Batch,
-    dedup: Deduped,
-}
-
-/// The pipelined drive: plan micro-batches in logical time, then run a
-/// prep stage one bounded channel ahead of the executor. Simulated
+/// The pipelined drive: seal micro-batches in logical time on a prep
+/// stage that runs one bounded channel ahead of the executor. Simulated
 /// results are independent of pipeline depth — the prepared path charges
-/// the identical dedup cost — so only wall time changes.
+/// the identical dedup cost — so only wall time changes. Returns the
+/// tally, the prepared batches received and the requests shed at dequeue.
 ///
-/// The prep stage pops its lane *incrementally*, sealing each micro-batch
-/// as soon as the seal rule decides it, instead of draining the whole
-/// stream into memory up front. Nothing in the path grows with offered
-/// load: the lane is bounded (`shard_capacity`), the planner buffers at
-/// most one batch's worth of arrivals, and the prep→execute channel is
+/// Nothing in the path grows with offered load: the lane is bounded
+/// (`shard_capacity`), [`MicroBatcher::seal_next`] buffers at most one
+/// arrival beyond the batch it seals, and the prep→execute channel is
 /// bounded by the pipeline depth — so a slow executor backpressures all
-/// the way to the feeder rather than ballooning a queue.
+/// the way to the feeder.
 ///
-/// Deadlines are enforced twice: at plan time against the seal (the
-/// micro-batcher's rule) and again at dequeue against the executor's
-/// clock, so requests that aged out while queued behind earlier batches
-/// do not burn a pipeline slot pretending to be servable.
+/// Deadlines are enforced twice: at seal time (the micro-batcher's rule)
+/// and again at dequeue against the executor's clock, so requests that
+/// aged out while queued behind earlier batches do not burn a pipeline
+/// slot pretending to be servable.
 fn pipelined_drive<S: EmbeddingCacheSystem>(
     engine: &mut InferenceEngine<S>,
-    gen: TraceGenerator,
-    queue: &ShardedQueue<QueuedRequest>,
-    wid: usize,
+    mut gen: TraceGenerator,
+    lane: impl Iterator<Item = QueuedRequest> + Send,
     config: &ConcurrentConfig,
     linger: Ns,
-) -> WorkerRun {
-    let max_batch = config.max_batch;
-    let depth = config.pipeline_depth.max(1);
-    let (tx, rx) = mpsc::sync_channel::<PreparedBatch>(depth);
-    let prep_secs = Mutex::new(0.0f64);
-    let mut latency = LatencyRecorder::new();
-    let mut batches = 0u64;
-    let mut recvs = 0u64;
-    let mut batched = 0u64;
-    let mut shed_at_dequeue = 0u64;
-    let mut busy = Ns::ZERO;
-    let mut stage = StageWall::default();
-    let t_start = engine.gpu().now();
-    let (offered, shed_plan) = std::thread::scope(|scope| {
-        let prep_secs = &prep_secs;
-        let mut gen = gen;
+    stage: &mut StageWall,
+) -> (Tally, u64, u64) {
+    let rule = MicroBatcherConfig {
+        max_batch: config.max_batch,
+        linger,
+        deadline: config.deadline,
+    };
+    // Prepared batches cross the prep→execute channel sealed, assembled
+    // and deduped.
+    let (tx, rx) = mpsc::sync_channel::<(BatchPlan, Batch, Deduped)>(config.pipeline_depth.max(1));
+    let (mut recvs, mut shed_at_dequeue) = (0u64, 0u64);
+    let mut tally = Tally::start(engine);
+    let (offered, shed_at_seal, prep_secs) = std::thread::scope(|scope| {
         let prep = scope.spawn(move || {
-            // Rolling transcription of [`MicroBatcher::plan`]: the buffer
-            // holds the current batch's candidates plus at most one
-            // arrival beyond its window, popped from the bounded lane on
-            // demand. Seal rules are identical to the batch-mode planner
-            // (whose property tests pin them).
-            let mut buffer: VecDeque<(u64, Ns)> = VecDeque::new();
-            let mut offered = 0u64;
-            let mut shed = 0u64;
-            let mut open = true;
-            let pull = |buffer: &mut VecDeque<(u64, Ns)>, offered: &mut u64| match queue.pop(wid) {
-                Some(r) => {
-                    *offered += 1;
-                    buffer.push_back((r.seq, r.arrival));
-                    true
-                }
-                None => false,
-            };
-            loop {
-                if buffer.is_empty() && (!open || !pull(&mut buffer, &mut offered)) {
-                    break;
-                }
-                let first = buffer.front().expect("buffer non-empty").1;
-                let seal_by_linger = first + linger;
-                while open
-                    && buffer.len() < max_batch
-                    && buffer.back().expect("buffer non-empty").1 <= seal_by_linger
-                {
-                    open = pull(&mut buffer, &mut offered);
-                }
-                let mut end = 1;
-                while end < buffer.len().min(max_batch) && buffer[end].1 <= seal_by_linger {
-                    end += 1;
-                }
-                // Full batches seal when their last rider arrives; short
-                // ones wait out the full linger.
-                let seal = if end == max_batch {
-                    buffer[end - 1].1
-                } else {
-                    seal_by_linger
-                };
-                let p0 = Instant::now();
-                let mut members = Vec::with_capacity(end);
-                for &(seq, arr) in buffer.iter().take(end) {
-                    match config.deadline {
-                        Some(dl) if crate::server::misses_deadline(seal, arr, dl) => shed += 1,
-                        _ => members.push((seq, arr)),
-                    }
-                }
-                buffer.drain(..end);
-                if members.is_empty() {
+            let (mut offered, mut shed, mut prep_secs) = (0u64, 0u64, 0.0f64);
+            let mut stream = lane
+                .inspect(|_| offered += 1)
+                .map(|r| (r.seq, r.arrival))
+                .peekable();
+            while let Some((plan, late)) = MicroBatcher::seal_next(&mut stream, &rule) {
+                shed += late.len() as u64;
+                if plan.members.is_empty() {
                     continue;
                 }
-                let batch = gen.next_batch(members.len());
+                let p0 = Instant::now();
+                let batch = gen.next_batch(plan.members.len());
                 let dedup = Deduped::from_batch(&batch);
-                *prep_secs.lock().expect("prep lock poisoned") += p0.elapsed().as_secs_f64();
-                let msg = PreparedBatch {
-                    seal,
-                    members,
-                    batch,
-                    dedup,
-                };
-                if tx.send(msg).is_err() {
+                prep_secs += p0.elapsed().as_secs_f64();
+                if tx.send((plan, batch, dedup)).is_err() {
                     break;
                 }
             }
-            (offered, shed)
+            (offered, shed, prep_secs)
         });
-        while let Ok(p) = rx.recv() {
+        while let Ok((plan, batch, dedup)) = rx.recv() {
             recvs += 1;
-            let now = engine.gpu().now();
-            // Dequeue-time deadline re-check: the plan judged waits
-            // against the seal, but by now the executor may be far past
-            // it. Requests already over budget are shed here.
-            let start = now.max(p.seal);
-            let mut live: Vec<Ns> = Vec::with_capacity(p.members.len());
-            match config.deadline {
-                Some(dl) => {
-                    for &(_, arr) in &p.members {
-                        if crate::server::misses_deadline(start, arr, dl) {
-                            shed_at_dequeue += 1;
-                        } else {
-                            live.push(arr);
-                        }
-                    }
-                }
-                None => live.extend(p.members.iter().map(|&(_, arr)| arr)),
+            // Dequeue-time deadline re-check: the seal judged waits
+            // against the seal time, but by now the executor may be far
+            // past it. Requests already over budget are shed here.
+            let start = engine.gpu().now().max(plan.seal);
+            let mut live: Vec<Ns> = plan.members.iter().map(|m| m.1).collect();
+            if let Some(dl) = config.deadline {
+                live.retain(|&arr| !misses_deadline(start, arr, dl));
+                shed_at_dequeue += (plan.members.len() - live.len()) as u64;
             }
             if live.is_empty() {
                 // Every rider aged out while queued: skip the device
                 // instead of burning the slot on dead work.
                 continue;
             }
-            if p.seal > now {
-                engine.gpu_mut().elapse_host("idle", p.seal - now);
-            }
-            let t0 = engine.gpu().now();
-            let e0 = Instant::now();
-            let timing = engine.run_batch_prepared(&p.batch, p.dedup);
-            stage.exec_secs += e0.elapsed().as_secs_f64();
-            let done = engine.gpu().now();
-            busy += done - t0;
-            for &arr in &live {
-                latency.record(done - arr);
-            }
-            batches += 1;
-            batched += live.len() as u64;
-            dwell(config.pace, timing.total, &mut stage);
+            tally.execute(engine, plan.seal, live.into_iter(), |engine| {
+                timed_exec(config.pace, stage, || {
+                    engine.run_batch_prepared(&batch, dedup)
+                })
+            });
         }
         prep.join().expect("prep thread panicked")
     });
-    stage.prep_secs = *prep_secs.lock().expect("prep lock poisoned");
-    let elapsed = engine.gpu().now() - t_start;
-    WorkerRun {
-        worker: wid,
-        run: ServedRun {
-            achieved: batched as f64 / elapsed.as_secs().max(1e-12),
-            mean_batch: batched as f64 / batches.max(1) as f64,
-            utilization: (busy / elapsed).min(1.0),
-            offered,
-            served: batched,
-            shed_queue: 0,
-            shed_deadline: shed_plan + shed_at_dequeue,
-            lifetime: engine.system().lifetime_stats(),
-            latency,
-        },
-        batches,
-        stage,
-        queue_handoffs: offered,
-        pipeline_handoffs: recvs,
-        shed_at_dequeue,
-    }
+    stage.prep_secs = prep_secs;
+    tally.offered = offered;
+    tally.shed_deadline = shed_at_seal + shed_at_dequeue;
+    (tally, recvs, shed_at_dequeue)
 }
 
-/// Sleeps `pace ×` the batch's simulated time: the host-side duty cycle
-/// of waiting on the device. Overlaps across worker threads, which is
-/// exactly where the wall-clock scaling of multiple workers comes from.
-fn dwell(pace: f64, sim_total: Ns, stage: &mut StageWall) {
-    if pace <= 0.0 {
-        return;
+/// Runs one batch under the wall clock, then sleeps `pace ×` its simulated
+/// time: the host-side duty cycle of waiting on the device. The sleeps
+/// overlap across worker threads, which is exactly where the wall-clock
+/// scaling of multiple workers comes from.
+fn timed_exec(pace: f64, stage: &mut StageWall, run: impl FnOnce() -> InferenceTiming) {
+    let e0 = Instant::now();
+    let timing = run();
+    stage.exec_secs += e0.elapsed().as_secs_f64();
+    if pace > 0.0 {
+        let d0 = Instant::now();
+        std::thread::sleep(Duration::from_secs_f64(timing.total.as_secs() * pace));
+        stage.dwell_secs += d0.elapsed().as_secs_f64();
     }
-    let d0 = Instant::now();
-    std::thread::sleep(Duration::from_secs_f64(sim_total.as_secs() * pace));
-    stage.dwell_secs += d0.elapsed().as_secs_f64();
 }
 
 #[cfg(test)]
@@ -859,7 +678,7 @@ mod tests {
     use super::*;
     use crate::dense::DenseModel;
     use crate::engine::ModelMode;
-    use crate::server::{serve, ServerConfig};
+    use crate::server::ServerConfig;
     use fleche_core::{FlecheConfig, FlecheSystem};
     use fleche_gpu::{DeviceSpec, DramSpec, Gpu};
     use fleche_store::CpuStore;
@@ -921,27 +740,19 @@ mod tests {
     }
 
     #[test]
-    fn one_worker_streaming_matches_serial_bitwise() {
-        let cfg = serial_config(200_000.0);
-        let (mut eng, mut gen) = build(0);
-        let serial = serve(&mut eng, &mut gen, &cfg);
-        let conc = serve_concurrent(build, &ConcurrentConfig::mirror_serial(&cfg, 1));
-        assert_eq!(conc.workers.len(), 1);
-        assert_bit_identical(&serial, &conc.workers[0].run);
-    }
-
-    #[test]
-    fn one_worker_matches_serial_with_shedding() {
-        let cfg = ServerConfig {
-            queue_capacity: Some(64),
-            deadline: Some(Ns::from_us(300.0)),
-            ..serial_config(5_000_000.0)
-        };
-        let (mut eng, mut gen) = build(0);
-        let serial = serve(&mut eng, &mut gen, &cfg);
-        let conc = serve_concurrent(build, &ConcurrentConfig::mirror_serial(&cfg, 1));
-        assert!(serial.shed_queue + serial.shed_deadline > 0);
-        assert_bit_identical(&serial, &conc.workers[0].run);
+    fn idle_worker_reports_zero_utilization() {
+        // More workers than requests: lanes 2 and 3 never see one.
+        let mut cfg = ConcurrentConfig::mirror_serial(&serial_config(400_000.0), 4);
+        cfg.requests = 2;
+        for linger in [None, Some(Ns::from_us(200.0))] {
+            cfg.linger = linger;
+            let run = serve_concurrent(build, &cfg);
+            assert_eq!(run.served(), 2);
+            for w in &run.workers[2..] {
+                assert_eq!(w.run.offered, 0);
+                assert_eq!(w.run.utilization, 0.0, "an idle worker was never busy");
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,34 @@
-//! Open-loop serving simulation.
+//! Open-loop serving simulation: the one single-tenant serving loop.
 //!
 //! The paper's throughput-vs-latency curves (Exp #2) come from a loaded
 //! inference server, where observed latency is queueing delay plus service
-//! time. This module models that: requests arrive in a Poisson stream at a
-//! configured offered load, a batcher groups whatever is queued (up to a
-//! maximum batch) whenever the engine goes idle, and per-request latency
-//! is measured from arrival to batch completion. As offered load
-//! approaches the service capacity, queueing inflates the tail — the
-//! hockey-stick the paper's Figure 10 plots.
+//! time. Requests arrive in a Poisson stream at a configured offered load,
+//! a batcher groups whatever is queued (up to a maximum batch) whenever
+//! the engine goes idle, and per-request latency is measured from arrival
+//! to batch completion. As offered load approaches the service capacity,
+//! queueing inflates the tail — the hockey-stick of the paper's Figure 10.
+//!
+//! Every single-tenant drive is a configuration of the same five stages,
+//! each written once:
+//!
+//! ```text
+//!  source ──► window / seal ──► shed ──► execute ──► tally
+//!
+//!  source   serve: `arrivals` drawn in-thread — no queue, no threads
+//!           serve_concurrent: the same stream through the worker's lane
+//!  window   no linger: `drive_windows` — all that arrived by the time
+//!           the engine is idle and its first waiter is there
+//!  seal     linger: `MicroBatcher::seal_next` on the prep thread
+//!  shed     deadline (window: then the queue bound; seal: again at dequeue)
+//!  execute  `Tally::execute` — idle skip, run, busy time, rider latencies
+//!  tally    `Tally::finish` — the one `ServedRun`
+//! ```
+//!
+//! So serial [`serve`] is not a loop of its own, and one
+//! [`serve_concurrent`](crate::serve_concurrent) worker without a linger
+//! is bit-identical to it. The multi-tenant server
+//! ([`serve_multi_tenant`](crate::serve_multi_tenant)) stays separate on
+//! purpose; its module doc says why.
 //!
 //! Overload protection is optional and off by default: a bounded admission
 //! queue rejects arrivals that find it full, and a deadline sheds queued
@@ -18,18 +39,18 @@ use crate::engine::InferenceEngine;
 use crate::latency::LatencyRecorder;
 use fleche_gpu::Ns;
 use fleche_store::api::{EmbeddingCacheSystem, LifetimeStats};
-use fleche_workload::{ArrivalGen, Batch, TraceGenerator};
+use fleche_workload::{ArrivalGen, BurstWindow, TraceGenerator};
+use std::collections::VecDeque;
 
-/// Seed of the serial arrival stream. [`crate::serve_concurrent`] uses the
-/// same seed so its workers replay the identical Poisson process.
+/// Seed of the arrival stream: every drive, serial or concurrent, replays
+/// the identical Poisson process.
 pub const ARRIVAL_SEED: u64 = 0x005E_A7ED;
 
-/// The deadline-shedding rule, shared by the serial server and both
-/// concurrent batchers: a request sheds when its queueing wait alone —
+/// The deadline-shedding rule, shared by the window loop and the
+/// micro-batcher: a request sheds when its queueing wait alone —
 /// the time from `arrival` to the moment the batch would seal
 /// (`seal_at`) — already exceeds `deadline`, so serving it could no
-/// longer meet the SLA. One definition keeps the serial and concurrent
-/// front-ends bit-identical on the same arrival stream.
+/// longer meet the SLA.
 pub fn misses_deadline(seal_at: Ns, arrival: Ns, deadline: Ns) -> bool {
     seal_at.saturating_sub(arrival) > deadline
 }
@@ -43,7 +64,10 @@ pub struct ServerConfig {
     pub max_batch: usize,
     /// Requests to simulate (after warm-up).
     pub requests: usize,
-    /// Requests used to warm the cache (not measured).
+    /// Sizes the cache warm-up (not measured). Not a sample count: the
+    /// warm-up runs `ceil(warmup_requests / max_batch)` batches of
+    /// `min(max_batch, 256)` samples, so above `max_batch = 256` it warms
+    /// only `256 / max_batch` of the named volume (DESIGN.md §6).
     pub warmup_requests: usize,
     /// Admission queue bound: an arrival that finds this many requests
     /// already waiting is rejected. `None` queues without bound.
@@ -62,7 +86,8 @@ pub struct ServedRun {
     pub achieved: f64,
     /// Mean batch size the batcher formed.
     pub mean_batch: f64,
-    /// Fraction of simulated time the engine was busy.
+    /// Fraction of simulated time the engine was busy (0 for a run that
+    /// executed nothing).
     pub utilization: f64,
     /// Requests offered (arrived) during the measured window.
     pub offered: u64,
@@ -114,115 +139,167 @@ pub fn serve<S: EmbeddingCacheSystem>(
     gen: &mut TraceGenerator,
     config: &ServerConfig,
 ) -> ServedRun {
-    assert!(config.offered_load > 0.0, "offered load must be positive");
+    warm_up(engine, gen, config);
+    let source = arrivals(config, Vec::new(), engine.gpu().now());
+    let run = |engine: &mut InferenceEngine<S>, count| {
+        engine.run_batch(&gen.next_batch(count));
+    };
+    drive_windows(engine, config, source, run).finish(engine)
+}
+
+/// The warm-up every single-tenant drive runs before it measures (see
+/// [`ServerConfig::warmup_requests`] for what it really covers).
+pub(crate) fn warm_up<S: EmbeddingCacheSystem>(
+    engine: &mut InferenceEngine<S>,
+    gen: &mut TraceGenerator,
+    config: &ServerConfig,
+) {
     assert!(config.max_batch > 0, "max batch must be positive");
-    let mut agen = ArrivalGen::new(
-        ARRIVAL_SEED,
-        Ns::from_secs(1.0 / config.offered_load).as_ns(),
+    engine.warmup(
+        gen,
+        config.warmup_requests.div_ceil(config.max_batch),
+        config.max_batch.min(256),
     );
+}
 
-    // Warm the cache at an easy pace.
-    for _ in 0..config.warmup_requests.div_ceil(config.max_batch) {
-        let b = gen.next_batch(config.max_batch.min(256));
-        engine.run_batch(&b);
-    }
-    engine.system_mut().reset_stats();
-
-    // Pre-draw arrival offsets (exponential inter-arrival gaps).
-    let mut arrivals = Vec::with_capacity(config.requests);
-    let mut t = engine.gpu().now();
-    for _ in 0..config.requests {
+/// The arrival stream: `config.requests` absolute arrival times from
+/// `base`, the post-warm-up simulated clock. The accumulation is `t +=
+/// gap` and nothing else, so every drive sees bit-identical arrivals.
+pub(crate) fn arrivals(
+    config: &ServerConfig,
+    bursts: Vec<BurstWindow>,
+    base: Ns,
+) -> impl Iterator<Item = Ns> {
+    assert!(config.offered_load > 0.0, "offered load must be positive");
+    let mean_gap = Ns::from_secs(1.0 / config.offered_load).as_ns();
+    let mut agen = ArrivalGen::new(ARRIVAL_SEED, mean_gap).with_bursts(bursts);
+    let mut t = base;
+    (0..config.requests).map(move |_| {
         t += Ns(agen.next_gap_ns());
-        arrivals.push(t);
+        t
+    })
+}
+
+/// Running totals of one drive, from which [`Tally::finish`] builds the
+/// [`ServedRun`].
+#[derive(Default)]
+pub(crate) struct Tally {
+    latency: LatencyRecorder,
+    /// Requests pulled from the source.
+    pub(crate) offered: u64,
+    /// Batches executed.
+    pub(crate) batches: u64,
+    batched: u64,
+    shed_queue: u64,
+    pub(crate) shed_deadline: u64,
+    busy: Ns,
+    t_start: Ns,
+}
+
+impl Tally {
+    /// An empty tally anchored at the engine's current (post-warm-up) clock.
+    pub(crate) fn start<S: EmbeddingCacheSystem>(engine: &InferenceEngine<S>) -> Tally {
+        Tally {
+            t_start: engine.gpu().now(),
+            ..Tally::default()
+        }
     }
 
-    let mut latency = LatencyRecorder::new();
-    // Requests already handled (served or shed); the front pointer skips
-    // them.
-    let mut done_flag = vec![false; arrivals.len()];
-    let mut next = 0usize;
-    let mut batches = 0u64;
-    let mut batched_samples = 0u64;
-    let mut shed_queue = 0u64;
-    let mut shed_deadline = 0u64;
-    let mut busy = Ns::ZERO;
-    let t_start = engine.gpu().now();
-    while next < arrivals.len() {
-        if done_flag[next] {
-            next += 1;
-            continue;
-        }
-        // The engine is idle at `now`; wait for at least one arrival.
+    /// The execute step: skip the idle gap up to `start` as free host time
+    /// (arrival-driven, no spans recorded), let `run` execute the batch,
+    /// charge its simulated time as busy, and record each rider's latency
+    /// from its arrival to the batch's completion.
+    pub(crate) fn execute<S: EmbeddingCacheSystem>(
+        &mut self,
+        engine: &mut InferenceEngine<S>,
+        start: Ns,
+        riders: impl Iterator<Item = Ns>,
+        run: impl FnOnce(&mut InferenceEngine<S>),
+    ) {
         let now = engine.gpu().now();
-        let ready_from = now.max(arrivals[next]);
-        // The waiting window: everything that has arrived by `ready_from`.
-        let mut end = next + 1;
-        while end < arrivals.len() && arrivals[end] <= ready_from {
-            end += 1;
+        if start > now {
+            engine.gpu_mut().elapse_host("idle", start - now);
+        }
+        let t0 = engine.gpu().now();
+        run(engine);
+        let done = engine.gpu().now();
+        self.busy += done - t0;
+        for arrival in riders {
+            self.latency.record(done - arrival);
+            self.batched += 1;
+        }
+        self.batches += 1;
+    }
+
+    /// Closes the run at the engine's current clock.
+    pub(crate) fn finish<S: EmbeddingCacheSystem>(self, engine: &InferenceEngine<S>) -> ServedRun {
+        let elapsed = engine.gpu().now() - self.t_start;
+        ServedRun {
+            achieved: self.batched as f64 / elapsed.as_secs().max(1e-12),
+            mean_batch: self.batched as f64 / self.batches.max(1) as f64,
+            // A drive that executed nothing never advanced the clock:
+            // 0/0 is NaN, and `NaN.min(1.0)` would report it fully busy.
+            utilization: if elapsed > Ns::ZERO {
+                (self.busy / elapsed).min(1.0)
+            } else {
+                0.0
+            },
+            offered: self.offered,
+            served: self.batched,
+            shed_queue: self.shed_queue,
+            shed_deadline: self.shed_deadline,
+            lifetime: engine.system().lifetime_stats(),
+            latency: self.latency,
+        }
+    }
+}
+
+/// The single-tenant window loop: whenever the engine is idle, everything
+/// that has arrived by the time its first waiter can start forms the
+/// window; the oldest waiters shed on the deadline, the newest beyond the
+/// queue bound are rejected, and up to `max_batch` of the rest ride one
+/// `run(engine, count)`. `source` yields arrival times in order and is
+/// pulled lazily: one arrival beyond the window is buffered, no more.
+pub(crate) fn drive_windows<S: EmbeddingCacheSystem>(
+    engine: &mut InferenceEngine<S>,
+    config: &ServerConfig,
+    source: impl Iterator<Item = Ns>,
+    mut run: impl FnMut(&mut InferenceEngine<S>, usize),
+) -> Tally {
+    let mut tally = Tally::start(engine);
+    let mut source = source.peekable();
+    // Arrived and still waiting, oldest first.
+    let mut waiting: VecDeque<Ns> = VecDeque::new();
+    while let Some(&first) = waiting.front().or_else(|| source.peek()) {
+        // The engine is idle at `now`; wait for at least one arrival.
+        let ready_from = engine.gpu().now().max(first);
+        while let Some(arrival) = source.next_if(|&a| a <= ready_from) {
+            tally.offered += 1;
+            waiting.push_back(arrival);
         }
         // Deadline shedding: the oldest waiters may already have blown the
         // SLA on queueing alone — serving them is wasted work.
         if let Some(dl) = config.deadline {
-            while next < end && misses_deadline(ready_from, arrivals[next], dl) {
-                if !done_flag[next] {
-                    shed_deadline += 1;
-                }
-                next += 1;
-            }
-            if next >= end {
-                continue;
+            while waiting
+                .front()
+                .is_some_and(|&a| misses_deadline(ready_from, a, dl))
+            {
+                waiting.pop_front();
+                tally.shed_deadline += 1;
             }
         }
-        let mut live: Vec<usize> = (next..end).filter(|&i| !done_flag[i]).collect();
+        let Some(&start) = waiting.front() else {
+            continue;
+        };
         // Bounded admission queue: the newest arrivals found it full and
         // were rejected at arrival time.
-        if let Some(cap) = config.queue_capacity {
-            let cap = cap.max(1);
-            if live.len() > cap {
-                for &i in &live[cap..] {
-                    done_flag[i] = true;
-                }
-                shed_queue += (live.len() - cap) as u64;
-                live.truncate(cap);
-            }
-        }
-        live.truncate(config.max_batch);
-        let count = live.len();
-        let batch: Batch = gen.next_batch(count);
-        // Advance the host clock across the idle gap (arrival-driven).
-        if arrivals[next] > now {
-            // Idle skip: model as free host time (no spans recorded).
-            let gap = arrivals[next] - now;
-            engine_skip(engine, gap);
-        }
-        let t0 = engine.gpu().now();
-        engine.run_batch(&batch);
-        let done = engine.gpu().now();
-        busy += done - t0;
-        for &i in &live {
-            latency.record(done - arrivals[i]);
-            done_flag[i] = true;
-        }
-        batches += 1;
-        batched_samples += count as u64;
+        let cap = config.queue_capacity.map_or(usize::MAX, |cap| cap.max(1));
+        tally.shed_queue += waiting.len().saturating_sub(cap) as u64;
+        waiting.truncate(cap);
+        let count = waiting.len().min(config.max_batch);
+        tally.execute(engine, start, waiting.drain(..count), |e| run(e, count));
     }
-    let elapsed = engine.gpu().now() - t_start;
-    ServedRun {
-        achieved: batched_samples as f64 / elapsed.as_secs().max(1e-12),
-        mean_batch: batched_samples as f64 / batches.max(1) as f64,
-        utilization: (busy / elapsed).min(1.0),
-        offered: arrivals.len() as u64,
-        served: batched_samples,
-        shed_queue,
-        shed_deadline,
-        lifetime: engine.system().lifetime_stats(),
-        latency,
-    }
-}
-
-/// Advances the engine's host clock across an idle gap.
-fn engine_skip<S: EmbeddingCacheSystem>(engine: &mut InferenceEngine<S>, gap: Ns) {
-    engine.gpu_mut().elapse_host("idle", gap);
+    tally
 }
 
 #[cfg(test)]
@@ -372,6 +449,49 @@ mod tests {
             run.latency.quantile(1.0),
             unbounded.latency.quantile(1.0)
         );
+    }
+
+    #[test]
+    fn empty_run_reports_zero_utilization() {
+        let (mut eng, mut gen) = engine();
+        let cfg = ServerConfig {
+            requests: 0,
+            ..open_config(100_000.0)
+        };
+        let run = serve(&mut eng, &mut gen, &cfg);
+        assert_eq!(run.offered, 0);
+        assert_eq!(run.achieved, 0.0);
+        assert_eq!(run.utilization, 0.0, "nothing ran, so nothing was busy");
+    }
+
+    #[test]
+    fn every_executed_batch_carries_requests() {
+        // A queue bound above `max_batch` leaves waiters behind a served
+        // batch, and a tight deadline then sheds all of them while the
+        // stream runs dry: the window is empty and must not reach the
+        // engine as a zero-sample batch (which would count in
+        // `mean_batch` and the busy time).
+        let (mut eng, mut gen) = engine();
+        let cfg = ServerConfig {
+            max_batch: 8,
+            requests: 500,
+            queue_capacity: Some(24),
+            deadline: Some(Ns::from_us(100.0)),
+            ..open_config(19_000_000.0)
+        };
+        warm_up(&mut eng, &mut gen, &cfg);
+        let source = arrivals(&cfg, Vec::new(), eng.gpu().now());
+        let mut sizes = Vec::new();
+        let tally = drive_windows(&mut eng, &cfg, source, |eng, count| {
+            sizes.push(count);
+            eng.run_batch(&gen.next_batch(count));
+        });
+        assert!(sizes.iter().all(|&n| (1..=cfg.max_batch).contains(&n)));
+        let run = tally.finish(&eng);
+        assert_eq!(run.served, sizes.iter().sum::<usize>() as u64);
+        assert_eq!(run.lifetime.batches, sizes.len() as u64);
+        assert!(run.shed_queue > 0 && run.shed_deadline > 0);
+        assert_eq!(run.served + run.shed_queue + run.shed_deadline, run.offered);
     }
 
     #[test]

@@ -185,6 +185,10 @@ proptest! {
             serial.latency.mean().as_ns().to_bits(),
             run.latency.mean().as_ns().to_bits()
         );
+        prop_assert_eq!(
+            serial.latency.total().as_ns().to_bits(),
+            run.latency.total().as_ns().to_bits()
+        );
         prop_assert_eq!(serial.lifetime.hits, run.lifetime.hits);
         prop_assert_eq!(serial.lifetime.misses, run.lifetime.misses);
         prop_assert_eq!(serial.lifetime.batches, run.lifetime.batches);
