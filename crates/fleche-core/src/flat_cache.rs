@@ -19,7 +19,6 @@ use fleche_index::{
 use fleche_workload::DatasetSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// FNV-1a over the value's raw f32 bits — the per-slot checksum readers
 /// verify when [`FlatCache::enable_checksums`] is on. Hot-path *writes*
@@ -48,6 +47,17 @@ pub enum CacheAnswer {
     UnifiedHit,
     /// Unknown key: full CPU-DRAM query needed.
     Miss,
+}
+
+impl CacheAnswer {
+    /// Classifies what the index holds for a key.
+    fn of(found: Option<PackedLoc>) -> CacheAnswer {
+        match found.map(PackedLoc::unpack) {
+            Some(Loc::Hbm { class, slot }) => CacheAnswer::Hit { class, slot },
+            Some(Loc::Dram { .. }) => CacheAnswer::UnifiedHit,
+            None => CacheAnswer::Miss,
+        }
+    }
 }
 
 /// Which GPU index structure backs the flat cache (the paper: "an
@@ -100,12 +110,63 @@ pub struct TenantCacheStats {
     pub evictions: u64,
 }
 
+/// One record per pool slot, in per-class arrays indexed by slot and sized
+/// from the pool when built: the metadata beside a slot is one predictable
+/// load, not a hash probe. A slot holding `vacant` has no record; locations
+/// outside the pool read as vacant and ignore writes.
+struct SlotArray<T> {
+    classes: Vec<Vec<T>>,
+    vacant: T,
+}
+
+impl<T: Copy> SlotArray<T> {
+    fn new(pool: &SlabPool, vacant: T) -> SlotArray<T> {
+        SlotArray {
+            classes: (0..pool.class_count() as u16)
+                .map(|class| vec![vacant; pool.slot_count(class) as usize])
+                .collect(),
+            vacant,
+        }
+    }
+
+    fn get(&self, class: u16, slot: u32) -> T {
+        self.classes
+            .get(class as usize)
+            .and_then(|c| c.get(slot as usize))
+            .copied()
+            .unwrap_or(self.vacant)
+    }
+
+    /// Stores `value`, returning what the slot held before.
+    fn replace(&mut self, class: u16, slot: u32, value: T) -> T {
+        match self
+            .classes
+            .get_mut(class as usize)
+            .and_then(|c| c.get_mut(slot as usize))
+        {
+            Some(cell) => std::mem::replace(cell, value),
+            None => self.vacant,
+        }
+    }
+
+    /// Stores `vacant`, returning what the slot held before.
+    fn take(&mut self, class: u16, slot: u32) -> T {
+        self.replace(class, slot, self.vacant)
+    }
+
+    fn clear(&mut self) {
+        for c in &mut self.classes {
+            c.fill(self.vacant);
+        }
+    }
+}
+
 /// Opt-in per-tenant cache partitioning state: who owns each resident
 /// slot, how much each tenant holds, and each tenant's byte quota.
-/// Lookups only — never iterated — so accounting stays deterministic.
 struct Tenancy {
     active: usize,
-    owner: HashMap<(u16, u32), usize>,
+    /// Owning tenant per slot; unowned slots are never charged.
+    owner: SlotArray<Option<u32>>,
     occupancy: Vec<u64>,
     quota_bytes: Vec<u64>,
     denied: Vec<u64>,
@@ -128,18 +189,22 @@ pub struct FlatCache {
     unified_target: u64,
     rng: StdRng,
     evict_passes: u64,
-    /// Per-(class, slot) checksums, recorded on write when enabled. Stale
-    /// records for retired slots are harmless: reuse overwrites them on the
-    /// next write, and grace-period reads still see the retired bytes.
-    checksums: Option<HashMap<(u16, u32), u32>>,
+    /// Per-slot checksums, recorded on write when enabled (a slot with no
+    /// record passes verification). Stale records for retired slots are
+    /// harmless: reuse overwrites them on the next write, and grace-period
+    /// reads still see the retired bytes.
+    checksums: Option<SlotArray<Option<u32>>>,
     corruptions_detected: u64,
-    /// Per-(class, slot) online-update version (absent = 0, the frozen
-    /// table value). Reset on every write through the normal insert
-    /// workflow — the caller that knows the true version stamps it with
+    /// Per-slot online-update version (0 = the frozen table value). Reset
+    /// on every write through the normal insert workflow — the caller that
+    /// knows the true version stamps it with
     /// [`FlatCache::set_slot_version`] — and advanced by
     /// [`FlatCache::apply_updates`] and delta restores, which only ever
-    /// move a slot's version forward.
-    versions: HashMap<(u16, u32), u64>,
+    /// move a slot's version forward. Allocated by the first non-zero
+    /// version: a cache that never sees an update carries no array.
+    versions: Option<SlotArray<u64>>,
+    /// Raw keys of the batch being probed, reused across batches.
+    probe_keys: Vec<u64>,
     /// Per-tenant partitioning; `None` (the default) leaves every path
     /// byte-identical to the tenant-unaware cache.
     tenancy: Option<Tenancy>,
@@ -237,7 +302,8 @@ impl FlatCache {
             evict_passes: 0,
             checksums: None,
             corruptions_detected: 0,
-            versions: HashMap::new(),
+            versions: None,
+            probe_keys: Vec::new(),
             tenancy: None,
         }
     }
@@ -267,7 +333,7 @@ impl FlatCache {
         let cap = self.pool.capacity_bytes() as f64;
         self.tenancy = Some(Tenancy {
             active: 0,
-            owner: HashMap::new(),
+            owner: SlotArray::new(&self.pool, None),
             occupancy: vec![0; quotas.len()],
             quota_bytes: quotas.iter().map(|&q| (q * cap) as u64).collect(),
             denied: vec![0; quotas.len()],
@@ -313,11 +379,12 @@ impl FlatCache {
     fn charge_slot(&mut self, class: u16, slot: u32) {
         let bytes = self.slot_bytes(class);
         if let Some(t) = &mut self.tenancy {
-            let prev = t.owner.insert((class, slot), t.active);
-            if prev == Some(t.active) {
+            let prev = t.owner.replace(class, slot, Some(t.active as u32));
+            if prev == Some(t.active as u32) {
                 return;
             }
             if let Some(p) = prev {
+                let p = p as usize;
                 t.occupancy[p] = t.occupancy[p].saturating_sub(bytes);
             }
             t.occupancy[t.active] += bytes;
@@ -329,7 +396,8 @@ impl FlatCache {
     fn release_slot(&mut self, class: u16, slot: u32, evicted: bool) {
         let bytes = self.slot_bytes(class);
         if let Some(t) = &mut self.tenancy {
-            if let Some(owner) = t.owner.remove(&(class, slot)) {
+            if let Some(owner) = t.owner.take(class, slot) {
+                let owner = owner as usize;
                 t.occupancy[owner] = t.occupancy[owner].saturating_sub(bytes);
                 if evicted {
                     t.evictions[owner] += 1;
@@ -341,15 +409,15 @@ impl FlatCache {
     /// Turns on per-slot checksums. Existing live slots are checksummed so
     /// enabling mid-life never produces false corruption alarms.
     pub fn enable_checksums(&mut self) {
-        let mut map = HashMap::new();
+        let mut sums = SlotArray::new(&self.pool, None);
         for class in 0..self.pool.class_count() as u16 {
             for slot in self.pool.live_slots(class) {
                 if let Ok(v) = self.pool.read(class, slot) {
-                    map.insert((class, slot), checksum_of(v));
+                    sums.replace(class, slot, Some(checksum_of(v)));
                 }
             }
         }
-        self.checksums = Some(map);
+        self.checksums = Some(sums);
     }
 
     /// Whether hit verification is active.
@@ -370,9 +438,9 @@ impl FlatCache {
         value: &[f32],
     ) -> Result<ProbeStats, PoolError> {
         match &mut self.checksums {
-            Some(map) => {
+            Some(sums) => {
                 let (sum, stats) = self.pool.write_with_checksum(class, slot, value)?;
-                map.insert((class, slot), sum);
+                sums.replace(class, slot, Some(sum));
                 Ok(stats)
             }
             None => self.pool.write(class, slot, value),
@@ -389,10 +457,10 @@ impl FlatCache {
     /// only for entries written before enabling, which `enable_checksums`
     /// backfills) also passes.
     pub fn verify_hit(&self, class: u16, slot: u32) -> bool {
-        let Some(map) = &self.checksums else {
+        let Some(sums) = &self.checksums else {
             return true;
         };
-        let Some(&expected) = map.get(&(class, slot)) else {
+        let Some(expected) = sums.get(class, slot) else {
             return true;
         };
         self.pool
@@ -407,14 +475,14 @@ impl FlatCache {
     /// chains). `out[i]` is identical to `verify_hit(slots[i])` — same
     /// per-slot hash, same missing-record/unreadable-slot outcomes.
     pub fn verify_hits(&self, slots: &[(u16, u32)]) -> Vec<bool> {
-        let Some(map) = &self.checksums else {
+        let Some(sums) = &self.checksums else {
             return vec![true; slots.len()];
         };
         let mut out = vec![true; slots.len()];
         let mut views: Vec<&[f32]> = Vec::with_capacity(slots.len());
         let mut pending: Vec<(usize, u32)> = Vec::with_capacity(slots.len());
         for (i, &(class, slot)) in slots.iter().enumerate() {
-            let Some(&expected) = map.get(&(class, slot)) else {
+            let Some(expected) = sums.get(class, slot) else {
                 continue; // no record: passes, as in verify_hit
             };
             match self.pool.read_during_grace(class, slot) {
@@ -440,10 +508,10 @@ impl FlatCache {
         self.epochs.retire((class, slot));
         self.pool.note_retired(class, slot);
         self.release_slot(class, slot, false);
-        if let Some(map) = &mut self.checksums {
-            map.remove(&(class, slot));
+        if let Some(sums) = &mut self.checksums {
+            sums.take(class, slot);
         }
-        self.versions.remove(&(class, slot));
+        self.set_slot_version(class, slot, 0);
         self.corruptions_detected += 1;
     }
 
@@ -483,6 +551,11 @@ impl FlatCache {
     /// Embedding dimension of `table`.
     pub fn dim_of(&self, table: u16) -> u32 {
         self.dim_of_table[table as usize]
+    }
+
+    /// Embedding dimension of every table, indexed by table.
+    pub fn table_dims(&self) -> &[u32] {
+        &self.dim_of_table
     }
 
     /// Live index entries (cached values + unified pointers).
@@ -537,32 +610,48 @@ impl FlatCache {
     /// Looks up one flat key, bumping its LRU stamp to `stamp`.
     pub fn lookup(&mut self, key: FlatKey, stamp: u32) -> (CacheAnswer, ProbeStats) {
         let (found, stats) = self.index.lookup(key.0, Some(stamp));
-        let answer = match found.map(PackedLoc::unpack) {
-            Some(Loc::Hbm { class, slot }) => CacheAnswer::Hit { class, slot },
-            Some(Loc::Dram { .. }) => CacheAnswer::UnifiedHit,
-            None => CacheAnswer::Miss,
-        };
-        (answer, stats)
+        (CacheAnswer::of(found), stats)
     }
 
     /// Looks up a batch of flat keys via the index's batched probe walk
-    /// (bucket-grouped for locality on the slab-hash backend). Answers
-    /// and per-key [`ProbeStats`] come back in input order, identical to
-    /// calling [`FlatCache::lookup`] per key.
+    /// (on the slab-hash backend a prefetch pipeline that overlaps the
+    /// keys' memory waits). Answers and per-key [`ProbeStats`] come back
+    /// in input order, identical to calling [`FlatCache::lookup`] per key.
     pub fn lookup_batch(&mut self, keys: &[FlatKey], stamp: u32) -> Vec<(CacheAnswer, ProbeStats)> {
-        let raw: Vec<u64> = keys.iter().map(|k| k.0).collect();
+        let mut out = Vec::new();
+        self.lookup_batch_into(keys, stamp, &mut out);
+        out
+    }
+
+    /// [`FlatCache::lookup_batch`] into a caller-owned buffer (cleared
+    /// first), so a serving loop reuses one across batches. Every
+    /// [`CacheAnswer::Hit`] it resolves also hints the CPU to fetch that
+    /// pool row: the checksum verify and the gather that follow find the
+    /// bytes in cache instead of each waiting on memory in turn.
+    pub fn lookup_batch_into(
+        &mut self,
+        keys: &[FlatKey],
+        stamp: u32,
+        out: &mut Vec<(CacheAnswer, ProbeStats)>,
+    ) {
+        out.clear();
+        out.reserve(keys.len());
+        self.probe_keys.clear();
+        self.probe_keys.extend(keys.iter().map(|k| k.0));
+        let pool = &self.pool;
         self.index
-            .lookup_batch(&raw, Some(stamp))
-            .into_iter()
-            .map(|(found, stats)| {
-                let answer = match found.map(PackedLoc::unpack) {
-                    Some(Loc::Hbm { class, slot }) => CacheAnswer::Hit { class, slot },
-                    Some(Loc::Dram { .. }) => CacheAnswer::UnifiedHit,
-                    None => CacheAnswer::Miss,
-                };
-                (answer, stats)
-            })
-            .collect()
+            .lookup_batch(&self.probe_keys, Some(stamp), &mut |found, stats| {
+                let answer = CacheAnswer::of(found);
+                if let CacheAnswer::Hit { class, slot } = answer {
+                    if let Ok(row) = pool.read_during_grace(class, slot) {
+                        // One hint per cache line of the row.
+                        for line in row.chunks(16) {
+                            fleche_simd::prefetch_read(&line[0]);
+                        }
+                    }
+                }
+                out.push((answer, stats));
+            });
     }
 
     /// Reads the embedding behind a [`CacheAnswer::Hit`]. Valid during the
@@ -598,17 +687,23 @@ impl FlatCache {
     /// Online-update version of the value in `(class, slot)`; 0 means the
     /// frozen table value (or a slot never stamped).
     pub fn slot_version(&self, class: u16, slot: u32) -> u64 {
-        self.versions.get(&(class, slot)).copied().unwrap_or(0)
+        self.versions.as_ref().map_or(0, |v| v.get(class, slot))
     }
 
     /// Stamps the version of a slot that was just written through the
     /// normal insert workflow (the writer knows which version it fetched
     /// — e.g. a miss-fill that served the parameter server's latest).
     pub fn set_slot_version(&mut self, class: u16, slot: u32, version: u64) {
-        if version == 0 {
-            self.versions.remove(&(class, slot));
-        } else {
-            self.versions.insert((class, slot), version);
+        match &mut self.versions {
+            Some(v) => {
+                v.replace(class, slot, version);
+            }
+            None if version == 0 => {}
+            None => {
+                let mut v = SlotArray::new(&self.pool, 0);
+                v.replace(class, slot, version);
+                self.versions = Some(v);
+            }
         }
     }
 
@@ -646,7 +741,7 @@ impl FlatCache {
                 report.absent += 1;
                 continue;
             }
-            self.versions.insert((class, slot), u.version);
+            self.set_slot_version(class, slot, u.version);
             report.applied += 1;
             report.slots.push((class, slot));
         }
@@ -685,7 +780,7 @@ impl FlatCache {
         if let Some(loc) = self.index.peek(key.0) {
             if let Loc::Hbm { class: c, slot } = loc.unpack() {
                 if self.write_slot_checksummed(c, slot, value).is_ok() {
-                    self.versions.remove(&(c, slot));
+                    self.set_slot_version(c, slot, 0);
                     let (_, s) = self.index.insert(key.0, loc, stamp);
                     stats.merge(&s);
                     self.charge_slot(c, slot);
@@ -717,7 +812,7 @@ impl FlatCache {
         stats.merge(&s);
         // A reused slot must not inherit the version of whatever lived
         // there before it was reclaimed.
-        self.versions.remove(&(class, slot));
+        self.set_slot_version(class, slot, 0);
         let (outcome, s2) = self
             .index
             .insert(key.0, Loc::Hbm { class, slot }.pack(), stamp);
@@ -842,8 +937,8 @@ impl FlatCache {
                     let in_quota = match e.loc.unpack() {
                         Loc::Hbm { class, slot } => !t
                             .owner
-                            .get(&(class, slot))
-                            .is_some_and(|&owner| over[owner]),
+                            .get(class, slot)
+                            .is_some_and(|owner| over[owner as usize]),
                         Loc::Dram { .. } => true,
                     };
                     (in_quota, e.stamp)
@@ -998,10 +1093,8 @@ impl FlatCache {
             Ok(i) => base_versions[i].1,
             Err(_) => 0,
         };
-        let captured = self.capture_live(|e, loc| {
-            let version = self.versions.get(&loc).copied().unwrap_or(0);
-            version > base_of(e)
-        });
+        let captured =
+            self.capture_live(|e, (class, slot)| self.slot_version(class, slot) > base_of(e));
         let slots = captured.iter().map(|(_, loc)| *loc).collect();
         let entries: Vec<SnapshotEntry> = captured.into_iter().map(|(e, _)| e).collect();
         (
@@ -1030,7 +1123,7 @@ impl FlatCache {
                             key: e.key,
                             class,
                             stamp: e.stamp,
-                            version: self.versions.get(&(class, slot)).copied().unwrap_or(0),
+                            version: self.slot_version(class, slot),
                             value: value.to_vec(),
                         },
                         (class, slot),
@@ -1142,10 +1235,12 @@ impl FlatCache {
         self.pool.reset();
         self.epochs = EpochManager::new();
         self.unified_count = 0;
-        if let Some(map) = &mut self.checksums {
-            map.clear();
+        if let Some(sums) = &mut self.checksums {
+            sums.clear();
         }
-        self.versions.clear();
+        if let Some(v) = &mut self.versions {
+            v.clear();
+        }
         if let Some(t) = &mut self.tenancy {
             t.owner.clear();
             t.occupancy.iter_mut().for_each(|o| *o = 0);
@@ -1864,6 +1959,126 @@ mod tests {
         c.wipe();
         assert_eq!(c.tenant_cache_stats(1).occupancy_bytes, 0);
         assert!(c.tenant_partitioning_enabled());
+    }
+
+    #[test]
+    fn slot_without_a_checksum_record_passes() {
+        let (mut c, codec, _) = mk();
+        c.enable_checksums();
+        let k = codec.encode(0, 3);
+        let (loc, _) = c.insert_value(0, k, &val(2.0), 1);
+        let (class, slot) = loc.expect("room");
+        c.corrupt_nth_live(0, 1, 7).expect("one live slot");
+        assert!(!c.verify_hit(class, slot), "recorded and corrupt: fails");
+        // Quarantine drops the record; the retired slot (still readable in
+        // its grace period) then has nothing to be checked against.
+        c.quarantine(k, class, slot);
+        assert!(c.verify_hit(class, slot));
+        assert_eq!(c.verify_hits(&[(class, slot)]), vec![true]);
+        // A location the pool never had has no record either, in the
+        // single and the batch form alike.
+        assert!(c.verify_hit(9, 9));
+        assert_eq!(c.verify_hits(&[(9, 9), (class, u32::MAX)]), vec![true; 2]);
+    }
+
+    #[test]
+    fn version_array_appears_with_the_first_update_only() {
+        let (mut c, codec, _) = mk();
+        let k = codec.encode(0, 3);
+        let (loc, _) = c.insert_value(0, k, &val(1.0), 1);
+        let (class, slot) = loc.expect("room");
+        c.set_slot_version(class, slot, 0);
+        c.insert_value(0, k, &val(2.0), 2);
+        assert!(c.versions.is_none(), "no update seen: no array");
+        assert_eq!(c.slot_version(class, slot), 0);
+        assert_eq!(c.slot_version(9, 9), 0, "outside the pool reads as frozen");
+        c.set_slot_version(class, slot, 4);
+        assert!(c.versions.is_some());
+        assert_eq!(c.slot_version(class, slot), 4);
+        // Writes outside the pool are ignored, not a panic.
+        c.set_slot_version(9, 9, 7);
+        assert_eq!(c.slot_version(9, 9), 0);
+        // Quarantine and wipe both drop the version with the slot.
+        c.quarantine(k, class, slot);
+        assert_eq!(c.slot_version(class, slot), 0);
+        c.set_slot_version(class, slot, 5);
+        c.wipe();
+        assert_eq!(c.slot_version(class, slot), 0);
+    }
+
+    #[test]
+    fn slots_resident_before_partitioning_stay_unowned() {
+        let ds = spec::synthetic(1, 1_000, 8, -1.2);
+        let mut c = FlatCache::new(
+            &ds,
+            8 * 4 * 10,
+            FlatCacheConfig {
+                evict_high_watermark: 0.8,
+                evict_low_watermark: 0.4,
+                admission_probability: 1.0,
+                index: IndexBackend::default(),
+            },
+        );
+        let codec = SizeAwareCodec::new(20, &[1_000]);
+        for f in 0..6u64 {
+            c.insert_value(0, codec.encode(0, f), &val(f as f32), f as u32);
+        }
+        c.enable_tenant_partitioning(&[0.5, 0.5]);
+        c.set_active_tenant(1);
+        for f in 6..9u64 {
+            c.insert_value(0, codec.encode(0, f), &val(f as f32), 100);
+        }
+        assert_eq!(c.tenant_cache_stats(1).occupancy_bytes, 3 * 32);
+        assert!(c.needs_eviction());
+        c.evict_pass();
+        // Five of the six pre-existing entries were coldest and went; none
+        // is charged to, or counted as evicted from, any tenant.
+        assert_eq!(c.len(), 4);
+        for tenant in 0..2 {
+            assert_eq!(c.tenant_cache_stats(tenant).evictions, 0);
+        }
+        assert_eq!(c.tenant_cache_stats(0).occupancy_bytes, 0);
+        assert_eq!(c.tenant_cache_stats(1).occupancy_bytes, 3 * 32);
+    }
+
+    #[test]
+    fn batch_lookup_equals_per_key_lookup_in_input_order() {
+        for index in [IndexBackend::SlabHash, IndexBackend::MegaKv] {
+            let ds = spec::synthetic(4, 1_000, 8, -1.2);
+            let corpora: Vec<u64> = ds.tables.iter().map(|t| t.corpus).collect();
+            let codec = SizeAwareCodec::new(24, &corpora);
+            let config = FlatCacheConfig {
+                index,
+                ..FlatCacheConfig::default()
+            };
+            let mut a = FlatCache::new(&ds, 8 * 4 * 200, config);
+            let mut b = FlatCache::new(&ds, 8 * 4 * 200, config);
+            for c in [&mut a, &mut b] {
+                c.set_unified_target(8);
+                for f in 0..60u64 {
+                    c.insert_value(
+                        (f % 4) as u16,
+                        codec.encode((f % 4) as u16, f),
+                        &val(1.0),
+                        1,
+                    );
+                }
+                for f in 100..104u64 {
+                    c.insert_dram_ptr(1, f, codec.encode(1, f), 1);
+                }
+            }
+            // Hits, unified hits, misses and a duplicate, across tables.
+            let keys: Vec<FlatKey> = [(0, 0), (1, 101), (3, 999), (2, 2), (0, 0), (1, 5), (2, 777)]
+                .iter()
+                .map(|&(t, f)| codec.encode(t, f))
+                .collect();
+            let batch = a.lookup_batch(&keys, 9);
+            let per_key: Vec<_> = keys.iter().map(|&k| b.lookup(k, 9)).collect();
+            assert_eq!(batch, per_key, "{index:?}");
+            let mut reused = vec![(CacheAnswer::Miss, ProbeStats::new()); 3];
+            a.lookup_batch_into(&keys, 9, &mut reused);
+            assert_eq!(reused, per_key, "buffer is cleared first ({index:?})");
+        }
     }
 
     #[test]

@@ -258,6 +258,42 @@ struct DeltaBase {
     next_seq: u64,
 }
 
+/// The stretch of a batch's unique-key list that belongs to one table.
+/// `Deduped::unique` is table-contiguous (batches flatten table-major), so
+/// the per-table groups that price the query kernels are runs found by one
+/// scan — no per-table vectors.
+#[derive(Clone, Copy)]
+struct TableRun {
+    table: u16,
+    start: usize,
+    end: usize,
+}
+
+/// Working vectors of one batch's query workflow, owned by the system and
+/// reused, so a steady-state batch allocates none of them. Each is cleared
+/// where it is filled; nothing carries over between batches.
+#[derive(Default)]
+struct QueryScratch {
+    /// One run per table present in the batch, ascending.
+    runs: Vec<TableRun>,
+    /// Answer and probe statistics per unique key, in `unique` order.
+    /// Answers are edited in place when a hit is quarantined or demoted.
+    probed: Vec<(CacheAnswer, ProbeStats)>,
+    /// Probe statistics and hit-copy bytes folded per run.
+    run_stats: Vec<ProbeStats>,
+    run_hit_bytes: Vec<u64>,
+    /// Position in `unique` and pool location of every HBM hit.
+    hit_pos: Vec<usize>,
+    hit_slots: Vec<(u16, u32)>,
+    /// Positions and `(table, id)` keys of full misses and unified hits.
+    miss_pos: Vec<usize>,
+    miss_keys: Vec<(u16, u64)>,
+    unified_pos: Vec<usize>,
+    unified_keys: Vec<(u16, u64)>,
+    /// Pool locations admitted by this batch's replacement.
+    admitted_slots: Vec<(u16, u32)>,
+}
+
 /// The Fleche embedding cache system.
 pub struct FlecheSystem {
     cache: FlatCache,
@@ -284,6 +320,7 @@ pub struct FlecheSystem {
     /// Epoch stamped into full checkpoints (increments per checkpoint).
     checkpoint_epoch: u64,
     delta_base: Option<DeltaBase>,
+    scratch: QueryScratch,
 }
 
 impl FlecheSystem {
@@ -357,6 +394,7 @@ impl FlecheSystem {
             update_costs: UpdateCostSpec::modeled(),
             checkpoint_epoch: 0,
             delta_base: None,
+            scratch: QueryScratch::default(),
         }
     }
 
@@ -598,16 +636,13 @@ impl FlecheSystem {
         phases.dram_payload += gpu.now() - h0;
         let a0 = gpu.now();
         let rows = dedup.restore(&unique_rows);
-        let dims: Vec<u32> = (0..self.n_tables as u16)
-            .map(|t| self.cache.dim_of(t))
-            .collect();
         let s = gpu.default_stream();
         gpu.launch(
             s,
             KernelDesc::new(
                 "restore",
                 batch.total_ids() as u32,
-                dedup.restore_kernel_work(&dims),
+                dedup.restore_kernel_work(self.cache.table_dims()),
             ),
         );
         gpu.sync_all();
@@ -833,31 +868,6 @@ impl FlecheSystem {
         }
         batches
     }
-
-    /// Index-lookup pass over per-table key groups. Returns per-key
-    /// answers plus the per-table probe stats that price the kernels.
-    fn lookup_all(
-        &mut self,
-        groups: &[(u16, Vec<(usize, FlatKey)>)],
-    ) -> (Vec<CacheAnswer>, Vec<ProbeStats>, usize) {
-        let total: usize = groups.iter().map(|(_, g)| g.len()).sum();
-        let mut answers = vec![CacheAnswer::Miss; total];
-        let mut per_table = Vec::with_capacity(groups.len());
-        for (_, group) in groups {
-            // One batched probe walk per table group (bucket-grouped in
-            // the slab-hash backend); per-key answers and stats are
-            // identical to looking keys up one at a time.
-            let keys: Vec<FlatKey> = group.iter().map(|&(_, key)| key).collect();
-            let results = self.cache.lookup_batch(&keys, self.clock);
-            let mut stats = ProbeStats::new();
-            for (&(pos, _), (ans, s)) in group.iter().zip(results) {
-                stats.merge(&s);
-                answers[pos] = ans;
-            }
-            per_table.push(stats);
-        }
-        (answers, per_table, total)
-    }
 }
 
 impl EmbeddingCacheSystem for FlecheSystem {
@@ -937,51 +947,58 @@ impl FlecheSystem {
             "encode",
             Ns(unique.len() as f64 * ENCODE_NS_PER_KEY + self.n_tables as f64 * 50.0),
         );
-        // Group unique keys by table, remembering each key's position in
-        // the unique list; each table's run is encoded in one batch so the
-        // codec resolves its layout once per table rather than per key.
-        let mut groups: Vec<(u16, Vec<(usize, FlatKey)>)> = Vec::new();
-        {
-            let mut by_table: Vec<(Vec<usize>, Vec<u64>)> =
-                vec![(Vec::new(), Vec::new()); self.n_tables];
-            for (pos, &(t, f)) in unique.iter().enumerate() {
-                let (positions, feats) = &mut by_table[t as usize];
-                positions.push(pos);
-                feats.push(f);
-            }
-            for (t, (positions, feats)) in by_table.into_iter().enumerate() {
-                if !positions.is_empty() {
-                    let keys = self.codec.encode_batch(t as u16, &feats);
-                    groups.push((t as u16, positions.into_iter().zip(keys).collect()));
-                }
+        // One flat key per unique key, in `unique` order. Table groups are
+        // runs of that list (it is table-contiguous), found by one scan.
+        let keys = self.codec.encode_pairs(unique);
+        let mut sc = std::mem::take(&mut self.scratch);
+        sc.runs.clear();
+        for (pos, &(t, _)) in unique.iter().enumerate() {
+            match sc.runs.last_mut() {
+                Some(run) if run.table == t => run.end = pos + 1,
+                _ => sc.runs.push(TableRun {
+                    table: t,
+                    start: pos,
+                    end: pos + 1,
+                }),
             }
         }
         phases.other += gpu.now() - o0;
         // ---- Index phase (functional lookups + priced kernels) ---------
         let q0 = gpu.now();
-        let (mut answers, per_table_stats, _) = self.lookup_all(&groups);
+        // One batched probe walk over every table's keys (the flat cache's
+        // point: one index, one wide operation); per-key answers and
+        // statistics are what per-key lookups return, and folding them per
+        // run gives each table's kernel the statistics that price it.
+        self.cache
+            .lookup_batch_into(&keys, self.clock, &mut sc.probed);
+        sc.run_stats.clear();
+        for run in &sc.runs {
+            let mut stats = ProbeStats::new();
+            for (_, s) in &sc.probed[run.start..run.end] {
+                stats.merge(s);
+            }
+            sc.run_stats.push(stats);
+        }
         // Checksum verification: corrupt hits are quarantined and demoted
         // to misses so the DRAM refill below serves clean bytes instead.
         let mut corrupt_detected = 0u64;
         if self.config.checksums {
             // Verify every HBM hit in one batched pass (interleaved FNV
-            // streams); quarantine order matches the old per-hit loop.
-            let hits: Vec<(usize, u16, u32)> = answers
-                .iter()
-                .enumerate()
-                .filter_map(|(pos, ans)| match *ans {
-                    CacheAnswer::Hit { class, slot } => Some((pos, class, slot)),
-                    _ => None,
-                })
-                .collect();
-            let slots: Vec<(u16, u32)> = hits.iter().map(|&(_, c, s)| (c, s)).collect();
-            let verdicts = self.cache.verify_hits(&slots);
-            for (&(pos, class, slot), ok) in hits.iter().zip(verdicts) {
+            // streams), quarantining in `unique` order.
+            sc.hit_pos.clear();
+            sc.hit_slots.clear();
+            for (pos, (ans, _)) in sc.probed.iter().enumerate() {
+                if let CacheAnswer::Hit { class, slot } = *ans {
+                    sc.hit_pos.push(pos);
+                    sc.hit_slots.push((class, slot));
+                }
+            }
+            let verdicts = self.cache.verify_hits(&sc.hit_slots);
+            for ((&pos, &(class, slot)), ok) in sc.hit_pos.iter().zip(&sc.hit_slots).zip(verdicts) {
                 if !ok {
-                    let (t, f) = unique[pos];
-                    self.cache.quarantine(self.codec.encode(t, f), class, slot);
+                    self.cache.quarantine(keys[pos], class, slot);
                     corrupt_detected += 1;
-                    answers[pos] = CacheAnswer::Miss;
+                    sc.probed[pos].0 = CacheAnswer::Miss;
                 }
             }
         }
@@ -1007,7 +1024,7 @@ impl FlecheSystem {
                 .staleness
                 .as_ref()
                 .map_or(u64::MAX, |c| c.resume_lag);
-            for (pos, ans) in answers.iter_mut().enumerate() {
+            for (pos, (ans, _)) in sc.probed.iter_mut().enumerate() {
                 if let CacheAnswer::Hit { class, slot } = *ans {
                     let (t, f) = unique[pos];
                     let target = self.ledger.get(t, f);
@@ -1033,32 +1050,34 @@ impl FlecheSystem {
                 }
             }
         }
-        let answers = answers;
-        // Count hit bytes per table for coupled-kernel pricing.
-        let mut hit_bytes_per_table = vec![0u64; groups.len()];
+        // Answers are final from here on. Count hits, and hit bytes per
+        // table for coupled-kernel pricing.
+        sc.run_hit_bytes.clear();
         let mut total_hit_copy_bytes = 0u64;
-        for (gi, (t, group)) in groups.iter().enumerate() {
-            let dim = self.cache.dim_of(*t) as u64;
-            for &(pos, _) in group {
-                if matches!(answers[pos], CacheAnswer::Hit { .. }) {
-                    hit_bytes_per_table[gi] += dim * 4 * 2;
-                }
-            }
-            total_hit_copy_bytes += hit_bytes_per_table[gi];
+        let mut hit_count = 0u64;
+        for run in &sc.runs {
+            let hits = sc.probed[run.start..run.end]
+                .iter()
+                .filter(|(a, _)| matches!(a, CacheAnswer::Hit { .. }))
+                .count() as u64;
+            let bytes = hits * self.cache.dim_of(run.table) as u64 * 4 * 2;
+            sc.run_hit_bytes.push(bytes);
+            total_hit_copy_bytes += bytes;
+            hit_count += hits;
         }
 
         let total_unique = unique.len();
-        let members: Vec<FusionMember> = groups
+        let members: Vec<FusionMember> = sc
+            .runs
             .iter()
-            .enumerate()
-            .map(|(gi, (t, group))| {
-                let stats = &per_table_stats[gi];
+            .zip(sc.run_stats.iter().zip(&sc.run_hit_bytes))
+            .map(|(run, (stats, &hit_bytes))| {
                 let mut work = KernelWork {
                     global_bytes: stats.bytes_touched,
                     // Checksum verification folds one FNV step per hit
                     // float into the query kernel.
                     flops: if self.config.checksums {
-                        hit_bytes_per_table[gi] / 8
+                        hit_bytes / 8
                     } else {
                         0
                     },
@@ -1071,15 +1090,15 @@ impl FlecheSystem {
                     // a bucket serialize behind each other's copies (the
                     // paper's Fig. 7). Expected queue depth ~= concurrent
                     // keys per bucket.
-                    let dim = self.cache.dim_of(*t);
+                    let dim = self.cache.dim_of(run.table);
                     let copy_rounds = dim.div_ceil(SLAB_WIDTH as u32);
                     let contention =
                         (total_unique as u32).div_ceil(self.cache.bucket_count().max(1) as u32);
-                    work.global_bytes += hit_bytes_per_table[gi];
+                    work.global_bytes += hit_bytes;
                     work.dependent_rounds += copy_rounds * (1 + contention) + 1;
                 }
                 FusionMember {
-                    threads: group.len() as u32 * SLAB_WIDTH as u32,
+                    threads: (run.end - run.start) as u32 * SLAB_WIDTH as u32,
                     block_size: 128,
                     grid_sync: false,
                     work,
@@ -1109,7 +1128,7 @@ impl FlecheSystem {
                 // kernels only touch the index.)
                 if !self.config.decoupling {
                     if let Some(rc) = gpu.race_checker_mut() {
-                        for ans in &answers {
+                        for (ans, _) in &sc.probed {
                             if let CacheAnswer::Hit { class, slot } = *ans {
                                 rc.kernel_read(kid, slot_resource(class, slot));
                             }
@@ -1119,14 +1138,14 @@ impl FlecheSystem {
                 gpu.sync_stream(s);
             }
         } else {
-            let streams = gpu.streams(groups.len().max(1));
-            for (gi, m) in members.iter().enumerate() {
+            let streams = gpu.streams(sc.runs.len().max(1));
+            for (gi, (m, run)) in members.iter().zip(&sc.runs).enumerate() {
                 gpu.elapse_host("kernel-args", PER_KERNEL_PREP);
                 let kid = gpu.launch(streams[gi], KernelDesc::new("fc-query", m.threads, m.work));
                 if !self.config.decoupling {
                     if let Some(rc) = gpu.race_checker_mut() {
-                        for &(pos, _) in &groups[gi].1 {
-                            if let CacheAnswer::Hit { class, slot } = answers[pos] {
+                        for (ans, _) in &sc.probed[run.start..run.end] {
+                            if let CacheAnswer::Hit { class, slot } = *ans {
                                 rc.kernel_read(kid, slot_resource(class, slot));
                             }
                         }
@@ -1151,10 +1170,6 @@ impl FlecheSystem {
             phases.cache_index += q_span * (1.0 - copy_frac);
         }
         // ---- Decoupled copy kernel + overlapped DRAM query --------------
-        let hit_count = answers
-            .iter()
-            .filter(|a| matches!(a, CacheAnswer::Hit { .. }))
-            .count() as u64;
         let mut copy_guard = None;
         let copy_stream = gpu.default_stream();
         if self.config.decoupling && hit_count > 0 {
@@ -1163,7 +1178,7 @@ impl FlecheSystem {
             copy_guard = Some(self.cache.pin_reader());
             let bytes = total_hit_copy_bytes;
             let threads = (hit_count as u32)
-                .saturating_mul(self.cache.dim_of(groups[0].0))
+                .saturating_mul(self.cache.dim_of(sc.runs[0].table))
                 .max(256);
             let work = KernelWork {
                 global_bytes: bytes,
@@ -1178,7 +1193,7 @@ impl FlecheSystem {
             // overlaps the DRAM query below — exactly the window the epoch
             // pin protects, and the window the race checker watches.
             if let Some(rc) = gpu.race_checker_mut() {
-                for ans in &answers {
+                for (ans, _) in &sc.probed {
                     if let CacheAnswer::Hit { class, slot } = *ans {
                         rc.kernel_read(kid, slot_resource(class, slot));
                     }
@@ -1188,20 +1203,28 @@ impl FlecheSystem {
         }
         // CPU-DRAM query for misses; unified hits skip the CPU index.
         let d0 = gpu.now();
-        let mut full_miss_keys: Vec<(u16, u64)> = Vec::new();
-        let mut unified_keys: Vec<(u16, u64)> = Vec::new();
-        for (pos, &(t, f)) in unique.iter().enumerate() {
-            match answers[pos] {
-                CacheAnswer::Miss => full_miss_keys.push((t, f)),
-                CacheAnswer::UnifiedHit => unified_keys.push((t, f)),
+        sc.miss_pos.clear();
+        sc.miss_keys.clear();
+        sc.unified_pos.clear();
+        sc.unified_keys.clear();
+        for (pos, (ans, _)) in sc.probed.iter().enumerate() {
+            match ans {
+                CacheAnswer::Miss => {
+                    sc.miss_pos.push(pos);
+                    sc.miss_keys.push(unique[pos]);
+                }
+                CacheAnswer::UnifiedHit => {
+                    sc.unified_pos.push(pos);
+                    sc.unified_keys.push(unique[pos]);
+                }
                 CacheAnswer::Hit { .. } => {}
             }
         }
-        let (mut miss_rows, miss_cost, fetch_report) = self.store.query_batch(&full_miss_keys, d0);
-        let (mut unified_rows, unified_payload) = self.store.read_located(&unified_keys);
+        let (mut miss_rows, miss_cost, fetch_report) = self.store.query_batch(&sc.miss_keys, d0);
+        let (mut unified_rows, unified_payload) = self.store.read_located(&sc.unified_keys);
         gpu.elapse_host("dram-query", miss_cost + unified_payload);
         let span = gpu.now() - d0;
-        let payload_part = self.store.payload_cost(&full_miss_keys) + unified_payload;
+        let payload_part = self.store.payload_cost(&sc.miss_keys) + unified_payload;
         phases.dram_payload += payload_part.min(span);
         phases.dram_index += span.saturating_sub(payload_part);
         // Keys whose fetch failed (zero-filled rows) or was served stale
@@ -1223,15 +1246,16 @@ impl FlecheSystem {
         // stamped below. A key served through the miss path is therefore
         // never older than any version previously served for it.
         let miss_versions =
-            self.rewrite_rows_to_latest(gpu, &full_miss_keys, &mut miss_rows, &unfetched);
+            self.rewrite_rows_to_latest(gpu, &sc.miss_keys, &mut miss_rows, &unfetched);
         let unified_versions =
-            self.rewrite_rows_to_latest(gpu, &unified_keys, &mut unified_rows, &[]);
+            self.rewrite_rows_to_latest(gpu, &sc.unified_keys, &mut unified_rows, &[]);
 
         // H2D of fetched embeddings (straight into the output matrix).
         let h0 = gpu.now();
-        let fetched_bytes: u64 = full_miss_keys
+        let fetched_bytes: u64 = sc
+            .miss_keys
             .iter()
-            .chain(&unified_keys)
+            .chain(&sc.unified_keys)
             .map(|&(t, _)| self.cache.dim_of(t) as u64 * 4)
             .sum();
         if fetched_bytes > 0 {
@@ -1241,66 +1265,56 @@ impl FlecheSystem {
         // ---- Replacement: copy first, then index (paper order) ----------
         let r0 = gpu.now();
         let mut insert_stats = ProbeStats::new();
-        let mut admitted: u64 = 0;
-        let mut admitted_slots: Vec<(u16, u32)> = Vec::new();
-        // Encode every fill key up front; the list arrives grouped by
-        // table, so the pair encoder's table-code memo hits on almost
-        // every key.
-        let fill_pairs: Vec<(u16, u64)> = full_miss_keys
-            .iter()
-            .chain(&unified_keys)
-            .copied()
-            .collect();
-        let fill_keys = self.codec.encode_pairs(&fill_pairs);
-        for (i, (&(t, f), row)) in full_miss_keys
+        sc.admitted_slots.clear();
+        // Full misses first, then unified hits; each fill key's flat key
+        // was already encoded for the probe.
+        let n_miss = sc.miss_pos.len();
+        for (i, (&pos, row)) in sc
+            .miss_pos
             .iter()
             .zip(&miss_rows)
-            .chain(unified_keys.iter().zip(&unified_rows))
+            .chain(sc.unified_pos.iter().zip(&unified_rows))
             .enumerate()
         {
-            if i < full_miss_keys.len() && unfetched.binary_search(&i).is_ok() {
+            if i < n_miss && unfetched.binary_search(&i).is_ok() {
                 continue;
             }
-            let key = fill_keys[i];
+            let (t, f) = unique[pos];
+            let key = keys[pos];
             if self.cache.admit() {
                 let (loc, s) = self.cache.insert_value(t, key, row, self.clock);
                 insert_stats.merge(&s);
                 if let Some(slot) = loc {
-                    admitted += 1;
                     // Stamp the update version the rewritten row carries
                     // (insert reset it), so later lag measurements and
                     // delta captures see what this slot really holds.
-                    let v = if i < full_miss_keys.len() {
+                    let v = if i < n_miss {
                         miss_versions[i]
                     } else {
-                        unified_versions[i - full_miss_keys.len()]
+                        unified_versions[i - n_miss]
                     };
                     if v > 0 {
                         self.cache.set_slot_version(slot.0, slot.1, v);
                     }
-                    admitted_slots.push(slot);
+                    sc.admitted_slots.push(slot);
                 }
             } else if self.config.unified_index {
                 let s = self.cache.insert_dram_ptr(t, f, key, self.clock);
                 insert_stats.merge(&s);
             }
         }
+        let admitted = sc.admitted_slots.len() as u64;
         if admitted > 0 {
             // Copy kernel (values into pool slots), then the index-update
             // kernel — two fused kernels regardless of table count.
             let copy_bytes: u64 = admitted * 64; // staging bookkeeping
-            let value_bytes: u64 = full_miss_keys
-                .iter()
-                .chain(&unified_keys)
-                .map(|&(t, _)| self.cache.dim_of(t) as u64 * 4)
-                .sum();
             let s = gpu.default_stream();
             let kid = gpu.launch(
                 s,
                 KernelDesc::new(
                     "replace-copy",
                     (admitted as u32 * 32).max(128),
-                    KernelWork::streaming(value_bytes + copy_bytes),
+                    KernelWork::streaming(fetched_bytes + copy_bytes),
                 ),
             );
             // The replacement copy kernel writes the newly admitted slots
@@ -1308,7 +1322,7 @@ impl FlecheSystem {
             // copy on the same stream — that ordering is what makes a
             // same-batch reuse safe, and what the checker verifies).
             if let Some(rc) = gpu.race_checker_mut() {
-                for &(class, slot) in &admitted_slots {
+                for &(class, slot) in &sc.admitted_slots {
                     rc.kernel_write(kid, slot_resource(class, slot));
                 }
             }
@@ -1355,42 +1369,42 @@ impl FlecheSystem {
         phases.other += gpu.now() - r0;
         // ---- Restore + final sync ---------------------------------------
         let a0 = gpu.now();
-        let mut unique_rows: Vec<Vec<f32>> = vec![Vec::new(); unique.len()];
-        for (pos, &(t, f)) in unique.iter().enumerate() {
-            if let CacheAnswer::Hit { class, slot } = answers[pos] {
-                unique_rows[pos] = self.cache.read_hit(class, slot).to_vec();
-                if let Some(rc) = gpu.race_checker_mut() {
-                    rc.host_read("restore-gather", slot_resource(class, slot));
-                }
-                let _ = (t, f);
+        // One borrowed view per unique key — the pool slot of a hit (still
+        // readable: retired slots are reclaimed only at the batch boundary
+        // below), the fetched row of a miss or unified hit — and the output
+        // rows are materialised straight from the views: each row is copied
+        // once. (The view table borrows the cache and the fetched rows, so
+        // it cannot live in the reused scratch.)
+        let rows = {
+            let mut views: Vec<&[f32]> = Vec::with_capacity(unique.len());
+            let (mut mi, mut ui) = (0usize, 0usize);
+            for (ans, _) in &sc.probed {
+                views.push(match *ans {
+                    CacheAnswer::Hit { class, slot } => {
+                        if let Some(rc) = gpu.race_checker_mut() {
+                            rc.host_read("restore-gather", slot_resource(class, slot));
+                        }
+                        self.cache.read_hit(class, slot)
+                    }
+                    CacheAnswer::Miss => {
+                        mi += 1;
+                        &miss_rows[mi - 1]
+                    }
+                    CacheAnswer::UnifiedHit => {
+                        ui += 1;
+                        &unified_rows[ui - 1]
+                    }
+                });
             }
-        }
-        let mut mi = 0usize;
-        let mut ui = 0usize;
-        for (pos, _) in unique.iter().enumerate() {
-            match answers[pos] {
-                CacheAnswer::Miss => {
-                    unique_rows[pos] = miss_rows[mi].clone();
-                    mi += 1;
-                }
-                CacheAnswer::UnifiedHit => {
-                    unique_rows[pos] = unified_rows[ui].clone();
-                    ui += 1;
-                }
-                CacheAnswer::Hit { .. } => {}
-            }
-        }
-        let rows = dedup.restore(&unique_rows);
-        let dims: Vec<u32> = (0..self.n_tables as u16)
-            .map(|t| self.cache.dim_of(t))
-            .collect();
+            dedup.restore_from(&views)
+        };
         let s = gpu.default_stream();
         gpu.launch(
             s,
             KernelDesc::new(
                 "restore",
                 batch.total_ids() as u32,
-                dedup.restore_kernel_work(&dims),
+                dedup.restore_kernel_work(self.cache.table_dims()),
             ),
         );
         gpu.sync_all();
@@ -1471,8 +1485,8 @@ impl FlecheSystem {
         let stats = BatchStats {
             unique_keys: unique.len() as u64,
             hits: hit_count,
-            unified_hits: unified_keys.len() as u64,
-            misses: full_miss_keys.len() as u64,
+            unified_hits: sc.unified_keys.len() as u64,
+            misses: sc.miss_keys.len() as u64,
             failed_keys: fetch_report.failed.len() as u64,
             stale_keys: fetch_report.stale.len() as u64,
             corrupt_detected,
@@ -1481,6 +1495,7 @@ impl FlecheSystem {
             phases,
         };
         self.lifetime.observe(&stats);
+        self.scratch = sc;
         QueryOutput { rows, stats }
     }
 }

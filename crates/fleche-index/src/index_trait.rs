@@ -38,17 +38,22 @@ pub trait GpuIndex: Send + std::fmt::Debug {
     /// Looks up `key`; bumps its timestamp to `touch` on a hit.
     fn lookup(&mut self, key: u64, touch: Option<u32>) -> (Option<PackedLoc>, ProbeStats);
 
-    /// Looks up a batch of keys, returning results and per-key
-    /// [`ProbeStats`] in input order. Must be observably identical to
-    /// calling [`GpuIndex::lookup`] once per key in input order — the
-    /// default does exactly that; implementations may override with a
-    /// locality-aware walk (see `SlabHash::lookup_batch`).
+    /// Looks up a batch of keys, handing each key's result and
+    /// [`ProbeStats`] to `sink` in input order. Must be observably
+    /// identical to calling [`GpuIndex::lookup`] once per key in input
+    /// order — the default does exactly that; implementations may
+    /// override with a walk that overlaps the keys' memory waits (see
+    /// `SlabHash::lookup_batch`).
     fn lookup_batch(
         &mut self,
         keys: &[u64],
         touch: Option<u32>,
-    ) -> Vec<(Option<PackedLoc>, ProbeStats)> {
-        keys.iter().map(|&k| self.lookup(k, touch)).collect()
+        sink: &mut dyn FnMut(Option<PackedLoc>, ProbeStats),
+    ) {
+        for &k in keys {
+            let (found, stats) = self.lookup(k, touch);
+            sink(found, stats);
+        }
     }
 
     /// Read-only lookup without instrumentation or timestamp updates.

@@ -137,6 +137,13 @@ impl SlabPool {
         self.classes.get(class as usize).map(|c| c.dim)
     }
 
+    /// Slots pre-allocated in `class` (0 for an unknown class).
+    pub fn slot_count(&self, class: u16) -> u32 {
+        self.classes
+            .get(class as usize)
+            .map_or(0, |c| c.capacity_slots)
+    }
+
     /// Index of the class with dimension `dim`, if registered.
     pub fn class_for_dim(&self, dim: u32) -> Option<u16> {
         self.classes

@@ -22,21 +22,42 @@ pub const SLAB_WIDTH: usize = 32;
 /// (4 B) + next pointer & occupancy word.
 pub const SLAB_BYTES: u64 = (SLAB_WIDTH as u64) * (8 + 8 + 4) + 8;
 
+/// How many keys ahead of the one being probed [`SlabHash::lookup_batch`]
+/// prefetches the bucket's chain head (the pointer to its first slab).
+const HEAD_AHEAD: usize = 12;
+/// How many keys ahead it prefetches that first slab's occupancy word and
+/// key array — closer than [`HEAD_AHEAD`] because it must read the chain
+/// head, which by then has arrived.
+const SLAB_AHEAD: usize = 6;
+
+/// `repr(C)` keeps the occupancy word on the cache line the key scan
+/// starts on; a probe reads it first, then the keys.
 #[derive(Clone, Debug)]
+#[repr(C)]
 struct Slab {
+    occupied: u32,
     keys: [u64; SLAB_WIDTH],
     locs: [PackedLoc; SLAB_WIDTH],
     stamps: [u32; SLAB_WIDTH],
-    occupied: u32,
 }
 
 impl Slab {
     fn empty() -> Slab {
         Slab {
+            occupied: 0,
             keys: [0; SLAB_WIDTH],
             locs: [PackedLoc::from(crate::loc::Loc::Hbm { class: 0, slot: 0 }); SLAB_WIDTH],
             stamps: [0; SLAB_WIDTH],
-            occupied: 0,
+        }
+    }
+
+    /// Hints every cache line a key scan of this slab can touch: the
+    /// occupancy word and the 256-byte key array behind it.
+    #[inline]
+    fn prefetch_keys(&self) {
+        fleche_simd::prefetch_read(&self.occupied);
+        for i in (7..SLAB_WIDTH).step_by(8) {
+            fleche_simd::prefetch_read(&self.keys[i]);
         }
     }
 
@@ -176,19 +197,6 @@ impl SlabHash {
     /// is bumped to it (the approximate-LRU access path).
     pub fn lookup(&mut self, key: u64, touch: Option<u32>) -> (Option<PackedLoc>, ProbeStats) {
         let b = self.bucket_of(key);
-        self.lookup_in_bucket(b, key, touch)
-    }
-
-    /// The per-key probe walk, shared by [`SlabHash::lookup`] and
-    /// [`SlabHash::lookup_batch`] so both produce identical per-key
-    /// [`ProbeStats`] (simulated GPU traffic accounting must not depend
-    /// on which entry point served a key).
-    fn lookup_in_bucket(
-        &mut self,
-        b: usize,
-        key: u64,
-        touch: Option<u32>,
-    ) -> (Option<PackedLoc>, ProbeStats) {
         let mut stats = ProbeStats::new();
         stats.bytes_touched += 8; // bucket head pointer
         for (depth, slab) in self.buckets[b].iter_mut().enumerate() {
@@ -209,50 +217,50 @@ impl SlabHash {
         (None, stats)
     }
 
-    /// Batched lookup: precomputes every key's bucket, then probes in
-    /// bucket order so consecutive probes share chain cache lines (the
-    /// host analogue of the paper's warp-level batching). Results and
-    /// per-key [`ProbeStats`] are returned in input order and are
-    /// identical to calling [`SlabHash::lookup`] per key in input order
-    /// — including timestamp bumps, because duplicate keys touch the
-    /// same slot with the same `touch` value regardless of visit order.
+    /// Batched lookup: probes `keys` in input order and hands each key's
+    /// answer and [`ProbeStats`] to `sink`, exactly what
+    /// [`SlabHash::lookup`] returns for it (same walk, same stamp bump).
+    ///
+    /// A single probe is a chain of dependent memory waits — bucket head,
+    /// then slab — and the index is far larger than the CPU's caches, so
+    /// per-key probing spends most of its time waiting. Keys of a batch
+    /// are independent, which is what the paper's warp-parallel index
+    /// kernel exploits; the host analogue is a software pipeline: while
+    /// key `i` is probed, the chain head of key `i + HEAD_AHEAD` and the
+    /// first slab of key `i + SLAB_AHEAD` are already on their way.
+    /// Prefetches are hints: they change no answer, no statistic and no
+    /// stamp, so input order is kept (nothing downstream has to be
+    /// re-ordered) and there is no batch size at which the walk loses to
+    /// per-key probing by more than the hint instructions.
     pub fn lookup_batch(
         &mut self,
         keys: &[u64],
         touch: Option<u32>,
-    ) -> Vec<(Option<PackedLoc>, ProbeStats)> {
-        let nb = self.buckets.len();
-        let bs: Vec<u32> = keys.iter().map(|&k| self.bucket_of(k) as u32).collect();
-        // Group probes by bucket, keeping input order within a bucket.
-        // Dense batches use a counting sort (three linear passes); sparse
-        // batches — where a histogram over every bucket would dominate —
-        // fall back to a comparison sort with the position tiebreak.
-        // Both produce the same (bucket asc, position asc) visit order.
-        let order: Vec<u32> = if keys.len() >= nb / 8 {
-            let mut starts = vec![0u32; nb + 1];
-            for &b in &bs {
-                starts[b as usize + 1] += 1;
-            }
-            for i in 0..nb {
-                starts[i + 1] += starts[i];
-            }
-            let mut order = vec![0u32; keys.len()];
-            for (pos, &b) in bs.iter().enumerate() {
-                order[starts[b as usize] as usize] = pos as u32;
-                starts[b as usize] += 1;
-            }
-            order
-        } else {
-            let mut order: Vec<u32> = (0..keys.len() as u32).collect();
-            order.sort_unstable_by_key(|&pos| (bs[pos as usize], pos));
-            order
-        };
-        let mut out = vec![(None, ProbeStats::new()); keys.len()];
-        for &pos in &order {
-            let pos = pos as usize;
-            out[pos] = self.lookup_in_bucket(bs[pos] as usize, keys[pos], touch);
+        mut sink: impl FnMut(Option<PackedLoc>, ProbeStats),
+    ) {
+        for &key in keys.iter().take(HEAD_AHEAD) {
+            fleche_simd::prefetch_read(&self.buckets[self.bucket_of(key)]);
         }
-        out
+        for &key in keys.iter().take(SLAB_AHEAD) {
+            self.prefetch_first_slab(key);
+        }
+        for (i, &key) in keys.iter().enumerate() {
+            if let Some(&ahead) = keys.get(i + HEAD_AHEAD) {
+                fleche_simd::prefetch_read(&self.buckets[self.bucket_of(ahead)]);
+            }
+            if let Some(&ahead) = keys.get(i + SLAB_AHEAD) {
+                self.prefetch_first_slab(ahead);
+            }
+            let (found, stats) = self.lookup(key, touch);
+            sink(found, stats);
+        }
+    }
+
+    #[inline]
+    fn prefetch_first_slab(&self, key: u64) {
+        if let Some(slab) = self.buckets[self.bucket_of(key)].first() {
+            slab.prefetch_keys();
+        }
     }
 
     /// Read-only lookup (no timestamp bump, no instrumentation) for tests
@@ -432,8 +440,9 @@ impl crate::index_trait::GpuIndex for SlabHash {
         &mut self,
         keys: &[u64],
         touch: Option<u32>,
-    ) -> Vec<(Option<PackedLoc>, ProbeStats)> {
-        SlabHash::lookup_batch(self, keys, touch)
+        sink: &mut dyn FnMut(Option<PackedLoc>, ProbeStats),
+    ) {
+        SlabHash::lookup_batch(self, keys, touch, sink)
     }
 
     fn peek(&self, key: u64) -> Option<PackedLoc> {
@@ -665,7 +674,8 @@ mod tests {
         }
         // Mixed hits/misses, duplicates included.
         let keys: Vec<u64> = (0..200u64).map(|i| (i * 7) % 450).collect();
-        let batch = a.lookup_batch(&keys, Some(77));
+        let mut batch = Vec::new();
+        a.lookup_batch(&keys, Some(77), |found, stats| batch.push((found, stats)));
         let seq: Vec<_> = keys.iter().map(|&k| b.lookup(k, Some(77))).collect();
         assert_eq!(batch, seq);
         for &k in &keys {

@@ -20,7 +20,11 @@
 //! change what code the compiler is allowed to emit (YMM registers, FMA
 //! stays off — we never enable `fma`, which *would* change results).
 //! `tests/simd_props.rs` pins this: dispatched vs portable, across
-//! non-multiple-of-lane sizes, NaN payloads, and unaligned slices.
+//! non-multiple-of-lane sizes, NaN payloads, and unaligned slices. The
+//! one thing the argument does not cover is the sign and payload of a
+//! NaN an arithmetic op *produces* (IEEE 754 leaves them open, and the
+//! two codegens differ in release builds), so [`dot`] — the only kernel
+//! that reduces — maps a NaN sum to the canonical `f32::NAN`.
 //!
 //! # Canonical blocked reduction order
 //!
@@ -48,7 +52,8 @@
 //! directly behind its `is_x86_feature_detected!` check, under
 //! `#![deny(unsafe_code)]` with a narrow, commented `allow`. The
 //! `target-feature-guard` lint in fleche-analyzer enforces exactly this
-//! shape (and that no `#[target_feature]` fn is `pub`).
+//! shape (and that no `#[target_feature]` fn is `pub`). The one other
+//! block is [`prefetch_read`]'s cache hint, under the same narrow allow.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -102,7 +107,22 @@ fn dot_kernel(a: &[f32], b: &[f32]) -> f32 {
         lanes[2] + lanes[6],
         lanes[3] + lanes[7],
     ];
-    (m[0] + m[2]) + (m[1] + m[3])
+    canonical_nan((m[0] + m[2]) + (m[1] + m[3]))
+}
+
+/// Maps every NaN to the one canonical quiet NaN (`f32::NAN`), leaving
+/// all other values alone. IEEE 754 leaves the sign and payload of a NaN
+/// *result* to the implementation, and in release builds the AVX2 and
+/// baseline codegen of the same `a * b + c` sequence really do pick
+/// different ones — so a reduction that may see a NaN is bit-identical
+/// across dispatch paths only after this.
+#[inline(always)]
+fn canonical_nan(x: f32) -> f32 {
+    if x.is_nan() {
+        f32::NAN
+    } else {
+        x
+    }
 }
 
 #[inline(always)]
@@ -406,6 +426,28 @@ pub fn match_mask_portable(keys: &[u64], needle: u64) -> u32 {
     match_mask_kernel(keys, needle)
 }
 
+/// Hints the CPU to pull the cache line holding `*value` towards L1
+/// ahead of a read the caller is about to make. A hint only: no value,
+/// no ordering and no fault depends on it, so it cannot change any
+/// result — batched probes use it to overlap the memory waits of
+/// independent keys. A no-op off `x86_64`.
+#[inline(always)]
+pub fn prefetch_read<T>(value: &T) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: `_mm_prefetch` is baseline SSE (always present on
+        // x86_64), never faults, and never reads or writes through the
+        // pointer architecturally; a live `&T` is more than it needs.
+        #[allow(unsafe_code)]
+        unsafe {
+            _mm_prefetch::<_MM_HINT_T0>((value as *const T).cast::<i8>())
+        };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = value;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,8 +511,34 @@ mod tests {
             lanes[2] + lanes[6],
             lanes[3] + lanes[7],
         ];
-        let want = (m[0] + m[2]) + (m[1] + m[3]);
+        let want = canonical_nan((m[0] + m[2]) + (m[1] + m[3]));
         assert_eq!(dot(&a, &b).to_bits(), want.to_bits());
+    }
+
+    #[test]
+    fn dot_canonicalises_nan_results() {
+        // Whatever sign/payload the inputs carry — and whichever dispatch
+        // path runs — a NaN sum comes back as the one canonical NaN.
+        for nan in [f32::NAN, -f32::NAN, f32::from_bits(0x7FC0_1234)] {
+            let a = [1.0, nan, 3.0];
+            let b = [2.0, 2.0, 2.0];
+            assert_eq!(dot(&a, &b).to_bits(), f32::NAN.to_bits());
+            assert_eq!(dot_portable(&a, &b).to_bits(), f32::NAN.to_bits());
+        }
+        assert_eq!(
+            dot(&[f32::INFINITY], &[0.0]).to_bits(),
+            f32::NAN.to_bits(),
+            "inf * 0 produces a NaN, canonicalised too"
+        );
+        assert_eq!(canonical_nan(-0.0).to_bits(), (-0.0f32).to_bits());
+    }
+
+    #[test]
+    fn prefetch_is_a_pure_hint() {
+        let v = [1u64, 2, 3];
+        prefetch_read(&v);
+        prefetch_read(&v[2]);
+        assert_eq!(v, [1, 2, 3]);
     }
 
     #[test]
@@ -478,11 +546,7 @@ mod tests {
         // Batch sizes that exercise the 4-way body and every remainder,
         // with ragged dims so the lockstep prefix + tail path runs.
         let slots: Vec<Vec<f32>> = (0..11)
-            .map(|s| {
-                (0..(13 + 7 * s) % 40)
-                    .map(|i| prf_f32(s, i))
-                    .collect()
-            })
+            .map(|s| (0..(13 + 7 * s) % 40).map(|i| prf_f32(s, i)).collect())
             .collect();
         for take in 0..slots.len() {
             let refs: Vec<&[f32]> = slots[..take].iter().map(|v| v.as_slice()).collect();

@@ -8,15 +8,33 @@
 
 use fleche_gpu::{KernelWork, Ns};
 use fleche_workload::Batch;
-use std::collections::HashMap;
 
 /// Host-side cost per ID for hashing into the dedup map.
 pub const DEDUP_NS_PER_ID: f64 = 2.5;
 
+/// Marks an unclaimed slot of the dedup probe table (`unique` never holds
+/// this many keys: its indices are `u32` and `inverse` stores them).
+const VACANT: u32 = u32::MAX;
+
+/// SplitMix64 finalizer over `(table, id)`: every input bit reaches the
+/// high bits the probe table indexes by, so dense id ranges, ids near
+/// `u64::MAX` and ids that differ only in the table all spread evenly.
+/// Not keyed: a caller who can choose ids to collide can make one batch's
+/// dedup quadratic, which is bounded by the batch size it already chose.
+#[inline]
+fn mix(table: u16, id: u64) -> u64 {
+    let mut x = id ^ (u64::from(table) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 /// Result of deduplicating a batch.
 #[derive(Clone, Debug)]
 pub struct Deduped {
-    /// Each unique `(table, id)` in first-appearance order.
+    /// Each unique `(table, id)` in first-appearance order. Batches are
+    /// flattened table-major, so every table's keys form one contiguous
+    /// run, runs in ascending table order.
     pub unique: Vec<(u16, u64)>,
     /// `inverse[k]` maps the k-th access (batch flattening order: table
     /// major, sample order within table) to its index in `unique`.
@@ -27,21 +45,45 @@ pub struct Deduped {
 }
 
 impl Deduped {
-    /// Deduplicates `batch`.
+    /// Deduplicates `batch` through an open-addressing table of indices
+    /// into `unique`: power-of-two capacity of at least twice the access
+    /// count (load factor ≤ 0.5), linear probing, sized once — no rehash,
+    /// no per-key allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch holds `u32::MAX` accesses or more.
     pub fn from_batch(batch: &Batch) -> Deduped {
-        let mut map: HashMap<(u16, u64), u32> = HashMap::new();
-        let mut unique = Vec::new();
-        let mut inverse = Vec::with_capacity(batch.total_ids());
+        let total = batch.total_ids();
+        assert!(
+            total < VACANT as usize,
+            "batch too large for u32 dedup indices"
+        );
+        let capacity = (total * 2).next_power_of_two().max(2);
+        let shift = 64 - capacity.trailing_zeros();
+        let mask = capacity - 1;
+        let mut table = vec![VACANT; capacity];
+        let mut unique: Vec<(u16, u64)> = Vec::new();
+        let mut inverse = Vec::with_capacity(total);
         let mut per_table_counts = Vec::with_capacity(batch.table_ids.len());
         for (t, ids) in batch.table_ids.iter().enumerate() {
             per_table_counts.push(ids.len() as u32);
             for &id in ids {
                 let key = (t as u16, id);
-                let next = unique.len() as u32;
-                let idx = *map.entry(key).or_insert_with(|| {
-                    unique.push(key);
-                    next
-                });
+                let mut at = (mix(t as u16, id) >> shift) as usize;
+                let idx = loop {
+                    let found = table[at];
+                    if found == VACANT {
+                        let next = unique.len() as u32;
+                        table[at] = next;
+                        unique.push(key);
+                        break next;
+                    }
+                    if unique[found as usize] == key {
+                        break found;
+                    }
+                    at = (at + 1) & mask;
+                };
                 inverse.push(idx);
             }
         }
@@ -87,18 +129,30 @@ impl Deduped {
     }
 
     /// Restores the full per-access embedding matrix from unique rows:
-    /// `rows[i]` is the embedding fetched for `unique[i]`. Returns one
-    /// vector per access, in flattening order.
+    /// `rows[i]` is the embedding fetched for `unique[i]`, as anything
+    /// that views as `&[f32]` — owned rows, or borrowed views straight
+    /// into wherever each row already lives, so a row is copied exactly
+    /// once, into the output. Returns one vector per access, in
+    /// flattening order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len() != unique.len()`.
+    pub fn restore_from<R: AsRef<[f32]>>(&self, rows: &[R]) -> Vec<Vec<f32>> {
+        assert_eq!(rows.len(), self.unique.len(), "row count mismatch");
+        self.inverse
+            .iter()
+            .map(|&u| rows[u as usize].as_ref().to_vec())
+            .collect()
+    }
+
+    /// [`Deduped::restore_from`] over owned rows.
     ///
     /// # Panics
     ///
     /// Panics if `rows.len() != unique.len()`.
     pub fn restore(&self, rows: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        assert_eq!(rows.len(), self.unique.len(), "row count mismatch");
-        self.inverse
-            .iter()
-            .map(|&u| rows[u as usize].clone())
-            .collect()
+        self.restore_from(rows)
     }
 
     /// The GPU kernel footprint of the restore scatter (each access row is
@@ -133,7 +187,7 @@ mod tests {
         assert!(d.unique_len() < d.access_len(), "skewed trace must repeat");
         assert!(d.dup_factor() > 1.0);
         // Unique list really is unique.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for k in &d.unique {
             assert!(seen.insert(*k));
         }
@@ -204,6 +258,19 @@ mod tests {
         assert!(d.host_cost() > Ns::ZERO);
         let w = d.restore_kernel_work(&[8, 8, 8]);
         assert_eq!(w.global_bytes, b.total_ids() as u64 * 8 * 4 * 2);
+    }
+
+    #[test]
+    fn restore_from_views_equals_restore_from_owned_rows() {
+        let b = batch();
+        let d = Deduped::from_batch(&b);
+        let rows: Vec<Vec<f32>> = d
+            .unique
+            .iter()
+            .map(|&(t, id)| vec![t as f32, id as f32, 0.5])
+            .collect();
+        let views: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+        assert_eq!(d.restore_from(&views), d.restore(&rows));
     }
 
     #[test]

@@ -153,3 +153,100 @@ fn simulated_clocks_are_monotone_across_systems() {
         last = gpu.now();
     }
 }
+
+/// FNV-1a over a stream of `u64` words — the golden-digest fold.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xCBF2_9CE4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+}
+
+/// 60 batches of a fixed synthetic spec (two dims, one multi-hot table, one
+/// tiny table, a cache small enough that 56 of the 60 batches run an
+/// eviction pass and the unified index fills) through `FlecheConfig::full`
+/// with checksums on, folding every `BatchStats` field's bits and every
+/// served row into one digest. With `updates`, a trainer burst is committed and
+/// pushed before every batch.
+fn golden_digest(updates: bool) -> u64 {
+    use fleche_store::UpdateStream;
+    let mut ds = spec::synthetic(6, 3_000, 16, -1.2);
+    ds.tables[1].dim = 32;
+    ds.tables[2].multi_hot = 3;
+    ds.tables[4].corpus = 40;
+    let store = CpuStore::new(&ds, DramSpec::xeon_6252());
+    let mut sys = FlecheSystem::new(
+        &ds,
+        store,
+        FlecheConfig {
+            checksums: true,
+            ..FlecheConfig::full(0.05)
+        },
+    );
+    let mut gpu = Gpu::new(DeviceSpec::t4());
+    let mut gen = TraceGenerator::new(&ds);
+    let mut stream = UpdateStream::new(&ds, 17);
+    let mut h = Fnv::new();
+    for _ in 0..60 {
+        if updates {
+            let burst = stream.next_burst(48);
+            sys.commit_updates(&mut gpu, &burst);
+            sys.push_updates(&mut gpu, &burst);
+        }
+        let batch = gen.next_batch(128);
+        let out = sys.query_batch(&mut gpu, &batch);
+        let s = out.stats;
+        for w in [
+            s.unique_keys,
+            s.hits,
+            s.unified_hits,
+            s.misses,
+            s.failed_keys,
+            s.stale_keys,
+            s.corrupt_detected,
+            u64::from(s.degraded),
+            s.wall.0.to_bits(),
+            s.phases.cache_index.0.to_bits(),
+            s.phases.cache_copy.0.to_bits(),
+            s.phases.dram_index.0.to_bits(),
+            s.phases.dram_payload.0.to_bits(),
+            s.phases.other.0.to_bits(),
+        ] {
+            h.word(w);
+        }
+        h.word(out.rows.len() as u64);
+        for row in &out.rows {
+            h.word(row.len() as u64);
+            for v in row {
+                h.word(u64::from(v.to_bits()));
+            }
+        }
+    }
+    h.word(gpu.now().0.to_bits());
+    h.word(sys.cache().evict_passes());
+    h.word(sys.cache().unified_count());
+    h.0
+}
+
+/// The simulated clock and the served rows cannot move without this test
+/// saying so: both constants were captured at the commit before the query
+/// path was rebuilt (prefetch-pipelined probe, slot-indexed metadata, flat
+/// dedup table, view-based restore), and every later change to that path
+/// must reproduce them.
+#[test]
+fn golden_digest_pins_simulated_clock_and_rows() {
+    assert_eq!(golden_digest(false), 0xB725_39E9_778C_6A18, "read-only run");
+    assert_eq!(
+        golden_digest(true),
+        0xAA78_BEA9_1893_E195,
+        "run under an update stream"
+    );
+}

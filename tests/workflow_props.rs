@@ -6,8 +6,8 @@
 use fleche_core::{FlatCacheConfig, FlecheConfig, FlecheSystem};
 use fleche_gpu::{DeviceSpec, DramSpec, Gpu};
 use fleche_store::api::EmbeddingCacheSystem;
-use fleche_store::CpuStore;
-use fleche_workload::{spec, TraceGenerator};
+use fleche_store::{CpuStore, Deduped};
+use fleche_workload::{spec, Batch, TraceGenerator};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -141,6 +141,53 @@ proptest! {
             prop_assert!(v.is_valid(), "{} invalid: {}", name, v);
         }
         prop_assert!(p.total().as_ns() <= out.stats.wall.as_ns() * 2.0 + 1.0);
+    }
+}
+
+/// Ids that collide on purpose (a dozen small values), sit at the very top
+/// of the `u64` range, or are arbitrary.
+fn dedup_id() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..12, (0u64..9).prop_map(|d| u64::MAX - d), any::<u64>(),]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The open-addressing dedup equals a naive ordered-map reference on
+    /// everything callers read — `unique` (first-appearance order),
+    /// `inverse`, `per_table_counts` — over multi-hot duplicates, empty
+    /// tables and ids at the top of the `u64` range; and `unique` is
+    /// table-contiguous in ascending table order, which is what lets the
+    /// query path treat table groups as runs of it.
+    #[test]
+    fn dedup_matches_ordered_map_reference(
+        table_ids in prop::collection::vec(prop::collection::vec(dedup_id(), 0..40), 0..7),
+    ) {
+        use std::collections::BTreeMap;
+        let batch = Batch { samples: Vec::new(), table_ids };
+        let d = Deduped::from_batch(&batch);
+        let mut first_seen: BTreeMap<(u16, u64), u32> = BTreeMap::new();
+        let mut unique = Vec::new();
+        let mut inverse = Vec::new();
+        for (t, ids) in batch.table_ids.iter().enumerate() {
+            for &id in ids {
+                let key = (t as u16, id);
+                let next = unique.len() as u32;
+                let idx = *first_seen.entry(key).or_insert(next);
+                if idx == next {
+                    unique.push(key);
+                }
+                inverse.push(idx);
+            }
+        }
+        let counts: Vec<u32> = batch.table_ids.iter().map(|ids| ids.len() as u32).collect();
+        prop_assert_eq!(&d.unique, &unique);
+        prop_assert_eq!(&d.inverse, &inverse);
+        prop_assert_eq!(&d.per_table_counts, &counts);
+        prop_assert!(
+            d.unique.windows(2).all(|w| w[0].0 <= w[1].0),
+            "unique must be table-contiguous, ascending"
+        );
     }
 }
 
