@@ -170,70 +170,161 @@ impl Fnv {
     }
 }
 
-/// 60 batches of a fixed synthetic spec (two dims, one multi-hot table, one
-/// tiny table, a cache small enough that 56 of the 60 batches run an
-/// eviction pass and the unified index fills) through `FlecheConfig::full`
-/// with checksums on, folding every `BatchStats` field's bits and every
-/// served row into one digest. With `updates`, a trainer burst is committed and
-/// pushed before every batch.
-fn golden_digest(updates: bool) -> u64 {
-    use fleche_store::UpdateStream;
+/// The fixed synthetic spec every golden digest runs over: two dims, one
+/// multi-hot table, one tiny table.
+fn golden_spec() -> DatasetSpec {
     let mut ds = spec::synthetic(6, 3_000, 16, -1.2);
     ds.tables[1].dim = 32;
     ds.tables[2].multi_hot = 3;
     ds.tables[4].corpus = 40;
-    let store = CpuStore::new(&ds, DramSpec::xeon_6252());
-    let mut sys = FlecheSystem::new(
-        &ds,
-        store,
-        FlecheConfig {
-            checksums: true,
-            ..FlecheConfig::full(0.05)
-        },
-    );
-    let mut gpu = Gpu::new(DeviceSpec::t4());
-    let mut gen = TraceGenerator::new(&ds);
-    let mut stream = UpdateStream::new(&ds, 17);
-    let mut h = Fnv::new();
-    for _ in 0..60 {
-        if updates {
-            let burst = stream.next_burst(48);
-            sys.commit_updates(&mut gpu, &burst);
-            sys.push_updates(&mut gpu, &burst);
+    ds
+}
+
+/// One golden-digest run: a system, its device, its trace and update
+/// stream, and the digest so far.
+struct GoldenRun {
+    sys: FlecheSystem,
+    gpu: Gpu,
+    gen: TraceGenerator,
+    stream: fleche_store::UpdateStream,
+    served: fleche_workload::WorkloadStats,
+    /// Hand each batch's dedup mapping in through `query_batch_prepared`,
+    /// as a pipelined prep stage does.
+    prepared: bool,
+    h: Fnv,
+}
+
+/// What the trainer does before each batch of a [`GoldenRun::batches`] leg.
+#[derive(Clone, Copy, PartialEq)]
+enum Trainer {
+    /// Nothing.
+    Idle,
+    /// A 48-push burst over the whole key space, committed and pushed.
+    CommitAndPush,
+    /// A 48-push burst over the 64 hottest keys served so far, committed
+    /// but never pushed (a push outage: resident keys fall behind the
+    /// ledger).
+    CommitOnly,
+}
+
+impl GoldenRun {
+    fn new(ds: &DatasetSpec, sys: FlecheSystem) -> GoldenRun {
+        GoldenRun {
+            sys,
+            gpu: Gpu::new(DeviceSpec::t4()),
+            gen: TraceGenerator::new(ds),
+            stream: fleche_store::UpdateStream::new(ds, 17),
+            served: fleche_workload::WorkloadStats::new(),
+            prepared: false,
+            h: Fnv::new(),
         }
-        let batch = gen.next_batch(128);
-        let out = sys.query_batch(&mut gpu, &batch);
-        let s = out.stats;
-        for w in [
-            s.unique_keys,
-            s.hits,
-            s.unified_hits,
-            s.misses,
-            s.failed_keys,
-            s.stale_keys,
-            s.corrupt_detected,
-            u64::from(s.degraded),
-            s.wall.0.to_bits(),
-            s.phases.cache_index.0.to_bits(),
-            s.phases.cache_copy.0.to_bits(),
-            s.phases.dram_index.0.to_bits(),
-            s.phases.dram_payload.0.to_bits(),
-            s.phases.other.0.to_bits(),
-        ] {
-            h.word(w);
-        }
-        h.word(out.rows.len() as u64);
-        for row in &out.rows {
-            h.word(row.len() as u64);
-            for v in row {
-                h.word(u64::from(v.to_bits()));
+    }
+
+    fn flat(config: FlecheConfig) -> GoldenRun {
+        let ds = golden_spec();
+        let store = CpuStore::new(&ds, DramSpec::xeon_6252());
+        GoldenRun::new(&ds, FlecheSystem::new(&ds, store, config))
+    }
+
+    /// Runs `n` batches of 128 samples, folding every `BatchStats` field's
+    /// bits and every served row into the digest.
+    fn batches(&mut self, n: usize, trainer: Trainer) {
+        for _ in 0..n {
+            match trainer {
+                Trainer::Idle => {}
+                Trainer::CommitAndPush => {
+                    let burst = self.stream.next_burst(48);
+                    self.sys.commit_updates(&mut self.gpu, &burst);
+                    self.sys.push_updates(&mut self.gpu, &burst);
+                }
+                Trainer::CommitOnly => {
+                    let burst = self.stream.next_burst_from(&self.served.hottest(64), 48);
+                    self.sys.commit_updates(&mut self.gpu, &burst);
+                }
+            }
+            let batch = self.gen.next_batch(128);
+            self.served.observe(&batch);
+            let out = if self.prepared {
+                let dedup = fleche_store::Deduped::from_batch(&batch);
+                self.sys.query_batch_prepared(&mut self.gpu, &batch, dedup)
+            } else {
+                self.sys.query_batch(&mut self.gpu, &batch)
+            };
+            let s = out.stats;
+            for w in [
+                s.unique_keys,
+                s.hits,
+                s.unified_hits,
+                s.misses,
+                s.failed_keys,
+                s.stale_keys,
+                s.corrupt_detected,
+                u64::from(s.degraded),
+                s.wall.0.to_bits(),
+                s.phases.cache_index.0.to_bits(),
+                s.phases.cache_copy.0.to_bits(),
+                s.phases.dram_index.0.to_bits(),
+                s.phases.dram_payload.0.to_bits(),
+                s.phases.other.0.to_bits(),
+            ] {
+                self.h.word(w);
+            }
+            self.h.word(out.rows.len() as u64);
+            for row in &out.rows {
+                self.h.word(row.len() as u64);
+                for v in row {
+                    self.h.word(u64::from(v.to_bits()));
+                }
             }
         }
     }
-    h.word(gpu.now().0.to_bits());
-    h.word(sys.cache().evict_passes());
-    h.word(sys.cache().unified_count());
-    h.0
+
+    /// Closes the digest over the clock and the cache's end state.
+    fn finish(mut self) -> u64 {
+        self.h.word(self.gpu.now().0.to_bits());
+        self.h.word(self.sys.cache().evict_passes());
+        self.h.word(self.sys.cache().unified_count());
+        self.h.0
+    }
+
+    /// [`GoldenRun::finish`] for a run with the race checker on: also folds
+    /// the whole timeline (span count, and each span's label and bounds) —
+    /// so a merged, dropped, added or reordered `gpu.*` call moves the
+    /// digest even where the clock happens not to — and requires the run
+    /// to have been race-free.
+    fn finish_checked(mut self) -> u64 {
+        self.h.word(self.gpu.timeline().spans().len() as u64);
+        for span in self.gpu.timeline().spans() {
+            for b in span.label.bytes() {
+                self.h.word(u64::from(b));
+            }
+            self.h.word(span.start.0.to_bits());
+            self.h.word(span.end.0.to_bits());
+        }
+        let races = self.gpu.race_checker().expect("checker on").race_count();
+        assert_eq!(races, 0, "golden runs are race-free");
+        self.finish()
+    }
+}
+
+/// 60 batches through `FlecheConfig::full` with checksums on and a cache
+/// small enough that 56 of the 60 batches run an eviction pass and the
+/// unified index fills. With `updates`, a trainer burst is committed and
+/// pushed before every batch.
+fn golden_digest(updates: bool) -> u64 {
+    let mut run = GoldenRun::flat(FlecheConfig {
+        checksums: true,
+        ..FlecheConfig::full(0.05)
+    });
+    run.batches(
+        60,
+        if updates {
+            Trainer::CommitAndPush
+        } else {
+            Trainer::Idle
+        },
+    );
+    run.finish()
 }
 
 /// The simulated clock and the served rows cannot move without this test
@@ -249,4 +340,204 @@ fn golden_digest_pins_simulated_clock_and_rows() {
         0xAA78_BEA9_1893_E195,
         "run under an update stream"
     );
+}
+
+/// Records `route` as moved unless its digest is the pinned one, so one run
+/// reports every route that moved.
+fn pin(moved: &mut Vec<String>, route: &str, got: u64, pinned: u64) {
+    if got != pinned {
+        moved.push(format!("{route}: got {got:#018X}, pinned {pinned:#018X}"));
+    }
+}
+
+/// The same 60 batches through one of the ablation variants, race checker
+/// on, 30 read-only and 30 under the update stream.
+fn variant_digest(config: FlecheConfig) -> u64 {
+    let mut run = GoldenRun::flat(FlecheConfig {
+        checksums: true,
+        ..config
+    });
+    run.gpu.enable_race_checker();
+    run.batches(30, Trainer::Idle);
+    run.batches(30, Trainer::CommitAndPush);
+    run.finish_checked()
+}
+
+fn golden_breaker() -> fleche_chaos::BreakerConfig {
+    fleche_chaos::BreakerConfig {
+        failure_threshold: 0.5,
+        min_samples: 4,
+        window: 8,
+        cooldown: fleche_gpu::Ns::from_us(200.0),
+        probes_to_close: 2,
+    }
+}
+
+fn every_launch_fails() -> Box<dyn fleche_gpu::LaunchFaultHook> {
+    let mut plan = fleche_chaos::FaultPlan::quiet(11);
+    plan.gpu.launch_failure_rate = 1.0;
+    Box::new(plan.gpu_injector())
+}
+
+/// Launch faults trip the breaker while the trainer keeps pushing: degraded
+/// batches serve rewritten rows from the miss backend, then the faults stop
+/// and half-open probes close the breaker again. With `prepared`, every
+/// batch's dedup mapping is handed in as a pipelined prep stage does.
+fn breaker_window_digest(prepared: bool) -> u64 {
+    let mut run = GoldenRun::flat(FlecheConfig {
+        checksums: true,
+        breaker: Some(golden_breaker()),
+        ..FlecheConfig::full(0.05)
+    });
+    run.prepared = prepared;
+    run.gpu.enable_race_checker();
+    run.batches(10, Trainer::CommitAndPush);
+    run.gpu.set_fault_hook(Some(every_launch_fails()));
+    run.batches(12, Trainer::CommitAndPush);
+    run.gpu.set_fault_hook(None);
+    run.batches(24, Trainer::CommitAndPush);
+    let lifetime = run.sys.lifetime_stats();
+    assert!(lifetime.degraded_batches > 0 && lifetime.degraded_batches < lifetime.batches);
+    let breaker = run.sys.breaker().expect("configured");
+    assert!(breaker.trips() >= 1);
+    run.h.word(breaker.trips());
+    run.h.word(lifetime.degraded_batches);
+    run.finish_checked()
+}
+
+const BREAKER_WINDOW: u64 = 0x80B2_58A3_9BF4_7452;
+
+/// A dedup mapping handed in by a prep stage changes nothing — stats, rows
+/// and clock — on the cache path or on the degraded one.
+#[test]
+fn prepared_dedup_is_bit_identical_through_a_degraded_window() {
+    assert_eq!(breaker_window_digest(true), BREAKER_WINDOW);
+}
+
+/// Every route a batch can take through `FlecheSystem` beyond the two
+/// digests above, each pinned the same way (constants captured at the
+/// commit before the per-batch path was split into stages): the three
+/// ablation variants, a breaker-open window, the tiered backend with
+/// pointer invalidations, and a staleness-degraded window.
+#[test]
+fn golden_digests_pin_every_workflow_route() {
+    use fleche_chaos::{FaultPlan, RetryPolicy, StalenessConfig};
+    use fleche_store::{RemoteSpec, TieredStore};
+
+    // Per-table launches, coupled copy.
+    let mut moved = Vec::new();
+    pin(
+        &mut moved,
+        "flat_cache_only",
+        variant_digest(FlecheConfig::flat_cache_only(0.05)),
+        0x0D16_5AC1_3D94_7983,
+    );
+    // One fused kernel, coupled copy.
+    pin(
+        &mut moved,
+        "with_fusion",
+        variant_digest(FlecheConfig::with_fusion(0.05)),
+        0x4FDE_A94E_D6D9_DDBE,
+    );
+    // Fused and decoupled, no DRAM pointers.
+    pin(
+        &mut moved,
+        "without_unified_index",
+        variant_digest(FlecheConfig::without_unified_index(0.05)),
+        0xD1B5_03A5_4809_ED50,
+    );
+
+    pin(
+        &mut moved,
+        "breaker window",
+        breaker_window_digest(false),
+        BREAKER_WINDOW,
+    );
+
+    // Giant-model mode with a DRAM layer small enough that its evictions
+    // invalidate unified-index pointers at batch boundaries, over a remote
+    // that drops a third of its fetches: some keys fail (zero rows, never
+    // admitted), some are served from the stale buffer — on the cache path
+    // and, through a second breaker window, on the degraded one.
+    let ds = golden_spec();
+    let mut store = TieredStore::new(&ds, DramSpec::xeon_6252(), RemoteSpec::datacenter(), 0.02);
+    let mut plan = FaultPlan::quiet(5);
+    plan.remote.fetch_failure_rate = 0.3;
+    store.set_fault_injector(Some(plan.remote_injector()));
+    store.set_retry_policy(RetryPolicy::none());
+    store.set_stale_serve(true);
+    let sys = FlecheSystem::with_tiered_store(
+        &ds,
+        store,
+        FlecheConfig {
+            checksums: true,
+            breaker: Some(golden_breaker()),
+            ..FlecheConfig::full(0.02)
+        },
+    );
+    let mut run = GoldenRun::new(&ds, sys);
+    run.gpu.enable_race_checker();
+    run.batches(40, Trainer::Idle);
+    run.gpu.set_fault_hook(Some(every_launch_fails()));
+    run.batches(10, Trainer::CommitAndPush);
+    run.gpu.set_fault_hook(None);
+    run.batches(20, Trainer::CommitAndPush);
+    let tiered = run.sys.tiered_store().expect("tiered mode").stats();
+    assert!(tiered.dram_evictions > 0);
+    let lifetime = run.sys.lifetime_stats();
+    assert!(lifetime.failed_keys > 0 && lifetime.stale_keys > 0);
+    assert!(lifetime.degraded_batches > 0);
+    run.h.word(tiered.dram_evictions);
+    run.h.word(tiered.remote_fetches);
+    let invalidated = run.gpu.timeline().spans();
+    assert!(invalidated.iter().any(|s| s.label == "ui-invalidate"));
+    pin(
+        &mut moved,
+        "tiered backend",
+        run.finish_checked(),
+        0xDC27_E545_D1C1_FEC1,
+    );
+
+    // A push outage drives resident keys past the staleness bound (enter
+    // degraded mode, demote and refresh), then the outage ends and the
+    // policy exits.
+    let mut run = GoldenRun::flat(FlecheConfig {
+        checksums: true,
+        staleness: Some(StalenessConfig {
+            max_lag: 2,
+            resume_lag: 1,
+        }),
+        ..FlecheConfig::full(0.2)
+    });
+    run.gpu.enable_race_checker();
+    run.batches(10, Trainer::Idle);
+    run.batches(20, Trainer::CommitOnly);
+    run.batches(20, Trainer::Idle);
+    let policy = run.sys.staleness_policy().expect("configured");
+    assert!(policy.entries() >= 1 && policy.exits() >= 1 && !policy.degraded());
+    let st = run.sys.staleness_stats();
+    assert!(st.demoted > 0);
+    for w in [
+        policy.entries(),
+        policy.exits(),
+        st.hits_sampled,
+        st.lag_sum,
+        st.max_lag,
+        st.stale_serves,
+        st.demoted,
+        st.refreshes,
+        st.degraded_batches,
+        st.updates_applied,
+        st.updates_superseded,
+        st.updates_absent,
+    ] {
+        run.h.word(w);
+    }
+    pin(
+        &mut moved,
+        "staleness window",
+        run.finish_checked(),
+        0xE655_A29B_7286_1C31,
+    );
+    assert!(moved.is_empty(), "digests moved:\n{}", moved.join("\n"));
 }
