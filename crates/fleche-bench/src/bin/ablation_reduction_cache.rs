@@ -23,9 +23,12 @@ fn run_reduction(ds: &DatasetSpec, batches: usize, batch: usize) -> (f64, usize)
     let mut gen = TraceGenerator::new(ds);
     for _ in 0..batches {
         let b = gen.next_batch(batch);
-        for s in &b.samples {
-            for (t, ids) in s.per_table.iter().enumerate() {
-                rc.pooled(&store, t as u16, ids);
+        // Sample-major, as requests arrive: each sample's group is its
+        // `multi_hot`-wide slice of the table's flattened ids.
+        for s in 0..b.len() {
+            for (t, ids) in b.table_ids.iter().enumerate() {
+                let width = ds.tables[t].multi_hot as usize;
+                rc.pooled(&store, t as u16, &ids[s * width..(s + 1) * width]);
             }
         }
     }

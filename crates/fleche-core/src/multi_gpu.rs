@@ -399,10 +399,7 @@ impl MultiGpuFleche {
         let g = self.shards.len();
         // Split the batch per shard, remembering where each access goes.
         let mut shard_batches: Vec<Batch> = (0..g)
-            .map(|_| Batch {
-                samples: Vec::new(),
-                table_ids: vec![Vec::new(); self.spec.table_count()],
-            })
+            .map(|_| Batch::from_table_ids(vec![Vec::new(); self.spec.table_count()]))
             .collect();
         // routing[k] = (shard, position within that shard's flattening).
         let mut routing = Vec::with_capacity(batch.total_ids());

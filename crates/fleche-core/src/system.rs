@@ -4,6 +4,10 @@
 //! kernel → decoupled hit-copy kernel in parallel with the CPU-DRAM query
 //! for misses (unified-index entries skip the CPU-side indexing) →
 //! replacement (admission-filtered, copy-then-index order) → restore.
+//! Each step is one stage function over a shared per-batch context
+//! (`query_batch_inner` is the list of them); DESIGN.md §4.2 has the stage
+//! diagram — what each stage reads, writes and prices, and which stages a
+//! breaker-degraded batch runs.
 //!
 //! Every technique is individually switchable so the ablation experiments
 //! (Exp #7, Exp #8) can measure each one's contribution:
@@ -19,12 +23,11 @@ use crate::update_costs::UpdateCostSpec;
 use fleche_chaos::{BreakerConfig, CircuitBreaker, StalenessConfig, StalenessPolicy};
 use fleche_coding::{FlatKey, FlatKeyCodec, SizeAwareCodec};
 use fleche_gpu::{
-    ledger_resource, slot_resource, CopyApi, FaultCounters, Gpu, KernelDesc, KernelWork, Ns,
+    ledger_resource, slot_resource, CopyApi, FaultCounters, Gpu, KernelDesc, KernelId, KernelWork,
+    Ns, RaceChecker,
 };
-use fleche_index::{ProbeStats, SLAB_WIDTH};
-use fleche_store::api::{
-    dedup_charged, BatchStats, EmbeddingCacheSystem, LifetimeStats, PhaseBreakdown, QueryOutput,
-};
+use fleche_index::{EpochGuard, ProbeStats, SLAB_WIDTH};
+use fleche_store::api::{BatchStats, EmbeddingCacheSystem, LifetimeStats, QueryOutput};
 use fleche_store::{
     versioned_embedding_value, CpuStore, Deduped, FetchReport, TieredStore, UpdatePush,
     VersionLedger,
@@ -258,40 +261,132 @@ struct DeltaBase {
     next_seq: u64,
 }
 
-/// The stretch of a batch's unique-key list that belongs to one table.
-/// `Deduped::unique` is table-contiguous (batches flatten table-major), so
-/// the per-table groups that price the query kernels are runs found by one
-/// scan — no per-table vectors.
-#[derive(Clone, Copy)]
+/// The stretch of a batch's unique-key list that belongs to one table, and
+/// what the index phase learns about it. `Deduped::unique` is
+/// table-contiguous (batches flatten table-major), so the per-table groups
+/// that price the query kernels are runs found by one scan — no per-table
+/// vectors.
+#[derive(Clone, Copy, Default)]
 struct TableRun {
     table: u16,
     start: usize,
     end: usize,
+    /// Probe statistics folded over the run.
+    stats: ProbeStats,
+    /// Served HBM hits in the run, and the bytes copying them moves (read +
+    /// write).
+    hits: usize,
+    hit_bytes: u64,
 }
 
-/// Working vectors of one batch's query workflow, owned by the system and
-/// reused, so a steady-state batch allocates none of them. Each is cleared
-/// where it is filled; nothing carries over between batches.
+/// One batch's state, handed from stage to stage of the workflow (DESIGN.md
+/// §4.2 has the diagram: which stage writes and reads what). Owned by the
+/// system and lent to each batch, so a steady-state batch allocates none of
+/// the working vectors; [`BatchContext::reset`] empties it before the first
+/// stage, so nothing carries over between batches.
 #[derive(Default)]
-struct QueryScratch {
+struct BatchContext {
+    /// What the batch reports, filled in as the stages run. `degraded` is
+    /// set from the start for a batch the breaker routed around the GPU
+    /// cache: it needs no flat keys and has no unified-index hits to read.
+    stats: BatchStats,
+    t_start: Ns,
+    dedup: Deduped,
+    /// One flat key per unique key, in `unique` order.
+    keys: Vec<FlatKey>,
     /// One run per table present in the batch, ascending.
     runs: Vec<TableRun>,
+    /// Start of the index phase: `probe`, `settle` and `index_kernels` are
+    /// one span.
+    index_start: Ns,
     /// Answer and probe statistics per unique key, in `unique` order.
-    /// Answers are edited in place when a hit is quarantined or demoted.
+    /// `settle` edits answers in place when it quarantines or demotes a
+    /// hit; after it they are final.
     probed: Vec<(CacheAnswer, ProbeStats)>,
-    /// Probe statistics and hit-copy bytes folded per run.
-    run_stats: Vec<ProbeStats>,
-    run_hit_bytes: Vec<u64>,
-    /// Position in `unique` and pool location of every HBM hit.
+    /// Worst raw (pre-demotion) version lag over this batch's hits.
+    max_lag: u64,
+    /// Position in `unique` and pool location of every served HBM hit, in
+    /// `unique` order, and the bytes copying them all moves.
     hit_pos: Vec<usize>,
     hit_slots: Vec<(u16, u32)>,
-    /// Positions and `(table, id)` keys of full misses and unified hits.
-    miss_pos: Vec<usize>,
-    miss_keys: Vec<(u16, u64)>,
-    unified_pos: Vec<usize>,
-    unified_keys: Vec<(u16, u64)>,
+    hit_copy_bytes: u64,
+    /// Epoch pin held while the decoupled copy kernel is in flight.
+    pin: Option<EpochGuard>,
+    /// The fill list — every key served from the miss backend: position in
+    /// `unique`, `(table, id)`, fetched row, and the update version the row
+    /// carries (0 = frozen table value). The first `n_miss` are full
+    /// misses, the rest unified-index hits.
+    fill_pos: Vec<usize>,
+    fill_keys: Vec<(u16, u64)>,
+    n_miss: usize,
+    fill_rows: Vec<Vec<f32>>,
+    fill_versions: Vec<u64>,
+    fill_bytes: u64,
+    /// Sorted fill-list indices whose fetch failed (zero row) or was served
+    /// stale: never rewritten, never admitted.
+    unfetched: Vec<usize>,
     /// Pool locations admitted by this batch's replacement.
     admitted_slots: Vec<(u16, u32)>,
+    /// Start of the restore → batch-boundary tail, one `other` span.
+    tail_start: Ns,
+}
+
+impl BatchContext {
+    /// Empties the context for a batch starting at `now`; the vectors keep
+    /// their capacity. (The scalars not named here are assigned by a stage
+    /// every batch runs before anything reads them.)
+    fn reset(&mut self, now: Ns, degraded: bool) {
+        self.stats = BatchStats {
+            degraded,
+            ..BatchStats::default()
+        };
+        self.t_start = now;
+        self.keys.clear();
+        self.runs.clear();
+        self.probed.clear();
+        self.max_lag = 0;
+        self.hit_pos.clear();
+        self.hit_slots.clear();
+        self.fill_pos.clear();
+        self.fill_keys.clear();
+        self.fill_rows.clear();
+        self.fill_versions.clear();
+        self.unfetched.clear();
+        self.admitted_slots.clear();
+    }
+
+    /// Sorts the (final) answers into the hit list and the fill list — full
+    /// misses first, then unified-index hits — counting each run's hits and
+    /// hit-copy bytes in the same scan.
+    fn classify(&mut self, dims: &[u32]) {
+        self.hit_pos.clear();
+        self.hit_slots.clear();
+        self.hit_copy_bytes = 0;
+        for run in &mut self.runs {
+            for pos in run.start..run.end {
+                match self.probed[pos].0 {
+                    CacheAnswer::Hit { class, slot } => {
+                        self.hit_pos.push(pos);
+                        self.hit_slots.push((class, slot));
+                        run.hits += 1;
+                    }
+                    CacheAnswer::Miss => self.fill_pos.push(pos),
+                    CacheAnswer::UnifiedHit => {}
+                }
+            }
+            run.hit_bytes = run.hits as u64 * u64::from(dims[run.table as usize]) * 4 * 2;
+            self.hit_copy_bytes += run.hit_bytes;
+        }
+        self.n_miss = self.fill_pos.len();
+        for (pos, (ans, _)) in self.probed.iter().enumerate() {
+            if matches!(ans, CacheAnswer::UnifiedHit) {
+                self.fill_pos.push(pos);
+            }
+        }
+        let unique = &self.dedup.unique;
+        self.fill_keys
+            .extend(self.fill_pos.iter().map(|&pos| unique[pos]));
+    }
 }
 
 /// The Fleche embedding cache system.
@@ -320,7 +415,7 @@ pub struct FlecheSystem {
     /// Epoch stamped into full checkpoints (increments per checkpoint).
     checkpoint_epoch: u64,
     delta_base: Option<DeltaBase>,
-    scratch: QueryScratch,
+    scratch: BatchContext,
 }
 
 impl FlecheSystem {
@@ -331,8 +426,6 @@ impl FlecheSystem {
         FlecheSystem::with_codec(spec, store, config, codec)
     }
 
-    /// Builds Fleche with an explicit codec (the coding experiment swaps
-    /// in fixed-length codecs here).
     /// Builds Fleche in giant-model mode over a tiered (DRAM-cache +
     /// remote parameter server) backend.
     pub fn with_tiered_store(
@@ -345,7 +438,8 @@ impl FlecheSystem {
         FlecheSystem::with_backend(spec, MissBackend::Tiered(store), config, codec)
     }
 
-    /// Builds Fleche with an explicit codec over the flat backend.
+    /// Builds Fleche with an explicit codec over the flat backend (the
+    /// coding experiment swaps in fixed-length codecs here).
     pub fn with_codec(
         spec: &DatasetSpec,
         store: CpuStore,
@@ -394,7 +488,7 @@ impl FlecheSystem {
             update_costs: UpdateCostSpec::modeled(),
             checkpoint_epoch: 0,
             delta_base: None,
-            scratch: QueryScratch::default(),
+            scratch: BatchContext::default(),
         }
     }
 
@@ -557,111 +651,10 @@ impl FlecheSystem {
         report
     }
 
-    /// Rewrites fetched rows to the ledger's latest version and records
-    /// which version each row now carries (0 = frozen table value, left
-    /// untouched). `skip` is the sorted row indices whose fetch failed or
-    /// was served stale — those rows pass through unmodified. Misses
-    /// therefore always serve (and admit) fresh values: eviction can never
-    /// roll a key's served version backwards.
-    fn rewrite_rows_to_latest(
-        &self,
-        gpu: &mut Gpu,
-        keys: &[(u16, u64)],
-        rows: &mut [Vec<f32>],
-        skip: &[usize],
-    ) -> Vec<u64> {
-        let mut versions = vec![0u64; keys.len()];
-        if self.ledger.tracked_keys() == 0 {
-            return versions;
-        }
-        gpu.elapse_host(
-            "ledger-probe",
-            Ns(keys.len() as f64 * self.update_costs.ledger_probe_ns),
-        );
-        for (i, &(t, f)) in keys.iter().enumerate() {
-            if skip.binary_search(&i).is_ok() {
-                continue;
-            }
-            let v = self.ledger.get(t, f);
-            if v > 0 {
-                versioned_embedding_value(t, f, v, &mut rows[i]);
-                versions[i] = v;
-            }
-        }
-        versions
-    }
-
     /// Mutable cache access for fault-injection harnesses (bit-flip
     /// corruption); not a query-path API.
     pub fn cache_mut(&mut self) -> &mut FlatCache {
         &mut self.cache
-    }
-
-    /// Serves one batch entirely from the miss backend: the degraded path
-    /// the breaker falls back to while the GPU cache is distrusted. The
-    /// cache is neither consulted nor refilled, so a faulty device only
-    /// touches the (unavoidable) restore kernel.
-    fn degraded_batch(&mut self, gpu: &mut Gpu, batch: &Batch) -> QueryOutput {
-        self.clock += 1;
-        let t_start = gpu.now();
-        let mut phases = PhaseBreakdown::default();
-        let o0 = gpu.now();
-        let dedup = dedup_charged(gpu, batch);
-        phases.other += gpu.now() - o0;
-        let d0 = gpu.now();
-        let (mut unique_rows, cost, report) = self.store.query_batch(&dedup.unique, gpu.now());
-        gpu.elapse_host("dram-query", cost);
-        // The miss backend serves the frozen table values; rewrite rows
-        // the trainer has since updated to the ledger's latest version so
-        // breaker degradation never rolls served versions backwards.
-        // (Failed/stale fetches keep their zero-filled/stale rows.)
-        let mut unfetched: Vec<usize> =
-            report.failed.iter().chain(&report.stale).copied().collect();
-        unfetched.sort_unstable();
-        unfetched.dedup();
-        self.rewrite_rows_to_latest(gpu, &dedup.unique, &mut unique_rows, &unfetched);
-        let span = gpu.now() - d0;
-        let payload = self.store.payload_cost(&dedup.unique);
-        phases.dram_payload += payload.min(span);
-        phases.dram_index += span.saturating_sub(payload);
-        let h0 = gpu.now();
-        let bytes: u64 = dedup
-            .unique
-            .iter()
-            .map(|&(t, _)| self.cache.dim_of(t) as u64 * 4)
-            .sum();
-        if bytes > 0 {
-            gpu.copy_blocking("missing-emb-h2d", bytes, CopyApi::CudaMemcpy);
-        }
-        phases.dram_payload += gpu.now() - h0;
-        let a0 = gpu.now();
-        let rows = dedup.restore(&unique_rows);
-        let s = gpu.default_stream();
-        gpu.launch(
-            s,
-            KernelDesc::new(
-                "restore",
-                batch.total_ids() as u32,
-                dedup.restore_kernel_work(self.cache.table_dims()),
-            ),
-        );
-        gpu.sync_all();
-        phases.other += gpu.now() - a0;
-        // Faults during degraded batches must not count against the next
-        // probe's sample.
-        self.last_faults = gpu.fault_counters();
-        let stats = BatchStats {
-            unique_keys: dedup.unique.len() as u64,
-            misses: dedup.unique.len() as u64,
-            failed_keys: report.failed.len() as u64,
-            stale_keys: report.stale.len() as u64,
-            degraded: true,
-            wall: gpu.now() - t_start,
-            phases,
-            ..BatchStats::default()
-        };
-        self.lifetime.observe(&stats);
-        QueryOutput { rows, stats }
     }
 
     /// Captures a checkpoint of the GPU cache at a batch boundary.
@@ -784,11 +777,18 @@ impl FlecheSystem {
     }
 
     /// The batch-boundary close-out every lifecycle operation starts from:
-    /// synchronize the device, advance the epoch, and reclaim retired slots
-    /// (each a declared host write), so no retired slot or in-flight
+    /// synchronize the device, then reclaim, so no retired slot or in-flight
     /// replace-copy can leak into what follows.
     fn close_batch_boundary(&mut self, gpu: &mut Gpu) {
         gpu.sync_all();
+        self.reclaim_retired(gpu);
+    }
+
+    /// Advances the epoch and frees retired slots — a host-side write to
+    /// each. Safe only behind a device sync: that is the happens-before
+    /// edge against an in-flight copy kernel; without it the race checker
+    /// reports every reclaimed-while-read slot.
+    fn reclaim_retired(&mut self, gpu: &mut Gpu) {
         if let Some(rc) = gpu.race_checker_mut() {
             rc.note_epoch_advance();
         }
@@ -812,11 +812,7 @@ impl FlecheSystem {
                 KernelWork::streaming(self.cache.scan_bytes() + snap.byte_len()),
             ),
         );
-        if let Some(rc) = gpu.race_checker_mut() {
-            for &(class, slot) in slots {
-                rc.kernel_read(kid, slot_resource(class, slot));
-            }
-        }
+        declare_slots(gpu, kid, slots, RaceChecker::kernel_read);
         gpu.sync_stream(s);
         gpu.copy_blocking("snapshot-d2h", snap.byte_len().max(1), CopyApi::CudaMemcpy);
     }
@@ -835,11 +831,7 @@ impl FlecheSystem {
                 KernelWork::streaming(bytes),
             ),
         );
-        if let Some(rc) = gpu.race_checker_mut() {
-            for &(class, slot) in &report.slots {
-                rc.kernel_write(kid, slot_resource(class, slot));
-            }
-        }
+        declare_slots(gpu, kid, &report.slots, RaceChecker::kernel_write);
         gpu.sync_stream(s);
     }
 
@@ -859,11 +851,7 @@ impl FlecheSystem {
                     ids.push(f);
                 }
             }
-            let batch = Batch {
-                samples: Vec::new(),
-                table_ids,
-            };
-            self.query_batch(gpu, &batch);
+            self.query_batch(gpu, &Batch::from_table_ids(table_ids));
             batches += 1;
         }
         batches
@@ -911,105 +899,163 @@ impl EmbeddingCacheSystem for FlecheSystem {
     }
 }
 
+/// Declares to the race checker that `kernel` accesses every pool slot in
+/// `slots`; `access` is [`RaceChecker::kernel_read`] or
+/// [`RaceChecker::kernel_write`].
+fn declare_slots(
+    gpu: &mut Gpu,
+    kernel: KernelId,
+    slots: &[(u16, u32)],
+    access: fn(&mut RaceChecker, KernelId, u64),
+) {
+    if let Some(rc) = gpu.race_checker_mut() {
+        for &(class, slot) in slots {
+            access(rc, kernel, slot_resource(class, slot));
+        }
+    }
+}
+
+/// The batch-query workflow (paper §3–§4) as stages over one
+/// [`BatchContext`]: `query_batch_inner` runs all of them, a degraded batch
+/// runs `dedup`, `fetch` and `restore`. Each stage does its functional step
+/// and then prices *that* step — the tiered store reads the simulated clock
+/// at fetch time, so pricing cannot wait for the end of the batch.
 impl FlecheSystem {
-    /// The batch-query workflow (paper §3–§4), shared by the plain and
-    /// prepared entry points. A pipelined prep stage may hand in the
-    /// dedup mapping it computed on another host thread; the simulated
-    /// host cost charged is identical either way, so pipelining moves
-    /// *real* CPU work between threads without perturbing simulated time.
+    /// Shared by the plain and prepared entry points. A pipelined prep
+    /// stage may hand in the dedup mapping it computed on another host
+    /// thread; the simulated host cost charged is identical either way, so
+    /// pipelining moves *real* CPU work between threads without perturbing
+    /// simulated time.
     fn query_batch_inner(
         &mut self,
         gpu: &mut Gpu,
         batch: &Batch,
         prepared: Option<Deduped>,
     ) -> QueryOutput {
-        if let Some(b) = &mut self.breaker {
-            if !b.allow(gpu.now()) {
-                return self.degraded_batch(gpu, batch);
-            }
-        }
+        let degraded = self.breaker.as_mut().is_some_and(|b| !b.allow(gpu.now()));
         self.clock += 1;
-        let t_start = gpu.now();
-        let mut phases = PhaseBreakdown::default();
-        // ---- Dedup + re-encode (host, "other") -------------------------
-        let o0 = gpu.now();
-        let dedup = match prepared {
-            // The hashing already ran on the prep thread; charge the same
-            // simulated cost `dedup_charged` would.
-            Some(d) => {
-                gpu.elapse_host("dedup", d.host_cost());
-                d
-            }
-            None => dedup_charged(gpu, batch),
+        let mut cx = std::mem::take(&mut self.scratch);
+        cx.reset(gpu.now(), degraded);
+        let dedup = prepared.unwrap_or_else(|| Deduped::from_batch(batch));
+        self.dedup(gpu, dedup, &mut cx);
+        let rows = if degraded {
+            self.degraded_batch(gpu, &mut cx)
+        } else {
+            self.probe(gpu, &mut cx);
+            self.settle(gpu, &mut cx);
+            self.index_kernels(gpu, &mut cx);
+            self.launch_copy(gpu, &mut cx);
+            self.fetch(gpu, &mut cx);
+            self.replace(gpu, &mut cx);
+            let rows = self.restore(gpu, &mut cx);
+            self.close(gpu, &mut cx);
+            rows
         };
-        let unique = &dedup.unique;
-        gpu.elapse_host(
-            "encode",
-            Ns(unique.len() as f64 * ENCODE_NS_PER_KEY + self.n_tables as f64 * 50.0),
-        );
-        // One flat key per unique key, in `unique` order. Table groups are
-        // runs of that list (it is table-contiguous), found by one scan.
-        let keys = self.codec.encode_pairs(unique);
-        let mut sc = std::mem::take(&mut self.scratch);
-        sc.runs.clear();
-        for (pos, &(t, _)) in unique.iter().enumerate() {
-            match sc.runs.last_mut() {
-                Some(run) if run.table == t => run.end = pos + 1,
-                _ => sc.runs.push(TableRun {
-                    table: t,
-                    start: pos,
-                    end: pos + 1,
-                }),
+        cx.stats.unique_keys = cx.dedup.unique.len() as u64;
+        cx.stats.hits = cx.hit_pos.len() as u64;
+        cx.stats.unified_hits = (cx.fill_pos.len() - cx.n_miss) as u64;
+        cx.stats.misses = cx.n_miss as u64;
+        cx.stats.wall = gpu.now() - cx.t_start;
+        let stats = cx.stats;
+        self.lifetime.observe(&stats);
+        self.scratch = cx;
+        QueryOutput { rows, stats }
+    }
+
+    /// Serves a deduplicated batch entirely from the miss backend: the
+    /// workflow the breaker falls back to while the GPU cache is distrusted.
+    /// The cache is neither consulted nor refilled and the batch boundary is
+    /// not closed (staged updates wait for the next cache-path batch), so a
+    /// faulty device only touches the (unavoidable) restore kernel.
+    fn degraded_batch(&mut self, gpu: &mut Gpu, cx: &mut BatchContext) -> Vec<Vec<f32>> {
+        // The cache is not consulted: every unique key is a full miss.
+        cx.n_miss = cx.dedup.unique.len();
+        cx.fill_pos.extend(0..cx.n_miss);
+        cx.fill_keys.extend_from_slice(&cx.dedup.unique);
+        self.fetch(gpu, cx);
+        let rows = self.restore(gpu, cx);
+        cx.stats.phases.other += gpu.now() - cx.tail_start;
+        // Faults during degraded batches must not count against the next
+        // probe's sample.
+        self.last_faults = gpu.fault_counters();
+        rows
+    }
+
+    /// Stage 1: dedup, then re-encode the unique keys to flat keys and find
+    /// the table runs (host, "other"). Whether the hashing ran here or on a
+    /// prep thread, the simulated host cost charged for it is the same.
+    fn dedup(&mut self, gpu: &mut Gpu, dedup: Deduped, cx: &mut BatchContext) {
+        let o0 = gpu.now();
+        gpu.elapse_host("dedup", dedup.host_cost());
+        cx.dedup = dedup;
+        if !cx.stats.degraded {
+            let unique = &cx.dedup.unique;
+            gpu.elapse_host(
+                "encode",
+                Ns(unique.len() as f64 * ENCODE_NS_PER_KEY + self.n_tables as f64 * 50.0),
+            );
+            cx.keys = self.codec.encode_pairs(unique);
+            for (pos, &(t, _)) in unique.iter().enumerate() {
+                match cx.runs.last_mut() {
+                    Some(run) if run.table == t => run.end = pos + 1,
+                    _ => cx.runs.push(TableRun {
+                        table: t,
+                        start: pos,
+                        end: pos + 1,
+                        ..TableRun::default()
+                    }),
+                }
             }
         }
-        phases.other += gpu.now() - o0;
-        // ---- Index phase (functional lookups + priced kernels) ---------
-        let q0 = gpu.now();
-        // One batched probe walk over every table's keys (the flat cache's
-        // point: one index, one wide operation); per-key answers and
-        // statistics are what per-key lookups return, and folding them per
-        // run gives each table's kernel the statistics that price it.
+        cx.stats.phases.other += gpu.now() - o0;
+    }
+
+    /// Stage 2: one batched probe walk over every table's keys (the flat
+    /// cache's point: one index, one wide operation). Per-key answers and
+    /// statistics are what per-key lookups return; folding them per run
+    /// gives each table's kernel the statistics that price it.
+    fn probe(&mut self, gpu: &Gpu, cx: &mut BatchContext) {
+        cx.index_start = gpu.now();
         self.cache
-            .lookup_batch_into(&keys, self.clock, &mut sc.probed);
-        sc.run_stats.clear();
-        for run in &sc.runs {
-            let mut stats = ProbeStats::new();
-            for (_, s) in &sc.probed[run.start..run.end] {
-                stats.merge(s);
+            .lookup_batch_into(&cx.keys, self.clock, &mut cx.probed);
+        for run in &mut cx.runs {
+            for (_, s) in &cx.probed[run.start..run.end] {
+                run.stats.merge(s);
             }
-            sc.run_stats.push(stats);
         }
-        // Checksum verification: corrupt hits are quarantined and demoted
-        // to misses so the DRAM refill below serves clean bytes instead.
-        let mut corrupt_detected = 0u64;
+    }
+
+    /// Stage 3: decides which hits are served. Corrupt hits are quarantined
+    /// and, while staleness-degraded, over-bound hits are demoted — both
+    /// become misses, so the DRAM fill serves clean, latest bytes instead.
+    /// After this stage answers are final and sorted into the hit list and
+    /// the fill list.
+    fn settle(&mut self, gpu: &mut Gpu, cx: &mut BatchContext) {
         if self.config.checksums {
             // Verify every HBM hit in one batched pass (interleaved FNV
             // streams), quarantining in `unique` order.
-            sc.hit_pos.clear();
-            sc.hit_slots.clear();
-            for (pos, (ans, _)) in sc.probed.iter().enumerate() {
+            for (pos, (ans, _)) in cx.probed.iter().enumerate() {
                 if let CacheAnswer::Hit { class, slot } = *ans {
-                    sc.hit_pos.push(pos);
-                    sc.hit_slots.push((class, slot));
+                    cx.hit_pos.push(pos);
+                    cx.hit_slots.push((class, slot));
                 }
             }
-            let verdicts = self.cache.verify_hits(&sc.hit_slots);
-            for ((&pos, &(class, slot)), ok) in sc.hit_pos.iter().zip(&sc.hit_slots).zip(verdicts) {
+            let verdicts = self.cache.verify_hits(&cx.hit_slots);
+            for ((&pos, &(class, slot)), ok) in cx.hit_pos.iter().zip(&cx.hit_slots).zip(verdicts) {
                 if !ok {
-                    self.cache.quarantine(keys[pos], class, slot);
-                    corrupt_detected += 1;
-                    sc.probed[pos].0 = CacheAnswer::Miss;
+                    self.cache.quarantine(cx.keys[pos], class, slot);
+                    cx.stats.corrupt_detected += 1;
+                    cx.probed[pos].0 = CacheAnswer::Miss;
                 }
             }
         }
-        // ---- Staleness: per-hit version lag, demotion while degraded ----
         // Lag = committed ledger version − resident slot version. While the
         // staleness policy is degraded, an over-bound hit is demoted to a
         // miss (the miss path serves the ledger's latest) and a refresh is
         // staged for the batch boundary; the raw (pre-demotion) lag still
         // feeds the policy so recovery reflects real cache staleness.
-        let mut batch_max_lag = 0u64;
         if self.ledger.tracked_keys() > 0 {
+            let unique = &cx.dedup.unique;
             gpu.elapse_host(
                 "ledger-probe",
                 Ns(unique.len() as f64 * self.update_costs.ledger_probe_ns),
@@ -1019,17 +1065,13 @@ impl FlecheSystem {
             // the *resume* bound, so every refresh pulls the raw lag
             // toward the exit threshold and the mode converges instead of
             // serving (resume_lag, max_lag] hits stale forever.
-            let bound = self
-                .config
-                .staleness
-                .as_ref()
-                .map_or(u64::MAX, |c| c.resume_lag);
-            for (pos, (ans, _)) in sc.probed.iter_mut().enumerate() {
+            let bound = self.config.staleness.map_or(u64::MAX, |c| c.resume_lag);
+            for (pos, (ans, _)) in cx.probed.iter_mut().enumerate() {
                 if let CacheAnswer::Hit { class, slot } = *ans {
                     let (t, f) = unique[pos];
                     let target = self.ledger.get(t, f);
                     let lag = target.saturating_sub(self.cache.slot_version(class, slot));
-                    batch_max_lag = batch_max_lag.max(lag);
+                    cx.max_lag = cx.max_lag.max(lag);
                     self.staleness.max_lag = self.staleness.max_lag.max(lag);
                     if degraded_now && lag > bound {
                         *ans = CacheAnswer::Miss;
@@ -1050,71 +1092,64 @@ impl FlecheSystem {
                 }
             }
         }
-        // Answers are final from here on. Count hits, and hit bytes per
-        // table for coupled-kernel pricing.
-        sc.run_hit_bytes.clear();
-        let mut total_hit_copy_bytes = 0u64;
-        let mut hit_count = 0u64;
-        for run in &sc.runs {
-            let hits = sc.probed[run.start..run.end]
-                .iter()
-                .filter(|(a, _)| matches!(a, CacheAnswer::Hit { .. }))
-                .count() as u64;
-            let bytes = hits * self.cache.dim_of(run.table) as u64 * 4 * 2;
-            sc.run_hit_bytes.push(bytes);
-            total_hit_copy_bytes += bytes;
-            hit_count += hits;
-        }
+        cx.classify(self.cache.table_dims());
+    }
 
-        let total_unique = unique.len();
-        let members: Vec<FusionMember> = sc
-            .runs
-            .iter()
-            .zip(sc.run_stats.iter().zip(&sc.run_hit_bytes))
-            .map(|(run, (stats, &hit_bytes))| {
-                let mut work = KernelWork {
-                    global_bytes: stats.bytes_touched,
-                    // Checksum verification folds one FNV step per hit
-                    // float into the query kernel.
-                    flops: if self.config.checksums {
-                        hit_bytes / 8
-                    } else {
-                        0
-                    },
-                    dependent_rounds: stats.max_chain,
-                    shared_accesses: 0,
-                };
-                if !self.config.decoupling {
-                    // Coupled: the same kernel copies hit values while
-                    // holding slot locks, so concurrent queries that share
-                    // a bucket serialize behind each other's copies (the
-                    // paper's Fig. 7). Expected queue depth ~= concurrent
-                    // keys per bucket.
-                    let dim = self.cache.dim_of(run.table);
-                    let copy_rounds = dim.div_ceil(SLAB_WIDTH as u32);
-                    let contention =
-                        (total_unique as u32).div_ceil(self.cache.bucket_count().max(1) as u32);
-                    work.global_bytes += hit_bytes;
-                    work.dependent_rounds += copy_rounds * (1 + contention) + 1;
-                }
-                FusionMember {
-                    threads: (run.end - run.start) as u32 * SLAB_WIDTH as u32,
-                    block_size: 128,
-                    grid_sync: false,
-                    work,
-                }
-            })
-            .collect();
-
-        if self.config.fusion {
-            if let Ok(plan) = FusionPlan::build(
-                if self.config.decoupling {
-                    "fleche-index"
+    /// The query kernel each table's run would launch on its own: what
+    /// `index_kernels` fuses, or launches one by one.
+    fn query_members(&self, cx: &BatchContext) -> Vec<FusionMember> {
+        let total_unique = cx.dedup.unique.len();
+        let members = cx.runs.iter().map(|run| {
+            let mut work = KernelWork {
+                global_bytes: run.stats.bytes_touched,
+                // Checksum verification folds one FNV step per hit float
+                // into the query kernel.
+                flops: if self.config.checksums {
+                    run.hit_bytes / 8
                 } else {
-                    "fleche-query"
+                    0
                 },
-                &members,
-            ) {
+                dependent_rounds: run.stats.max_chain,
+                shared_accesses: 0,
+            };
+            if !self.config.decoupling {
+                // Coupled: the same kernel copies hit values while holding
+                // slot locks, so concurrent queries that share a bucket
+                // serialize behind each other's copies (the paper's
+                // Fig. 7). Expected queue depth ~= concurrent keys per
+                // bucket.
+                let dim = self.cache.dim_of(run.table);
+                let copy_rounds = dim.div_ceil(SLAB_WIDTH as u32);
+                let contention =
+                    (total_unique as u32).div_ceil(self.cache.bucket_count().max(1) as u32);
+                work.global_bytes += run.hit_bytes;
+                work.dependent_rounds += copy_rounds * (1 + contention) + 1;
+            }
+            FusionMember {
+                threads: (run.end - run.start) as u32 * SLAB_WIDTH as u32,
+                block_size: 128,
+                grid_sync: false,
+                work,
+            }
+        });
+        members.collect()
+    }
+
+    /// Stage 4: the priced index kernels — one fused launch or one launch
+    /// per table — and the hit/miss bitmap's trip back to the host. Closes
+    /// the index phase: decoupled, all of it is `cache_index`; coupled, the
+    /// query kernels also copy the hit values (so they read every hit
+    /// slot), and the span splits by bytes.
+    fn index_kernels(&mut self, gpu: &mut Gpu, cx: &mut BatchContext) {
+        let members = self.query_members(cx);
+        let coupled = !self.config.decoupling;
+        if self.config.fusion {
+            let label = if coupled {
+                "fleche-query"
+            } else {
+                "fleche-index"
+            };
+            if let Ok(plan) = FusionPlan::build(label, &members) {
                 gpu.elapse_host("fusion-prep", PER_KERNEL_PREP);
                 gpu.copy_blocking(
                     "fusion-meta-h2d",
@@ -1123,33 +1158,21 @@ impl FlecheSystem {
                 );
                 let s = gpu.default_stream();
                 let kid = gpu.launch(s, plan.fused);
-                // Coupled mode: the fused query kernel copies hit values
-                // itself, so it reads every hit slot. (Decoupled index
-                // kernels only touch the index.)
-                if !self.config.decoupling {
-                    if let Some(rc) = gpu.race_checker_mut() {
-                        for (ans, _) in &sc.probed {
-                            if let CacheAnswer::Hit { class, slot } = *ans {
-                                rc.kernel_read(kid, slot_resource(class, slot));
-                            }
-                        }
-                    }
+                if coupled {
+                    declare_slots(gpu, kid, &cx.hit_slots, RaceChecker::kernel_read);
                 }
                 gpu.sync_stream(s);
             }
         } else {
-            let streams = gpu.streams(sc.runs.len().max(1));
-            for (gi, (m, run)) in members.iter().zip(&sc.runs).enumerate() {
+            let streams = gpu.streams(cx.runs.len().max(1));
+            let mut run_hits = cx.hit_slots.as_slice();
+            for (gi, (m, run)) in members.iter().zip(&cx.runs).enumerate() {
                 gpu.elapse_host("kernel-args", PER_KERNEL_PREP);
                 let kid = gpu.launch(streams[gi], KernelDesc::new("fc-query", m.threads, m.work));
-                if !self.config.decoupling {
-                    if let Some(rc) = gpu.race_checker_mut() {
-                        for (ans, _) in &sc.probed[run.start..run.end] {
-                            if let CacheAnswer::Hit { class, slot } = *ans {
-                                rc.kernel_read(kid, slot_resource(class, slot));
-                            }
-                        }
-                    }
+                let (mine, rest) = run_hits.split_at(run.hits);
+                run_hits = rest;
+                if coupled {
+                    declare_slots(gpu, kid, mine, RaceChecker::kernel_read);
                 }
             }
             gpu.sync_all();
@@ -1157,130 +1180,142 @@ impl FlecheSystem {
         // Missing/hit bitmap back to host (one small D2H copy).
         gpu.copy_blocking(
             "answers-d2h",
-            unique.len() as u64,
+            cx.dedup.unique.len() as u64,
             self.config.metadata_copy,
         );
-        let q_span = gpu.now() - q0;
-        if self.config.decoupling {
-            phases.cache_index += q_span;
-        } else {
+        let q_span = gpu.now() - cx.index_start;
+        if coupled {
             let total_b = (members.iter().map(|m| m.work.global_bytes).sum::<u64>()).max(1);
-            let copy_frac = total_hit_copy_bytes as f64 / total_b as f64;
-            phases.cache_copy += q_span * copy_frac;
-            phases.cache_index += q_span * (1.0 - copy_frac);
+            let copy_frac = cx.hit_copy_bytes as f64 / total_b as f64;
+            cx.stats.phases.cache_copy += q_span * copy_frac;
+            cx.stats.phases.cache_index += q_span * (1.0 - copy_frac);
+        } else {
+            cx.stats.phases.cache_index += q_span;
         }
-        // ---- Decoupled copy kernel + overlapped DRAM query --------------
-        let mut copy_guard = None;
+    }
+
+    /// Stage 5: the decoupled copy kernel. It reads every hit slot while
+    /// the host overlaps the DRAM query in `fetch` — exactly the window the
+    /// epoch pin protects (eviction cannot reclaim the slots mid-copy), and
+    /// the window the race checker watches.
+    fn launch_copy(&mut self, gpu: &mut Gpu, cx: &mut BatchContext) {
+        if !self.config.decoupling || cx.hit_pos.is_empty() {
+            return;
+        }
+        cx.pin = Some(self.cache.pin_reader());
+        let threads = (cx.hit_pos.len() as u32)
+            .saturating_mul(self.cache.dim_of(cx.runs[0].table))
+            .max(256);
+        let work = KernelWork {
+            global_bytes: cx.hit_copy_bytes,
+            flops: 0,
+            dependent_rounds: 2,
+            shared_accesses: 0,
+        };
+        gpu.elapse_host("copy-prep", PER_KERNEL_PREP);
+        let c0 = gpu.now();
         let copy_stream = gpu.default_stream();
-        if self.config.decoupling && hit_count > 0 {
-            // The copy kernel reads pool slots: pin an epoch so eviction
-            // cannot reclaim them mid-copy.
-            copy_guard = Some(self.cache.pin_reader());
-            let bytes = total_hit_copy_bytes;
-            let threads = (hit_count as u32)
-                .saturating_mul(self.cache.dim_of(sc.runs[0].table))
-                .max(256);
-            let work = KernelWork {
-                global_bytes: bytes,
-                flops: 0,
-                dependent_rounds: 2,
-                shared_accesses: 0,
-            };
-            gpu.elapse_host("copy-prep", PER_KERNEL_PREP);
-            let c0 = gpu.now();
-            let kid = gpu.launch(copy_stream, KernelDesc::new("fleche-copy", threads, work));
-            // The decoupled copy kernel reads every hit slot while the host
-            // overlaps the DRAM query below — exactly the window the epoch
-            // pin protects, and the window the race checker watches.
-            if let Some(rc) = gpu.race_checker_mut() {
-                for (ans, _) in &sc.probed {
-                    if let CacheAnswer::Hit { class, slot } = *ans {
-                        rc.kernel_read(kid, slot_resource(class, slot));
-                    }
-                }
-            }
-            phases.cache_copy += gpu.now() - c0; // launch cost; exec overlaps
-        }
-        // CPU-DRAM query for misses; unified hits skip the CPU index.
+        let kid = gpu.launch(copy_stream, KernelDesc::new("fleche-copy", threads, work));
+        declare_slots(gpu, kid, &cx.hit_slots, RaceChecker::kernel_read);
+        cx.stats.phases.cache_copy += gpu.now() - c0; // launch cost; exec overlaps
+    }
+
+    /// Stage 6: serves the fill list from the miss backend — the CPU-DRAM
+    /// query for full misses, a payload-only read for unified-index hits
+    /// (they skip the CPU index) — rewrites the rows to the ledger's latest
+    /// version, and copies them to the device.
+    fn fetch(&mut self, gpu: &mut Gpu, cx: &mut BatchContext) {
         let d0 = gpu.now();
-        sc.miss_pos.clear();
-        sc.miss_keys.clear();
-        sc.unified_pos.clear();
-        sc.unified_keys.clear();
-        for (pos, (ans, _)) in sc.probed.iter().enumerate() {
-            match ans {
-                CacheAnswer::Miss => {
-                    sc.miss_pos.push(pos);
-                    sc.miss_keys.push(unique[pos]);
-                }
-                CacheAnswer::UnifiedHit => {
-                    sc.unified_pos.push(pos);
-                    sc.unified_keys.push(unique[pos]);
-                }
-                CacheAnswer::Hit { .. } => {}
-            }
+        let (miss_keys, located_keys) = cx.fill_keys.split_at(cx.n_miss);
+        let (rows, miss_cost, report) = self.store.query_batch(miss_keys, d0);
+        cx.fill_rows = rows;
+        let mut located_payload = Ns::ZERO;
+        if !cx.stats.degraded {
+            // (Even an empty read advances the tiered store's LRU clock.)
+            let (rows, payload) = self.store.read_located(located_keys);
+            cx.fill_rows.extend(rows);
+            located_payload = payload;
         }
-        let (mut miss_rows, miss_cost, fetch_report) = self.store.query_batch(&sc.miss_keys, d0);
-        let (mut unified_rows, unified_payload) = self.store.read_located(&sc.unified_keys);
-        gpu.elapse_host("dram-query", miss_cost + unified_payload);
-        let span = gpu.now() - d0;
-        let payload_part = self.store.payload_cost(&sc.miss_keys) + unified_payload;
-        phases.dram_payload += payload_part.min(span);
-        phases.dram_index += span.saturating_sub(payload_part);
+        gpu.elapse_host("dram-query", miss_cost + located_payload);
+        let mut span = gpu.now() - d0;
+        let payload = self.store.payload_cost(miss_keys) + located_payload;
         // Keys whose fetch failed (zero-filled rows) or was served stale
         // must not be promoted into the GPU cache as if they were fresh.
         // Sorted Vec + binary search instead of a HashSet: membership is
         // the only operation, and determinism-critical modules avoid
         // randomized-order containers entirely (hash-iteration lint).
-        let mut unfetched: Vec<usize> = fetch_report
-            .failed
-            .iter()
-            .chain(&fetch_report.stale)
-            .copied()
-            .collect();
-        unfetched.sort_unstable();
-        unfetched.dedup();
-        // The miss backend holds the frozen table values; rewrite every
-        // cleanly fetched row the trainer has since updated to the
-        // ledger's latest, remembering the version so admitted slots get
-        // stamped below. A key served through the miss path is therefore
-        // never older than any version previously served for it.
-        let miss_versions =
-            self.rewrite_rows_to_latest(gpu, &sc.miss_keys, &mut miss_rows, &unfetched);
-        let unified_versions =
-            self.rewrite_rows_to_latest(gpu, &sc.unified_keys, &mut unified_rows, &[]);
-
+        cx.unfetched
+            .extend(report.failed.iter().chain(&report.stale));
+        cx.unfetched.sort_unstable();
+        cx.unfetched.dedup();
+        cx.stats.failed_keys = report.failed.len() as u64;
+        cx.stats.stale_keys = report.stale.len() as u64;
+        self.rewrite_to_latest(gpu, cx);
+        if cx.stats.degraded {
+            // The degraded copy of this code measured its DRAM span after
+            // the rewrite, putting the `ledger-probe` charge in `dram_index`.
+            span = gpu.now() - d0;
+        }
+        cx.stats.phases.dram_payload += payload.min(span);
+        cx.stats.phases.dram_index += span.saturating_sub(payload);
         // H2D of fetched embeddings (straight into the output matrix).
         let h0 = gpu.now();
-        let fetched_bytes: u64 = sc
-            .miss_keys
+        let dims = self.cache.table_dims();
+        cx.fill_bytes = cx
+            .fill_keys
             .iter()
-            .chain(&sc.unified_keys)
-            .map(|&(t, _)| self.cache.dim_of(t) as u64 * 4)
+            .map(|&(t, _)| u64::from(dims[t as usize]) * 4)
             .sum();
-        if fetched_bytes > 0 {
-            gpu.copy_blocking("missing-emb-h2d", fetched_bytes, CopyApi::CudaMemcpy);
+        if cx.fill_bytes > 0 {
+            gpu.copy_blocking("missing-emb-h2d", cx.fill_bytes, CopyApi::CudaMemcpy);
         }
-        phases.dram_payload += gpu.now() - h0;
-        // ---- Replacement: copy first, then index (paper order) ----------
-        let r0 = gpu.now();
-        let mut insert_stats = ProbeStats::new();
-        sc.admitted_slots.clear();
-        // Full misses first, then unified hits; each fill key's flat key
-        // was already encoded for the probe.
-        let n_miss = sc.miss_pos.len();
-        for (i, (&pos, row)) in sc
-            .miss_pos
-            .iter()
-            .zip(&miss_rows)
-            .chain(sc.unified_pos.iter().zip(&unified_rows))
-            .enumerate()
-        {
-            if i < n_miss && unfetched.binary_search(&i).is_ok() {
+        cx.stats.phases.dram_payload += gpu.now() - h0;
+    }
+
+    /// The miss backend holds the frozen table values: rewrites every
+    /// cleanly fetched row the trainer has since updated to the ledger's
+    /// latest, remembering the version so admitted slots get stamped with
+    /// it. A key served through the miss path — degraded batches included —
+    /// is therefore never older than any version previously served for it,
+    /// and eviction can never roll a key's served version backwards.
+    /// (Unfetched rows keep their zero-filled/stale bytes.)
+    fn rewrite_to_latest(&self, gpu: &mut Gpu, cx: &mut BatchContext) {
+        cx.fill_versions.resize(cx.fill_keys.len(), 0);
+        if self.ledger.tracked_keys() == 0 {
+            return;
+        }
+        // One ledger probe per fetch: the misses', then the located keys'.
+        let per_key = self.update_costs.ledger_probe_ns;
+        gpu.elapse_host("ledger-probe", Ns(cx.n_miss as f64 * per_key));
+        if !cx.stats.degraded {
+            let located = cx.fill_keys.len() - cx.n_miss;
+            gpu.elapse_host("ledger-probe", Ns(located as f64 * per_key));
+        }
+        for (i, (&(t, f), row)) in cx.fill_keys.iter().zip(&mut cx.fill_rows).enumerate() {
+            if cx.unfetched.binary_search(&i).is_ok() {
                 continue;
             }
-            let (t, f) = unique[pos];
-            let key = keys[pos];
+            let v = self.ledger.get(t, f);
+            if v > 0 {
+                versioned_embedding_value(t, f, v, row);
+                cx.fill_versions[i] = v;
+            }
+        }
+    }
+
+    /// Stage 7: replacement — copy first, then index (paper order) — and
+    /// the eviction pass if the watermark tripped.
+    fn replace(&mut self, gpu: &mut Gpu, cx: &mut BatchContext) {
+        let r0 = gpu.now();
+        let mut insert_stats = ProbeStats::new();
+        // One admission roll per cleanly fetched fill key, in fill order;
+        // each key's flat key was already encoded for the probe.
+        for (i, (&pos, row)) in cx.fill_pos.iter().zip(&cx.fill_rows).enumerate() {
+            if cx.unfetched.binary_search(&i).is_ok() {
+                continue;
+            }
+            let (t, f) = cx.dedup.unique[pos];
+            let key = cx.keys[pos];
             if self.cache.admit() {
                 let (loc, s) = self.cache.insert_value(t, key, row, self.clock);
                 insert_stats.merge(&s);
@@ -1288,22 +1323,18 @@ impl FlecheSystem {
                     // Stamp the update version the rewritten row carries
                     // (insert reset it), so later lag measurements and
                     // delta captures see what this slot really holds.
-                    let v = if i < n_miss {
-                        miss_versions[i]
-                    } else {
-                        unified_versions[i - n_miss]
-                    };
-                    if v > 0 {
-                        self.cache.set_slot_version(slot.0, slot.1, v);
+                    if cx.fill_versions[i] > 0 {
+                        self.cache
+                            .set_slot_version(slot.0, slot.1, cx.fill_versions[i]);
                     }
-                    sc.admitted_slots.push(slot);
+                    cx.admitted_slots.push(slot);
                 }
             } else if self.config.unified_index {
                 let s = self.cache.insert_dram_ptr(t, f, key, self.clock);
                 insert_stats.merge(&s);
             }
         }
-        let admitted = sc.admitted_slots.len() as u64;
+        let admitted = cx.admitted_slots.len() as u64;
         if admitted > 0 {
             // Copy kernel (values into pool slots), then the index-update
             // kernel — two fused kernels regardless of table count.
@@ -1314,18 +1345,14 @@ impl FlecheSystem {
                 KernelDesc::new(
                     "replace-copy",
                     (admitted as u32 * 32).max(128),
-                    KernelWork::streaming(fetched_bytes + copy_bytes),
+                    KernelWork::streaming(cx.fill_bytes + copy_bytes),
                 ),
             );
             // The replacement copy kernel writes the newly admitted slots
             // (stream order serializes it behind the in-flight decoupled
             // copy on the same stream — that ordering is what makes a
             // same-batch reuse safe, and what the checker verifies).
-            if let Some(rc) = gpu.race_checker_mut() {
-                for &(class, slot) in &sc.admitted_slots {
-                    rc.kernel_write(kid, slot_resource(class, slot));
-                }
-            }
+            declare_slots(gpu, kid, &cx.admitted_slots, RaceChecker::kernel_write);
             gpu.launch(
                 s,
                 KernelDesc::new(
@@ -1340,17 +1367,15 @@ impl FlecheSystem {
                 ),
             );
         }
-        // Eviction pass if the watermark tripped. With the unified index
-        // on, evicted entries whose flat key decodes are converted into
-        // DRAM pointers (the paper's cold-embedding replacement).
+        // With the unified index on, evicted entries whose flat key decodes
+        // are converted into DRAM pointers (the paper's cold-embedding
+        // replacement).
         if self.cache.needs_eviction() {
             let scan_bytes = self.cache.scan_bytes();
-            let stats = if self.config.unified_index {
-                let codec = &self.codec;
-                self.cache.evict_pass_with(|k| codec.decode(FlatKey(k)))
-            } else {
-                self.cache.evict_pass()
-            };
+            let (codec, unified) = (&self.codec, self.config.unified_index);
+            let stats = self
+                .cache
+                .evict_pass_with(|k| unified.then(|| codec.decode(FlatKey(k))).flatten());
             let s = gpu.default_stream();
             gpu.launch(
                 s,
@@ -1366,64 +1391,52 @@ impl FlecheSystem {
                 ),
             );
         }
-        phases.other += gpu.now() - r0;
-        // ---- Restore + final sync ---------------------------------------
-        let a0 = gpu.now();
-        // One borrowed view per unique key — the pool slot of a hit (still
-        // readable: retired slots are reclaimed only at the batch boundary
-        // below), the fetched row of a miss or unified hit — and the output
-        // rows are materialised straight from the views: each row is copied
-        // once. (The view table borrows the cache and the fetched rows, so
-        // it cannot live in the reused scratch.)
-        let rows = {
-            let mut views: Vec<&[f32]> = Vec::with_capacity(unique.len());
-            let (mut mi, mut ui) = (0usize, 0usize);
-            for (ans, _) in &sc.probed {
-                views.push(match *ans {
-                    CacheAnswer::Hit { class, slot } => {
-                        if let Some(rc) = gpu.race_checker_mut() {
-                            rc.host_read("restore-gather", slot_resource(class, slot));
-                        }
-                        self.cache.read_hit(class, slot)
-                    }
-                    CacheAnswer::Miss => {
-                        mi += 1;
-                        &miss_rows[mi - 1]
-                    }
-                    CacheAnswer::UnifiedHit => {
-                        ui += 1;
-                        &unified_rows[ui - 1]
-                    }
-                });
+        cx.stats.phases.other += gpu.now() - r0;
+    }
+
+    /// Stage 8: materialises the output rows and prices the restore
+    /// scatter, then drains the device. One borrowed view per unique key —
+    /// the pool slot of a hit (still readable: retired slots are reclaimed
+    /// only at the batch boundary), the fetched row of a fill key — and the
+    /// output rows are copied straight from the views: each row is copied
+    /// once. (The view table borrows the cache, so it cannot live in the
+    /// reused context.)
+    fn restore(&mut self, gpu: &mut Gpu, cx: &mut BatchContext) -> Vec<Vec<f32>> {
+        cx.tail_start = gpu.now();
+        let mut views: Vec<&[f32]> = vec![&[][..]; cx.dedup.unique.len()];
+        for (&pos, &(class, slot)) in cx.hit_pos.iter().zip(&cx.hit_slots) {
+            if let Some(rc) = gpu.race_checker_mut() {
+                rc.host_read("restore-gather", slot_resource(class, slot));
             }
-            dedup.restore_from(&views)
-        };
+            views[pos] = self.cache.read_hit(class, slot);
+        }
+        for (&pos, row) in cx.fill_pos.iter().zip(&cx.fill_rows) {
+            views[pos] = row;
+        }
+        let rows = cx.dedup.restore_from(&views);
         let s = gpu.default_stream();
         gpu.launch(
             s,
             KernelDesc::new(
                 "restore",
-                batch.total_ids() as u32,
-                dedup.restore_kernel_work(self.cache.table_dims()),
+                cx.dedup.access_len() as u32,
+                cx.dedup.restore_kernel_work(self.cache.table_dims()),
             ),
         );
         gpu.sync_all();
-        if let Some(guard) = copy_guard.take() {
-            // The decoupled copy kernel has fully completed by this sync.
-            self.cache.release_reader(guard);
+        rows
+    }
+
+    /// Stage 9: the batch boundary. `restore`'s sync is the happens-before
+    /// edge everything here relies on: the decoupled copy has completed, so
+    /// its pin is released and retired slots are reclaimed; staged updates
+    /// become visible (mid-batch, readers only ever saw the pre-update
+    /// values); then the policies observe the batch.
+    fn close(&mut self, gpu: &mut Gpu, cx: &mut BatchContext) {
+        if let Some(pin) = cx.pin.take() {
+            self.cache.release_reader(pin);
         }
-        // Epoch reclamation frees retired slots — a host-side write to
-        // each. The sync_all above is the happens-before edge that makes
-        // this safe against the in-flight copy; remove it and the race
-        // checker reports every reclaimed-while-read slot.
-        if let Some(rc) = gpu.race_checker_mut() {
-            rc.note_epoch_advance();
-        }
-        self.cache.end_batch_with(|class, slot| {
-            if let Some(rc) = gpu.race_checker_mut() {
-                rc.host_write("reclaim", slot_resource(class, slot));
-            }
-        });
+        self.reclaim_retired(gpu);
         // Giant-model mode: embeddings evicted from the DRAM layer are no
         // longer where the unified index says — drop those pointers
         // (paper §5's invalidation corner case).
@@ -1449,54 +1462,31 @@ impl FlecheSystem {
                 );
                 gpu.sync_stream(s);
             }
-            phases.other += gpu.now() - inv0;
+            cx.stats.phases.other += gpu.now() - inv0;
         }
-        // ---- Batch boundary: staged updates become visible --------------
-        // The final sync above is the happens-before edge that makes the
-        // in-place overwrites safe; mid-batch, readers only ever saw the
-        // pre-update values.
         let applied = self.apply_pending_updates(gpu);
         self.staleness.updates_applied += applied.applied;
         self.staleness.updates_superseded += applied.superseded;
         self.staleness.updates_absent += applied.absent;
         if self.ledger.tracked_keys() > 0 {
             if let Some(p) = &mut self.staleness_policy {
-                if p.observe(batch_max_lag) {
+                if p.observe(cx.max_lag) {
                     self.staleness.degraded_batches += 1;
                 }
             }
         }
-        phases.other += gpu.now() - a0;
-        let wall = gpu.now() - t_start;
+        cx.stats.phases.other += gpu.now() - cx.tail_start;
         if self.config.unified_index {
-            let target = self.tuner.observe(wall);
+            let target = self.tuner.observe(gpu.now() - cx.t_start);
             self.cache.set_unified_target(target);
         }
-
         // Breaker sample: this batch failed if the device absorbed any
         // fault or a corrupt hit was detected.
-        let now_end = gpu.now();
         let fault_delta = gpu.fault_counters().since(self.last_faults);
         self.last_faults = gpu.fault_counters();
         if let Some(b) = &mut self.breaker {
-            b.record(now_end, fault_delta > 0 || corrupt_detected > 0);
+            b.record(gpu.now(), fault_delta > 0 || cx.stats.corrupt_detected > 0);
         }
-
-        let stats = BatchStats {
-            unique_keys: unique.len() as u64,
-            hits: hit_count,
-            unified_hits: sc.unified_keys.len() as u64,
-            misses: sc.miss_keys.len() as u64,
-            failed_keys: fetch_report.failed.len() as u64,
-            stale_keys: fetch_report.stale.len() as u64,
-            corrupt_detected,
-            degraded: false,
-            wall,
-            phases,
-        };
-        self.lifetime.observe(&stats);
-        self.scratch = sc;
-        QueryOutput { rows, stats }
     }
 }
 
@@ -2011,10 +2001,7 @@ mod tests {
         for &(t, f) in &hot {
             table_ids[t as usize].push(f);
         }
-        let batch = Batch {
-            samples: Vec::new(),
-            table_ids,
-        };
+        let batch = Batch::from_table_ids(table_ids);
         let out = sys2.query_batch(&mut gpu2, &batch);
         let mut k = 0;
         let mut updated_rows = 0;

@@ -367,14 +367,6 @@ pub fn checksum_batch(values: &[&[f32]]) -> Vec<u32> {
     out
 }
 
-/// Same as [`checksum_batch`] — kept as the explicitly-portable name so
-/// batch entry points uniformly expose a `_portable` twin for the
-/// bit-identity proptests, even though this one never dispatches.
-#[inline]
-pub fn checksum_batch_portable(values: &[&[f32]]) -> Vec<u32> {
-    checksum_batch(values)
-}
-
 /// Fills `out` with the deterministic unit stream of `base`: component
 /// `j` is the SplitMix64 finalizer of `base + j·0x94D0_49BB_1331_11EB`,
 /// mapped into `[-1, 1)` — the procedural embedding payload
@@ -553,11 +545,6 @@ mod tests {
             let batch = checksum_batch(&refs);
             let serial: Vec<u32> = refs.iter().map(|v| fnv1a(v)).collect();
             assert_eq!(batch, serial, "take={take}");
-            assert_eq!(
-                checksum_batch_portable(&refs),
-                serial,
-                "portable take={take}"
-            );
         }
     }
 

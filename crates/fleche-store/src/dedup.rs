@@ -30,7 +30,7 @@ fn mix(table: u16, id: u64) -> u64 {
 }
 
 /// Result of deduplicating a batch.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Deduped {
     /// Each unique `(table, id)` in first-appearance order. Batches are
     /// flattened table-major, so every table's keys form one contiguous

@@ -217,10 +217,7 @@ mod tests {
         let mut st = WorkloadStats::new();
         // Table 0: id 7 three times, id 3 once. Table 1: id 7 three times
         // (tie with (0,7) broken by table), id 9 twice.
-        let batch = Batch {
-            samples: Vec::new(),
-            table_ids: vec![vec![7, 7, 7, 3], vec![7, 9, 7, 9, 7]],
-        };
+        let batch = Batch::from_table_ids(vec![vec![7, 7, 7, 3], vec![7, 9, 7, 9, 7]]);
         st.observe(&batch);
         assert_eq!(
             st.hottest(3),
@@ -234,10 +231,7 @@ mod tests {
     #[test]
     fn update_candidates_filter_by_count_and_rank_like_hottest() {
         let mut st = WorkloadStats::new();
-        let batch = Batch {
-            samples: Vec::new(),
-            table_ids: vec![vec![7, 7, 7, 3], vec![7, 9, 7, 9, 7]],
-        };
+        let batch = Batch::from_table_ids(vec![vec![7, 7, 7, 3], vec![7, 9, 7, 9, 7]]);
         st.observe(&batch);
         // min_count 2 drops the once-seen (0,3); ranking matches hottest.
         assert_eq!(

@@ -6,7 +6,7 @@
 //! inference server aggregates requests.
 
 use crate::dynamics::TraceDynamics;
-use crate::spec::DatasetSpec;
+use crate::spec::{DatasetSpec, TableSpec};
 use crate::zipf::PowerLaw;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,36 +19,36 @@ pub struct Sample {
     pub per_table: Vec<Vec<u64>>,
 }
 
-/// A batch of samples, plus flattened per-table views used by the cache
-/// query path.
+/// A batch of samples, stored flattened per table (what the cache query
+/// path consumes); each id is held once.
 #[derive(Clone, Debug)]
 pub struct Batch {
-    /// The samples in request order.
-    pub samples: Vec<Sample>,
     /// `table_ids[t]` is the concatenation of every sample's IDs for table
-    /// `t`, in sample order (what the per-table cache kernels consume).
+    /// `t`, in sample order: sample `s` owns the `multi_hot`-wide slice
+    /// starting at `s * multi_hot`.
     pub table_ids: Vec<Vec<u64>>,
+    samples: usize,
 }
 
 impl Batch {
-    fn from_samples(samples: Vec<Sample>, n_tables: usize) -> Batch {
-        let mut table_ids = vec![Vec::new(); n_tables];
-        for s in &samples {
-            for (t, ids) in s.per_table.iter().enumerate() {
-                table_ids[t].extend_from_slice(ids);
-            }
+    /// A synthetic batch over explicit per-table id lists (warm-up
+    /// prefetches, shard splits, tests). It has no sample structure, so its
+    /// [`Batch::len`] is 0.
+    pub fn from_table_ids(table_ids: Vec<Vec<u64>>) -> Batch {
+        Batch {
+            table_ids,
+            samples: 0,
         }
-        Batch { samples, table_ids }
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.samples
     }
 
     /// True when the batch holds no samples.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.samples == 0
     }
 
     /// Total IDs across all tables.
@@ -152,8 +152,10 @@ impl TraceGenerator {
         self.produced
     }
 
-    /// Generates the next sample.
-    pub fn next_sample(&mut self) -> Sample {
+    /// Draws the next sample, handing each `(table, id)` to `sink` in table
+    /// order. The one place the RNG is consumed, so a trace is the same ids
+    /// whether it is read sample by sample or batch by batch.
+    fn draw(&mut self, mut sink: impl FnMut(usize, u64)) {
         if let Some(every) = self.drift_every {
             let generation = self.produced / every;
             if generation != self.drift_generation {
@@ -176,11 +178,9 @@ impl TraceGenerator {
             .filter(|hc| hc.active_at(self.produced));
         let cold = self.dynamics.cold_start;
         self.produced += 1;
-        let mut per_table = Vec::with_capacity(self.spec.tables.len());
         for (ti, t) in self.spec.tables.iter().enumerate() {
             let sampler = &self.samplers[ti];
             let corpus = sampler.corpus();
-            let mut ids = Vec::with_capacity(t.multi_hot as usize);
             for _ in 0..t.multi_hot {
                 let mut id = sampler.sample(&mut self.rng);
                 if let Some(hc) = &crowd {
@@ -197,17 +197,34 @@ impl TraceGenerator {
                         self.cold_injected += 1;
                     }
                 }
-                ids.push(id);
+                sink(ti, id);
             }
-            per_table.push(ids);
         }
+    }
+
+    /// One empty id list per table, each sized for `samples` samples.
+    fn id_lists(&self, samples: usize) -> Vec<Vec<u64>> {
+        let sized = |t: &TableSpec| Vec::with_capacity(samples * t.multi_hot as usize);
+        self.spec.tables.iter().map(sized).collect()
+    }
+
+    /// Generates the next sample.
+    pub fn next_sample(&mut self) -> Sample {
+        let mut per_table = self.id_lists(1);
+        self.draw(|t, id| per_table[t].push(id));
         Sample { per_table }
     }
 
     /// Generates the next batch of `batch_size` samples.
     pub fn next_batch(&mut self, batch_size: usize) -> Batch {
-        let samples = (0..batch_size).map(|_| self.next_sample()).collect();
-        Batch::from_samples(samples, self.spec.tables.len())
+        let mut table_ids = self.id_lists(batch_size);
+        for _ in 0..batch_size {
+            self.draw(|t, id| table_ids[t].push(id));
+        }
+        Batch {
+            table_ids,
+            samples: batch_size,
+        }
     }
 
     /// Generates `n` batches (convenience for warm-up/measure loops).
@@ -236,22 +253,54 @@ mod tests {
         }
     }
 
+    /// `next_batch(n)` is `n × next_sample()` flattened table-major — same
+    /// ids, same RNG order — with and without dynamics.
     #[test]
     fn batch_flattening_is_consistent() {
-        let ds = spec::synthetic(4, 1000, 32, -1.2);
-        let mut gen = TraceGenerator::new(&ds);
-        let b = gen.next_batch(16);
-        assert_eq!(b.len(), 16);
-        assert_eq!(b.total_ids(), 16 * 4);
-        for t in 0..4 {
-            let flat: Vec<u64> = b
-                .samples
-                .iter()
-                .flat_map(|s| s.per_table[t].clone())
-                .collect();
-            assert_eq!(flat, b.table_ids[t]);
+        let mut ds = spec::synthetic(4, 1000, 32, -1.2);
+        ds.tables[2].multi_hot = 3;
+        let dynamics = crate::TraceDynamics {
+            hot_churn: Some(crate::HotChurnSpec {
+                start: 10,
+                duration: 40,
+                crowd_fraction: 0.6,
+                crowd_size: 12,
+                salt: 9,
+            }),
+            diurnal: Some(crate::DiurnalSpec {
+                period: 25,
+                phases: 4,
+            }),
+            cold_start: Some(crate::ColdStartSpec {
+                fraction: 0.05,
+                reserve: 64,
+            }),
+        };
+        for dynamics in [crate::TraceDynamics::none(), dynamics] {
+            let mut batched = TraceGenerator::with_dynamics(&ds, dynamics);
+            let mut sampled = TraceGenerator::with_dynamics(&ds, dynamics);
+            for _ in 0..5 {
+                let b = batched.next_batch(16);
+                assert_eq!(b.len(), 16);
+                assert_eq!(b.total_ids(), 16 * 6);
+                assert_eq!(b.iter_accesses().count(), 16 * 6);
+                let mut flat = vec![Vec::new(); 4];
+                for _ in 0..16 {
+                    for (t, ids) in sampled.next_sample().per_table.iter().enumerate() {
+                        flat[t].extend_from_slice(ids);
+                    }
+                }
+                assert_eq!(flat, b.table_ids);
+            }
         }
-        assert_eq!(b.iter_accesses().count(), 64);
+    }
+
+    #[test]
+    fn synthetic_batches_have_no_sample_structure() {
+        let b = Batch::from_table_ids(vec![vec![7, 7, 3], vec![9]]);
+        assert_eq!(b.len(), 0);
+        assert!(b.is_empty());
+        assert_eq!(b.total_ids(), 4);
     }
 
     #[test]

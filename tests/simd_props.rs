@@ -101,7 +101,6 @@ proptest! {
         let views: Vec<&[f32]> = slots.iter().map(Vec::as_slice).collect();
         let serial: Vec<u32> = views.iter().map(|v| fleche_simd::fnv1a(v)).collect();
         prop_assert_eq!(&fleche_simd::checksum_batch(&views), &serial);
-        prop_assert_eq!(&fleche_simd::checksum_batch_portable(&views), &serial);
         prop_assert_eq!(&fleche_index::fnv1a_batch(&views), &serial);
     }
 

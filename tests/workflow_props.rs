@@ -164,7 +164,7 @@ proptest! {
         table_ids in prop::collection::vec(prop::collection::vec(dedup_id(), 0..40), 0..7),
     ) {
         use std::collections::BTreeMap;
-        let batch = Batch { samples: Vec::new(), table_ids };
+        let batch = Batch::from_table_ids(table_ids);
         let d = Deduped::from_batch(&batch);
         let mut first_seen: BTreeMap<(u16, u64), u32> = BTreeMap::new();
         let mut unique = Vec::new();
