@@ -1237,8 +1237,10 @@ impl FlecheSystem {
             located_payload = payload;
         }
         gpu.elapse_host("dram-query", miss_cost + located_payload);
-        let mut span = gpu.now() - d0;
+        let span = gpu.now() - d0;
         let payload = self.store.payload_cost(miss_keys) + located_payload;
+        cx.stats.phases.dram_payload += payload.min(span);
+        cx.stats.phases.dram_index += span.saturating_sub(payload);
         // Keys whose fetch failed (zero-filled rows) or was served stale
         // must not be promoted into the GPU cache as if they were fresh.
         // Sorted Vec + binary search instead of a HashSet: membership is
@@ -1251,13 +1253,6 @@ impl FlecheSystem {
         cx.stats.failed_keys = report.failed.len() as u64;
         cx.stats.stale_keys = report.stale.len() as u64;
         self.rewrite_to_latest(gpu, cx);
-        if cx.stats.degraded {
-            // The degraded copy of this code measured its DRAM span after
-            // the rewrite, putting the `ledger-probe` charge in `dram_index`.
-            span = gpu.now() - d0;
-        }
-        cx.stats.phases.dram_payload += payload.min(span);
-        cx.stats.phases.dram_index += span.saturating_sub(payload);
         // H2D of fetched embeddings (straight into the output matrix).
         let h0 = gpu.now();
         let dims = self.cache.table_dims();

@@ -405,7 +405,12 @@ fn breaker_window_digest(prepared: bool) -> u64 {
     run.finish_checked()
 }
 
-const BREAKER_WINDOW: u64 = 0x80B2_58A3_9BF4_7452;
+/// Re-captured once, with [`TIERED_BACKEND`], by the commit that moved the
+/// degraded workflow's `ledger-probe` charge out of `dram_index` (the cache
+/// path's rule: it lands in no phase). With `dram_index` of degraded
+/// batches masked out, both digests are what they were before that commit.
+const BREAKER_WINDOW: u64 = 0xAB6C_2855_DEF0_0816;
+const TIERED_BACKEND: u64 = 0xEB1E_B8F1_5F29_590E;
 
 /// A dedup mapping handed in by a prep stage changes nothing — stats, rows
 /// and clock — on the cache path or on the degraded one.
@@ -495,7 +500,7 @@ fn golden_digests_pin_every_workflow_route() {
         &mut moved,
         "tiered backend",
         run.finish_checked(),
-        0xDC27_E545_D1C1_FEC1,
+        TIERED_BACKEND,
     );
 
     // A push outage drives resident keys past the staleness bound (enter
