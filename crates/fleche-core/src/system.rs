@@ -282,8 +282,8 @@ struct TableRun {
 /// One batch's state, handed from stage to stage of the workflow (DESIGN.md
 /// §4.2 has the diagram: which stage writes and reads what). Owned by the
 /// system and lent to each batch, so a steady-state batch allocates none of
-/// the working vectors; [`BatchContext::reset`] empties it before the first
-/// stage, so nothing carries over between batches.
+/// the working vectors; [`BatchContext::clear`] empties it when the batch
+/// ends, so nothing carries over between batches.
 #[derive(Default)]
 struct BatchContext {
     /// What the batch reports, filled in as the stages run. `degraded` is
@@ -332,16 +332,16 @@ struct BatchContext {
 }
 
 impl BatchContext {
-    /// Empties the context for a batch starting at `now`; the vectors keep
-    /// their capacity. (The scalars not named here are assigned by a stage
-    /// every batch runs before anything reads them.)
-    fn reset(&mut self, now: Ns, degraded: bool) {
-        self.stats = BatchStats {
-            degraded,
-            ..BatchStats::default()
-        };
-        self.t_start = now;
-        self.keys.clear();
+    /// Empties the context when its batch ends. What the batch allocated
+    /// for itself — dedup mapping, flat keys, fetched rows — is freed as a
+    /// local would be (held over, each would be alive while its successor
+    /// is allocated); the working vectors keep their capacity. (The scalars
+    /// not named here are assigned by a stage every batch runs before
+    /// anything reads them.)
+    fn clear(&mut self) {
+        self.stats = BatchStats::default();
+        self.dedup = Deduped::default();
+        self.keys = Vec::new();
         self.runs.clear();
         self.probed.clear();
         self.max_lag = 0;
@@ -935,7 +935,8 @@ impl FlecheSystem {
         let degraded = self.breaker.as_mut().is_some_and(|b| !b.allow(gpu.now()));
         self.clock += 1;
         let mut cx = std::mem::take(&mut self.scratch);
-        cx.reset(gpu.now(), degraded);
+        cx.stats.degraded = degraded;
+        cx.t_start = gpu.now();
         let dedup = prepared.unwrap_or_else(|| Deduped::from_batch(batch));
         self.dedup(gpu, dedup, &mut cx);
         let rows = if degraded {
@@ -958,6 +959,7 @@ impl FlecheSystem {
         cx.stats.wall = gpu.now() - cx.t_start;
         let stats = cx.stats;
         self.lifetime.observe(&stats);
+        cx.clear();
         self.scratch = cx;
         QueryOutput { rows, stats }
     }
@@ -1228,7 +1230,7 @@ impl FlecheSystem {
         let d0 = gpu.now();
         let (miss_keys, located_keys) = cx.fill_keys.split_at(cx.n_miss);
         let (rows, miss_cost, report) = self.store.query_batch(miss_keys, d0);
-        cx.fill_rows = rows;
+        cx.fill_rows.extend(rows);
         let mut located_payload = Ns::ZERO;
         if !cx.stats.degraded {
             // (Even an empty read advances the tiered store's LRU clock.)
