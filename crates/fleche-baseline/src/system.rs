@@ -18,6 +18,9 @@ use fleche_workload::{Batch, DatasetSpec};
 /// Host-side cost of preparing one kernel's argument set (building the ID
 /// list pointer, output offsets, etc.).
 const PER_KERNEL_PREP: Ns = Ns(300.0);
+/// Copy API for small metadata transfers. The paper equips HugeCTR with
+/// GDRCopy too, for fairness.
+const METADATA_COPY: CopyApi = CopyApi::GdrCopy;
 
 /// Configuration of the baseline system.
 #[derive(Clone, Debug)]
@@ -25,9 +28,6 @@ pub struct BaselineConfig {
     /// Fraction of total embedding bytes given to the cache (the paper's
     /// "cache size = 5%" convention, applied per table).
     pub cache_fraction: f64,
-    /// Copy API for small metadata transfers. The paper equips HugeCTR
-    /// with GDRCopy too, for fairness.
-    pub metadata_copy: CopyApi,
     /// Replay the per-table query kernels from a captured CUDA graph
     /// instead of launching them individually (the paper's cudaGraph
     /// ablation in §2.2).
@@ -38,7 +38,6 @@ impl Default for BaselineConfig {
     fn default() -> BaselineConfig {
         BaselineConfig {
             cache_fraction: 0.05,
-            metadata_copy: CopyApi::GdrCopy,
             use_cuda_graph: false,
         }
     }
@@ -195,7 +194,7 @@ impl EmbeddingCacheSystem for PerTableCacheSystem {
             gpu.copy_blocking(
                 "missing-ids-d2h",
                 look.missing.len() as u64 * 8,
-                self.config.metadata_copy,
+                METADATA_COPY,
             );
             for &pos in &look.missing {
                 missing_keys.push((t as u16, keys[pos]));

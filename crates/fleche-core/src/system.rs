@@ -39,6 +39,8 @@ use fleche_workload::{Batch, DatasetSpec};
 const ENCODE_NS_PER_KEY: f64 = 2.0;
 /// Host-side cost of preparing one kernel's argument set.
 const PER_KERNEL_PREP: Ns = Ns(300.0);
+/// Copy API for small metadata transfers.
+const METADATA_COPY: CopyApi = CopyApi::GdrCopy;
 
 /// Feature switches and sizing for a Fleche instance.
 #[derive(Clone, Debug)]
@@ -56,8 +58,6 @@ pub struct FlecheConfig {
     pub unified_index: bool,
     /// Cache replacement & eviction policy knobs.
     pub cache: FlatCacheConfig,
-    /// Copy API for small metadata transfers.
-    pub metadata_copy: CopyApi,
     /// Verify a per-slot checksum on every cache hit; corrupt entries are
     /// quarantined and the key refetched from the miss backend.
     pub checksums: bool,
@@ -84,7 +84,6 @@ impl Default for FlecheConfig {
             decoupling: true,
             unified_index: true,
             cache: FlatCacheConfig::default(),
-            metadata_copy: CopyApi::GdrCopy,
             checksums: false,
             breaker: None,
             staleness: None,
@@ -1153,11 +1152,7 @@ impl FlecheSystem {
             };
             if let Ok(plan) = FusionPlan::build(label, &members) {
                 gpu.elapse_host("fusion-prep", PER_KERNEL_PREP);
-                gpu.copy_blocking(
-                    "fusion-meta-h2d",
-                    plan.metadata_bytes,
-                    self.config.metadata_copy,
-                );
+                gpu.copy_blocking("fusion-meta-h2d", plan.metadata_bytes, METADATA_COPY);
                 let s = gpu.default_stream();
                 let kid = gpu.launch(s, plan.fused);
                 if coupled {
@@ -1180,11 +1175,7 @@ impl FlecheSystem {
             gpu.sync_all();
         }
         // Missing/hit bitmap back to host (one small D2H copy).
-        gpu.copy_blocking(
-            "answers-d2h",
-            cx.dedup.unique.len() as u64,
-            self.config.metadata_copy,
-        );
+        gpu.copy_blocking("answers-d2h", cx.dedup.unique.len() as u64, METADATA_COPY);
         let q_span = gpu.now() - cx.index_start;
         if coupled {
             let total_b = (members.iter().map(|m| m.work.global_bytes).sum::<u64>()).max(1);
