@@ -1,0 +1,87 @@
+//! Ablation: the reduction cache (the §5 alternative the paper rejects)
+//! against Fleche's point cache, on workloads with different multi-hot
+//! structure. Reduction caching shines only when whole ID groups repeat;
+//! point caching is indifferent to grouping — and only point caching keeps
+//! per-embedding access for attention-style models.
+//!
+//! Run: `cargo run --release -p fleche-bench -- ablation_reduction_cache [--quick]`
+
+use crate::{print_header, Args, TextTable};
+use fleche_baseline::ReductionCache;
+use fleche_core::{FlecheConfig, FlecheSystem};
+use fleche_gpu::{DeviceSpec, DramSpec, Gpu};
+use fleche_store::api::EmbeddingCacheSystem;
+use fleche_store::{CpuStore, Pooling};
+use fleche_workload::{spec, DatasetSpec, TraceGenerator};
+
+/// Group-level repeat structure: how often entire multi-hot groups recur.
+fn run_reduction(ds: &DatasetSpec, batches: usize, batch: usize) -> (f64, usize) {
+    let store = CpuStore::new(ds, DramSpec::xeon_6252());
+    // Same byte budget as the 5% point cache, spent on pooled vectors.
+    let budget_groups = (ds.cache_bytes(0.05) / (ds.tables[0].dim as u64 * 4)).max(1) as usize;
+    let mut rc = ReductionCache::new(budget_groups, Pooling::Sum);
+    let mut gen = TraceGenerator::new(ds);
+    for _ in 0..batches {
+        let b = gen.next_batch(batch);
+        // Sample-major, as requests arrive: each sample's group is its
+        // `multi_hot`-wide slice of the table's flattened ids.
+        for s in 0..b.len() {
+            for (t, ids) in b.table_ids.iter().enumerate() {
+                let width = ds.tables[t].multi_hot as usize;
+                rc.pooled(&store, t as u16, &ids[s * width..(s + 1) * width]);
+            }
+        }
+    }
+    (rc.stats().hit_rate(), rc.len())
+}
+
+fn run_fleche_hit(ds: &DatasetSpec, batches: usize, batch: usize) -> f64 {
+    let store = CpuStore::new(ds, DramSpec::xeon_6252());
+    let mut sys = FlecheSystem::new(ds, store, FlecheConfig::without_unified_index(0.05));
+    let mut gpu = Gpu::new(DeviceSpec::t4());
+    let mut gen = TraceGenerator::new(ds);
+    for _ in 0..(batches * 2 / 3) {
+        sys.query_batch(&mut gpu, &gen.next_batch(batch));
+    }
+    sys.reset_stats();
+    for _ in 0..(batches / 3) {
+        sys.query_batch(&mut gpu, &gen.next_batch(batch));
+    }
+    sys.lifetime_stats().hit_rate()
+}
+
+pub(crate) fn main(args: &Args) {
+    print_header("Ablation: reduction cache (memoized pooling) vs Fleche point cache");
+    let (batches, batch) = if args.quick { (30, 256) } else { (90, 512) };
+    let mut t = TextTable::new(&[
+        "workload",
+        "multi-hot width",
+        "reduction group-hit",
+        "fleche key-hit",
+    ]);
+    // One-hot dominant (recommendation default) vs wide multi-hot.
+    let mut wide = spec::synthetic(12, 20_000, 16, -1.4);
+    for tbl in &mut wide.tables {
+        tbl.multi_hot = 4;
+    }
+    for (name, ds) in [
+        ("one-hot (synthetic)", spec::synthetic(12, 20_000, 16, -1.4)),
+        ("multi-hot x4", wide),
+    ] {
+        let (r_hit, _) = run_reduction(&ds, batches, batch);
+        let f_hit = run_fleche_hit(&ds, batches, batch);
+        let width = ds.tables[0].multi_hot;
+        t.row(&[
+            name.into(),
+            width.to_string(),
+            format!("{:.1}%", r_hit * 100.0),
+            format!("{:.1}%", f_hit * 100.0),
+        ]);
+    }
+    println!("{}", t.render());
+    println!("expected: on one-hot fields the reduction cache degenerates to a point");
+    println!("cache; with wide multi-hot groups, exact group repeats become rare");
+    println!("(combinatorics), so group hit rate collapses while per-key hit rate");
+    println!("stays high — and the reduction cache cannot serve attention models at");
+    println!("all. This is the paper's §5 argument, measured.");
+}

@@ -1,16 +1,25 @@
 //! # fleche-bench
 //!
 //! Experiment harnesses for the Fleche (EuroSys '22) reproduction. Each
-//! `src/bin/figNN_*.rs` binary regenerates one table or figure of the
-//! paper (see DESIGN.md for the full index); this library holds the
-//! plumbing they share: system construction, warm-up/measure loops, and
-//! plain-text table rendering.
+//! module under `src/experiments/` regenerates one table or figure of the
+//! paper or runs one drill or tool; `experiments.rs` is the table of them and
+//! the one command line (`fleche-bench <experiment>`) over it (see
+//! DESIGN.md §3 for the full index). The rest of this library is the
+//! plumbing they share: system construction, warm-up/measure loops,
+//! plain-text tables, the `BENCH_*.json` writer, the drill harness and the
+//! host-clock timer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod drill;
+mod experiments;
+mod timer;
+
+pub use experiments::{cli_main, Args};
+
 use fleche_baseline::{BaselineConfig, PerTableCacheSystem};
-use fleche_core::{FlecheConfig, FlecheSystem, MultiGpuFleche};
+use fleche_core::{FlecheConfig, FlecheSystem};
 use fleche_gpu::{DeviceSpec, DramSpec, Gpu, Ns};
 use fleche_model::{DenseModel, InferenceEngine, MeasuredRun, ModelMode};
 use fleche_store::CpuStore;
@@ -27,14 +36,9 @@ pub const WARMUP_BATCHES: usize = 24;
 /// Standard measured batches.
 pub const MEASURE_BATCHES: usize = 16;
 
-/// Returns true when `--quick` was passed (smaller sweeps, same shapes).
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// The batch sweep honoring `--quick`.
-pub fn batch_sizes() -> Vec<usize> {
-    if quick_mode() {
+/// The batch sweep: reduced under `--quick` (smaller sweeps, same shapes).
+pub fn batch_sizes(quick: bool) -> Vec<usize> {
+    if quick {
         QUICK_BATCH_SIZES.to_vec()
     } else {
         PAPER_BATCH_SIZES.to_vec()
@@ -440,20 +444,24 @@ pub fn host_fingerprint() -> String {
     )
 }
 
-/// Stamps the standard `host` block into a report: CPU model, detected
-/// SIMD features, the dispatch level the hot paths actually selected,
-/// architecture, the comparison fingerprint, and whether this was a
-/// `--quick` run. Every `BENCH_*.json` carries this so wall-clock numbers
-/// are never read without knowing the machine behind them.
-pub fn emit_host(j: &mut JsonEmitter) {
+/// Starts a `BENCH_*.json` report with the one prelude every file
+/// carries: `bench` (the experiment's table name), the `host` block (CPU
+/// model, detected SIMD features, the dispatch level the hot paths
+/// actually selected, architecture, the comparison fingerprint) so
+/// wall-clock numbers are never read without knowing the machine behind
+/// them, and whether this was a `--quick` run.
+pub fn bench_report(bench: &str, quick: bool) -> JsonEmitter {
+    let mut j = JsonEmitter::new();
+    j.field_str("bench", bench);
     j.begin_obj("host");
     j.field_str("cpu", &host_cpu_model());
     j.field_str("features", &host_features());
     j.field_str("simd_level", fleche_simd::simd_level());
     j.field_str("arch", std::env::consts::ARCH);
     j.field_str("fingerprint", &host_fingerprint());
-    j.field_bool("quick", quick_mode());
     j.end_obj();
+    j.field_bool("quick", quick);
+    j
 }
 
 /// Writes a `BENCH_*.json` report into `results/`, creating the directory
@@ -480,28 +488,6 @@ pub fn rolling_mean(rates: &[f64], window: usize) -> f64 {
     let n = rates.len().min(window);
     let tail = &rates[rates.len() - n..];
     tail.iter().sum::<f64>() / n as f64
-}
-
-/// `--analyze` gate of the drills: if `gpu`'s race checker recorded any
-/// unordered conflicting pair during `what`, reports them under the
-/// drill's name and fails the run (exit 1).
-pub fn check_gpu_races(drill: &str, gpu: &Gpu, what: &str) {
-    if let Some(rc) = gpu.race_checker() {
-        if rc.race_count() > 0 {
-            eprintln!("{drill} --analyze: {} race(s) in {what}:", rc.race_count());
-            for race in rc.report() {
-                eprintln!("  {race}");
-            }
-            std::process::exit(1);
-        }
-    }
-}
-
-/// [`check_gpu_races`] over every shard of a multi-GPU system.
-pub fn check_shard_races(drill: &str, mg: &mut MultiGpuFleche, what: &str) {
-    for s in 0..mg.shard_count() {
-        check_gpu_races(drill, mg.shard_gpu_mut(s), &format!("{what} (shard {s})"));
-    }
 }
 
 /// Formats a simulated duration compactly.
@@ -603,17 +589,14 @@ mod tests {
 
     #[test]
     fn host_block_shape() {
-        let mut j = JsonEmitter::new();
-        emit_host(&mut j);
-        let s = j.finish();
+        let s = bench_report("some_drill", true).finish();
+        assert!(s.starts_with("{\"bench\":\"some_drill\",\"host\":{\"cpu\":"));
+        assert!(s.ends_with("},\"quick\":true}\n"), "{s}");
         for key in [
-            "\"host\":{",
-            "\"cpu\":",
             "\"features\":",
             "\"simd_level\":",
             "\"arch\":",
             "\"fingerprint\":",
-            "\"quick\":",
         ] {
             assert!(s.contains(key), "missing {key} in {s}");
         }
