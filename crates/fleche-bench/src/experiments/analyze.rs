@@ -124,7 +124,7 @@ fn run_recovery_phase(batches: usize) -> Result<(), String> {
     }
     let snap = snapshot.ok_or_else(|| "no checkpoint taken".to_string())?;
     sys.wipe_cache(&mut gpu);
-    sys.restore_from(&mut gpu, &snap)
+    sys.restore_checkpoint(&mut gpu, &snap)
         .map_err(|e| format!("intact checkpoint rejected: {e}"))?;
     sys.warm_up(&mut gpu, &stats.hottest(512), BATCH);
     for _ in 0..batches / 2 {

@@ -34,7 +34,7 @@ use std::process::ExitCode;
 use crate::drill::{Drill, RacesFound};
 use crate::{fmt_ns, rolling_mean, Args, TextTable};
 use fleche_chaos::{DeviceLossSpec, FaultPlan};
-use fleche_core::{CacheSnapshot, FlecheConfig, FlecheSystem, InterconnectSpec, MultiGpuFleche};
+use fleche_core::{CheckpointChain, FlecheConfig, FlecheSystem, InterconnectSpec, MultiGpuFleche};
 use fleche_gpu::{DeviceSpec, DramSpec, Gpu, Ns};
 use fleche_store::api::EmbeddingCacheSystem;
 use fleche_store::CpuStore;
@@ -137,7 +137,7 @@ fn drill_restart(d: &Drill) -> Result<RestartReport, RacesFound> {
     let mut gen = TraceGenerator::new(&ds);
     let mut hot_stats = WorkloadStats::new();
     let mut rates: Vec<f64> = Vec::new();
-    let mut snapshot: Option<CacheSnapshot> = None;
+    let mut snapshot: Option<CheckpointChain> = None;
     let mut checkpoint_time = Ns::ZERO;
     for b in 0..steady_batches {
         let batch = gen.next_batch(BATCH);
@@ -169,7 +169,7 @@ fn drill_restart(d: &Drill) -> Result<RestartReport, RacesFound> {
     // ---- Warm restart: restore the latest checkpoint, then serve. ---
     let (mut warm_sys, mut warm_gpu) = fresh_restart_system(&ds, analyze);
     let report = warm_sys
-        .restore_from(&mut warm_gpu, &snap)
+        .restore_checkpoint(&mut warm_gpu, &snap)
         .expect("intact checkpoint restores");
     let restore_time = warm_gpu.now();
     let (warm_batches, warm_first) =
@@ -184,7 +184,7 @@ fn drill_restart(d: &Drill) -> Result<RestartReport, RacesFound> {
         .expect("corruption rate 1.0 always rots");
     assert!(rotten.corrupt_byte(off), "offset in bounds");
     let (mut fb_sys, mut fb_gpu) = fresh_restart_system(&ds, analyze);
-    let (corrupt_rejected, reject_note) = match fb_sys.restore_from(&mut fb_gpu, &rotten) {
+    let (corrupt_rejected, reject_note) = match fb_sys.restore_checkpoint(&mut fb_gpu, &rotten) {
         Err(e) => (true, format!("rejected: {e}")),
         Ok(_) => (false, "ACCEPTED A ROTTEN IMAGE".to_string()),
     };

@@ -10,7 +10,7 @@
 //! never read freed slots; and (optionally) index entries may hold tagged
 //! CPU-DRAM pointers — the unified index.
 
-use crate::recovery::{CacheSnapshot, RestoreReport, SnapshotEntry, SnapshotError, SnapshotKind};
+use crate::recovery::{CheckpointChain, RestoreReport, SnapshotEntry, SnapshotError};
 use fleche_coding::FlatKey;
 use fleche_index::{
     ClassSpec, EpochGuard, EpochManager, GpuIndex, IndexInsert, Loc, MegaKv, PackedLoc, PoolError,
@@ -199,7 +199,7 @@ pub struct FlatCache {
     /// on every write through the normal insert workflow — the caller that
     /// knows the true version stamps it with
     /// [`FlatCache::set_slot_version`] — and advanced by
-    /// [`FlatCache::apply_updates`] and delta restores, which only ever
+    /// [`FlatCache::apply_updates`] and chain restores, which only ever
     /// move a slot's version forward. Allocated by the first non-zero
     /// version: a cache that never sees an update carries no array.
     versions: Option<SlotArray<u64>>,
@@ -391,9 +391,13 @@ impl FlatCache {
         }
     }
 
-    /// Releases a retired/quarantined/wiped slot from its owner's
-    /// occupancy. `evicted` counts it in the owner's eviction tally.
-    fn release_slot(&mut self, class: u16, slot: u32, evicted: bool) {
+    /// Retires a slot whose entry left the index: hands it to the epoch
+    /// manager (freed once no reader can still hold its address) and
+    /// releases it from its owner's occupancy. `evicted` counts it in the
+    /// owner's eviction tally.
+    fn retire_slot(&mut self, class: u16, slot: u32, evicted: bool) {
+        self.epochs.retire((class, slot));
+        self.pool.note_retired(class, slot);
         let bytes = self.slot_bytes(class);
         if let Some(t) = &mut self.tenancy {
             if let Some(owner) = t.owner.take(class, slot) {
@@ -418,11 +422,6 @@ impl FlatCache {
             }
         }
         self.checksums = Some(sums);
-    }
-
-    /// Whether hit verification is active.
-    pub fn checksums_enabled(&self) -> bool {
-        self.checksums.is_some()
     }
 
     /// Writes `value` into a live pool slot, recording its checksum when
@@ -505,9 +504,7 @@ impl FlatCache {
     /// refetches the key from the miss backend.
     pub fn quarantine(&mut self, key: FlatKey, class: u16, slot: u32) {
         self.index.remove(key.0);
-        self.epochs.retire((class, slot));
-        self.pool.note_retired(class, slot);
-        self.release_slot(class, slot, false);
+        self.retire_slot(class, slot, false);
         if let Some(sums) = &mut self.checksums {
             sums.take(class, slot);
         }
@@ -842,9 +839,7 @@ impl FlatCache {
     fn release_displaced(&mut self, victim: fleche_index::ScanEntry) {
         match victim.loc.unpack() {
             Loc::Hbm { class, slot } => {
-                self.epochs.retire((class, slot));
-                self.pool.note_retired(class, slot);
-                self.release_slot(class, slot, true);
+                self.retire_slot(class, slot, true);
             }
             Loc::Dram { .. } => {
                 self.unified_count = self.unified_count.saturating_sub(1);
@@ -973,9 +968,7 @@ impl FlatCache {
                                 "converting an existing entry is an update"
                             );
                             stats.merge(&s);
-                            self.epochs.retire((class, slot));
-                            self.pool.note_retired(class, slot);
-                            self.release_slot(class, slot, true);
+                            self.retire_slot(class, slot, true);
                             self.unified_count += 1;
                             projected = projected.saturating_sub(bytes);
                             projected += UNIFIED_ENTRY_BYTES;
@@ -984,9 +977,7 @@ impl FlatCache {
                     }
                     let (_, s) = self.index.remove(e.key);
                     stats.merge(&s);
-                    self.epochs.retire((class, slot));
-                    self.pool.note_retired(class, slot);
-                    self.release_slot(class, slot, true);
+                    self.retire_slot(class, slot, true);
                     projected = projected.saturating_sub(bytes);
                 }
                 Loc::Dram { .. } => {
@@ -1040,7 +1031,10 @@ impl FlatCache {
         self.index.device_bytes()
     }
 
-    /// Captures an epoch-consistent checkpoint of every HBM-resident value.
+    /// Captures an epoch-consistent checkpoint of every HBM-resident value
+    /// as a fresh chain (a full base at checkpoint epoch `epoch`, no deltas
+    /// yet), plus the pool locations the capture read — the system layer
+    /// declares those to the race checker as the snapshot kernel's reads.
     ///
     /// Call at a batch boundary (after [`FlatCache::end_batch`], with no
     /// decoupled copy kernel in flight): the image then contains exactly the
@@ -1053,54 +1047,22 @@ impl FlatCache {
     /// Entries are sorted by flat key so the byte image is identical across
     /// index backends and scan orders — two checkpoints of the same cache
     /// state are bit-identical.
-    pub fn snapshot(&self) -> CacheSnapshot {
-        self.snapshot_with_slots().0
+    pub fn checkpoint(&self, epoch: u64) -> (CheckpointChain, Vec<(u16, u32)>) {
+        let (entries, slots) = self.capture_live(|_, _| true);
+        (CheckpointChain::new(epoch, &entries), slots)
     }
 
-    /// Like [`FlatCache::snapshot`], also returning the pool locations the
-    /// capture read — the system layer declares these to the race checker
-    /// as the snapshot kernel's reads.
-    pub fn snapshot_with_slots(&self) -> (CacheSnapshot, Vec<(u16, u32)>) {
-        self.snapshot_at_with_slots(0)
-    }
-
-    /// Captures a full checkpoint stamped with checkpoint epoch `epoch`
-    /// (the base a later delta chain patches).
-    pub fn snapshot_at_with_slots(&self, epoch: u64) -> (CacheSnapshot, Vec<(u16, u32)>) {
-        let captured = self.capture_live(|_, _| true);
-        let slots = captured.iter().map(|(_, loc)| *loc).collect();
-        let entries: Vec<SnapshotEntry> = captured.into_iter().map(|(e, _)| e).collect();
-        (
-            CacheSnapshot::from_entries_with(SnapshotKind::Full, epoch, 0, &entries),
-            slots,
-        )
-    }
-
-    /// Captures an incremental checkpoint delta against the base at
-    /// `base_epoch`: exactly the live entries whose update version
-    /// advanced past what the base recorded for their key.
-    /// `base_versions` is the base's `(flat key, version)` list sorted by
-    /// key (keys absent from it are at version 0); `seq` is the delta's
-    /// 1-based position in the chain. Entries are key-sorted, so two delta
-    /// captures of the same state are bit-identical.
-    pub fn snapshot_delta_with_slots(
-        &self,
-        base_epoch: u64,
-        seq: u64,
-        base_versions: &[(u64, u64)],
-    ) -> (CacheSnapshot, Vec<(u16, u32)>) {
-        let base_of = |key: u64| match base_versions.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(i) => base_versions[i].1,
-            Err(_) => 0,
-        };
-        let captured =
-            self.capture_live(|e, (class, slot)| self.slot_version(class, slot) > base_of(e));
-        let slots = captured.iter().map(|(_, loc)| *loc).collect();
-        let entries: Vec<SnapshotEntry> = captured.into_iter().map(|(e, _)| e).collect();
-        (
-            CacheSnapshot::from_entries_with(SnapshotKind::Delta, base_epoch, seq, &entries),
-            slots,
-        )
+    /// Appends an incremental delta to `chain`: exactly the live entries
+    /// whose update version advanced past what the chain's base recorded
+    /// for their key (keys the base does not hold are at version 0).
+    /// Returns the pool locations read. Entries are key-sorted, so two
+    /// delta captures of the same state are bit-identical.
+    pub fn delta_checkpoint(&self, chain: &mut CheckpointChain) -> Vec<(u16, u32)> {
+        let (entries, slots) = self.capture_live(|key, (class, slot)| {
+            self.slot_version(class, slot) > chain.base_version_of(key)
+        });
+        chain.push_delta(&entries);
+        slots
     }
 
     /// Shared capture walk: every live (non-retired) HBM entry passing
@@ -1108,7 +1070,7 @@ impl FlatCache {
     fn capture_live(
         &self,
         include: impl Fn(u64, (u16, u32)) -> bool,
-    ) -> Vec<(SnapshotEntry, (u16, u32))> {
+    ) -> (Vec<SnapshotEntry>, Vec<(u16, u32)>) {
         let (scan, _) = self.index.scan();
         let mut captured: Vec<(SnapshotEntry, (u16, u32))> = scan
             .iter()
@@ -1133,69 +1095,36 @@ impl FlatCache {
             })
             .collect();
         captured.sort_unstable_by_key(|(e, _)| e.key);
-        captured
+        captured.into_iter().unzip()
     }
 
-    /// Replays a checkpoint through the normal insert workflow.
+    /// Replays a checkpoint chain through the normal insert workflow —
+    /// the one restore entry point; a plain full checkpoint is a chain of
+    /// length one.
     ///
-    /// The image is checksum-verified and fully decoded *before* any
-    /// mutation: a corrupt snapshot returns `Err` and leaves the cache
-    /// exactly as it was, so the caller can fall back to a cold warm-up
-    /// without ever risking garbage bytes in the pool. Entries replay
-    /// hottest-first (stamp descending, key ascending for determinism), so
-    /// if capacity shrank since the checkpoint the hottest band survives.
-    /// Entries whose dimension no longer matches their class (changed
-    /// dataset geometry) or that find the pool full bypass and are counted,
-    /// not errors.
-    pub fn restore(&mut self, snap: &CacheSnapshot) -> Result<RestoreReport, SnapshotError> {
-        let entries = snap.decode()?;
-        Ok(self.restore_entries(entries))
-    }
-
-    /// Restores a base checkpoint plus an ordered chain of incremental
-    /// deltas — warm restart under a live update stream, recovering to the
-    /// latest checkpointed version instead of the stale base.
-    ///
-    /// *Every* image is verified and decoded before the first mutation:
-    /// the base must be a full image, each delta must pass its whole-image
-    /// checksum, declare the base's epoch, and carry the next contiguous
-    /// sequence number (1, 2, ...). Any failure returns `Err` with the
-    /// cache untouched. Replay order is base first, then deltas in
-    /// sequence; per-key version monotonicity in the replay makes a
-    /// re-applied delta idempotent.
-    pub fn restore_chain(
-        &mut self,
-        base: &CacheSnapshot,
-        deltas: &[CacheSnapshot],
-    ) -> Result<RestoreReport, SnapshotError> {
-        let base_entries = base.decode()?;
-        match base.kind() {
-            Some(SnapshotKind::Full) => {}
-            Some(found) => {
-                return Err(SnapshotError::KindMismatch {
-                    expected: SnapshotKind::Full,
-                    found,
-                })
-            }
-            // decode() above already rejected short/unknown headers.
-            None => return Err(SnapshotError::TooShort),
-        }
-        let mut delta_entries = Vec::with_capacity(deltas.len());
-        for (i, d) in deltas.iter().enumerate() {
-            delta_entries.push(d.decode_delta(base.epoch(), i as u64 + 1)?);
-        }
-        let mut report = self.restore_entries(base_entries);
-        for entries in delta_entries {
+    /// [`CheckpointChain::verify`] checks and decodes *every* image before
+    /// the first mutation: a corrupt, mis-linked or base-less chain returns
+    /// `Err` and leaves the cache exactly as it was, so the caller can fall
+    /// back to a cold warm-up without ever risking garbage bytes in the
+    /// pool. Replay order is base first, then deltas in sequence — under a
+    /// live update stream that lands on the latest checkpointed version,
+    /// not the stale base — and per-key version monotonicity makes a
+    /// re-applied chain idempotent.
+    pub fn restore(&mut self, chain: &CheckpointChain) -> Result<RestoreReport, SnapshotError> {
+        let mut report = RestoreReport::default();
+        for entries in chain.verify()? {
             report.absorb(self.restore_entries(entries));
         }
         Ok(report)
     }
 
-    /// The shared replay: hottest-first (stamp descending, key ascending
-    /// for determinism), per-key version-monotonic. An entry whose key is
-    /// already resident at a strictly newer version is skipped
-    /// (`superseded`) — never a version regression; dimension mismatches
-    /// and full pools bypass and are counted, not errors.
+    /// One image's replay: hottest-first (stamp descending, key ascending
+    /// for determinism), so if capacity shrank since the checkpoint the
+    /// hottest band survives; per-key version-monotonic. An entry whose
+    /// key is already resident at a strictly newer version is skipped
+    /// (`superseded`) — never a version regression; entries whose
+    /// dimension no longer matches their class (changed dataset geometry)
+    /// or that find the pool full bypass and are counted, not errors.
     fn restore_entries(&mut self, mut entries: Vec<SnapshotEntry>) -> RestoreReport {
         entries.sort_unstable_by(|a, b| b.stamp.cmp(&a.stamp).then(a.key.cmp(&b.key)));
         let mut report = RestoreReport::default();
@@ -1264,6 +1193,7 @@ impl FlatCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::SnapshotKind;
     use fleche_coding::{FlatKeyCodec, SizeAwareCodec};
     use fleche_workload::spec;
 
@@ -1543,7 +1473,9 @@ mod tests {
             c.insert_value(0, codec.encode(0, f), &val(f as f32), f as u32);
         }
         c.end_batch();
-        let snap = c.snapshot();
+        let (snap, slots) = c.checkpoint(0);
+        assert_eq!(slots.len() as u64, c.live_value_count());
+        assert!(snap.deltas().is_empty(), "a full image is a chain of one");
         let mut fresh = FlatCache::new(&ds, 8 * 4 * 200, FlatCacheConfig::default());
         let report = fresh.restore(&snap).expect("clean image restores");
         assert_eq!(report.restored, c.live_value_count());
@@ -1553,7 +1485,7 @@ mod tests {
         // Checkpoints of identical logical state are bit-identical, even
         // though the restored cache assigned different physical slots.
         // (Checked before the lookups below, which bump LRU stamps.)
-        assert_eq!(snap.as_bytes(), fresh.snapshot().as_bytes());
+        assert_eq!(snap, fresh.checkpoint(0).0);
         for f in 0..20u64 {
             let k = codec.encode(0, f);
             let (ans, _) = fresh.lookup(k, 100);
@@ -1571,7 +1503,7 @@ mod tests {
             c.insert_value(0, codec.encode(0, f), &val(f as f32), f as u32);
         }
         c.end_batch();
-        let mut snap = c.snapshot();
+        let (mut snap, _) = c.checkpoint(0);
         assert!(snap.corrupt_byte(snap.byte_len() / 2));
         let before = c.len();
         assert!(c.restore(&snap).is_err(), "rotted image must be refused");
@@ -1588,7 +1520,7 @@ mod tests {
         for f in 0..10u64 {
             c.insert_value(0, codec.encode(0, f), &val(f as f32), f as u32);
         }
-        let entries = c.snapshot().decode().expect("valid image");
+        let entries = c.checkpoint(0).0.base().decode().expect("valid image");
         assert_eq!(entries.len(), 10, "only HBM values are captured");
         assert!(
             entries.windows(2).all(|w| w[0].key < w[1].key),
@@ -1618,7 +1550,8 @@ mod tests {
         // slots, but the image must hold only the surviving entries.
         let survivors = c.len() as u64;
         assert!(survivors < 10, "eviction removed something");
-        let snap = c.snapshot();
+        let (chain, _) = c.checkpoint(0);
+        let snap = chain.base();
         assert_eq!(snap.entry_count_hint(), survivors);
         assert_eq!(snap.decode().expect("valid").len() as u64, survivors);
     }
@@ -1638,7 +1571,7 @@ mod tests {
         for f in 0..16u64 {
             big.insert_value(0, codec.encode(0, f), &val(f as f32), f as u32);
         }
-        let snap = big.snapshot();
+        let (snap, _) = big.checkpoint(0);
         let mut small = FlatCache::new(&ds, 8 * 4 * 4, FlatCacheConfig::default());
         let report = small.restore(&snap).expect("valid image");
         assert_eq!(report.restored, 4);
@@ -1740,17 +1673,12 @@ mod tests {
             c.insert_value(0, codec.encode(0, f), &val(f as f32), f as u32);
         }
         c.end_batch();
-        let (base, _) = c.snapshot_at_with_slots(3);
-        assert_eq!(base.epoch(), 3);
-        let base_versions: Vec<(u64, u64)> = base
-            .decode()
-            .expect("clean base")
-            .iter()
-            .map(|e| (e.key, e.version))
-            .collect();
+        let (base, _) = c.checkpoint(3);
+        assert_eq!(base.base().epoch(), 3);
         // Nothing advanced yet: the delta is empty.
-        let (d0, slots0) = c.snapshot_delta_with_slots(3, 1, &base_versions);
-        assert_eq!(d0.entry_count_hint(), 0);
+        let mut chain = base.clone();
+        let slots0 = c.delta_checkpoint(&mut chain);
+        assert_eq!(chain.latest().entry_count_hint(), 0);
         assert!(slots0.is_empty());
         // Advance two keys.
         for (f, v) in [(2u64, 1u64), (7, 4)] {
@@ -1760,7 +1688,9 @@ mod tests {
                 value: val(100.0 + f as f32),
             }]);
         }
-        let (d1, slots1) = c.snapshot_delta_with_slots(3, 1, &base_versions);
+        let mut chain = base.clone();
+        let slots1 = c.delta_checkpoint(&mut chain);
+        let d1 = chain.latest();
         assert_eq!(d1.kind(), Some(SnapshotKind::Delta));
         assert_eq!(d1.epoch(), 3);
         assert_eq!(d1.delta_seq(), 1);
@@ -1777,30 +1707,27 @@ mod tests {
             c.insert_value(0, codec.encode(0, f), &val(f as f32), f as u32);
         }
         c.end_batch();
-        let (base, _) = c.snapshot_at_with_slots(1);
-        let base_versions: Vec<(u64, u64)> = base
-            .decode()
-            .expect("clean")
-            .iter()
-            .map(|e| (e.key, e.version))
-            .collect();
+        let (mut chain, _) = c.checkpoint(1);
         c.apply_updates(&[SlotUpdate {
             key: codec.encode(0, 2),
             version: 3,
             value: val(50.0),
         }]);
-        let (d1, _) = c.snapshot_delta_with_slots(1, 1, &base_versions);
+        c.delta_checkpoint(&mut chain);
         c.apply_updates(&[SlotUpdate {
             key: codec.encode(0, 2),
             version: 4,
             value: val(60.0),
         }]);
-        let (d2, _) = c.snapshot_delta_with_slots(1, 2, &base_versions);
+        c.delta_checkpoint(&mut chain);
+        let (base, d1, d2) = (
+            chain.base().clone(),
+            chain.deltas()[0].clone(),
+            chain.deltas()[1].clone(),
+        );
 
         let mut fresh = FlatCache::new(&ds, 8 * 4 * 200, FlatCacheConfig::default());
-        let report = fresh
-            .restore_chain(&base, &[d1.clone(), d2.clone()])
-            .expect("verified chain restores");
+        let report = fresh.restore(&chain).expect("verified chain restores");
         assert_eq!(report.max_version, 4, "recovered to latest, not base");
         let (ans, _) = fresh.lookup(codec.encode(0, 2), 100);
         let CacheAnswer::Hit { class, slot } = ans else {
@@ -1811,9 +1738,7 @@ mod tests {
         // Re-applying the whole chain is idempotent: the base's version-0
         // entry and d1's version-3 entry are both superseded by the
         // resident version 4 — never a regression.
-        let again = fresh
-            .restore_chain(&base, &[d1.clone(), d2.clone()])
-            .expect("re-restore is clean");
+        let again = fresh.restore(&chain).expect("re-restore is clean");
         assert!(again.superseded >= 2);
         let (ans, _) = fresh.lookup(codec.encode(0, 2), 100);
         let CacheAnswer::Hit { class, slot } = ans else {
@@ -1824,8 +1749,13 @@ mod tests {
 
         // Broken chains are refused before any mutation.
         let mut untouched = FlatCache::new(&ds, 8 * 4 * 200, FlatCacheConfig::default());
+        untouched.set_unified_target(2);
+        untouched.insert_dram_ptr(0, 500, codec.encode(0, 500), 1);
+        untouched.insert_value(0, codec.encode(0, 900), &val(9.0), 1);
+        let before = untouched.checkpoint(0).0;
+        let gapped = CheckpointChain::from_images(base.clone(), vec![d2.clone()]);
         assert_eq!(
-            untouched.restore_chain(&base, std::slice::from_ref(&d2)),
+            untouched.restore(&gapped),
             Err(SnapshotError::SequenceGap {
                 expected: 1,
                 found: 2
@@ -1833,15 +1763,22 @@ mod tests {
         );
         let mut rotten = d1.clone();
         assert!(rotten.corrupt_byte(rotten.byte_len() / 2));
-        assert!(untouched.restore_chain(&base, &[rotten, d2]).is_err());
-        assert_eq!(untouched.len(), 0, "failed chain must not mutate");
+        let rotted = CheckpointChain::from_images(base, vec![rotten, d2]);
+        assert!(untouched.restore(&rotted).is_err());
+        // A lone delta is not a base: refused whole, never replayed as a
+        // "warm start" holding only the keys that happened to change.
+        let lone_delta = CheckpointChain::from_images(d1, Vec::new());
         assert_eq!(
-            untouched.restore_chain(&d1, &[]),
+            untouched.restore(&lone_delta),
             Err(SnapshotError::KindMismatch {
                 expected: SnapshotKind::Full,
                 found: SnapshotKind::Delta
             })
         );
+        assert_eq!(untouched.len(), 2, "failed chain must not mutate");
+        assert_eq!(untouched.live_value_count(), 1);
+        assert_eq!(untouched.unified_count(), 1);
+        assert_eq!(untouched.checkpoint(0).0, before);
     }
 
     #[test]
@@ -1854,7 +1791,7 @@ mod tests {
             version: 9,
             value: val(9.0),
         }]);
-        let snap = c.snapshot();
+        let (snap, _) = c.checkpoint(0);
         let mut fresh = FlatCache::new(&ds, 8 * 4 * 200, FlatCacheConfig::default());
         fresh.restore(&snap).expect("clean");
         let (ans, _) = fresh.lookup(k, 10);

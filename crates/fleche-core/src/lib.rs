@@ -45,7 +45,9 @@ pub use flat_cache::{
 };
 pub use fusion::{FusionError, FusionMember, FusionPlan, ARGS_ENTRY_BYTES, WARP};
 pub use multi_gpu::{FailoverStats, InterconnectSpec, MultiGpuFleche, ShardedTiming};
-pub use recovery::{CacheSnapshot, RestoreReport, SnapshotEntry, SnapshotError, SnapshotKind};
+pub use recovery::{
+    CacheSnapshot, CheckpointChain, RestoreReport, SnapshotEntry, SnapshotError, SnapshotKind,
+};
 pub use system::{FlecheConfig, FlecheSystem, MissBackend, StalenessStats};
 pub use tuner::{TunerState, UnifiedIndexTuner};
 pub use update_costs::UpdateCostSpec;

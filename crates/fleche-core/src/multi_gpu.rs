@@ -9,7 +9,7 @@
 //! aggregate capacity) at the price of the gather and of per-shard kernel
 //! maintenance — exactly the trade the paper predicts, measurable here.
 
-use crate::recovery::CacheSnapshot;
+use crate::recovery::CheckpointChain;
 use crate::system::{FlecheConfig, FlecheSystem, StalenessStats};
 use fleche_coding::{FlatKeyCodec, SizeAwareCodec};
 use fleche_gpu::{BytesPerNs, DeviceSpec, DramSpec, Gpu, Ns};
@@ -110,13 +110,11 @@ pub struct MultiGpuFleche {
     lifetime: LifetimeStats,
     /// Liveness per shard, maintained by [`MultiGpuFleche::poll_devices`].
     alive: Vec<bool>,
-    /// Latest checkpoint per shard (dead shards keep their last one — it
-    /// is exactly what the re-warm replays when the device returns).
-    snapshots: Vec<Option<CacheSnapshot>>,
-    /// Incremental checkpoint deltas per shard since its last full
-    /// checkpoint, replayed after the base on re-warm so a restored device
-    /// lands on the latest checkpointed version, not the stale base.
-    deltas: Vec<Vec<CacheSnapshot>>,
+    /// Latest checkpoint chain per shard — its last full checkpoint plus
+    /// the deltas cut since (dead shards keep their last one — it is
+    /// exactly what the re-warm replays when the device returns, landing
+    /// on the latest checkpointed version, not the stale base).
+    chains: Vec<Option<CheckpointChain>>,
     failover: FailoverStats,
 }
 
@@ -153,8 +151,7 @@ impl MultiGpuFleche {
             .collect();
         MultiGpuFleche {
             alive: vec![true; gpus],
-            snapshots: vec![None; gpus],
-            deltas: vec![Vec::new(); gpus],
+            chains: vec![None; gpus],
             shards,
             codec,
             interconnect,
@@ -250,8 +247,7 @@ impl MultiGpuFleche {
                 continue;
             }
             let t0 = gpu.now();
-            self.snapshots[s] = Some(sys.checkpoint(gpu));
-            self.deltas[s].clear();
+            self.chains[s] = Some(sys.checkpoint(gpu));
             slowest = slowest.max(gpu.now() - t0);
         }
         slowest
@@ -269,8 +265,8 @@ impl MultiGpuFleche {
                 continue;
             }
             let t0 = gpu.now();
-            if let Some(delta) = sys.delta_checkpoint(gpu) {
-                self.deltas[s].push(delta);
+            if let Some(chain) = &mut self.chains[s] {
+                sys.delta_checkpoint(gpu, chain);
             }
             slowest = slowest.max(gpu.now() - t0);
         }
@@ -304,15 +300,13 @@ impl MultiGpuFleche {
     }
 
     /// Newest update version captured in shard `s`'s current *base*
-    /// checkpoint image — what a re-warm would recover to with no delta
-    /// chain. `None` when the shard has never checkpointed (or the image
-    /// does not decode). Drill oracles compare
+    /// checkpoint image — what a re-warm would recover to with no deltas.
+    /// `None` when the shard has never checkpointed (or its base is
+    /// empty). Drill oracles compare
     /// [`FailoverStats::rewarm_max_version`] against this to prove a
     /// chain re-warm recovered past the stale base.
     pub fn shard_base_max_version(&self, s: usize) -> Option<u64> {
-        let snap = self.snapshots[s].as_ref()?;
-        let entries = snap.decode().ok()?;
-        entries.iter().map(|e| e.version).max()
+        self.chains[s].as_ref()?.base_max_version()
     }
 
     /// Staleness accounting aggregated over every shard.
@@ -346,27 +340,18 @@ impl MultiGpuFleche {
                 self.failover.device_restores += 1;
                 restores += 1;
                 let t0 = gpu.now();
-                match &self.snapshots[s] {
-                    Some(snap) => {
-                        // Replay the base plus any delta chain cut since,
-                        // so the device recovers to the latest checkpointed
-                        // version, not the stale base.
-                        let result = if self.deltas[s].is_empty() {
-                            sys.restore_from(gpu, snap)
-                        } else {
-                            sys.restore_chain(gpu, snap, &self.deltas[s])
-                        };
-                        match result {
-                            Ok(report) => {
-                                self.failover.rewarm_restored_entries += report.restored;
-                                self.failover.rewarm_max_version =
-                                    self.failover.rewarm_max_version.max(report.max_version);
-                            }
-                            Err(_) => {
-                                self.failover.snapshot_rejected += 1;
-                                self.failover.rewarm_cold_starts += 1;
-                            }
-                        }
+                match self.chains[s]
+                    .as_ref()
+                    .map(|chain| sys.restore_checkpoint(gpu, chain))
+                {
+                    Some(Ok(report)) => {
+                        self.failover.rewarm_restored_entries += report.restored;
+                        self.failover.rewarm_max_version =
+                            self.failover.rewarm_max_version.max(report.max_version);
+                    }
+                    Some(Err(_)) => {
+                        self.failover.snapshot_rejected += 1;
+                        self.failover.rewarm_cold_starts += 1;
                     }
                     None => self.failover.rewarm_cold_starts += 1,
                 }
@@ -772,6 +757,21 @@ mod tests {
             "re-warm landed on an updated version (got {}, ledger max {latest})",
             f.rewarm_max_version
         );
+
+        // A lone delta where the chain's base should be: the re-warm is
+        // refused whole and the shard comes back cold, not "warm" with
+        // only the keys that happened to change.
+        let delta = mg.chains[1].as_ref().expect("checkpointed").deltas()[0].clone();
+        mg.chains[1] = Some(CheckpointChain::from_images(delta, Vec::new()));
+        mg.shard_gpu_mut(1).inject_device_fault(DeviceFault::Lost);
+        mg.poll_devices();
+        mg.shard_gpu_mut(1)
+            .inject_device_fault(DeviceFault::Restored);
+        assert_eq!(mg.poll_devices(), (0, 1));
+        let f = mg.failover_stats();
+        assert_eq!(f.snapshot_rejected, 1);
+        assert_eq!(f.rewarm_cold_starts, 1);
+        assert_eq!(mg.shard_system(1).cache().len(), 0, "shard is cold");
     }
 
     #[test]

@@ -1,29 +1,35 @@
-//! Crash recovery: serialized flat-cache snapshots, incremental
-//! checkpoint deltas, and their validation.
+//! Crash recovery: the checkpoint chain — a full flat-cache image plus
+//! its ordered incremental deltas — and its validation.
 //!
-//! A [`CacheSnapshot`] is a self-describing byte image captured at a
-//! batch boundary so it is *epoch-consistent*: no retired slot and no
-//! in-flight replace-copy is ever included (see `FlatCache::snapshot`).
-//! The image carries the size-aware coded flat keys, the pool class, the
-//! LRU stamp, the online-update version and the raw value bits of each
-//! entry, framed by a header and an FNV-1a checksum trailer.
+//! A [`CheckpointChain`] is the unit of restore: it is replayed whole or
+//! rejected whole. A chain of length one (a base and no deltas) is a
+//! plain full checkpoint; there is no separate single-image path. Each
+//! image is a [`CacheSnapshot`], a self-describing byte image captured at
+//! a batch boundary so it is *epoch-consistent*: no retired slot and no
+//! in-flight replace-copy is ever included (see
+//! `FlatCache::checkpoint`). The image carries the size-aware coded flat
+//! keys, the pool class, the LRU stamp, the online-update version and the
+//! raw value bits of each entry, framed by a header and an FNV-1a
+//! checksum trailer.
 //!
 //! Images come in two kinds:
 //!
 //! * **Full** ([`SnapshotKind::Full`]) — every HBM-resident value, the
-//!   PR-4 base checkpoint. Its header `epoch` names the checkpoint epoch.
+//!   chain's base. Its header `epoch` names the checkpoint epoch.
 //! * **Delta** ([`SnapshotKind::Delta`]) — only the entries whose update
 //!   version advanced since the base epoch. Its header `epoch` names the
-//!   *base* it patches and `seq` its 1-based position in the delta chain,
-//!   so a restore can refuse a delta applied against the wrong base or
-//!   out of order ([`SnapshotError::BaseMismatch`] /
-//!   [`SnapshotError::SequenceGap`]).
+//!   *base* it patches and `seq` its 1-based position in the chain.
 //!
-//! Restores go the other way: [`CacheSnapshot::decode`] verifies the
-//! checksum and structure *before* anything touches the cache, so a
-//! rotted checkpoint or delta can only ever produce a clean fallback —
-//! never a cache seeded with garbage bytes. Decoding is fully
-//! bounds-checked and never panics on hostile input.
+//! What is valid to restore from is decided in one place,
+//! [`CheckpointChain::verify`]: the base must be a full image, and each
+//! delta must pass its whole-image checksum, name the base's epoch and
+//! carry the next sequence number ([`SnapshotError::KindMismatch`] /
+//! [`SnapshotError::BaseMismatch`] / [`SnapshotError::SequenceGap`]). The
+//! walk decodes *every* image before anything touches the cache, so a
+//! rotted or mis-linked chain can only ever produce a clean fallback —
+//! never a cache seeded with garbage bytes or with only the keys a lone
+//! delta happened to carry. Decoding is fully bounds-checked and never
+//! panics on hostile input.
 //!
 //! Byte layout (all little-endian):
 //!
@@ -207,8 +213,8 @@ pub struct CacheSnapshot {
 
 impl CacheSnapshot {
     /// Serializes `entries` into a checksummed *full* image at epoch 0
-    /// (tests and single-image call sites; checkpoint chains use
-    /// [`CacheSnapshot::from_entries_with`]).
+    /// (tests and format-level call sites; [`CheckpointChain`] stamps its
+    /// own images through [`CacheSnapshot::from_entries_with`]).
     pub fn from_entries(entries: &[SnapshotEntry]) -> CacheSnapshot {
         CacheSnapshot::from_entries_with(SnapshotKind::Full, 0, 0, entries)
     }
@@ -385,43 +391,147 @@ impl CacheSnapshot {
         Ok(out)
     }
 
-    /// Validates the image as a delta in a chain: full decode, then kind
-    /// and linkage checks against the base epoch and the next expected
-    /// sequence number. Used by restore-to-latest *before* any mutation.
-    pub fn decode_delta(
-        &self,
-        base_epoch: u64,
-        expected_seq: u64,
-    ) -> Result<Vec<SnapshotEntry>, SnapshotError> {
+    /// Full decode, then the kind check: one link of
+    /// [`CheckpointChain::verify`].
+    fn decode_as(&self, expected: SnapshotKind) -> Result<Vec<SnapshotEntry>, SnapshotError> {
         let entries = self.decode()?;
         match self.kind() {
-            Some(SnapshotKind::Delta) => {}
-            Some(found) => {
-                return Err(SnapshotError::KindMismatch {
-                    expected: SnapshotKind::Delta,
-                    found,
-                })
-            }
-            // decode() above already rejected unknown kinds.
-            None => return Err(SnapshotError::TooShort),
+            Some(found) if found == expected => Ok(entries),
+            Some(found) => Err(SnapshotError::KindMismatch { expected, found }),
+            // decode() above already rejected short/unknown headers.
+            None => Err(SnapshotError::TooShort),
         }
-        if self.epoch() != base_epoch {
-            return Err(SnapshotError::BaseMismatch {
-                expected: base_epoch,
-                found: self.epoch(),
-            });
-        }
-        if self.delta_seq() != expected_seq {
-            return Err(SnapshotError::SequenceGap {
-                expected: expected_seq,
-                found: self.delta_seq(),
-            });
-        }
-        Ok(entries)
     }
 }
 
-/// What a [`crate::FlatCache::restore`] or delta replay accomplished.
+/// The unit of restore: a full base image plus the ordered deltas cut
+/// against it. A chain of length one is a plain full checkpoint.
+#[derive(Clone, Debug, PartialEq)]
+pub struct CheckpointChain {
+    base: CacheSnapshot,
+    deltas: Vec<CacheSnapshot>,
+    /// The base's `(flat key, version)` list, key-sorted — what a delta
+    /// capture compares a live entry's version against.
+    base_versions: Vec<(u64, u64)>,
+}
+
+impl CheckpointChain {
+    /// Starts a chain: `entries` (key-sorted, as a capture yields them)
+    /// become the full base image at checkpoint epoch `epoch`.
+    pub fn new(epoch: u64, entries: &[SnapshotEntry]) -> CheckpointChain {
+        debug_assert!(entries.windows(2).all(|w| w[0].key < w[1].key));
+        CheckpointChain {
+            base: CacheSnapshot::from_entries_with(SnapshotKind::Full, epoch, 0, entries),
+            deltas: Vec::new(),
+            base_versions: entries.iter().map(|e| (e.key, e.version)).collect(),
+        }
+    }
+
+    /// Wraps images read back from storage (no validation here;
+    /// [`CheckpointChain::verify`] validates). A base that does not decode
+    /// contributes no versions — the chain cannot restore anyway.
+    pub fn from_images(base: CacheSnapshot, deltas: Vec<CacheSnapshot>) -> CheckpointChain {
+        let mut base_versions: Vec<(u64, u64)> = base
+            .decode()
+            .map(|entries| entries.iter().map(|e| (e.key, e.version)).collect())
+            .unwrap_or_default();
+        base_versions.sort_unstable();
+        CheckpointChain {
+            base,
+            deltas,
+            base_versions,
+        }
+    }
+
+    /// Appends the next delta: `entries` stamped with the base's epoch and
+    /// the next sequence number.
+    pub fn push_delta(&mut self, entries: &[SnapshotEntry]) {
+        let seq = self.deltas.len() as u64 + 1;
+        self.deltas.push(CacheSnapshot::from_entries_with(
+            SnapshotKind::Delta,
+            self.base.epoch(),
+            seq,
+            entries,
+        ));
+    }
+
+    /// The base image.
+    pub fn base(&self) -> &CacheSnapshot {
+        &self.base
+    }
+
+    /// The deltas, in sequence order.
+    pub fn deltas(&self) -> &[CacheSnapshot] {
+        &self.deltas
+    }
+
+    /// The image cut last (the base, for a chain of length one).
+    pub fn latest(&self) -> &CacheSnapshot {
+        self.deltas.last().unwrap_or(&self.base)
+    }
+
+    /// Total bytes over every image (what a restore verifies and copies).
+    pub fn byte_len(&self) -> u64 {
+        self.base.byte_len() + self.deltas.iter().map(CacheSnapshot::byte_len).sum::<u64>()
+    }
+
+    /// Version the base recorded for `key` (0 for keys it does not hold).
+    pub fn base_version_of(&self, key: u64) -> u64 {
+        match self.base_versions.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => self.base_versions[i].1,
+            Err(_) => 0,
+        }
+    }
+
+    /// Newest update version in the base — what a restore would recover
+    /// to with no deltas. `None` for an empty (or undecodable) base.
+    pub fn base_max_version(&self) -> Option<u64> {
+        self.base_versions.iter().map(|&(_, v)| v).max()
+    }
+
+    /// Fault-injection hook: inverts the byte at `offset` of the chain's
+    /// images laid end to end (base first). Returns false (and does
+    /// nothing) when `offset` is out of range.
+    pub fn corrupt_byte(&mut self, mut offset: u64) -> bool {
+        for image in std::iter::once(&mut self.base).chain(&mut self.deltas) {
+            if offset < image.byte_len() {
+                return image.corrupt_byte(offset);
+            }
+            offset -= image.byte_len();
+        }
+        false
+    }
+
+    /// The single verify-before-mutate walk: decodes every image, base
+    /// first, and returns their entries in replay order — or the first
+    /// [`SnapshotError`], before the caller has touched anything. The base
+    /// must be a full image; each delta must pass its checksum, name the
+    /// base's epoch and carry the next contiguous sequence number.
+    pub fn verify(&self) -> Result<Vec<Vec<SnapshotEntry>>, SnapshotError> {
+        let mut images = Vec::with_capacity(1 + self.deltas.len());
+        images.push(self.base.decode_as(SnapshotKind::Full)?);
+        for (i, delta) in self.deltas.iter().enumerate() {
+            let entries = delta.decode_as(SnapshotKind::Delta)?;
+            if delta.epoch() != self.base.epoch() {
+                return Err(SnapshotError::BaseMismatch {
+                    expected: self.base.epoch(),
+                    found: delta.epoch(),
+                });
+            }
+            let expected = i as u64 + 1;
+            if delta.delta_seq() != expected {
+                return Err(SnapshotError::SequenceGap {
+                    expected,
+                    found: delta.delta_seq(),
+                });
+            }
+            images.push(entries);
+        }
+        Ok(images)
+    }
+}
+
+/// What a [`crate::FlatCache::restore`] of a chain accomplished.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RestoreReport {
     /// Entries re-inserted into the cache.
@@ -444,8 +554,8 @@ pub struct RestoreReport {
 }
 
 impl RestoreReport {
-    /// Folds another replay's outcome into this one (base + delta chains
-    /// accumulate a single report).
+    /// Folds another image's replay outcome into this one (a chain
+    /// accumulates a single report).
     pub fn absorb(&mut self, other: RestoreReport) {
         self.restored += other.restored;
         self.bypassed += other.bypassed;
@@ -503,39 +613,87 @@ mod tests {
 
     #[test]
     fn delta_round_trip_carries_linkage() {
-        let e = entries();
-        let delta = CacheSnapshot::from_entries_with(SnapshotKind::Delta, 5, 2, &e);
+        let mut e = entries();
+        e.sort_unstable_by_key(|x| x.key);
+        let mut chain = CheckpointChain::new(5, &e);
+        chain.push_delta(&e[..1]);
+        chain.push_delta(&e);
+        assert_eq!(chain.base().epoch(), 5);
+        let delta = chain.latest();
         assert_eq!(delta.kind(), Some(SnapshotKind::Delta));
         assert_eq!(delta.epoch(), 5);
         assert_eq!(delta.delta_seq(), 2);
-        assert_eq!(delta.decode_delta(5, 2).expect("valid chain link"), e);
+        assert_eq!(delta.decode().expect("clean delta"), e);
+        assert_eq!(
+            chain.verify().expect("valid chain"),
+            vec![e.clone(), e[..1].to_vec(), e.clone()]
+        );
+        assert_eq!(
+            chain.byte_len(),
+            chain.base().byte_len() + chain.deltas().iter().map(|d| d.byte_len()).sum::<u64>()
+        );
+        // The base's versions answer delta capture and the drill oracle.
+        assert_eq!(chain.base_version_of(0xFFEE_0001), 17);
+        assert_eq!(chain.base_version_of(0xDEAD), 0, "absent keys are at 0");
+        assert_eq!(chain.base_max_version(), Some(17));
+        // A storage round trip rebuilds the same chain from its images.
+        let reread = CheckpointChain::from_images(chain.base().clone(), chain.deltas().to_vec());
+        assert_eq!(reread.base_version_of(0xFFEE_0001), 17);
+        assert_eq!(reread.verify(), chain.verify());
     }
 
     #[test]
     fn delta_linkage_is_enforced() {
-        let delta = CacheSnapshot::from_entries_with(SnapshotKind::Delta, 5, 2, &entries());
+        let full = CacheSnapshot::from_entries_with(SnapshotKind::Full, 5, 0, &entries());
+        let delta = |epoch, seq| {
+            CacheSnapshot::from_entries_with(SnapshotKind::Delta, epoch, seq, &entries())
+        };
+        let verify = |base: &CacheSnapshot, deltas| {
+            CheckpointChain::from_images(base.clone(), deltas).verify()
+        };
+        assert!(verify(&full, vec![delta(5, 1), delta(5, 2)]).is_ok());
         assert_eq!(
-            delta.decode_delta(6, 2),
+            verify(&full, vec![delta(6, 1)]),
             Err(SnapshotError::BaseMismatch {
-                expected: 6,
-                found: 5
+                expected: 5,
+                found: 6
             })
         );
         assert_eq!(
-            delta.decode_delta(5, 1),
+            verify(&full, vec![delta(5, 2)]),
             Err(SnapshotError::SequenceGap {
                 expected: 1,
                 found: 2
             })
         );
-        let full = CacheSnapshot::from_entries_with(SnapshotKind::Full, 5, 0, &entries());
         assert_eq!(
-            full.decode_delta(5, 1),
+            verify(&full, vec![full.clone()]),
             Err(SnapshotError::KindMismatch {
                 expected: SnapshotKind::Delta,
                 found: SnapshotKind::Full
             })
         );
+        // A delta is never a base, however clean its own bytes are.
+        assert_eq!(
+            verify(&delta(5, 1), Vec::new()),
+            Err(SnapshotError::KindMismatch {
+                expected: SnapshotKind::Full,
+                found: SnapshotKind::Delta
+            })
+        );
+    }
+
+    #[test]
+    fn chain_corruption_addresses_every_image() {
+        let mut chain = CheckpointChain::new(2, &entries()[..2]);
+        chain.push_delta(&entries()[..2]);
+        let clean = chain.clone();
+        let base_len = chain.base().byte_len();
+        assert!(chain.corrupt_byte(base_len + 3), "lands in the delta");
+        assert_eq!(chain.base(), clean.base());
+        assert_ne!(chain.deltas(), clean.deltas());
+        assert!(chain.verify().is_err());
+        assert!(!chain.corrupt_byte(clean.byte_len()), "out of range");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::flat_cache::{CacheAnswer, FlatCache, FlatCacheConfig, SlotUpdate, UpdateApplyReport};
 use crate::fusion::{FusionMember, FusionPlan};
-use crate::recovery::{CacheSnapshot, RestoreReport, SnapshotError};
+use crate::recovery::{CacheSnapshot, CheckpointChain, RestoreReport, SnapshotError};
 use crate::tuner::UnifiedIndexTuner;
 use crate::update_costs::UpdateCostSpec;
 use fleche_chaos::{BreakerConfig, CircuitBreaker, StalenessConfig, StalenessPolicy};
@@ -251,15 +251,6 @@ impl StalenessStats {
     }
 }
 
-/// The full checkpoint an incremental delta chain patches: its epoch, its
-/// per-key versions (key-sorted, for the delta capture's binary search),
-/// and the next delta sequence number.
-struct DeltaBase {
-    epoch: u64,
-    versions: Vec<(u64, u64)>,
-    next_seq: u64,
-}
-
 /// The stretch of a batch's unique-key list that belongs to one table, and
 /// what the index phase learns about it. `Deduped::unique` is
 /// table-contiguous (batches flatten table-major), so the per-table groups
@@ -413,7 +404,6 @@ pub struct FlecheSystem {
     update_costs: UpdateCostSpec,
     /// Epoch stamped into full checkpoints (increments per checkpoint).
     checkpoint_epoch: u64,
-    delta_base: Option<DeltaBase>,
     scratch: BatchContext,
 }
 
@@ -486,7 +476,6 @@ impl FlecheSystem {
             staleness: StalenessStats::default(),
             update_costs: UpdateCostSpec::modeled(),
             checkpoint_epoch: 0,
-            delta_base: None,
             scratch: BatchContext::default(),
         }
     }
@@ -656,107 +645,60 @@ impl FlecheSystem {
         &mut self.cache
     }
 
-    /// Captures a checkpoint of the GPU cache at a batch boundary.
+    /// Captures a checkpoint of the GPU cache at a batch boundary, as a
+    /// fresh [`CheckpointChain`] (a full base, no deltas yet).
     ///
     /// Synchronizes the device, closes out the epoch (so no retired slot
     /// or in-flight replace-copy can leak into the image), scans the live
     /// entries, and prices the scan kernel plus the D2H copy of the image
     /// on the simulated timeline. Every captured slot is declared to the
     /// race checker as a read of the snapshot kernel.
-    pub fn checkpoint(&mut self, gpu: &mut Gpu) -> CacheSnapshot {
+    pub fn checkpoint(&mut self, gpu: &mut Gpu) -> CheckpointChain {
         self.close_batch_boundary(gpu);
         self.checkpoint_epoch += 1;
-        let (snap, slots) = self.cache.snapshot_at_with_slots(self.checkpoint_epoch);
-        self.price_snapshot(gpu, &snap, &slots);
-        // This image becomes the base a later delta chain patches: record
-        // its per-key versions (key-sorted by construction) so delta
-        // capture can binary-search what the base already holds.
-        if let Ok(entries) = snap.decode() {
-            self.delta_base = Some(DeltaBase {
-                epoch: self.checkpoint_epoch,
-                versions: entries.iter().map(|e| (e.key, e.version)).collect(),
-                next_seq: 1,
-            });
-        }
-        snap
+        let (chain, slots) = self.cache.checkpoint(self.checkpoint_epoch);
+        self.price_snapshot(gpu, chain.latest(), &slots);
+        chain
     }
 
-    /// Captures an incremental checkpoint delta against the last full
-    /// [`FlecheSystem::checkpoint`]: exactly the live entries whose update
-    /// version advanced past what the base recorded. Returns `None` when
-    /// no full checkpoint has been taken yet (there is nothing to patch).
+    /// Appends an incremental delta to `chain`: exactly the live entries
+    /// whose update version advanced past what the chain's base recorded.
     ///
     /// Like a full checkpoint this runs at a batch boundary: sync, epoch
     /// close-out, then a scan kernel whose reads are declared per captured
     /// slot, plus the host-side version compare against the base list.
-    pub fn delta_checkpoint(&mut self, gpu: &mut Gpu) -> Option<CacheSnapshot> {
-        let (epoch, seq) = match &self.delta_base {
-            Some(b) => (b.epoch, b.next_seq),
-            None => return None,
-        };
+    pub fn delta_checkpoint(&mut self, gpu: &mut Gpu, chain: &mut CheckpointChain) {
         self.close_batch_boundary(gpu);
         gpu.elapse_host(
             "delta-scan",
             Ns(self.cache.len() as f64 * self.update_costs.delta_scan_ns_per_entry),
         );
-        let (snap, slots) = match &self.delta_base {
-            Some(base) => self
-                .cache
-                .snapshot_delta_with_slots(epoch, seq, &base.versions),
-            None => return None,
-        };
-        if let Some(b) = &mut self.delta_base {
-            b.next_seq += 1;
-        }
-        self.price_snapshot(gpu, &snap, &slots);
-        Some(snap)
+        let slots = self.cache.delta_checkpoint(chain);
+        self.price_snapshot(gpu, chain.latest(), &slots);
     }
 
-    /// Warm-restarts the cache from a checkpoint image.
+    /// Warm-restarts the cache from a checkpoint chain — a full base plus
+    /// any deltas cut since, landing on the latest checkpointed version.
     ///
-    /// The image is checksum-verified on the host *before* any device
-    /// state changes; a corrupt image returns `Err` with the cache
-    /// untouched, and the caller falls back to a cold warm-up. On success
-    /// the logical clock fast-forwards past the image's newest stamp, the
-    /// image is copied H2D, and one replay kernel writes the restored
-    /// slots (declared to the race checker as kernel writes).
-    pub fn restore_from(
+    /// Every image is checksum-verified and linkage-checked (kind, base
+    /// epoch, contiguous sequence) on the host *before* any device state
+    /// changes; a rejected chain returns `Err` with the cache untouched,
+    /// and the caller falls back to a cold warm-up. On success the logical
+    /// clock fast-forwards past the chain's newest stamp, the images are
+    /// copied H2D, and one replay kernel writes the restored slots
+    /// (declared to the race checker as kernel writes).
+    pub fn restore_checkpoint(
         &mut self,
         gpu: &mut Gpu,
-        snap: &CacheSnapshot,
+        chain: &CheckpointChain,
     ) -> Result<RestoreReport, SnapshotError> {
-        // Host-side verification cost (~FNV over the image at DRAM speed)
-        // is paid whether or not the image turns out to be clean.
-        gpu.elapse_host("snapshot-verify", Ns(snap.byte_len() as f64 * 0.1));
-        let report = self.cache.restore(snap)?;
+        // Host-side verification cost (~FNV over the images at DRAM speed)
+        // is paid whether or not the chain turns out to be clean.
+        let bytes = chain.byte_len();
+        gpu.elapse_host("snapshot-verify", Ns(bytes as f64 * 0.1));
+        let report = self.cache.restore(chain)?;
         self.clock = self.clock.max(report.max_stamp);
-        Self::price_restore(gpu, snap.byte_len(), &report);
-        Ok(report)
-    }
-
-    /// Warm-restarts the cache from a full checkpoint plus an ordered
-    /// chain of incremental deltas — recovery under a live update stream,
-    /// landing on the latest checkpointed version instead of the stale
-    /// base.
-    ///
-    /// Same verify-before-mutate rule as [`FlecheSystem::restore_from`],
-    /// extended to the whole chain: every image (base and each delta) is
-    /// checksum-verified and linkage-checked (kind, base epoch, contiguous
-    /// sequence) on the host before any device state changes; any failure
-    /// returns `Err` with the cache untouched. One replay kernel writes
-    /// all restored slots.
-    pub fn restore_chain(
-        &mut self,
-        gpu: &mut Gpu,
-        base: &CacheSnapshot,
-        deltas: &[CacheSnapshot],
-    ) -> Result<RestoreReport, SnapshotError> {
-        let total_bytes: u64 =
-            base.byte_len() + deltas.iter().map(CacheSnapshot::byte_len).sum::<u64>();
-        gpu.elapse_host("snapshot-verify", Ns(total_bytes as f64 * 0.1));
-        let report = self.cache.restore_chain(base, deltas)?;
-        self.clock = self.clock.max(report.max_stamp);
-        Self::price_restore(gpu, total_bytes, &report);
+        Self::price_restore(gpu, bytes, &report);
         Ok(report)
     }
 
@@ -1481,6 +1423,7 @@ impl FlecheSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::SnapshotKind;
     use fleche_gpu::{DeviceSpec, DramSpec};
     use fleche_workload::{spec, TraceGenerator};
 
@@ -1747,13 +1690,15 @@ mod tests {
             .stats
             .hit_rate();
         let snap = sys.checkpoint(&mut gpu);
-        assert!(snap.entry_count_hint() > 0);
+        assert!(snap.base().entry_count_hint() > 0);
         // Simulated process restart: fresh system, fresh device, same spec.
         let ds = spec::synthetic(8, 5_000, 16, -1.3);
         let store = CpuStore::new(&ds, DramSpec::xeon_6252());
         let mut sys2 = FlecheSystem::new(&ds, store, FlecheConfig::full(0.2));
         let mut gpu2 = Gpu::new(DeviceSpec::t4());
-        let report = sys2.restore_from(&mut gpu2, &snap).expect("clean image");
+        let report = sys2
+            .restore_checkpoint(&mut gpu2, &snap)
+            .expect("clean image");
         assert!(report.restored > 0);
         assert_eq!(report.bypassed, 0);
         let restored = sys2
@@ -1786,7 +1731,7 @@ mod tests {
         let mut snap = sys.checkpoint(&mut gpu);
         assert!(snap.corrupt_byte(snap.byte_len() / 3));
         let before = sys.cache().len();
-        assert!(sys.restore_from(&mut gpu, &snap).is_err());
+        assert!(sys.restore_checkpoint(&mut gpu, &snap).is_err());
         assert_eq!(
             sys.cache().len(),
             before,
@@ -1949,22 +1894,24 @@ mod tests {
             stats.observe(&b);
             sys.query_batch(&mut gpu, &b);
         }
-        assert!(sys.delta_checkpoint(&mut gpu).is_none(), "no base yet");
-        let base = sys.checkpoint(&mut gpu);
+        let mut chain = sys.checkpoint(&mut gpu);
         // Keep updating hot (resident) keys; cut a delta per round.
         let ds = spec::synthetic(8, 5_000, 16, -1.3);
         let mut stream = UpdateStream::new(&ds, 11);
         let hot = stats.hottest(32);
-        let mut deltas = Vec::new();
         for _ in 0..3 {
             let burst = stream.next_burst_from(&hot, 48);
             sys.commit_updates(&mut gpu, &burst);
             sys.push_updates(&mut gpu, &burst);
             sys.query_batch(&mut gpu, &gen.next_batch(256));
-            deltas.push(sys.delta_checkpoint(&mut gpu).expect("base taken"));
+            sys.delta_checkpoint(&mut gpu, &mut chain);
         }
+        assert_eq!(chain.deltas().len(), 3);
         assert!(
-            deltas.iter().all(|d| d.byte_len() < base.byte_len()),
+            chain
+                .deltas()
+                .iter()
+                .all(|d| d.byte_len() < chain.base().byte_len()),
             "a delta holds only advanced keys, not the whole cache"
         );
         // Fresh process: base + ordered deltas recovers the *latest*
@@ -1973,7 +1920,7 @@ mod tests {
         let mut sys2 = FlecheSystem::new(&ds, store, config());
         let mut gpu2 = Gpu::new(DeviceSpec::t4());
         let report = sys2
-            .restore_chain(&mut gpu2, &base, &deltas)
+            .restore_checkpoint(&mut gpu2, &chain)
             .expect("clean chain");
         assert!(report.restored > 0);
         let latest = sys.ledger().max_version();
@@ -2006,6 +1953,30 @@ mod tests {
             }
         }
         assert!(updated_rows > 0, "the hot set must contain updated keys");
+
+        // A lone delta is not a base: the chain is refused whole — after
+        // the host has paid to verify it — and the cache stays as it was.
+        let lone_delta = CheckpointChain::from_images(chain.deltas()[0].clone(), Vec::new());
+        let cache = sys2.cache();
+        let before = (cache.len(), cache.live_value_count(), cache.unified_count());
+        let spans = gpu2.timeline().spans().len();
+        assert_eq!(
+            sys2.restore_checkpoint(&mut gpu2, &lone_delta),
+            Err(SnapshotError::KindMismatch {
+                expected: SnapshotKind::Full,
+                found: SnapshotKind::Delta
+            })
+        );
+        let cache = sys2.cache();
+        assert_eq!(
+            (cache.len(), cache.live_value_count(), cache.unified_count()),
+            before
+        );
+        let charged = &gpu2.timeline().spans()[spans..];
+        assert_eq!(charged.len(), 1, "verify only: no H2D copy, no replay");
+        assert_eq!(charged[0].label, "snapshot-verify");
+        let verify_ns = lone_delta.byte_len() as f64 * 0.1;
+        assert!((charged[0].duration().0 - verify_ns).abs() < 1e-6);
     }
 
     #[test]

@@ -121,11 +121,6 @@ impl DeviceEngine {
         self.queues.len()
     }
 
-    /// Current device simulation time (only meaningful after `run_until`).
-    pub fn device_now(&self) -> Ns {
-        self.now
-    }
-
     /// Enqueues a kernel on `stream`, eligible to start at `eligible` (the
     /// host time its launch call completed).
     pub fn enqueue(&mut self, stream: StreamId, desc: KernelDesc, eligible: Ns) -> KernelId {

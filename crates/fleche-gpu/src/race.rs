@@ -252,31 +252,6 @@ impl RaceChecker {
         self.stream_frontier(stream).join(&snap);
     }
 
-    /// Snapshots the *host* clock as an event another thread can wait on.
-    /// This is the release half of a host-to-stage hand-off edge: a
-    /// pipelined consumer records one of these when it frees a ring slot,
-    /// and the producer declares [`RaceChecker::wait_event`] on it before
-    /// re-publishing into that slot (the bounded channel's capacity
-    /// return).
-    pub fn record_host_event(&mut self) -> u32 {
-        self.host.tick(0);
-        self.events.push(self.host.clone());
-        (self.events.len() - 1) as u32
-    }
-
-    /// Joins a recorded event into the *host* clock: the acquire half of a
-    /// stage-to-host hand-off edge. A pipelined consumer declares this
-    /// when its blocking receive returns, modelling the channel's
-    /// release/acquire pair (publish on the producer stage, consume on the
-    /// host executor).
-    pub fn host_wait_event(&mut self, event: u32) {
-        let Some(snap) = self.events.get(event as usize).cloned() else {
-            debug_assert!(false, "host wait on unrecorded event {event}");
-            return;
-        };
-        self.host.join(&snap);
-    }
-
     /// Marks an epoch advance: a host-side tick, so host work after the
     /// advance is ordered after host work before it, and subsequent
     /// accesses are tagged with the new epoch number in reports.
@@ -379,14 +354,6 @@ impl RaceChecker {
         let mut out = self.races.clone();
         out.sort_by_key(|r| (r.second.event, r.first.event));
         out
-    }
-
-    /// Forgets per-resource access history (but keeps clocks and sync
-    /// structure). Call between independent measurement windows when
-    /// earlier batches' accesses are known-quiesced and should not be
-    /// re-reported against.
-    pub fn clear_accesses(&mut self) {
-        self.resources.clear();
     }
 }
 

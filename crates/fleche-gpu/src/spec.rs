@@ -98,21 +98,6 @@ impl DeviceSpec {
         }
     }
 
-    /// A hypothetical faster part, used by sensitivity/ablation harnesses to
-    /// check that conclusions are not T4-specific.
-    pub fn a100_like() -> DeviceSpec {
-        DeviceSpec {
-            name: "A100-like (simulated)",
-            hbm_bandwidth: BytesPerNs::from_gbps(1_555.0),
-            hbm_capacity: 40 * (1 << 30),
-            pcie_bandwidth: BytesPerNs::from_gbps(25.0),
-            gdrcopy_bandwidth: BytesPerNs::from_gbps(10.0),
-            saturation_threads: 65_536,
-            flops_per_ns: 19_500.0,
-            ..DeviceSpec::t4()
-        }
-    }
-
     /// Fraction of peak memory bandwidth a kernel with `threads` resident
     /// threads can drive on its own (linear ramp up to saturation).
     #[inline]

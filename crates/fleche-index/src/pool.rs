@@ -179,13 +179,6 @@ impl SlabPool {
         }
     }
 
-    /// Free slots remaining in `class`.
-    pub fn free_slots(&self, class: u16) -> u32 {
-        self.classes
-            .get(class as usize)
-            .map_or(0, |c| c.free.len() as u32)
-    }
-
     /// Claims a slot in `class`. One atomic on the free-list head.
     pub fn alloc(&mut self, class: u16) -> Result<(u32, ProbeStats), PoolError> {
         let c = self

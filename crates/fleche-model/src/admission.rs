@@ -306,7 +306,7 @@ impl MultiTenantConfig {
 }
 
 /// One tenant's serving outcome.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TenantRun {
     /// Requests offered (arrived).
     pub offered: u64,
@@ -416,6 +416,65 @@ struct Waiting {
 /// Number of [`ShedInterval`]s the run is split into.
 const INTERVALS: usize = 10;
 
+/// Everything an arrival touches on its way into the shared queue.
+struct Admission<'a> {
+    config: &'a MultiTenantConfig,
+    /// Every tenant's arrivals merged into one time-ordered stream.
+    arrivals: Vec<(Ns, usize)>,
+    queue: VecDeque<Waiting>,
+    buckets: Vec<TokenBucket>,
+    runs: Vec<TenantRun>,
+    intervals: Vec<ShedInterval>,
+    max_queue_depth: usize,
+    /// Simulated host nanoseconds of admission work accrued since the last
+    /// batch, charged in one lump before the next engine invocation.
+    pending_cost_ns: f64,
+}
+
+impl Admission<'_> {
+    /// Admits `arrivals[i]`, shedding over-quota work first under pressure.
+    fn admit(&mut self, i: usize, controller: &AdmissionController) {
+        let config = self.config;
+        let (arrival, tenant) = self.arrivals[i];
+        let interval_len = self.arrivals.len().div_ceil(INTERVALS).max(1);
+        let interval = &mut self.intervals[(i / interval_len).min(INTERVALS - 1)];
+        self.runs[tenant].offered += 1;
+        interval.offered += 1;
+        let rate = config.tenants[tenant].quota * controller.quota_factor(tenant);
+        self.buckets[tenant].refill(arrival, rate);
+        let over_quota = !self.buckets[tenant].try_consume();
+        self.pending_cost_ns += config.costs.bucket_probe_ns;
+        if over_quota {
+            self.runs[tenant].over_quota += 1;
+        }
+        if self.queue.len() >= config.queue_capacity {
+            self.pending_cost_ns += config.costs.shed_ns;
+            interval.shed += 1;
+            if over_quota {
+                // Over-quota arrival into a full queue: drop it.
+                self.runs[tenant].shed_quota += 1;
+                return;
+            }
+            // In-quota arrival: evict the newest over-quota waiter in its
+            // favor; only if every waiter is in quota does the arrival
+            // itself shed.
+            let victim = self.queue.iter().rposition(|w| w.over_quota);
+            if let Some(victim) = victim.and_then(|pos| self.queue.remove(pos)) {
+                self.runs[victim.tenant].shed_quota += 1;
+            } else {
+                self.runs[tenant].shed_queue += 1;
+                return;
+            }
+        }
+        self.queue.push_back(Waiting {
+            tenant,
+            arrival,
+            over_quota,
+        });
+        self.max_queue_depth = self.max_queue_depth.max(self.queue.len());
+    }
+}
+
 /// Race-checker slot base of the per-tenant admission rings (distinct
 /// from the queue lanes at 0 and the pipeline rings at `1 << 16` used by
 /// the concurrent front-end).
@@ -472,131 +531,54 @@ pub fn serve_multi_tenant<S: EmbeddingCacheSystem>(
             .then(a.1.cmp(&b.1))
     });
 
-    let mut buckets: Vec<TokenBucket> = config
-        .tenants
-        .iter()
-        .map(|t| TokenBucket::new(t.quota_burst.max(1.0), base))
-        .collect();
     let mut controller = AdmissionController::new(n, config.controller);
-    let mut runs: Vec<TenantRun> = (0..n)
-        .map(|_| TenantRun {
-            offered: 0,
-            served: 0,
-            over_quota: 0,
-            shed_quota: 0,
-            shed_queue: 0,
-            shed_deadline: 0,
-            latency: LatencyRecorder::new(),
-            hits: 0,
-            unique_keys: 0,
-            tighten_entries: 0,
-            tighten_exits: 0,
-        })
-        .collect();
+    let mut adm = Admission {
+        config,
+        arrivals: merged,
+        queue: VecDeque::new(),
+        buckets: config
+            .tenants
+            .iter()
+            .map(|t| TokenBucket::new(t.quota_burst.max(1.0), base))
+            .collect(),
+        runs: (0..n).map(|_| TenantRun::default()).collect(),
+        intervals: vec![ShedInterval::default(); INTERVALS],
+        max_queue_depth: 0,
+        pending_cost_ns: 0.0,
+    };
     let mut windows: Vec<LatencyRecorder> = (0..n).map(|_| LatencyRecorder::new()).collect();
-    let mut queue: VecDeque<Waiting> = VecDeque::new();
-    let mut intervals = vec![ShedInterval::default(); INTERVALS];
-    let interval_len = merged.len().div_ceil(INTERVALS).max(1);
-    let mut max_queue_depth = 0usize;
     let mut batches = 0u64;
     let mut next = 0usize;
-    // Simulated host nanoseconds of admission work accrued since the last
-    // batch, charged in one lump before the next engine invocation.
-    let mut pending_cost_ns = 0.0f64;
-
-    // Admits `merged[i]`, shedding over-quota work first under pressure.
-    let admit = |i: usize,
-                 queue: &mut VecDeque<Waiting>,
-                 buckets: &mut Vec<TokenBucket>,
-                 runs: &mut Vec<TenantRun>,
-                 controller: &AdmissionController,
-                 intervals: &mut Vec<ShedInterval>,
-                 max_queue_depth: &mut usize,
-                 pending_cost_ns: &mut f64| {
-        let (arrival, tenant) = merged[i];
-        let interval = (i / interval_len).min(INTERVALS - 1);
-        runs[tenant].offered += 1;
-        intervals[interval].offered += 1;
-        let rate = config.tenants[tenant].quota * controller.quota_factor(tenant);
-        buckets[tenant].refill(arrival, rate);
-        let over_quota = !buckets[tenant].try_consume();
-        *pending_cost_ns += config.costs.bucket_probe_ns;
-        if over_quota {
-            runs[tenant].over_quota += 1;
-        }
-        if queue.len() >= config.queue_capacity {
-            *pending_cost_ns += config.costs.shed_ns;
-            if over_quota {
-                // Over-quota arrival into a full queue: drop it.
-                runs[tenant].shed_quota += 1;
-                intervals[interval].shed += 1;
-                return;
-            }
-            // In-quota arrival: evict the newest over-quota waiter in its
-            // favor; only if every waiter is in quota does the arrival
-            // itself shed.
-            if let Some(pos) = queue.iter().rposition(|w| w.over_quota) {
-                let victim = queue.remove(pos).expect("position just found");
-                runs[victim.tenant].shed_quota += 1;
-                intervals[interval].shed += 1;
-            } else {
-                runs[tenant].shed_queue += 1;
-                intervals[interval].shed += 1;
-                return;
-            }
-        }
-        queue.push_back(Waiting {
-            tenant,
-            arrival,
-            over_quota,
-        });
-        *max_queue_depth = (*max_queue_depth).max(queue.len());
-    };
 
     loop {
-        if queue.is_empty() {
-            if next >= merged.len() {
+        if adm.queue.is_empty() {
+            if next >= adm.arrivals.len() {
                 break;
             }
             // Engine idle with nothing queued: skip to the next arrival.
             let now = engine.gpu().now();
-            if merged[next].0 > now {
-                engine.gpu_mut().elapse_host("idle", merged[next].0 - now);
+            if adm.arrivals[next].0 > now {
+                engine
+                    .gpu_mut()
+                    .elapse_host("idle", adm.arrivals[next].0 - now);
             }
-            admit(
-                next,
-                &mut queue,
-                &mut buckets,
-                &mut runs,
-                &controller,
-                &mut intervals,
-                &mut max_queue_depth,
-                &mut pending_cost_ns,
-            );
+            adm.admit(next, &controller);
             next += 1;
             continue;
         }
         let now = engine.gpu().now();
-        let ready_from = now.max(queue.front().expect("queue non-empty").arrival);
+        let ready_from = now.max(adm.queue.front().expect("queue non-empty").arrival);
         // Pull in everything that has arrived by the window anchor.
-        while next < merged.len() && merged[next].0 <= ready_from {
-            admit(
-                next,
-                &mut queue,
-                &mut buckets,
-                &mut runs,
-                &controller,
-                &mut intervals,
-                &mut max_queue_depth,
-                &mut pending_cost_ns,
-            );
+        while next < adm.arrivals.len() && adm.arrivals[next].0 <= ready_from {
+            adm.admit(next, &controller);
             next += 1;
         }
         // Deadline shedding at plan time: anything that has already
         // outwaited the budget is dead weight regardless of quota.
         if let Some(dl) = config.deadline {
-            let before = queue.len();
-            queue.retain(|w| {
+            let before = adm.queue.len();
+            let runs = &mut adm.runs;
+            adm.queue.retain(|w| {
                 if misses_deadline(ready_from, w.arrival, dl) {
                     runs[w.tenant].shed_deadline += 1;
                     false
@@ -604,35 +586,35 @@ pub fn serve_multi_tenant<S: EmbeddingCacheSystem>(
                     true
                 }
             });
-            pending_cost_ns += config.costs.shed_ns * (before - queue.len()) as f64;
-            if queue.is_empty() {
+            adm.pending_cost_ns += config.costs.shed_ns * (before - adm.queue.len()) as f64;
+            if adm.queue.is_empty() {
                 continue;
             }
         }
         // Per-tenant batch: the tenant with the oldest waiter goes next;
         // its waiters inside the window ride along in arrival order.
-        let tenant = queue.front().expect("queue non-empty").tenant;
+        let tenant = adm.queue.front().expect("queue non-empty").tenant;
         let mut members: Vec<Ns> = Vec::new();
-        let mut kept: VecDeque<Waiting> = VecDeque::with_capacity(queue.len());
-        for w in queue.drain(..) {
+        let mut kept: VecDeque<Waiting> = VecDeque::with_capacity(adm.queue.len());
+        for w in adm.queue.drain(..) {
             if w.tenant == tenant && w.arrival <= ready_from && members.len() < config.max_batch {
                 members.push(w.arrival);
             } else {
                 kept.push_back(w);
             }
         }
-        queue = kept;
+        adm.queue = kept;
         let count = members.len();
         debug_assert!(count > 0, "front waiter is always in window");
         if members[0] > now {
             engine.gpu_mut().elapse_host("idle", members[0] - now);
         }
-        pending_cost_ns += config.costs.tenant_switch_ns;
-        if pending_cost_ns > 0.0 {
+        adm.pending_cost_ns += config.costs.tenant_switch_ns;
+        if adm.pending_cost_ns > 0.0 {
             engine
                 .gpu_mut()
-                .elapse_host("admission", Ns(pending_cost_ns));
-            pending_cost_ns = 0.0;
+                .elapse_host("admission", Ns(adm.pending_cost_ns));
+            adm.pending_cost_ns = 0.0;
         }
         engine.system_mut().set_active_tenant(tenant);
         let before = engine.system().lifetime_stats();
@@ -640,11 +622,12 @@ pub fn serve_multi_tenant<S: EmbeddingCacheSystem>(
         engine.run_batch(&batch);
         let after = engine.system().lifetime_stats();
         let done = engine.gpu().now();
-        runs[tenant].hits += after.hits - before.hits;
-        runs[tenant].unique_keys += after.unique_keys - before.unique_keys;
-        runs[tenant].served += count as u64;
+        let run = &mut adm.runs[tenant];
+        run.hits += after.hits - before.hits;
+        run.unique_keys += after.unique_keys - before.unique_keys;
+        run.served += count as u64;
         for &arr in &members {
-            runs[tenant].latency.record(done - arr);
+            run.latency.record(done - arr);
             windows[tenant].record(done - arr);
         }
         batches += 1;
@@ -653,13 +636,13 @@ pub fn serve_multi_tenant<S: EmbeddingCacheSystem>(
                 if window.len() >= config.controller_min_samples {
                     controller.observe(t, window.p99(), config.tenants[t].slo_p99);
                     *window = LatencyRecorder::new();
-                    pending_cost_ns += config.costs.controller_update_ns;
+                    adm.pending_cost_ns += config.costs.controller_update_ns;
                 }
             }
         }
     }
 
-    for (t, run) in runs.iter_mut().enumerate() {
+    for (t, run) in adm.runs.iter_mut().enumerate() {
         run.tighten_entries = controller.entries(t);
         run.tighten_exits = controller.exits(t);
     }
@@ -670,7 +653,7 @@ pub fn serve_multi_tenant<S: EmbeddingCacheSystem>(
     // shape the concurrent front-end's lanes replay.
     let races = config.analyze.then(|| {
         let mut total = 0;
-        for (t, run) in runs.iter().enumerate() {
+        for (t, run) in adm.runs.iter().enumerate() {
             let mut c = RaceChecker::new();
             declare_pipeline_handoffs(
                 &mut c,
@@ -686,10 +669,10 @@ pub fn serve_multi_tenant<S: EmbeddingCacheSystem>(
     });
 
     MultiTenantRun {
-        tenants: runs,
+        tenants: adm.runs,
         batches,
-        max_queue_depth,
-        intervals,
+        max_queue_depth: adm.max_queue_depth,
+        intervals: adm.intervals,
         races,
     }
 }

@@ -104,11 +104,6 @@ impl<'a> HashedLr<'a> {
         }
     }
 
-    /// Distinct parameters materialized so far.
-    pub fn param_count(&self) -> usize {
-        self.weights.len()
-    }
-
     /// Predicted click probability.
     pub fn predict(&self, sample: &CtrSample) -> f64 {
         let z: f64 = sample

@@ -121,11 +121,6 @@ impl ServedRun {
             (self.shed_queue + self.shed_deadline) as f64 / self.offered as f64
         }
     }
-
-    /// Fraction of unique keys served from stale DRAM copies.
-    pub fn stale_serve_rate(&self) -> f64 {
-        self.lifetime.stale_rate()
-    }
 }
 
 /// Simulates an open-loop server over `engine`. The engine's own

@@ -171,13 +171,6 @@ impl Atomic {
         Access::write(self.id)
     }
 
-    /// Atomic fetch-add, returning the previous value.
-    pub fn fetch_add(&mut self, delta: u64) -> (u64, Access) {
-        let prev = self.value;
-        self.value += delta;
-        (prev, Access::write(self.id))
-    }
-
     /// The atomic's footprint resource.
     pub fn resource(&self) -> u64 {
         self.id

@@ -1,11 +1,13 @@
 //! Property-based tests on the checkpoint image format and the
-//! flat-cache restore path: encoding round-trips every embedding
+//! flat-cache restore path (a chain of length one): encoding round-trips every embedding
 //! bit-identically (including non-finite float payloads), and an image
 //! with any single byte flipped — header, entry stream, or trailer — is
 //! always rejected before the cache is touched.
 
 use fleche_coding::{FlatKeyCodec, SizeAwareCodec};
-use fleche_core::{CacheAnswer, CacheSnapshot, FlatCache, FlatCacheConfig, SnapshotEntry};
+use fleche_core::{
+    CacheAnswer, CacheSnapshot, CheckpointChain, FlatCache, FlatCacheConfig, SnapshotEntry,
+};
 use fleche_workload::spec;
 use proptest::prelude::*;
 
@@ -92,12 +94,15 @@ proptest! {
             cache.insert_value(t, codec.encode(t, f), &value, i as u32);
             cache.end_batch();
         }
-        let snap = cache.snapshot();
+        let (snap, _) = cache.checkpoint(0);
 
         let mut fresh = FlatCache::new(&ds, 8 * 4 * 1024, config);
         let report = fresh.restore(&snap).expect("intact image restores");
         prop_assert_eq!(report.bypassed, 0);
-        for e in snap.decode().expect("intact") {
+        // A chain of length one restores to exactly the state it captured:
+        // the restored cache checkpoints to the same bytes.
+        prop_assert_eq!(&fresh.checkpoint(0).0, &snap);
+        for e in snap.base().decode().expect("intact") {
             match fresh.lookup(fleche_coding::FlatKey(e.key), u32::MAX).0 {
                 CacheAnswer::Hit { class, slot } => {
                     prop_assert_eq!(bits(fresh.read_hit(class, slot)), bits(&e.value));
@@ -117,7 +122,8 @@ proptest! {
         prop_assert!(snap.corrupt_byte(offset));
         let ds = spec::synthetic(4, 500, 8, -1.2);
         let mut cache = FlatCache::new(&ds, 8 * 4 * 256, FlatCacheConfig::default());
-        prop_assert!(cache.restore(&snap).is_err());
+        let chain = CheckpointChain::from_images(snap, Vec::new());
+        prop_assert!(cache.restore(&chain).is_err());
         prop_assert_eq!(cache.len(), 0, "rejected image must not touch the cache");
     }
 }

@@ -2,14 +2,14 @@
 //! layer: per-key slot versions are monotone under arbitrary
 //! apply/evict/restore interleavings, duplicated and reordered pushes are
 //! idempotent (order never changes the final state), a base + delta chain
-//! recovers every key to the chain's newest version, and a delta image
-//! with any single byte flipped is always rejected before the cache is
-//! touched.
+//! recovers every key to the chain's newest version, restoring the same
+//! chain twice is idempotent, and a chain with any single byte of any
+//! image flipped is always rejected before the cache is touched.
 
 use std::collections::BTreeMap;
 
 use fleche_coding::{FlatKeyCodec, SizeAwareCodec};
-use fleche_core::{CacheAnswer, FlatCache, FlatCacheConfig, SlotUpdate};
+use fleche_core::{CacheAnswer, CheckpointChain, FlatCache, FlatCacheConfig, SlotUpdate};
 use fleche_store::versioned_embedding_value;
 use fleche_workload::spec;
 use proptest::prelude::*;
@@ -45,6 +45,46 @@ fn keys_strategy(max: usize) -> impl Strategy<Value = Vec<(u16, u64)>> {
 /// increment)`.
 fn ops_strategy() -> impl Strategy<Value = Vec<(u8, usize, u64)>> {
     prop::collection::vec((0u8..4, any::<usize>(), 1u64..4), 1..80)
+}
+
+/// A cache holding `keys` at version 1, checkpointed at epoch 3, then two
+/// deltas cut under an update stream: round `r` pushes every key whose
+/// index is a multiple of `r + 1` (key 0 always, so no delta is empty).
+/// Returns the chain and each key's final version.
+fn chain_under_updates(
+    keys: &[(u16, u64)],
+    config: FlatCacheConfig,
+) -> (CheckpointChain, BTreeMap<(u16, u64), u64>) {
+    let ds = spec::synthetic(4, 500, DIM, -1.2);
+    let codec = codec();
+    let mut cache = FlatCache::new(&ds, u64::from(DIM) * 4 * 1024, config);
+    let mut versions = BTreeMap::new();
+    for (i, &(t, f)) in keys.iter().enumerate() {
+        cache.insert_value(t, codec.encode(t, f), &value_at(t, f, 1), i as u32);
+        if let (CacheAnswer::Hit { class, slot }, _) = cache.lookup(codec.encode(t, f), 0) {
+            cache.set_slot_version(class, slot, 1);
+        }
+        versions.insert((t, f), 1);
+    }
+    let (mut chain, _) = cache.checkpoint(3);
+    for round in 0..2u64 {
+        let burst: Vec<SlotUpdate> = keys
+            .iter()
+            .step_by(round as usize + 1)
+            .map(|&(t, f)| {
+                let v = 2 + round;
+                versions.insert((t, f), v);
+                SlotUpdate {
+                    key: codec.encode(t, f),
+                    version: v,
+                    value: value_at(t, f, v),
+                }
+            })
+            .collect();
+        cache.apply_updates(&burst);
+        cache.delta_checkpoint(&mut chain);
+    }
+    (chain, versions)
 }
 
 proptest! {
@@ -242,10 +282,7 @@ proptest! {
                 cache.set_slot_version(class, slot, 1);
             }
         }
-        let (base, _) = cache.snapshot_at_with_slots(7);
-        let mut base_versions: Vec<(u64, u64)> =
-            keys.iter().map(|&(t, f)| (codec.encode(t, f).0, 1)).collect();
-        base_versions.sort_unstable_by_key(|&(k, _)| k);
+        let (mut chain, _) = cache.checkpoint(7);
 
         // Advance a subset past the base (the first key always, so the
         // delta is never empty), then capture the delta.
@@ -268,15 +305,15 @@ proptest! {
         }
         let report = cache.apply_updates(&burst);
         prop_assert_eq!(report.applied, burst.len() as u64);
-        let (delta, _) = cache.snapshot_delta_with_slots(7, 1, &base_versions);
+        cache.delta_checkpoint(&mut chain);
         prop_assert_eq!(
-            delta.decode().expect("fresh delta decodes").len(),
+            chain.latest().decode().expect("fresh delta decodes").len(),
             burst.len(),
             "delta must carry exactly the advanced keys"
         );
 
         let mut fresh = FlatCache::new(&ds, u64::from(DIM) * 4 * 1024, config);
-        let report = fresh.restore_chain(&base, &[delta]).expect("intact chain restores");
+        let report = fresh.restore(&chain).expect("intact chain restores");
         prop_assert_eq!(report.max_version, expected.values().copied().max().unwrap_or(0));
         for (&(t, f), &v) in &expected {
             match fresh.lookup(codec.encode(t, f), u32::MAX).0 {
@@ -289,50 +326,88 @@ proptest! {
         }
     }
 
-    /// Flipping any single byte of a delta image — header, entry stream,
-    /// or trailer — makes the whole chain restore fail before the first
-    /// mutation; the target cache stays exactly as it was.
+    /// Flipping any single byte of any image of a base + two-delta chain —
+    /// header, entry stream, or trailer — makes the whole restore fail
+    /// before the first mutation; the (non-empty) target cache stays
+    /// bit-for-bit as it was.
     #[test]
     fn corrupt_delta_is_rejected_and_never_mutates(
         keys in keys_strategy(16),
+        image in 0usize..3,
         offset_seed in any::<u64>(),
-        flip_base in any::<bool>(),
     ) {
-        let ds = spec::synthetic(4, 500, DIM, -1.2);
-        let codec = codec();
         let config = FlatCacheConfig {
             admission_probability: 1.0,
             ..FlatCacheConfig::default()
         };
-        let mut cache = FlatCache::new(&ds, u64::from(DIM) * 4 * 1024, config);
-        for (i, &(t, f)) in keys.iter().enumerate() {
-            cache.insert_value(t, codec.encode(t, f), &value_at(t, f, 1), i as u32);
-            if let (CacheAnswer::Hit { class, slot }, _) = cache.lookup(codec.encode(t, f), 0) {
-                cache.set_slot_version(class, slot, 1);
+        let (mut chain, _) = chain_under_updates(&keys, config);
+        let images: Vec<u64> = std::iter::once(chain.base())
+            .chain(chain.deltas())
+            .map(|i| i.byte_len())
+            .collect();
+        prop_assert_eq!(images.len(), 3);
+        let offset = images[..image].iter().sum::<u64>() + offset_seed % images[image];
+        prop_assert!(chain.corrupt_byte(offset));
+
+        // The target already serves other keys: none of it may move.
+        let ds = spec::synthetic(4, 500, DIM, -1.2);
+        let codec = codec();
+        let mut target = FlatCache::new(&ds, u64::from(DIM) * 4 * 256, config);
+        target.set_unified_target(2);
+        target.insert_dram_ptr(0, 450, codec.encode(0, 450), 1);
+        for f in 300..310u64 {
+            target.insert_value(1, codec.encode(1, f), &value_at(1, f, 2), f as u32);
+        }
+        let before = target.checkpoint(0).0;
+        let counts = (target.len(), target.live_value_count(), target.unified_count());
+        prop_assert!(
+            target.restore(&chain).is_err(),
+            "byte {offset} (image {image}) flipped but the chain restored"
+        );
+        prop_assert_eq!(
+            (target.len(), target.live_value_count(), target.unified_count()),
+            counts,
+            "rejected chain must not touch the cache"
+        );
+        prop_assert_eq!(target.checkpoint(0).0, before);
+    }
+
+    /// Restoring the same chain twice is idempotent: the second replay
+    /// accounts for every entry as rewritten-in-place or superseded, no
+    /// version moves backwards, and the cache's own capture is
+    /// byte-identical after the first and the second restore.
+    #[test]
+    fn restoring_a_chain_twice_is_idempotent(keys in keys_strategy(24)) {
+        let config = FlatCacheConfig {
+            admission_probability: 1.0,
+            ..FlatCacheConfig::default()
+        };
+        let (chain, versions) = chain_under_updates(&keys, config);
+        let total: u64 = std::iter::once(chain.base())
+            .chain(chain.deltas())
+            .map(|i| i.entry_count_hint())
+            .sum();
+
+        let ds = spec::synthetic(4, 500, DIM, -1.2);
+        let codec = codec();
+        let mut fresh = FlatCache::new(&ds, u64::from(DIM) * 4 * 1024, config);
+        let first = fresh.restore(&chain).expect("intact chain restores");
+        prop_assert_eq!(first.restored + first.superseded, total);
+        let after_first = fresh.checkpoint(9).0;
+
+        let second = fresh.restore(&chain).expect("re-restore is clean");
+        prop_assert_eq!(second.bypassed, 0);
+        prop_assert_eq!(second.restored + second.superseded, total);
+        prop_assert_eq!(second.max_version, first.max_version);
+        prop_assert_eq!(fresh.checkpoint(9).0, after_first);
+        for (&(t, f), &v) in &versions {
+            match fresh.lookup(codec.encode(t, f), u32::MAX).0 {
+                CacheAnswer::Hit { class, slot } => {
+                    prop_assert_eq!(fresh.slot_version(class, slot), v);
+                    prop_assert_eq!(bits(fresh.read_hit(class, slot)), bits(&value_at(t, f, v)));
+                }
+                other => prop_assert!(false, "restored key ({t},{f}) missing: {other:?}"),
             }
         }
-        let (mut base, _) = cache.snapshot_at_with_slots(3);
-        let mut base_versions: Vec<(u64, u64)> =
-            keys.iter().map(|&(t, f)| (codec.encode(t, f).0, 1)).collect();
-        base_versions.sort_unstable_by_key(|&(k, _)| k);
-        let (t0, f0) = keys[0];
-        cache.apply_updates(&[SlotUpdate {
-            key: codec.encode(t0, f0),
-            version: 5,
-            value: value_at(t0, f0, 5),
-        }]);
-        let (mut delta, _) = cache.snapshot_delta_with_slots(3, 1, &base_versions);
-
-        if flip_base {
-            let offset = offset_seed % base.byte_len();
-            prop_assert!(base.corrupt_byte(offset));
-        } else {
-            let offset = offset_seed % delta.byte_len();
-            prop_assert!(delta.corrupt_byte(offset));
-        }
-
-        let mut fresh = FlatCache::new(&ds, u64::from(DIM) * 4 * 256, config);
-        prop_assert!(fresh.restore_chain(&base, &[delta]).is_err());
-        prop_assert_eq!(fresh.len(), 0, "rejected chain must not touch the cache");
     }
 }
