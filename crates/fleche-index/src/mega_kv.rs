@@ -218,23 +218,25 @@ impl GpuIndex for MegaKv {
         self.len = 0;
     }
 
-    fn scan(&self) -> (Vec<ScanEntry>, ProbeStats) {
-        let mut out = Vec::with_capacity(self.len);
+    fn scan_with(&self, visit: &mut dyn FnMut(&[ScanEntry])) -> ProbeStats {
         let mut stats = ProbeStats::new();
+        let mut run = Vec::with_capacity(BUCKET_WIDTH);
         for b in &self.buckets {
             stats.slabs_visited += 1;
             stats.bytes_touched += BUCKET_BYTES;
-            for i in 0..BUCKET_WIDTH {
-                if b.occupied & (1 << i) != 0 {
-                    out.push(ScanEntry {
+            run.clear();
+            run.extend(
+                (0..BUCKET_WIDTH)
+                    .filter(|&i| b.occupied & (1 << i) != 0)
+                    .map(|i| ScanEntry {
                         key: b.keys[i],
                         loc: b.locs[i],
                         stamp: b.stamps[i],
-                    });
-                }
-            }
+                    }),
+            );
+            visit(&run);
         }
-        (out, stats)
+        stats
     }
 
     fn sample_entries(&self, n: usize, seed: u64) -> (Vec<ScanEntry>, ProbeStats) {

@@ -29,6 +29,9 @@ const HEAD_AHEAD: usize = 12;
 /// key array — closer than [`HEAD_AHEAD`] because it must read the chain
 /// head, which by then has arrived.
 const SLAB_AHEAD: usize = 6;
+/// How many buckets ahead of the one being visited [`SlabHash::scan_with`]
+/// prefetches the head slab.
+const SCAN_AHEAD: usize = 4;
 
 /// `repr(C)` keeps the occupancy word on the cache line the key scan
 /// starts on; a probe reads it first, then the keys.
@@ -58,6 +61,19 @@ impl Slab {
         fleche_simd::prefetch_read(&self.occupied);
         for i in (7..SLAB_WIDTH).step_by(8) {
             fleche_simd::prefetch_read(&self.keys[i]);
+        }
+    }
+
+    /// Hints every cache line a full scan of this slab reads: one hint per
+    /// 64 bytes from the occupancy word to the last stamp.
+    #[inline]
+    fn prefetch_all(&self) {
+        self.prefetch_keys();
+        for i in (0..SLAB_WIDTH).step_by(8) {
+            fleche_simd::prefetch_read(&self.locs[i]);
+        }
+        for i in (0..SLAB_WIDTH).step_by(16).chain([SLAB_WIDTH - 1]) {
+            fleche_simd::prefetch_read(&self.stamps[i]);
         }
     }
 
@@ -361,27 +377,45 @@ impl SlabHash {
         self.len = 0;
     }
 
-    /// Full-table scan in storage order (the eviction pass). The returned
-    /// stats model one streaming kernel over all slabs.
-    pub fn scan(&self) -> (Vec<ScanEntry>, ProbeStats) {
-        let mut out = Vec::with_capacity(self.len);
+    /// Full-table scan in storage order (the eviction pass and checkpoint
+    /// capture), handing `visit` each slab's live entries as one run. The
+    /// returned stats model one streaming kernel over all slabs.
+    ///
+    /// Each bucket's slabs are a separate allocation, so the walk is a
+    /// pointer chase the hardware prefetcher cannot follow: while bucket
+    /// `b` is visited, the head slab of bucket `b + SCAN_AHEAD` is already
+    /// on its way. The hint changes no entry, order or statistic.
+    pub fn scan_with(&self, mut visit: impl FnMut(&[ScanEntry])) -> ProbeStats {
         let mut stats = ProbeStats::new();
-        for chain in &self.buckets {
+        let vacant = ScanEntry {
+            key: 0,
+            loc: PackedLoc::from(crate::loc::Loc::Hbm { class: 0, slot: 0 }),
+            stamp: 0,
+        };
+        let mut run = [vacant; SLAB_WIDTH];
+        for (b, chain) in self.buckets.iter().enumerate() {
+            if let Some(slab) = self.buckets.get(b + SCAN_AHEAD).and_then(|c| c.first()) {
+                slab.prefetch_all();
+            }
             for slab in chain {
                 stats.slabs_visited += 1;
                 stats.bytes_touched += SLAB_BYTES;
-                for i in 0..SLAB_WIDTH {
-                    if slab.occupied & (1 << i) != 0 {
-                        out.push(ScanEntry {
-                            key: slab.keys[i],
-                            loc: slab.locs[i],
-                            stamp: slab.stamps[i],
-                        });
-                    }
+                let mut m = slab.occupied;
+                let mut n = 0;
+                while m != 0 {
+                    let i = m.trailing_zeros() as usize;
+                    run[n] = ScanEntry {
+                        key: slab.keys[i],
+                        loc: slab.locs[i],
+                        stamp: slab.stamps[i],
+                    };
+                    n += 1;
+                    m &= m - 1;
                 }
+                visit(&run[..n]);
             }
         }
-        (out, stats)
+        stats
     }
 
     /// Samples up to `n` live entries by probing pseudo-random buckets
@@ -473,8 +507,12 @@ impl crate::index_trait::GpuIndex for SlabHash {
         SlabHash::clear(self)
     }
 
-    fn scan(&self) -> (Vec<ScanEntry>, ProbeStats) {
-        SlabHash::scan(self)
+    fn scan_with(&self, visit: &mut dyn FnMut(&[ScanEntry])) -> ProbeStats {
+        SlabHash::scan_with(self, visit)
+    }
+
+    fn prefetch(&self, key: u64) {
+        self.prefetch_first_slab(key);
     }
 
     fn sample_entries(&self, n: usize, seed: u64) -> (Vec<ScanEntry>, ProbeStats) {
@@ -497,6 +535,7 @@ impl crate::index_trait::GpuIndex for SlabHash {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index_trait::GpuIndex;
     use crate::loc::Loc;
 
     fn hbm(slot: u32) -> PackedLoc {
