@@ -140,7 +140,7 @@ proptest! {
                 }
             }
             if cache.needs_eviction() {
-                cache.evict_pass();
+                cache.evict_pass_with(|_| None);
             }
             cache.end_batch();
             let mut still_pinned = Vec::new();
@@ -161,7 +161,7 @@ proptest! {
             verify_and_unpin(&mut cache, reader)?;
         }
         if cache.needs_eviction() {
-            cache.evict_pass();
+            cache.evict_pass_with(|_| None);
         }
         cache.end_batch();
         cache.end_batch();

@@ -157,7 +157,7 @@ proptest! {
                     cache.end_batch();
                 }
                 _ => {
-                    cache.evict_pass();
+                    cache.evict_pass_with(|_| None);
                 }
             }
             // Probe every key after every op: a hit's version must be
