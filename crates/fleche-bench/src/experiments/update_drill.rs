@@ -279,7 +279,7 @@ fn drill_delta_rewarm(d: &Drill) -> Result<DeltaRewarmReport, RacesFound> {
             events.insert(b, "base checkpoint");
         } else if b > base_at && (b - base_at) % delta_every == 0 {
             mg.delta_checkpoint();
-            last_delta_version = mg.shard_system(0).ledger().max_version();
+            last_delta_version = mg.shard_system(0).updates().ledger().max_version();
             events.entry(b).or_insert("delta checkpoint");
         }
         if let Some(fault) = inj.transition(currently_lost, b) {
@@ -307,7 +307,7 @@ fn drill_delta_rewarm(d: &Drill) -> Result<DeltaRewarmReport, RacesFound> {
         let (rows, _, stats) = mg.query_batch(&batch);
         rates.push(stats.hit_rate());
         alive_trace.push(mg.alive_count());
-        ledger_trace.push(mg.shard_system(0).ledger().max_version());
+        ledger_trace.push(mg.shard_system(0).updates().ledger().max_version());
         let mut k = 0;
         for (t, ids) in batch.table_ids.iter().enumerate() {
             for &id in ids {
@@ -357,7 +357,7 @@ fn drill_delta_rewarm(d: &Drill) -> Result<DeltaRewarmReport, RacesFound> {
         restored_at,
         base_version,
         last_delta_version,
-        ledger_latest: mg.shard_system(0).ledger().max_version(),
+        ledger_latest: mg.shard_system(0).updates().ledger().max_version(),
         recovery_batches,
         torn,
         timeline,
@@ -455,7 +455,7 @@ fn drill_outage(d: &Drill) -> Result<OutageReport, RacesFound> {
             sys.push_updates(&mut gpu, &pushes);
         }
 
-        let degraded_before = sys.staleness_policy().is_some_and(|p| p.degraded());
+        let degraded_before = sys.updates().policy().is_some_and(|p| p.degraded());
         if degraded_before {
             degraded_batches += 1;
         }
@@ -468,7 +468,7 @@ fn drill_outage(d: &Drill) -> Result<OutageReport, RacesFound> {
         let mut k = 0;
         for (t, ids) in batch.table_ids.iter().enumerate() {
             for &id in ids {
-                let latest = sys.ledger().get(t as u16, id);
+                let latest = sys.updates().ledger().get(t as u16, id);
                 if let Some(v) = match_version(t as u16, id, latest, &out.rows[k], &mut scratch) {
                     let lag = latest - v;
                     batch_max_lag = batch_max_lag.max(lag);
@@ -482,7 +482,7 @@ fn drill_outage(d: &Drill) -> Result<OutageReport, RacesFound> {
 
         let st = sys.staleness_stats();
         let cadence = (batches / 18).max(1);
-        let state_change = degraded_before != sys.staleness_policy().is_some_and(|p| p.degraded());
+        let state_change = degraded_before != sys.updates().policy().is_some_and(|p| p.degraded());
         if b % cadence == 0 || state_change || inj.in_outage(b) != inj.in_outage(b + 1) {
             timeline.push(OutagePoint {
                 batch: b,
@@ -497,7 +497,7 @@ fn drill_outage(d: &Drill) -> Result<OutageReport, RacesFound> {
     }
     d.check_races(&gpu, "drill C outage")?;
 
-    let policy = sys.staleness_policy().expect("configured above");
+    let policy = sys.updates().policy().expect("configured above");
     Ok(OutageReport {
         lag_bound: staleness.max_lag,
         resume_lag: staleness.resume_lag,
@@ -506,7 +506,7 @@ fn drill_outage(d: &Drill) -> Result<OutageReport, RacesFound> {
         entries: policy.entries(),
         exits: policy.exits(),
         degraded_at_end: policy.degraded(),
-        pending_at_end: sys.pending_update_count(),
+        pending_at_end: sys.updates().pending_len(),
         worst_raw_lag: policy.worst_lag(),
         mean_hit: rates.iter().sum::<f64>() / rates.len() as f64,
         p99: p99_of(&mut walls),

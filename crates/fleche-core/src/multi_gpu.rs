@@ -10,7 +10,7 @@
 //! maintenance — exactly the trade the paper predicts, measurable here.
 
 use crate::recovery::CheckpointChain;
-use crate::system::{FlecheConfig, FlecheSystem, StalenessStats};
+use crate::{FlecheConfig, FlecheSystem, StalenessStats};
 use fleche_coding::{FlatKeyCodec, SizeAwareCodec};
 use fleche_gpu::{BytesPerNs, DeviceSpec, DramSpec, Gpu, Ns};
 use fleche_store::api::{BatchStats, LifetimeStats};
@@ -717,7 +717,7 @@ mod tests {
             for &id in ids {
                 // Commits broadcast, so any shard's ledger knows the
                 // version.
-                let v = mg.shard_system(0).ledger().get(t as u16, id);
+                let v = mg.shard_system(0).updates().ledger().get(t as u16, id);
                 let mut want = vec![0.0f32; 16];
                 versioned_embedding_value(t as u16, id, v, &mut want);
                 assert_eq!(rows[k], want, "row {k} at version {v}");
@@ -751,7 +751,7 @@ mod tests {
         let f = mg.failover_stats();
         assert!(f.rewarm_restored_entries > 0, "chain replayed: {f:?}");
         assert_eq!(f.snapshot_rejected, 0);
-        let latest = mg.shard_system(0).ledger().max_version();
+        let latest = mg.shard_system(0).updates().ledger().max_version();
         assert!(
             f.rewarm_max_version > 0 && f.rewarm_max_version <= latest,
             "re-warm landed on an updated version (got {}, ledger max {latest})",

@@ -161,7 +161,8 @@ fn main() {
         fleche_engine.run_batch(&batch);
         let degraded = fleche_engine
             .system()
-            .staleness_policy()
+            .updates()
+            .policy()
             .is_some_and(|p| p.degraded());
         if degraded != was_degraded {
             if degraded {
@@ -179,7 +180,8 @@ fn main() {
     let st = fleche_engine.system().staleness_stats();
     let pol = fleche_engine
         .system()
-        .staleness_policy()
+        .updates()
+        .policy()
         .expect("staleness policy configured above");
     println!("\n{:<28} {:>12}", "staleness stats", "value");
     println!(
@@ -203,7 +205,7 @@ fn main() {
     println!(
         "{:<28} {:>12}",
         "pending pushes at end",
-        fleche_engine.system().pending_update_count()
+        fleche_engine.system().updates().pending_len()
     );
     if let Some(br) = fleche_engine.system().breaker() {
         let t = br.transitions_at(fleche_engine.gpu().now());
@@ -216,6 +218,6 @@ fn main() {
     println!(
         "\nledger is at {} commits; the policy degraded during the outage, demoted \
          over-bound hits to fresh serves, and exited once caught up",
-        fleche_engine.system().ledger().commits()
+        fleche_engine.system().updates().ledger().commits()
     );
 }

@@ -522,7 +522,7 @@ fn golden_digests_pin_every_workflow_route() {
     run.batches(10, Trainer::Idle);
     run.batches(20, Trainer::CommitOnly);
     run.batches(20, Trainer::Idle);
-    let policy = run.sys.staleness_policy().expect("configured");
+    let policy = run.sys.updates().policy().expect("configured");
     assert!(policy.entries() >= 1 && policy.exits() >= 1 && !policy.degraded());
     let st = run.sys.staleness_stats();
     assert!(st.demoted > 0);
