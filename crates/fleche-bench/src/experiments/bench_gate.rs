@@ -124,8 +124,8 @@ const FAMILIES: [(&str, &str, &str); 4] = [
     ),
     (
         "batch checksum",
-        "checksum/batch64_scalar/128",
-        "checksum/batch64_interleaved/128",
+        "checksum/batch64_byte_fnv1a/128",
+        "checksum/batch64/128",
     ),
     (
         "batch slab lookup",

@@ -5,8 +5,8 @@
 //! so CI (`bench_gate`) and the analysis notebooks can track them:
 //!
 //! * pooled reduction (the baseline's per-(sample, table) CPU pooling);
-//! * per-slot FNV-1a checksumming, standalone and fused into the value
-//!   write (the one-pass fill the flat cache now uses);
+//! * the per-slot lane checksum, per row, inside the checksummed value
+//!   write, and over 64 slots against the byte-serial FNV-1a it replaced;
 //! * flat-key codec encode/decode (fixed-length and size-aware);
 //! * slab-hash probing (insert + hit lookup).
 //!
@@ -95,35 +95,57 @@ fn bench_pooled_reduction(h: &mut Hotpath) {
     });
 }
 
+/// The slot checksum the lane kernel replaced: byte-serial FNV-1a over
+/// each slot's f32 bits, four slots' chains interleaved. Kept only as the
+/// scalar side of the checksum pair, as `embedding_value_portable` serves
+/// the gather pair.
+fn byte_fnv1a_batch(values: &[&[f32]]) -> Vec<u32> {
+    fn step(mut h: u32, v: f32) -> u32 {
+        for b in v.to_bits().to_le_bytes() {
+            h = (h ^ u32::from(b)).wrapping_mul(fleche_simd::FNV_PRIME);
+        }
+        h
+    }
+    let mut out = Vec::with_capacity(values.len());
+    let mut groups = values.chunks_exact(4);
+    for g in groups.by_ref() {
+        let n = g.iter().map(|v| v.len()).min().unwrap_or(0);
+        let (a, b, c, d) = (&g[0][..n], &g[1][..n], &g[2][..n], &g[3][..n]);
+        let mut h = [fleche_simd::FNV_BASIS; 4];
+        for i in 0..n {
+            h[0] = step(h[0], a[i]);
+            h[1] = step(h[1], b[i]);
+            h[2] = step(h[2], c[i]);
+            h[3] = step(h[3], d[i]);
+        }
+        for (hj, v) in h.iter_mut().zip(g) {
+            *hj = v[n..].iter().fold(*hj, |h, &x| step(h, x));
+        }
+        out.extend_from_slice(&h);
+    }
+    for v in groups.remainder() {
+        out.push(v.iter().fold(fleche_simd::FNV_BASIS, |h, &x| step(h, x)));
+    }
+    out
+}
+
 fn bench_checksum(h: &mut Hotpath) {
     for &dim in &[32usize, 128] {
         let value: Vec<f32> = (0..dim).map(|i| i as f32 * 0.5).collect();
         let v = &value;
         h.group("checksum", dim as u64 * 4);
-        h.bench(format_args!("fnv1a/{dim}"), || black_box(checksum_of(v)));
-        // Two-pass (write then re-read for the checksum) vs the fused
-        // single pass the flat cache uses now.
+        h.bench(format_args!("row/{dim}"), || black_box(checksum_of(v)));
         let mut pool = SlabPool::new(&[ClassSpec {
             dim: dim as u32,
             slots: 16,
         }]);
         let (slot, _) = pool.alloc(0).expect("room");
-        h.bench(format_args!("write_two_pass/{dim}"), || {
-            pool.write(0, slot, v).expect("live");
-            black_box(checksum_of(v))
-        });
-        let mut pool = SlabPool::new(&[ClassSpec {
-            dim: dim as u32,
-            slots: 16,
-        }]);
-        let (slot, _) = pool.alloc(0).expect("room");
-        h.bench(format_args!("write_fused/{dim}"), || {
+        h.bench(format_args!("write/{dim}"), || {
             black_box(pool.write_with_checksum(0, slot, v).expect("live").0)
         });
-        // The batch pair bench_gate compares: 64 slots checksummed one
-        // serial FNV chain at a time vs four interleaved chains
-        // (fleche_index::fnv1a_batch). Per-slot values are identical; only
-        // the instruction-level parallelism differs.
+        // The pair bench_gate compares, over the same 64 slots: the
+        // four-chain byte FNV-1a the cache used to record vs the lane
+        // checksum it records now.
         let slots: Vec<Vec<f32>> = (0..64u32)
             .map(|s| {
                 (0..dim)
@@ -133,15 +155,11 @@ fn bench_checksum(h: &mut Hotpath) {
             .collect();
         let views: Vec<&[f32]> = slots.iter().map(Vec::as_slice).collect();
         let vs = &views;
-        h.bench(format_args!("batch64_scalar/{dim}"), || {
-            let mut acc = 0u32;
-            for v in vs {
-                acc ^= checksum_of(v);
-            }
-            black_box(acc)
+        h.bench(format_args!("batch64_byte_fnv1a/{dim}"), || {
+            black_box(byte_fnv1a_batch(vs))
         });
-        h.bench(format_args!("batch64_interleaved/{dim}"), || {
-            black_box(fleche_index::fnv1a_batch(vs))
+        h.bench(format_args!("batch64/{dim}"), || {
+            black_box(fleche_simd::checksum_batch(vs))
         });
     }
 }

@@ -21,13 +21,13 @@ use fleche_workload::DatasetSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// FNV-1a over the value's raw f32 bits — the per-slot checksum readers
-/// verify when [`FlatCache::enable_checksums`] is on. Hot-path *writes*
-/// do not call this two-pass form: they use
-/// [`SlabPool::write_with_checksum`], which folds the same hash into the
-/// copy loop so the payload is traversed once.
+/// The per-slot checksum readers verify when
+/// [`FlatCache::enable_checksums`] is on: [`fleche_simd::checksum`], eight
+/// FNV-1a lanes over the value's f32 words. It changes under any change
+/// confined to one word, every single-bit flip included. Writes record it
+/// through [`SlabPool::write_with_checksum`].
 pub fn checksum_of(value: &[f32]) -> u32 {
-    fleche_index::fnv1a_of(value)
+    fleche_simd::checksum(value)
 }
 
 /// Device bytes one unified-index (DRAM pointer) entry costs: its share of
@@ -146,12 +146,22 @@ impl<T: Copy> SlotArray<T> {
         }
     }
 
-    pub(crate) fn get(&self, class: u16, slot: u32) -> T {
+    fn cell(&self, class: u16, slot: u32) -> Option<&T> {
         self.classes
             .get(class as usize)
             .and_then(|c| c.get(slot as usize))
-            .copied()
-            .unwrap_or(self.vacant)
+    }
+
+    pub(crate) fn get(&self, class: u16, slot: u32) -> T {
+        self.cell(class, slot).copied().unwrap_or(self.vacant)
+    }
+
+    /// Hints the CPU to fetch the record of `(class, slot)` ahead of a
+    /// [`SlotArray::get`]; a no-op outside the pool.
+    pub(crate) fn prefetch(&self, class: u16, slot: u32) {
+        if let Some(cell) = self.cell(class, slot) {
+            fleche_simd::prefetch_read(cell);
+        }
     }
 
     /// Stores `value`, returning what the slot held before.
@@ -358,11 +368,15 @@ impl FlatCache {
     }
 
     /// Turns on per-slot checksums. Existing live slots are checksummed so
-    /// enabling mid-life never produces false corruption alarms.
+    /// enabling mid-life never produces false corruption alarms; retired
+    /// slots awaiting reclamation are skipped, as no hit can reach them.
     pub fn enable_checksums(&mut self) {
         let mut sums = SlotArray::new(&self.pool, None);
         for class in 0..self.pool.class_count() as u16 {
             for slot in self.pool.live_slots(class) {
+                if self.pool.is_retired(class, slot) {
+                    continue;
+                }
                 if let Ok(v) = self.pool.read(class, slot) {
                     sums.replace(class, slot, Some(checksum_of(v)));
                 }
@@ -371,12 +385,10 @@ impl FlatCache {
         self.checksums = Some(sums);
     }
 
-    /// Writes `value` into a live pool slot, recording its checksum when
-    /// checksums are enabled. The checksummed path fuses the hash into
-    /// the copy ([`SlabPool::write_with_checksum`]) so a hot-path write
-    /// traverses the payload once; with checksums off it is a plain pool
-    /// write. Verification and quarantine behavior are unchanged: the
-    /// recorded value is bit-identical to [`checksum_of`] over `value`.
+    /// Writes `value` into a live pool slot, recording its checksum
+    /// ([`checksum_of`] over `value`, from
+    /// [`SlabPool::write_with_checksum`]) when checksums are enabled; with
+    /// checksums off it is a plain pool write.
     fn write_slot_checksummed(
         &mut self,
         class: u16,
@@ -397,33 +409,23 @@ impl FlatCache {
     /// time. Every slot passes while checksums are disabled, and so does a
     /// slot with no record (written before enabling, which
     /// `enable_checksums` backfills, or quarantined); an unreadable slot
-    /// fails. The readable payloads are gathered first, then checksummed
-    /// in one [`fleche_index::fnv1a_batch`] pass (four interleaved FNV-1a
-    /// chains).
+    /// fails. One pass in place: per slot, the record, the row, its
+    /// checksum and the compare — [`FlatCache::lookup_batch_into`] has
+    /// already asked for the record and the row of every hit.
     pub fn verify_hits(&self, slots: &[(u16, u32)]) -> Vec<bool> {
         let Some(sums) = &self.checksums else {
             return vec![true; slots.len()];
         };
-        let mut out = vec![true; slots.len()];
-        let mut views: Vec<&[f32]> = Vec::with_capacity(slots.len());
-        let mut pending: Vec<(usize, u32)> = Vec::with_capacity(slots.len());
-        for (i, &(class, slot)) in slots.iter().enumerate() {
-            let Some(expected) = sums.get(class, slot) else {
-                continue; // no record: passes
-            };
-            match self.pool.read_during_grace(class, slot) {
-                Ok(v) => {
-                    views.push(v);
-                    pending.push((i, expected));
-                }
-                Err(_) => out[i] = false,
-            }
-        }
-        let sums = fleche_index::fnv1a_batch(&views);
-        for (&(i, expected), got) in pending.iter().zip(sums) {
-            out[i] = got == expected;
-        }
-        out
+        slots
+            .iter()
+            .map(|&(class, slot)| match sums.get(class, slot) {
+                None => true, // no record: passes
+                Some(expected) => self
+                    .pool
+                    .read_during_grace(class, slot)
+                    .is_ok_and(|v| checksum_of(v) == expected),
+            })
+            .collect()
     }
 
     /// Quarantines a corrupt entry: removes it from the index and retires
@@ -543,8 +545,8 @@ impl FlatCache {
     /// [`FlatCache::lookup_batch`] into a caller-owned buffer (cleared
     /// first), so a serving loop reuses one across batches. Every
     /// [`CacheAnswer::Hit`] it resolves also hints the CPU to fetch that
-    /// pool row: the checksum verify and the gather that follow find the
-    /// bytes in cache instead of each waiting on memory in turn.
+    /// pool row and its checksum record: the verify and the gather that
+    /// follow find them in cache instead of each waiting on memory in turn.
     pub fn lookup_batch_into(
         &mut self,
         keys: &[FlatKey],
@@ -556,14 +558,23 @@ impl FlatCache {
         self.probe_keys.clear();
         self.probe_keys.extend(keys.iter().map(|k| k.0));
         let pool = &self.pool;
+        let sums = self.checksums.as_ref();
         self.index
             .lookup_batch(&self.probe_keys, Some(stamp), &mut |found, stats| {
                 let answer = CacheAnswer::of(found);
                 if let CacheAnswer::Hit { class, slot } = answer {
+                    if let Some(sums) = sums {
+                        sums.prefetch(class, slot);
+                    }
                     if let Ok(row) = pool.read_during_grace(class, slot) {
-                        // One hint per cache line of the row.
+                        // One hint per 64 bytes of the row, plus its last
+                        // element: a row need not start on a cache line,
+                        // so it may reach into one more.
                         for line in row.chunks(16) {
                             fleche_simd::prefetch_read(&line[0]);
+                        }
+                        if let Some(last) = row.last() {
+                            fleche_simd::prefetch_read(last);
                         }
                     }
                 }
@@ -1190,7 +1201,8 @@ mod tests {
         }]);
         assert_eq!(report.applied, 1);
         assert_eq!(c.verify_hits(&[(class, slot)]), [true]);
-        assert_eq!(checksum_of(&val(13.0)), fleche_index::fnv1a_of(&val(13.0)));
+        let recorded = c.checksums.as_ref().map(|s| s.get(class, slot));
+        assert_eq!(recorded, Some(Some(checksum_of(&val(13.0)))));
     }
 
     #[test]
@@ -1454,6 +1466,60 @@ mod tests {
         );
         c.corrupt_nth_live(0, 0, 12).unwrap();
         assert_eq!(c.verify_hits(&[(class, slot)]), [false]);
+    }
+
+    #[test]
+    fn enabling_checksums_mid_grace_skips_retired_slots() {
+        let ds = spec::synthetic(1, 1_000, 8, -1.2);
+        let mut c = FlatCache::new(
+            &ds,
+            8 * 4 * 10,
+            FlatCacheConfig {
+                evict_high_watermark: 0.8,
+                evict_low_watermark: 0.4,
+                admission_probability: 1.0,
+                index: IndexBackend::default(),
+            },
+        );
+        let codec = SizeAwareCodec::new(20, &[1_000]);
+        let mut f = 0u64;
+        while !c.needs_eviction() {
+            c.insert_value(0, codec.encode(0, f), &val(f as f32), f as u32);
+            f += 1;
+        }
+        c.evict_pass_with(|_| None);
+        // Evicted slots are retired, not yet reclaimed: the backfill must
+        // not read them through the live-slot path.
+        c.enable_checksums();
+        for f in 0..f {
+            if let (CacheAnswer::Hit { class, slot }, _) = c.lookup(codec.encode(0, f), 100) {
+                assert_eq!(c.verify_hits(&[(class, slot)]), [true], "survivor {f}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_slot_is_quarantined() {
+        let (mut c, codec, _) = mk();
+        c.enable_checksums();
+        let k = codec.encode(0, 3);
+        for word in 0..8u32 {
+            for bit in 0..32u32 {
+                let (loc, _) = c.insert_value(0, k, &val(2.0), 1);
+                let (class, slot) = loc.expect("room");
+                c.pool.corrupt_bit(class, slot, word, bit).expect("live");
+                assert_eq!(
+                    c.verify_hits(&[(class, slot)]),
+                    [false],
+                    "word {word} bit {bit}"
+                );
+                c.quarantine(k, class, slot);
+                assert_eq!(c.lookup(k, 2).0, CacheAnswer::Miss);
+                c.end_batch();
+                c.end_batch();
+            }
+        }
+        assert_eq!(c.live_value_count(), 0, "every quarantined slot reclaimed");
     }
 
     #[test]

@@ -784,8 +784,8 @@ impl FlecheSystem {
     /// final and sorted into the hit list and the fill list.
     fn settle(&mut self, gpu: &mut Gpu, cx: &mut BatchContext) {
         if self.config.checksums {
-            // Verify every HBM hit in one batched pass (interleaved FNV
-            // streams), quarantining in `unique` order.
+            // Verify every HBM hit in one pass over the rows the probe
+            // prefetched, quarantining in `unique` order.
             for (pos, (ans, _)) in cx.probed.iter().enumerate() {
                 if let CacheAnswer::Hit { class, slot } = *ans {
                     cx.hit_pos.push(pos);
@@ -814,8 +814,10 @@ impl FlecheSystem {
         let members = cx.runs.iter().map(|run| {
             let mut work = KernelWork {
                 global_bytes: run.stats.bytes_touched,
-                // Checksum verification folds one FNV step per hit float
-                // into the query kernel.
+                // Checksum verification folds one lane step (xor, then
+                // multiply) per hit word into the query kernel, priced at
+                // `hit_bytes / 8` flops — the calibration every figure
+                // was captured with.
                 flops: if self.config.checksums {
                     run.hit_bytes / 8
                 } else {

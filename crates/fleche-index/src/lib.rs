@@ -37,5 +37,5 @@ pub use index_trait::{GpuIndex, IndexInsert};
 pub use instrument::ProbeStats;
 pub use loc::{Loc, PackedLoc, MAX_DRAM_FEATURE, MAX_DRAM_TABLE};
 pub use mega_kv::{MegaKv, BUCKET_BYTES, BUCKET_WIDTH};
-pub use pool::{fnv1a_batch, fnv1a_of, ClassSpec, PoolError, SlabPool};
+pub use pool::{ClassSpec, PoolError, SlabPool};
 pub use slab_hash::{InsertOutcome, ScanEntry, SlabHash, SLAB_BYTES, SLAB_WIDTH};

@@ -9,29 +9,6 @@
 
 use crate::instrument::ProbeStats;
 
-/// FNV-1a over a value's raw f32 bits (little-endian byte order) — the
-/// canonical per-slot checksum. [`SlabPool::write_with_checksum`] computes
-/// the same hash fused into its copy loop; callers that only need to
-/// verify existing bytes use this standalone form.
-pub fn fnv1a_of(value: &[f32]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for v in value {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u32;
-            h = h.wrapping_mul(0x0100_0193);
-        }
-    }
-    h
-}
-
-/// Checksums many slots per pass. `out[i]` is bit-identical to
-/// `fnv1a_of(values[i])`; the win is batch-level — FNV-1a is a serial
-/// multiply chain per slot, so the kernel streams four interleaved slot
-/// chains to keep the multiplier busy (see fleche-simd's crate docs).
-pub fn fnv1a_batch(values: &[&[f32]]) -> Vec<u32> {
-    fleche_simd::checksum_batch(values)
-}
-
 /// Error type for pool operations.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PoolError {
@@ -242,47 +219,17 @@ impl SlabPool {
         })
     }
 
-    /// Writes an embedding into a live slot and returns its FNV-1a
-    /// checksum, folding the hash into the copy loop so checksummed
-    /// hot-path writes make one pass over the payload instead of a copy
-    /// pass followed by a hash pass. The returned value is identical to
-    /// [`fnv1a_of`] over `value`.
+    /// [`SlabPool::write`], also returning the slot checksum
+    /// ([`fleche_simd::checksum`] of `value`), hashed from the source row
+    /// while the copy has it in cache.
     pub fn write_with_checksum(
         &mut self,
         class: u16,
         slot: u32,
         value: &[f32],
     ) -> Result<(u32, ProbeStats), PoolError> {
-        let c = self
-            .classes
-            .get_mut(class as usize)
-            .ok_or(PoolError::UnknownClass { class })?;
-        if slot >= c.capacity_slots || !c.live[slot as usize] {
-            return Err(PoolError::InvalidSlot { class, slot });
-        }
-        if value.len() != c.dim as usize {
-            return Err(PoolError::DimensionMismatch {
-                expected: c.dim,
-                got: value.len(),
-            });
-        }
-        let off = slot as usize * c.dim as usize;
-        let dst = &mut c.data[off..off + value.len()];
-        let mut h: u32 = 0x811C_9DC5;
-        for (d, v) in dst.iter_mut().zip(value) {
-            *d = *v;
-            for b in v.to_bits().to_le_bytes() {
-                h ^= b as u32;
-                h = h.wrapping_mul(0x0100_0193);
-            }
-        }
-        Ok((
-            h,
-            ProbeStats {
-                bytes_touched: value.len() as u64 * 4,
-                ..ProbeStats::new()
-            },
-        ))
+        let stats = self.write(class, slot, value)?;
+        Ok((fleche_simd::checksum(value), stats))
     }
 
     /// Reads the embedding stored in a live slot.
@@ -435,7 +382,7 @@ mod tests {
             [1e-38, -1e38, 0.5, -0.5],
         ] {
             let (h, stats) = p.write_with_checksum(0, slot, &value).unwrap();
-            assert_eq!(h, fnv1a_of(&value));
+            assert_eq!(h, fleche_simd::checksum(&value));
             assert_eq!(stats.bytes_touched, 16);
             let bits: Vec<u32> = p
                 .read(0, slot)
@@ -444,7 +391,7 @@ mod tests {
                 .map(|v| v.to_bits())
                 .collect();
             let want: Vec<u32> = value.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(bits, want, "fused write must store identical bytes");
+            assert_eq!(bits, want, "checksummed write must store identical bytes");
         }
         assert_eq!(
             p.write_with_checksum(0, slot, &[1.0]),

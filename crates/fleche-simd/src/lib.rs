@@ -2,8 +2,8 @@
 //!
 //! The paper's flat cache wins by minimizing per-lookup work on the
 //! device; this crate does the host-side equivalent for the four loops
-//! the `hotpath` bench measures — pooled gather/reduction, FNV-1a slot
-//! checksums, slab key matching, the procedural embedding fill behind
+//! the `hotpath` bench measures — pooled gather/reduction, lane-parallel
+//! slot checksums, slab key matching, the procedural embedding fill behind
 //! the CPU store ([`unit_fill`]), and (indirectly, via the batch APIs
 //! built on top) codec encode/decode.
 //!
@@ -36,12 +36,15 @@
 //! answer". Element-wise pooling accumulation is order-free per element
 //! and needs no blocking.
 //!
-//! FNV-1a is a serial dependency chain *per slot* (each step multiplies
-//! the previous hash), so a single checksum cannot be vectorized without
-//! changing its value. [`checksum_batch`] instead interleaves four
-//! independent slots per pass — four dependency chains in flight — and
-//! keeps every per-slot value bit-compatible with the scalar
-//! [`fnv1a`].
+//! The slot [`checksum`] uses the same round-robin split on integers:
+//! word `i` (an `f32`'s bits) folds into lane `i % 8` by one FNV-1a step,
+//! `h = (h ^ w) * FNV_PRIME`, and the eight lanes fold into the result in
+//! lane order. Each row is eight independent multiply chains (one `u32x8`
+//! register under AVX2) instead of one serial chain per byte, and every
+//! step is a bijection in both the state and the word, so any change
+//! confined to one word — every single-bit flip — changes the checksum.
+//! Integer ops have no rounding and no NaN, so both dispatch paths agree
+//! by construction.
 //!
 //! # Safety policy
 //!
@@ -62,9 +65,9 @@
 /// reduction order (one AVX2 `f32x8` register's worth).
 pub const LANES: usize = 8;
 
-/// FNV-1a offset basis (must match `fleche_index::pool::fnv1a_of`).
+/// FNV-1a offset basis: every [`checksum`] lane and the combine start here.
 pub const FNV_BASIS: u32 = 0x811C_9DC5;
-/// FNV-1a prime.
+/// FNV-1a prime: the multiplier of every [`checksum`] step.
 pub const FNV_PRIME: u32 = 0x0100_0193;
 
 // ---------------------------------------------------------------------
@@ -126,62 +129,22 @@ fn canonical_nan(x: f32) -> f32 {
 }
 
 #[inline(always)]
-fn fnv1a_step(mut h: u32, v: f32) -> u32 {
-    for b in v.to_bits().to_le_bytes() {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-#[inline(always)]
-fn fnv1a_kernel(value: &[f32]) -> u32 {
-    let mut h = FNV_BASIS;
-    for &v in value {
-        h = fnv1a_step(h, v);
-    }
-    h
-}
-
-#[inline(always)]
-fn checksum4_kernel(group: [&[f32]; 4]) -> [u32; 4] {
-    let n = group.iter().map(|g| g.len()).min().unwrap_or(0);
-    let (a, b, c, d) = (
-        &group[0][..n],
-        &group[1][..n],
-        &group[2][..n],
-        &group[3][..n],
-    );
-    let mut h = [FNV_BASIS; 4];
-    // Four independent hash chains advanced in lockstep: identical
-    // per-slot byte order to the serial form, but the CPU overlaps the
-    // four multiply chains instead of stalling on one. The indexed loop
-    // (not a zip-of-zips) is what lets the compiler keep the four chains
-    // in independent registers — measured ~3x over the serial walk.
-    for i in 0..n {
-        h[0] = fnv1a_step(h[0], a[i]);
-        h[1] = fnv1a_step(h[1], b[i]);
-        h[2] = fnv1a_step(h[2], c[i]);
-        h[3] = fnv1a_step(h[3], d[i]);
-    }
-    // Ragged tails (slots of unequal dimension) finish serially.
-    for (hj, g) in h.iter_mut().zip(group) {
-        for &v in &g[n..] {
-            *hj = fnv1a_step(*hj, v);
+fn checksum_kernel(value: &[f32]) -> u32 {
+    let mut lanes = [FNV_BASIS; LANES];
+    let mut words = value.chunks_exact(LANES);
+    for chunk in words.by_ref() {
+        for (h, &v) in lanes.iter_mut().zip(chunk) {
+            *h = (*h ^ v.to_bits()).wrapping_mul(FNV_PRIME);
         }
     }
-    h
-}
-
-#[inline(always)]
-fn checksum_batch_kernel(values: &[&[f32]], out: &mut Vec<u32>) {
-    let mut chunks = values.chunks_exact(4);
-    for ch in chunks.by_ref() {
-        out.extend_from_slice(&checksum4_kernel([ch[0], ch[1], ch[2], ch[3]]));
+    // A ragged tail of `r` words goes into lanes `0..r`.
+    for (h, &v) in lanes.iter_mut().zip(words.remainder()) {
+        *h = (*h ^ v.to_bits()).wrapping_mul(FNV_PRIME);
     }
-    for v in chunks.remainder() {
-        out.push(fnv1a_kernel(v));
-    }
+    // Fixed combine, in lane order — part of the checksum's definition.
+    lanes
+        .iter()
+        .fold(FNV_BASIS, |r, &h| (r ^ h).wrapping_mul(FNV_PRIME))
 }
 
 #[inline(always)]
@@ -244,6 +207,11 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     pub(super) fn unit_fill_avx2(base: u64, out: &mut [f32]) {
         unit_fill_kernel(base, out);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn checksum_avx2(value: &[f32]) -> u32 {
+        checksum_kernel(value)
     }
 }
 
@@ -343,28 +311,33 @@ pub fn dot_portable(a: &[f32], b: &[f32]) -> f32 {
     dot_kernel(a, b)
 }
 
-/// FNV-1a over the `f32` bit patterns of `value`, little-endian byte
-/// order — the workspace's slot checksum. Serial by construction; use
-/// [`checksum_batch`] when hashing many slots.
+/// The workspace's slot checksum: `LANES` FNV-1a lanes over the `f32`
+/// words of `value` (word `i` into lane `i % 8`), folded in lane order
+/// (see crate docs). Detects every change confined to one word.
+/// Bit-identical across dispatch paths: integer ops only.
 #[inline]
-pub fn fnv1a(value: &[f32]) -> u32 {
-    fnv1a_kernel(value)
+pub fn checksum(value: &[f32]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: guarded by the runtime AVX2 check directly above.
+            #[allow(unsafe_code)]
+            return unsafe { avx2::checksum_avx2(value) };
+        }
+    }
+    checksum_portable(value)
 }
 
-/// Checksums many slots per pass, streaming four interleaved FNV-1a
-/// chains. `out[i]` is bit-identical to `fnv1a(values[i])`.
-///
-/// Deliberately *not* under runtime dispatch: the win here is
-/// instruction-level parallelism across four scalar multiply chains,
-/// which general-purpose registers already deliver. Compiling the same
-/// kernel under AVX2 invites LLVM to SLP-vectorize the four chains into
-/// one vector-multiply dependency chain — measured ~2x *slower* than
-/// the scalar interleave in this workspace's thin-LTO release build.
+/// Portable path of [`checksum`].
+#[inline]
+pub fn checksum_portable(value: &[f32]) -> u32 {
+    checksum_kernel(value)
+}
+
+/// [`checksum`] of every slot: `out[i] == checksum(values[i])`.
 #[inline]
 pub fn checksum_batch(values: &[&[f32]]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(values.len());
-    checksum_batch_kernel(values, &mut out);
-    out
+    values.iter().map(|v| checksum(v)).collect()
 }
 
 /// Fills `out` with the deterministic unit stream of `base`: component
@@ -535,27 +508,36 @@ mod tests {
 
     #[test]
     fn checksum_batch_matches_serial_per_slot() {
-        // Batch sizes that exercise the 4-way body and every remainder,
-        // with ragged dims so the lockstep prefix + tail path runs.
+        // Ragged dims so full lane blocks and every tail length run.
         let slots: Vec<Vec<f32>> = (0..11)
             .map(|s| (0..(13 + 7 * s) % 40).map(|i| prf_f32(s, i)).collect())
             .collect();
-        for take in 0..slots.len() {
-            let refs: Vec<&[f32]> = slots[..take].iter().map(|v| v.as_slice()).collect();
-            let batch = checksum_batch(&refs);
-            let serial: Vec<u32> = refs.iter().map(|v| fnv1a(v)).collect();
-            assert_eq!(batch, serial, "take={take}");
+        let refs: Vec<&[f32]> = slots.iter().map(|v| v.as_slice()).collect();
+        let per_slot: Vec<u32> = refs.iter().map(|v| checksum_portable(v)).collect();
+        assert_eq!(checksum_batch(&refs), per_slot);
+        assert!(refs.iter().all(|v| checksum(v) == checksum_portable(v)));
+    }
+
+    #[test]
+    fn checksum_of_one_word_follows_the_definition() {
+        // One word lands in lane 0; lanes 1..8 stay at the basis.
+        let step = |h: u32, w: u32| (h ^ w).wrapping_mul(FNV_PRIME);
+        let w = 1.5f32.to_bits();
+        let mut want = step(FNV_BASIS, step(FNV_BASIS, w));
+        for _ in 1..LANES {
+            want = step(want, FNV_BASIS);
         }
+        assert_eq!(checksum(&[1.5]), want);
     }
 
     #[test]
     fn checksum_distinguishes_nan_payloads() {
         let q1 = f32::from_bits(0x7FC0_0001);
         let q2 = f32::from_bits(0x7FC0_0002);
-        assert_ne!(fnv1a(&[q1]), fnv1a(&[q2]));
+        assert_ne!(checksum(&[q1]), checksum(&[q2]));
         assert_eq!(
             checksum_batch(&[&[q1], &[q2]]),
-            vec![fnv1a(&[q1]), fnv1a(&[q2])]
+            vec![checksum(&[q1]), checksum(&[q2])]
         );
     }
 

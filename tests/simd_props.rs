@@ -6,7 +6,7 @@
 
 use fleche_coding::{FixedLenCodec, FlatKeyCodec, SizeAwareCodec};
 use fleche_gpu::DramSpec;
-use fleche_index::{GpuIndex, Loc, MegaKv, SlabHash};
+use fleche_index::{ClassSpec, GpuIndex, Loc, MegaKv, SlabHash, SlabPool};
 use fleche_store::{CpuStore, Pooling};
 use fleche_workload::spec;
 use proptest::prelude::*;
@@ -91,17 +91,51 @@ proptest! {
         prop_assert_eq!(fleche_simd::dot(&a, &b).to_bits(), want.to_bits());
     }
 
-    /// The interleaved batch checksum equals the serial per-slot FNV-1a
-    /// for every slot, for ragged dims and every batch-length remainder
-    /// mod 4 — and so does the pool's exported batch entry point.
+    /// The slot checksum is the documented lane kernel on both dispatch
+    /// paths: word `i` into lane `i % 8` by one FNV-1a step, the lanes
+    /// folded in order — over arbitrary bit patterns and every tail length.
+    #[test]
+    fn checksum_is_the_documented_lane_kernel(value in f32_vec(0..40usize)) {
+        let step = |h: u32, w: u32| (h ^ w).wrapping_mul(fleche_simd::FNV_PRIME);
+        let mut lanes = [fleche_simd::FNV_BASIS; fleche_simd::LANES];
+        for (i, v) in value.iter().enumerate() {
+            lanes[i % fleche_simd::LANES] = step(lanes[i % fleche_simd::LANES], v.to_bits());
+        }
+        let want = lanes.iter().fold(fleche_simd::FNV_BASIS, |r, &h| step(r, h));
+        prop_assert_eq!(fleche_simd::checksum(&value), want);
+        prop_assert_eq!(fleche_simd::checksum_portable(&value), want);
+    }
+
+    /// Flipping any single bit of any word changes the checksum — checked
+    /// exhaustively for every (word, bit) of each generated row.
+    #[test]
+    fn checksum_detects_every_single_bit_flip(value in f32_vec(1..40usize)) {
+        let clean = fleche_simd::checksum(&value);
+        let mut row = value.clone();
+        for word in 0..row.len() {
+            for bit in 0..32 {
+                row[word] = f32::from_bits(value[word].to_bits() ^ (1 << bit));
+                prop_assert!(fleche_simd::checksum(&row) != clean, "word {} bit {}", word, bit);
+            }
+            row[word] = value[word];
+        }
+    }
+
+    /// The batch entry point and the pool's checksummed write both give
+    /// `checksum_of` of each row.
     #[test]
     fn batch_checksum_is_per_slot_identical(
         slots in prop::collection::vec(f32_vec(0..40usize), 0..11),
+        dim in 0usize..40,
+        row in f32_vec(40usize),
     ) {
         let views: Vec<&[f32]> = slots.iter().map(Vec::as_slice).collect();
-        let serial: Vec<u32> = views.iter().map(|v| fleche_simd::fnv1a(v)).collect();
-        prop_assert_eq!(&fleche_simd::checksum_batch(&views), &serial);
-        prop_assert_eq!(&fleche_index::fnv1a_batch(&views), &serial);
+        let per_slot: Vec<u32> = views.iter().map(|v| fleche_core::checksum_of(v)).collect();
+        prop_assert_eq!(fleche_simd::checksum_batch(&views), per_slot);
+        let mut pool = SlabPool::new(&[ClassSpec { dim: dim as u32, slots: 1 }]);
+        let (slot, _) = pool.alloc(0).expect("one free slot");
+        let (sum, _) = pool.write_with_checksum(0, slot, &row[..dim]).expect("live slot");
+        prop_assert_eq!(sum, fleche_core::checksum_of(&row[..dim]));
     }
 
     /// Pooling through the vectorized accumulate/finish path equals a
