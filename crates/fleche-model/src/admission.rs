@@ -109,12 +109,14 @@ impl TokenBucket {
         }
     }
 
-    /// Accrues credit at `rate` tokens/s from the last probe to `now`,
-    /// clamped to the burst ceiling.
+    /// Accrues credit at `rate` tokens/s from the latest probe to `now`,
+    /// clamped to the burst ceiling. A probe older than the latest one
+    /// accrues nothing and leaves the clock where it was, so no interval
+    /// is credited twice.
     pub fn refill(&mut self, now: Ns, rate: f64) {
         let dt = now.saturating_sub(self.last).as_secs();
         self.tokens = (self.tokens + rate * dt).min(self.burst);
-        self.last = now;
+        self.last = self.last.max(now);
     }
 
     /// Consumes one token if available. Call [`TokenBucket::refill`]
@@ -718,6 +720,20 @@ mod tests {
         // Credit clamps at the burst ceiling.
         b.refill(Ns::from_secs(10.0), 1_000.0);
         assert_eq!(b.level(), 4.0);
+    }
+
+    #[test]
+    fn token_bucket_out_of_order_probe_credits_no_interval_twice() {
+        let mut b = TokenBucket::new(4.0, Ns::ZERO);
+        for _ in 0..4 {
+            assert!(b.try_consume());
+        }
+        // The 1 ms probe arrives late; the 1–2 ms interval is already
+        // credited by the 2 ms probe and must not be credited again.
+        b.refill(Ns::from_ms(2.0), 1_000.0);
+        b.refill(Ns::from_ms(1.0), 1_000.0);
+        b.refill(Ns::from_ms(2.0), 1_000.0);
+        assert!((b.level() - 2.0).abs() < 1e-9, "level {}", b.level());
     }
 
     #[test]

@@ -60,8 +60,9 @@ use std::time::Duration;
 use std::time::Instant;
 
 /// Default prep→execute channel depth: one batch of prep runs ahead of
-/// the executor. `fleche-verify`'s ring model checks the publish/credit
-/// protocol at exactly this depth.
+/// the executor. The hand-off is `std::sync::mpsc::sync_channel`, whose
+/// publish and credit edges the race checker verifies under
+/// `serve_scaling --analyze`.
 pub const DEFAULT_PIPELINE_DEPTH: usize = 2;
 
 /// Default per-lane bound of the sharded arrival queue.
@@ -77,13 +78,95 @@ pub struct QueuedRequest {
     pub arrival: Ns,
 }
 
-struct ShardState<T> {
+/// The state of one [`ShardedQueue`] lane and its three critical
+/// sections. Each method runs under the lane's mutex and returns what the
+/// caller must do next with the two condvars; the caller owns every wait
+/// and every notify. `ShardedQueue` runs these under `std::sync`, and
+/// `fleche-verify`'s queue model runs the same functions under its
+/// modelled mutex and condvars, so the checker explores this code.
+#[derive(Clone, Debug)]
+pub struct Lane<T> {
     items: VecDeque<T>,
     closed: bool,
 }
 
+/// Outcome of [`Lane::try_push`].
+#[derive(Debug)]
+pub enum Push<T> {
+    /// Queued: the caller signals `not_empty`.
+    Queued,
+    /// The lane is at capacity: the caller waits on `not_full` and
+    /// retries with the item.
+    Full(T),
+    /// The lane is closed: the item is dropped.
+    Closed,
+}
+
+/// Outcome of [`Lane::try_pop`].
+#[derive(Debug)]
+pub enum Pop<T> {
+    /// Dequeued: the caller signals `not_full`.
+    Item(T),
+    /// Open and empty: the caller waits on `not_empty` and retries.
+    Empty,
+    /// Closed and drained.
+    Closed,
+}
+
+impl<T> Lane<T> {
+    /// Appends `item` unless the lane is closed or holds `capacity`
+    /// items. The closed check comes first, so a pusher blocked on a full
+    /// lane drops its item once the lane closes.
+    pub fn try_push(&mut self, item: T, capacity: usize) -> Push<T> {
+        if self.closed {
+            Push::Closed
+        } else if self.items.len() >= capacity {
+            Push::Full(item)
+        } else {
+            self.items.push_back(item);
+            Push::Queued
+        }
+    }
+
+    /// Takes the oldest item; a closed lane still drains before it
+    /// reports [`Pop::Closed`].
+    pub fn try_pop(&mut self) -> Pop<T> {
+        match self.items.pop_front() {
+            Some(item) => Pop::Item(item),
+            None if self.closed => Pop::Closed,
+            None => Pop::Empty,
+        }
+    }
+
+    /// Marks the lane closed; the caller then wakes every waiter on both
+    /// condvars.
+    pub fn close(&mut self) {
+        self.closed = true;
+    }
+
+    /// The queued items, oldest first.
+    pub fn items(&self) -> &VecDeque<T> {
+        &self.items
+    }
+
+    /// True once [`Lane::close`] has run.
+    pub fn is_closed(&self) -> bool {
+        self.closed
+    }
+}
+
+/// An open, empty lane.
+impl<T> Default for Lane<T> {
+    fn default() -> Lane<T> {
+        Lane {
+            items: VecDeque::new(),
+            closed: false,
+        }
+    }
+}
+
 struct Shard<T> {
-    state: Mutex<ShardState<T>>,
+    state: Mutex<Lane<T>>,
     not_empty: Condvar,
     not_full: Condvar,
 }
@@ -106,10 +189,7 @@ impl<T> ShardedQueue<T> {
         ShardedQueue {
             shards: (0..shards)
                 .map(|_| Shard {
-                    state: Mutex::new(ShardState {
-                        items: VecDeque::new(),
-                        closed: false,
-                    }),
+                    state: Mutex::new(Lane::default()),
                     not_empty: Condvar::new(),
                     not_full: Condvar::new(),
                 })
@@ -125,17 +205,19 @@ impl<T> ShardedQueue<T> {
 
     /// Pushes onto lane `shard`, blocking while it is full. An item
     /// pushed after [`ShardedQueue::close`] is dropped.
-    pub fn push(&self, shard: usize, item: T) {
+    pub fn push(&self, shard: usize, mut item: T) {
         let lane = &self.shards[shard % self.shards.len()];
         let mut st = lane.state.lock().expect("queue lock poisoned");
-        while st.items.len() >= self.capacity && !st.closed {
-            st = lane.not_full.wait(st).expect("queue lock poisoned");
+        loop {
+            match st.try_push(item, self.capacity) {
+                Push::Queued => return lane.not_empty.notify_one(),
+                Push::Full(back) => {
+                    item = back;
+                    st = lane.not_full.wait(st).expect("queue lock poisoned");
+                }
+                Push::Closed => return,
+            }
         }
-        if st.closed {
-            return;
-        }
-        st.items.push_back(item);
-        lane.not_empty.notify_one();
     }
 
     /// Pops from lane `shard`, blocking while it is empty and open.
@@ -144,14 +226,14 @@ impl<T> ShardedQueue<T> {
         let lane = &self.shards[shard % self.shards.len()];
         let mut st = lane.state.lock().expect("queue lock poisoned");
         loop {
-            if let Some(item) = st.items.pop_front() {
-                lane.not_full.notify_one();
-                return Some(item);
+            match st.try_pop() {
+                Pop::Item(item) => {
+                    lane.not_full.notify_one();
+                    return Some(item);
+                }
+                Pop::Empty => st = lane.not_empty.wait(st).expect("queue lock poisoned"),
+                Pop::Closed => return None,
             }
-            if st.closed {
-                return None;
-            }
-            st = lane.not_empty.wait(st).expect("queue lock poisoned");
         }
     }
 
@@ -160,7 +242,7 @@ impl<T> ShardedQueue<T> {
     pub fn close(&self) {
         for lane in &self.shards {
             let mut st = lane.state.lock().expect("queue lock poisoned");
-            st.closed = true;
+            st.close();
             lane.not_empty.notify_all();
             lane.not_full.notify_all();
         }

@@ -1,49 +1,38 @@
 //! `fleche-verify`: exhaustive schedule-space checking for the serving
-//! protocols.
+//! front-end's one piece of hand-written blocking synchronisation.
 //!
 //! The crate is a small loom-style model checker (no dependencies
-//! beyond `fleche-model`, which supplies the shared protocol
-//! constants). [`explore`](explore::explore) walks *every* thread
-//! interleaving of a modeled protocol — bounded-preemption DFS with a
-//! sleep-set partial-order reduction and state-hash memoization — and
-//! reports the first invariant violation with the full schedule that
+//! beyond `fleche-model`). [`explore`](explore::explore) walks *every*
+//! thread interleaving of a modeled protocol — bounded-preemption DFS
+//! with a sleep-set partial-order reduction and state-hash memoization —
+//! and reports the first invariant violation with the full schedule that
 //! produced it.
 //!
-//! Five protocols are modeled, one per module:
+//! One protocol is modeled: [`queue`], the per-shard bounded queue
+//! behind `fleche_model::concurrent::ShardedQueue` (mutex + two
+//! condvars). The model runs the shipped lane's critical sections
+//! (`fleche_model::concurrent::Lane`) under modeled primitives
+//! ([`sync`]), so a bug in the shipped lane is a bug the explorer finds.
 //!
-//! * [`queue`] — the per-shard bounded queue behind
-//!   `fleche_model::concurrent::ShardedQueue` (mutex + two condvars).
-//! * [`ring`] — the prep→execute pipeline ring (publish + credit
-//!   edges of the `sync_channel(depth)` hand-off).
-//! * [`batcher`] — the micro-batcher's seal-on-full / linger-timer
-//!   discipline.
-//! * [`version`] — the batch-boundary update-visibility rule.
-//! * [`bucket`] — the admission token bucket's refill/consume
-//!   credit-conservation law.
-//!
-//! Every property ships with at least one deliberately broken *mutant*
-//! — the same model with a seeded protocol bug — and the checker must
-//! produce a counterexample trace for each. A verifier that cannot fail
-//! proves nothing; the mutants are its self-test.
+//! The property ships with deliberately broken *mutants* — the same
+//! model with a seeded wait/signal bug — and the checker must produce a
+//! counterexample trace for each. A verifier that cannot fail proves
+//! nothing; the mutants are its self-test. `fleche-bench analyze` runs
+//! the registry and gates on [`Report::ok`].
 
-pub mod batcher;
-pub mod bucket;
 pub mod explore;
 pub mod queue;
-pub mod ring;
 pub mod sync;
-pub mod version;
 pub mod wall;
 
 use explore::{explore, ExploreConfig, ExploreResult};
+use queue::{QueueConfig, QueueModel, QueueMutant};
 
 /// A checked protocol property: a faithful model the explorer must pass
 /// exhaustively.
 pub struct Property {
     /// Stable name, `protocol/invariant`.
     pub name: &'static str,
-    /// One-line statement of the invariant.
-    pub describes: &'static str,
     run: fn(&ExploreConfig) -> ExploreResult,
 }
 
@@ -73,61 +62,23 @@ impl Mutant {
     }
 }
 
+/// Explores the shipped queue configuration with `mutant` built in.
+fn explore_queue(mutant: QueueMutant, config: &ExploreConfig) -> ExploreResult {
+    let cfg = QueueConfig {
+        mutant,
+        ..QueueConfig::default_property()
+    };
+    explore(&QueueModel::new(cfg), config)
+}
+
 /// The shipped properties, in report order.
 pub fn properties() -> Vec<Property> {
-    vec![
-        Property {
-            name: "queue/bounded-fifo-no-lost-wakeup",
-            describes: "shard queue: capacity respected, per-lane FIFO, every wakeup race drained",
-            run: |c| {
-                explore(
-                    &queue::QueueModel::new(queue::QueueConfig::default_property()),
-                    c,
-                )
-            },
-        },
-        Property {
-            name: "ring/publish-credit-in-order",
-            describes: "pipeline ring: executor sees every batch in order, producer never laps",
-            run: |c| {
-                explore(
-                    &ring::RingModel::new(ring::RingConfig::default_property()),
-                    c,
-                )
-            },
-        },
-        Property {
-            name: "batcher/seal-linger-exactly-once",
-            describes: "micro-batcher: sealed batches partition arrivals, non-empty, in order",
-            run: |c| {
-                explore(
-                    &batcher::BatcherModel::new(batcher::BatcherConfig::default_property()),
-                    c,
-                )
-            },
-        },
-        Property {
-            name: "version/batch-boundary-visibility",
-            describes: "updates invisible mid-batch, applied max-wins at the boundary",
-            run: |c| {
-                explore(
-                    &version::VersionModel::new(version::VersionConfig::default_property()),
-                    c,
-                )
-            },
-        },
-        Property {
-            name: "bucket/refill-consume-conservation",
-            describes:
-                "admission token bucket: credit conserved under the cap in every interleaving",
-            run: |c| {
-                explore(
-                    &bucket::BucketModel::new(bucket::BucketConfig::default_property()),
-                    c,
-                )
-            },
-        },
-    ]
+    vec![Property {
+        // Shard queue: capacity respected, per-lane FIFO, every
+        // wakeup race drained.
+        name: "queue/bounded-fifo-no-lost-wakeup",
+        run: |c| explore_queue(QueueMutant::None, c),
+    }]
 }
 
 /// The shipped mutants, in report order.
@@ -137,99 +88,13 @@ pub fn mutants() -> Vec<Mutant> {
             name: "queue/if-wait",
             property: "queue/bounded-fifo-no-lost-wakeup",
             expect: "not re-checked",
-            run: |c| {
-                explore(
-                    &queue::QueueModel::new(queue::QueueConfig {
-                        mutant: queue::QueueMutant::IfWait,
-                        ..queue::QueueConfig::default_property()
-                    }),
-                    c,
-                )
-            },
+            run: |c| explore_queue(QueueMutant::IfWait, c),
         },
         Mutant {
             name: "queue/missing-notify",
             property: "queue/bounded-fifo-no-lost-wakeup",
             expect: "deadlock",
-            run: |c| {
-                explore(
-                    &queue::QueueModel::new(queue::QueueConfig {
-                        mutant: queue::QueueMutant::MissingNotify,
-                        ..queue::QueueConfig::default_property()
-                    }),
-                    c,
-                )
-            },
-        },
-        Mutant {
-            name: "ring/no-credit",
-            property: "ring/publish-credit-in-order",
-            expect: "ring overrun",
-            run: |c| {
-                explore(
-                    &ring::RingModel::new(ring::RingConfig {
-                        mutant_no_credit: true,
-                        ..ring::RingConfig::default_property()
-                    }),
-                    c,
-                )
-            },
-        },
-        Mutant {
-            name: "batcher/stale-seal",
-            property: "batcher/seal-linger-exactly-once",
-            expect: "empty",
-            run: |c| {
-                explore(
-                    &batcher::BatcherModel::new(batcher::BatcherConfig {
-                        mutant_stale_seal: true,
-                        ..batcher::BatcherConfig::default_property()
-                    }),
-                    c,
-                )
-            },
-        },
-        Mutant {
-            name: "version/mid-batch-apply",
-            property: "version/batch-boundary-visibility",
-            expect: "torn batch",
-            run: |c| {
-                explore(
-                    &version::VersionModel::new(version::VersionConfig {
-                        mutant: version::VersionMutant::MidBatchApply,
-                        ..version::VersionConfig::default_property()
-                    }),
-                    c,
-                )
-            },
-        },
-        Mutant {
-            name: "version/blind-write",
-            property: "version/batch-boundary-visibility",
-            expect: "regressed",
-            run: |c| {
-                explore(
-                    &version::VersionModel::new(version::VersionConfig {
-                        mutant: version::VersionMutant::BlindWrite,
-                        ..version::VersionConfig::default_property()
-                    }),
-                    c,
-                )
-            },
-        },
-        Mutant {
-            name: "bucket/lost-refill",
-            property: "bucket/refill-consume-conservation",
-            expect: "lost refill",
-            run: |c| {
-                explore(
-                    &bucket::BucketModel::new(bucket::BucketConfig {
-                        mutant_lost_refill: true,
-                        ..bucket::BucketConfig::default_property()
-                    }),
-                    c,
-                )
-            },
+            run: |c| explore_queue(QueueMutant::MissingNotify, c),
         },
     ]
 }
@@ -238,13 +103,11 @@ pub fn mutants() -> Vec<Mutant> {
 pub struct PropertyOutcome {
     /// The property.
     pub name: &'static str,
-    /// One-line invariant statement.
-    pub describes: &'static str,
     /// Explorer counters.
     pub stats: explore::ExploreStats,
     /// A counterexample, if the property (unexpectedly) failed.
     pub failure: Option<explore::Failure>,
-    /// Wall time, milliseconds (stderr/JSON only — not deterministic).
+    /// Wall time, milliseconds (JSON only — not deterministic).
     pub wall_ms: f64,
 }
 
@@ -300,7 +163,6 @@ pub fn run_all(config: &ExploreConfig) -> Report {
             let r = p.run(config);
             PropertyOutcome {
                 name: p.name,
-                describes: p.describes,
                 stats: r.stats,
                 failure: r.failure,
                 wall_ms: timer.elapsed_ms(),

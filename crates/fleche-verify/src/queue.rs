@@ -1,24 +1,28 @@
-//! Model of the per-shard bounded MPMC queue
-//! ([`fleche_model::ShardedQueue`]).
+//! The per-shard bounded MPMC queue ([`fleche_model::ShardedQueue`]),
+//! explored over its shipped critical sections.
 //!
-//! The real protocol: each lane is a `Mutex<ShardState>` with two
-//! condvars (`not_empty`, `not_full`); `push` waits `while` full, `pop`
-//! loops pop → closed-check → wait, and `close` flips the flag and
-//! notifies all. The model mirrors it with one *feeder* thread pushing
-//! `items` round-robin over the lanes and then closing them (exactly the
-//! serving front-end's feeder), plus `consumers` threads popping — so a
-//! lane can have two consumers, which is the schedule family that breaks
+//! Each lane of the real queue is a `Mutex<Lane>` with two condvars
+//! (`not_empty`, `not_full`); [`Lane::try_push`], [`Lane::try_pop`] and
+//! [`Lane::close`] are the code that runs under the mutex, and their
+//! answers tell the caller which condvar to wait on or signal. The model
+//! runs those same functions on a real `Lane<u64>` of stamps, under the
+//! modeled [`Mutex`] and [`Condvar`]s, so an edit to the shipped lane is
+//! an edit to what the explorer searches. One *feeder* thread pushes
+//! `items` round-robin over the lanes and then closes them (exactly the
+//! serving front-end's feeder), and `consumers` threads pop — so a lane
+//! can have two consumers, which is the schedule family that breaks
 //! `if`-based wait conditions.
 //!
 //! Checked: lane occupancy never exceeds the capacity bound, pops leave
-//! each lane in exact push order (stamps are consecutive), nothing is
-//! popped from an empty lane, and every schedule terminates with every
-//! pushed item popped (a lost wakeup surfaces as a deadlock, which the
-//! explorer reports with the schedule that loses the signal).
+//! each lane in exact push order (stamps are consecutive), and every
+//! schedule terminates with every pushed item popped (a lost wakeup
+//! surfaces as a deadlock, which the explorer reports with the schedule
+//! that loses the signal). The mutants live here, in the waits and
+//! signals the model performs around the shipped lane, never in it.
 
 use crate::explore::{Access, Model, Step};
 use crate::sync::{Condvar, Mutex};
-use std::collections::VecDeque;
+use fleche_model::concurrent::{Lane, Pop, Push};
 
 /// Which deliberate bug to build in, if any.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,7 +33,7 @@ pub enum QueueMutant {
     /// `while`): a barging thread can steal the condition between the
     /// notify and the resume.
     IfWait,
-    /// `pop` forgets to signal `not_full` after freeing a slot: a
+    /// The model ignores the `not_full` signal `Pop::Item` asks for: a
     /// producer blocked on a full lane never wakes (lost wakeup).
     MissingNotify,
 }
@@ -67,13 +71,12 @@ impl QueueConfig {
 }
 
 #[derive(Clone, Debug)]
-struct Lane {
+struct ModelLane {
     mutex: Mutex,
     not_empty: Condvar,
     not_full: Condvar,
-    /// Stamps (1-based, per lane) still queued.
-    items: VecDeque<u64>,
-    closed: bool,
+    /// The shipped lane, holding stamps (1-based, per lane).
+    state: Lane<u64>,
     /// Stamps handed out so far.
     pushed: u64,
     /// Last stamp popped; FIFO means pops see `1, 2, 3, ...` exactly.
@@ -111,7 +114,7 @@ enum ConsumerPc {
 #[derive(Clone, Debug)]
 pub struct QueueModel {
     cfg: QueueConfig,
-    lanes: Vec<Lane>,
+    lanes: Vec<ModelLane>,
     feeder: FeederPc,
     consumers: Vec<ConsumerPc>,
     violation: Option<String>,
@@ -134,12 +137,11 @@ impl QueueModel {
         assert!(cfg.lanes > 0 && cfg.capacity > 0 && cfg.consumers >= cfg.lanes);
         QueueModel {
             lanes: (0..cfg.lanes)
-                .map(|l| Lane {
+                .map(|l| ModelLane {
                     mutex: Mutex::new(mutex_res(l)),
                     not_empty: Condvar::new(not_empty_res(l)),
                     not_full: Condvar::new(not_full_res(l)),
-                    items: VecDeque::new(),
-                    closed: false,
+                    state: Lane::default(),
                     pushed: 0,
                     last_popped: 0,
                 })
@@ -159,9 +161,10 @@ impl QueueModel {
         c % self.cfg.lanes
     }
 
-    /// The feeder's critical section for pushing `item`, shared by the
-    /// first attempt and the post-wakeup retry. `recheck` is false only
-    /// in the [`QueueMutant::IfWait`] retry.
+    /// The feeder's pass through `ShardedQueue::push`'s loop for `item`,
+    /// shared by the first attempt and the post-wakeup retry. `recheck`
+    /// is false only in the [`QueueMutant::IfWait`] retry, which takes
+    /// any answer but `Queued` as the bug surfacing.
     fn push_body(
         &mut self,
         item: usize,
@@ -169,30 +172,42 @@ impl QueueModel {
         accesses: &mut Vec<Access>,
     ) -> (FeederPc, String) {
         let lane_idx = item % self.cfg.lanes;
-        let cap = self.cfg.capacity;
         let lane = &mut self.lanes[lane_idx];
-        if recheck && lane.items.len() >= cap {
-            accesses.push(lane.not_full.wait_begin(0));
-            return (
-                FeederPc::BlockedFull { item },
-                format!("push({item}) blocks: lane {lane_idx} full"),
-            );
+        let stamp = lane.pushed + 1;
+        match lane.state.try_push(stamp, self.cfg.capacity) {
+            Push::Queued => {
+                lane.pushed = stamp;
+                accesses.push(lane.not_empty.notify_one());
+                (
+                    FeederPc::Push { next: item + 1 },
+                    format!("push({item}) -> lane {lane_idx} stamp {stamp}"),
+                )
+            }
+            _ if !recheck => {
+                self.violation = Some(format!(
+                    "push to lane {lane_idx} refused after wakeup: wait condition not re-checked"
+                ));
+                (
+                    FeederPc::Push { next: item },
+                    format!("push({item}) -> lane {lane_idx} REFUSED"),
+                )
+            }
+            Push::Full(_) => {
+                accesses.push(lane.not_full.wait_begin(0));
+                (
+                    FeederPc::BlockedFull { item },
+                    format!("push({item}) blocks: lane {lane_idx} full"),
+                )
+            }
+            Push::Closed => (
+                FeederPc::Push { next: item + 1 },
+                format!("push({item}) -> lane {lane_idx} closed, dropped"),
+            ),
         }
-        // When `recheck` is false (the IfWait retry) a full lane falls
-        // through to the push below; the occupancy check catches it.
-        lane.pushed += 1;
-        let stamp = lane.pushed;
-        lane.items.push_back(stamp);
-        accesses.push(lane.not_empty.notify_one());
-        let next = FeederPc::Push { next: item + 1 };
-        (
-            next,
-            format!("push({item}) -> lane {lane_idx} stamp {stamp}"),
-        )
     }
 
-    /// A consumer's critical section, shared by the first attempt and
-    /// the post-wakeup retry.
+    /// A consumer's pass through `ShardedQueue::pop`'s loop, shared by
+    /// the first attempt and the post-wakeup retry.
     fn pop_body(
         &mut self,
         c: usize,
@@ -202,38 +217,48 @@ impl QueueModel {
         let tid = c + 1;
         let lane_idx = self.consumer_lane(c);
         let lane = &mut self.lanes[lane_idx];
-        if let Some(stamp) = lane.items.pop_front() {
-            if stamp != lane.last_popped + 1 {
+        match lane.state.try_pop() {
+            Pop::Item(stamp) => {
+                if stamp != lane.last_popped + 1 {
+                    self.violation = Some(format!(
+                        "FIFO violated on lane {lane_idx}: popped stamp {stamp} after {}",
+                        lane.last_popped
+                    ));
+                }
+                lane.last_popped = stamp;
+                if self.cfg.mutant != QueueMutant::MissingNotify {
+                    accesses.push(lane.not_full.notify_one());
+                }
+                (
+                    ConsumerPc::Pop,
+                    format!("pop -> lane {lane_idx} stamp {stamp}"),
+                )
+            }
+            _ if !recheck => {
+                // IfWait retry: the item it was woken for is already gone.
                 self.violation = Some(format!(
-                    "FIFO violated on lane {lane_idx}: popped stamp {stamp} after {}",
-                    lane.last_popped
+                    "pop from empty lane {lane_idx}: wait condition not re-checked"
                 ));
+                (ConsumerPc::Pop, format!("pop -> lane {lane_idx} EMPTY"))
             }
-            lane.last_popped = stamp;
-            if self.cfg.mutant != QueueMutant::MissingNotify {
-                accesses.push(lane.not_full.notify_one());
+            Pop::Closed => (ConsumerPc::Done, format!("pop -> lane {lane_idx} closed")),
+            Pop::Empty => {
+                accesses.push(lane.not_empty.wait_begin(tid));
+                (
+                    ConsumerPc::Blocked,
+                    format!("pop blocks: lane {lane_idx} empty"),
+                )
             }
-            return (
-                ConsumerPc::Pop,
-                format!("pop -> lane {lane_idx} stamp {stamp}"),
-            );
         }
-        if !recheck {
-            // IfWait retry on an empty lane: the real bug class this
-            // mutant seeds — the item it was woken for is already gone.
-            self.violation = Some(format!(
-                "pop from empty lane {lane_idx}: wait condition not re-checked"
-            ));
-            return (ConsumerPc::Pop, format!("pop -> lane {lane_idx} EMPTY"));
+    }
+
+    /// The feeder's next pc after a push step: close once every item has
+    /// been handed over.
+    fn after_push(&self, pc: FeederPc) -> FeederPc {
+        match pc {
+            FeederPc::Push { next } if next >= self.cfg.items => FeederPc::Close { lane: 0 },
+            pc => pc,
         }
-        if lane.closed {
-            return (ConsumerPc::Done, format!("pop -> lane {lane_idx} closed"));
-        }
-        accesses.push(lane.not_empty.wait_begin(tid));
-        (
-            ConsumerPc::Blocked,
-            format!("pop blocks: lane {lane_idx} empty"),
-        )
     }
 }
 
@@ -281,6 +306,7 @@ impl Model for QueueModel {
 
     fn step(&mut self, tid: usize) -> Step {
         let mut accesses = Vec::new();
+        let recheck = self.cfg.mutant != QueueMutant::IfWait;
         let label;
         if tid == 0 {
             match self.feeder.clone() {
@@ -288,36 +314,26 @@ impl Model for QueueModel {
                     let lane_idx = next % self.cfg.lanes;
                     accesses.push(self.lanes[lane_idx].mutex.acquire(0));
                     let (pc, l) = self.push_body(next, true, &mut accesses);
-                    let pc = if matches!(pc, FeederPc::Push { next } if next >= self.cfg.items) {
-                        FeederPc::Close { lane: 0 }
-                    } else {
-                        pc
-                    };
                     accesses.push(self.lanes[lane_idx].mutex.release(0));
-                    self.feeder = pc;
+                    self.feeder = self.after_push(pc);
                     label = l;
                 }
                 FeederPc::BlockedFull { item } => {
                     let lane_idx = item % self.cfg.lanes;
                     accesses.push(self.lanes[lane_idx].not_full.resume(0));
                     accesses.push(self.lanes[lane_idx].mutex.acquire(0));
-                    let recheck = self.cfg.mutant != QueueMutant::IfWait;
                     let (pc, l) = self.push_body(item, recheck, &mut accesses);
-                    let pc = if matches!(pc, FeederPc::Push { next } if next >= self.cfg.items) {
-                        FeederPc::Close { lane: 0 }
-                    } else {
-                        pc
-                    };
                     accesses.push(self.lanes[lane_idx].mutex.release(0));
-                    self.feeder = pc;
+                    self.feeder = self.after_push(pc);
                     label = l;
                 }
                 FeederPc::Close { lane } => {
-                    accesses.push(self.lanes[lane].mutex.acquire(0));
-                    self.lanes[lane].closed = true;
-                    accesses.push(self.lanes[lane].not_empty.notify_all());
-                    accesses.push(self.lanes[lane].not_full.notify_all());
-                    accesses.push(self.lanes[lane].mutex.release(0));
+                    let lane_state = &mut self.lanes[lane];
+                    accesses.push(lane_state.mutex.acquire(0));
+                    lane_state.state.close();
+                    accesses.push(lane_state.not_empty.notify_all());
+                    accesses.push(lane_state.not_full.notify_all());
+                    accesses.push(lane_state.mutex.release(0));
                     self.feeder = if lane + 1 < self.cfg.lanes {
                         FeederPc::Close { lane: lane + 1 }
                     } else {
@@ -330,25 +346,19 @@ impl Model for QueueModel {
         } else {
             let c = tid - 1;
             let lane_idx = self.consumer_lane(c);
-            match self.consumers[c].clone() {
-                ConsumerPc::Pop => {
-                    accesses.push(self.lanes[lane_idx].mutex.acquire(tid));
-                    let (pc, l) = self.pop_body(c, true, &mut accesses);
-                    accesses.push(self.lanes[lane_idx].mutex.release(tid));
-                    self.consumers[c] = pc;
-                    label = l;
-                }
-                ConsumerPc::Blocked => {
-                    accesses.push(self.lanes[lane_idx].not_empty.resume(tid));
-                    accesses.push(self.lanes[lane_idx].mutex.acquire(tid));
-                    let recheck = self.cfg.mutant != QueueMutant::IfWait;
-                    let (pc, l) = self.pop_body(c, recheck, &mut accesses);
-                    accesses.push(self.lanes[lane_idx].mutex.release(tid));
-                    self.consumers[c] = pc;
-                    label = l;
-                }
+            let retry = match self.consumers[c] {
+                ConsumerPc::Pop => false,
+                ConsumerPc::Blocked => true,
                 ConsumerPc::Done => unreachable!("stepping a done consumer"),
+            };
+            if retry {
+                accesses.push(self.lanes[lane_idx].not_empty.resume(tid));
             }
+            accesses.push(self.lanes[lane_idx].mutex.acquire(tid));
+            let (pc, l) = self.pop_body(c, !retry || recheck, &mut accesses);
+            accesses.push(self.lanes[lane_idx].mutex.release(tid));
+            self.consumers[c] = pc;
+            label = l;
         }
         Step { label, accesses }
     }
@@ -358,10 +368,10 @@ impl Model for QueueModel {
             return Err(v.clone());
         }
         for (l, lane) in self.lanes.iter().enumerate() {
-            if lane.items.len() > self.cfg.capacity {
+            let held = lane.state.items().len();
+            if held > self.cfg.capacity {
                 return Err(format!(
-                    "lane {l} holds {} items, capacity {}",
-                    lane.items.len(),
+                    "lane {l} holds {held} items, capacity {}",
                     self.cfg.capacity
                 ));
             }
@@ -378,11 +388,9 @@ impl Model for QueueModel {
             ));
         }
         for (l, lane) in self.lanes.iter().enumerate() {
-            if !lane.items.is_empty() {
-                return Err(format!(
-                    "lane {l} still holds {} items after close",
-                    lane.items.len()
-                ));
+            let held = lane.state.items().len();
+            if held > 0 {
+                return Err(format!("lane {l} still holds {held} items after close"));
             }
             if lane.last_popped != lane.pushed {
                 return Err(format!(
@@ -399,9 +407,9 @@ impl Model for QueueModel {
             lane.mutex.snapshot(out);
             lane.not_empty.snapshot(out);
             lane.not_full.snapshot(out);
-            out.push(lane.items.len() as u64);
-            out.extend(lane.items.iter().copied());
-            out.push(u64::from(lane.closed));
+            out.push(lane.state.items().len() as u64);
+            out.extend(lane.state.items().iter().copied());
+            out.push(u64::from(lane.state.is_closed()));
             out.push(lane.pushed);
             out.push(lane.last_popped);
         }
@@ -442,11 +450,7 @@ mod tests {
         });
         let r = explore(&m, &ExploreConfig::default());
         let f = r.failure.expect("if-wait must fail under some schedule");
-        assert!(
-            f.reason.contains("not re-checked") || f.reason.contains("capacity"),
-            "{}",
-            f.reason
-        );
+        assert!(f.reason.contains("not re-checked"), "{}", f.reason);
     }
 
     #[test]

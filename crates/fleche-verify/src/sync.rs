@@ -1,12 +1,11 @@
 //! Modeled synchronization primitives.
 //!
-//! These shims mirror the semantics of `std::sync::{Mutex, Condvar}` and
-//! the atomics the real protocols use, but as plain data inside a
-//! [`Model`](crate::explore::Model): the explorer decides when a blocked
-//! thread resumes, so every legal wakeup order is explored. Each
-//! operation reports its footprint as [`Access`]es on a caller-chosen
-//! resource id, which is what the sleep-set reduction keys independence
-//! on.
+//! These shims mirror the semantics of `std::sync::{Mutex, Condvar}`, but
+//! as plain data inside a [`Model`](crate::explore::Model): the explorer
+//! decides when a blocked thread resumes, so every legal wakeup order is
+//! explored. Each operation reports its footprint as [`Access`]es on a
+//! caller-chosen resource id, which is what the sleep-set reduction keys
+//! independence on.
 //!
 //! Faithfulness notes:
 //!
@@ -55,11 +54,6 @@ impl Mutex {
         debug_assert_eq!(self.holder, Some(tid), "release by a non-holder");
         self.holder = None;
         Access::write(self.id)
-    }
-
-    /// The mutex's footprint resource (for enabledness reads).
-    pub fn resource(&self) -> u64 {
-        self.id
     }
 
     /// Canonical encoding for [`Model::snapshot`](crate::explore::Model::snapshot).
@@ -129,56 +123,10 @@ impl Condvar {
         Access::write(self.id)
     }
 
-    /// The condvar's footprint resource.
-    pub fn resource(&self) -> u64 {
-        self.id
-    }
-
     /// Canonical encoding for snapshots.
     pub fn snapshot(&self, out: &mut Vec<u64>) {
         out.push(self.waiting.iter().fold(0u64, |m, &t| m | (1 << t)));
         out.push(self.wakeable.iter().fold(0u64, |m, &t| m | (1 << t)));
-    }
-}
-
-/// A modeled atomic counter (`AtomicU64`-shaped).
-#[derive(Clone, Debug)]
-pub struct Atomic {
-    id: u64,
-    value: u64,
-}
-
-impl Atomic {
-    /// An atomic with initial `value` and footprint resource `id`.
-    pub fn new(id: u64, value: u64) -> Atomic {
-        Atomic { id, value }
-    }
-
-    /// Atomic load.
-    pub fn load(&self) -> (u64, Access) {
-        (self.value, Access::read(self.id))
-    }
-
-    /// The current value without a footprint — for enabledness tests
-    /// only; the enabling step must still record a load.
-    pub fn peek(&self) -> u64 {
-        self.value
-    }
-
-    /// Atomic store.
-    pub fn store(&mut self, value: u64) -> Access {
-        self.value = value;
-        Access::write(self.id)
-    }
-
-    /// The atomic's footprint resource.
-    pub fn resource(&self) -> u64 {
-        self.id
-    }
-
-    /// Canonical encoding for snapshots.
-    pub fn snapshot(&self, out: &mut Vec<u64>) {
-        out.push(self.value);
     }
 }
 

@@ -1,8 +1,8 @@
 //! The one place in the verifier allowed to read the wall clock.
 //!
 //! Exploration itself is deterministic and clock-free; wall times exist
-//! only to report how long each property took, and they go to stderr
-//! and the JSON bench record — never to the byte-diffed stdout report.
+//! only to report how long each property took, and they go to the JSON
+//! bench record — never to the byte-diffed stdout report.
 //! The `no-wall-clock` analyzer allow for this file is reviewed in
 //! `fleche-analyzer.toml`.
 

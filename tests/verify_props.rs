@@ -9,12 +9,12 @@
 //!   sleep sets use hashing internally, so this is worth checking — an
 //!   iteration-order leak would make counterexamples irreproducible.
 //! * **Self-test under randomization** — the shipped mutants must die
-//!   with a non-empty counterexample trace, and each faithful model must
-//!   pass exhaustively for every small configuration, not just the
+//!   with a non-empty counterexample trace, and the faithful queue model
+//!   must pass exhaustively for every small configuration, not just the
 //!   shipped one.
 
 use fleche_verify::explore::{explore, ExploreConfig, ExploreResult, Model};
-use fleche_verify::{batcher, queue, ring, version};
+use fleche_verify::queue;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -54,26 +54,6 @@ fn queue_configs() -> impl Strategy<Value = queue::QueueConfig> {
     })
 }
 
-/// Version configs: raw slot indices are folded into range so every
-/// update targets a real slot.
-fn version_configs() -> impl Strategy<Value = version::VersionConfig> {
-    (
-        1usize..3,
-        prop::collection::vec((0usize..8, 2u64..5), 0..4),
-        1usize..3,
-        1usize..3,
-    )
-        .prop_map(
-            |(slots, raw, batches, reads_per_batch)| version::VersionConfig {
-                slots,
-                updates: raw.into_iter().map(|(s, v)| (s % slots, v)).collect(),
-                batches,
-                reads_per_batch,
-                mutant: version::VersionMutant::None,
-            },
-        )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -82,46 +62,6 @@ proptest! {
     #[test]
     fn queue_exploration_is_deterministic_and_green(cfg in queue_configs()) {
         let r = explore_twice(&queue::QueueModel::new(cfg))?;
-        prop_assert!(r.passed(), "{}", r.failure.unwrap().render());
-        prop_assert!(r.stats.complete_runs > 0);
-    }
-
-    /// Same for the pipeline ring, across depths and batch counts.
-    #[test]
-    fn ring_exploration_is_deterministic_and_green(
-        depth in 1usize..4,
-        items in 1usize..9,
-    ) {
-        let r = explore_twice(&ring::RingModel::new(ring::RingConfig {
-            depth,
-            items,
-            mutant_no_credit: false,
-        }))?;
-        prop_assert!(r.passed(), "{}", r.failure.unwrap().render());
-        prop_assert!(r.stats.complete_runs > 0);
-    }
-
-    /// Same for the micro-batcher's seal/linger discipline.
-    #[test]
-    fn batcher_exploration_is_deterministic_and_green(
-        arrivals in 1usize..4,
-        max_batch in 1usize..4,
-        timer_rounds in 0usize..3,
-    ) {
-        let r = explore_twice(&batcher::BatcherModel::new(batcher::BatcherConfig {
-            arrivals,
-            max_batch,
-            timer_rounds,
-            mutant_stale_seal: false,
-        }))?;
-        prop_assert!(r.passed(), "{}", r.failure.unwrap().render());
-        prop_assert!(r.stats.complete_runs > 0);
-    }
-
-    /// Same for batch-boundary version visibility.
-    #[test]
-    fn version_exploration_is_deterministic_and_green(cfg in version_configs()) {
-        let r = explore_twice(&version::VersionModel::new(cfg))?;
         prop_assert!(r.passed(), "{}", r.failure.unwrap().render());
         prop_assert!(r.stats.complete_runs > 0);
     }
@@ -168,7 +108,7 @@ fn every_shipped_mutant_dies_with_a_counterexample() {
 }
 
 /// The full registry is green under the default exploration budget —
-/// the same gate CI runs via `cargo run -p fleche-verify`.
+/// the same gate CI runs via `fleche-bench analyze`.
 #[test]
 fn registry_report_is_ok() {
     let report = fleche_verify::run_all(&ExploreConfig::default());
