@@ -2,18 +2,21 @@
 //! must partition its input exactly (no drop, no duplicate) while holding
 //! the logical-time latency budget, the admission token bucket must
 //! conserve credit under any probe order, and `serve_concurrent` with a
-//! single worker must stay bit-identical to the serial `serve` loop across
-//! randomized server configurations.
+//! single worker and `serve_multi_tenant` with a single tenant must both
+//! stay bit-identical to the serial `serve` loop across randomized server
+//! configurations.
 
 use fleche_core::{FlecheConfig, FlecheSystem};
 use fleche_gpu::{DeviceSpec, DramSpec, Gpu, Ns};
 use fleche_model::{
-    serve, serve_concurrent, ConcurrentConfig, DenseModel, InferenceEngine, MicroBatcher,
-    MicroBatcherConfig, ModelMode, ServerConfig, TokenBucket,
+    serve, serve_concurrent, serve_multi_tenant, ConcurrentConfig, DenseModel, InferenceEngine,
+    LatencyRecorder, MicroBatcher, MicroBatcherConfig, ModelMode, MultiTenantConfig,
+    OverloadCostSpec, ServedRun, ServerConfig, TokenBucket,
 };
 use fleche_store::CpuStore;
 use fleche_workload::{spec, TraceGenerator};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// Sorted Poisson-ish arrival sequence in logical nanoseconds, with
 /// occasional bursts (gap 0) to exercise seal-on-full batches.
@@ -266,33 +269,98 @@ proptest! {
         let (mut eng, mut gen) = build(0);
         let serial = serve(&mut eng, &mut gen, &cfg);
         let conc = serve_concurrent(build, &ConcurrentConfig::mirror_serial(&cfg, 1));
-        let run = &conc.workers[0].run;
-        prop_assert_eq!(serial.offered, run.offered);
-        prop_assert_eq!(serial.served, run.served);
-        prop_assert_eq!(serial.shed_queue, run.shed_queue);
-        prop_assert_eq!(serial.shed_deadline, run.shed_deadline);
-        prop_assert_eq!(serial.achieved.to_bits(), run.achieved.to_bits());
-        prop_assert_eq!(serial.mean_batch.to_bits(), run.mean_batch.to_bits());
-        prop_assert_eq!(serial.utilization.to_bits(), run.utilization.to_bits());
-        prop_assert_eq!(serial.latency.len(), run.latency.len());
-        prop_assert_eq!(
-            serial.latency.median().as_ns().to_bits(),
-            run.latency.median().as_ns().to_bits()
-        );
-        prop_assert_eq!(
-            serial.latency.p99().as_ns().to_bits(),
-            run.latency.p99().as_ns().to_bits()
-        );
-        prop_assert_eq!(
-            serial.latency.mean().as_ns().to_bits(),
-            run.latency.mean().as_ns().to_bits()
-        );
-        prop_assert_eq!(
-            serial.latency.total().as_ns().to_bits(),
-            run.latency.total().as_ns().to_bits()
-        );
-        prop_assert_eq!(serial.lifetime.hits, run.lifetime.hits);
-        prop_assert_eq!(serial.lifetime.misses, run.lifetime.misses);
-        prop_assert_eq!(serial.lifetime.batches, run.lifetime.batches);
+        assert_same_run(&serial, &conc.workers[0].run)?;
     }
+
+    /// One tenant through `serve_multi_tenant` is serial `serve`: its
+    /// quota never binds, its SLO is never crossed and admission costs
+    /// nothing, so every count, every latency bit and the final clock
+    /// must agree.
+    #[test]
+    fn one_tenant_is_bit_identical_to_serial(
+        load_k in 100u32..4_000,
+        max_batch in 16usize..257,
+        requests in 400usize..1_500,
+        limits in prop_oneof![
+            (Just(None), Just(None)),
+            ((64usize..512).prop_map(Some), Just(None)),
+            (Just(None), (200u32..2_000).prop_map(Some)),
+        ],
+    ) {
+        let (cap, deadline_us) = limits;
+        let cfg = ServerConfig {
+            offered_load: load_k as f64 * 1_000.0,
+            max_batch,
+            requests,
+            warmup_requests: 1_000,
+            queue_capacity: cap,
+            deadline: deadline_us.map(|d| Ns::from_us(d as f64)),
+        };
+        let (mut eng, mut gen) = build(0);
+        let serial = serve(&mut eng, &mut gen, &cfg);
+        let (mut mt_eng, gen) = build(0);
+        let mut mt = MultiTenantConfig::symmetric(1, cfg.offered_load, requests);
+        mt.max_batch = max_batch;
+        mt.warmup_requests = cfg.warmup_requests;
+        mt.queue_capacity = cap.unwrap_or(usize::MAX);
+        mt.deadline = cfg.deadline;
+        mt.costs = OverloadCostSpec {
+            bucket_probe_ns: 0.0,
+            shed_ns: 0.0,
+            controller_update_ns: 0.0,
+            tenant_switch_ns: 0.0,
+        };
+        mt.tenants[0].quota = 1e12;
+        mt.tenants[0].quota_burst = 1e12;
+        mt.tenants[0].slo_p99 = Ns::from_secs(1e6);
+        let run = serve_multi_tenant(&mut mt_eng, &mut [gen], &mt);
+        let tenant = &run.tenants[0];
+        prop_assert_eq!(tenant.over_quota + tenant.shed_quota, 0);
+        prop_assert_eq!(serial.offered, tenant.offered);
+        prop_assert_eq!(serial.served, tenant.served);
+        prop_assert_eq!(serial.shed_queue, tenant.shed_queue);
+        prop_assert_eq!(serial.shed_deadline, tenant.shed_deadline);
+        let mean_batch = tenant.served as f64 / run.batches.max(1) as f64;
+        prop_assert_eq!(serial.mean_batch.to_bits(), mean_batch.to_bits());
+        // Same start and end clock: same achieved rate and utilization.
+        prop_assert_eq!(
+            eng.gpu().now().as_ns().to_bits(),
+            mt_eng.gpu().now().as_ns().to_bits()
+        );
+        assert_same_latency(&serial.latency, &tenant.latency)?;
+        prop_assert_eq!(serial.lifetime.hits, tenant.hits);
+        prop_assert_eq!(serial.lifetime.unique_keys, tenant.unique_keys);
+    }
+}
+
+/// Field-by-field, bit-for-bit equality of two serving runs.
+fn assert_same_run(a: &ServedRun, b: &ServedRun) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.offered, b.offered);
+    prop_assert_eq!(a.served, b.served);
+    prop_assert_eq!(a.shed_queue, b.shed_queue);
+    prop_assert_eq!(a.shed_deadline, b.shed_deadline);
+    prop_assert_eq!(a.achieved.to_bits(), b.achieved.to_bits());
+    prop_assert_eq!(a.mean_batch.to_bits(), b.mean_batch.to_bits());
+    prop_assert_eq!(a.utilization.to_bits(), b.utilization.to_bits());
+    assert_same_latency(&a.latency, &b.latency)?;
+    prop_assert_eq!(a.lifetime.hits, b.lifetime.hits);
+    prop_assert_eq!(a.lifetime.misses, b.lifetime.misses);
+    prop_assert_eq!(a.lifetime.batches, b.lifetime.batches);
+    Ok(())
+}
+
+/// The same latency samples, compared through every statistic bit for bit.
+fn assert_same_latency(a: &LatencyRecorder, b: &LatencyRecorder) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.len(), b.len());
+    prop_assert_eq!(a.total().as_ns().to_bits(), b.total().as_ns().to_bits());
+    if !a.is_empty() {
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            prop_assert_eq!(
+                a.quantile(q).as_ns().to_bits(),
+                b.quantile(q).as_ns().to_bits()
+            );
+        }
+        prop_assert_eq!(a.mean().as_ns().to_bits(), b.mean().as_ns().to_bits());
+    }
+    Ok(())
 }
