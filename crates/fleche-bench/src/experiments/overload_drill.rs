@@ -33,8 +33,7 @@
 //!
 //! Run: `cargo run --release -p fleche-bench -- overload_drill [--quick] [--analyze]`
 //!
-//! `--analyze` arms the happens-before race checker on every GPU and
-//! replays the per-tenant admission hand-off rings through it, failing
+//! `--analyze` arms the happens-before race checker on every GPU, failing
 //! the run (exit 1) on any unordered conflicting pair.
 
 use std::process::ExitCode;
@@ -58,27 +57,6 @@ const CACHE_QUOTAS: [f64; TENANTS] = [0.45, 0.45];
 const QUIET_LOAD: f64 = 400_000.0;
 /// Rolling window (batches) for drill-B recovery detection.
 const ROLL: usize = 4;
-
-/// The engine's GPU and the replayed admission rings of one run, both
-/// through the `--analyze` gate.
-fn check_run_races(
-    d: &Drill,
-    engine: &InferenceEngine<FlecheSystem>,
-    run: &MultiTenantRun,
-    what: &str,
-) -> Result<(), RacesFound> {
-    d.check_races(engine.gpu(), what)?;
-    match run.races {
-        Some(races) if races > 0 => {
-            eprintln!(
-                "{} --analyze: {races} race(s) replaying {what} admission rings",
-                d.args.name
-            );
-            Err(RacesFound)
-        }
-        _ => Ok(()),
-    }
-}
 
 fn mt_dataset() -> DatasetSpec {
     spec::synthetic(8, 5_000, 16, -1.3)
@@ -134,12 +112,13 @@ fn drill_a_config(requests: usize) -> MultiTenantConfig {
 }
 
 /// Samples tenant 0's generator produces during [`serve_multi_tenant`]'s
-/// round-robin warm-up, used to offset the crowd's key-churn window from
-/// arrival time into the generator's sample-index domain.
+/// warm-up (`warmup_requests.div_ceil(max_batch)` rounds of
+/// `min(max_batch, 256)` samples, walked round-robin over the tenants),
+/// used to offset the crowd's key-churn window from arrival time into the
+/// generator's sample-index domain.
 fn warmup_samples_tenant0(cfg: &MultiTenantConfig) -> u64 {
-    let chunk = cfg.max_batch.min(256);
-    let rounds = cfg.warmup_requests.div_ceil(chunk);
-    (rounds.div_ceil(TENANTS) * chunk) as u64
+    let rounds = cfg.warmup_requests.div_ceil(cfg.max_batch);
+    (rounds.div_ceil(TENANTS) * cfg.max_batch.min(256)) as u64
 }
 
 fn drill_flash_crowd(d: &Drill) -> Result<FlashCrowdReport, RacesFound> {
@@ -157,17 +136,15 @@ fn drill_flash_crowd(d: &Drill) -> Result<FlashCrowdReport, RacesFound> {
     };
 
     // Quiet baseline: both tenants at QUIET_LOAD, stationary traces.
-    let mut cfg = drill_a_config(requests);
-    cfg.analyze = analyze;
+    let cfg = drill_a_config(requests);
     let (mut engine, mut gens) =
         build_mt(&ds, [TraceDynamics::none(), TraceDynamics::none()], analyze);
     let base = serve_multi_tenant(&mut engine, &mut gens, &cfg);
-    check_run_races(d, &engine, &base, "drill A baseline")?;
+    d.check_races(engine.gpu(), "drill A baseline")?;
 
     // Crowd run: identical config plus the flash crowd on tenant 0 — a
     // rate spike on its arrival stream and key churn on its trace.
     let mut crowd_cfg = drill_a_config(requests);
-    crowd_cfg.analyze = analyze;
     crowd_cfg.tenants[crowd.tenant].bursts = crowd.windows();
     let mut churn = crowd.churn(QUIET_LOAD);
     churn.start += warmup_samples_tenant0(&crowd_cfg);
@@ -180,7 +157,7 @@ fn drill_flash_crowd(d: &Drill) -> Result<FlashCrowdReport, RacesFound> {
     ];
     let (mut engine, mut gens) = build_mt(&ds, dynamics, analyze);
     let run = serve_multi_tenant(&mut engine, &mut gens, &crowd_cfg);
-    check_run_races(d, &engine, &run, "drill A flash crowd")?;
+    d.check_races(engine.gpu(), "drill A flash crowd")?;
     let cache = (0..TENANTS)
         .map(|t| engine.system().tenant_cache_stats(t))
         .collect();
@@ -351,7 +328,6 @@ fn drill_overload(d: &Drill) -> Result<OverloadReport, RacesFound> {
     cfg.deadline = Some(Ns::from_us(500.0));
     cfg.controller.observe_every = 4;
     cfg.controller_min_samples = 16;
-    cfg.analyze = analyze;
     for t in &mut cfg.tenants {
         t.quota = 600_000.0;
         t.quota_burst = 64.0;
@@ -363,7 +339,7 @@ fn drill_overload(d: &Drill) -> Result<OverloadReport, RacesFound> {
     let (mut engine, mut gens) =
         build_mt(&ds, [TraceDynamics::none(), TraceDynamics::none()], analyze);
     let run = serve_multi_tenant(&mut engine, &mut gens, &cfg);
-    check_run_races(d, &engine, &run, "drill C overload")?;
+    d.check_races(engine.gpu(), "drill C overload")?;
 
     let conserved = run
         .tenants

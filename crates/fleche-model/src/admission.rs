@@ -3,57 +3,35 @@
 //! Production parameter servers multiplex several models ("tenants") with
 //! separate SLOs over one GPU cache. Without admission control a flash
 //! crowd on one tenant saturates the shared queue and every tenant's p99
-//! collapses together. This module adds the overload-robustness layer:
+//! collapses together. The policy here:
 //!
-//! * **Token-bucket quotas** ([`TokenBucket`]) — each tenant buys a
-//!   sustained admission rate plus a burst allowance, metered in
-//!   *simulated* time like everything else in the stack.
-//! * **Over-quota-first shedding** — requests beyond a tenant's quota are
-//!   still admitted while there is room (work-conserving), but they are
-//!   the first to go when the bounded queue fills or a deadline passes:
-//!   an in-quota arrival that finds the queue full evicts the newest
-//!   over-quota waiter rather than being rejected.
-//! * **Bounded-queue backpressure** — the shared admission queue has a
-//!   hard bound; nothing in the serving path grows with offered load.
-//! * **An adaptive controller** ([`AdmissionController`]) — measured
-//!   per-tenant p99 is compared against the tenant's SLO; a tenant whose
-//!   tail crosses its SLO has its quota tightened, and the tightening
-//!   relaxes with hysteresis so admission never flaps at the bound. The
-//!   hysteresis state machine *is* the PR-1 breaker surface: each tenant
-//!   wraps a [`fleche_chaos::StalenessPolicy`] with the p99/SLO ratio
-//!   mapped onto its lag domain.
+//! * **Token-bucket quotas** ([`TokenBucket`]) meter each tenant's
+//!   sustained rate plus a burst allowance in *simulated* time.
+//! * **Over-quota-first shedding**: over-quota requests are admitted while
+//!   there is room, but an in-quota arrival that finds the bounded queue
+//!   full evicts the newest of them rather than being rejected.
+//! * **An adaptive controller** ([`AdmissionController`]) tightens the
+//!   quota of a tenant whose p99 crosses its SLO, with hysteresis (a
+//!   [`fleche_chaos::StalenessPolicy`] per tenant) so it never flaps.
 //!
-//! [`serve_multi_tenant`] drives all of it in one deterministic
-//! discrete-event loop (the multi-tenant sibling of
-//! [`serve`](crate::serve)): per-tenant Poisson arrival streams merge
-//! into one admission-controlled queue, batches are formed per tenant
-//! (tenants are separate models — their requests cannot share a device
-//! batch), and cache hit rates are attributed per tenant from the
-//! system's lifetime counters.
-//!
-//! That loop is deliberately *not* the single-tenant window loop in
-//! [`server`](crate::server) (source → window/seal → shed → execute →
-//! tally). It admits against the queue bound *at arrival* and then sheds
-//! on deadline; the single-tenant loop sheds on deadline and then
-//! truncates the window to the bound. It also batches per tenant, and
-//! its warm-up walks the tenants round-robin. A shared loop would have to
-//! branch on which caller it serves — or change `overload_drill`'s
-//! numbers — so the two stay apart and share only the leaf rules
-//! ([`misses_deadline`], [`ARRIVAL_SEED`]).
+//! None of it is a loop: `Admission` is the admit stage of the one window
+//! loop in [`server`](crate::server), and [`serve_multi_tenant`] runs that
+//! loop with per-tenant batches (tenants are separate models).
 
 use crate::engine::InferenceEngine;
 use crate::latency::LatencyRecorder;
-use crate::server::{misses_deadline, ARRIVAL_SEED};
+use crate::server::{arrivals, drive_windows, misses_deadline, warm_up, ServerConfig, Tally};
 use fleche_chaos::{StalenessConfig, StalenessPolicy};
-use fleche_gpu::{declare_pipeline_handoffs, Ns, RaceChecker};
+use fleche_gpu::Ns;
 use fleche_store::api::EmbeddingCacheSystem;
-use fleche_workload::{ArrivalGen, BurstWindow, TraceGenerator};
+use fleche_workload::{BurstWindow, TraceGenerator};
 use std::collections::VecDeque;
 
 /// Host-side cost constants of the admission path, priced like every
 /// other modeled cost in the stack (all in nanoseconds of simulated host
-/// time; see DESIGN.md §8.3 for provenance).
-#[derive(Clone, Copy, Debug)]
+/// time; see DESIGN.md §8.3 for provenance). `Default` charges nothing,
+/// as the unmetered admission of a one-tenant drive does.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct OverloadCostSpec {
     /// Per-arrival token-bucket refill + consume (one clamped
     /// multiply-add and a compare on cached state).
@@ -78,12 +56,6 @@ impl OverloadCostSpec {
             controller_update_ns: 180.0,
             tenant_switch_ns: 120.0,
         }
-    }
-}
-
-impl Default for OverloadCostSpec {
-    fn default() -> OverloadCostSpec {
-        OverloadCostSpec::modeled()
     }
 }
 
@@ -160,8 +132,6 @@ pub struct TenantSpec {
 /// [`StalenessPolicy`] transition surface.
 #[derive(Clone, Copy, Debug)]
 pub struct ControllerConfig {
-    /// Master switch; disabled leaves quotas static.
-    pub enabled: bool,
     /// Batches between controller observations.
     pub observe_every: u64,
     /// Quota multiplier applied while a tenant is tightened.
@@ -175,7 +145,6 @@ pub struct ControllerConfig {
 impl Default for ControllerConfig {
     fn default() -> ControllerConfig {
         ControllerConfig {
-            enabled: true,
             observe_every: 8,
             tighten_factor: 0.5,
             slo_entry: 1.0,
@@ -222,9 +191,6 @@ impl AdmissionController {
     /// Feeds one window's measured p99 for `tenant`; returns whether the
     /// tenant is tightened *after* the observation.
     pub fn observe(&mut self, tenant: usize, p99: Ns, slo: Ns) -> bool {
-        if !self.config.enabled {
-            return false;
-        }
         let ratio = p99.as_ns() / slo.as_ns().max(1.0);
         self.policies[tenant].observe((ratio * RATIO_SCALE) as u64)
     }
@@ -261,7 +227,9 @@ pub struct MultiTenantConfig {
     pub tenants: Vec<TenantSpec>,
     /// Maximum samples per engine invocation (per-tenant batches).
     pub max_batch: usize,
-    /// Warm-up requests per tenant (not measured).
+    /// Sizes the cache warm-up (not measured) across all tenants, not per
+    /// tenant: its rounds walk the tenants round-robin, by the rule on
+    /// [`ServerConfig::warmup_requests`](crate::ServerConfig::warmup_requests).
     pub warmup_requests: usize,
     /// Bound of the shared admission queue.
     pub queue_capacity: usize,
@@ -274,9 +242,6 @@ pub struct MultiTenantConfig {
     pub controller_min_samples: usize,
     /// Admission-path cost constants.
     pub costs: OverloadCostSpec,
-    /// Replay the per-tenant admission hand-offs through the race
-    /// checker after the run.
-    pub analyze: bool,
 }
 
 impl MultiTenantConfig {
@@ -302,7 +267,6 @@ impl MultiTenantConfig {
             controller: ControllerConfig::default(),
             controller_min_samples: 32,
             costs: OverloadCostSpec::modeled(),
-            analyze: false,
         }
     }
 }
@@ -390,9 +354,6 @@ pub struct MultiTenantRun {
     pub max_queue_depth: usize,
     /// Shed accounting per tenth of the arrival stream, in order.
     pub intervals: Vec<ShedInterval>,
-    /// Races found replaying the admission hand-offs (`Some` only when
-    /// [`MultiTenantConfig::analyze`] was set).
-    pub races: Option<usize>,
 }
 
 impl MultiTenantRun {
@@ -407,80 +368,124 @@ impl MultiTenantRun {
     }
 }
 
-/// A request waiting in the shared admission queue.
+/// A request waiting in the shared queue.
 #[derive(Clone, Copy, Debug)]
-struct Waiting {
-    tenant: usize,
-    arrival: Ns,
+pub(crate) struct Waiting {
+    pub(crate) tenant: usize,
+    pub(crate) arrival: Ns,
+    /// Admitted beyond its tenant's quota: first to shed under pressure.
     over_quota: bool,
 }
 
-/// Number of [`ShedInterval`]s the run is split into.
-const INTERVALS: usize = 10;
-
-/// Everything an arrival touches on its way into the shared queue.
-struct Admission<'a> {
-    config: &'a MultiTenantConfig,
-    /// Every tenant's arrivals merged into one time-ordered stream.
-    arrivals: Vec<(Ns, usize)>,
-    queue: VecDeque<Waiting>,
+/// The admit stage of the window loop: the shared bounded queue in
+/// arrival order, each tenant's token bucket and the controller. The
+/// default is unmetered (serial `serve`, each `serve_concurrent` worker):
+/// one tenant, no bucket, no controller, no cost — it only bounds the queue.
+#[derive(Default)]
+pub(crate) struct Admission<'a> {
+    pub(crate) queue: VecDeque<Waiting>,
+    /// Arrivals of the batch last boarded.
+    pub(crate) riders: Vec<Ns>,
+    /// Each tenant's quota and SLO; empty when unmetered.
+    pub(crate) specs: &'a [TenantSpec],
     buckets: Vec<TokenBucket>,
-    runs: Vec<TenantRun>,
-    intervals: Vec<ShedInterval>,
-    max_queue_depth: usize,
-    /// Simulated host nanoseconds of admission work accrued since the last
-    /// batch, charged in one lump before the next engine invocation.
-    pending_cost_ns: f64,
+    controller: Option<AdmissionController>,
+    /// Where each tenant's controller window starts in its latencies.
+    marks: Vec<usize>,
+    min_samples: usize,
+    costs: OverloadCostSpec,
+    /// Admission host time accrued since the last batch.
+    host_ns: f64,
 }
 
 impl Admission<'_> {
-    /// Admits `arrivals[i]`, shedding over-quota work first under pressure.
-    fn admit(&mut self, i: usize, controller: &AdmissionController) {
-        let config = self.config;
-        let (arrival, tenant) = self.arrivals[i];
-        let interval_len = self.arrivals.len().div_ceil(INTERVALS).max(1);
-        let interval = &mut self.intervals[(i / interval_len).min(INTERVALS - 1)];
-        self.runs[tenant].offered += 1;
-        interval.offered += 1;
-        let rate = config.tenants[tenant].quota * controller.quota_factor(tenant);
-        self.buckets[tenant].refill(arrival, rate);
-        let over_quota = !self.buckets[tenant].try_consume();
-        self.pending_cost_ns += config.costs.bucket_probe_ns;
-        if over_quota {
-            self.runs[tenant].over_quota += 1;
+    /// Admits one arrival against the queue bound `cap`. An in-quota
+    /// arrival that finds the queue full evicts the newest over-quota
+    /// waiter; only if there is none, or the arrival is itself over
+    /// quota, does it shed.
+    pub(crate) fn admit(&mut self, tally: &mut Tally, arrival: Ns, tenant: usize, cap: usize) {
+        tally.offered += 1;
+        let run = &mut tally.tenants[tenant];
+        run.offered += 1;
+        let mut over_quota = false;
+        let metered = (self.specs.get(tenant), self.buckets.get_mut(tenant));
+        if let (Some(spec), Some(bucket), Some(c)) = (metered.0, metered.1, &self.controller) {
+            bucket.refill(arrival, spec.quota * c.quota_factor(tenant));
+            over_quota = !bucket.try_consume();
+            run.over_quota += u64::from(over_quota);
+            self.host_ns += self.costs.bucket_probe_ns;
         }
-        if self.queue.len() >= config.queue_capacity {
-            self.pending_cost_ns += config.costs.shed_ns;
-            interval.shed += 1;
-            if over_quota {
-                // Over-quota arrival into a full queue: drop it.
-                self.runs[tenant].shed_quota += 1;
+        if self.queue.len() >= cap {
+            self.host_ns += self.costs.shed_ns;
+            tally.shed(1);
+            // Without buckets nothing is over quota: the queue is not scanned.
+            let scan = !over_quota && !self.buckets.is_empty();
+            let victim = scan.then(|| self.queue.iter().rposition(|w| w.over_quota));
+            let Some(victim) = victim.flatten().and_then(|pos| self.queue.remove(pos)) else {
+                let run = &mut tally.tenants[tenant];
+                run.shed_quota += u64::from(over_quota);
+                run.shed_queue += u64::from(!over_quota);
                 return;
-            }
-            // In-quota arrival: evict the newest over-quota waiter in its
-            // favor; only if every waiter is in quota does the arrival
-            // itself shed.
-            let victim = self.queue.iter().rposition(|w| w.over_quota);
-            if let Some(victim) = victim.and_then(|pos| self.queue.remove(pos)) {
-                self.runs[victim.tenant].shed_quota += 1;
-            } else {
-                self.runs[tenant].shed_queue += 1;
-                return;
-            }
+            };
+            tally.tenants[victim.tenant].shed_quota += 1;
         }
         self.queue.push_back(Waiting {
             tenant,
             arrival,
             over_quota,
         });
-        self.max_queue_depth = self.max_queue_depth.max(self.queue.len());
+        tally.max_queue_depth = tally.max_queue_depth.max(self.queue.len());
+    }
+
+    /// Sheds the waiters, oldest first, whose wait by `ready_from` already
+    /// exceeds `deadline`, whatever their quota.
+    pub(crate) fn shed_stale(&mut self, tally: &mut Tally, ready_from: Ns, deadline: Ns) {
+        let stale = |w: &Waiting| misses_deadline(ready_from, w.arrival, deadline);
+        let mut shed = 0;
+        while let Some(w) = self.queue.front().copied().filter(stale) {
+            self.queue.pop_front();
+            tally.tenants[w.tenant].shed_deadline += 1;
+            shed += 1;
+        }
+        self.host_ns += self.costs.shed_ns * shed as f64;
+        tally.shed(shed);
+    }
+
+    /// Boards up to `max_batch` of `tenant`'s waiters, oldest first, into
+    /// `riders`; returns the admission host time to charge before their
+    /// batch (what accrued, plus this tenant switch).
+    pub(crate) fn board(&mut self, tenant: usize, max_batch: usize) -> f64 {
+        let riders = &mut self.riders;
+        riders.clear();
+        self.queue.retain(|w| {
+            let rides = w.tenant == tenant && riders.len() < max_batch;
+            if rides {
+                riders.push(w.arrival);
+            }
+            !rides
+        });
+        std::mem::take(&mut self.host_ns) + self.costs.tenant_switch_ns
+    }
+
+    /// After each batch: every `observe_every` batches, each tenant with
+    /// `min_samples` new latencies feeds their p99 to the controller.
+    pub(crate) fn observe(&mut self, tally: &mut Tally) {
+        let due = |c: &&mut AdmissionController| tally.batches % c.config.observe_every.max(1) == 0;
+        let Some(controller) = self.controller.as_mut().filter(due) else {
+            return;
+        };
+        for (t, run) in tally.tenants.iter_mut().enumerate() {
+            if run.latency.len() - self.marks[t] >= self.min_samples {
+                let p99 = run.latency.p99_since(self.marks[t]);
+                controller.observe(t, p99, self.specs[t].slo_p99);
+                self.marks[t] = run.latency.len();
+                self.host_ns += self.costs.controller_update_ns;
+                (run.tighten_entries, run.tighten_exits) =
+                    (controller.entries(t), controller.exits(t));
+            }
+        }
     }
 }
-
-/// Race-checker slot base of the per-tenant admission rings (distinct
-/// from the queue lanes at 0 and the pipeline rings at `1 << 16` used by
-/// the concurrent front-end).
-const ADMISSION_SLOT_BASE: u32 = 2 << 16;
 
 /// Runs the multi-tenant admission-controlled server over `engine`.
 /// `gens[t]` is tenant `t`'s trace generator (tenants are separate
@@ -494,188 +499,53 @@ pub fn serve_multi_tenant<S: EmbeddingCacheSystem>(
     let n = config.tenants.len();
     assert!(n >= 1, "need at least one tenant");
     assert_eq!(gens.len(), n, "one trace generator per tenant");
-    assert!(config.max_batch > 0, "max batch must be positive");
-    assert!(config.queue_capacity > 0, "queue bound must be positive");
-    for t in &config.tenants {
-        assert!(t.offered_load > 0.0, "offered load must be positive");
-        assert!(t.quota > 0.0, "quota must be positive");
-    }
-
-    // Warm every tenant's working set round-robin, under its identity so
-    // tenant-partitioned caches attribute the residency correctly.
-    let warm_chunk = config.max_batch.min(256);
-    for round in 0..config.warmup_requests.div_ceil(warm_chunk) {
-        let t = round % n;
-        engine.system_mut().set_active_tenant(t);
-        let b = gens[t].next_batch(warm_chunk);
-        engine.run_batch(&b);
-    }
-    engine.system_mut().reset_stats();
-
-    // Pre-draw each tenant's Poisson arrivals from its own substream,
-    // then merge into one time-ordered stream (ties break by tenant).
+    let mut window = ServerConfig {
+        offered_load: 0.0,
+        max_batch: config.max_batch,
+        requests: 0,
+        warmup_requests: config.warmup_requests,
+        queue_capacity: Some(config.queue_capacity),
+        deadline: config.deadline,
+    };
+    warm_up(engine, gens, &window);
+    // Each tenant draws its own substream; the source merges them in time
+    // order, ties to the lower tenant.
     let base = engine.gpu().now();
-    let mut merged: Vec<(Ns, usize)> = Vec::new();
-    for (ti, spec) in config.tenants.iter().enumerate() {
-        let seed = ARRIVAL_SEED.wrapping_add((ti as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut agen = ArrivalGen::new(seed, Ns::from_secs(1.0 / spec.offered_load).as_ns())
-            .with_bursts(spec.bursts.clone());
-        let mut t = base;
-        for _ in 0..spec.requests {
-            t += Ns(agen.next_gap_ns());
-            merged.push((t, ti));
-        }
+    let mut source = Vec::new();
+    for (t, spec) in config.tenants.iter().enumerate() {
+        assert!(spec.quota > 0.0, "quota must be positive");
+        (window.offered_load, window.requests) = (spec.offered_load, spec.requests);
+        source.extend(arrivals(t, &window, spec.bursts.clone(), base).map(|a| (t, a)));
     }
-    merged.sort_by(|a, b| {
-        a.0.as_ns()
-            .partial_cmp(&b.0.as_ns())
-            .expect("arrival times are finite")
-            .then(a.1.cmp(&b.1))
-    });
-
-    let mut controller = AdmissionController::new(n, config.controller);
-    let mut adm = Admission {
-        config,
-        arrivals: merged,
-        queue: VecDeque::new(),
-        buckets: config
-            .tenants
-            .iter()
+    source.sort_by(|a, b| a.1.as_ns().total_cmp(&b.1.as_ns()).then(a.0.cmp(&b.0)));
+    window.requests = source.len();
+    let admission = Admission {
+        specs: &config.tenants,
+        buckets: (config.tenants.iter())
             .map(|t| TokenBucket::new(t.quota_burst.max(1.0), base))
             .collect(),
-        runs: (0..n).map(|_| TenantRun::default()).collect(),
-        intervals: vec![ShedInterval::default(); INTERVALS],
-        max_queue_depth: 0,
-        pending_cost_ns: 0.0,
+        controller: Some(AdmissionController::new(n, config.controller)),
+        min_samples: config.controller_min_samples,
+        marks: vec![0; n],
+        costs: config.costs,
+        ..Admission::default()
     };
-    let mut windows: Vec<LatencyRecorder> = (0..n).map(|_| LatencyRecorder::new()).collect();
-    let mut batches = 0u64;
-    let mut next = 0usize;
-
-    loop {
-        if adm.queue.is_empty() {
-            if next >= adm.arrivals.len() {
-                break;
-            }
-            // Engine idle with nothing queued: skip to the next arrival.
-            let now = engine.gpu().now();
-            if adm.arrivals[next].0 > now {
-                engine
-                    .gpu_mut()
-                    .elapse_host("idle", adm.arrivals[next].0 - now);
-            }
-            adm.admit(next, &controller);
-            next += 1;
-            continue;
-        }
-        let now = engine.gpu().now();
-        let ready_from = now.max(adm.queue.front().expect("queue non-empty").arrival);
-        // Pull in everything that has arrived by the window anchor.
-        while next < adm.arrivals.len() && adm.arrivals[next].0 <= ready_from {
-            adm.admit(next, &controller);
-            next += 1;
-        }
-        // Deadline shedding at plan time: anything that has already
-        // outwaited the budget is dead weight regardless of quota.
-        if let Some(dl) = config.deadline {
-            let before = adm.queue.len();
-            let runs = &mut adm.runs;
-            adm.queue.retain(|w| {
-                if misses_deadline(ready_from, w.arrival, dl) {
-                    runs[w.tenant].shed_deadline += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-            adm.pending_cost_ns += config.costs.shed_ns * (before - adm.queue.len()) as f64;
-            if adm.queue.is_empty() {
-                continue;
-            }
-        }
-        // Per-tenant batch: the tenant with the oldest waiter goes next;
-        // its waiters inside the window ride along in arrival order.
-        let tenant = adm.queue.front().expect("queue non-empty").tenant;
-        let mut members: Vec<Ns> = Vec::new();
-        let mut kept: VecDeque<Waiting> = VecDeque::with_capacity(adm.queue.len());
-        for w in adm.queue.drain(..) {
-            if w.tenant == tenant && w.arrival <= ready_from && members.len() < config.max_batch {
-                members.push(w.arrival);
-            } else {
-                kept.push_back(w);
-            }
-        }
-        adm.queue = kept;
-        let count = members.len();
-        debug_assert!(count > 0, "front waiter is always in window");
-        if members[0] > now {
-            engine.gpu_mut().elapse_host("idle", members[0] - now);
-        }
-        adm.pending_cost_ns += config.costs.tenant_switch_ns;
-        if adm.pending_cost_ns > 0.0 {
-            engine
-                .gpu_mut()
-                .elapse_host("admission", Ns(adm.pending_cost_ns));
-            adm.pending_cost_ns = 0.0;
-        }
-        engine.system_mut().set_active_tenant(tenant);
-        let before = engine.system().lifetime_stats();
-        let batch = gens[tenant].next_batch(count);
-        engine.run_batch(&batch);
-        let after = engine.system().lifetime_stats();
-        let done = engine.gpu().now();
-        let run = &mut adm.runs[tenant];
-        run.hits += after.hits - before.hits;
-        run.unique_keys += after.unique_keys - before.unique_keys;
-        run.served += count as u64;
-        for &arr in &members {
-            run.latency.record(done - arr);
-            windows[tenant].record(done - arr);
-        }
-        batches += 1;
-        if config.controller.enabled && batches % config.controller.observe_every.max(1) == 0 {
-            for (t, window) in windows.iter_mut().enumerate() {
-                if window.len() >= config.controller_min_samples {
-                    controller.observe(t, window.p99(), config.tenants[t].slo_p99);
-                    *window = LatencyRecorder::new();
-                    adm.pending_cost_ns += config.costs.controller_update_ns;
-                }
-            }
-        }
+    let run = |engine: &mut InferenceEngine<S>, tenant: usize, count| {
+        engine.run_batch(&gens[tenant].next_batch(count));
+    };
+    let tally = drive_windows(engine, &window, admission, source.into_iter(), run);
+    let mut intervals = tally.intervals.to_vec();
+    for (k, interval) in (0..).zip(&mut intervals) {
+        interval.offered = tally
+            .offered
+            .saturating_sub(k * tally.tenth)
+            .min(tally.tenth);
     }
-
-    for (t, run) in adm.runs.iter_mut().enumerate() {
-        run.tighten_entries = controller.entries(t);
-        run.tighten_exits = controller.exits(t);
-    }
-
-    // Replay the admission hand-offs: each tenant's admitted requests
-    // flow through a ring bounded by the queue capacity, publish edge
-    // from admit to dispatch and credit edge back — the same protocol
-    // shape the concurrent front-end's lanes replay.
-    let races = config.analyze.then(|| {
-        let mut total = 0;
-        for (t, run) in adm.runs.iter().enumerate() {
-            let mut c = RaceChecker::new();
-            declare_pipeline_handoffs(
-                &mut c,
-                t as u16,
-                ADMISSION_SLOT_BASE,
-                config.queue_capacity as u32,
-                run.served,
-                true,
-            );
-            total += c.race_count();
-        }
-        total
-    });
-
     MultiTenantRun {
-        tenants: adm.runs,
-        batches,
-        max_queue_depth: adm.max_queue_depth,
-        intervals: adm.intervals,
-        races,
+        tenants: tally.tenants,
+        batches: tally.batches,
+        max_queue_depth: tally.max_queue_depth,
+        intervals,
     }
 }
 
@@ -793,11 +663,32 @@ mod tests {
         }
         // The shed rate settles rather than climbing without bound.
         let rates: Vec<f64> = run.intervals.iter().map(ShedInterval::rate).collect();
-        let tail = &rates[INTERVALS / 2..];
+        let tail = &rates[rates.len() / 2..];
         let spread = tail.iter().fold(0.0f64, |m, r| {
             m.max(*r - tail.iter().cloned().fold(f64::INFINITY, f64::min))
         });
         assert!(spread < 0.35, "late-run shed rate oscillates: {rates:?}");
+    }
+
+    #[test]
+    fn every_shed_is_charged_to_an_interval() {
+        // A queue too deep to fill: every shed is a deadline shed.
+        let (mut engine, mut gens) = build();
+        let mut cfg = MultiTenantConfig::symmetric(2, 3_000_000.0, 1_500);
+        cfg.warmup_requests = 1_000;
+        cfg.queue_capacity = 1 << 20;
+        cfg.deadline = Some(Ns::from_us(200.0));
+        let run = serve_multi_tenant(&mut engine, &mut gens, &cfg);
+        let deadline: u64 = run.tenants.iter().map(|t| t.shed_deadline).sum();
+        assert!(deadline > 0, "overload must age out waiters");
+        let shed: u64 = (run.tenants.iter())
+            .map(|t| t.shed_quota + t.shed_queue + t.shed_deadline)
+            .sum();
+        assert_eq!(run.intervals.iter().map(|iv| iv.shed).sum::<u64>(), shed);
+        assert_eq!(
+            run.intervals.iter().map(|iv| iv.offered).sum::<u64>(),
+            run.offered()
+        );
     }
 
     #[test]
@@ -872,15 +763,5 @@ mod tests {
             run.tenants.iter().any(|t| t.tighten_entries > 0),
             "sustained SLO violation must tighten admission"
         );
-    }
-
-    #[test]
-    fn analyze_replays_admission_handoffs_race_free() {
-        let (mut engine, mut gens) = build();
-        let mut cfg = MultiTenantConfig::symmetric(2, 200_000.0, 400);
-        cfg.warmup_requests = 800;
-        cfg.analyze = true;
-        let run = serve_multi_tenant(&mut engine, &mut gens, &cfg);
-        assert_eq!(run.races, Some(0));
     }
 }

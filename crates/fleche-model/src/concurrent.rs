@@ -1,7 +1,7 @@
 //! Pipelined multi-worker serving front-end.
 //!
-//! [`server`](crate::server) holds the one single-tenant serving loop, in
-//! simulated time only (its module doc has the stage diagram). This module
+//! [`server`](crate::server) holds the one serving loop, in simulated
+//! time only (its module doc has the stage diagram). This module
 //! adds the host-side concurrency a real serving deployment has — and
 //! measures it in *wall-clock* time, which the simulator cannot fake:
 //!
@@ -44,7 +44,8 @@
 //! `tests/serve_props.rs` and the `serve_scaling` drill).
 
 use crate::engine::{InferenceEngine, InferenceTiming};
-use crate::server::{arrivals, drive_windows, misses_deadline, warm_up, ServedRun, Tally};
+use crate::server::{arrivals, drive_windows, misses_deadline, warm_up};
+use crate::server::{Admission, ServedRun, Tally};
 use fleche_gpu::{declare_pipeline_handoffs, Ns, RaceChecker};
 use fleche_store::api::EmbeddingCacheSystem;
 use fleche_store::Deduped;
@@ -552,8 +553,7 @@ where
             };
             // The serial server's stream, anchored at the same
             // post-warmup clock, so arrivals are bit-identical.
-            for (seq, arrival) in arrivals(&serial, config.bursts.clone(), Ns(base)).enumerate() {
-                let seq = seq as u64;
+            for (arrival, seq) in arrivals(0, &serial, config.bursts.clone(), Ns(base)).zip(0..) {
                 queue.push(seq as usize % w, QueuedRequest { seq, arrival });
             }
             queue.close();
@@ -568,22 +568,22 @@ where
             let serial = &serial;
             scope.spawn(move || {
                 let (mut engine, mut gen) = factory(wid);
-                warm_up(&mut engine, &mut gen, serial);
+                warm_up(&mut engine, std::slice::from_mut(&mut gen), serial);
                 base_now.lock().expect("base-now lock poisoned")[wid] =
                     Some(engine.gpu().now().as_ns());
                 start_barrier.wait();
                 let mut stage = StageWall::default();
                 let lane = std::iter::from_fn(|| queue.pop(wid));
                 let (tally, pipeline_handoffs, shed_at_dequeue) = match config.linger {
-                    // Streaming: the window loop serial `serve` runs, fed
-                    // from the lane, executing under the wall clock.
+                    // Streaming: serial `serve`'s window loop, fed from the lane.
                     None => {
-                        let run = |engine: &mut InferenceEngine<S>, count| {
+                        let run = |engine: &mut InferenceEngine<S>, _, count| {
                             let batch = || engine.run_batch(&gen.next_batch(count));
                             timed_exec(config.pace, &mut stage, batch)
                         };
-                        let source = lane.map(|r| r.arrival);
-                        (drive_windows(&mut engine, serial, source, run), 0, 0)
+                        let lane = lane.map(|r| (0, r.arrival));
+                        let open = Admission::default();
+                        (drive_windows(&mut engine, serial, open, lane, run), 0, 0)
                     }
                     Some(linger) => {
                         pipelined_drive(&mut engine, gen, lane, config, linger, &mut stage)
@@ -687,7 +687,7 @@ fn pipelined_drive<S: EmbeddingCacheSystem>(
     // and deduped.
     let (tx, rx) = mpsc::sync_channel::<(BatchPlan, Batch, Deduped)>(config.pipeline_depth.max(1));
     let (mut recvs, mut shed_at_dequeue) = (0u64, 0u64);
-    let mut tally = Tally::start(engine);
+    let mut tally = Tally::start(engine.gpu().now(), 1, config.requests);
     let (offered, shed_at_seal, prep_secs) = std::thread::scope(|scope| {
         let prep = scope.spawn(move || {
             let (mut offered, mut shed, mut prep_secs) = (0u64, 0u64, 0.0f64);
@@ -726,7 +726,7 @@ fn pipelined_drive<S: EmbeddingCacheSystem>(
                 // instead of burning the slot on dead work.
                 continue;
             }
-            tally.execute(engine, plan.seal, live.into_iter(), |engine| {
+            tally.execute(engine, 0, plan.seal, 0.0, live.into_iter(), |engine| {
                 timed_exec(config.pace, stage, || {
                     engine.run_batch_prepared(&batch, dedup)
                 })
@@ -736,7 +736,7 @@ fn pipelined_drive<S: EmbeddingCacheSystem>(
     });
     stage.prep_secs = prep_secs;
     tally.offered = offered;
-    tally.shed_deadline = shed_at_seal + shed_at_dequeue;
+    tally.tenants[0].shed_deadline = shed_at_seal + shed_at_dequeue;
     (tally, recvs, shed_at_dequeue)
 }
 

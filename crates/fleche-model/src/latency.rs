@@ -40,12 +40,13 @@ impl LatencyRecorder {
     ///
     /// Panics if the recorder is empty or `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> Ns {
-        assert!(!self.samples.is_empty(), "no latency samples recorded");
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let idx = ((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
-        Ns(sorted[idx])
+        nearest_rank(&self.samples, q)
+    }
+
+    /// The 99th percentile of the samples recorded after the first
+    /// `from`: a rolling window without a second recorder.
+    pub(crate) fn p99_since(&self, from: usize) -> Ns {
+        nearest_rank(&self.samples[from..], 0.99)
     }
 
     /// Median latency.
@@ -72,6 +73,16 @@ impl LatencyRecorder {
     pub fn total(&self) -> Ns {
         Ns(self.samples.iter().sum())
     }
+}
+
+/// The `q`-quantile of `samples` by nearest rank.
+fn nearest_rank(samples: &[f64], q: f64) -> Ns {
+    assert!(!samples.is_empty(), "no latency samples recorded");
+    assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    let idx = ((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
+    Ns(sorted[idx])
 }
 
 /// Inferences per second given samples processed in simulated `elapsed`.

@@ -14,13 +14,14 @@
 //! * [`LatencyRecorder`] — median/P99/mean statistics over simulated
 //!   batch latencies.
 //! * [`server`] — open-loop serving: Poisson arrivals, dynamic batching,
-//!   queueing-inclusive latency (the load/latency curves of Exp #2).
+//!   queueing-inclusive latency (the load/latency curves of Exp #2), in
+//!   the one window loop every drive below runs.
 //! * [`concurrent`] — the pipelined multi-worker serving front-end:
 //!   sharded arrival queue, logical-time micro-batcher, prep/execute
 //!   pipelining, and paced device dwell for measured wall-clock scaling.
-//! * [`admission`] — per-tenant weighted admission control: token-bucket
-//!   quotas, over-quota-first shedding, bounded-queue backpressure, and
-//!   an SLO-driven adaptive controller with hysteresis.
+//! * [`admission`] — per-tenant weighted admission control, the window
+//!   loop's admit stage: token-bucket quotas, over-quota-first shedding,
+//!   and an SLO-driven adaptive controller with hysteresis.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

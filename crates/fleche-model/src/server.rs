@@ -1,4 +1,4 @@
-//! Open-loop serving simulation: the one single-tenant serving loop.
+//! Open-loop serving simulation: the one serving loop.
 //!
 //! The paper's throughput-vs-latency curves (Exp #2) come from a loaded
 //! inference server, where observed latency is queueing delay plus service
@@ -8,43 +8,46 @@
 //! to batch completion. As offered load approaches the service capacity,
 //! queueing inflates the tail — the hockey-stick of the paper's Figure 10.
 //!
-//! Every single-tenant drive is a configuration of the same five stages,
-//! each written once:
+//! Every drive is a configuration of the same stages, each written once:
 //!
 //! ```text
-//!  source ──► window / seal ──► shed ──► execute ──► tally
+//!  source ──► window / seal ──► admit ──► shed ──► execute ──► tally
 //!
-//!  source   serve: `arrivals` drawn in-thread — no queue, no threads
-//!           serve_concurrent: the same stream through the worker's lane
+//!  source   `arrivals`: in-thread (serve), through the worker's lane
+//!           (serve_concurrent), one stream per tenant (serve_multi_tenant)
 //!  window   no linger: `drive_windows` — all that arrived by the time
 //!           the engine is idle and its first waiter is there
 //!  seal     linger: `MicroBatcher::seal_next` on the prep thread
-//!  shed     deadline (window: then the queue bound; seal: again at dequeue)
-//!  execute  `Tally::execute` — idle skip, run, busy time, rider latencies
-//!  tally    `Tally::finish` — the one `ServedRun`
+//!  admit    `Admission`: the queue bound, then the tenant's token bucket
+//!  shed     deadline (window: at plan time; seal: again at dequeue)
+//!  execute  `Tally::execute` — the oldest waiter's tenant rides
+//!  tally    `Tally` — per-tenant counts, and the one `ServedRun`
 //! ```
 //!
-//! So serial [`serve`] is not a loop of its own, and one
-//! [`serve_concurrent`](crate::serve_concurrent) worker without a linger
-//! is bit-identical to it. The multi-tenant server
-//! ([`serve_multi_tenant`](crate::serve_multi_tenant)) stays separate on
-//! purpose; its module doc says why.
+//! Serial [`serve`] is the window loop with one unmetered tenant; one
+//! [`serve_concurrent`](crate::serve_concurrent) worker without a linger,
+//! and [`serve_multi_tenant`](crate::serve_multi_tenant) with one tenant
+//! whose quota never binds, are bit-identical to it.
 //!
 //! Overload protection is optional and off by default: a bounded admission
 //! queue rejects arrivals that find it full, and a deadline sheds queued
 //! requests that have already waited too long to be worth serving. Both
 //! show up in [`ServedRun`]'s shed counters instead of inflating the tail.
 
+pub(crate) use crate::admission::{Admission, ShedInterval, TenantRun};
 use crate::engine::InferenceEngine;
 use crate::latency::LatencyRecorder;
 use fleche_gpu::Ns;
 use fleche_store::api::{EmbeddingCacheSystem, LifetimeStats};
 use fleche_workload::{ArrivalGen, BurstWindow, TraceGenerator};
-use std::collections::VecDeque;
 
 /// Seed of the arrival stream: every drive, serial or concurrent, replays
-/// the identical Poisson process.
+/// the identical Poisson process (tenant `t` of a multi-tenant drive draws
+/// from its own substream; tenant 0's is this one).
 pub const ARRIVAL_SEED: u64 = 0x005E_A7ED;
+
+/// Number of tenths the arrival stream is split into for shed accounting.
+pub(crate) const INTERVALS: usize = 10;
 
 /// The deadline-shedding rule, shared by the window loop and the
 /// micro-batcher: a request sheds when its queueing wait alone —
@@ -134,40 +137,43 @@ pub fn serve<S: EmbeddingCacheSystem>(
     gen: &mut TraceGenerator,
     config: &ServerConfig,
 ) -> ServedRun {
-    warm_up(engine, gen, config);
-    let source = arrivals(config, Vec::new(), engine.gpu().now());
-    let run = |engine: &mut InferenceEngine<S>, count| {
+    warm_up(engine, std::slice::from_mut(gen), config);
+    let source = arrivals(0, config, Vec::new(), engine.gpu().now()).map(|a| (0, a));
+    let run = |engine: &mut InferenceEngine<S>, _, count| {
         engine.run_batch(&gen.next_batch(count));
     };
-    drive_windows(engine, config, source, run).finish(engine)
+    drive_windows(engine, config, Admission::default(), source, run).finish(engine)
 }
 
-/// The warm-up every single-tenant drive runs before it measures (see
-/// [`ServerConfig::warmup_requests`] for what it really covers).
+/// The warm-up every drive runs before it measures (see
+/// [`ServerConfig::warmup_requests`]), round-robin over tenants' `gens`.
 pub(crate) fn warm_up<S: EmbeddingCacheSystem>(
     engine: &mut InferenceEngine<S>,
-    gen: &mut TraceGenerator,
+    gens: &mut [TraceGenerator],
     config: &ServerConfig,
 ) {
     assert!(config.max_batch > 0, "max batch must be positive");
-    engine.warmup(
-        gen,
-        config.warmup_requests.div_ceil(config.max_batch),
-        config.max_batch.min(256),
-    );
+    for round in 0..config.warmup_requests.div_ceil(config.max_batch) {
+        let tenant = round % gens.len();
+        engine.system_mut().set_active_tenant(tenant);
+        engine.run_batch(&gens[tenant].next_batch(config.max_batch.min(256)));
+    }
+    engine.system_mut().reset_stats();
 }
 
-/// The arrival stream: `config.requests` absolute arrival times from
-/// `base`, the post-warm-up simulated clock. The accumulation is `t +=
-/// gap` and nothing else, so every drive sees bit-identical arrivals.
+/// Tenant `tenant`'s stream of `config.requests` absolute arrival times
+/// from `base`, the post-warm-up clock. The accumulation is `t += gap` and
+/// nothing else, so every drive sees bit-identical arrivals.
 pub(crate) fn arrivals(
+    tenant: usize,
     config: &ServerConfig,
     bursts: Vec<BurstWindow>,
     base: Ns,
 ) -> impl Iterator<Item = Ns> {
     assert!(config.offered_load > 0.0, "offered load must be positive");
+    let seed = ARRIVAL_SEED.wrapping_add((tenant as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mean_gap = Ns::from_secs(1.0 / config.offered_load).as_ns();
-    let mut agen = ArrivalGen::new(ARRIVAL_SEED, mean_gap).with_bursts(bursts);
+    let mut agen = ArrivalGen::new(seed, mean_gap).with_bursts(bursts);
     let mut t = base;
     (0..config.requests).map(move |_| {
         t += Ns(agen.next_gap_ns());
@@ -175,39 +181,51 @@ pub(crate) fn arrivals(
     })
 }
 
-/// Running totals of one drive, from which [`Tally::finish`] builds the
-/// [`ServedRun`].
+/// Running totals of one drive: the per-tenant [`TenantRun`]s, from which
+/// [`Tally::finish`] builds a one-tenant drive's [`ServedRun`].
 #[derive(Default)]
 pub(crate) struct Tally {
-    latency: LatencyRecorder,
-    /// Requests pulled from the source.
+    pub(crate) tenants: Vec<TenantRun>,
+    /// Requests pulled from the source, and batches executed.
     pub(crate) offered: u64,
-    /// Batches executed.
     pub(crate) batches: u64,
-    batched: u64,
-    shed_queue: u64,
-    pub(crate) shed_deadline: u64,
+    pub(crate) max_queue_depth: usize,
+    /// Sheds (any cause) per tenth of the arrival stream, and its length.
+    pub(crate) intervals: [ShedInterval; INTERVALS],
+    pub(crate) tenth: u64,
     busy: Ns,
     t_start: Ns,
 }
 
 impl Tally {
-    /// An empty tally anchored at the engine's current (post-warm-up) clock.
-    pub(crate) fn start<S: EmbeddingCacheSystem>(engine: &InferenceEngine<S>) -> Tally {
+    /// An empty tally over `tenants` tenants and a stream of `requests`
+    /// arrivals, anchored at `now`, the post-warm-up clock.
+    pub(crate) fn start(now: Ns, tenants: usize, requests: usize) -> Tally {
         Tally {
-            t_start: engine.gpu().now(),
+            tenants: (0..tenants).map(|_| TenantRun::default()).collect(),
+            tenth: requests.div_ceil(INTERVALS).max(1) as u64,
+            t_start: now,
             ..Tally::default()
         }
     }
 
-    /// The execute step: skip the idle gap up to `start` as free host time
-    /// (arrival-driven, no spans recorded), let `run` execute the batch,
-    /// charge its simulated time as busy, and record each rider's latency
-    /// from its arrival to the batch's completion.
+    /// Charges `n` sheds to the tenth of the stream the latest arrival
+    /// pulled fell in.
+    pub(crate) fn shed(&mut self, n: u64) {
+        let tenth = (self.offered.saturating_sub(1) / self.tenth) as usize;
+        self.intervals[tenth.min(INTERVALS - 1)].shed += n;
+    }
+
+    /// The execute step: skip the idle gap up to `start` (arrival-driven),
+    /// charge `host_ns` of admission work, run the batch as `tenant`,
+    /// charge its simulated time as busy, and credit `tenant` its cache
+    /// hits and each rider's latency from arrival to completion.
     pub(crate) fn execute<S: EmbeddingCacheSystem>(
         &mut self,
         engine: &mut InferenceEngine<S>,
+        tenant: usize,
         start: Ns,
+        host_ns: f64,
         riders: impl Iterator<Item = Ns>,
         run: impl FnOnce(&mut InferenceEngine<S>),
     ) {
@@ -216,22 +234,31 @@ impl Tally {
             engine.gpu_mut().elapse_host("idle", start - now);
         }
         let t0 = engine.gpu().now();
+        if host_ns > 0.0 {
+            engine.gpu_mut().elapse_host("admission", Ns(host_ns));
+        }
+        engine.system_mut().set_active_tenant(tenant);
+        let before = engine.system().lifetime_stats();
         run(engine);
-        let done = engine.gpu().now();
+        let (after, done) = (engine.system().lifetime_stats(), engine.gpu().now());
         self.busy += done - t0;
+        let tally = &mut self.tenants[tenant];
+        tally.hits += after.hits - before.hits;
+        tally.unique_keys += after.unique_keys - before.unique_keys;
         for arrival in riders {
-            self.latency.record(done - arrival);
-            self.batched += 1;
+            tally.latency.record(done - arrival);
+            tally.served += 1;
         }
         self.batches += 1;
     }
 
-    /// Closes the run at the engine's current clock.
+    /// Closes a one-tenant run at the engine's current clock.
     pub(crate) fn finish<S: EmbeddingCacheSystem>(self, engine: &InferenceEngine<S>) -> ServedRun {
         let elapsed = engine.gpu().now() - self.t_start;
+        let run = self.tenants.into_iter().next().unwrap_or_default();
         ServedRun {
-            achieved: self.batched as f64 / elapsed.as_secs().max(1e-12),
-            mean_batch: self.batched as f64 / self.batches.max(1) as f64,
+            achieved: run.served as f64 / elapsed.as_secs().max(1e-12),
+            mean_batch: run.served as f64 / self.batches.max(1) as f64,
             // A drive that executed nothing never advanced the clock:
             // 0/0 is NaN, and `NaN.min(1.0)` would report it fully busy.
             utilization: if elapsed > Ns::ZERO {
@@ -240,59 +267,57 @@ impl Tally {
                 0.0
             },
             offered: self.offered,
-            served: self.batched,
-            shed_queue: self.shed_queue,
-            shed_deadline: self.shed_deadline,
+            served: run.served,
+            shed_queue: run.shed_queue,
+            shed_deadline: run.shed_deadline,
             lifetime: engine.system().lifetime_stats(),
-            latency: self.latency,
+            latency: run.latency,
         }
     }
 }
 
-/// The single-tenant window loop: whenever the engine is idle, everything
-/// that has arrived by the time its first waiter can start forms the
-/// window; the oldest waiters shed on the deadline, the newest beyond the
-/// queue bound are rejected, and up to `max_batch` of the rest ride one
-/// `run(engine, count)`. `source` yields arrival times in order and is
-/// pulled lazily: one arrival beyond the window is buffered, no more.
+/// The window loop: whenever the engine is idle, everything that has
+/// arrived by the time its first waiter can start forms the window. Each
+/// arrival meets `admission` as it arrives; at plan time the waiters past
+/// the deadline shed; then up to `max_batch` of the oldest waiter's
+/// tenant's waiters ride one `run(engine, tenant, count)`. `source` yields
+/// `(tenant, arrival)` in time order and is pulled lazily: one arrival
+/// beyond the window is buffered, no more.
 pub(crate) fn drive_windows<S: EmbeddingCacheSystem>(
     engine: &mut InferenceEngine<S>,
     config: &ServerConfig,
-    source: impl Iterator<Item = Ns>,
-    mut run: impl FnMut(&mut InferenceEngine<S>, usize),
+    mut admission: Admission,
+    source: impl Iterator<Item = (usize, Ns)>,
+    mut run: impl FnMut(&mut InferenceEngine<S>, usize, usize),
 ) -> Tally {
-    let mut tally = Tally::start(engine);
+    let cap = config.queue_capacity.map_or(usize::MAX, |cap| cap.max(1));
+    let tenants = admission.specs.len().max(1);
+    let mut tally = Tally::start(engine.gpu().now(), tenants, config.requests);
     let mut source = source.peekable();
-    // Arrived and still waiting, oldest first.
-    let mut waiting: VecDeque<Ns> = VecDeque::new();
-    while let Some(&first) = waiting.front().or_else(|| source.peek()) {
+    let oldest = |a: &Admission| a.queue.front().map(|w| (w.tenant, w.arrival));
+    while let Some((_, first)) = oldest(&admission).or_else(|| source.peek().copied()) {
         // The engine is idle at `now`; wait for at least one arrival.
         let ready_from = engine.gpu().now().max(first);
-        while let Some(arrival) = source.next_if(|&a| a <= ready_from) {
-            tally.offered += 1;
-            waiting.push_back(arrival);
+        // A full queue rejects an arrival when it arrives, before the
+        // server next looks at its stale waiters.
+        while let Some((tenant, arrival)) = source.next_if(|a| a.1 <= ready_from) {
+            admission.admit(&mut tally, arrival, tenant, cap);
         }
         // Deadline shedding: the oldest waiters may already have blown the
         // SLA on queueing alone — serving them is wasted work.
         if let Some(dl) = config.deadline {
-            while waiting
-                .front()
-                .is_some_and(|&a| misses_deadline(ready_from, a, dl))
-            {
-                waiting.pop_front();
-                tally.shed_deadline += 1;
-            }
+            admission.shed_stale(&mut tally, ready_from, dl);
         }
-        let Some(&start) = waiting.front() else {
+        // The oldest waiter's tenant goes; its waiters ride in arrival order.
+        let Some((tenant, start)) = oldest(&admission) else {
             continue;
         };
-        // Bounded admission queue: the newest arrivals found it full and
-        // were rejected at arrival time.
-        let cap = config.queue_capacity.map_or(usize::MAX, |cap| cap.max(1));
-        tally.shed_queue += waiting.len().saturating_sub(cap) as u64;
-        waiting.truncate(cap);
-        let count = waiting.len().min(config.max_batch);
-        tally.execute(engine, start, waiting.drain(..count), |e| run(e, count));
+        let host_ns = admission.board(tenant, config.max_batch);
+        let (riders, count) = (admission.riders.iter().copied(), admission.riders.len());
+        tally.execute(engine, tenant, start, host_ns, riders, |e| {
+            run(e, tenant, count)
+        });
+        admission.observe(&mut tally);
     }
     tally
 }
@@ -474,12 +499,12 @@ mod tests {
             deadline: Some(Ns::from_us(100.0)),
             ..open_config(19_000_000.0)
         };
-        warm_up(&mut eng, &mut gen, &cfg);
-        let source = arrivals(&cfg, Vec::new(), eng.gpu().now());
+        warm_up(&mut eng, std::slice::from_mut(&mut gen), &cfg);
+        let source = arrivals(0, &cfg, Vec::new(), eng.gpu().now()).map(|a| (0, a));
         let mut sizes = Vec::new();
-        let tally = drive_windows(&mut eng, &cfg, source, |eng, count| {
-            sizes.push(count);
-            eng.run_batch(&gen.next_batch(count));
+        let tally = drive_windows(&mut eng, &cfg, Admission::default(), source, |eng, _, n| {
+            sizes.push(n);
+            eng.run_batch(&gen.next_batch(n));
         });
         assert!(sizes.iter().all(|&n| (1..=cfg.max_batch).contains(&n)));
         let run = tally.finish(&eng);
@@ -487,6 +512,42 @@ mod tests {
         assert_eq!(run.lifetime.batches, sizes.len() as u64);
         assert!(run.shed_queue > 0 && run.shed_deadline > 0);
         assert_eq!(run.served + run.shed_queue + run.shed_deadline, run.offered);
+    }
+
+    #[test]
+    fn full_queue_rejects_an_arrival_before_stale_waiters_shed() {
+        // Request 0 keeps the engine busy for 1 ms. Requests 1 and 2 fill
+        // the two-deep queue and go stale behind it; request 3 arrives
+        // 50 µs before the engine frees up. The bound applies as it
+        // arrives, so it is rejected, and then the stale pair sheds on the
+        // deadline: only request 0 is served.
+        let (mut eng, _) = engine();
+        let cfg = ServerConfig {
+            requests: 4,
+            queue_capacity: Some(2),
+            deadline: Some(Ns::from_us(100.0)),
+            ..open_config(1_000.0)
+        };
+        let t0 = eng.gpu().now() + Ns::from_us(1.0);
+        let source = [0.0, 10.0, 20.0, 950.0].map(|us| (0, t0 + Ns::from_us(us)));
+        let busy = |eng: &mut InferenceEngine<FlecheSystem>, _, _| {
+            eng.gpu_mut().elapse_host("busy", Ns::from_ms(1.0));
+        };
+        let run = drive_windows(
+            &mut eng,
+            &cfg,
+            Admission::default(),
+            source.into_iter(),
+            busy,
+        )
+        .finish(&eng);
+        assert_eq!(run.offered, 4);
+        assert_eq!(run.shed_queue, 1, "the late arrival met a full queue");
+        assert_eq!(
+            run.shed_deadline, 2,
+            "the stale pair outwaited the deadline"
+        );
+        assert_eq!(run.served, 1);
     }
 
     #[test]
