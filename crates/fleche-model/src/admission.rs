@@ -408,8 +408,11 @@ impl Admission<'_> {
         let run = &mut tally.tenants[tenant];
         run.offered += 1;
         let mut over_quota = false;
-        let metered = (self.specs.get(tenant), self.buckets.get_mut(tenant));
-        if let (Some(spec), Some(bucket), Some(c)) = (metered.0, metered.1, &self.controller) {
+        if let (Some(spec), Some(bucket), Some(c)) = (
+            self.specs.get(tenant),
+            self.buckets.get_mut(tenant),
+            &self.controller,
+        ) {
             bucket.refill(arrival, spec.quota * c.quota_factor(tenant));
             over_quota = !bucket.try_consume();
             run.over_quota += u64::from(over_quota);
@@ -534,12 +537,9 @@ pub fn serve_multi_tenant<S: EmbeddingCacheSystem>(
         engine.run_batch(&gens[tenant].next_batch(count));
     };
     let tally = drive_windows(engine, &window, admission, source.into_iter(), run);
-    let mut intervals = tally.intervals.to_vec();
+    let (mut intervals, tenth) = (tally.intervals.to_vec(), tally.tenth);
     for (k, interval) in (0..).zip(&mut intervals) {
-        interval.offered = tally
-            .offered
-            .saturating_sub(k * tally.tenth)
-            .min(tally.tenth);
+        interval.offered = tally.offered.saturating_sub(k * tenth).min(tenth);
     }
     MultiTenantRun {
         tenants: tally.tenants,
