@@ -458,15 +458,16 @@ impl Admission<'_> {
     /// `riders`; returns the admission host time to charge before their
     /// batch (what accrued, plus this tenant switch).
     pub(crate) fn board(&mut self, tenant: usize, max_batch: usize) -> f64 {
-        let riders = &mut self.riders;
-        riders.clear();
-        self.queue.retain(|w| {
-            let rides = w.tenant == tenant && riders.len() < max_batch;
-            if rides {
-                riders.push(w.arrival);
+        self.riders.clear();
+        // With one tenant the riders are a prefix of the queue: O(batch).
+        let mut i = 0;
+        while self.riders.len() < max_batch && i < self.queue.len() {
+            if self.queue[i].tenant == tenant {
+                self.riders.extend(self.queue.remove(i).map(|w| w.arrival));
+            } else {
+                i += 1;
             }
-            !rides
-        });
+        }
         std::mem::take(&mut self.host_ns) + self.costs.tenant_switch_ns
     }
 
