@@ -503,6 +503,7 @@ pub fn serve_multi_tenant<S: EmbeddingCacheSystem>(
     let n = config.tenants.len();
     assert!(n >= 1, "need at least one tenant");
     assert_eq!(gens.len(), n, "one trace generator per tenant");
+    assert!(config.queue_capacity > 0, "queue bound must be positive");
     let mut window = ServerConfig {
         offered_load: 0.0,
         max_batch: config.max_batch,
