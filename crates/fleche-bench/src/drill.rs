@@ -2,12 +2,13 @@
 //! the `--analyze` race gate, the report prelude, the closing paragraph,
 //! and an exit status that says whether every acceptance passed.
 
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use fleche_core::MultiGpuFleche;
-use fleche_gpu::Gpu;
+use fleche_gpu::{Gpu, Ns};
 
-use crate::{bench_report, print_header, write_bench_json, Args, JsonEmitter};
+use crate::{bench_report, print_header, rolling_mean, t4, write_bench_json, Args, JsonEmitter};
 
 /// How a verdict prints, everywhere one is printed.
 pub(crate) fn pass_fail(ok: bool) -> &'static str {
@@ -48,6 +49,23 @@ impl<'a> Drill<'a> {
     /// Prints one acceptance line and remembers its verdict.
     pub fn accept(&mut self, tag: &str, ok: bool, text: &str) {
         println!("acceptance ({tag}): {text} -> {}", self.verdict(ok));
+    }
+
+    /// A fresh [`t4`], its race checker armed under `--analyze`.
+    pub fn gpu(&self) -> Gpu {
+        let mut gpu = t4();
+        if self.args.analyze {
+            gpu.enable_race_checker();
+        }
+        gpu
+    }
+
+    /// `mg`, every shard's race checker armed under `--analyze`.
+    pub fn shards(&self, mut mg: MultiGpuFleche) -> MultiGpuFleche {
+        if self.args.analyze {
+            mg.enable_race_checkers();
+        }
+        mg
     }
 
     /// The `--analyze` gate: if `gpu`'s race checker recorded any unordered
@@ -103,6 +121,42 @@ impl<'a> Drill<'a> {
         }
         ExitCode::from(self.code())
     }
+}
+
+/// Batches from `from` until the rolling mean of `rates` over `window`,
+/// never reaching back before `from`, first reaches `target`; `None` if
+/// it does not within `rates`.
+pub(crate) fn batches_to_recover(
+    rates: &[f64],
+    from: usize,
+    window: usize,
+    target: f64,
+) -> Option<u64> {
+    (from..rates.len())
+        .find(|&b| rolling_mean(&rates[from..=b], window) >= target)
+        .map(|b| (b - from + 1) as u64)
+}
+
+/// The 99th percentile of `walls` (ns): the entry at
+/// `round((n - 1) * 0.99)` once sorted. Sorts `walls` in place.
+pub(crate) fn p99_of(walls: &mut [f64]) -> Ns {
+    walls.sort_by(|a, b| a.partial_cmp(b).expect("finite walls"));
+    Ns(walls[((walls.len() - 1) as f64 * 0.99).round() as usize])
+}
+
+/// The batches a drill's timeline shows: every `batches / 12`-th, plus
+/// each batch that carries an event, with that event (empty when none).
+pub(crate) fn timeline_batches(
+    batches: u64,
+    events: &BTreeMap<u64, &'static str>,
+) -> Vec<(u64, &'static str)> {
+    let tick = (batches / 12).max(1);
+    (0..batches)
+        .filter_map(|b| match events.get(&b) {
+            Some(&e) => Some((b, e)),
+            None => (b % tick == 0).then_some((b, "")),
+        })
+        .collect()
 }
 
 #[cfg(test)]

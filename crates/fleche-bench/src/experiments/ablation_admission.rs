@@ -5,11 +5,10 @@
 //!
 //! Run: `cargo run --release -p fleche-bench -- ablation_admission [--quick]`
 
-use crate::{fmt_ns, print_header, Args, TextTable};
+use crate::{fmt_ns, print_header, t4, xeon_store, Args, TextTable};
 use fleche_core::{FlatCacheConfig, FlecheConfig, FlecheSystem};
-use fleche_gpu::{DeviceSpec, DramSpec, Gpu, Ns};
+use fleche_gpu::Ns;
 use fleche_store::api::EmbeddingCacheSystem;
-use fleche_store::CpuStore;
 use fleche_workload::{spec, TraceGenerator};
 
 pub(crate) fn main(args: &Args) {
@@ -22,10 +21,9 @@ pub(crate) fn main(args: &Args) {
     let mut t = TextTable::new(&["p", "hit rate", "evict passes", "emb latency"]);
     for p in [0.05, 0.1, 0.25, 0.5, 0.75, 1.0] {
         let ds = spec::avazu();
-        let store = CpuStore::new(&ds, DramSpec::xeon_6252());
         let mut sys = FlecheSystem::new(
             &ds,
-            store,
+            xeon_store(&ds),
             FlecheConfig {
                 cache: FlatCacheConfig {
                     admission_probability: p,
@@ -34,7 +32,7 @@ pub(crate) fn main(args: &Args) {
                 ..FlecheConfig::full(0.05)
             },
         );
-        let mut gpu = Gpu::new(DeviceSpec::t4());
+        let mut gpu = t4();
         let mut gen = TraceGenerator::new(&ds);
         for _ in 0..warm {
             sys.query_batch(&mut gpu, &gen.next_batch(batch));

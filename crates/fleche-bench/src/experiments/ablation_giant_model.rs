@@ -5,9 +5,9 @@
 //!
 //! Run: `cargo run --release -p fleche-bench -- ablation_giant_model [--quick]`
 
-use crate::{fmt_ns, print_header, Args, TextTable};
+use crate::{fmt_ns, print_header, t4, xeon_dram, Args, TextTable};
 use fleche_core::{FlecheConfig, FlecheSystem};
-use fleche_gpu::{DeviceSpec, DramSpec, Gpu, Ns};
+use fleche_gpu::Ns;
 use fleche_store::api::EmbeddingCacheSystem;
 use fleche_store::{RemoteSpec, TieredStore};
 use fleche_workload::{spec, TraceGenerator};
@@ -29,14 +29,9 @@ pub(crate) fn main(args: &Args) {
         "ui invalidations ok",
     ]);
     for dram_fraction in [1.0, 0.05, 0.01, 0.003] {
-        let store = TieredStore::new(
-            &ds,
-            DramSpec::xeon_6252(),
-            RemoteSpec::datacenter(),
-            dram_fraction,
-        );
+        let store = TieredStore::new(&ds, xeon_dram(), RemoteSpec::datacenter(), dram_fraction);
         let mut sys = FlecheSystem::with_tiered_store(&ds, store, FlecheConfig::full(0.02));
-        let mut gpu = Gpu::new(DeviceSpec::t4());
+        let mut gpu = t4();
         let mut gen = TraceGenerator::new(&ds);
         for _ in 0..warm {
             sys.query_batch(&mut gpu, &gen.next_batch(batch));

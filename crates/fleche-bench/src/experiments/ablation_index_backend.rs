@@ -5,11 +5,10 @@
 //!
 //! Run: `cargo run --release -p fleche-bench -- ablation_index_backend [--quick]`
 
-use crate::{fmt_ns, print_header, Args, TextTable};
+use crate::{fmt_ns, print_header, t4, xeon_store, Args, TextTable};
 use fleche_core::{FlatCacheConfig, FlecheConfig, FlecheSystem, IndexBackend};
-use fleche_gpu::{DeviceSpec, DramSpec, Gpu, Ns};
+use fleche_gpu::Ns;
 use fleche_store::api::EmbeddingCacheSystem;
-use fleche_store::CpuStore;
 use fleche_workload::{spec, TraceGenerator};
 
 pub(crate) fn main(args: &Args) {
@@ -22,10 +21,9 @@ pub(crate) fn main(args: &Args) {
     let mut t = TextTable::new(&["backend", "dataset", "hit rate", "emb latency"]);
     for ds in [spec::avazu(), spec::criteo_kaggle()] {
         for backend in [IndexBackend::SlabHash, IndexBackend::MegaKv] {
-            let store = CpuStore::new(&ds, DramSpec::xeon_6252());
             let mut sys = FlecheSystem::new(
                 &ds,
-                store,
+                xeon_store(&ds),
                 FlecheConfig {
                     cache: FlatCacheConfig {
                         index: backend,
@@ -34,7 +32,7 @@ pub(crate) fn main(args: &Args) {
                     ..FlecheConfig::full(0.05)
                 },
             );
-            let mut gpu = Gpu::new(DeviceSpec::t4());
+            let mut gpu = t4();
             let mut gen = TraceGenerator::new(&ds);
             for _ in 0..warm {
                 sys.query_batch(&mut gpu, &gen.next_batch(batch));

@@ -41,7 +41,7 @@ pub(crate) fn main(args: &Args) {
         let belady = belady_hit_rate(&accesses, slots);
 
         let measured = |kind| {
-            let mut eng = build_engine(kind, &ds, fraction, ModelMode::EmbeddingOnly);
+            let mut eng = build_engine(kind, &ds, fraction, ModelMode::EmbeddingOnly, 2);
             let mut gen = TraceGenerator::new(&ds);
             eng.warmup(&mut gen, batches * 2 / 3, batch);
             eng.measure(&mut gen, batches / 3, batch)

@@ -6,17 +6,16 @@
 //!
 //! Run: `cargo run --release -p fleche-bench -- ablation_reduction_cache [--quick]`
 
-use crate::{print_header, Args, TextTable};
+use crate::{print_header, t4, xeon_store, Args, TextTable};
 use fleche_baseline::ReductionCache;
 use fleche_core::{FlecheConfig, FlecheSystem};
-use fleche_gpu::{DeviceSpec, DramSpec, Gpu};
 use fleche_store::api::EmbeddingCacheSystem;
-use fleche_store::{CpuStore, Pooling};
+use fleche_store::Pooling;
 use fleche_workload::{spec, DatasetSpec, TraceGenerator};
 
 /// Group-level repeat structure: how often entire multi-hot groups recur.
 fn run_reduction(ds: &DatasetSpec, batches: usize, batch: usize) -> (f64, usize) {
-    let store = CpuStore::new(ds, DramSpec::xeon_6252());
+    let store = xeon_store(ds);
     // Same byte budget as the 5% point cache, spent on pooled vectors.
     let budget_groups = (ds.cache_bytes(0.05) / (ds.tables[0].dim as u64 * 4)).max(1) as usize;
     let mut rc = ReductionCache::new(budget_groups, Pooling::Sum);
@@ -36,9 +35,8 @@ fn run_reduction(ds: &DatasetSpec, batches: usize, batch: usize) -> (f64, usize)
 }
 
 fn run_fleche_hit(ds: &DatasetSpec, batches: usize, batch: usize) -> f64 {
-    let store = CpuStore::new(ds, DramSpec::xeon_6252());
-    let mut sys = FlecheSystem::new(ds, store, FlecheConfig::without_unified_index(0.05));
-    let mut gpu = Gpu::new(DeviceSpec::t4());
+    let mut sys = FlecheSystem::new(ds, xeon_store(ds), FlecheConfig::without_unified_index(0.05));
+    let mut gpu = t4();
     let mut gen = TraceGenerator::new(ds);
     for _ in 0..(batches * 2 / 3) {
         sys.query_batch(&mut gpu, &gen.next_batch(batch));

@@ -32,11 +32,10 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use crate::{bench_report, print_header, write_bench_json, Args};
+use crate::{bench_report, print_header, t4, write_bench_json, xeon_store, Args};
 use fleche_core::{FlecheConfig, FlecheSystem};
-use fleche_gpu::{slot_resource, DeviceSpec, DramSpec, Gpu, KernelDesc, KernelWork};
+use fleche_gpu::{slot_resource, Gpu, KernelDesc, KernelWork};
 use fleche_store::api::EmbeddingCacheSystem;
-use fleche_store::CpuStore;
 use fleche_workload::{spec, TraceGenerator};
 
 const BATCH: usize = 256;
@@ -60,14 +59,19 @@ fn run_lints(root: &Path) -> Result<(), String> {
     }
 }
 
+/// A fresh T4 with the race checker armed.
+fn checked_t4() -> Gpu {
+    let mut gpu = t4();
+    gpu.enable_race_checker();
+    gpu
+}
+
 /// Runs `batches` query batches of a serving scenario with the race
 /// checker armed and returns the number of unordered conflicting accesses.
 fn run_serving_scenario(label: &str, config: FlecheConfig, batches: usize) -> usize {
     let ds = spec::synthetic(4, 40_000, 16, -1.05);
-    let store = CpuStore::new(&ds, DramSpec::xeon_6252());
-    let mut sys = FlecheSystem::new(&ds, store, config);
-    let mut gpu = Gpu::new(DeviceSpec::t4());
-    gpu.enable_race_checker();
+    let mut sys = FlecheSystem::new(&ds, xeon_store(&ds), config);
+    let mut gpu = checked_t4();
     let mut gen = TraceGenerator::new(&ds);
     for _ in 0..batches {
         sys.query_batch(&mut gpu, &gen.next_batch(BATCH));
@@ -107,10 +111,8 @@ fn run_serving_phase(batches: usize) -> Result<(), String> {
 /// syncs.
 fn run_recovery_phase(batches: usize) -> Result<(), String> {
     let ds = spec::synthetic(4, 40_000, 16, -1.05);
-    let store = CpuStore::new(&ds, DramSpec::xeon_6252());
-    let mut sys = FlecheSystem::new(&ds, store, FlecheConfig::full(0.05));
-    let mut gpu = Gpu::new(DeviceSpec::t4());
-    gpu.enable_race_checker();
+    let mut sys = FlecheSystem::new(&ds, xeon_store(&ds), FlecheConfig::full(0.05));
+    let mut gpu = checked_t4();
     let mut gen = TraceGenerator::new(&ds);
     let mut stats = fleche_workload::WorkloadStats::new();
     let mut snapshot = None;
@@ -151,8 +153,7 @@ fn run_self_test() -> Result<(), String> {
     let slot = slot_resource(0, 7);
 
     // Mis-synchronized: reclaim races with the in-flight read.
-    let mut gpu = Gpu::new(DeviceSpec::t4());
-    gpu.enable_race_checker();
+    let mut gpu = checked_t4();
     let side = gpu.create_stream();
     let kid = gpu.launch(
         side,
@@ -171,8 +172,7 @@ fn run_self_test() -> Result<(), String> {
 
     // Properly synchronized twin: same schedule plus the stream sync that
     // the real system performs before end-of-batch reclamation.
-    let mut gpu = Gpu::new(DeviceSpec::t4());
-    gpu.enable_race_checker();
+    let mut gpu = checked_t4();
     let side = gpu.create_stream();
     let kid = gpu.launch(
         side,

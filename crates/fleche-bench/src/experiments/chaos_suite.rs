@@ -27,13 +27,13 @@
 
 use std::process::ExitCode;
 
-use crate::drill::{Drill, RacesFound};
-use crate::{fmt_ns, Args, TextTable};
+use crate::drill::{p99_of, Drill, RacesFound};
+use crate::{fmt_ns, xeon_dram, xeon_store, Args, TextTable};
 use fleche_chaos::{BreakerConfig, BreakerTransitions, FaultPlan, RetryPolicy};
 use fleche_core::{FlecheConfig, FlecheSystem};
-use fleche_gpu::{DeviceSpec, DramSpec, Gpu, Ns};
+use fleche_gpu::Ns;
 use fleche_store::api::EmbeddingCacheSystem;
-use fleche_store::{CpuStore, RemoteSpec, TieredStore};
+use fleche_store::{RemoteSpec, TieredStore};
 use fleche_workload::{spec, DatasetSpec, TraceGenerator};
 
 const SEED: u64 = 0xC4A0_5EED;
@@ -99,7 +99,7 @@ fn run_cell(
     batches: usize,
 ) -> Result<CellResult, RacesFound> {
     let ds = dataset(outages);
-    let truth = CpuStore::new(&ds, DramSpec::xeon_6252());
+    let truth = xeon_store(&ds);
 
     let mut plan = FaultPlan::quiet(SEED);
     plan.remote.fetch_failure_rate = fault_rate;
@@ -122,12 +122,7 @@ fn run_cell(
     // and cycles through the DRAM layer's stale buffer.
     let dram_fraction = if outages { 0.35 } else { DRAM_FRACTION };
     let cache_fraction = if outages { 0.2 } else { CACHE_FRACTION };
-    let mut store = TieredStore::new(
-        &ds,
-        DramSpec::xeon_6252(),
-        RemoteSpec::datacenter(),
-        dram_fraction,
-    );
+    let mut store = TieredStore::new(&ds, xeon_dram(), RemoteSpec::datacenter(), dram_fraction);
     store.set_fault_injector(Some(plan.remote_injector()));
     store.set_retry_policy(match recovery {
         Recovery::None => RetryPolicy::none(),
@@ -153,10 +148,7 @@ fn run_cell(
         ..FlecheConfig::full(cache_fraction)
     };
     let mut sys = FlecheSystem::with_tiered_store(&ds, store, config);
-    let mut gpu = Gpu::new(DeviceSpec::t4());
-    if d.args.analyze {
-        gpu.enable_race_checker();
-    }
+    let mut gpu = d.gpu();
     if recovery == Recovery::Full {
         gpu.set_fault_hook(Some(Box::new(plan.gpu_injector())));
     }
@@ -186,14 +178,9 @@ fn run_cell(
         let batch = gen.next_batch(BATCH);
         let out = sys.query_batch(&mut gpu, &batch);
         walls.push(out.stats.wall.as_ns());
-        let mut k = 0;
-        for (t, ids) in batch.table_ids.iter().enumerate() {
-            for &id in ids {
-                let row = &out.rows[k];
-                if row != &truth.read(t as u16, id) && row.iter().any(|&v| v != 0.0) {
-                    corrupt_served += 1;
-                }
-                k += 1;
+        for ((t, id), row) in batch.iter_accesses().zip(&out.rows) {
+            if *row != truth.read(t, id) && row.iter().any(|&v| v != 0.0) {
+                corrupt_served += 1;
             }
         }
     }
@@ -204,8 +191,6 @@ fn run_cell(
     );
     d.check_races(&gpu, &cell)?;
 
-    walls.sort_by(|a, b| a.partial_cmp(b).expect("finite walls"));
-    let p99 = walls[((walls.len() - 1) as f64 * 0.99).round() as usize];
     let life = sys.lifetime_stats();
     let breaker = sys
         .breaker()
@@ -213,7 +198,7 @@ fn run_cell(
         .unwrap_or_default();
     Ok(CellResult {
         availability: life.availability(),
-        p99_batch: Ns(p99),
+        p99_batch: p99_of(&mut walls),
         stale_rate: life.stale_rate(),
         corrupt_served,
         corrupt_detected: life.corrupt_detected,

@@ -29,6 +29,7 @@ pub(crate) fn main(args: &Args) {
                 &ds,
                 fraction,
                 ModelMode::EmbeddingOnly,
+                2,
             );
             let mut gen = TraceGenerator::new(&ds);
             eng.warmup(&mut gen, warm, batch);

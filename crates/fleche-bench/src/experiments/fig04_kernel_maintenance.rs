@@ -5,11 +5,9 @@
 //!
 //! Run: `cargo run --release -p fleche-bench -- fig04_kernel_maintenance`
 
-use crate::{fmt_ns, print_header, Args, TextTable};
+use crate::{fmt_ns, print_header, t4, xeon_store, Args, TextTable};
 use fleche_baseline::{BaselineConfig, PerTableCacheSystem};
-use fleche_gpu::{DeviceSpec, DramSpec, Gpu};
 use fleche_store::api::EmbeddingCacheSystem;
-use fleche_store::CpuStore;
 use fleche_workload::{spec, TraceGenerator};
 
 /// Cache-query wall time (us). Following the paper, execution time is
@@ -17,16 +15,15 @@ use fleche_workload::{spec, TraceGenerator};
 /// kernel carries all IDs with no per-table maintenance to hide.
 fn measure(n_tables: usize, total_ids: usize, graph: bool) -> f64 {
     let ds = spec::synthetic(n_tables, 250_000, 32, -1.2);
-    let store = CpuStore::new(&ds, DramSpec::xeon_6252());
     let mut sys = PerTableCacheSystem::new(
         &ds,
-        store,
+        xeon_store(&ds),
         BaselineConfig {
             cache_fraction: 0.10,
             use_cuda_graph: graph,
         },
     );
-    let mut gpu = Gpu::new(DeviceSpec::t4());
+    let mut gpu = t4();
     // Spread the aggregate ID budget equally: batch = ids / tables.
     let batch = (total_ids / n_tables).max(1);
     let mut gen = TraceGenerator::new(&ds);
@@ -34,7 +31,6 @@ fn measure(n_tables: usize, total_ids: usize, graph: bool) -> f64 {
         sys.query_batch(&mut gpu, &gen.next_batch(batch));
     }
     gpu.clear_timeline();
-    let t0 = gpu.now();
     let reps = 3;
     let mut query_wall = fleche_gpu::Ns::ZERO;
     for _ in 0..reps {
@@ -43,9 +39,7 @@ fn measure(n_tables: usize, total_ids: usize, graph: bool) -> f64 {
         // batch (no DRAM fill, no restore).
         query_wall += out.stats.phases.cache_index + out.stats.phases.cache_copy;
     }
-    let wall = query_wall / reps as f64;
-    let _ = t0;
-    wall.as_us()
+    (query_wall / reps as f64).as_us()
 }
 
 pub(crate) fn main(args: &Args) {

@@ -5,16 +5,11 @@
 //! Run: `cargo run --release -p fleche-bench -- fig09_throughput [--quick]`
 
 use crate::{
-    batch_sizes, concat_dim, fmt_tput, paper_datasets, print_header, run_workload, Args,
+    batch_sizes, fmt_tput, front_end_replica, paper_datasets, print_header, run_workload, Args,
     SystemKind, TextTable,
 };
-use fleche_core::{FlecheConfig, FlecheSystem};
-use fleche_gpu::{DeviceSpec, DramSpec, Gpu, Ns};
-use fleche_model::{
-    serve, serve_concurrent, ConcurrentConfig, DenseModel, InferenceEngine, ModelMode, ServerConfig,
-};
-use fleche_store::CpuStore;
-use fleche_workload::{spec, TraceGenerator};
+use fleche_gpu::Ns;
+use fleche_model::{serve, serve_concurrent, ConcurrentConfig, ModelMode, ServerConfig};
 
 /// Serial open-loop server vs the pipelined multi-worker front-end, on
 /// the simulated clock only (no pacing): the concurrent path adds engine
@@ -22,22 +17,6 @@ use fleche_workload::{spec, TraceGenerator};
 /// while each replica keeps the serial per-batch cost model.
 fn front_end_comparison() {
     println!("--- serving front-end: serial vs concurrent (simulated) ---");
-    let build = |_worker: usize| {
-        let ds = spec::synthetic(8, 30_000, 16, -1.3);
-        let store = CpuStore::new(&ds, DramSpec::xeon_6252());
-        let sys = FlecheSystem::new(&ds, store, FlecheConfig::full(0.05));
-        let dense = DenseModel::dcn_paper(concat_dim(&ds));
-        (
-            InferenceEngine::new(
-                Gpu::new(DeviceSpec::t4()),
-                sys,
-                dense,
-                ModelMode::EmbeddingOnly,
-                &ds,
-            ),
-            TraceGenerator::new(&ds),
-        )
-    };
     let cfg = ServerConfig {
         offered_load: 1_500_000.0,
         max_batch: 256,
@@ -47,7 +26,7 @@ fn front_end_comparison() {
         deadline: None,
     };
     let mut t = TextTable::new(&["front-end", "served", "sim tput", "p99"]);
-    let (mut eng, mut gen) = build(0);
+    let (mut eng, mut gen) = front_end_replica(0);
     let serial = serve(&mut eng, &mut gen, &cfg);
     t.row(&[
         "serial serve".to_string(),
@@ -58,7 +37,7 @@ fn front_end_comparison() {
     for workers in [1usize, 4] {
         let mut ccfg = ConcurrentConfig::mirror_serial(&cfg, workers);
         ccfg.linger = Some(Ns::from_us(1_200.0));
-        let run = serve_concurrent(build, &ccfg);
+        let run = serve_concurrent(front_end_replica, &ccfg);
         let p99 = run
             .workers
             .iter()

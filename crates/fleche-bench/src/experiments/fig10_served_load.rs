@@ -5,60 +5,13 @@
 //!
 //! Run: `cargo run --release -p fleche-bench -- fig10_served_load [--quick]`
 
-use crate::{concat_dim, fmt_ns, fmt_tput, print_header, Args, TextTable};
-use fleche_baseline::{BaselineConfig, PerTableCacheSystem};
-use fleche_core::{FlecheConfig, FlecheSystem};
-use fleche_gpu::{DeviceSpec, DramSpec, Gpu};
-use fleche_model::{serve, DenseModel, InferenceEngine, ModelMode, ServedRun, ServerConfig};
-use fleche_store::CpuStore;
+use crate::{build_engine, fmt_ns, fmt_tput, print_header, Args, SystemKind, TextTable};
+use fleche_model::{serve, ModelMode, ServedRun, ServerConfig};
 use fleche_workload::{spec, TraceGenerator};
 
-fn run_fleche(load: f64, requests: usize) -> ServedRun {
+fn run(kind: SystemKind, load: f64, requests: usize) -> ServedRun {
     let ds = spec::avazu();
-    let store = CpuStore::new(&ds, DramSpec::xeon_6252());
-    let sys = FlecheSystem::new(&ds, store, FlecheConfig::full(0.05));
-    let dense = DenseModel::dcn_paper(concat_dim(&ds));
-    let mut eng = InferenceEngine::new(
-        Gpu::new(DeviceSpec::t4()),
-        sys,
-        dense,
-        ModelMode::EmbeddingOnly,
-        &ds,
-    );
-    let mut gen = TraceGenerator::new(&ds);
-    serve(
-        &mut eng,
-        &mut gen,
-        &ServerConfig {
-            offered_load: load,
-            max_batch: 4096,
-            requests,
-            warmup_requests: requests,
-            queue_capacity: None,
-            deadline: None,
-        },
-    )
-}
-
-fn run_baseline(load: f64, requests: usize) -> ServedRun {
-    let ds = spec::avazu();
-    let store = CpuStore::new(&ds, DramSpec::xeon_6252());
-    let sys = PerTableCacheSystem::new(
-        &ds,
-        store,
-        BaselineConfig {
-            cache_fraction: 0.05,
-            ..BaselineConfig::default()
-        },
-    );
-    let dense = DenseModel::dcn_paper(concat_dim(&ds));
-    let mut eng = InferenceEngine::new(
-        Gpu::new(DeviceSpec::t4()),
-        sys,
-        dense,
-        ModelMode::EmbeddingOnly,
-        &ds,
-    );
+    let mut eng = build_engine(kind, &ds, 0.05, ModelMode::EmbeddingOnly, 2);
     let mut gen = TraceGenerator::new(&ds);
     serve(
         &mut eng,
@@ -85,14 +38,11 @@ pub(crate) fn main(args: &Args) {
         4_000_000.0,
         8_000_000.0,
     ];
-    for (name, runner) in [
-        ("HugeCTR", run_baseline as fn(f64, usize) -> ServedRun),
-        ("Fleche", run_fleche as fn(f64, usize) -> ServedRun),
-    ] {
-        println!("--- {name} ---");
+    for kind in [SystemKind::Baseline, SystemKind::FlecheFull] {
+        println!("--- {} ---", kind.label());
         let mut t = TextTable::new(&["offered", "achieved", "median", "p99", "mean batch", "util"]);
         for &load in &loads {
-            let r = runner(load, requests);
+            let r = run(kind, load, requests);
             t.row(&[
                 fmt_tput(load),
                 fmt_tput(r.achieved),

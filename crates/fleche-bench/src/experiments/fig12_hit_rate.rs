@@ -35,7 +35,7 @@ pub(crate) fn main(args: &Args) {
             let optimal = analytic_optimal_hit_rate(&ds, ds.cache_bytes(fraction));
 
             let hit = |kind| {
-                let mut eng = build_engine(kind, &ds, fraction, ModelMode::EmbeddingOnly);
+                let mut eng = build_engine(kind, &ds, fraction, ModelMode::EmbeddingOnly, 2);
                 let mut gen = TraceGenerator::new(&ds);
                 eng.warmup(&mut gen, warm, batch);
                 eng.measure(&mut gen, meas, batch).lifetime.hit_rate()

@@ -12,14 +12,13 @@ use fleche_workload::{spec, TraceGenerator};
 fn query_latency(kind: SystemKind, n_tables: usize, total_ids: usize, fraction: f64) -> Ns {
     let ds = spec::synthetic(n_tables, 250_000, 32, -1.2);
     let batch = (total_ids / n_tables).max(1);
-    let mut eng = crate::build_engine(kind, &ds, fraction, ModelMode::EmbeddingOnly);
+    let mut eng = crate::build_engine(kind, &ds, fraction, ModelMode::EmbeddingOnly, 2);
     let mut gen = TraceGenerator::new(&ds);
     eng.warmup(&mut gen, 6, batch);
     let mut total = Ns::ZERO;
     let reps = 4;
     for _ in 0..reps {
-        let (emb, _, _, _) = eng.run_one(&mut gen, batch);
-        total += emb;
+        total += eng.run_batch(&gen.next_batch(batch)).embedding;
     }
     total / reps as f64
 }

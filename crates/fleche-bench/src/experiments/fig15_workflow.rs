@@ -11,7 +11,7 @@ use fleche_workload::TraceGenerator;
 
 fn embedding_latency(kind: SystemKind, bs: usize, quick: bool) -> Ns {
     let ds = fleche_workload::spec::avazu();
-    let mut eng = crate::build_engine(kind, &ds, 0.05, ModelMode::EmbeddingOnly);
+    let mut eng = crate::build_engine(kind, &ds, 0.05, ModelMode::EmbeddingOnly, 2);
     let mut gen = TraceGenerator::new(&ds);
     // This experiment is about steady-state workflow costs, so warm until
     // the cache and the unified-index tuner have both settled (the paper

@@ -12,16 +12,16 @@ use fleche_store::api::PhaseBreakdown;
 use fleche_workload::{DatasetSpec, TraceGenerator};
 
 fn run_stage(kind: SystemKind, ds: &DatasetSpec, fraction: f64, bs: usize) -> (Ns, PhaseBreakdown) {
-    let mut eng = crate::build_engine(kind, ds, fraction, ModelMode::EmbeddingOnly);
+    let mut eng = crate::build_engine(kind, ds, fraction, ModelMode::EmbeddingOnly, 2);
     let mut gen = TraceGenerator::new(ds);
     let (warm, meas) = scaled_batches(bs);
     eng.warmup(&mut gen, warm, bs);
     let mut wall = Ns::ZERO;
     let mut phases = PhaseBreakdown::default();
     for _ in 0..meas {
-        let (emb, _, _, stats) = eng.run_one(&mut gen, bs);
-        wall += emb;
-        phases.accumulate(&stats.phases);
+        let t = eng.run_batch(&gen.next_batch(bs));
+        wall += t.embedding;
+        phases.accumulate(&t.stats.phases);
     }
     let n = meas as f64;
     (

@@ -10,7 +10,7 @@ use fleche_workload::{spec, TraceGenerator};
 
 fn latency(kind: SystemKind, dim: u32, fraction: f64, bs: usize) -> Ns {
     let ds = spec::synthetic(40, 250_000, dim, -1.2);
-    let mut eng = crate::build_engine(kind, &ds, fraction, ModelMode::EmbeddingOnly);
+    let mut eng = crate::build_engine(kind, &ds, fraction, ModelMode::EmbeddingOnly, 2);
     let mut gen = TraceGenerator::new(&ds);
     let (warm, meas) = scaled_batches(bs);
     eng.warmup(&mut gen, warm, bs);

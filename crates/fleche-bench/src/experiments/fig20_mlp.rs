@@ -4,48 +4,23 @@
 //!
 //! Run: `cargo run --release -p fleche-bench -- fig20_mlp [--quick]`
 
-use crate::{concat_dim, fmt_ns, print_header, Args, TextTable};
-use fleche_baseline::{BaselineConfig, PerTableCacheSystem};
-use fleche_core::{FlecheConfig, FlecheSystem};
-use fleche_gpu::{DeviceSpec, DramSpec, Gpu, Ns};
-use fleche_model::{DenseModel, InferenceEngine, ModelMode};
-use fleche_store::CpuStore;
+use crate::{build_engine, fmt_ns, print_header, Args, SystemKind, TextTable};
+use fleche_gpu::Ns;
+use fleche_model::ModelMode;
 use fleche_workload::{DatasetSpec, TraceGenerator};
 
-fn run(ds: &DatasetSpec, layers: usize, fleche: bool) -> (Ns, Ns) {
-    let bs = 256;
-    let dense = DenseModel::with_hidden_layers(concat_dim(ds), layers);
-    let gpu = Gpu::new(DeviceSpec::t4());
-    let store = CpuStore::new(ds, DramSpec::xeon_6252());
+/// Mean embedding and MLP time per batch of `kind` with `layers` hidden
+/// layers.
+fn run(kind: SystemKind, ds: &DatasetSpec, layers: usize) -> (Ns, Ns) {
+    let (bs, meas) = (256, 8);
+    let mut eng = build_engine(kind, ds, 0.05, ModelMode::Full, layers);
+    let mut gen = TraceGenerator::new(ds);
+    eng.warmup(&mut gen, 10, bs);
     let (mut emb, mut mlp) = (Ns::ZERO, Ns::ZERO);
-    let meas = 8;
-    if fleche {
-        let sys = FlecheSystem::new(ds, store, FlecheConfig::full(0.05));
-        let mut eng = InferenceEngine::new(gpu, sys, dense, ModelMode::Full, ds);
-        let mut gen = TraceGenerator::new(ds);
-        eng.warmup(&mut gen, 10, bs);
-        for _ in 0..meas {
-            let t = eng.run_batch(&gen.next_batch(bs));
-            emb += t.embedding;
-            mlp += t.dense;
-        }
-    } else {
-        let sys = PerTableCacheSystem::new(
-            ds,
-            store,
-            BaselineConfig {
-                cache_fraction: 0.05,
-                ..BaselineConfig::default()
-            },
-        );
-        let mut eng = InferenceEngine::new(gpu, sys, dense, ModelMode::Full, ds);
-        let mut gen = TraceGenerator::new(ds);
-        eng.warmup(&mut gen, 10, bs);
-        for _ in 0..meas {
-            let t = eng.run_batch(&gen.next_batch(bs));
-            emb += t.embedding;
-            mlp += t.dense;
-        }
+    for _ in 0..meas {
+        let t = eng.run_batch(&gen.next_batch(bs));
+        emb += t.embedding;
+        mlp += t.dense;
     }
     (emb / meas as f64, mlp / meas as f64)
 }
@@ -66,8 +41,8 @@ pub(crate) fn main(_args: &Args) {
             "e2e speedup",
         ]);
         for layers in 2..=5 {
-            let (be, bm) = run(&ds, layers, false);
-            let (fe, fm) = run(&ds, layers, true);
+            let (be, bm) = run(SystemKind::Baseline, &ds, layers);
+            let (fe, fm) = run(SystemKind::FlecheFull, &ds, layers);
             t.row(&[
                 layers.to_string(),
                 fmt_ns(be),

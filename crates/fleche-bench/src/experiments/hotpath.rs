@@ -19,13 +19,12 @@ use std::fmt::Display;
 use std::hint::black_box;
 
 use crate::timer::{time, Timing};
-use crate::{bench_report, print_header, write_bench_json, Args};
+use crate::{bench_report, print_header, write_bench_json, xeon_store, Args};
 use fleche_baseline::ReductionCache;
 use fleche_coding::{FixedLenCodec, FlatKey, FlatKeyCodec, SizeAwareCodec};
 use fleche_core::checksum_of;
-use fleche_gpu::DramSpec;
 use fleche_index::{ClassSpec, Loc, SlabHash, SlabPool};
-use fleche_store::{CpuStore, Pooling};
+use fleche_store::Pooling;
 use fleche_workload::spec;
 
 /// The timed labels of one run, in run order.
@@ -59,7 +58,7 @@ impl Hotpath {
 
 fn bench_pooled_reduction(h: &mut Hotpath) {
     let ds = spec::synthetic(4, 50_000, 32, -1.3);
-    let store = CpuStore::new(&ds, DramSpec::xeon_6252());
+    let store = xeon_store(&ds);
     let ids: Vec<u64> = (0..64u64).map(|i| (i * 97) % 50_000).collect();
     h.group("reduction", ids.len() as u64);
     let mut cache = ReductionCache::new(0, Pooling::Sum);
@@ -69,8 +68,8 @@ fn bench_pooled_reduction(h: &mut Hotpath) {
     // The gather pair bench_gate compares: the pre-vectorization shape
     // (materialize every row via the scalar fill, then a naive element
     // loop) vs the streaming blocked gather the miss path uses now. The
-    // scalar side uses `embedding_value_portable` so it measures what the
-    // code actually did before this optimization — `store.read` itself
+    // scalar side fills through `embedding_value_portable` so it measures
+    // what the code did before this optimization — `store.read` itself
     // now dispatches the vectorized fill.
     let dim = store.dim(0) as usize;
     h.bench("gather_scalar_64ids_32d", || {
@@ -78,7 +77,7 @@ fn bench_pooled_reduction(h: &mut Hotpath) {
             .iter()
             .map(|&id| {
                 let mut row = vec![0.0f32; dim];
-                fleche_store::embedding_value_portable(0, id, &mut row);
+                embedding_value_portable(0, id, &mut row);
                 row
             })
             .collect();
@@ -93,6 +92,16 @@ fn bench_pooled_reduction(h: &mut Hotpath) {
     h.bench("gather_64ids_32d", || {
         black_box(store.pooled(0, &ids, Pooling::Sum))
     });
+}
+
+/// The row fill before vectorization: the scalar `unit_fill` loop, keyed
+/// as `fleche_store::embedding_value` keys it, whatever the host supports.
+/// Kept only as the scalar side of the gather pair.
+fn embedding_value_portable(table: u16, id: u64, out: &mut [f32]) {
+    let base = (u64::from(table) + 1)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(id.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+    fleche_simd::unit_fill_portable(base, out);
 }
 
 /// The slot checksum the lane kernel replaced: byte-serial FNV-1a over
@@ -313,4 +322,20 @@ pub(crate) fn main(args: &Args) {
     }
     j.end_arr();
     write_bench_json("BENCH_hotpath.json", j.finish());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_scalar_fill_is_the_stored_value() {
+        for (table, id) in [(0, 0), (0, 49_999), (3, 7)] {
+            let (mut scalar, mut stored) = (vec![0.0f32; 37], vec![0.0f32; 37]);
+            embedding_value_portable(table, id, &mut scalar);
+            fleche_store::embedding_value(table, id, &mut stored);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&scalar), bits(&stored), "({table}, {id})");
+        }
+    }
 }

@@ -38,16 +38,15 @@
 
 use std::process::ExitCode;
 
-use crate::drill::{Drill, RacesFound};
-use crate::{concat_dim, fmt_ns, Args, JsonEmitter, TextTable};
+use crate::drill::{batches_to_recover, Drill, RacesFound};
+use crate::{fmt_ns, xeon_store, Args, Engine, JsonEmitter, TextTable};
 use fleche_chaos::FlashCrowdSpec;
 use fleche_core::{FlecheConfig, FlecheSystem, TenantCacheStats};
-use fleche_gpu::{DeviceSpec, DramSpec, Gpu, Ns};
+use fleche_gpu::Ns;
 use fleche_model::{
     serve_multi_tenant, DenseModel, InferenceEngine, ModelMode, MultiTenantConfig, MultiTenantRun,
 };
 use fleche_store::api::EmbeddingCacheSystem;
-use fleche_store::CpuStore;
 use fleche_workload::{spec, DatasetSpec, DiurnalSpec, TraceDynamics, TraceGenerator};
 
 const TENANTS: usize = 2;
@@ -65,19 +64,14 @@ fn mt_dataset() -> DatasetSpec {
 /// A fresh two-tenant engine with per-tenant cache partitioning, plus one
 /// trace generator per tenant carrying that tenant's dynamics.
 fn build_mt(
+    d: &Drill,
     ds: &DatasetSpec,
     dynamics: [TraceDynamics; TENANTS],
-    analyze: bool,
 ) -> (InferenceEngine<FlecheSystem>, Vec<TraceGenerator>) {
-    let store = CpuStore::new(ds, DramSpec::xeon_6252());
-    let mut sys = FlecheSystem::new(ds, store, FlecheConfig::full(0.05));
+    let mut sys = FlecheSystem::new(ds, xeon_store(ds), FlecheConfig::full(0.05));
     sys.enable_tenant_partitioning(&CACHE_QUOTAS);
-    let dense = DenseModel::dcn_paper(concat_dim(ds));
-    let mut gpu = Gpu::new(DeviceSpec::t4());
-    if analyze {
-        gpu.enable_race_checker();
-    }
-    let engine = InferenceEngine::new(gpu, sys, dense, ModelMode::EmbeddingOnly, ds);
+    let dense = DenseModel::dcn_paper(Engine::concat_dim(ds));
+    let engine = InferenceEngine::new(d.gpu(), sys, dense, ModelMode::EmbeddingOnly, ds);
     let gens = dynamics
         .into_iter()
         .map(|d| TraceGenerator::with_dynamics(ds, d))
@@ -123,7 +117,6 @@ fn warmup_samples_tenant0(cfg: &MultiTenantConfig) -> u64 {
 
 fn drill_flash_crowd(d: &Drill) -> Result<FlashCrowdReport, RacesFound> {
     let ds = mt_dataset();
-    let analyze = d.args.analyze;
     let requests: usize = if d.args.quick { 1_500 } else { 3_000 };
     let crowd = FlashCrowdSpec {
         tenant: 0,
@@ -138,7 +131,7 @@ fn drill_flash_crowd(d: &Drill) -> Result<FlashCrowdReport, RacesFound> {
     // Quiet baseline: both tenants at QUIET_LOAD, stationary traces.
     let cfg = drill_a_config(requests);
     let (mut engine, mut gens) =
-        build_mt(&ds, [TraceDynamics::none(), TraceDynamics::none()], analyze);
+        build_mt(d, &ds, [TraceDynamics::none(), TraceDynamics::none()]);
     let base = serve_multi_tenant(&mut engine, &mut gens, &cfg);
     d.check_races(engine.gpu(), "drill A baseline")?;
 
@@ -155,7 +148,7 @@ fn drill_flash_crowd(d: &Drill) -> Result<FlashCrowdReport, RacesFound> {
         },
         TraceDynamics::none(),
     ];
-    let (mut engine, mut gens) = build_mt(&ds, dynamics, analyze);
+    let (mut engine, mut gens) = build_mt(d, &ds, dynamics);
     let run = serve_multi_tenant(&mut engine, &mut gens, &crowd_cfg);
     d.check_races(engine.gpu(), "drill A flash crowd")?;
     let cache = (0..TENANTS)
@@ -208,12 +201,8 @@ fn drill_diurnal(d: &Drill) -> Result<DiurnalReport, RacesFound> {
     let phases: u64 = if d.args.quick { 3 } else { 4 };
     let diurnal = DiurnalSpec { period, phases };
 
-    let store = CpuStore::new(&ds, DramSpec::xeon_6252());
-    let mut sys = FlecheSystem::new(&ds, store, FlecheConfig::full(0.05));
-    let mut gpu = Gpu::new(DeviceSpec::t4());
-    if d.args.analyze {
-        gpu.enable_race_checker();
-    }
+    let mut sys = FlecheSystem::new(&ds, xeon_store(&ds), FlecheConfig::full(0.05));
+    let mut gpu = d.gpu();
     let mut gen = TraceGenerator::with_dynamics(
         &ds,
         TraceDynamics {
@@ -271,22 +260,12 @@ fn drill_diurnal(d: &Drill) -> Result<DiurnalReport, RacesFound> {
                 .iter()
                 .cloned()
                 .fold(f64::INFINITY, f64::min);
-        let target = 0.98 * steady;
-        let mut adaptation = None;
-        for b in r..next {
-            let lo = r.max((b + 1).saturating_sub(ROLL));
-            let m = rates[lo..=b].iter().sum::<f64>() / (b - lo + 1) as f64;
-            if m >= target {
-                adaptation = Some((b - r + 1) as u64);
-                break;
-            }
-        }
         rotations.push(Rotation {
             batch: r as u64,
             phase,
             steady,
             dip,
-            adaptation,
+            adaptation: batches_to_recover(&rates[..next], r, ROLL, 0.98 * steady),
         });
     }
 
@@ -315,7 +294,6 @@ struct OverloadReport {
 
 fn drill_overload(d: &Drill) -> Result<OverloadReport, RacesFound> {
     let ds = mt_dataset();
-    let analyze = d.args.analyze;
     let requests: usize = if d.args.quick { 2_500 } else { 5_000 };
     let offered: f64 = 4_000_000.0;
     let mut cfg = MultiTenantConfig::symmetric(TENANTS, offered, requests);
@@ -337,7 +315,7 @@ fn drill_overload(d: &Drill) -> Result<OverloadReport, RacesFound> {
     }
 
     let (mut engine, mut gens) =
-        build_mt(&ds, [TraceDynamics::none(), TraceDynamics::none()], analyze);
+        build_mt(d, &ds, [TraceDynamics::none(), TraceDynamics::none()]);
     let run = serve_multi_tenant(&mut engine, &mut gens, &cfg);
     d.check_races(engine.gpu(), "drill C overload")?;
 

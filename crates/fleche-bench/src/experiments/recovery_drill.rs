@@ -29,15 +29,15 @@
 //! re-warms all declare their slot accesses) and fails the run (exit 1)
 //! if any conflicting pair is unordered.
 
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use crate::drill::{Drill, RacesFound};
-use crate::{fmt_ns, rolling_mean, Args, TextTable};
+use crate::drill::{batches_to_recover, timeline_batches, Drill, RacesFound};
+use crate::{fmt_ns, rolling_mean, xeon_store, Args, TextTable};
 use fleche_chaos::{DeviceLossSpec, FaultPlan};
 use fleche_core::{CheckpointChain, FlecheConfig, FlecheSystem, InterconnectSpec, MultiGpuFleche};
-use fleche_gpu::{DeviceSpec, DramSpec, Gpu, Ns};
+use fleche_gpu::{Gpu, Ns};
 use fleche_store::api::EmbeddingCacheSystem;
-use fleche_store::CpuStore;
 use fleche_workload::{spec, DatasetSpec, TraceGenerator, WorkloadStats};
 
 const SEED: u64 = 0xFA11_BACC;
@@ -87,14 +87,9 @@ struct RestartReport {
     fallback_used_warmup: bool,
 }
 
-fn fresh_restart_system(ds: &DatasetSpec, analyze: bool) -> (FlecheSystem, Gpu) {
-    let store = CpuStore::new(ds, DramSpec::xeon_6252());
-    let sys = FlecheSystem::new(ds, store, FlecheConfig::full(RESTART_FRACTION));
-    let mut gpu = Gpu::new(DeviceSpec::t4());
-    if analyze {
-        gpu.enable_race_checker();
-    }
-    (sys, gpu)
+fn fresh_restart_system(d: &Drill, ds: &DatasetSpec) -> (FlecheSystem, Gpu) {
+    let sys = FlecheSystem::new(ds, xeon_store(ds), FlecheConfig::full(RESTART_FRACTION));
+    (sys, d.gpu())
 }
 
 /// Serves batches from a fresh trace until the rolling hit rate reaches
@@ -124,7 +119,6 @@ fn batches_to_target(
 
 fn drill_restart(d: &Drill) -> Result<RestartReport, RacesFound> {
     let ds = restart_dataset();
-    let analyze = d.args.analyze;
     let steady_batches: u64 = if d.args.quick { 48 } else { 96 };
     let max_measure: u64 = 4 * steady_batches;
 
@@ -133,7 +127,7 @@ fn drill_restart(d: &Drill) -> Result<RestartReport, RacesFound> {
     plan.snapshot.corruption_rate = 1.0;
 
     // ---- Steady phase: serve, observe the workload, checkpoint. -----
-    let (mut sys, mut gpu) = fresh_restart_system(&ds, analyze);
+    let (mut sys, mut gpu) = fresh_restart_system(d, &ds);
     let mut gen = TraceGenerator::new(&ds);
     let mut hot_stats = WorkloadStats::new();
     let mut rates: Vec<f64> = Vec::new();
@@ -161,13 +155,13 @@ fn drill_restart(d: &Drill) -> Result<RestartReport, RacesFound> {
     drop(gpu);
 
     // ---- Cold restart: empty cache, climb from nothing. -------------
-    let (mut cold_sys, mut cold_gpu) = fresh_restart_system(&ds, analyze);
+    let (mut cold_sys, mut cold_gpu) = fresh_restart_system(d, &ds);
     let (cold_batches, cold_first) =
         batches_to_target(&mut cold_sys, &mut cold_gpu, &ds, target, max_measure);
     d.check_races(&cold_gpu, "drill A cold restart")?;
 
     // ---- Warm restart: restore the latest checkpoint, then serve. ---
-    let (mut warm_sys, mut warm_gpu) = fresh_restart_system(&ds, analyze);
+    let (mut warm_sys, mut warm_gpu) = fresh_restart_system(d, &ds);
     let report = warm_sys
         .restore_checkpoint(&mut warm_gpu, &snap)
         .expect("intact checkpoint restores");
@@ -183,7 +177,7 @@ fn drill_restart(d: &Drill) -> Result<RestartReport, RacesFound> {
         .corrupt_offset(rotten.byte_len())
         .expect("corruption rate 1.0 always rots");
     assert!(rotten.corrupt_byte(off), "offset in bounds");
-    let (mut fb_sys, mut fb_gpu) = fresh_restart_system(&ds, analyze);
+    let (mut fb_sys, mut fb_gpu) = fresh_restart_system(d, &ds);
     let (corrupt_rejected, reject_note) = match fb_sys.restore_checkpoint(&mut fb_gpu, &rotten) {
         Err(e) => (true, format!("rejected: {e}")),
         Ok(_) => (false, "ACCEPTED A ROTTEN IMAGE".to_string()),
@@ -268,17 +262,14 @@ fn drill_failover(d: &Drill) -> Result<FailoverReport, RacesFound> {
     };
     let inj = plan.device_loss_injector();
 
-    let mut mg = MultiGpuFleche::new(
+    let mut mg = d.shards(MultiGpuFleche::new(
         &ds,
         SHARDS,
         FAILOVER_FRACTION,
         FlecheConfig::full(FAILOVER_FRACTION),
         InterconnectSpec::pcie_p2p(),
-    );
-    if d.args.analyze {
-        mg.enable_race_checkers();
-    }
-    let truth = CpuStore::new(&ds, DramSpec::xeon_6252());
+    ));
+    let truth = xeon_store(&ds);
     let mut gen = TraceGenerator::new(&ds);
 
     let mut currently_lost = false;
@@ -296,13 +287,9 @@ fn drill_failover(d: &Drill) -> Result<FailoverReport, RacesFound> {
         }
         let batch = gen.next_batch(BATCH);
         let (rows, timing, stats) = mg.query_batch(&batch);
-        let mut k = 0;
-        for (t, ids) in batch.table_ids.iter().enumerate() {
-            for &id in ids {
-                if rows[k] != truth.read(t as u16, id) {
-                    corrupt_rows += 1;
-                }
-                k += 1;
+        for ((t, id), row) in batch.iter_accesses().zip(&rows) {
+            if *row != truth.read(t, id) {
+                corrupt_rows += 1;
             }
         }
         rates.push(stats.hit_rate());
@@ -314,44 +301,27 @@ fn drill_failover(d: &Drill) -> Result<FailoverReport, RacesFound> {
     // Pre-loss steady state and the post-restore recovery point.
     let steady_hit = rolling_mean(&rates[..lost_at as usize], 16);
     let target = 0.99 * steady_hit;
-    let mut recovery_batches = None;
-    let mut recovery_time = Ns::ZERO;
-    for b in restored_at..batches {
-        recovery_time += walls[b as usize];
-        // Window starts at the restore: degraded batches must not
-        // pollute the recovery average.
-        let lo = restored_at.max((b + 1).saturating_sub(ROLL as u64)) as usize;
-        let m = rates[lo..=b as usize].iter().sum::<f64>() / (b as usize - lo + 1) as f64;
-        if m >= target {
-            recovery_batches = Some(b - restored_at + 1);
-            break;
-        }
-    }
+    // The window starts at the restore: degraded batches must not pollute
+    // the recovery average.
+    let restored = restored_at as usize;
+    let recovery_batches = batches_to_recover(&rates, restored, ROLL, target);
+    let recovery_end = recovery_batches.map_or(walls.len(), |n| restored + n as usize);
+    let recovery_time = walls[restored..recovery_end].iter().copied().sum();
 
-    // Sampled timeline: a coarse cadence plus every state-change batch.
-    let tick = (batches / 12).max(1);
-    let recovered_batch = recovery_batches.map(|n| restored_at + n - 1);
-    let mut timeline = Vec::new();
-    for b in 0..batches {
-        let event = if b == lost_at {
-            "device lost"
-        } else if b == restored_at {
-            "device restored"
-        } else if Some(b) == recovered_batch {
-            "hit rate recovered"
-        } else if b % tick == 0 {
-            ""
-        } else {
-            continue;
-        };
-        timeline.push(TimelinePoint {
+    let mut events = BTreeMap::from([(lost_at, "device lost"), (restored_at, "device restored")]);
+    if let Some(n) = recovery_batches {
+        events.entry(restored_at + n - 1).or_insert("hit rate recovered");
+    }
+    let timeline = timeline_batches(batches, &events)
+        .into_iter()
+        .map(|(b, event)| TimelinePoint {
             batch: b,
             alive: alive_trace[b as usize],
             hit_rate: rates[b as usize],
             wall: walls[b as usize],
             event,
-        });
-    }
+        })
+        .collect();
 
     Ok(FailoverReport {
         steady_hit,

@@ -25,16 +25,10 @@
 use std::process::ExitCode;
 
 use crate::drill::{pass_fail, Drill};
-use crate::{Args, JsonEmitter, TextTable};
+use crate::{front_end_replica, Args, JsonEmitter, TextTable};
 use fleche_chaos::OverloadSpec;
-use fleche_core::{FlecheConfig, FlecheSystem};
-use fleche_gpu::{declare_pipeline_handoffs, DeviceSpec, DramSpec, Gpu, Ns, RaceChecker};
-use fleche_model::{
-    serve, serve_concurrent, ConcurrentConfig, ConcurrentRun, DenseModel, InferenceEngine,
-    ModelMode, ServedRun, ServerConfig,
-};
-use fleche_store::CpuStore;
-use fleche_workload::{spec, DatasetSpec, TraceGenerator};
+use fleche_gpu::{declare_pipeline_handoffs, Ns, RaceChecker};
+use fleche_model::{serve, serve_concurrent, ConcurrentConfig, ConcurrentRun, ServedRun, ServerConfig};
 
 /// Offered load of the scaling sweep, samples per second.
 const LOAD: f64 = 2_000_000.0;
@@ -47,27 +41,6 @@ const LINGER: Ns = Ns(1_200_000.0);
 const PACE: f64 = 48.0;
 /// Prep→execute channel depth.
 const DEPTH: usize = 4;
-
-fn dataset() -> DatasetSpec {
-    spec::synthetic(8, 30_000, 16, -1.3)
-}
-
-fn build(_worker: usize) -> (InferenceEngine<FlecheSystem>, TraceGenerator) {
-    let ds = dataset();
-    let store = CpuStore::new(&ds, DramSpec::xeon_6252());
-    let sys = FlecheSystem::new(&ds, store, FlecheConfig::full(0.05));
-    let dense = DenseModel::dcn_paper(InferenceEngine::<FlecheSystem>::concat_dim(&ds));
-    (
-        InferenceEngine::new(
-            Gpu::new(DeviceSpec::t4()),
-            sys,
-            dense,
-            ModelMode::EmbeddingOnly,
-            &ds,
-        ),
-        TraceGenerator::new(&ds),
-    )
-}
 
 /// Compares every simulated field bit-for-bit; returns mismatch labels.
 fn identity_diff(serial: &ServedRun, conc: &ServedRun) -> Vec<&'static str> {
@@ -140,9 +113,9 @@ fn phase_identity(d: &mut Drill, j: &mut JsonEmitter) {
     ];
     j.begin_arr("identity");
     for (name, cfg) in &cases {
-        let (mut eng, mut gen) = build(0);
+        let (mut eng, mut gen) = front_end_replica(0);
         let serial = serve(&mut eng, &mut gen, cfg);
-        let conc = serve_concurrent(build, &ConcurrentConfig::mirror_serial(cfg, 1));
+        let conc = serve_concurrent(front_end_replica, &ConcurrentConfig::mirror_serial(cfg, 1));
         let bad = identity_diff(&serial, &conc.workers[0].run);
         let ok = bad.is_empty();
         println!(
@@ -212,7 +185,7 @@ fn phase_scaling(quick: bool, j: &mut JsonEmitter) -> bool {
     let mut speedup_at_4 = 0.0;
     j.begin_arr("scaling");
     for &w in sweep {
-        let run = serve_concurrent(build, &scaling_config(w, requests));
+        let run = serve_concurrent(front_end_replica, &scaling_config(w, requests));
         let batches: u64 = run.workers.iter().map(|x| x.batches).sum();
         let mean_batch = run.served() as f64 / batches.max(1) as f64;
         let p99 = run
@@ -309,7 +282,7 @@ fn phase_overload(d: &mut Drill, j: &mut JsonEmitter) {
         cfg.queue_capacity = Some(512);
         cfg.deadline = Some(deadline);
         cfg.bursts = bursts;
-        serve_concurrent(build, &cfg)
+        serve_concurrent(front_end_replica, &cfg)
     };
     let run = streaming(windows);
     let calm = streaming(Vec::new());
@@ -363,7 +336,7 @@ fn phase_analyze(d: &mut Drill, j: &mut JsonEmitter) {
     cfg.pace = 0.0;
     cfg.warmup_requests = 8_000;
     cfg.analyze = true;
-    let run = serve_concurrent(build, &cfg);
+    let run = serve_concurrent(front_end_replica, &cfg);
     let races = run.races.expect("analyze mode reports races");
     let handoffs: u64 = run
         .workers

@@ -8,64 +8,31 @@
 //! Output: `results/trace_{baseline,fleche}.json`
 
 use crate::{build_engine, print_header, Args, SystemKind};
-use fleche_gpu::{to_chrome_trace, DeviceSpec, DramSpec, Gpu, Ns};
+use fleche_gpu::to_chrome_trace;
 use fleche_model::ModelMode;
 use fleche_store::api::EmbeddingCacheSystem;
-use fleche_store::CpuStore;
 use fleche_workload::{spec, TraceGenerator};
 use std::process::ExitCode;
 
 fn trace_one(kind: SystemKind, path: &str) -> std::io::Result<()> {
-    // Build the raw system (not the boxed engine) so the Gpu is reachable
-    // for timeline export.
     let ds = spec::avazu();
-    let store = CpuStore::new(&ds, DramSpec::xeon_6252());
-    let mut gpu = Gpu::new(DeviceSpec::t4());
+    let mut eng = build_engine(kind, &ds, 0.05, ModelMode::EmbeddingOnly, 2);
     let mut gen = TraceGenerator::new(&ds);
-    let json = match kind {
-        SystemKind::Baseline => {
-            let mut sys = fleche_baseline::PerTableCacheSystem::new(
-                &ds,
-                store,
-                fleche_baseline::BaselineConfig {
-                    cache_fraction: 0.05,
-                    ..fleche_baseline::BaselineConfig::default()
-                },
-            );
-            for _ in 0..10 {
-                sys.query_batch(&mut gpu, &gen.next_batch(512));
-            }
-            gpu.clear_timeline();
-            let t0 = gpu.now();
-            sys.query_batch(&mut gpu, &gen.next_batch(512));
-            to_chrome_trace(gpu.timeline(), t0, gpu.now())
-        }
-        _ => {
-            let mut sys =
-                fleche_core::FlecheSystem::new(&ds, store, fleche_core::FlecheConfig::full(0.05));
-            for _ in 0..10 {
-                sys.query_batch(&mut gpu, &gen.next_batch(512));
-            }
-            gpu.clear_timeline();
-            let t0 = gpu.now();
-            sys.query_batch(&mut gpu, &gen.next_batch(512));
-            to_chrome_trace(gpu.timeline(), t0, gpu.now())
-        }
-    };
+    // Query the system itself rather than run engine batches, so the
+    // window holds the embedding query's spans and nothing else.
+    let (sys, gpu) = eng.system_and_gpu_mut();
+    for _ in 0..10 {
+        sys.query_batch(gpu, &gen.next_batch(512));
+    }
+    gpu.clear_timeline();
+    let t0 = gpu.now();
+    sys.query_batch(gpu, &gen.next_batch(512));
     std::fs::create_dir_all("results")?;
-    std::fs::write(path, json)?;
-    Ok(())
+    std::fs::write(path, to_chrome_trace(gpu.timeline(), t0, gpu.now()))
 }
 
 pub(crate) fn main(_args: &Args) -> ExitCode {
     print_header("Chrome-trace export: one warmed batch per system (Avazu-like, 512)");
-    // Sanity: the boxed-engine path builds too (keeps the helper honest).
-    let ds = spec::synthetic(2, 100, 8, -1.2);
-    let mut eng = build_engine(SystemKind::FlecheFull, &ds, 0.1, ModelMode::EmbeddingOnly);
-    let mut gen = TraceGenerator::new(&ds);
-    let (emb, _, _, _) = eng.run_one(&mut gen, 4);
-    assert!(emb > Ns::ZERO);
-
     for (kind, path) in [
         (SystemKind::Baseline, "results/trace_baseline.json"),
         (SystemKind::FlecheFull, "results/trace_fleche.json"),

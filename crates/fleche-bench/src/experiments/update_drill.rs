@@ -44,24 +44,19 @@ use std::collections::BTreeMap;
 
 use std::process::ExitCode;
 
-use crate::drill::{Drill, RacesFound};
-use crate::{fmt_ns, rolling_mean, Args, JsonEmitter, TextTable};
+use crate::drill::{batches_to_recover, p99_of, timeline_batches, Drill, RacesFound};
+use crate::{fmt_ns, rolling_mean, xeon_store, Args, JsonEmitter, TextTable};
 use fleche_chaos::{DeviceLossSpec, FaultPlan, StalenessConfig, UpdateFaultSpec};
 use fleche_core::{FlecheConfig, FlecheSystem, InterconnectSpec, MultiGpuFleche, StalenessStats};
-use fleche_gpu::{DeviceSpec, DramSpec, Gpu, Ns};
+use fleche_gpu::Ns;
 use fleche_store::api::EmbeddingCacheSystem;
-use fleche_store::{versioned_embedding_value, CpuStore, UpdateStream};
+use fleche_store::{versioned_embedding_value, UpdateStream};
 use fleche_workload::{spec, DatasetSpec, TraceGenerator, WorkloadStats};
 
 const SEED: u64 = 0x5741_1E55;
 const BATCH: usize = 256;
 /// Rolling window (batches) for the drill-B recovery threshold.
 const ROLL: usize = 4;
-
-fn p99_of(walls: &mut [f64]) -> Ns {
-    walls.sort_by(|a, b| a.partial_cmp(b).expect("finite walls"));
-    Ns(walls[((walls.len() - 1) as f64 * 0.99).round() as usize])
-}
 
 /// Decodes which committed version a served row carries: scans from the
 /// trainer's latest version for the key down to the frozen table value
@@ -122,12 +117,8 @@ fn drill_race(d: &Drill) -> Result<RaceReport, RacesFound> {
     };
     let mut inj = plan.update_injector();
 
-    let store = CpuStore::new(&ds, DramSpec::xeon_6252());
-    let mut sys = FlecheSystem::new(&ds, store, FlecheConfig::full(0.05));
-    let mut gpu = Gpu::new(DeviceSpec::t4());
-    if d.args.analyze {
-        gpu.enable_race_checker();
-    }
+    let mut sys = FlecheSystem::new(&ds, xeon_store(&ds), FlecheConfig::full(0.05));
+    let mut gpu = d.gpu();
     let mut gen = TraceGenerator::new(&ds);
     let mut stream = UpdateStream::new(&ds, SEED);
 
@@ -165,23 +156,18 @@ fn drill_race(d: &Drill) -> Result<RaceReport, RacesFound> {
         rates.push(out.stats.hit_rate());
         walls.push(out.stats.wall.as_ns());
 
-        let mut k = 0;
-        for (t, ids) in batch.table_ids.iter().enumerate() {
-            for &id in ids {
-                let latest = stream.version_of(t as u16, id);
-                match match_version(t as u16, id, latest, &out.rows[k], &mut scratch) {
-                    None => torn += 1,
-                    Some(v) => {
-                        let key = (t as u16, id);
-                        let prev = last_served.get(&key).copied().unwrap_or(0);
-                        if v < prev {
-                            regressions += 1;
-                        }
-                        max_served_lag = max_served_lag.max(latest - v);
-                        last_served.insert(key, v.max(prev));
+        for ((t, id), row) in batch.iter_accesses().zip(&out.rows) {
+            let latest = stream.version_of(t, id);
+            match match_version(t, id, latest, row, &mut scratch) {
+                None => torn += 1,
+                Some(v) => {
+                    let prev = last_served.get(&(t, id)).copied().unwrap_or(0);
+                    if v < prev {
+                        regressions += 1;
                     }
+                    max_served_lag = max_served_lag.max(latest - v);
+                    last_served.insert((t, id), v.max(prev));
                 }
-                k += 1;
             }
         }
     }
@@ -248,16 +234,13 @@ fn drill_delta_rewarm(d: &Drill) -> Result<DeltaRewarmReport, RacesFound> {
     };
     let inj = plan.device_loss_injector();
 
-    let mut mg = MultiGpuFleche::new(
+    let mut mg = d.shards(MultiGpuFleche::new(
         &ds,
         SHARDS,
         0.08,
         FlecheConfig::full(0.08),
         InterconnectSpec::pcie_p2p(),
-    );
-    if d.args.analyze {
-        mg.enable_race_checkers();
-    }
+    ));
     let mut gen = TraceGenerator::new(&ds);
     let mut stream = UpdateStream::new(&ds, SEED ^ 0xB);
     let mut hot_stats = WorkloadStats::new();
@@ -308,14 +291,10 @@ fn drill_delta_rewarm(d: &Drill) -> Result<DeltaRewarmReport, RacesFound> {
         rates.push(stats.hit_rate());
         alive_trace.push(mg.alive_count());
         ledger_trace.push(mg.shard_system(0).updates().ledger().max_version());
-        let mut k = 0;
-        for (t, ids) in batch.table_ids.iter().enumerate() {
-            for &id in ids {
-                let latest = stream.version_of(t as u16, id);
-                if match_version(t as u16, id, latest, &rows[k], &mut scratch).is_none() {
-                    torn += 1;
-                }
-                k += 1;
+        for ((t, id), row) in batch.iter_accesses().zip(&rows) {
+            let latest = stream.version_of(t, id);
+            if match_version(t, id, latest, row, &mut scratch).is_none() {
+                torn += 1;
             }
         }
     }
@@ -324,33 +303,20 @@ fn drill_delta_rewarm(d: &Drill) -> Result<DeltaRewarmReport, RacesFound> {
     // Recovery point: rolling hit rate back to 99% of pre-loss steady.
     let steady = rolling_mean(&rates[..lost_at as usize], 16);
     let target = 0.99 * steady;
-    let mut recovery_batches = None;
-    for b in restored_at..batches {
-        let lo = restored_at.max((b + 1).saturating_sub(ROLL as u64)) as usize;
-        let m = rates[lo..=b as usize].iter().sum::<f64>() / (b as usize - lo + 1) as f64;
-        if m >= target {
-            recovery_batches = Some(b - restored_at + 1);
-            events.entry(b).or_insert("hit rate recovered");
-            break;
-        }
+    let recovery_batches = batches_to_recover(&rates, restored_at as usize, ROLL, target);
+    if let Some(n) = recovery_batches {
+        events.entry(restored_at + n - 1).or_insert("hit rate recovered");
     }
-
-    let tick = (batches / 12).max(1);
-    let mut timeline = Vec::new();
-    for b in 0..batches {
-        let event = match events.get(&b) {
-            Some(e) => e,
-            None if b % tick == 0 => "",
-            None => continue,
-        };
-        timeline.push(TimelinePoint {
+    let timeline = timeline_batches(batches, &events)
+        .into_iter()
+        .map(|(b, event)| TimelinePoint {
             batch: b,
             alive: alive_trace[b as usize],
             hit_rate: rates[b as usize],
             ledger_max: ledger_trace[b as usize],
             event,
-        });
-    }
+        })
+        .collect();
 
     Ok(DeltaRewarmReport {
         lost_at,
@@ -416,16 +382,12 @@ fn drill_outage(d: &Drill) -> Result<OutageReport, RacesFound> {
     };
     let inj = plan.update_injector();
 
-    let store = CpuStore::new(&ds, DramSpec::xeon_6252());
     let config = FlecheConfig {
         staleness: Some(staleness),
         ..FlecheConfig::full(0.08)
     };
-    let mut sys = FlecheSystem::new(&ds, store, config);
-    let mut gpu = Gpu::new(DeviceSpec::t4());
-    if d.args.analyze {
-        gpu.enable_race_checker();
-    }
+    let mut sys = FlecheSystem::new(&ds, xeon_store(&ds), config);
+    let mut gpu = d.gpu();
     let mut gen = TraceGenerator::new(&ds);
     let mut stream = UpdateStream::new(&ds, SEED ^ 0xC);
 
@@ -465,18 +427,14 @@ fn drill_outage(d: &Drill) -> Result<OutageReport, RacesFound> {
         walls.push(out.stats.wall.as_ns());
 
         let mut batch_max_lag = 0u64;
-        let mut k = 0;
-        for (t, ids) in batch.table_ids.iter().enumerate() {
-            for &id in ids {
-                let latest = sys.updates().ledger().get(t as u16, id);
-                if let Some(v) = match_version(t as u16, id, latest, &out.rows[k], &mut scratch) {
-                    let lag = latest - v;
-                    batch_max_lag = batch_max_lag.max(lag);
-                    if degraded_before && lag > staleness.max_lag {
-                        violations += 1;
-                    }
+        for ((t, id), row) in batch.iter_accesses().zip(&out.rows) {
+            let latest = sys.updates().ledger().get(t, id);
+            if let Some(v) = match_version(t, id, latest, row, &mut scratch) {
+                let lag = latest - v;
+                batch_max_lag = batch_max_lag.max(lag);
+                if degraded_before && lag > staleness.max_lag {
+                    violations += 1;
                 }
-                k += 1;
             }
         }
 

@@ -5,9 +5,11 @@
 //! paper or runs one drill or tool; `experiments.rs` is the table of them and
 //! the one command line (`fleche-bench <experiment>`) over it (see
 //! DESIGN.md §3 for the full index). The rest of this library is the
-//! plumbing they share: system construction, warm-up/measure loops,
-//! plain-text tables, the `BENCH_*.json` writer, the drill harness and the
-//! host-clock timer.
+//! plumbing they share: the reference hardware (one T4, one Xeon-6252
+//! DRAM store), one engine builder over both systems, warm-up/measure
+//! loops, plain-text tables, the `BENCH_*.json` writer, the drill harness
+//! and the host-clock timer. CI regenerates every figure and both Chrome
+//! traces and diffs them with the committed `results/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,6 +24,7 @@ use fleche_baseline::{BaselineConfig, PerTableCacheSystem};
 use fleche_core::{FlecheConfig, FlecheSystem};
 use fleche_gpu::{DeviceSpec, DramSpec, Gpu, Ns};
 use fleche_model::{DenseModel, InferenceEngine, MeasuredRun, ModelMode};
+use fleche_store::api::EmbeddingCacheSystem;
 use fleche_store::CpuStore;
 use fleche_workload::{DatasetSpec, TraceGenerator};
 
@@ -82,102 +85,65 @@ impl SystemKind {
     }
 }
 
-/// Builds a fresh engine of `kind` over `spec` with `fraction` cache.
+/// A fresh simulated T4, the paper's GPU (Table 1).
+pub fn t4() -> Gpu {
+    Gpu::new(DeviceSpec::t4())
+}
+
+/// The paper's host memory (Table 1): a Xeon Gold 6252's DRAM.
+pub fn xeon_dram() -> DramSpec {
+    DramSpec::xeon_6252()
+}
+
+/// The CPU-DRAM store of `spec` on [`xeon_dram`].
+pub fn xeon_store(spec: &DatasetSpec) -> CpuStore {
+    CpuStore::new(spec, xeon_dram())
+}
+
+/// An engine over whichever system a [`SystemKind`] named, so both
+/// systems run through one code path.
+pub type Engine = InferenceEngine<Box<dyn EmbeddingCacheSystem>>;
+
+/// Builds a fresh engine of `kind` over `spec` with `fraction` cache, on
+/// [`t4`] and [`xeon_store`], running `mode` over a DCN with
+/// `hidden_layers` hidden layers of 1024 units (the paper's model has 2).
 pub fn build_engine(
     kind: SystemKind,
     spec: &DatasetSpec,
     fraction: f64,
     mode: ModelMode,
-) -> Box<dyn MeasurableEngine> {
-    let gpu = Gpu::new(DeviceSpec::t4());
-    let store = CpuStore::new(spec, DramSpec::xeon_6252());
-    let dense = DenseModel::dcn_paper(concat_dim(spec));
-    match kind {
-        SystemKind::Baseline => {
-            let sys = PerTableCacheSystem::new(
-                spec,
-                store,
-                BaselineConfig {
-                    cache_fraction: fraction,
-                    ..BaselineConfig::default()
-                },
-            );
-            Box::new(InferenceEngine::new(gpu, sys, dense, mode, spec))
-        }
-        SystemKind::FlecheFlatCacheOnly => {
-            let sys = FlecheSystem::new(spec, store, FlecheConfig::flat_cache_only(fraction));
-            Box::new(InferenceEngine::new(gpu, sys, dense, mode, spec))
-        }
-        SystemKind::FlecheFused => {
-            let sys = FlecheSystem::new(spec, store, FlecheConfig::with_fusion(fraction));
-            Box::new(InferenceEngine::new(gpu, sys, dense, mode, spec))
-        }
-        SystemKind::FlecheNoUnified => {
-            let sys = FlecheSystem::new(spec, store, FlecheConfig::without_unified_index(fraction));
-            Box::new(InferenceEngine::new(gpu, sys, dense, mode, spec))
-        }
-        SystemKind::FlecheFull => {
-            let sys = FlecheSystem::new(spec, store, FlecheConfig::full(fraction));
-            Box::new(InferenceEngine::new(gpu, sys, dense, mode, spec))
-        }
-    }
+    hidden_layers: usize,
+) -> Engine {
+    let fleche = match kind {
+        SystemKind::Baseline => None,
+        SystemKind::FlecheFlatCacheOnly => Some(FlecheConfig::flat_cache_only(fraction)),
+        SystemKind::FlecheFused => Some(FlecheConfig::with_fusion(fraction)),
+        SystemKind::FlecheNoUnified => Some(FlecheConfig::without_unified_index(fraction)),
+        SystemKind::FlecheFull => Some(FlecheConfig::full(fraction)),
+    };
+    let store = xeon_store(spec);
+    let system: Box<dyn EmbeddingCacheSystem> = match fleche {
+        Some(config) => Box::new(FlecheSystem::new(spec, store, config)),
+        None => Box::new(PerTableCacheSystem::new(
+            spec,
+            store,
+            BaselineConfig {
+                cache_fraction: fraction,
+                ..BaselineConfig::default()
+            },
+        )),
+    };
+    let dense = DenseModel::with_hidden_layers(Engine::concat_dim(spec), hidden_layers);
+    InferenceEngine::new(t4(), system, dense, mode, spec)
 }
 
-/// Concatenated pooled-embedding width of a dataset.
-pub fn concat_dim(spec: &DatasetSpec) -> u32 {
-    spec.tables.iter().map(|t| t.dim).sum()
-}
-
-/// Object-safe facade over `InferenceEngine<S>` so harnesses can hold
-/// heterogeneous systems uniformly.
-pub trait MeasurableEngine {
-    /// Warm the cache.
-    fn warmup(&mut self, gen: &mut TraceGenerator, batches: usize, batch_size: usize);
-    /// Measure throughput/latency over `batches`.
-    fn measure(
-        &mut self,
-        gen: &mut TraceGenerator,
-        batches: usize,
-        batch_size: usize,
-    ) -> MeasuredRun;
-    /// One batch, returning `(embedding, dense, total)` wall times and the
-    /// phase breakdown.
-    fn run_one(
-        &mut self,
-        gen: &mut TraceGenerator,
-        batch_size: usize,
-    ) -> (Ns, Ns, Ns, fleche_store::api::BatchStats);
-    /// Lifetime cache statistics.
-    fn lifetime(&self) -> fleche_store::api::LifetimeStats;
-}
-
-impl<S: fleche_store::api::EmbeddingCacheSystem> MeasurableEngine for InferenceEngine<S> {
-    fn warmup(&mut self, gen: &mut TraceGenerator, batches: usize, batch_size: usize) {
-        InferenceEngine::warmup(self, gen, batches, batch_size);
-    }
-
-    fn measure(
-        &mut self,
-        gen: &mut TraceGenerator,
-        batches: usize,
-        batch_size: usize,
-    ) -> MeasuredRun {
-        InferenceEngine::measure(self, gen, batches, batch_size)
-    }
-
-    fn run_one(
-        &mut self,
-        gen: &mut TraceGenerator,
-        batch_size: usize,
-    ) -> (Ns, Ns, Ns, fleche_store::api::BatchStats) {
-        let b = gen.next_batch(batch_size);
-        let t = self.run_batch(&b);
-        (t.embedding, t.dense, t.total, t.stats)
-    }
-
-    fn lifetime(&self) -> fleche_store::api::LifetimeStats {
-        self.system().lifetime_stats()
-    }
+/// The synthetic 8-table Fleche engine that both serving front-end
+/// comparisons (Fig 9's and `serve_scaling`'s) replicate per worker.
+pub fn front_end_replica(_worker: usize) -> (Engine, TraceGenerator) {
+    let ds = fleche_workload::spec::synthetic(8, 30_000, 16, -1.3);
+    let mode = ModelMode::EmbeddingOnly;
+    let engine = build_engine(SystemKind::FlecheFull, &ds, 0.05, mode, 2);
+    (engine, TraceGenerator::new(&ds))
 }
 
 /// Warm + measure one configuration; returns the measured run.
@@ -188,7 +154,7 @@ pub fn run_workload(
     mode: ModelMode,
     batch_size: usize,
 ) -> MeasuredRun {
-    let mut engine = build_engine(kind, spec, fraction, mode);
+    let mut engine = build_engine(kind, spec, fraction, mode, 2);
     let mut gen = TraceGenerator::new(spec);
     let (warm, meas) = scaled_batches(batch_size);
     engine.warmup(&mut gen, warm, batch_size);
@@ -508,8 +474,8 @@ pub fn fmt_tput(t: f64) -> String {
 
 /// Prints the standard harness header (platform constants = Table 1).
 pub fn print_header(experiment: &str) {
-    let t4 = DeviceSpec::t4();
-    let dram = DramSpec::xeon_6252();
+    let (gpu, dram) = (t4(), xeon_dram());
+    let t4 = gpu.spec();
     println!("== {experiment} ==");
     println!(
         "platform: {} ({} GB/s HBM) + {} ({} GB/s DRAM)  [simulated]",
@@ -631,14 +597,13 @@ mod tests {
             SystemKind::FlecheNoUnified,
             SystemKind::FlecheFull,
         ] {
-            let mut e = build_engine(kind, &ds, 0.1, ModelMode::EmbeddingOnly);
-            let mut gen = TraceGenerator::new(&ds);
-            let (emb, _, total, stats) = e.run_one(&mut gen, 16);
-            assert!(emb > Ns::ZERO, "{}", kind.label());
-            assert!(total >= emb);
+            let mut e = build_engine(kind, &ds, 0.1, ModelMode::EmbeddingOnly, 2);
+            let t = e.run_batch(&TraceGenerator::new(&ds).next_batch(16));
+            assert!(t.embedding > Ns::ZERO, "{}", kind.label());
+            assert!(t.total >= t.embedding);
             assert_eq!(
-                stats.hits + stats.unified_hits + stats.misses,
-                stats.unique_keys
+                t.stats.hits + t.stats.unified_hits + t.stats.misses,
+                t.stats.unique_keys
             );
         }
     }

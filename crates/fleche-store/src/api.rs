@@ -134,6 +134,41 @@ pub trait EmbeddingCacheSystem {
     fn reset_stats(&mut self);
 }
 
+/// A boxed system is a system, so a harness can pick one at run time and
+/// still drive it through the generic engine and servers. Every method
+/// forwards, the defaulted ones included: the defaults would drop a
+/// prepared dedup or a tenant switch without a sign.
+impl<S: EmbeddingCacheSystem + ?Sized> EmbeddingCacheSystem for Box<S> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn query_batch(&mut self, gpu: &mut Gpu, batch: &Batch) -> QueryOutput {
+        (**self).query_batch(gpu, batch)
+    }
+
+    fn query_batch_prepared(
+        &mut self,
+        gpu: &mut Gpu,
+        batch: &Batch,
+        prepared: Deduped,
+    ) -> QueryOutput {
+        (**self).query_batch_prepared(gpu, batch, prepared)
+    }
+
+    fn set_active_tenant(&mut self, tenant: usize) {
+        (**self).set_active_tenant(tenant);
+    }
+
+    fn lifetime_stats(&self) -> LifetimeStats {
+        (**self).lifetime_stats()
+    }
+
+    fn reset_stats(&mut self) {
+        (**self).reset_stats();
+    }
+}
+
 /// Accumulated statistics across batches.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LifetimeStats {
@@ -231,6 +266,74 @@ mod tests {
         let b = a;
         a.accumulate(&b);
         assert_eq!(a.total(), Ns(30.0));
+    }
+
+    /// Logs which methods reached it and what they were handed.
+    #[derive(Default)]
+    struct Recorder {
+        calls: Vec<&'static str>,
+        tenant: Option<usize>,
+        prepared_unique: Option<usize>,
+    }
+
+    impl EmbeddingCacheSystem for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+
+        fn query_batch(&mut self, _: &mut Gpu, _: &Batch) -> QueryOutput {
+            self.calls.push("query_batch");
+            QueryOutput {
+                rows: Vec::new(),
+                stats: BatchStats::default(),
+            }
+        }
+
+        fn query_batch_prepared(
+            &mut self,
+            _: &mut Gpu,
+            _: &Batch,
+            prepared: Deduped,
+        ) -> QueryOutput {
+            self.calls.push("query_batch_prepared");
+            self.prepared_unique = Some(prepared.unique_len());
+            QueryOutput {
+                rows: Vec::new(),
+                stats: BatchStats::default(),
+            }
+        }
+
+        fn set_active_tenant(&mut self, tenant: usize) {
+            self.tenant = Some(tenant);
+        }
+
+        fn lifetime_stats(&self) -> LifetimeStats {
+            LifetimeStats::default()
+        }
+
+        fn reset_stats(&mut self) {
+            self.calls.push("reset_stats");
+        }
+    }
+
+    /// Calls through the trait bound, so a `Box` runs the `Box` impl.
+    fn drive<S: EmbeddingCacheSystem>(sys: &mut S, batch: &Batch) -> &'static str {
+        let mut gpu = Gpu::new(fleche_gpu::DeviceSpec::t4());
+        sys.set_active_tenant(3);
+        sys.query_batch_prepared(&mut gpu, batch, Deduped::from_batch(batch));
+        sys.reset_stats();
+        sys.name()
+    }
+
+    #[test]
+    fn a_box_forwards_every_method_to_the_system_inside() {
+        // Four accesses over three unique keys.
+        let batch = Batch::from_table_ids(vec![vec![1, 2, 1], vec![5]]);
+        let mut boxed = Box::new(Recorder::default());
+        assert_eq!(drive(&mut boxed, &batch), "recorder");
+        assert_eq!(boxed.calls, ["query_batch_prepared", "reset_stats"]);
+        assert_eq!(boxed.tenant, Some(3));
+        assert_eq!(boxed.prepared_unique, Some(3));
     }
 
     #[test]
