@@ -406,11 +406,6 @@ impl Gpu {
     pub fn device_busy(&self, from: Ns, to: Ns) -> Ns {
         self.timeline.device_busy(from, to)
     }
-
-    /// Device-busy time of kernels whose label passes `pred`.
-    pub fn device_busy_labeled(&self, pred: impl Fn(&str) -> bool, from: Ns, to: Ns) -> Ns {
-        self.timeline.device_busy_labeled(pred, from, to)
-    }
 }
 
 #[cfg(test)]

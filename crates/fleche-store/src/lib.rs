@@ -35,7 +35,5 @@ pub use api::{
 pub use dedup::{Deduped, DEDUP_NS_PER_ID};
 pub use pooling::Pooling;
 pub use remote::{FetchReport, RemoteSpec, TieredStats, TieredStore};
-pub use table::{
-    embedding_value, embedding_value_portable, CpuStore, DRAM_INDEX_BYTES, DRAM_PROBES_PER_LOOKUP,
-};
+pub use table::{embedding_value, CpuStore, DRAM_INDEX_BYTES, DRAM_PROBES_PER_LOOKUP};
 pub use update::{versioned_embedding_value, UpdatePush, UpdateStream, VersionLedger};

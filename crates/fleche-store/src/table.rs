@@ -29,25 +29,10 @@ pub const DRAM_INDEX_BYTES: u64 = 64;
 /// the values are bit-identical to the original scalar loop on every
 /// dispatch path.
 pub fn embedding_value(table: u16, id: u64, out: &mut [f32]) {
-    fleche_simd::unit_fill(stream_base(table, id), out);
-}
-
-/// Portable twin of [`embedding_value`]: same bits, but always the
-/// scalar fill loop regardless of what the host supports. This is the
-/// pre-vectorization reference shape; `benches/hotpath.rs` uses it as
-/// the scalar side of the gather family so the measured speedup reflects
-/// the whole optimization (streaming + vectorized fill), and the
-/// bit-identity proptests pin it against the dispatched path.
-pub fn embedding_value_portable(table: u16, id: u64, out: &mut [f32]) {
-    fleche_simd::unit_fill_portable(stream_base(table, id), out);
-}
-
-/// SplitMix64 stream base for `(table, id)` — both fill paths key the
-/// same per-component stream off this value.
-fn stream_base(table: u16, id: u64) -> u64 {
-    (table as u64 + 1)
+    let base = (table as u64 + 1)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(id.wrapping_mul(0xBF58_476D_1CE4_E5B9))
+        .wrapping_add(id.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+    fleche_simd::unit_fill(base, out);
 }
 
 /// The CPU-DRAM layer: all embedding tables of a dataset, plus the cost
