@@ -30,6 +30,20 @@ pub fn checksum_of(value: &[f32]) -> u32 {
     fleche_simd::checksum(value)
 }
 
+/// Hints the CPU to fetch the pool row of `(class, slot)`: one hint per 64
+/// bytes of the row, plus its last element, since a row need not start on
+/// a cache line and so may reach into one more. A no-op outside the pool.
+fn prefetch_row(pool: &SlabPool, class: u16, slot: u32) {
+    if let Ok(row) = pool.read_during_grace(class, slot) {
+        for line in row.chunks(16) {
+            fleche_simd::prefetch_read(&line[0]);
+        }
+        if let Some(last) = row.last() {
+            fleche_simd::prefetch_read(last);
+        }
+    }
+}
+
 /// Device bytes one unified-index (DRAM pointer) entry costs: its share of
 /// a slab (key + loc + stamp).
 pub const UNIFIED_ENTRY_BYTES: u64 = 20;
@@ -226,9 +240,21 @@ pub struct FlatCache {
     tenants: TenantPartition,
 }
 
-/// One resolved trainer push ready for batch-boundary application: the
-/// flat key it targets, the version it advances the key to, and the new
-/// value bytes. Built by the system layer from accepted update pushes.
+/// One update the batch-boundary apply ([`FlatCache::apply_updates`])
+/// writes straight into its key's pool slot: the flat key it targets, the
+/// version it advances the key to, and its value, written in place.
+pub trait PendingUpdate {
+    /// Size-aware coded flat key of the embedding to update.
+    fn key(&self) -> FlatKey;
+    /// Version this update advances the key to.
+    fn version(&self) -> u64;
+    /// Floats in the value; a slot of another dimension is not written.
+    fn value_len(&self) -> usize;
+    /// Writes the value into `row`, which holds `value_len` floats.
+    fn write_value(&self, row: &mut [f32]);
+}
+
+/// A trainer push whose new value is already materialized.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SlotUpdate {
     /// Size-aware coded flat key of the embedding to update.
@@ -237,6 +263,24 @@ pub struct SlotUpdate {
     pub version: u64,
     /// The full new value (must match the key's class dimension).
     pub value: Vec<f32>,
+}
+
+impl PendingUpdate for SlotUpdate {
+    fn key(&self) -> FlatKey {
+        self.key
+    }
+
+    fn version(&self) -> u64 {
+        self.version
+    }
+
+    fn value_len(&self) -> usize {
+        self.value.len()
+    }
+
+    fn write_value(&self, row: &mut [f32]) {
+        row.copy_from_slice(&self.value);
+    }
 }
 
 /// What one [`FlatCache::apply_updates`] pass accomplished.
@@ -545,8 +589,10 @@ impl FlatCache {
     /// [`FlatCache::lookup_batch`] into a caller-owned buffer (cleared
     /// first), so a serving loop reuses one across batches. Every
     /// [`CacheAnswer::Hit`] it resolves also hints the CPU to fetch that
-    /// pool row and its checksum record: the verify and the gather that
-    /// follow find them in cache instead of each waiting on memory in turn.
+    /// pool row, its checksum record and its version record: the verify,
+    /// the lag check and the gather that follow find them in cache instead
+    /// of each waiting on memory in turn. Until the first update there are
+    /// no version records, and that hint does nothing.
     pub fn lookup_batch_into(
         &mut self,
         keys: &[FlatKey],
@@ -557,8 +603,7 @@ impl FlatCache {
         out.reserve(keys.len());
         self.probe_keys.clear();
         self.probe_keys.extend(keys.iter().map(|k| k.0));
-        let pool = &self.pool;
-        let sums = self.checksums.as_ref();
+        let (pool, sums, versions) = (&self.pool, self.checksums.as_ref(), &self.versions);
         self.index
             .lookup_batch(&self.probe_keys, Some(stamp), &mut |found, stats| {
                 let answer = CacheAnswer::of(found);
@@ -566,17 +611,8 @@ impl FlatCache {
                     if let Some(sums) = sums {
                         sums.prefetch(class, slot);
                     }
-                    if let Ok(row) = pool.read_during_grace(class, slot) {
-                        // One hint per 64 bytes of the row, plus its last
-                        // element: a row need not start on a cache line,
-                        // so it may reach into one more.
-                        for line in row.chunks(16) {
-                            fleche_simd::prefetch_read(&line[0]);
-                        }
-                        if let Some(last) = row.last() {
-                            fleche_simd::prefetch_read(last);
-                        }
-                    }
+                    versions.prefetch(class, slot);
+                    prefetch_row(pool, class, slot);
                 }
                 out.push((answer, stats));
             });
@@ -622,7 +658,7 @@ impl FlatCache {
         self.versions.replace(class, slot, version);
     }
 
-    /// Applies a batch of resolved trainer pushes to resident slots — the
+    /// Applies a batch of trainer pushes to resident slots — the
     /// batch-boundary visibility point of the update pipeline.
     ///
     /// Must be called at a batch boundary (no in-flight kernel reading the
@@ -634,29 +670,53 @@ impl FlatCache {
     /// backwards. Checksums are recomputed on every write; keys that are
     /// not HBM-resident (or whose dimension does not match) are counted
     /// absent and left to the next miss-fill.
-    pub fn apply_updates(&mut self, updates: &[SlotUpdate]) -> UpdateApplyReport {
+    ///
+    /// Two passes, with the result of applying the updates one at a time
+    /// (nothing here moves an index entry): one batched index walk that
+    /// bumps no stamp resolves every key and hints the CPU to fetch each
+    /// resident slot's row, version and checksum record; then each update
+    /// is written straight into its slot.
+    pub fn apply_updates<U: PendingUpdate>(&mut self, updates: &[U]) -> UpdateApplyReport {
+        self.probe_keys.clear();
+        self.probe_keys.extend(updates.iter().map(|u| u.key().0));
+        let mut locs = Vec::with_capacity(updates.len());
+        let (pool, sums, versions) = (&self.pool, self.checksums.as_ref(), &self.versions);
+        self.index
+            .lookup_batch(&self.probe_keys, None, &mut |found, _| {
+                let loc = found.map(PackedLoc::unpack);
+                if let Some(Loc::Hbm { class, slot }) = loc {
+                    if let Some(sums) = sums {
+                        sums.prefetch(class, slot);
+                    }
+                    versions.prefetch(class, slot);
+                    prefetch_row(pool, class, slot);
+                }
+                locs.push(loc);
+            });
         let mut report = UpdateApplyReport::default();
-        for u in updates {
-            let Some(Loc::Hbm { class, slot }) = self.index.peek(u.key.0).map(PackedLoc::unpack)
-            else {
+        for (u, loc) in updates.iter().zip(locs) {
+            let Some(Loc::Hbm { class, slot }) = loc else {
                 report.absent += 1;
                 continue;
             };
-            if self.pool.is_retired(class, slot)
-                || self.pool.dim_of(class) != Some(u.value.len() as u32)
-            {
+            let len = u.value_len();
+            if self.pool.is_retired(class, slot) || self.pool.dim_of(class) != Some(len as u32) {
                 report.absent += 1;
                 continue;
             }
-            if self.slot_version(class, slot) >= u.version {
+            if self.slot_version(class, slot) >= u.version() {
                 report.superseded += 1;
                 continue;
             }
-            if self.write_slot_checksummed(class, slot, &u.value).is_err() {
+            let Ok(row) = self.pool.row_mut(class, slot, len) else {
                 report.absent += 1;
                 continue;
+            };
+            u.write_value(row);
+            if let Some(sums) = &mut self.checksums {
+                sums.replace(class, slot, Some(checksum_of(row)));
             }
-            self.set_slot_version(class, slot, u.version);
+            self.set_slot_version(class, slot, u.version());
             report.applied += 1;
             report.slots.push((class, slot));
         }
@@ -1713,6 +1773,93 @@ mod tests {
             value: val(7.0),
         }]);
         assert_eq!(report.absent, 1);
+    }
+
+    /// Everything an apply may write to one slot: its location, the row's
+    /// bits, its checksum record and its version.
+    type SlotState = ((u16, u32), Vec<u32>, Option<u32>, u64);
+
+    /// [`SlotState`] of every live slot, in (class, slot) order.
+    fn slot_state(c: &FlatCache) -> Vec<SlotState> {
+        let sums = c.checksums.as_ref().expect("checksums on");
+        (0..c.pool.class_count() as u16)
+            .flat_map(|class| {
+                c.pool
+                    .live_slots(class)
+                    .into_iter()
+                    .map(move |s| (class, s))
+            })
+            .map(|(class, slot)| {
+                let row = c.pool.read_during_grace(class, slot).expect("live slot");
+                let bits = row.iter().map(|v| v.to_bits()).collect();
+                let sum = sums.get(class, slot);
+                ((class, slot), bits, sum, c.slot_version(class, slot))
+            })
+            .collect()
+    }
+
+    fn index_stamps(c: &FlatCache) -> Vec<(u64, u32)> {
+        let mut stamps: Vec<(u64, u32)> =
+            c.index.scan().0.iter().map(|e| (e.key, e.stamp)).collect();
+        stamps.sort_unstable();
+        stamps
+    }
+
+    #[test]
+    fn batched_apply_equals_one_push_at_a_time() {
+        // Four resident keys at version 1; the fourth's slot is retired
+        // while its index entry stays, which the apply must not write.
+        let build = || {
+            let (mut c, codec, _) = mk();
+            c.enable_checksums();
+            let keys: Vec<FlatKey> = (0..4u64).map(|f| codec.encode(2, 40 + f)).collect();
+            for (i, &k) in keys.iter().enumerate() {
+                let (loc, _) = c.insert_value(2, k, &val(i as f32), 10 + i as u32);
+                let (class, slot) = loc.expect("room");
+                c.set_slot_version(class, slot, 1);
+            }
+            if let (CacheAnswer::Hit { class, slot }, _) = c.lookup(keys[3], 20) {
+                c.retire_slot(class, slot, false);
+            }
+            (c, codec, keys)
+        };
+        let (mut batched, codec, keys) = build();
+        let up = |key: FlatKey, version: u64, value: Vec<f32>| SlotUpdate {
+            key,
+            version,
+            value,
+        };
+        let pending = vec![
+            up(keys[0], 3, val(30.0)),             // v+1 ...
+            up(keys[0], 2, val(20.0)),             // ... then v: superseded
+            up(keys[1], 2, val(21.0)),             // v ...
+            up(keys[1], 3, val(31.0)),             // ... then v+1: both applied
+            up(codec.encode(2, 900), 5, val(5.0)), // absent key
+            up(keys[3], 1, val(6.0)),              // retired slot, not newer
+            up(keys[2], 5, vec![7.0; 4]),          // dim mismatch
+            up(keys[2], 1, val(8.0)),              // equal version: superseded
+        ];
+        let stamps = index_stamps(&batched);
+        let report = batched.apply_updates(&pending);
+
+        let (mut serial, _, _) = build();
+        let mut one_by_one = UpdateApplyReport::default();
+        for u in &pending {
+            let r = serial.apply_updates(std::slice::from_ref(u));
+            one_by_one.applied += r.applied;
+            one_by_one.superseded += r.superseded;
+            one_by_one.absent += r.absent;
+            one_by_one.slots.extend(r.slots);
+        }
+
+        assert_eq!(report, one_by_one);
+        assert_eq!(
+            (report.applied, report.superseded, report.absent),
+            (3, 2, 3)
+        );
+        assert_eq!(slot_state(&batched), slot_state(&serial));
+        assert_eq!(index_stamps(&batched), stamps, "the apply bumps no stamp");
+        assert_eq!(index_stamps(&serial), stamps);
     }
 
     #[test]

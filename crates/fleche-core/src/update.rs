@@ -3,9 +3,9 @@
 //! from `fleche_gpu::DeviceSpec`; the analyzer's cost-constants rule
 //! checks each public field against DESIGN.md §8.3.
 
-use crate::flat_cache::{CacheAnswer, FlatCache, SlotUpdate};
+use crate::flat_cache::{CacheAnswer, FlatCache, PendingUpdate};
 use fleche_chaos::{StalenessConfig, StalenessPolicy};
-use fleche_coding::{FlatKeyCodec, SizeAwareCodec};
+use fleche_coding::{FlatKey, FlatKeyCodec, SizeAwareCodec};
 use fleche_gpu::{ledger_resource, slot_resource, Gpu, KernelDesc, KernelWork, Ns};
 use fleche_index::ProbeStats;
 use fleche_store::{versioned_embedding_value, UpdatePush, VersionLedger};
@@ -264,10 +264,10 @@ impl UpdatePipeline {
     }
 
     /// The batch boundary, after the batch's final sync: staged pushes
-    /// become visible, written in place (checksums recomputed, versions
-    /// only moving forward) by one `update-apply` kernel whose slot writes
-    /// and ledger reads are declared to the race checker; then the policy
-    /// observes the batch's worst raw lag.
+    /// become visible, generated straight into their slots (checksums
+    /// recomputed, versions only moving forward) by one `update-apply`
+    /// kernel whose slot writes and ledger reads are declared to the race
+    /// checker; then the policy observes the batch's worst raw lag.
     pub(crate) fn close_batch(
         &mut self,
         gpu: &mut Gpu,
@@ -276,21 +276,17 @@ impl UpdatePipeline {
         batch_max_lag: u64,
     ) {
         if !self.pending.is_empty() {
-            let pending = std::mem::take(&mut self.pending);
-            let mut value_bytes = 0u64;
-            let updates: Vec<SlotUpdate> = pending
+            let keyed: Vec<KeyedPush> = self
+                .pending
                 .iter()
-                .map(|p| {
-                    let dim = cache.dim_of(p.table);
-                    value_bytes += dim as u64 * 4;
-                    SlotUpdate {
-                        key: codec.encode(p.table, p.id),
-                        version: p.version,
-                        value: p.value(dim),
-                    }
+                .map(|&push| KeyedPush {
+                    key: codec.encode(push.table, push.id),
+                    dim: cache.dim_of(push.table),
+                    push,
                 })
                 .collect();
-            let report = cache.apply_updates(&updates);
+            let value_bytes: u64 = keyed.iter().map(|k| u64::from(k.dim) * 4).sum();
+            let report = cache.apply_updates(&keyed);
             let streamed = (value_bytes as f64 * self.costs.apply_bytes_factor) as u64;
             let s = gpu.default_stream();
             let threads = self.costs.apply_kernel_threads;
@@ -300,11 +296,12 @@ impl UpdatePipeline {
                 for &(class, slot) in &report.slots {
                     rc.kernel_write(kid, slot_resource(class, slot));
                 }
-                for t in tables_of(&pending) {
+                for t in tables_of(&self.pending) {
                     rc.kernel_read(kid, ledger_resource(t));
                 }
             }
             gpu.sync_stream(s);
+            self.pending.clear();
             self.stats.updates_applied += report.applied;
             self.stats.updates_superseded += report.superseded;
             self.stats.updates_absent += report.absent;
@@ -320,6 +317,33 @@ impl UpdatePipeline {
     pub(crate) fn price_delta_scan(&self, gpu: &mut Gpu, entries: usize) {
         let per_entry = self.costs.delta_scan_ns_per_entry;
         gpu.elapse_host("delta-scan", Ns(entries as f64 * per_entry));
+    }
+}
+
+/// A staged push as the boundary apply takes it: its flat key and its
+/// table's dimension, its value generated into the slot.
+struct KeyedPush {
+    key: FlatKey,
+    dim: u32,
+    push: UpdatePush,
+}
+
+impl PendingUpdate for KeyedPush {
+    fn key(&self) -> FlatKey {
+        self.key
+    }
+
+    fn version(&self) -> u64 {
+        self.push.version
+    }
+
+    fn value_len(&self) -> usize {
+        self.dim as usize
+    }
+
+    fn write_value(&self, row: &mut [f32]) {
+        let UpdatePush { table, id, version } = self.push;
+        versioned_embedding_value(table, id, version, row);
     }
 }
 

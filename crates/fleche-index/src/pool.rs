@@ -198,6 +198,17 @@ impl SlabPool {
 
     /// Writes an embedding into a live slot.
     pub fn write(&mut self, class: u16, slot: u32, value: &[f32]) -> Result<ProbeStats, PoolError> {
+        self.row_mut(class, slot, value.len())?
+            .copy_from_slice(value);
+        Ok(ProbeStats {
+            bytes_touched: value.len() as u64 * 4,
+            ..ProbeStats::new()
+        })
+    }
+
+    /// The row of a live slot, to be written in place with a value of
+    /// `len` floats: the checks of [`SlabPool::write`], without the copy.
+    pub fn row_mut(&mut self, class: u16, slot: u32, len: usize) -> Result<&mut [f32], PoolError> {
         let c = self
             .classes
             .get_mut(class as usize)
@@ -205,18 +216,14 @@ impl SlabPool {
         if slot >= c.capacity_slots || !c.live[slot as usize] {
             return Err(PoolError::InvalidSlot { class, slot });
         }
-        if value.len() != c.dim as usize {
+        if len != c.dim as usize {
             return Err(PoolError::DimensionMismatch {
                 expected: c.dim,
-                got: value.len(),
+                got: len,
             });
         }
-        let off = slot as usize * c.dim as usize;
-        c.data[off..off + value.len()].copy_from_slice(value);
-        Ok(ProbeStats {
-            bytes_touched: value.len() as u64 * 4,
-            ..ProbeStats::new()
-        })
+        let off = slot as usize * len;
+        Ok(&mut c.data[off..off + len])
     }
 
     /// [`SlabPool::write`], also returning the slot checksum

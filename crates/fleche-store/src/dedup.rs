@@ -21,8 +21,9 @@ const VACANT: u32 = u32::MAX;
 /// `u64::MAX` and ids that differ only in the table all spread evenly.
 /// Not keyed: a caller who can choose ids to collide can make one batch's
 /// dedup quadratic, which is bounded by the batch size it already chose.
+/// [`crate::VersionLedger`] hashes its keys with it too.
 #[inline]
-fn mix(table: u16, id: u64) -> u64 {
+pub(crate) fn mix(table: u16, id: u64) -> u64 {
     let mut x = id ^ (u64::from(table) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -20,10 +20,10 @@
 //!   being trained on) and bumps their versions by one. The stream owns
 //!   the trainer-side truth ledger that drill oracles compare against.
 
+use crate::dedup::mix;
 use fleche_workload::DatasetSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 
 /// Deterministically fills `out` with the embedding of `(table, id)` at
 /// update version `version`.
@@ -59,25 +59,43 @@ pub struct UpdatePush {
     pub version: u64,
 }
 
-impl UpdatePush {
-    /// Materializes the pushed value at the table's dimension.
-    pub fn value(&self, dim: u32) -> Vec<f32> {
-        let mut v = vec![0.0; dim as usize];
-        versioned_embedding_value(self.table, self.id, self.version, &mut v);
-        v
-    }
+/// Marks an unclaimed entry of the ledger's table. Tables are `u16`, so
+/// no key carries it.
+const VACANT: u32 = u32::MAX;
+
+/// One entry of the ledger's table. A vacant entry reads as version 0,
+/// which is what [`VersionLedger::get`] returns for an absent key.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    table: u32,
+    id: u64,
+    version: u64,
 }
+
+const EMPTY: Entry = Entry {
+    table: VACANT,
+    id: 0,
+    version: 0,
+};
+
+/// The table's capacity at the first commit.
+const MIN_CAPACITY: usize = 16;
 
 /// The latest committed version per key — the parameter server's version
 /// table. Commits max-merge, so replaying a duplicated or reordered push
 /// stream converges to the same ledger.
 ///
-/// Backed by a `BTreeMap` (not a hash map): the ledger is iterated when
-/// summarizing staleness, and determinism-critical modules avoid
-/// randomized-iteration-order containers entirely.
+/// A flat open-addressing table keyed by `(table, id)`, built like
+/// [`crate::Deduped`]'s: power-of-two capacity, at most half full, linear
+/// probing from the key's SplitMix64 bucket, doubled when a commit could
+/// pass half. A probe is one hashed load into a short run, the price the
+/// cost model's `ledger_probe_ns` charges. Nothing walks the table:
+/// [`VersionLedger::max_version`] is kept as commits land.
 #[derive(Clone, Debug, Default)]
 pub struct VersionLedger {
-    versions: BTreeMap<(u16, u64), u64>,
+    entries: Vec<Entry>,
+    len: usize,
+    max_version: u64,
     commits: u64,
 }
 
@@ -87,14 +105,50 @@ impl VersionLedger {
         VersionLedger::default()
     }
 
+    /// Index of `(table, id)`'s entry, or of the vacant entry where it
+    /// would go. The table must be allocated and have a vacancy, which
+    /// the half-full bound guarantees.
+    fn find(&self, table: u16, id: u64) -> usize {
+        let mask = self.entries.len() - 1;
+        let shift = 64 - self.entries.len().trailing_zeros();
+        let mut at = (mix(table, id) >> shift) as usize;
+        loop {
+            let e = &self.entries[at];
+            if e.table == VACANT || (e.table == u32::from(table) && e.id == id) {
+                return at;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Doubles the table (or allocates it) and re-places every entry.
+    fn grow(&mut self) {
+        let capacity = (self.entries.len() * 2).max(MIN_CAPACITY);
+        let old = std::mem::replace(&mut self.entries, vec![EMPTY; capacity]);
+        for e in old.into_iter().filter(|e| e.table != VACANT) {
+            let at = self.find(e.table as u16, e.id);
+            self.entries[at] = e;
+        }
+    }
+
     /// Commits one push. Returns true when the ledger advanced (the push
     /// was newer than what was recorded); a duplicate or out-of-date push
     /// is a no-op, which is what makes replays idempotent.
     pub fn commit(&mut self, push: &UpdatePush) -> bool {
         self.commits += 1;
-        let slot = self.versions.entry((push.table, push.id)).or_insert(0);
-        if push.version > *slot {
-            *slot = push.version;
+        if (self.len + 1) * 2 > self.entries.len() {
+            self.grow();
+        }
+        let at = self.find(push.table, push.id);
+        let e = &mut self.entries[at];
+        if e.table == VACANT {
+            e.table = u32::from(push.table);
+            e.id = push.id;
+            self.len += 1;
+        }
+        if push.version > e.version {
+            e.version = push.version;
+            self.max_version = self.max_version.max(push.version);
             true
         } else {
             false
@@ -103,12 +157,16 @@ impl VersionLedger {
 
     /// Latest committed version of `(table, id)`; 0 when never updated.
     pub fn get(&self, table: u16, id: u64) -> u64 {
-        self.versions.get(&(table, id)).copied().unwrap_or(0)
+        if self.entries.is_empty() {
+            return 0;
+        }
+        self.entries[self.find(table, id)].version
     }
 
-    /// Number of keys with a committed version above 0.
+    /// Number of distinct keys committed so far, a key committed only at
+    /// version 0 included.
     pub fn tracked_keys(&self) -> usize {
-        self.versions.len()
+        self.len
     }
 
     /// Total commit calls (including idempotent no-ops).
@@ -118,12 +176,7 @@ impl VersionLedger {
 
     /// The largest version any key has reached.
     pub fn max_version(&self) -> u64 {
-        self.versions.values().copied().max().unwrap_or(0)
-    }
-
-    /// All tracked `(table, id) -> version` entries in key order.
-    pub fn entries(&self) -> Vec<((u16, u64), u64)> {
-        self.versions.iter().map(|(&k, &v)| (k, v)).collect()
+        self.max_version
     }
 }
 
@@ -212,6 +265,7 @@ mod tests {
     use super::*;
     use crate::table::embedding_value;
     use fleche_workload::spec;
+    use std::collections::BTreeMap;
 
     #[test]
     fn version_zero_matches_frozen_table() {

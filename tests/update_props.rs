@@ -1,5 +1,7 @@
-//! Property-based tests on the online-update pipeline at the flat-cache
-//! layer: per-key slot versions are monotone under arbitrary
+//! Property-based tests on the online-update pipeline. The version ledger
+//! answers exactly as a `BTreeMap` reference does under any commit/get
+//! stream. At the flat-cache layer: per-key slot versions are monotone
+//! under arbitrary
 //! apply/evict/restore interleavings, duplicated and reordered pushes are
 //! idempotent (order never changes the final state), a base + delta chain
 //! recovers every key to the chain's newest version, restoring the same
@@ -19,7 +21,7 @@ use fleche_core::{
 };
 use fleche_gpu::{DeviceSpec, DramSpec, Gpu, Ns};
 use fleche_store::api::EmbeddingCacheSystem;
-use fleche_store::{versioned_embedding_value, CpuStore, UpdatePush, UpdateStream};
+use fleche_store::{versioned_embedding_value, CpuStore, UpdatePush, UpdateStream, VersionLedger};
 use fleche_workload::{spec, TraceGenerator, WorkloadStats};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -55,6 +57,51 @@ fn keys_strategy(max: usize) -> impl Strategy<Value = Vec<(u16, u64)>> {
 /// increment)`.
 fn ops_strategy() -> impl Strategy<Value = Vec<(u8, usize, u64)>> {
     prop::collection::vec((0u8..4, any::<usize>(), 1u64..4), 1..80)
+}
+
+/// Ledger keys: a few small tables and ids so streams repeat keys, and the
+/// edges of both ranges (`u16::MAX`, ids near `u64::MAX`).
+fn ledger_key() -> impl Strategy<Value = (u16, u64)> {
+    let table = prop_oneof![0u16..3, Just(u16::MAX), any::<u16>()];
+    let id = prop_oneof![
+        0u64..40,
+        (u64::MAX - 40)..u64::MAX,
+        Just(u64::MAX),
+        any::<u64>()
+    ];
+    (table, id)
+}
+
+/// Pushed versions: mostly small, so duplicates and reorders are common,
+/// with 0 and the top of the range.
+fn ledger_version() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), 0u64..6, any::<u64>(), Just(u64::MAX)]
+}
+
+/// What [`VersionLedger`] promises, over a `BTreeMap`: a commit inserts its
+/// key (at version 0 if need be) and max-merges.
+#[derive(Default)]
+struct LedgerReference {
+    versions: BTreeMap<(u16, u64), u64>,
+    commits: u64,
+}
+
+impl LedgerReference {
+    fn commit(&mut self, push: &UpdatePush) -> bool {
+        self.commits += 1;
+        let v = self.versions.entry((push.table, push.id)).or_insert(0);
+        let advanced = push.version > *v;
+        *v = (*v).max(push.version);
+        advanced
+    }
+
+    fn get(&self, table: u16, id: u64) -> u64 {
+        self.versions.get(&(table, id)).copied().unwrap_or(0)
+    }
+
+    fn max_version(&self) -> u64 {
+        self.versions.values().copied().max().unwrap_or(0)
+    }
 }
 
 /// A cache holding `keys` at version 1, checkpointed at epoch 3, then two
@@ -213,6 +260,35 @@ impl UpdateRun {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The flat ledger against the `BTreeMap` reference, op by op, over a
+    /// key pool large enough to double the table several times: every
+    /// commit's answer, every get (of pool keys and of keys never
+    /// committed), the key count, the commit count and the max version.
+    #[test]
+    fn version_ledger_matches_btreemap_reference(
+        keys in prop::collection::vec(ledger_key(), 64..320),
+        ops in prop::collection::vec((0u8..3, any::<usize>(), ledger_version()), 200..1200),
+        strangers in prop::collection::vec(ledger_key(), 1..16),
+    ) {
+        let mut ledger = VersionLedger::new();
+        let mut reference = LedgerReference::default();
+        for (kind, sel, version) in ops {
+            let (table, id) = keys[sel % keys.len()];
+            if kind == 0 {
+                prop_assert_eq!(ledger.get(table, id), reference.get(table, id));
+            } else {
+                let push = UpdatePush { table, id, version };
+                prop_assert_eq!(ledger.commit(&push), reference.commit(&push), "{:?}", push);
+            }
+            prop_assert_eq!(ledger.tracked_keys(), reference.versions.len());
+            prop_assert_eq!(ledger.commits(), reference.commits);
+            prop_assert_eq!(ledger.max_version(), reference.max_version());
+        }
+        for &(table, id) in keys.iter().chain(&strangers) {
+            prop_assert_eq!(ledger.get(table, id), reference.get(table, id), "({}, {})", table, id);
+        }
+    }
 
     /// Under any interleaving of ledger-versioned inserts, update bursts
     /// (fresh and deliberately stale pushes mixed), batch boundaries and
