@@ -100,6 +100,10 @@ impl<T> EpochManager<T> {
             .active
             .iter()
             .position(|&(id, _)| id == guard.id)
+            // Documented panic: a second release is a use-after-release bug
+            // in the caller, and the guard it names may already be another
+            // reader's; carrying on could free a slot that reader holds.
+            // analyzer: allow(no-panic-hot-path)
             .expect("epoch guard released twice");
         self.active.swap_remove(pos);
     }
@@ -129,15 +133,13 @@ impl<T> EpochManager<T> {
             horizon <= self.global,
             "horizon is bounded by the global epoch"
         );
-        let mut n = 0;
-        while let Some(&(e, _)) = self.retired.front() {
-            if e < horizon {
-                let (_, item) = self.retired.pop_front().expect("front checked");
-                free(item);
-                n += 1;
-            } else {
-                break;
-            }
+        let n = self
+            .retired
+            .iter()
+            .take_while(|&&(e, _)| e < horizon)
+            .count();
+        for (_, item) in self.retired.drain(..n) {
+            free(item);
         }
         n
     }
