@@ -78,14 +78,6 @@ impl PerTableCacheSystem {
         self.caches.iter().map(TableCache::device_bytes).sum()
     }
 
-    /// Per-table cache occupancies (diagnostic).
-    pub fn occupancies(&self) -> Vec<f64> {
-        self.caches
-            .iter()
-            .map(|c| c.len() as f64 / c.capacity_slots() as f64)
-            .collect()
-    }
-
     /// The CPU-DRAM layer.
     pub fn store(&self) -> &CpuStore {
         &self.store

@@ -6,7 +6,7 @@
 //! same *proportion* of each table's corpus, which is precisely the
 //! structural rigidity flat cache removes.
 
-use fleche_index::{ClassSpec, Loc, ProbeStats, SlabHash, SlabPool};
+use fleche_index::{ClassSpec, GpuIndex, Loc, ProbeStats, SlabHash, SlabPool};
 
 /// Result of looking up a batch of keys in one table cache.
 #[derive(Debug, Default)]

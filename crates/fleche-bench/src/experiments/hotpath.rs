@@ -23,7 +23,7 @@ use crate::{bench_report, print_header, write_bench_json, xeon_store, Args};
 use fleche_baseline::ReductionCache;
 use fleche_coding::{FixedLenCodec, FlatKey, FlatKeyCodec, SizeAwareCodec};
 use fleche_core::checksum_of;
-use fleche_index::{ClassSpec, Loc, SlabHash, SlabPool};
+use fleche_index::{ClassSpec, GpuIndex, Loc, SlabHash, SlabPool};
 use fleche_store::Pooling;
 use fleche_workload::spec;
 
@@ -293,7 +293,7 @@ fn bench_slab_probe(h: &mut Hotpath, quick: bool) {
     let keys: Vec<u64> = (1..=n as u64).collect();
     h.bench(format_args!("lookup_batch/{n}"), || {
         let mut found = 0u64;
-        table.lookup_batch(&keys, Some(1), |loc, _| found += u64::from(loc.is_some()));
+        table.lookup_batch(&keys, Some(1), &mut |loc, _| found += u64::from(loc.is_some()));
         black_box(found)
     });
 }

@@ -224,17 +224,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Renders as a GitHub-markdown table (for EXPERIMENTS.md).
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("| {} |\n", self.header.join(" | ")));
-        out.push_str(&format!("|{}\n", "---|".repeat(self.header.len())));
-        for r in &self.rows {
-            out.push_str(&format!("| {} |\n", r.join(" | ")));
-        }
-        out
-    }
 }
 
 /// Minimal hand-rolled JSON writer for the machine-readable `BENCH_*.json`
@@ -508,15 +497,6 @@ mod tests {
     fn text_table_checks_width() {
         let mut t = TextTable::new(&["a", "b"]);
         t.row(&["only-one".into()]);
-    }
-
-    #[test]
-    fn markdown_table_shape() {
-        let mut t = TextTable::new(&["x", "y"]);
-        t.row(&["1".into(), "2".into()]);
-        let md = t.render_markdown();
-        assert!(md.starts_with("| x | y |"));
-        assert!(md.contains("|---|---|"));
     }
 
     #[test]

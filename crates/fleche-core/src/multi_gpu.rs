@@ -420,6 +420,10 @@ impl MultiGpuFleche {
             agg.hits += out.stats.hits;
             agg.unified_hits += out.stats.unified_hits;
             agg.misses += out.stats.misses;
+            agg.failed_keys += out.stats.failed_keys;
+            agg.stale_keys += out.stats.stale_keys;
+            agg.corrupt_detected += out.stats.corrupt_detected;
+            agg.degraded |= out.stats.degraded;
             shard_rows.push(out.rows);
         }
         let shard_critical = shard_times.iter().copied().fold(Ns::ZERO, Ns::max);
@@ -457,7 +461,9 @@ impl MultiGpuFleche {
             .collect();
 
         agg.wall = shard_critical + gather;
-        agg.degraded = any_dead;
+        // Degraded if a shard is dead or a shard's breaker served its part
+        // on the DRAM-only path; the failover counters count dead shards.
+        agg.degraded |= any_dead;
         if any_dead {
             self.failover.degraded_batches += 1;
             self.failover.time_degraded += agg.wall;
@@ -651,6 +657,58 @@ mod tests {
         assert_eq!(mg.lifetime_stats().degraded_batches, 4);
         assert!(f.time_degraded > Ns::ZERO);
         assert_eq!(mg.alive_count(), 3);
+    }
+
+    #[test]
+    fn lifetime_sums_every_shard_counter_and_breaker_degradation() {
+        use fleche_chaos::{BreakerConfig, FaultPlan};
+        use fleche_store::api::EmbeddingCacheSystem;
+        let ds = spec::synthetic(6, 4_000, 16, -1.3);
+        let mut mg = MultiGpuFleche::new(
+            &ds,
+            3,
+            0.05,
+            FlecheConfig {
+                breaker: Some(BreakerConfig {
+                    failure_threshold: 0.5,
+                    min_samples: 4,
+                    window: 8,
+                    cooldown: Ns::from_us(200.0),
+                    probes_to_close: 2,
+                }),
+                ..FlecheConfig::full(0.05)
+            },
+            InterconnectSpec::pcie_p2p(),
+        );
+        let mut plan = FaultPlan::quiet(5);
+        plan.gpu.launch_failure_rate = 1.0;
+        mg.shard_gpu_mut(1)
+            .set_fault_hook(Some(Box::new(plan.gpu_injector())));
+        let mut gen = TraceGenerator::new(&ds);
+        for _ in 0..12 {
+            mg.query_batch(&gen.next_batch(128));
+        }
+        let agg = mg.lifetime_stats();
+        assert!(
+            agg.degraded_batches > 0,
+            "a shard's breaker-degraded batch degrades the aggregate"
+        );
+        assert_eq!(
+            mg.failover_stats().degraded_batches,
+            0,
+            "failover counts dead shards only"
+        );
+        let shards: Vec<LifetimeStats> = (0..3)
+            .map(|s| mg.shard_system(s).lifetime_stats())
+            .collect();
+        let sum = |f: fn(&LifetimeStats) -> u64| shards.iter().map(f).sum::<u64>();
+        assert_eq!(agg.unique_keys, sum(|l| l.unique_keys));
+        assert_eq!(agg.hits, sum(|l| l.hits));
+        assert_eq!(agg.unified_hits, sum(|l| l.unified_hits));
+        assert_eq!(agg.misses, sum(|l| l.misses));
+        assert_eq!(agg.failed_keys, sum(|l| l.failed_keys));
+        assert_eq!(agg.stale_keys, sum(|l| l.stale_keys));
+        assert_eq!(agg.corrupt_detected, sum(|l| l.corrupt_detected));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The `Gpu` facade: what client code (caches, models, harnesses) talks to.
 //!
 //! It owns a single host timeline (the launching CPU thread), the device
-//! engine, a span timeline, and device-memory accounting. Launches are
-//! asynchronous exactly as in CUDA: the host pays launch overhead and moves
-//! on; only `sync_*` joins the two timelines. This is what lets Fleche's
+//! engine and a span timeline. Launches are asynchronous exactly as in
+//! CUDA: the host pays launch overhead and moves on; only `sync_*` joins
+//! the two timelines. This is what lets Fleche's
 //! decoupled workflow overlap the CPU-DRAM query with the device-side copy
 //! kernel without any special-case code.
 
@@ -15,37 +15,6 @@ use crate::spec::{CopyApi, DeviceSpec};
 use crate::time::Ns;
 use crate::timeline::{Category, Timeline, Track};
 
-/// Error type for device operations.
-#[derive(Debug, PartialEq, Eq)]
-pub enum GpuError {
-    /// A `cuda_malloc` would exceed device memory.
-    OutOfDeviceMemory {
-        /// Bytes requested by the failing allocation.
-        requested: u64,
-        /// Bytes still available before the allocation.
-        available: u64,
-    },
-    /// A free did not match an allocation.
-    InvalidFree,
-}
-
-impl std::fmt::Display for GpuError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GpuError::OutOfDeviceMemory {
-                requested,
-                available,
-            } => write!(
-                f,
-                "out of device memory: requested {requested} bytes, {available} available"
-            ),
-            GpuError::InvalidFree => write!(f, "free does not match any allocation"),
-        }
-    }
-}
-
-impl std::error::Error for GpuError {}
-
 /// Simulated GPU attached to a single host thread.
 #[derive(Debug)]
 pub struct Gpu {
@@ -53,7 +22,6 @@ pub struct Gpu {
     engine: DeviceEngine,
     timeline: Timeline,
     host_now: Ns,
-    allocated: u64,
     default_stream: StreamId,
     fault_hook: Option<Box<dyn LaunchFaultHook>>,
     fault_counters: FaultCounters,
@@ -71,7 +39,6 @@ impl Gpu {
             engine,
             timeline: Timeline::new(),
             host_now: Ns::ZERO,
-            allocated: 0,
             default_stream,
             fault_hook: None,
             fault_counters: FaultCounters::default(),
@@ -265,36 +232,6 @@ impl Gpu {
             .collect()
     }
 
-    /// Enqueues an asynchronous host<->device transfer on `stream`.
-    pub fn copy_async(
-        &mut self,
-        stream: StreamId,
-        label: &'static str,
-        bytes: u64,
-        api: CopyApi,
-    ) -> KernelId {
-        let t0 = self.host_now;
-        // Issuing an async copy costs like a (cheap) launch.
-        self.host_now += self.spec.copy_fixed(api);
-        self.timeline
-            .record(Track::Host, Category::Copy, label, t0, self.host_now);
-        let desc = KernelDesc::new(
-            label,
-            self.spec.saturation_threads,
-            crate::kernel::KernelWork::streaming(bytes),
-        );
-        let id = self.engine.enqueue_transfer(
-            stream,
-            desc,
-            self.host_now,
-            self.spec.copy_bandwidth(api),
-        );
-        if let Some(race) = self.race.as_mut() {
-            race.on_launch(stream, id, label);
-        }
-        id
-    }
-
     /// Blocking host<->device copy: fixed API cost plus wire time, all on
     /// the host timeline.
     pub fn copy_blocking(&mut self, label: &'static str, bytes: u64, api: CopyApi) {
@@ -363,42 +300,6 @@ impl Gpu {
             self.timeline
                 .record(Track::Device, Category::KernelExec, label, start, end);
         }
-    }
-
-    /// Allocates device memory, charging `cudaMalloc` latency.
-    pub fn cuda_malloc(&mut self, bytes: u64) -> Result<(), GpuError> {
-        let available = self.spec.hbm_capacity - self.allocated;
-        if bytes > available {
-            return Err(GpuError::OutOfDeviceMemory {
-                requested: bytes,
-                available,
-            });
-        }
-        let t0 = self.host_now;
-        self.host_now += self.spec.cuda_malloc_overhead;
-        self.timeline.record(
-            Track::Host,
-            Category::Alloc,
-            "cudaMalloc",
-            t0,
-            self.host_now,
-        );
-        self.allocated += bytes;
-        Ok(())
-    }
-
-    /// Releases device memory.
-    pub fn cuda_free(&mut self, bytes: u64) -> Result<(), GpuError> {
-        if bytes > self.allocated {
-            return Err(GpuError::InvalidFree);
-        }
-        self.allocated -= bytes;
-        Ok(())
-    }
-
-    /// Bytes currently allocated on the device.
-    pub fn allocated_bytes(&self) -> u64 {
-        self.allocated
     }
 
     /// Device-busy time (union of kernel execution) within `[from, to)`.
@@ -500,31 +401,6 @@ mod tests {
         g.copy_blocking("meta", 128, CopyApi::GdrCopy);
         let gdr = g.now() - t1;
         assert!(memcpy > gdr * 10.0);
-    }
-
-    #[test]
-    fn async_copy_overlaps_with_host() {
-        let mut g = gpu();
-        let s = g.default_stream();
-        let bytes = 24 << 20;
-        g.copy_async(s, "h2d", bytes, CopyApi::CudaMemcpy);
-        let issue_done = g.now();
-        // Host is free immediately after issuing.
-        assert!(issue_done < g.spec().pcie_bandwidth.transfer_time(bytes));
-        g.sync_stream(s);
-        assert!(g.now() >= g.spec().pcie_bandwidth.transfer_time(bytes));
-    }
-
-    #[test]
-    fn device_memory_accounting() {
-        let mut g = gpu();
-        let cap = g.spec().hbm_capacity;
-        assert!(g.cuda_malloc(cap / 2).is_ok());
-        assert_eq!(g.allocated_bytes(), cap / 2);
-        let err = g.cuda_malloc(cap).unwrap_err();
-        assert!(matches!(err, GpuError::OutOfDeviceMemory { .. }));
-        assert!(g.cuda_free(cap / 2).is_ok());
-        assert_eq!(g.cuda_free(1), Err(GpuError::InvalidFree));
     }
 
     #[derive(Debug)]

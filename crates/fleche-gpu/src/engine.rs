@@ -25,34 +25,27 @@ pub struct KernelId(pub(crate) u64);
 
 /// Execution record of one finished kernel, consumed by the timeline.
 #[derive(Clone, Debug)]
-pub struct KernelCompletion {
-    /// The kernel's id as returned by [`DeviceEngine::enqueue`].
-    pub id: KernelId,
+pub(crate) struct KernelCompletion {
     /// Stream it ran on.
-    pub stream: StreamId,
+    pub(crate) stream: StreamId,
     /// Label from the [`KernelDesc`].
-    pub label: &'static str,
+    pub(crate) label: &'static str,
     /// Time execution began on the device.
-    pub start: Ns,
+    pub(crate) start: Ns,
     /// Time execution finished on the device.
-    pub end: Ns,
+    pub(crate) end: Ns,
 }
 
 #[derive(Debug)]
 struct Pending {
-    id: KernelId,
     desc: KernelDesc,
     /// Host time at which the launch call returned; the kernel cannot start
     /// earlier.
     eligible: Ns,
-    /// When set, the job's bandwidth is capped by this link instead of the
-    /// kernel's SM-occupancy cap (async DMA copies).
-    cap_override: Option<BytesPerNs>,
 }
 
 #[derive(Debug)]
 struct Job {
-    id: KernelId,
     stream: StreamId,
     label: &'static str,
     start: Ns,
@@ -82,7 +75,7 @@ impl Job {
 /// Discrete-event simulator of the device side: per-stream FIFO queues plus
 /// a set of running jobs sharing bandwidth.
 #[derive(Debug)]
-pub struct DeviceEngine {
+pub(crate) struct DeviceEngine {
     spec: DeviceSpec,
     now: Ns,
     queues: Vec<VecDeque<Pending>>,
@@ -96,7 +89,7 @@ pub struct DeviceEngine {
 
 impl DeviceEngine {
     /// Creates an idle engine at time zero.
-    pub fn new(spec: DeviceSpec) -> DeviceEngine {
+    pub(crate) fn new(spec: DeviceSpec) -> DeviceEngine {
         DeviceEngine {
             spec,
             now: Ns::ZERO,
@@ -109,7 +102,7 @@ impl DeviceEngine {
     }
 
     /// Registers a new stream and returns its id.
-    pub fn create_stream(&mut self) -> StreamId {
+    pub(crate) fn create_stream(&mut self) -> StreamId {
         let id = StreamId(self.queues.len() as u32);
         self.queues.push(VecDeque::new());
         self.stream_busy.push(false);
@@ -117,65 +110,39 @@ impl DeviceEngine {
     }
 
     /// Number of streams created so far.
-    pub fn stream_count(&self) -> usize {
+    pub(crate) fn stream_count(&self) -> usize {
         self.queues.len()
     }
 
     /// Enqueues a kernel on `stream`, eligible to start at `eligible` (the
     /// host time its launch call completed).
-    pub fn enqueue(&mut self, stream: StreamId, desc: KernelDesc, eligible: Ns) -> KernelId {
-        self.enqueue_inner(stream, desc, eligible, None)
-    }
-
-    /// Enqueues an async DMA transfer as a bandwidth-capped job.
-    pub fn enqueue_transfer(
-        &mut self,
-        stream: StreamId,
-        desc: KernelDesc,
-        eligible: Ns,
-        link: BytesPerNs,
-    ) -> KernelId {
-        self.enqueue_inner(stream, desc, eligible, Some(link))
-    }
-
-    fn enqueue_inner(
-        &mut self,
-        stream: StreamId,
-        desc: KernelDesc,
-        eligible: Ns,
-        cap_override: Option<BytesPerNs>,
-    ) -> KernelId {
+    pub(crate) fn enqueue(&mut self, stream: StreamId, desc: KernelDesc, eligible: Ns) -> KernelId {
         debug_assert!(eligible.is_valid(), "eligible time must be finite");
         let id = KernelId(self.next_id);
         self.next_id += 1;
-        self.queues[stream.0 as usize].push_back(Pending {
-            id,
-            desc,
-            eligible,
-            cap_override,
-        });
+        self.queues[stream.0 as usize].push_back(Pending { desc, eligible });
         id
     }
 
     /// True when `stream` has neither queued nor running work.
-    pub fn stream_idle(&self, stream: StreamId) -> bool {
+    pub(crate) fn stream_idle(&self, stream: StreamId) -> bool {
         self.queues[stream.0 as usize].is_empty() && !self.stream_busy[stream.0 as usize]
     }
 
     /// True when no stream has pending or running work.
-    pub fn all_idle(&self) -> bool {
+    pub(crate) fn all_idle(&self) -> bool {
         self.running.is_empty() && self.queues.iter().all(VecDeque::is_empty)
     }
 
     /// Drains completion records accumulated since the last call.
-    pub fn take_completions(&mut self) -> Vec<KernelCompletion> {
+    pub(crate) fn take_completions(&mut self) -> Vec<KernelCompletion> {
         std::mem::take(&mut self.completions)
     }
 
     /// Runs the event loop until `stream` is fully drained, returning the
     /// device time at which its last kernel completed (or the current time
     /// if it was already idle).
-    pub fn drain_stream(&mut self, stream: StreamId) -> Ns {
+    pub(crate) fn drain_stream(&mut self, stream: StreamId) -> Ns {
         let mut last = self.now;
         self.run(|engine| engine.stream_idle(stream));
         for c in &self.completions {
@@ -188,7 +155,7 @@ impl DeviceEngine {
 
     /// Runs the event loop until every stream is drained, returning the
     /// final device time.
-    pub fn drain_all(&mut self) -> Ns {
+    pub(crate) fn drain_all(&mut self) -> Ns {
         self.run(DeviceEngine::all_idle);
         self.now
     }
@@ -234,12 +201,9 @@ impl DeviceEngine {
             let p = self.queues[s].pop_front().expect("checked non-empty");
             let start = self.now;
             let floor_end = start + p.desc.serial_floor(&self.spec);
-            let cap = p
-                .cap_override
-                .unwrap_or_else(|| self.spec.bandwidth_cap(p.desc.threads));
+            let cap = self.spec.bandwidth_cap(p.desc.threads);
             self.stream_busy[s] = true;
             self.running.push(Job {
-                id: p.id,
                 stream: StreamId(s as u32),
                 label: p.desc.label,
                 start,
@@ -348,7 +312,6 @@ impl DeviceEngine {
                 let job = self.running.swap_remove(i);
                 self.stream_busy[job.stream.0 as usize] = false;
                 self.completions.push(KernelCompletion {
-                    id: job.id,
                     stream: job.stream,
                     label: job.label,
                     start: job.start,
@@ -481,18 +444,6 @@ mod tests {
         assert_eq!(e.drain_stream(s), Ns::ZERO);
         assert_eq!(e.drain_all(), Ns::ZERO);
         assert!(e.all_idle());
-    }
-
-    #[test]
-    fn transfer_jobs_use_link_cap() {
-        let spec = DeviceSpec::t4();
-        let mut e = engine();
-        let s = e.create_stream();
-        let bytes = 12 << 20;
-        e.enqueue_transfer(s, k("h2d", 1 << 20, bytes), Ns::ZERO, spec.pcie_bandwidth);
-        let end = e.drain_all();
-        let expect = spec.pcie_bandwidth.transfer_time(bytes);
-        assert!((end.as_ns() - expect.as_ns()).abs() / expect.as_ns() < 0.01);
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl KernelDesc {
     /// The serial (non-bandwidth) part of this kernel's execution time:
     /// minimum kernel time, dependent global rounds, shared-memory critical
     /// path, and compute.
-    pub fn serial_floor(&self, spec: &DeviceSpec) -> Ns {
+    pub(crate) fn serial_floor(&self, spec: &DeviceSpec) -> Ns {
         let rounds = Ns(self.work.dependent_rounds as f64 * spec.global_round_latency.0);
         let shared = Ns(self.work.shared_accesses as f64 * spec.shared_access_latency.0);
         let compute_rate = spec.flops_per_ns * spec.occupancy(self.threads).max(0.005);

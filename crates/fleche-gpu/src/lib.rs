@@ -10,13 +10,15 @@
 //! crate turns those footprints into time under a model with:
 //!
 //! * a **host timeline** that pays per-call costs for kernel launches,
-//!   stream synchronization, blocking copies and `cudaMalloc` — the paper's
-//!   "kernel maintenance" costs;
+//!   graph launches, stream synchronization and blocking copies — the
+//!   paper's "kernel maintenance" costs (the slab pool is pre-allocated,
+//!   so no workflow allocates device memory);
 //! * a **device timeline** where kernels serialize per stream, overlap
 //!   across streams, and share HBM bandwidth by water-filling, capped by
 //!   each kernel's own parallelism;
-//! * a **span timeline** from which harnesses compute the paper's
-//!   breakdowns (maintenance vs execution, index vs copy vs DRAM).
+//! * a **span timeline** that feeds the Chrome-trace export,
+//!   [`Gpu::device_busy`] (maintenance vs execution) and the golden
+//!   digests; the per-phase breakdowns are accumulated by the workflows.
 //!
 //! Calibration constants ([`DeviceSpec::t4`], [`DramSpec::xeon_6252`])
 //! follow the paper's Table 1 plus published CUDA overhead measurements.
@@ -36,23 +38,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod device;
-pub mod engine;
-pub mod fault;
-pub mod kernel;
-pub mod race;
-pub mod spec;
-pub mod time;
-pub mod timeline;
-pub mod trace_export;
+mod device;
+mod engine;
+mod fault;
+mod kernel;
+mod race;
+mod spec;
+mod time;
+mod timeline;
+mod trace_export;
 
-pub use device::{Gpu, GpuError};
-pub use engine::{DeviceEngine, KernelCompletion, KernelId, StreamId};
+pub use device::Gpu;
+pub use engine::{KernelId, StreamId};
 pub use fault::{DeviceFault, FaultCounters, LaunchFault, LaunchFaultHook};
 pub use kernel::{KernelDesc, KernelWork};
 pub use race::{
-    declare_pipeline_handoffs, ledger_resource, pipeline_resource, slot_resource, Access, Actor,
-    Race, RaceChecker, VectorClock,
+    declare_pipeline_handoffs, ledger_resource, slot_resource, Access, Actor, Race, RaceChecker,
 };
 pub use spec::{CopyApi, DeviceSpec, DramSpec};
 pub use time::{BytesPerNs, Ns};

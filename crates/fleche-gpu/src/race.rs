@@ -36,11 +36,11 @@ use std::collections::BTreeMap;
 /// A vector clock over logical threads (host = component 0, stream `s` =
 /// component `s + 1`). Grows on demand; missing components are zero.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct VectorClock(Vec<u64>);
+pub(crate) struct VectorClock(Vec<u64>);
 
 impl VectorClock {
     /// The zero clock.
-    pub fn new() -> VectorClock {
+    pub(crate) fn new() -> VectorClock {
         VectorClock::default()
     }
 
@@ -49,7 +49,7 @@ impl VectorClock {
     }
 
     /// Increments `thread`'s own component.
-    pub fn tick(&mut self, thread: usize) {
+    pub(crate) fn tick(&mut self, thread: usize) {
         if self.0.len() <= thread {
             self.0.resize(thread + 1, 0);
         }
@@ -57,7 +57,7 @@ impl VectorClock {
     }
 
     /// Componentwise max with `other`.
-    pub fn join(&mut self, other: &VectorClock) {
+    pub(crate) fn join(&mut self, other: &VectorClock) {
         if self.0.len() < other.0.len() {
             self.0.resize(other.0.len(), 0);
         }
@@ -69,7 +69,7 @@ impl VectorClock {
     }
 
     /// `self` happens-before-or-equals `other` (componentwise `<=`).
-    pub fn leq(&self, other: &VectorClock) -> bool {
+    pub(crate) fn leq(&self, other: &VectorClock) -> bool {
         (0..self.0.len().max(other.0.len())).all(|i| self.get(i) <= other.get(i))
     }
 }
@@ -79,7 +79,7 @@ impl VectorClock {
 pub enum Actor {
     /// The launching CPU thread (label names the phase, e.g. "reclaim").
     Host,
-    /// A kernel or async copy, identified by launch id and stream.
+    /// A kernel, identified by launch id and stream.
     Kernel {
         /// The id returned by the launch.
         kernel: KernelId,
@@ -165,7 +165,7 @@ pub fn ledger_resource(table: u16) -> u64 {
 /// [`slot_resource`] (class tops out at bit 47) and [`ledger_resource`]
 /// (bit 63), so a prepared-batch publish can never alias a pool slot or a
 /// ledger shard.
-pub fn pipeline_resource(worker: u16, slot: u32) -> u64 {
+pub(crate) fn pipeline_resource(worker: u16, slot: u32) -> u64 {
     (1u64 << 62) | ((worker as u64) << 32) | slot as u64
 }
 
@@ -207,9 +207,9 @@ impl RaceChecker {
         &mut self.streams[i]
     }
 
-    /// Declares a launch (kernel or async copy): the kernel inherits
+    /// Declares a kernel launch: the kernel inherits
     /// host-before-launch and everything earlier on its stream.
-    pub fn on_launch(&mut self, stream: StreamId, kernel: KernelId, label: &'static str) {
+    pub(crate) fn on_launch(&mut self, stream: StreamId, kernel: KernelId, label: &'static str) {
         self.host.tick(0);
         let host = self.host.clone();
         let thread = stream.0 as usize + 1;
@@ -221,13 +221,13 @@ impl RaceChecker {
     }
 
     /// Declares that the host drained `stream` (`cudaStreamSynchronize`).
-    pub fn on_sync_stream(&mut self, stream: StreamId) {
+    pub(crate) fn on_sync_stream(&mut self, stream: StreamId) {
         let frontier = self.stream_frontier(stream).clone();
         self.host.join(&frontier);
     }
 
     /// Declares that the host drained every stream (`cudaDeviceSynchronize`).
-    pub fn on_sync_all(&mut self) {
+    pub(crate) fn on_sync_all(&mut self) {
         let frontiers: Vec<VectorClock> = self.streams.clone();
         for f in &frontiers {
             self.host.join(f);
@@ -236,7 +236,7 @@ impl RaceChecker {
 
     /// Snapshots `stream`'s frontier (`cudaEventRecord`); the returned id
     /// can be waited on from another stream.
-    pub fn record_event(&mut self, stream: StreamId) -> u32 {
+    pub(crate) fn record_event(&mut self, stream: StreamId) -> u32 {
         let snap = self.stream_frontier(stream).clone();
         self.events.push(snap);
         (self.events.len() - 1) as u32
@@ -244,7 +244,7 @@ impl RaceChecker {
 
     /// Makes future work on `stream` wait for a recorded event
     /// (`cudaStreamWaitEvent`).
-    pub fn wait_event(&mut self, stream: StreamId, event: u32) {
+    pub(crate) fn wait_event(&mut self, stream: StreamId, event: u32) {
         let Some(snap) = self.events.get(event as usize).cloned() else {
             debug_assert!(false, "wait on unrecorded event {event}");
             return;
@@ -366,8 +366,8 @@ impl RaceChecker {
 ///
 /// Each hand-off declares the edges a real bounded channel provides:
 ///
-/// * **publish** — the producer writes [`pipeline_resource`]`(worker,
-///   slot_base + seq % depth)` and records an event (the send);
+/// * **publish** — the producer writes the pipeline resource of ring slot
+///   `(worker, slot_base + seq % depth)` and records an event (the send);
 /// * **acquire** — the consumer waits on that event before reading the
 ///   slot (the blocking receive);
 /// * **credit** — when `credit_edge` is true, the producer waits on the

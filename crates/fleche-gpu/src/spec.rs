@@ -32,8 +32,6 @@ pub struct DeviceSpec {
     pub name: &'static str,
     /// Peak global-memory (HBM/GDDR) bandwidth.
     pub hbm_bandwidth: BytesPerNs,
-    /// Device memory capacity in bytes (cache sizing honors this).
-    pub hbm_capacity: u64,
     /// Host->device / device->host link bandwidth (PCIe).
     pub pcie_bandwidth: BytesPerNs,
     /// Sustained bandwidth of CPU-driven GDRCopy writes over the BAR.
@@ -66,9 +64,6 @@ pub struct DeviceSpec {
     pub saturation_threads: u32,
     /// FP32 throughput in FLOPs per nanosecond (1 TFLOPS == 1000).
     pub flops_per_ns: f64,
-    /// Cost of a `cudaMalloc` call (the paper: "up to a dozen
-    /// microseconds", which flat cache avoids by pre-allocating).
-    pub cuda_malloc_overhead: Ns,
     /// Hardware warp width.
     pub warp_size: u32,
 }
@@ -79,7 +74,6 @@ impl DeviceSpec {
         DeviceSpec {
             name: "NVIDIA T4 (simulated)",
             hbm_bandwidth: BytesPerNs::from_gbps(300.0),
-            hbm_capacity: 15 * (1 << 30),
             pcie_bandwidth: BytesPerNs::from_gbps(12.0),
             gdrcopy_bandwidth: BytesPerNs::from_gbps(6.0),
             kernel_launch_overhead: Ns::from_us(4.0),
@@ -93,7 +87,6 @@ impl DeviceSpec {
             shared_access_latency: Ns(25.0),
             saturation_threads: 16_384,
             flops_per_ns: 8_100.0,
-            cuda_malloc_overhead: Ns::from_us(12.0),
             warp_size: 32,
         }
     }
@@ -101,7 +94,7 @@ impl DeviceSpec {
     /// Fraction of peak memory bandwidth a kernel with `threads` resident
     /// threads can drive on its own (linear ramp up to saturation).
     #[inline]
-    pub fn occupancy(&self, threads: u32) -> f64 {
+    pub(crate) fn occupancy(&self, threads: u32) -> f64 {
         if self.saturation_threads == 0 {
             return 1.0;
         }
@@ -110,7 +103,7 @@ impl DeviceSpec {
 
     /// Per-kernel cap on memory bandwidth given its parallelism.
     #[inline]
-    pub fn bandwidth_cap(&self, threads: u32) -> BytesPerNs {
+    pub(crate) fn bandwidth_cap(&self, threads: u32) -> BytesPerNs {
         // Even a single warp gets a small floor so degenerate kernels make
         // progress; a real warp streams a few GB/s.
         let frac = self.occupancy(threads).max(0.005);
@@ -119,7 +112,7 @@ impl DeviceSpec {
 
     /// Fixed overhead of one copy call through `api`.
     #[inline]
-    pub fn copy_fixed(&self, api: CopyApi) -> Ns {
+    pub(crate) fn copy_fixed(&self, api: CopyApi) -> Ns {
         match api {
             CopyApi::CudaMemcpy => self.memcpy_fixed,
             CopyApi::GdrCopy => self.gdrcopy_fixed,
@@ -128,7 +121,7 @@ impl DeviceSpec {
 
     /// Link bandwidth of one copy call through `api`.
     #[inline]
-    pub fn copy_bandwidth(&self, api: CopyApi) -> BytesPerNs {
+    pub(crate) fn copy_bandwidth(&self, api: CopyApi) -> BytesPerNs {
         match api {
             CopyApi::CudaMemcpy => self.pcie_bandwidth,
             CopyApi::GdrCopy => self.gdrcopy_bandwidth,
@@ -193,7 +186,6 @@ mod tests {
     fn t4_matches_table1() {
         let t4 = DeviceSpec::t4();
         assert_eq!(t4.hbm_bandwidth.as_gbps(), 300.0);
-        assert_eq!(t4.hbm_capacity, 15 * (1 << 30));
         assert_eq!(t4.warp_size, 32);
         let dram = DramSpec::xeon_6252();
         assert_eq!(dram.bandwidth.as_gbps(), 60.0);

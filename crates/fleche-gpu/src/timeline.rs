@@ -1,8 +1,9 @@
 //! Timeline recording and attribution.
 //!
-//! The harnesses reproduce the paper's breakdowns (maintenance vs execution
-//! time, cache-index vs cache-copy vs DRAM time) by querying recorded spans
-//! rather than instrumenting call sites ad hoc.
+//! Every host and device interval the simulator charges is recorded as a
+//! [`Span`]. The log feeds the Chrome-trace export, [`Timeline::device_busy`]
+//! (the paper's maintenance-vs-execution split) and the golden digests; the
+//! per-phase breakdowns are accumulated by the workflows themselves.
 
 use crate::time::Ns;
 
@@ -29,8 +30,6 @@ pub enum Category {
     /// Host CPU compute charged via `elapse_host` (e.g. DRAM-layer query,
     /// key re-encoding, dedup bookkeeping).
     HostCompute,
-    /// Device memory allocation calls.
-    Alloc,
 }
 
 /// One recorded interval.
@@ -53,16 +52,9 @@ impl Span {
     pub fn duration(&self) -> Ns {
         self.end.saturating_sub(self.start)
     }
-
-    /// Length of the intersection with `[from, to)`.
-    pub fn overlap(&self, from: Ns, to: Ns) -> Ns {
-        let s = self.start.max(from);
-        let e = self.end.min(to);
-        e.saturating_sub(s)
-    }
 }
 
-/// Append-only span log with aggregation queries.
+/// Append-only span log.
 #[derive(Default, Debug)]
 pub struct Timeline {
     spans: Vec<Span>,
@@ -70,12 +62,12 @@ pub struct Timeline {
 
 impl Timeline {
     /// Creates an empty timeline.
-    pub fn new() -> Timeline {
+    pub(crate) fn new() -> Timeline {
         Timeline::default()
     }
 
     /// Records a span. Zero-length spans are kept (they still mark events).
-    pub fn record(
+    pub(crate) fn record(
         &mut self,
         track: Track,
         category: Category,
@@ -103,45 +95,18 @@ impl Timeline {
     }
 
     /// Discards all spans (measurement-window reset).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.spans.clear();
-    }
-
-    /// Sum of span durations in `category` intersected with `[from, to)`.
-    /// Note this is a *sum*, not a union: concurrent kernels count twice.
-    pub fn total_in(&self, category: Category, from: Ns, to: Ns) -> Ns {
-        self.spans
-            .iter()
-            .filter(|s| s.category == category)
-            .map(|s| s.overlap(from, to))
-            .sum()
-    }
-
-    /// Sum of durations of spans whose label passes `pred`, within window.
-    pub fn total_labeled(&self, pred: impl Fn(&str) -> bool, from: Ns, to: Ns) -> Ns {
-        self.spans
-            .iter()
-            .filter(|s| pred(s.label))
-            .map(|s| s.overlap(from, to))
-            .sum()
     }
 
     /// Length of the *union* of device kernel-execution spans within
     /// `[from, to)`: the time the device was doing useful work. The wall
     /// time minus this is the paper's "kernel maintenance" time.
-    pub fn device_busy(&self, from: Ns, to: Ns) -> Ns {
-        self.device_busy_labeled(|_| true, from, to)
-    }
-
-    /// Like [`Timeline::device_busy`], restricted to kernels whose label
-    /// passes `pred` (e.g. only the cache-query kernels, excluding
-    /// replacement and restore).
-    pub fn device_busy_labeled(&self, pred: impl Fn(&str) -> bool, from: Ns, to: Ns) -> Ns {
+    pub(crate) fn device_busy(&self, from: Ns, to: Ns) -> Ns {
         let mut intervals: Vec<(f64, f64)> = self
             .spans
             .iter()
             .filter(|s| s.track == Track::Device && s.category == Category::KernelExec)
-            .filter(|s| pred(s.label))
             .filter_map(|s| {
                 let a = s.start.max(from).0;
                 let b = s.end.min(to).0;
@@ -178,18 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn records_and_sums_categories() {
-        let mut t = tl();
-        t.record(Track::Host, Category::Launch, "l1", Ns(0.0), Ns(10.0));
-        t.record(Track::Host, Category::Launch, "l2", Ns(20.0), Ns(25.0));
-        t.record(Track::Host, Category::Sync, "s", Ns(30.0), Ns(40.0));
-        assert_eq!(t.total_in(Category::Launch, Ns(0.0), Ns(100.0)).0, 15.0);
-        assert_eq!(t.total_in(Category::Sync, Ns(0.0), Ns(100.0)).0, 10.0);
-        // Window clipping.
-        assert_eq!(t.total_in(Category::Launch, Ns(5.0), Ns(22.0)).0, 7.0);
-    }
-
-    #[test]
     fn device_busy_takes_union_not_sum() {
         let mut t = tl();
         t.record(Track::Device, Category::KernelExec, "a", Ns(0.0), Ns(100.0));
@@ -215,27 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn labeled_totals_filter() {
-        let mut t = tl();
-        t.record(
-            Track::Device,
-            Category::KernelExec,
-            "index",
-            Ns(0.0),
-            Ns(5.0),
-        );
-        t.record(
-            Track::Device,
-            Category::KernelExec,
-            "copy",
-            Ns(5.0),
-            Ns(9.0),
-        );
-        let idx = t.total_labeled(|l| l == "index", Ns(0.0), Ns(100.0));
-        assert_eq!(idx.0, 5.0);
-    }
-
-    #[test]
     fn clear_resets() {
         let mut t = tl();
         t.record(Track::Host, Category::Copy, "c", Ns(0.0), Ns(1.0));
@@ -245,7 +177,7 @@ mod tests {
     }
 
     #[test]
-    fn overlap_clamps_to_window() {
+    fn span_duration_is_end_minus_start() {
         let s = Span {
             track: Track::Host,
             category: Category::Copy,
@@ -253,9 +185,6 @@ mod tests {
             start: Ns(10.0),
             end: Ns(20.0),
         };
-        assert_eq!(s.overlap(Ns(0.0), Ns(15.0)).0, 5.0);
-        assert_eq!(s.overlap(Ns(12.0), Ns(18.0)).0, 6.0);
-        assert_eq!(s.overlap(Ns(25.0), Ns(30.0)).0, 0.0);
         assert_eq!(s.duration().0, 10.0);
     }
 }

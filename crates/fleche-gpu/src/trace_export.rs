@@ -33,7 +33,6 @@ fn category_name(c: Category) -> &'static str {
         Category::Copy => "copy",
         Category::KernelExec => "kernel",
         Category::HostCompute => "host",
-        Category::Alloc => "alloc",
     }
 }
 

@@ -19,13 +19,6 @@ pub struct EpochGuard {
     epoch: u64,
 }
 
-impl EpochGuard {
-    /// The epoch this reader pinned.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-}
-
 /// Manages retirement of items of type `T` (for the cache, pool slots).
 #[derive(Debug)]
 pub struct EpochManager<T> {
@@ -52,11 +45,6 @@ impl<T> EpochManager<T> {
             retired: VecDeque::new(),
             next_guard: 0,
         }
-    }
-
-    /// Current global epoch.
-    pub fn epoch(&self) -> u64 {
-        self.global
     }
 
     /// Number of outstanding readers.

@@ -91,9 +91,6 @@ pub trait GpuIndex: Send + std::fmt::Debug {
     /// or stamp depends on it. The default does nothing.
     fn prefetch(&self, _key: u64) {}
 
-    /// Samples up to `n` live entries pseudo-randomly.
-    fn sample_entries(&self, n: usize, seed: u64) -> (Vec<ScanEntry>, ProbeStats);
-
     /// Live entries.
     fn len(&self) -> usize;
 
@@ -143,7 +140,7 @@ pub(crate) mod conformance {
         assert_eq!(index.remove(10).0, None);
     }
 
-    /// Fills the index with `n` keys and verifies scan/sample coverage.
+    /// Fills the index with `n` keys and verifies scan coverage.
     pub fn check_bulk_and_scan(index: &mut dyn GpuIndex, n: u64) {
         let mut stored = 0u64;
         for k in 1..=n {
@@ -159,11 +156,6 @@ pub(crate) mod conformance {
         assert_eq!(entries.len(), index.len());
         for e in &entries {
             assert_eq!(index.peek(e.key), Some(e.loc), "scan entry resolves");
-        }
-        let (sample, _) = index.sample_entries(8, 7);
-        assert!(sample.len() <= 8);
-        for e in &sample {
-            assert_eq!(index.peek(e.key), Some(e.loc));
         }
         assert!(index.device_bytes() > 0);
         assert!(index.bucket_count() > 0);

@@ -38,16 +38,6 @@ impl ProbeStats {
         self.hits += other.hits;
         self.misses += other.misses;
     }
-
-    /// Hit fraction over all recorded operations (0 when empty).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -79,16 +69,5 @@ mod tests {
         assert_eq!(a.bytes_touched, 800);
         assert_eq!(a.hits, 1);
         assert_eq!(a.misses, 2);
-    }
-
-    #[test]
-    fn hit_rate_handles_empty() {
-        assert_eq!(ProbeStats::new().hit_rate(), 0.0);
-        let s = ProbeStats {
-            hits: 3,
-            misses: 1,
-            ..ProbeStats::new()
-        };
-        assert_eq!(s.hit_rate(), 0.75);
     }
 }

@@ -24,18 +24,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod epoch;
-pub mod index_trait;
-pub mod instrument;
-pub mod loc;
-pub mod mega_kv;
-pub mod pool;
-pub mod slab_hash;
+mod epoch;
+mod index_trait;
+mod instrument;
+mod loc;
+mod mega_kv;
+mod pool;
+mod slab_hash;
 
 pub use epoch::{EpochGuard, EpochManager};
 pub use index_trait::{GpuIndex, IndexInsert};
 pub use instrument::ProbeStats;
-pub use loc::{Loc, PackedLoc, MAX_DRAM_FEATURE, MAX_DRAM_TABLE};
-pub use mega_kv::{MegaKv, BUCKET_BYTES, BUCKET_WIDTH};
+pub use loc::{Loc, PackedLoc};
+pub use mega_kv::MegaKv;
 pub use pool::{ClassSpec, PoolError, SlabPool};
-pub use slab_hash::{InsertOutcome, ScanEntry, SlabHash, SLAB_BYTES, SLAB_WIDTH};
+pub use slab_hash::{ScanEntry, SlabHash, SLAB_WIDTH};

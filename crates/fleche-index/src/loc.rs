@@ -35,9 +35,9 @@ pub enum Loc {
 pub struct PackedLoc(u64);
 
 /// Maximum feature id representable in a packed DRAM pointer (55 bits).
-pub const MAX_DRAM_FEATURE: u64 = (1 << 55) - 1;
+pub(crate) const MAX_DRAM_FEATURE: u64 = (1 << 55) - 1;
 /// Maximum table id representable in a packed DRAM pointer (8 bits).
-pub const MAX_DRAM_TABLE: u16 = u8::MAX as u16;
+pub(crate) const MAX_DRAM_TABLE: u16 = u8::MAX as u16;
 
 impl Loc {
     /// Packs into the 8-byte on-device form.

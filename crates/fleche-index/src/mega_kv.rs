@@ -15,11 +15,11 @@ use crate::loc::{Loc, PackedLoc};
 use crate::slab_hash::ScanEntry;
 
 /// Slots per bucket (one warp inspects a bucket in one coalesced read).
-pub const BUCKET_WIDTH: usize = 8;
+pub(crate) const BUCKET_WIDTH: usize = 8;
 
 /// On-device bytes per bucket: 8 keys (8 B) + 8 locs (8 B) + 8 stamps
 /// (4 B).
-pub const BUCKET_BYTES: u64 = (BUCKET_WIDTH as u64) * (8 + 8 + 4);
+pub(crate) const BUCKET_BYTES: u64 = (BUCKET_WIDTH as u64) * (8 + 8 + 4);
 
 /// Maximum cuckoo displacements before giving up on an insert.
 const MAX_KICKS: usize = 32;
@@ -237,33 +237,6 @@ impl GpuIndex for MegaKv {
             visit(&run);
         }
         stats
-    }
-
-    fn sample_entries(&self, n: usize, seed: u64) -> (Vec<ScanEntry>, ProbeStats) {
-        let mut out = Vec::with_capacity(n);
-        let mut stats = ProbeStats::new();
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        for _ in 0..n.saturating_mul(4).max(8) {
-            if out.len() >= n {
-                break;
-            }
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let b = (state as usize) & (self.buckets.len() - 1);
-            stats.slabs_visited += 1;
-            stats.bytes_touched += BUCKET_BYTES;
-            for i in 0..BUCKET_WIDTH {
-                if self.buckets[b].occupied & (1 << i) != 0 && out.len() < n {
-                    out.push(ScanEntry {
-                        key: self.buckets[b].keys[i],
-                        loc: self.buckets[b].locs[i],
-                        stamp: self.buckets[b].stamps[i],
-                    });
-                }
-            }
-        }
-        (out, stats)
     }
 
     fn len(&self) -> usize {

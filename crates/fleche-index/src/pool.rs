@@ -121,14 +121,6 @@ impl SlabPool {
             .map_or(0, |c| c.capacity_slots)
     }
 
-    /// Index of the class with dimension `dim`, if registered.
-    pub fn class_for_dim(&self, dim: u32) -> Option<u16> {
-        self.classes
-            .iter()
-            .position(|c| c.dim == dim)
-            .map(|i| i as u16)
-    }
-
     /// Total payload capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.classes
@@ -143,17 +135,6 @@ impl SlabPool {
             .iter()
             .map(|c| (c.capacity_slots - c.free.len() as u32) as u64 * c.dim as u64 * 4)
             .sum()
-    }
-
-    /// Allocated fraction of capacity, in `[0, 1]`; the eviction trigger
-    /// compares this against its high-watermark.
-    pub fn utilization(&self) -> f64 {
-        let cap = self.capacity_bytes();
-        if cap == 0 {
-            0.0
-        } else {
-            self.allocated_bytes() as f64 / cap as f64
-        }
     }
 
     /// Claims a slot in `class`. One atomic on the free-list head.
@@ -418,11 +399,9 @@ mod tests {
     fn capacity_and_utilization_accounting() {
         let mut p = pool();
         assert_eq!(p.capacity_bytes(), 8 * 4 * 4 + 4 * 8 * 4);
-        assert_eq!(p.utilization(), 0.0);
         let (s0, _) = p.alloc(0).unwrap();
         let (_s1, _) = p.alloc(1).unwrap();
         assert_eq!(p.allocated_bytes(), 4 * 4 + 8 * 4);
-        assert!(p.utilization() > 0.0 && p.utilization() < 1.0);
         p.free(0, s0).unwrap();
         assert_eq!(p.allocated_bytes(), 8 * 4);
     }
@@ -468,9 +447,6 @@ mod tests {
         );
         assert!(p.read(9, 0).is_err());
         assert_eq!(p.dim_of(9), None);
-        assert_eq!(p.class_for_dim(4), Some(0));
-        assert_eq!(p.class_for_dim(8), Some(1));
-        assert_eq!(p.class_for_dim(99), None);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! [`ProbeStats`] describing the traffic a warp-cooperative kernel doing
 //! the same walk would generate.
 
+use crate::index_trait::{GpuIndex, IndexInsert};
 use crate::instrument::ProbeStats;
 use crate::loc::PackedLoc;
 
@@ -20,7 +21,7 @@ pub const SLAB_WIDTH: usize = 32;
 
 /// On-device bytes per slab: 32 keys (8 B) + 32 locs (8 B) + 32 stamps
 /// (4 B) + next pointer & occupancy word.
-pub const SLAB_BYTES: u64 = (SLAB_WIDTH as u64) * (8 + 8 + 4) + 8;
+pub(crate) const SLAB_BYTES: u64 = (SLAB_WIDTH as u64) * (8 + 8 + 4) + 8;
 
 /// How many keys ahead of the one being probed [`SlabHash::lookup_batch`]
 /// prefetches the bucket's chain head (the pointer to its first slab).
@@ -84,14 +85,12 @@ impl Slab {
     /// slots are never examined and stale keys in them are skipped by
     /// construction, not by a per-slot flag test.
     ///
-    /// This early-exit bit walk beats both the old scan (no per-slot
-    /// `occupied & (1<<i)` test) and a whole-slab SIMD `match_mask`
-    /// (measured: the hit is usually found within a few set bits, so a
-    /// full 32-wide compare — let alone a runtime-dispatch branch and a
-    /// non-inlinable `#[target_feature]` call — does strictly more work
-    /// per probe). The 32-wide `fleche_simd::match_mask` ballot remains
-    /// the right tool where a full mask is genuinely needed, but a probe
-    /// only needs the first hit.
+    /// This early-exit bit walk beats both a per-slot
+    /// `occupied & (1<<i)` scan and a whole-slab 32-wide SIMD compare: the
+    /// hit is usually found within a few set bits, so a full-width
+    /// compare — let alone a runtime-dispatch branch and a non-inlinable
+    /// `#[target_feature]` call — does strictly more work per probe
+    /// (measured, DESIGN §9.4).
     fn find(&self, key: u64) -> Option<usize> {
         let mut m = self.occupied;
         while m != 0 {
@@ -114,18 +113,6 @@ impl Slab {
     }
 }
 
-/// Result of an insert.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum InsertOutcome {
-    /// Key was new; a slot was claimed.
-    Inserted,
-    /// Key existed; its location and stamp were updated.
-    Updated {
-        /// The location the slot held before the update.
-        previous: PackedLoc,
-    },
-}
-
 /// An entry yielded by a full-table scan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScanEntry {
@@ -140,7 +127,7 @@ pub struct ScanEntry {
 /// The slab-list hash index.
 ///
 /// ```
-/// use fleche_index::{Loc, SlabHash};
+/// use fleche_index::{GpuIndex, Loc, SlabHash};
 ///
 /// let mut index = SlabHash::for_capacity(1_000);
 /// index.insert(42, Loc::Hbm { class: 0, slot: 7 }.pack(), 1);
@@ -181,95 +168,11 @@ impl SlabHash {
         SlabHash::new(capacity.div_ceil(per_bucket.max(1)))
     }
 
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no entries are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of bucket chains.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Device bytes consumed by slab storage right now.
-    pub fn device_bytes(&self) -> u64 {
-        let slabs: u64 = self.buckets.iter().map(|b| b.len() as u64).sum();
-        slabs * SLAB_BYTES + (self.buckets.len() as u64) * 8
-    }
-
     #[inline]
     fn bucket_of(&self, key: u64) -> usize {
         // Multiplicative Fibonacci hashing; buckets.len() is a power of two.
         let h = key.wrapping_mul(self.seed);
         (h >> 32) as usize & (self.buckets.len() - 1)
-    }
-
-    /// Looks up `key`. On a hit, when `touch` is set the slot's timestamp
-    /// is bumped to it (the approximate-LRU access path).
-    pub fn lookup(&mut self, key: u64, touch: Option<u32>) -> (Option<PackedLoc>, ProbeStats) {
-        let b = self.bucket_of(key);
-        let mut stats = ProbeStats::new();
-        stats.bytes_touched += 8; // bucket head pointer
-        for (depth, slab) in self.buckets[b].iter_mut().enumerate() {
-            stats.slabs_visited += 1;
-            stats.bytes_touched += SLAB_BYTES;
-            if let Some(i) = slab.find(key) {
-                if let Some(now) = touch {
-                    slab.stamps[i] = now;
-                    stats.atomics += 1;
-                }
-                stats.max_chain = stats.max_chain.max(depth as u32 + 1);
-                stats.hits += 1;
-                return (Some(slab.locs[i]), stats);
-            }
-        }
-        stats.max_chain = stats.max_chain.max(self.buckets[b].len() as u32);
-        stats.misses += 1;
-        (None, stats)
-    }
-
-    /// Batched lookup: probes `keys` in input order and hands each key's
-    /// answer and [`ProbeStats`] to `sink`, exactly what
-    /// [`SlabHash::lookup`] returns for it (same walk, same stamp bump).
-    ///
-    /// A single probe is a chain of dependent memory waits — bucket head,
-    /// then slab — and the index is far larger than the CPU's caches, so
-    /// per-key probing spends most of its time waiting. Keys of a batch
-    /// are independent, which is what the paper's warp-parallel index
-    /// kernel exploits; the host analogue is a software pipeline: while
-    /// key `i` is probed, the chain head of key `i + HEAD_AHEAD` and the
-    /// first slab of key `i + SLAB_AHEAD` are already on their way.
-    /// Prefetches are hints: they change no answer, no statistic and no
-    /// stamp, so input order is kept (nothing downstream has to be
-    /// re-ordered) and there is no batch size at which the walk loses to
-    /// per-key probing by more than the hint instructions.
-    pub fn lookup_batch(
-        &mut self,
-        keys: &[u64],
-        touch: Option<u32>,
-        mut sink: impl FnMut(Option<PackedLoc>, ProbeStats),
-    ) {
-        for &key in keys.iter().take(HEAD_AHEAD) {
-            fleche_simd::prefetch_read(&self.buckets[self.bucket_of(key)]);
-        }
-        for &key in keys.iter().take(SLAB_AHEAD) {
-            self.prefetch_first_slab(key);
-        }
-        for (i, &key) in keys.iter().enumerate() {
-            if let Some(&ahead) = keys.get(i + HEAD_AHEAD) {
-                fleche_simd::prefetch_read(&self.buckets[self.bucket_of(ahead)]);
-            }
-            if let Some(&ahead) = keys.get(i + SLAB_AHEAD) {
-                self.prefetch_first_slab(ahead);
-            }
-            let (found, stats) = self.lookup(key, touch);
-            sink(found, stats);
-        }
     }
 
     #[inline]
@@ -279,143 +182,12 @@ impl SlabHash {
         }
     }
 
-    /// Read-only lookup (no timestamp bump, no instrumentation) for tests
-    /// and oracles.
-    pub fn peek(&self, key: u64) -> Option<PackedLoc> {
-        let b = self.bucket_of(key);
-        self.buckets[b]
-            .iter()
-            .find_map(|s| s.find(key).map(|i| s.locs[i]))
-    }
-
     /// Returns the stamp stored for `key`, if present.
     pub fn stamp_of(&self, key: u64) -> Option<u32> {
         let b = self.bucket_of(key);
         self.buckets[b]
             .iter()
             .find_map(|s| s.find(key).map(|i| s.stamps[i]))
-    }
-
-    /// Inserts or updates `key -> loc`, stamping the slot with `stamp`.
-    pub fn insert(&mut self, key: u64, loc: PackedLoc, stamp: u32) -> (InsertOutcome, ProbeStats) {
-        let b = self.bucket_of(key);
-        let mut stats = ProbeStats::new();
-        stats.bytes_touched += 8; // bucket head pointer
-        let chain = &mut self.buckets[b];
-
-        // Pass 1: existing key or first free slot.
-        let mut free: Option<(usize, usize)> = None;
-        for (depth, slab) in chain.iter_mut().enumerate() {
-            stats.slabs_visited += 1;
-            stats.bytes_touched += SLAB_BYTES;
-            stats.max_chain = stats.max_chain.max(depth as u32 + 1);
-            if let Some(i) = slab.find(key) {
-                let previous = slab.locs[i];
-                slab.locs[i] = loc;
-                slab.stamps[i] = stamp;
-                stats.atomics += 1;
-                stats.hits += 1;
-                return (InsertOutcome::Updated { previous }, stats);
-            }
-            if free.is_none() {
-                if let Some(i) = slab.first_free() {
-                    free = Some((depth, i));
-                }
-            }
-        }
-        stats.misses += 1;
-
-        let (depth, i) = match free {
-            Some(pos) => pos,
-            None => {
-                // Allocate and link a fresh slab (one atomic to swing the
-                // next pointer).
-                chain.push(Slab::empty());
-                stats.atomics += 1;
-                stats.bytes_touched += SLAB_BYTES;
-                (chain.len() - 1, 0)
-            }
-        };
-        let slab = &mut chain[depth];
-        slab.keys[i] = key;
-        slab.locs[i] = loc;
-        slab.stamps[i] = stamp;
-        slab.occupied |= 1 << i;
-        stats.atomics += 1; // slot claim CAS
-        self.len += 1;
-        (InsertOutcome::Inserted, stats)
-    }
-
-    /// Removes `key`, returning its location if it was present.
-    pub fn remove(&mut self, key: u64) -> (Option<PackedLoc>, ProbeStats) {
-        let b = self.bucket_of(key);
-        let mut stats = ProbeStats::new();
-        stats.bytes_touched += 8; // bucket head pointer
-        for (depth, slab) in self.buckets[b].iter_mut().enumerate() {
-            stats.slabs_visited += 1;
-            stats.bytes_touched += SLAB_BYTES;
-            stats.max_chain = stats.max_chain.max(depth as u32 + 1);
-            if let Some(i) = slab.find(key) {
-                slab.occupied &= !(1 << i);
-                stats.atomics += 1;
-                stats.hits += 1;
-                self.len -= 1;
-                return (Some(slab.locs[i]), stats);
-            }
-        }
-        stats.misses += 1;
-        (None, stats)
-    }
-
-    /// Drops every entry and slab chain, keeping the bucket array. The
-    /// recovery path uses this after a device loss: chains were HBM
-    /// contents and are gone, the bucket heads are re-initialized state.
-    pub fn clear(&mut self) {
-        for chain in &mut self.buckets {
-            chain.clear();
-        }
-        self.len = 0;
-    }
-
-    /// Full-table scan in storage order (the eviction pass and checkpoint
-    /// capture), handing `visit` each slab's live entries as one run. The
-    /// returned stats model one streaming kernel over all slabs.
-    ///
-    /// Each bucket's slabs are a separate allocation, so the walk is a
-    /// pointer chase the hardware prefetcher cannot follow: while bucket
-    /// `b` is visited, the head slab of bucket `b + SCAN_AHEAD` is already
-    /// on its way. The hint changes no entry, order or statistic.
-    pub fn scan_with(&self, mut visit: impl FnMut(&[ScanEntry])) -> ProbeStats {
-        let mut stats = ProbeStats::new();
-        let vacant = ScanEntry {
-            key: 0,
-            loc: PackedLoc::from(crate::loc::Loc::Hbm { class: 0, slot: 0 }),
-            stamp: 0,
-        };
-        let mut run = [vacant; SLAB_WIDTH];
-        for (b, chain) in self.buckets.iter().enumerate() {
-            if let Some(slab) = self.buckets.get(b + SCAN_AHEAD).and_then(|c| c.first()) {
-                slab.prefetch_all();
-            }
-            for slab in chain {
-                stats.slabs_visited += 1;
-                stats.bytes_touched += SLAB_BYTES;
-                let mut m = slab.occupied;
-                let mut n = 0;
-                while m != 0 {
-                    let i = m.trailing_zeros() as usize;
-                    run[n] = ScanEntry {
-                        key: slab.keys[i],
-                        loc: slab.locs[i],
-                        stamp: slab.stamps[i],
-                    };
-                    n += 1;
-                    m &= m - 1;
-                }
-                visit(&run[..n]);
-            }
-        }
-        stats
     }
 
     /// Samples up to `n` live entries by probing pseudo-random buckets
@@ -454,88 +226,227 @@ impl SlabHash {
         }
         (out, stats)
     }
-
-    /// Average chain length in slabs over non-empty buckets (diagnostic).
-    pub fn mean_chain_len(&self) -> f64 {
-        let non_empty: Vec<_> = self.buckets.iter().filter(|c| !c.is_empty()).collect();
-        if non_empty.is_empty() {
-            return 0.0;
-        }
-        non_empty.iter().map(|c| c.len()).sum::<usize>() as f64 / non_empty.len() as f64
-    }
 }
 
-impl crate::index_trait::GpuIndex for SlabHash {
+impl GpuIndex for SlabHash {
+    /// Looks up `key`. On a hit, when `touch` is set the slot's timestamp
+    /// is bumped to it (the approximate-LRU access path).
     fn lookup(&mut self, key: u64, touch: Option<u32>) -> (Option<PackedLoc>, ProbeStats) {
-        SlabHash::lookup(self, key, touch)
+        let b = self.bucket_of(key);
+        let mut stats = ProbeStats::new();
+        stats.bytes_touched += 8; // bucket head pointer
+        for (depth, slab) in self.buckets[b].iter_mut().enumerate() {
+            stats.slabs_visited += 1;
+            stats.bytes_touched += SLAB_BYTES;
+            if let Some(i) = slab.find(key) {
+                if let Some(now) = touch {
+                    slab.stamps[i] = now;
+                    stats.atomics += 1;
+                }
+                stats.max_chain = stats.max_chain.max(depth as u32 + 1);
+                stats.hits += 1;
+                return (Some(slab.locs[i]), stats);
+            }
+        }
+        stats.max_chain = stats.max_chain.max(self.buckets[b].len() as u32);
+        stats.misses += 1;
+        (None, stats)
     }
 
+    /// Batched lookup: probes `keys` in input order and hands each key's
+    /// answer and [`ProbeStats`] to `sink`, exactly what
+    /// [`GpuIndex::lookup`] returns for it (same walk, same stamp bump).
+    ///
+    /// A single probe is a chain of dependent memory waits — bucket head,
+    /// then slab — and the index is far larger than the CPU's caches, so
+    /// per-key probing spends most of its time waiting. Keys of a batch
+    /// are independent, which is what the paper's warp-parallel index
+    /// kernel exploits; the host analogue is a software pipeline: while
+    /// key `i` is probed, the chain head of key `i + HEAD_AHEAD` and the
+    /// first slab of key `i + SLAB_AHEAD` are already on their way.
+    /// Prefetches are hints: they change no answer, no statistic and no
+    /// stamp, so input order is kept (nothing downstream has to be
+    /// re-ordered) and there is no batch size at which the walk loses to
+    /// per-key probing by more than the hint instructions.
     fn lookup_batch(
         &mut self,
         keys: &[u64],
         touch: Option<u32>,
         sink: &mut dyn FnMut(Option<PackedLoc>, ProbeStats),
     ) {
-        SlabHash::lookup_batch(self, keys, touch, sink)
+        for &key in keys.iter().take(HEAD_AHEAD) {
+            fleche_simd::prefetch_read(&self.buckets[self.bucket_of(key)]);
+        }
+        for &key in keys.iter().take(SLAB_AHEAD) {
+            self.prefetch_first_slab(key);
+        }
+        for (i, &key) in keys.iter().enumerate() {
+            if let Some(&ahead) = keys.get(i + HEAD_AHEAD) {
+                fleche_simd::prefetch_read(&self.buckets[self.bucket_of(ahead)]);
+            }
+            if let Some(&ahead) = keys.get(i + SLAB_AHEAD) {
+                self.prefetch_first_slab(ahead);
+            }
+            let (found, stats) = self.lookup(key, touch);
+            sink(found, stats);
+        }
     }
 
+    /// Read-only lookup (no timestamp bump, no instrumentation) for tests
+    /// and oracles.
     fn peek(&self, key: u64) -> Option<PackedLoc> {
-        SlabHash::peek(self, key)
+        let b = self.bucket_of(key);
+        self.buckets[b]
+            .iter()
+            .find_map(|s| s.find(key).map(|i| s.locs[i]))
     }
 
-    fn insert(
-        &mut self,
-        key: u64,
-        loc: PackedLoc,
-        stamp: u32,
-    ) -> (crate::index_trait::IndexInsert, ProbeStats) {
-        let (out, stats) = SlabHash::insert(self, key, loc, stamp);
-        let out = match out {
-            InsertOutcome::Inserted => crate::index_trait::IndexInsert::Inserted,
-            InsertOutcome::Updated { previous } => {
-                crate::index_trait::IndexInsert::Updated { previous }
+    /// Inserts or updates `key -> loc`, stamping the slot with `stamp`.
+    fn insert(&mut self, key: u64, loc: PackedLoc, stamp: u32) -> (IndexInsert, ProbeStats) {
+        let b = self.bucket_of(key);
+        let mut stats = ProbeStats::new();
+        stats.bytes_touched += 8; // bucket head pointer
+        let chain = &mut self.buckets[b];
+
+        // Pass 1: existing key or first free slot.
+        let mut free: Option<(usize, usize)> = None;
+        for (depth, slab) in chain.iter_mut().enumerate() {
+            stats.slabs_visited += 1;
+            stats.bytes_touched += SLAB_BYTES;
+            stats.max_chain = stats.max_chain.max(depth as u32 + 1);
+            if let Some(i) = slab.find(key) {
+                let previous = slab.locs[i];
+                slab.locs[i] = loc;
+                slab.stamps[i] = stamp;
+                stats.atomics += 1;
+                stats.hits += 1;
+                return (IndexInsert::Updated { previous }, stats);
+            }
+            if free.is_none() {
+                if let Some(i) = slab.first_free() {
+                    free = Some((depth, i));
+                }
+            }
+        }
+        stats.misses += 1;
+
+        let (depth, i) = match free {
+            Some(pos) => pos,
+            None => {
+                // Allocate and link a fresh slab (one atomic to swing the
+                // next pointer).
+                chain.push(Slab::empty());
+                stats.atomics += 1;
+                stats.bytes_touched += SLAB_BYTES;
+                (chain.len() - 1, 0)
             }
         };
-        (out, stats)
+        let slab = &mut chain[depth];
+        slab.keys[i] = key;
+        slab.locs[i] = loc;
+        slab.stamps[i] = stamp;
+        slab.occupied |= 1 << i;
+        stats.atomics += 1; // slot claim CAS
+        self.len += 1;
+        (IndexInsert::Inserted, stats)
     }
 
+    /// Removes `key`, returning its location if it was present.
     fn remove(&mut self, key: u64) -> (Option<PackedLoc>, ProbeStats) {
-        SlabHash::remove(self, key)
+        let b = self.bucket_of(key);
+        let mut stats = ProbeStats::new();
+        stats.bytes_touched += 8; // bucket head pointer
+        for (depth, slab) in self.buckets[b].iter_mut().enumerate() {
+            stats.slabs_visited += 1;
+            stats.bytes_touched += SLAB_BYTES;
+            stats.max_chain = stats.max_chain.max(depth as u32 + 1);
+            if let Some(i) = slab.find(key) {
+                slab.occupied &= !(1 << i);
+                stats.atomics += 1;
+                stats.hits += 1;
+                self.len -= 1;
+                return (Some(slab.locs[i]), stats);
+            }
+        }
+        stats.misses += 1;
+        (None, stats)
     }
 
+    /// Drops every entry and slab chain, keeping the bucket array. The
+    /// recovery path uses this after a device loss: chains were HBM
+    /// contents and are gone, the bucket heads are re-initialized state.
     fn clear(&mut self) {
-        SlabHash::clear(self)
+        for chain in &mut self.buckets {
+            chain.clear();
+        }
+        self.len = 0;
     }
 
+    /// Full-table scan in storage order (the eviction pass and checkpoint
+    /// capture), handing `visit` each slab's live entries as one run. The
+    /// returned stats model one streaming kernel over all slabs.
+    ///
+    /// Each bucket's slabs are a separate allocation, so the walk is a
+    /// pointer chase the hardware prefetcher cannot follow: while bucket
+    /// `b` is visited, the head slab of bucket `b + SCAN_AHEAD` is already
+    /// on its way. The hint changes no entry, order or statistic.
     fn scan_with(&self, visit: &mut dyn FnMut(&[ScanEntry])) -> ProbeStats {
-        SlabHash::scan_with(self, visit)
+        let mut stats = ProbeStats::new();
+        let vacant = ScanEntry {
+            key: 0,
+            loc: PackedLoc::from(crate::loc::Loc::Hbm { class: 0, slot: 0 }),
+            stamp: 0,
+        };
+        let mut run = [vacant; SLAB_WIDTH];
+        for (b, chain) in self.buckets.iter().enumerate() {
+            if let Some(slab) = self.buckets.get(b + SCAN_AHEAD).and_then(|c| c.first()) {
+                slab.prefetch_all();
+            }
+            for slab in chain {
+                stats.slabs_visited += 1;
+                stats.bytes_touched += SLAB_BYTES;
+                let mut m = slab.occupied;
+                let mut n = 0;
+                while m != 0 {
+                    let i = m.trailing_zeros() as usize;
+                    run[n] = ScanEntry {
+                        key: slab.keys[i],
+                        loc: slab.locs[i],
+                        stamp: slab.stamps[i],
+                    };
+                    n += 1;
+                    m &= m - 1;
+                }
+                visit(&run[..n]);
+            }
+        }
+        stats
     }
 
     fn prefetch(&self, key: u64) {
         self.prefetch_first_slab(key);
     }
 
-    fn sample_entries(&self, n: usize, seed: u64) -> (Vec<ScanEntry>, ProbeStats) {
-        SlabHash::sample_entries(self, n, seed)
-    }
-
+    /// Number of live entries.
     fn len(&self) -> usize {
-        SlabHash::len(self)
+        self.len
     }
 
+    /// Device bytes consumed by slab storage right now.
     fn device_bytes(&self) -> u64 {
-        SlabHash::device_bytes(self)
+        let slabs: u64 = self.buckets.iter().map(|b| b.len() as u64).sum();
+        slabs * SLAB_BYTES + (self.buckets.len() as u64) * 8
     }
 
+    /// Number of bucket chains.
     fn bucket_count(&self) -> usize {
-        SlabHash::bucket_count(self)
+        self.buckets.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index_trait::GpuIndex;
     use crate::loc::Loc;
 
     fn hbm(slot: u32) -> PackedLoc {
@@ -547,7 +458,7 @@ mod tests {
         let mut h = SlabHash::new(8);
         assert!(h.is_empty());
         let (out, _) = h.insert(42, hbm(7), 1);
-        assert_eq!(out, InsertOutcome::Inserted);
+        assert_eq!(out, IndexInsert::Inserted);
         assert_eq!(h.len(), 1);
         let (found, stats) = h.lookup(42, None);
         assert_eq!(found, Some(hbm(7)));
@@ -565,7 +476,7 @@ mod tests {
         let mut h = SlabHash::new(8);
         h.insert(1, hbm(10), 1);
         let (out, _) = h.insert(1, hbm(20), 2);
-        assert_eq!(out, InsertOutcome::Updated { previous: hbm(10) });
+        assert_eq!(out, IndexInsert::Updated { previous: hbm(10) });
         assert_eq!(h.len(), 1);
         assert_eq!(h.peek(1), Some(hbm(20)));
         assert_eq!(h.stamp_of(1), Some(2));
@@ -589,7 +500,7 @@ mod tests {
             h.insert(k, hbm(k as u32), 0);
         }
         assert_eq!(h.len(), SLAB_WIDTH * 3);
-        assert!(h.mean_chain_len() >= 3.0);
+        assert_eq!(h.device_bytes(), 3 * SLAB_BYTES + 8, "three linked slabs");
         // Deep keys report long chains.
         let (found, stats) = h.lookup(SLAB_WIDTH as u64 * 3, None);
         assert!(found.is_some());
@@ -634,7 +545,9 @@ mod tests {
         for k in 0..n as u64 {
             h.insert(k.wrapping_mul(0xDEAD_BEEF_1234_5677) | 1, hbm(0), 0);
         }
-        assert!(h.mean_chain_len() < 2.0, "chains: {}", h.mean_chain_len());
+        // Fewer than two slabs per bucket on average.
+        let slabs = (h.device_bytes() - 8 * h.bucket_count() as u64) / SLAB_BYTES;
+        assert!(slabs < 2 * h.bucket_count() as u64, "slabs: {slabs}");
     }
 
     #[test]
@@ -714,7 +627,9 @@ mod tests {
         // Mixed hits/misses, duplicates included.
         let keys: Vec<u64> = (0..200u64).map(|i| (i * 7) % 450).collect();
         let mut batch = Vec::new();
-        a.lookup_batch(&keys, Some(77), |found, stats| batch.push((found, stats)));
+        a.lookup_batch(&keys, Some(77), &mut |found, stats| {
+            batch.push((found, stats))
+        });
         let seq: Vec<_> = keys.iter().map(|&k| b.lookup(k, Some(77))).collect();
         assert_eq!(batch, seq);
         for &k in &keys {

@@ -3,10 +3,9 @@
 //! The paper evaluates on a Deep & Cross Network (6 cross layers + a
 //! (1024, 1024) MLP). For end-to-end timing only the dense part's *cost*
 //! matters (its kernels occupy the GPU after the embedding phase), so this
-//! module prices each layer as a GEMM kernel on the simulated device. A
-//! real (small-scale) forward pass is also provided with procedurally
-//! deterministic weights so examples and tests can push actual numbers
-//! through actual math.
+//! module prices each layer as a GEMM kernel on the simulated device and
+//! computes no activations: [`DenseModel::run`] launches the layer kernels
+//! and returns the time they took.
 
 use fleche_gpu::{Gpu, KernelDesc, KernelWork, Ns, StreamId};
 
@@ -39,36 +38,6 @@ impl DenseModel {
             cross_layers: 6,
             hidden: vec![1024; n],
         }
-    }
-
-    /// FLOPs of one forward pass at `batch` samples.
-    pub fn flops(&self, batch: u64) -> u64 {
-        let d = self.input_dim as u64;
-        // Cross layer: w.x (2d), scale x0 (d), add b + x (2d) => ~5d per
-        // sample per layer.
-        let cross = self.cross_layers as u64 * 5 * d * batch;
-        let mut mlp = 0u64;
-        let mut prev = d;
-        for &h in &self.hidden {
-            mlp += 2 * prev * h as u64 * batch;
-            prev = h as u64;
-        }
-        mlp += 2 * prev * batch; // final logit
-        cross + mlp
-    }
-
-    /// Weight bytes touched by one forward pass (read once per batch).
-    pub fn weight_bytes(&self) -> u64 {
-        let d = self.input_dim as u64;
-        let cross = self.cross_layers as u64 * (d + 1) * 4;
-        let mut mlp = 0u64;
-        let mut prev = d;
-        for &h in &self.hidden {
-            mlp += prev * h as u64 * 4;
-            prev = h as u64;
-        }
-        mlp += prev * 4;
-        cross + mlp
     }
 
     /// Kernel sequence of one forward pass (one kernel per layer, which is
@@ -126,80 +95,12 @@ impl DenseModel {
         gpu.sync_stream(stream);
         gpu.now() - t0
     }
-
-    /// Deterministic weight for `(layer, row, col)` in `[-0.1, 0.1)`.
-    fn weight(&self, layer: u32, row: u32, col: u32) -> f32 {
-        let mut x = (layer as u64 + 1)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((row as u64) << 32 | col as u64);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 31;
-        ((x >> 11) as f64 / (1u64 << 53) as f64 * 0.2 - 0.1) as f32
-    }
-
-    /// A real forward pass for one sample (used by examples/tests; the
-    /// timing path uses [`DenseModel::run`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != input_dim`.
-    pub fn forward(&self, input: &[f32]) -> f32 {
-        // Every dot product below uses `fleche_simd::dot` — the
-        // canonical blocked reduction order (8 accumulator lanes + fixed
-        // combine tree), bit-identical across SIMD dispatch paths. The
-        // weight row is materialized into one reused scratch buffer so
-        // the GEMV inner loop streams two dense slices.
-        assert_eq!(input.len(), self.input_dim as usize, "input width mismatch");
-        let mut wrow = vec![0.0f32; input.len()];
-        // Cross layers: x_{k+1} = x0 * (w_k . x_k) + b_k + x_k
-        let x0 = input.to_vec();
-        let mut x = input.to_vec();
-        for l in 0..self.cross_layers {
-            for (i, w) in wrow.iter_mut().enumerate() {
-                *w = self.weight(l, 0, i as u32);
-            }
-            let wx = fleche_simd::dot(&x, &wrow);
-            let b = self.weight(l, 1, 0);
-            for i in 0..x.len() {
-                x[i] += x0[i] * wx + b;
-            }
-        }
-        // MLP with ReLU.
-        let mut layer_idx = self.cross_layers;
-        let mut cur = x;
-        for &h in &self.hidden {
-            let mut next = vec![0.0f32; h as usize];
-            wrow.resize(cur.len(), 0.0);
-            for (j, n) in next.iter_mut().enumerate() {
-                for (i, w) in wrow.iter_mut().enumerate() {
-                    *w = self.weight(layer_idx, j as u32, i as u32);
-                }
-                *n = fleche_simd::dot(&cur, &wrow).max(0.0);
-            }
-            cur = next;
-            layer_idx += 1;
-        }
-        wrow.resize(cur.len(), 0.0);
-        for (i, w) in wrow.iter_mut().enumerate() {
-            *w = self.weight(layer_idx, 0, i as u32);
-        }
-        let logit = fleche_simd::dot(&cur, &wrow);
-        1.0 / (1.0 + (-logit).exp())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fleche_gpu::DeviceSpec;
-
-    #[test]
-    fn flops_scale_with_batch_and_depth() {
-        let m2 = DenseModel::with_hidden_layers(256, 2);
-        let m5 = DenseModel::with_hidden_layers(256, 5);
-        assert!(m5.flops(64) > m2.flops(64));
-        assert_eq!(m2.flops(128), m2.flops(64) * 2);
-    }
 
     #[test]
     fn kernel_count_matches_layers() {
@@ -226,33 +127,5 @@ mod tests {
             DenseModel::dcn_paper(512).run(&mut gpu, s, batch)
         };
         assert!(time(4096) > time(64));
-    }
-
-    #[test]
-    fn forward_is_deterministic_and_bounded() {
-        let m = DenseModel {
-            input_dim: 16,
-            cross_layers: 2,
-            hidden: vec![8, 4],
-        };
-        let input: Vec<f32> = (0..16).map(|i| (i as f32) / 16.0).collect();
-        let a = m.forward(&input);
-        let b = m.forward(&input);
-        assert_eq!(a, b);
-        assert!((0.0..=1.0).contains(&a));
-        // Different inputs give different outputs.
-        let other: Vec<f32> = (0..16).map(|i| -(i as f32) / 8.0).collect();
-        assert_ne!(a, m.forward(&other));
-    }
-
-    #[test]
-    #[should_panic(expected = "width mismatch")]
-    fn forward_checks_width() {
-        DenseModel::dcn_paper(32).forward(&[0.0; 8]);
-    }
-
-    #[test]
-    fn weight_bytes_positive() {
-        assert!(DenseModel::dcn_paper(512).weight_bytes() > 1 << 20);
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! * [`DenseModel`] — the Deep & Cross Network dense part (6 cross
 //!   layers + MLP), priced as per-layer kernels on the simulated GPU,
-//!   with a real small-scale forward pass for functional tests.
+//!   timing only (no activations are computed).
 //! * [`InferenceEngine`] — end-to-end inference over any
 //!   [`fleche_store::api::EmbeddingCacheSystem`]: embedding → pooling →
 //!   dense, plus warm-up/measure loops and throughput/latency aggregation.

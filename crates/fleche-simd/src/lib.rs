@@ -1,11 +1,12 @@
 //! fleche-simd: blocked, runtime-dispatched kernels for the host hot paths.
 //!
 //! The paper's flat cache wins by minimizing per-lookup work on the
-//! device; this crate does the host-side equivalent for the four loops
-//! the `hotpath` bench measures — pooled gather/reduction, lane-parallel
-//! slot checksums, slab key matching, the procedural embedding fill behind
-//! the CPU store ([`unit_fill`]), and (indirectly, via the batch APIs
-//! built on top) codec encode/decode.
+//! device; this crate does the host-side equivalent for the loops the
+//! `hotpath` bench measures — pooled gather/reduction ([`add_assign`],
+//! [`max_assign`], [`div_assign`]), lane-parallel slot checksums
+//! ([`checksum`]), the procedural embedding fill behind the CPU store
+//! ([`unit_fill`]), and the batched probe's cache hint
+//! ([`prefetch_read`]).
 //!
 //! # Determinism contract
 //!
@@ -14,37 +15,27 @@
 //! points into it: the portable path (the kernel compiled under the
 //! crate's baseline feature set) and, on `x86_64`, an
 //! `#[target_feature(enable = "avx2")]` wrapper around the *same* kernel
-//! source. Because both paths execute the identical sequence of `f32`
+//! source. Because both paths execute the identical sequence of
 //! operations, results are bit-identical regardless of which path the
 //! runtime `is_x86_feature_detected!` dispatch picks; the wrappers only
 //! change what code the compiler is allowed to emit (YMM registers, FMA
 //! stays off — we never enable `fma`, which *would* change results).
 //! `tests/simd_props.rs` pins this: dispatched vs portable, across
-//! non-multiple-of-lane sizes, NaN payloads, and unaligned slices. The
-//! one thing the argument does not cover is the sign and payload of a
-//! NaN an arithmetic op *produces* (IEEE 754 leaves them open, and the
-//! two codegens differ in release builds), so [`dot`] — the only kernel
-//! that reduces — maps a NaN sum to the canonical `f32::NAN`.
+//! non-multiple-of-lane sizes, NaN payloads, and unaligned slices. No
+//! kernel reduces floats: each element-wise output is one op whose NaN
+//! result both codegens agree on, and [`unit_fill`] never produces a NaN.
 //!
-//! # Canonical blocked reduction order
+//! # Canonical lane order
 //!
-//! Dot products use [`LANES`] = 8 independent accumulators —
-//! `lanes[i % 8] += a[i] * b[i]` — combined by a fixed tree
-//! (`lanes[j] + lanes[j+4]`, then `+2`, then `+1`). This order is the
-//! repo-wide canonical reduction order: oracles, tests, and both
-//! dispatch paths all use it, so "vectorized" never means "different
-//! answer". Element-wise pooling accumulation is order-free per element
-//! and needs no blocking.
-//!
-//! The slot [`checksum`] uses the same round-robin split on integers:
-//! word `i` (an `f32`'s bits) folds into lane `i % 8` by one FNV-1a step,
-//! `h = (h ^ w) * FNV_PRIME`, and the eight lanes fold into the result in
-//! lane order. Each row is eight independent multiply chains (one `u32x8`
-//! register under AVX2) instead of one serial chain per byte, and every
-//! step is a bijection in both the state and the word, so any change
-//! confined to one word — every single-bit flip — changes the checksum.
-//! Integer ops have no rounding and no NaN, so both dispatch paths agree
-//! by construction.
+//! The slot [`checksum`] splits a row round-robin over [`LANES`] = 8
+//! integer lanes: word `i` (an `f32`'s bits) folds into lane `i % 8` by
+//! one FNV-1a step, `h = (h ^ w) * FNV_PRIME`, and the eight lanes fold
+//! into the result in lane order. Each row is eight independent multiply
+//! chains (one `u32x8` register under AVX2) instead of one serial chain
+//! per byte, and every step is a bijection in both the state and the
+//! word, so any change confined to one word — every single-bit flip —
+//! changes the checksum. Integer ops have no rounding and no NaN, so both
+//! dispatch paths agree by construction.
 //!
 //! # Safety policy
 //!
@@ -61,8 +52,8 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Number of independent accumulator lanes in the canonical blocked
-/// reduction order (one AVX2 `f32x8` register's worth).
+/// Number of independent [`checksum`] lanes (one AVX2 `u32x8` register's
+/// worth).
 pub const LANES: usize = 8;
 
 /// FNV-1a offset basis: every [`checksum`] lane and the combine start here.
@@ -86,45 +77,6 @@ fn add_assign_kernel(acc: &mut [f32], row: &[f32]) {
 fn max_assign_kernel(acc: &mut [f32], row: &[f32]) {
     for (a, &r) in acc.iter_mut().zip(row.iter()) {
         *a = a.max(r);
-    }
-}
-
-#[inline(always)]
-fn dot_kernel(a: &[f32], b: &[f32]) -> f32 {
-    let n = a.len().min(b.len());
-    let mut lanes = [0.0f32; LANES];
-    let mut i = 0usize;
-    while i + LANES <= n {
-        for (j, lane) in lanes.iter_mut().enumerate() {
-            *lane += a[i + j] * b[i + j];
-        }
-        i += LANES;
-    }
-    for (j, lane) in lanes.iter_mut().enumerate().take(n - i) {
-        *lane += a[i + j] * b[i + j];
-    }
-    // Fixed combine tree — part of the canonical order.
-    let m = [
-        lanes[0] + lanes[4],
-        lanes[1] + lanes[5],
-        lanes[2] + lanes[6],
-        lanes[3] + lanes[7],
-    ];
-    canonical_nan((m[0] + m[2]) + (m[1] + m[3]))
-}
-
-/// Maps every NaN to the one canonical quiet NaN (`f32::NAN`), leaving
-/// all other values alone. IEEE 754 leaves the sign and payload of a NaN
-/// *result* to the implementation, and in release builds the AVX2 and
-/// baseline codegen of the same `a * b + c` sequence really do pick
-/// different ones — so a reduction that may see a NaN is bit-identical
-/// across dispatch paths only after this.
-#[inline(always)]
-fn canonical_nan(x: f32) -> f32 {
-    if x.is_nan() {
-        f32::NAN
-    } else {
-        x
     }
 }
 
@@ -163,15 +115,6 @@ fn unit_fill_kernel(base: u64, out: &mut [f32]) {
     }
 }
 
-#[inline(always)]
-fn match_mask_kernel(keys: &[u64], needle: u64) -> u32 {
-    let mut mask = 0u32;
-    for (i, &k) in keys.iter().take(32).enumerate() {
-        mask |= u32::from(k == needle) << i;
-    }
-    mask
-}
-
 // ---------------------------------------------------------------------
 // AVX2 specializations: the same kernels, monomorphized with AVX2
 // codegen. Safe `#[target_feature]` fns — callers must prove the
@@ -192,16 +135,6 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     pub(super) fn max_assign_avx2(acc: &mut [f32], row: &[f32]) {
         max_assign_kernel(acc, row);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
-        dot_kernel(a, b)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn match_mask_avx2(keys: &[u64], needle: u64) -> u32 {
-        match_mask_kernel(keys, needle)
     }
 
     #[target_feature(enable = "avx2")]
@@ -290,27 +223,6 @@ pub fn div_assign(acc: &mut [f32], divisor: f32) {
     }
 }
 
-/// Dot product in the canonical blocked reduction order (see crate
-/// docs). Reduces over the common prefix of the two slices.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: guarded by the runtime AVX2 check directly above.
-            #[allow(unsafe_code)]
-            return unsafe { avx2::dot_avx2(a, b) };
-        }
-    }
-    dot_portable(a, b)
-}
-
-/// Portable path of [`dot`] — same blocked order, same result bits.
-#[inline]
-pub fn dot_portable(a: &[f32], b: &[f32]) -> f32 {
-    dot_kernel(a, b)
-}
-
 /// The workspace's slot checksum: `LANES` FNV-1a lanes over the `f32`
 /// words of `value` (word `i` into lane `i % 8`), folded in lane order
 /// (see crate docs). Detects every change confined to one word.
@@ -343,8 +255,8 @@ pub fn checksum_batch(values: &[&[f32]]) -> Vec<u32> {
 /// Fills `out` with the deterministic unit stream of `base`: component
 /// `j` is the SplitMix64 finalizer of `base + j·0x94D0_49BB_1331_11EB`,
 /// mapped into `[-1, 1)` — the procedural embedding payload
-/// (`fleche_store::embedding_value` derives `base` from `(table, id)`
-/// and delegates here). Bit-identical across dispatch paths: each
+/// (`fleche_store::versioned_embedding_value` derives `base` from
+/// `(table, id, version)` and delegates here). Bit-identical across dispatch paths: each
 /// element is an independent exact op sequence, so the AVX2 path only
 /// changes how many elements are in flight, never their bits.
 #[inline]
@@ -367,28 +279,6 @@ pub fn unit_fill(base: u64, out: &mut [f32]) {
 #[inline]
 pub fn unit_fill_portable(base: u64, out: &mut [f32]) {
     unit_fill_kernel(base, out);
-}
-
-/// Bit `i` of the result is set iff `keys[i] == needle`, over the first
-/// 32 keys — the whole-slab compare behind mask-based probing
-/// (`occupied & match_mask` then `trailing_zeros`).
-#[inline]
-pub fn match_mask(keys: &[u64], needle: u64) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: guarded by the runtime AVX2 check directly above.
-            #[allow(unsafe_code)]
-            return unsafe { avx2::match_mask_avx2(keys, needle) };
-        }
-    }
-    match_mask_portable(keys, needle)
-}
-
-/// Portable path of [`match_mask`].
-#[inline]
-pub fn match_mask_portable(keys: &[u64], needle: u64) -> u32 {
-    match_mask_kernel(keys, needle)
 }
 
 /// Hints the CPU to pull the cache line holding `*value` towards L1
@@ -449,53 +339,11 @@ mod tests {
             max_assign(&mut m1, &b);
             max_assign_portable(&mut m2, &b);
             assert_eq!(bits(&m1), bits(&m2), "max n={n}");
-            assert_eq!(
-                dot(&a, &b).to_bits(),
-                dot_portable(&a, &b).to_bits(),
-                "dot n={n}"
-            );
         }
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    #[test]
-    fn dot_uses_the_canonical_blocked_order() {
-        // Re-derive the canonical order by hand for n = 11 and require an
-        // exact bit match — this is the order the crate docs promise.
-        let (a, b) = vecs(7, 11);
-        let mut lanes = [0.0f32; LANES];
-        for i in 0..11 {
-            lanes[i % LANES] += a[i] * b[i];
-        }
-        let m = [
-            lanes[0] + lanes[4],
-            lanes[1] + lanes[5],
-            lanes[2] + lanes[6],
-            lanes[3] + lanes[7],
-        ];
-        let want = canonical_nan((m[0] + m[2]) + (m[1] + m[3]));
-        assert_eq!(dot(&a, &b).to_bits(), want.to_bits());
-    }
-
-    #[test]
-    fn dot_canonicalises_nan_results() {
-        // Whatever sign/payload the inputs carry — and whichever dispatch
-        // path runs — a NaN sum comes back as the one canonical NaN.
-        for nan in [f32::NAN, -f32::NAN, f32::from_bits(0x7FC0_1234)] {
-            let a = [1.0, nan, 3.0];
-            let b = [2.0, 2.0, 2.0];
-            assert_eq!(dot(&a, &b).to_bits(), f32::NAN.to_bits());
-            assert_eq!(dot_portable(&a, &b).to_bits(), f32::NAN.to_bits());
-        }
-        assert_eq!(
-            dot(&[f32::INFINITY], &[0.0]).to_bits(),
-            f32::NAN.to_bits(),
-            "inf * 0 produces a NaN, canonicalised too"
-        );
-        assert_eq!(canonical_nan(-0.0).to_bits(), (-0.0f32).to_bits());
     }
 
     #[test]
@@ -539,23 +387,6 @@ mod tests {
             checksum_batch(&[&[q1], &[q2]]),
             vec![checksum(&[q1]), checksum(&[q2])]
         );
-    }
-
-    #[test]
-    fn match_mask_agrees_with_bit_scan() {
-        let keys: Vec<u64> = (0..32).map(|i| (i as u64 * 7) % 13).collect();
-        for needle in 0..14u64 {
-            let mut want = 0u32;
-            for (i, &k) in keys.iter().enumerate() {
-                if k == needle {
-                    want |= 1 << i;
-                }
-            }
-            assert_eq!(match_mask(&keys, needle), want);
-            assert_eq!(match_mask_portable(&keys, needle), want);
-        }
-        // Shorter-than-slab inputs only cover the bits they have.
-        assert_eq!(match_mask(&[5, 9, 5], 5), 0b101);
     }
 
     #[test]

@@ -22,17 +22,14 @@ pub const DRAM_INDEX_BYTES: u64 = 64;
 ///
 /// Values are in `[-1, 1)`, derived from a SplitMix64 stream keyed by
 /// `(table, id, component)`. This *is* the stored value of the embedding:
-/// the function plays the role of the DRAM hash table's payload. The
-/// per-component stream lives in `fleche_simd::unit_fill` (the fill is
-/// the gather path's bottleneck, so it runs under runtime SIMD
-/// dispatch); every component is an independent exact op sequence, so
-/// the values are bit-identical to the original scalar loop on every
-/// dispatch path.
+/// the function plays the role of the DRAM hash table's payload. It is
+/// the version-0 case of [`crate::versioned_embedding_value`], whose
+/// per-component stream is `fleche_simd::unit_fill` (the fill is the
+/// gather path's bottleneck, so it runs under runtime SIMD dispatch; every
+/// component is an independent exact op sequence, so the values are
+/// bit-identical on every dispatch path).
 pub fn embedding_value(table: u16, id: u64, out: &mut [f32]) {
-    let base = (table as u64 + 1)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(id.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    fleche_simd::unit_fill(base, out);
+    crate::update::versioned_embedding_value(table, id, 0, out);
 }
 
 /// The CPU-DRAM layer: all embedding tables of a dataset, plus the cost

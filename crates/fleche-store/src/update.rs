@@ -28,22 +28,17 @@ use rand::{Rng, SeedableRng};
 /// Deterministically fills `out` with the embedding of `(table, id)` at
 /// update version `version`.
 ///
-/// Version 0 reproduces [`crate::embedding_value`] bit-exactly; each
-/// later version mixes the version counter into the SplitMix64 base so
-/// every component changes. This *is* the stored value of the embedding
-/// after `version` trainer pushes.
+/// The value is `fleche_simd::unit_fill` over a SplitMix64 base keyed by
+/// `(table, id)` and salted with the version, so every component changes
+/// from one version to the next; version 0 adds nothing to the base and
+/// is [`crate::embedding_value`] by construction. This *is* the stored
+/// value of the embedding after `version` trainer pushes.
 pub fn versioned_embedding_value(table: u16, id: u64, version: u64, out: &mut [f32]) {
     let base = (table as u64 + 1)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(id.wrapping_mul(0xBF58_476D_1CE4_E5B9))
         .wrapping_add(version.wrapping_mul(0xD6E8_FEB8_6659_FD93));
-    for (j, v) in out.iter_mut().enumerate() {
-        let mut x = base.wrapping_add((j as u64).wrapping_mul(0x94D0_49BB_1331_11EB));
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        *v = ((x >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) as f32;
-    }
+    fleche_simd::unit_fill(base, out);
 }
 
 /// One trainer push: "the embedding of `(table, id)` is now at
