@@ -9,9 +9,10 @@
 //! (attention layers consume the individual vectors). We implement it as
 //! an ablation so the trade-off is measurable: high payoff when multi-hot
 //! groups repeat, zero coverage for one-hot fields whose single-ID
-//! "groups" are just the embeddings themselves.
+//! "groups" are just the embeddings themselves. It memoizes the sum, the
+//! pooling every model in this reproduction uses.
 
-use fleche_store::{CpuStore, Pooling};
+use fleche_store::CpuStore;
 use std::collections::HashMap;
 
 /// One memoized pooled vector.
@@ -47,23 +48,20 @@ impl ReductionStats {
 /// Memoization cache over pooled multi-hot groups.
 ///
 /// Keys are the exact ID multiset of one (table, sample) field; values are
-/// the pooled vectors. Only algebraic poolings are supported — the
-/// constructor refuses anything a reduction cache cannot legally memoize.
+/// the pooled (summed) vectors.
 pub struct ReductionCache {
     entries: HashMap<(u16, Vec<u64>), PooledEntry>,
     capacity_groups: usize,
-    pooling: Pooling,
     clock: u64,
     stats: ReductionStats,
 }
 
 impl ReductionCache {
     /// Creates a cache memoizing up to `capacity_groups` pooled groups.
-    pub fn new(capacity_groups: usize, pooling: Pooling) -> ReductionCache {
+    pub fn new(capacity_groups: usize) -> ReductionCache {
         ReductionCache {
             entries: HashMap::new(),
             capacity_groups: capacity_groups.max(1),
-            pooling,
             clock: 0,
             stats: ReductionStats::default(),
         }
@@ -100,7 +98,7 @@ impl ReductionCache {
         self.stats.group_misses += 1;
         // Streaming gather: one reused scratch row instead of a Vec per
         // id (the per-row allocations used to dominate this miss path).
-        let value = store.pooled(table, ids, self.pooling);
+        let value = store.pooled(table, ids);
         if self.entries.len() >= self.capacity_groups {
             self.evict_coldest();
         }
@@ -140,22 +138,22 @@ mod tests {
     #[test]
     fn memoizes_pooled_groups() {
         let s = store();
-        let mut rc = ReductionCache::new(64, Pooling::Sum);
+        let mut rc = ReductionCache::new(64);
         let a = rc.pooled(&s, 0, &[1, 2, 3]);
         assert_eq!(rc.stats().group_misses, 1);
         let b = rc.pooled(&s, 0, &[1, 2, 3]);
         assert_eq!(rc.stats().group_hits, 1);
         assert_eq!(a, b);
-        // Matches computing the pooling by hand.
-        let rows = [s.read(0, 1), s.read(0, 2), s.read(0, 3)];
-        let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
-        assert_eq!(a, Pooling::Sum.reduce(&refs));
+        // Matches summing the rows by hand.
+        let (r1, r2, r3) = (s.read(0, 1), s.read(0, 2), s.read(0, 3));
+        let by_hand: Vec<f32> = (0..r1.len()).map(|i| r1[i] + r2[i] + r3[i]).collect();
+        assert_eq!(a, by_hand);
     }
 
     #[test]
     fn group_key_is_order_insensitive() {
         let s = store();
-        let mut rc = ReductionCache::new(64, Pooling::Sum);
+        let mut rc = ReductionCache::new(64);
         rc.pooled(&s, 0, &[3, 1, 2]);
         rc.pooled(&s, 0, &[1, 2, 3]);
         assert_eq!(rc.stats().group_hits, 1, "permutations share one entry");
@@ -165,7 +163,7 @@ mod tests {
     #[test]
     fn different_tables_do_not_share_groups() {
         let s = store();
-        let mut rc = ReductionCache::new(64, Pooling::Sum);
+        let mut rc = ReductionCache::new(64);
         let a = rc.pooled(&s, 0, &[5]);
         let b = rc.pooled(&s, 1, &[5]);
         assert_ne!(a, b);
@@ -175,7 +173,7 @@ mod tests {
     #[test]
     fn capacity_evicts_lru_group() {
         let s = store();
-        let mut rc = ReductionCache::new(2, Pooling::Max);
+        let mut rc = ReductionCache::new(2);
         rc.pooled(&s, 0, &[1]);
         rc.pooled(&s, 0, &[2]);
         rc.pooled(&s, 0, &[1]); // refresh group [1]
@@ -192,7 +190,7 @@ mod tests {
         // With single-ID groups the reduction cache is just a worse point
         // cache — the structural observation behind the paper's rejection.
         let s = store();
-        let mut rc = ReductionCache::new(16, Pooling::Sum);
+        let mut rc = ReductionCache::new(16);
         let v = rc.pooled(&s, 0, &[7]);
         assert_eq!(v, s.read(0, 7), "pooling one vector is the identity");
     }

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use fleche_core::MultiGpuFleche;
-use fleche_gpu::{Gpu, Ns};
+use fleche_gpu::Gpu;
 
 use crate::{bench_report, print_header, rolling_mean, t4, write_bench_json, Args, JsonEmitter};
 
@@ -32,7 +32,7 @@ pub(crate) struct Drill<'a> {
 
 impl<'a> Drill<'a> {
     /// Prints the standard header under `title`.
-    pub fn start(args: &'a Args, title: &str) -> Drill<'a> {
+    pub(crate) fn start(args: &'a Args, title: &str) -> Drill<'a> {
         print_header(title);
         Drill {
             args,
@@ -41,18 +41,18 @@ impl<'a> Drill<'a> {
     }
 
     /// Remembers one verdict and returns how it prints.
-    pub fn verdict(&mut self, ok: bool) -> &'static str {
+    pub(crate) fn verdict(&mut self, ok: bool) -> &'static str {
         self.failed |= !ok;
         pass_fail(ok)
     }
 
     /// Prints one acceptance line and remembers its verdict.
-    pub fn accept(&mut self, tag: &str, ok: bool, text: &str) {
+    pub(crate) fn accept(&mut self, tag: &str, ok: bool, text: &str) {
         println!("acceptance ({tag}): {text} -> {}", self.verdict(ok));
     }
 
     /// A fresh [`t4`], its race checker armed under `--analyze`.
-    pub fn gpu(&self) -> Gpu {
+    pub(crate) fn gpu(&self) -> Gpu {
         let mut gpu = t4();
         if self.args.analyze {
             gpu.enable_race_checker();
@@ -61,7 +61,7 @@ impl<'a> Drill<'a> {
     }
 
     /// `mg`, every shard's race checker armed under `--analyze`.
-    pub fn shards(&self, mut mg: MultiGpuFleche) -> MultiGpuFleche {
+    pub(crate) fn shards(&self, mut mg: MultiGpuFleche) -> MultiGpuFleche {
         if self.args.analyze {
             mg.enable_race_checkers();
         }
@@ -70,7 +70,7 @@ impl<'a> Drill<'a> {
 
     /// The `--analyze` gate: if `gpu`'s race checker recorded any unordered
     /// conflicting pair during `what`, reports them under the drill's name.
-    pub fn check_races(&self, gpu: &Gpu, what: &str) -> Result<(), RacesFound> {
+    pub(crate) fn check_races(&self, gpu: &Gpu, what: &str) -> Result<(), RacesFound> {
         match gpu.race_checker() {
             Some(rc) if rc.race_count() > 0 => {
                 let drill = self.args.name;
@@ -85,18 +85,22 @@ impl<'a> Drill<'a> {
     }
 
     /// [`Drill::check_races`] over every shard of a multi-GPU system.
-    pub fn check_shard_races(&self, mg: &mut MultiGpuFleche, what: &str) -> Result<(), RacesFound> {
+    pub(crate) fn check_shard_races(
+        &self,
+        mg: &mut MultiGpuFleche,
+        what: &str,
+    ) -> Result<(), RacesFound> {
         (0..mg.shard_count())
             .try_for_each(|s| self.check_races(mg.shard_gpu_mut(s), &format!("{what} (shard {s})")))
     }
 
     /// A report already carrying the prelude.
-    pub fn report(&self) -> JsonEmitter {
+    pub(crate) fn report(&self) -> JsonEmitter {
         bench_report(self.args.name, self.args.quick)
     }
 
     /// 1 once any verdict was a failure, 0 until then.
-    pub fn code(&self) -> u8 {
+    pub(crate) fn code(&self) -> u8 {
         u8::from(self.failed)
     }
 
@@ -104,7 +108,7 @@ impl<'a> Drill<'a> {
     /// "expected:" paragraph and, under `--analyze`, that the checker saw
     /// no race across its second half (the run would have ended at the
     /// first one). The exit status is 1 if any acceptance failed.
-    pub fn finish(
+    pub(crate) fn finish(
         self,
         file: &str,
         report: JsonEmitter,
@@ -135,13 +139,6 @@ pub(crate) fn batches_to_recover(
     (from..rates.len())
         .find(|&b| rolling_mean(&rates[from..=b], window) >= target)
         .map(|b| (b - from + 1) as u64)
-}
-
-/// The 99th percentile of `walls` (ns): the entry at
-/// `round((n - 1) * 0.99)` once sorted. Sorts `walls` in place.
-pub(crate) fn p99_of(walls: &mut [f64]) -> Ns {
-    walls.sort_by(|a, b| a.partial_cmp(b).expect("finite walls"));
-    Ns(walls[((walls.len() - 1) as f64 * 0.99).round() as usize])
 }
 
 /// The batches a drill's timeline shows: every `batches / 12`-th, plus

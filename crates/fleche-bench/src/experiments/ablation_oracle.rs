@@ -7,9 +7,7 @@
 
 use crate::{build_engine, print_header, Args, SystemKind, TextTable};
 use fleche_model::ModelMode;
-use fleche_workload::{
-    analytic_optimal_hit_rate, belady_hit_rate, FrequencyCensus, TraceGenerator,
-};
+use fleche_workload::{analytic_optimal_hit_rate, belady_hit_rate, TraceGenerator, WorkloadStats};
 
 pub(crate) fn main(args: &Args) {
     print_header("Ablation: Optimal (analytic) vs census vs Belady vs real systems");
@@ -28,7 +26,7 @@ pub(crate) fn main(args: &Args) {
         let analytic = analytic_optimal_hit_rate(&ds, budget);
 
         let mut gen = TraceGenerator::new(&ds);
-        let mut census = FrequencyCensus::new();
+        let mut census = WorkloadStats::new();
         let mut accesses = Vec::new();
         for _ in 0..batches {
             let b = gen.next_batch(batch);

@@ -10,7 +10,6 @@ use crate::{print_header, t4, xeon_store, Args, TextTable};
 use fleche_baseline::ReductionCache;
 use fleche_core::{FlecheConfig, FlecheSystem};
 use fleche_store::api::EmbeddingCacheSystem;
-use fleche_store::Pooling;
 use fleche_workload::{spec, DatasetSpec, TraceGenerator};
 
 /// Group-level repeat structure: how often entire multi-hot groups recur.
@@ -18,7 +17,7 @@ fn run_reduction(ds: &DatasetSpec, batches: usize, batch: usize) -> (f64, usize)
     let store = xeon_store(ds);
     // Same byte budget as the 5% point cache, spent on pooled vectors.
     let budget_groups = (ds.cache_bytes(0.05) / (ds.tables[0].dim as u64 * 4)).max(1) as usize;
-    let mut rc = ReductionCache::new(budget_groups, Pooling::Sum);
+    let mut rc = ReductionCache::new(budget_groups);
     let mut gen = TraceGenerator::new(ds);
     for _ in 0..batches {
         let b = gen.next_batch(batch);

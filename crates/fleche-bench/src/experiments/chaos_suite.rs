@@ -27,11 +27,12 @@
 
 use std::process::ExitCode;
 
-use crate::drill::{p99_of, Drill, RacesFound};
+use crate::drill::{Drill, RacesFound};
 use crate::{fmt_ns, xeon_dram, xeon_store, Args, TextTable};
 use fleche_chaos::{BreakerConfig, BreakerTransitions, FaultPlan, RetryPolicy};
 use fleche_core::{FlecheConfig, FlecheSystem};
 use fleche_gpu::Ns;
+use fleche_model::LatencyRecorder;
 use fleche_store::api::EmbeddingCacheSystem;
 use fleche_store::{RemoteSpec, TieredStore};
 use fleche_workload::{spec, DatasetSpec, TraceGenerator};
@@ -161,7 +162,7 @@ fn run_cell(
     }
     sys.reset_stats();
 
-    let mut walls: Vec<f64> = Vec::with_capacity(batches);
+    let mut walls = LatencyRecorder::new();
     let mut corrupt_served = 0u64;
     for _ in 0..batches {
         if recovery == Recovery::Full {
@@ -177,7 +178,7 @@ fn run_cell(
         }
         let batch = gen.next_batch(BATCH);
         let out = sys.query_batch(&mut gpu, &batch);
-        walls.push(out.stats.wall.as_ns());
+        walls.record(out.stats.wall);
         for ((t, id), row) in batch.iter_accesses().zip(&out.rows) {
             if *row != truth.read(t, id) && row.iter().any(|&v| v != 0.0) {
                 corrupt_served += 1;
@@ -198,7 +199,7 @@ fn run_cell(
         .unwrap_or_default();
     Ok(CellResult {
         availability: life.availability(),
-        p99_batch: p99_of(&mut walls),
+        p99_batch: walls.p99(),
         stale_rate: life.stale_rate(),
         corrupt_served,
         corrupt_detected: life.corrupt_detected,

@@ -22,9 +22,7 @@ use crate::timer::{time, Timing};
 use crate::{bench_report, print_header, write_bench_json, xeon_store, Args};
 use fleche_baseline::ReductionCache;
 use fleche_coding::{FixedLenCodec, FlatKey, FlatKeyCodec, SizeAwareCodec};
-use fleche_core::checksum_of;
 use fleche_index::{ClassSpec, GpuIndex, Loc, SlabHash, SlabPool};
-use fleche_store::Pooling;
 use fleche_workload::spec;
 
 /// The timed labels of one run, in run order.
@@ -61,7 +59,7 @@ fn bench_pooled_reduction(h: &mut Hotpath) {
     let store = xeon_store(&ds);
     let ids: Vec<u64> = (0..64u64).map(|i| (i * 97) % 50_000).collect();
     h.group("reduction", ids.len() as u64);
-    let mut cache = ReductionCache::new(0, Pooling::Sum);
+    let mut cache = ReductionCache::new(0);
     h.bench("pooled_64ids_32d", || {
         black_box(cache.pooled(&store, 0, &ids))
     });
@@ -90,7 +88,7 @@ fn bench_pooled_reduction(h: &mut Hotpath) {
         black_box(acc)
     });
     h.bench("gather_64ids_32d", || {
-        black_box(store.pooled(0, &ids, Pooling::Sum))
+        black_box(store.pooled(0, &ids))
     });
 }
 
@@ -143,7 +141,7 @@ fn bench_checksum(h: &mut Hotpath) {
         let value: Vec<f32> = (0..dim).map(|i| i as f32 * 0.5).collect();
         let v = &value;
         h.group("checksum", dim as u64 * 4);
-        h.bench(format_args!("row/{dim}"), || black_box(checksum_of(v)));
+        h.bench(format_args!("row/{dim}"), || black_box(fleche_simd::checksum(v)));
         let mut pool = SlabPool::new(&[ClassSpec {
             dim: dim as u32,
             slots: 16,

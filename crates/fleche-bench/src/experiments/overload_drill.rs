@@ -304,7 +304,7 @@ fn drill_overload(d: &Drill) -> Result<OverloadReport, RacesFound> {
     cfg.max_batch = 64;
     cfg.queue_capacity = 128;
     cfg.deadline = Some(Ns::from_us(500.0));
-    cfg.controller.observe_every = 4;
+    cfg.controller_observe_every = 4;
     cfg.controller_min_samples = 16;
     for t in &mut cfg.tenants {
         t.quota = 600_000.0;

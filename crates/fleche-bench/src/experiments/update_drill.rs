@@ -44,11 +44,12 @@ use std::collections::BTreeMap;
 
 use std::process::ExitCode;
 
-use crate::drill::{batches_to_recover, p99_of, timeline_batches, Drill, RacesFound};
+use crate::drill::{batches_to_recover, timeline_batches, Drill, RacesFound};
 use crate::{fmt_ns, rolling_mean, xeon_store, Args, JsonEmitter, TextTable};
 use fleche_chaos::{DeviceLossSpec, FaultPlan, StalenessConfig, UpdateFaultSpec};
 use fleche_core::{FlecheConfig, FlecheSystem, InterconnectSpec, MultiGpuFleche, StalenessStats};
 use fleche_gpu::Ns;
+use fleche_model::LatencyRecorder;
 use fleche_store::api::EmbeddingCacheSystem;
 use fleche_store::{versioned_embedding_value, UpdateStream};
 use fleche_workload::{spec, DatasetSpec, TraceGenerator, WorkloadStats};
@@ -139,7 +140,7 @@ fn drill_race(d: &Drill) -> Result<RaceReport, RacesFound> {
     let mut regressions = 0u64;
     let mut max_served_lag = 0u64;
     let mut rates: Vec<f64> = Vec::new();
-    let mut walls: Vec<f64> = Vec::new();
+    let mut walls = LatencyRecorder::new();
     for b in 0..batches {
         // Trainer turn: commit every push to the reliable ledger channel,
         // then run the same pushes through the lossy cache channel.
@@ -154,7 +155,7 @@ fn drill_race(d: &Drill) -> Result<RaceReport, RacesFound> {
         let batch = gen.next_batch(BATCH);
         let out = sys.query_batch(&mut gpu, &batch);
         rates.push(out.stats.hit_rate());
-        walls.push(out.stats.wall.as_ns());
+        walls.record(out.stats.wall);
 
         for ((t, id), row) in batch.iter_accesses().zip(&out.rows) {
             let latest = stream.version_of(t, id);
@@ -182,7 +183,7 @@ fn drill_race(d: &Drill) -> Result<RaceReport, RacesFound> {
         regressions,
         max_served_lag,
         mean_hit: rates.iter().sum::<f64>() / rates.len() as f64,
-        p99: p99_of(&mut walls),
+        p99: walls.p99(),
         staleness: sys.staleness_stats(),
     })
 }
@@ -404,7 +405,7 @@ fn drill_outage(d: &Drill) -> Result<OutageReport, RacesFound> {
     let mut violations = 0u64;
     let mut degraded_batches = 0u64;
     let mut rates: Vec<f64> = Vec::new();
-    let mut walls: Vec<f64> = Vec::new();
+    let mut walls = LatencyRecorder::new();
     let mut timeline: Vec<OutagePoint> = Vec::new();
     let mut last_demoted = 0u64;
     for b in 0..batches {
@@ -424,7 +425,7 @@ fn drill_outage(d: &Drill) -> Result<OutageReport, RacesFound> {
         let batch = gen.next_batch(BATCH);
         let out = sys.query_batch(&mut gpu, &batch);
         rates.push(out.stats.hit_rate());
-        walls.push(out.stats.wall.as_ns());
+        walls.record(out.stats.wall);
 
         let mut batch_max_lag = 0u64;
         for ((t, id), row) in batch.iter_accesses().zip(&out.rows) {
@@ -467,7 +468,7 @@ fn drill_outage(d: &Drill) -> Result<OutageReport, RacesFound> {
         pending_at_end: sys.updates().pending_len(),
         worst_raw_lag: policy.worst_lag(),
         mean_hit: rates.iter().sum::<f64>() / rates.len() as f64,
-        p99: p99_of(&mut walls),
+        p99: walls.p99(),
         staleness: sys.staleness_stats(),
         timeline,
     })

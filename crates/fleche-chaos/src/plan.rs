@@ -119,8 +119,8 @@ pub struct UpdateFaultSpec {
 
 /// Arrival-overload model: periodic bursts during which the offered
 /// request rate is multiplied, driving the admission queue and deadline
-/// shedding machinery. Unlike the other fault domains this one injects
-/// *load*, not failures — the serving front-end must shed deterministically
+/// shedding machinery. It injects *load*, not failures, so it is not a
+/// [`FaultPlan`] domain — the serving front-end must shed deterministically
 /// under it, serially and across concurrent workers alike.
 #[derive(Clone, Debug, Default)]
 pub struct OverloadSpec {
@@ -176,20 +176,6 @@ pub struct FlashCrowdSpec {
     /// Salt for crowd-key placement (see
     /// [`fleche_workload::HotChurnSpec::crowd_id`]).
     pub salt: u64,
-}
-
-impl Default for FlashCrowdSpec {
-    fn default() -> FlashCrowdSpec {
-        FlashCrowdSpec {
-            tenant: 0,
-            start: Ns::ZERO,
-            duration: Ns::ZERO,
-            rate_factor: 1.0,
-            crowd_fraction: 0.0,
-            crowd_size: 1,
-            salt: 0,
-        }
-    }
 }
 
 impl FlashCrowdSpec {
@@ -256,10 +242,6 @@ pub struct FaultPlan {
     pub snapshot: SnapshotFaultSpec,
     /// Trainer-push channel faults.
     pub update: UpdateFaultSpec,
-    /// Arrival-rate overload bursts.
-    pub overload: OverloadSpec,
-    /// Single-tenant flash crowd (rate spike + hot-key churn).
-    pub flash_crowd: FlashCrowdSpec,
 }
 
 const DOMAIN_REMOTE: u64 = 0x01;
@@ -280,8 +262,6 @@ impl FaultPlan {
             restart: RestartSpec::default(),
             snapshot: SnapshotFaultSpec::default(),
             update: UpdateFaultSpec::default(),
-            overload: OverloadSpec::default(),
-            flash_crowd: FlashCrowdSpec::default(),
         }
     }
 
@@ -612,8 +592,11 @@ mod tests {
         assert_eq!(churn.start, 2_000);
         assert_eq!(churn.duration, 4_000);
         assert_eq!(churn.crowd_fraction, 0.7);
-        // Quiet spec injects nothing anywhere.
-        let quiet = FlashCrowdSpec::default();
+        // A zero-length crowd injects nothing anywhere.
+        let quiet = FlashCrowdSpec {
+            duration: Ns::ZERO,
+            ..spec
+        };
         assert!(!quiet.is_active());
         assert!(quiet.windows().is_empty());
         assert_eq!(quiet.churn(1_000_000.0).crowd_fraction, 0.0);

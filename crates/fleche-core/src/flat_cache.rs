@@ -15,20 +15,11 @@ use crate::tenancy::{TenantCacheStats, TenantPartition};
 use fleche_coding::FlatKey;
 use fleche_index::{
     ClassSpec, EpochGuard, EpochManager, GpuIndex, IndexInsert, Loc, MegaKv, PackedLoc, PoolError,
-    ProbeStats, ScanEntry, SlabHash, SlabPool,
+    ProbeStats, SlabHash, SlabPool,
 };
 use fleche_workload::DatasetSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// The per-slot checksum readers verify when
-/// [`FlatCache::enable_checksums`] is on: [`fleche_simd::checksum`], eight
-/// FNV-1a lanes over the value's f32 words. It changes under any change
-/// confined to one word, every single-bit flip included. Writes record it
-/// through [`SlabPool::write_with_checksum`].
-pub fn checksum_of(value: &[f32]) -> u32 {
-    fleche_simd::checksum(value)
-}
 
 /// Hints the CPU to fetch the pool row of `(class, slot)`: one hint per 64
 /// bytes of the row, plus its last element, since a row need not start on
@@ -411,7 +402,9 @@ impl FlatCache {
             .release(class, slot, self.slot_bytes(class), evicted);
     }
 
-    /// Turns on per-slot checksums. Existing live slots are checksummed so
+    /// Turns on per-slot checksums: [`fleche_simd::checksum`] of each
+    /// value, which changes under any change confined to one f32 word,
+    /// every single-bit flip included. Existing live slots are checksummed so
     /// enabling mid-life never produces false corruption alarms; retired
     /// slots awaiting reclamation are skipped, as no hit can reach them.
     pub fn enable_checksums(&mut self) {
@@ -422,7 +415,7 @@ impl FlatCache {
                     continue;
                 }
                 if let Ok(v) = self.pool.read(class, slot) {
-                    sums.replace(class, slot, Some(checksum_of(v)));
+                    sums.replace(class, slot, Some(fleche_simd::checksum(v)));
                 }
             }
         }
@@ -430,7 +423,7 @@ impl FlatCache {
     }
 
     /// Writes `value` into a live pool slot, recording its checksum
-    /// ([`checksum_of`] over `value`, from
+    /// ([`fleche_simd::checksum`] over `value`, from
     /// [`SlabPool::write_with_checksum`]) when checksums are enabled; with
     /// checksums off it is a plain pool write.
     fn write_slot_checksummed(
@@ -467,7 +460,7 @@ impl FlatCache {
                 Some(expected) => self
                     .pool
                     .read_during_grace(class, slot)
-                    .is_ok_and(|v| checksum_of(v) == expected),
+                    .is_ok_and(|v| fleche_simd::checksum(v) == expected),
             })
             .collect()
     }
@@ -714,7 +707,7 @@ impl FlatCache {
             };
             u.write_value(row);
             if let Some(sums) = &mut self.checksums {
-                sums.replace(class, slot, Some(checksum_of(row)));
+                sums.replace(class, slot, Some(fleche_simd::checksum(row)));
             }
             self.set_slot_version(class, slot, u.version());
             report.applied += 1;
@@ -762,9 +755,10 @@ impl FlatCache {
                     return (Some((c, slot)), stats);
                 }
             }
-            // A unified pointer falls through to allocation: the index
-            // insert below overwrites it, and only that drops the count — a
-            // full class leaves the pointer (and the count) in place.
+            // A unified pointer, or a slot the refresh cannot reuse (its
+            // class holds another dimension), falls through to allocation:
+            // the index insert below overwrites it, and only that releases
+            // it — a full class leaves the entry (and its storage) in place.
         }
         let slot = match self.pool.alloc(class) {
             Ok((slot, s)) => {
@@ -792,11 +786,9 @@ impl FlatCache {
             .insert(key.0, Loc::Hbm { class, slot }.pack(), stamp);
         stats.merge(&s2);
         match outcome {
-            IndexInsert::Displaced { victim } => {
-                // A cuckoo kick-out pushed a resident entry off the index:
-                // treat its storage like an eviction.
-                self.release_displaced(victim);
-            }
+            // A cuckoo kick-out pushed a resident entry off the index:
+            // treat its storage like an eviction.
+            IndexInsert::Displaced { victim } => self.release(victim.loc, true),
             IndexInsert::Rejected => {
                 // The index could not place the key: undo the allocation
                 // and report a bypass. The free cannot fail for a slot
@@ -805,22 +797,21 @@ impl FlatCache {
                 debug_assert!(freed.is_ok(), "just-allocated slot must free");
                 return (None, stats);
             }
-            IndexInsert::Updated { previous } if previous.is_dram() => {
-                self.unified_count = self.unified_count.saturating_sub(1);
-            }
-            IndexInsert::Inserted | IndexInsert::Updated { .. } => {}
+            // The key held a unified pointer, or a slot of another class
+            // that the in-place refresh above could not reuse.
+            IndexInsert::Updated { previous } => self.release(previous, false),
+            IndexInsert::Inserted => {}
         }
         self.tenants.charge(class, slot, self.slot_bytes(class));
         (Some((class, slot)), stats)
     }
 
-    /// Retires the storage of an entry the index displaced on its own
-    /// (cuckoo kick-out overflow).
-    fn release_displaced(&mut self, victim: ScanEntry) {
-        match victim.loc.unpack() {
-            Loc::Hbm { class, slot } => {
-                self.retire_slot(class, slot, true);
-            }
+    /// Retires the storage behind an index entry that was displaced
+    /// (cuckoo kick-out overflow; `evicted`) or overwritten: a slot goes
+    /// to [`Self::retire_slot`], a unified pointer leaves the count.
+    fn release(&mut self, loc: PackedLoc, evicted: bool) {
+        match loc.unpack() {
+            Loc::Hbm { class, slot } => self.retire_slot(class, slot, evicted),
             Loc::Dram { .. } => {
                 self.unified_count = self.unified_count.saturating_sub(1);
             }
@@ -845,7 +836,7 @@ impl FlatCache {
             .insert(key.0, Loc::Dram { table, feature }.pack(), stamp);
         match outcome {
             IndexInsert::Rejected => return stats,
-            IndexInsert::Displaced { victim } => self.release_displaced(victim),
+            IndexInsert::Displaced { victim } => self.release(victim.loc, true),
             IndexInsert::Inserted | IndexInsert::Updated { .. } => {}
         }
         self.unified_count += 1;
@@ -1208,6 +1199,7 @@ mod tests {
     use super::*;
     use crate::recovery::SnapshotKind;
     use fleche_coding::{FlatKeyCodec, SizeAwareCodec};
+    use fleche_index::ScanEntry;
     use fleche_workload::spec;
     use proptest::prelude::*;
 
@@ -1262,7 +1254,7 @@ mod tests {
         assert_eq!(report.applied, 1);
         assert_eq!(c.verify_hits(&[(class, slot)]), [true]);
         let recorded = c.checksums.as_ref().map(|s| s.get(class, slot));
-        assert_eq!(recorded, Some(Some(checksum_of(&val(13.0)))));
+        assert_eq!(recorded, Some(Some(fleche_simd::checksum(&val(13.0)))));
     }
 
     #[test]
@@ -2254,6 +2246,33 @@ mod tests {
         assert_ne!(c.class_of(0), c.class_of(1));
         assert_eq!(c.dim_of(0), 16);
         assert_eq!(c.dim_of(1), 64);
+    }
+
+    #[test]
+    fn restoring_a_key_under_another_class_retires_its_old_slot() {
+        // A checkpoint read back after the dataset's geometry changed can
+        // name a valid class other than the one the key lives in.
+        let mut ds = spec::synthetic(2, 1_000, 16, -1.2);
+        ds.tables[1].dim = 64;
+        let mut c = FlatCache::new(&ds, 1 << 20, FlatCacheConfig::default());
+        let key = FlatKey(7);
+        c.insert_value(0, key, &[1.0; 16], 1)
+            .0
+            .expect("pool has room");
+        let entry = SnapshotEntry {
+            key: key.0,
+            class: c.class_of(1),
+            stamp: 2,
+            version: 0,
+            value: vec![2.0; 64],
+        };
+        let report = c
+            .restore(&CheckpointChain::new(1, &[entry]))
+            .expect("verified chain restores");
+        assert_eq!(report.restored, 1);
+        c.end_batch();
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.live_value_count(), 1, "the old slot is freed");
     }
 
     /// The eviction pass before victims were selected, kept as the

@@ -41,7 +41,7 @@ pub mod tuner;
 pub mod update;
 
 pub use flat_cache::{
-    checksum_of, CacheAnswer, FlatCache, FlatCacheConfig, IndexBackend, PendingUpdate, SlotUpdate,
+    CacheAnswer, FlatCache, FlatCacheConfig, IndexBackend, PendingUpdate, SlotUpdate,
     UpdateApplyReport, UNIFIED_ENTRY_BYTES,
 };
 pub use fusion::{FusionError, FusionMember, FusionPlan, ARGS_ENTRY_BYTES, WARP};

@@ -119,7 +119,7 @@ pub(crate) mod conformance {
     }
 
     /// Exercises the map contract: insert/lookup/update/remove/scan.
-    pub fn check_map_contract(index: &mut dyn GpuIndex) {
+    pub(crate) fn check_map_contract(index: &mut dyn GpuIndex) {
         assert!(index.is_empty());
         let (out, _) = index.insert(10, hbm(1), 1);
         assert!(matches!(out, IndexInsert::Inserted));
@@ -141,7 +141,7 @@ pub(crate) mod conformance {
     }
 
     /// Fills the index with `n` keys and verifies scan coverage.
-    pub fn check_bulk_and_scan(index: &mut dyn GpuIndex, n: u64) {
+    pub(crate) fn check_bulk_and_scan(index: &mut dyn GpuIndex, n: u64) {
         let mut stored = 0u64;
         for k in 1..=n {
             match index.insert(k, hbm(k as u32), k as u32).0 {

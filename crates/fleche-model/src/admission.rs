@@ -126,64 +126,35 @@ pub struct TenantSpec {
     pub bursts: Vec<BurstWindow>,
 }
 
-/// Adaptive-controller knobs. Tightening enters when a tenant's measured
-/// p99 crosses `slo_entry ×` its SLO and exits below `slo_exit ×` — the
-/// gap is the hysteresis band, carried by the PR-1
-/// [`StalenessPolicy`] transition surface.
-#[derive(Clone, Copy, Debug)]
-pub struct ControllerConfig {
-    /// Batches between controller observations.
-    pub observe_every: u64,
-    /// Quota multiplier applied while a tenant is tightened.
-    pub tighten_factor: f64,
-    /// p99/SLO ratio at which tightening engages (≥ `slo_exit`).
-    pub slo_entry: f64,
-    /// p99/SLO ratio at or below which tightening releases.
-    pub slo_exit: f64,
-}
-
-impl Default for ControllerConfig {
-    fn default() -> ControllerConfig {
-        ControllerConfig {
-            observe_every: 8,
-            tighten_factor: 0.5,
-            slo_entry: 1.0,
-            slo_exit: 0.8,
-        }
-    }
-}
-
 /// Fixed-point scale mapping a p99/SLO ratio onto the integer lag domain
 /// of [`StalenessPolicy`] (ratio 1.0 → lag 1000).
 const RATIO_SCALE: f64 = 1000.0;
+/// p99/SLO ratio above which tightening engages.
+const SLO_ENTRY: f64 = 1.0;
+/// p99/SLO ratio at or below which tightening releases; the gap up to
+/// [`SLO_ENTRY`] is the hysteresis band.
+const SLO_EXIT: f64 = 0.8;
+/// Quota multiplier applied while a tenant is tightened.
+const TIGHTEN_FACTOR: f64 = 0.5;
 
 /// Per-tenant adaptive admission: the p99/SLO ratio of each observation
-/// window feeds a hysteresis state machine; while engaged, the tenant's
-/// effective quota is multiplied by
-/// [`ControllerConfig::tighten_factor`].
+/// window feeds a hysteresis state machine (the [`StalenessPolicy`]
+/// transition surface). Tightening enters when a tenant's p99 crosses its
+/// SLO and releases at or below 0.8 × the SLO; while engaged, the
+/// tenant's effective quota is halved.
 #[derive(Debug)]
 pub struct AdmissionController {
-    config: ControllerConfig,
     policies: Vec<StalenessPolicy>,
 }
 
 impl AdmissionController {
     /// A controller over `tenants` tenants.
-    pub fn new(tenants: usize, config: ControllerConfig) -> AdmissionController {
-        assert!(
-            config.slo_exit <= config.slo_entry,
-            "hysteresis requires slo_exit <= slo_entry"
-        );
-        assert!(
-            config.tighten_factor > 0.0 && config.tighten_factor <= 1.0,
-            "tighten_factor must be in (0, 1]"
-        );
+    pub fn new(tenants: usize) -> AdmissionController {
         let policy = StalenessConfig {
-            max_lag: (config.slo_entry * RATIO_SCALE) as u64,
-            resume_lag: (config.slo_exit * RATIO_SCALE) as u64,
+            max_lag: (SLO_ENTRY * RATIO_SCALE) as u64,
+            resume_lag: (SLO_EXIT * RATIO_SCALE) as u64,
         };
         AdmissionController {
-            config,
             policies: (0..tenants).map(|_| StalenessPolicy::new(policy)).collect(),
         }
     }
@@ -203,7 +174,7 @@ impl AdmissionController {
     /// The quota multiplier in effect for `tenant`.
     pub fn quota_factor(&self, tenant: usize) -> f64 {
         if self.tightened(tenant) {
-            self.config.tighten_factor
+            TIGHTEN_FACTOR
         } else {
             1.0
         }
@@ -235,8 +206,8 @@ pub struct MultiTenantConfig {
     pub queue_capacity: usize,
     /// Shed a queued request once its wait alone exceeds this.
     pub deadline: Option<Ns>,
-    /// Adaptive-controller knobs.
-    pub controller: ControllerConfig,
+    /// Batches between adaptive-controller observations.
+    pub controller_observe_every: u64,
     /// Minimum latency samples in a window before the controller reads
     /// its p99.
     pub controller_min_samples: usize,
@@ -264,7 +235,7 @@ impl MultiTenantConfig {
             warmup_requests: 2_000,
             queue_capacity: 1_024,
             deadline: None,
-            controller: ControllerConfig::default(),
+            controller_observe_every: 8,
             controller_min_samples: 32,
             costs: OverloadCostSpec::modeled(),
         }
@@ -392,6 +363,7 @@ pub(crate) struct Admission<'a> {
     controller: Option<AdmissionController>,
     /// Where each tenant's controller window starts in its latencies.
     marks: Vec<usize>,
+    observe_every: u64,
     min_samples: usize,
     costs: OverloadCostSpec,
     /// Admission host time accrued since the last batch.
@@ -474,10 +446,12 @@ impl Admission<'_> {
     /// After each batch: every `observe_every` batches, each tenant with
     /// `min_samples` new latencies feeds their p99 to the controller.
     pub(crate) fn observe(&mut self, tally: &mut Tally) {
-        let due = |c: &&mut AdmissionController| tally.batches % c.config.observe_every.max(1) == 0;
-        let Some(controller) = self.controller.as_mut().filter(due) else {
+        let Some(controller) = self.controller.as_mut() else {
             return;
         };
+        if tally.batches % self.observe_every.max(1) != 0 {
+            return;
+        }
         for (t, run) in tally.tenants.iter_mut().enumerate() {
             if run.latency.len() - self.marks[t] >= self.min_samples {
                 let p99 = run.latency.p99_since(self.marks[t]);
@@ -529,7 +503,8 @@ pub fn serve_multi_tenant<S: EmbeddingCacheSystem>(
         buckets: (config.tenants.iter())
             .map(|t| TokenBucket::new(t.quota_burst.max(1.0), base))
             .collect(),
-        controller: Some(AdmissionController::new(n, config.controller)),
+        controller: Some(AdmissionController::new(n)),
+        observe_every: config.controller_observe_every,
         min_samples: config.controller_min_samples,
         marks: vec![0; n],
         costs: config.costs,
@@ -610,7 +585,7 @@ mod tests {
 
     #[test]
     fn controller_hysteresis_band() {
-        let mut c = AdmissionController::new(1, ControllerConfig::default());
+        let mut c = AdmissionController::new(1);
         let slo = Ns::from_ms(1.0);
         assert!(!c.tightened(0));
         // Over the SLO: tighten.
@@ -758,7 +733,7 @@ mod tests {
         for t in &mut cfg.tenants {
             t.slo_p99 = Ns::from_us(50.0);
         }
-        cfg.controller.observe_every = 4;
+        cfg.controller_observe_every = 4;
         cfg.controller_min_samples = 16;
         let run = serve_multi_tenant(&mut engine, &mut gens, &cfg);
         assert!(

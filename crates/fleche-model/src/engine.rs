@@ -9,7 +9,7 @@ use crate::dense::DenseModel;
 use crate::latency::{throughput, LatencyRecorder};
 use fleche_gpu::{Gpu, KernelDesc, Ns};
 use fleche_store::api::{BatchStats, EmbeddingCacheSystem};
-use fleche_store::Pooling;
+use fleche_store::pooling_kernel_work;
 use fleche_workload::{Batch, DatasetSpec, TraceGenerator};
 
 /// Timing of one inference batch.
@@ -40,7 +40,6 @@ pub struct InferenceEngine<S: EmbeddingCacheSystem> {
     system: S,
     dense: DenseModel,
     mode: ModelMode,
-    pooling: Pooling,
     spec: DatasetSpec,
 }
 
@@ -60,7 +59,6 @@ impl<S: EmbeddingCacheSystem> InferenceEngine<S> {
             system,
             dense,
             mode,
-            pooling: Pooling::Sum,
             spec: spec.clone(),
         }
     }
@@ -141,8 +139,7 @@ impl<S: EmbeddingCacheSystem> InferenceEngine<S> {
             let pool_kernel = KernelDesc::new(
                 "pooling",
                 (total_vectors as u32).max(256),
-                self.pooling
-                    .kernel_work(total_vectors, output_rows, mean_dim as u32),
+                pooling_kernel_work(total_vectors, output_rows, mean_dim as u32),
             );
             let s = self.gpu.default_stream();
             self.gpu.launch(s, pool_kernel);

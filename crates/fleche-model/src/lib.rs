@@ -35,8 +35,8 @@ pub mod latency;
 pub mod server;
 
 pub use admission::{
-    serve_multi_tenant, AdmissionController, ControllerConfig, MultiTenantConfig, MultiTenantRun,
-    OverloadCostSpec, ShedInterval, TenantRun, TenantSpec, TokenBucket,
+    serve_multi_tenant, AdmissionController, MultiTenantConfig, MultiTenantRun, OverloadCostSpec,
+    ShedInterval, TenantRun, TenantSpec, TokenBucket,
 };
 pub use concurrent::{
     serve_concurrent, BatchPlan, ConcurrentConfig, ConcurrentRun, MicroBatchPlan, MicroBatcher,

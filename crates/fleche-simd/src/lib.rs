@@ -2,11 +2,10 @@
 //!
 //! The paper's flat cache wins by minimizing per-lookup work on the
 //! device; this crate does the host-side equivalent for the loops the
-//! `hotpath` bench measures — pooled gather/reduction ([`add_assign`],
-//! [`max_assign`], [`div_assign`]), lane-parallel slot checksums
-//! ([`checksum`]), the procedural embedding fill behind the CPU store
-//! ([`unit_fill`]), and the batched probe's cache hint
-//! ([`prefetch_read`]).
+//! `hotpath` bench measures — the pooled gather's sum ([`add_assign`]),
+//! lane-parallel slot checksums ([`checksum`]), the procedural embedding
+//! fill behind the CPU store ([`unit_fill`]), and the batched probe's
+//! cache hint ([`prefetch_read`]).
 //!
 //! # Determinism contract
 //!
@@ -74,13 +73,6 @@ fn add_assign_kernel(acc: &mut [f32], row: &[f32]) {
 }
 
 #[inline(always)]
-fn max_assign_kernel(acc: &mut [f32], row: &[f32]) {
-    for (a, &r) in acc.iter_mut().zip(row.iter()) {
-        *a = a.max(r);
-    }
-}
-
-#[inline(always)]
 fn checksum_kernel(value: &[f32]) -> u32 {
     let mut lanes = [FNV_BASIS; LANES];
     let mut words = value.chunks_exact(LANES);
@@ -130,11 +122,6 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     pub(super) fn add_assign_avx2(acc: &mut [f32], row: &[f32]) {
         add_assign_kernel(acc, row);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn max_assign_avx2(acc: &mut [f32], row: &[f32]) {
-        max_assign_kernel(acc, row);
     }
 
     #[target_feature(enable = "avx2")]
@@ -188,39 +175,6 @@ pub fn add_assign(acc: &mut [f32], row: &[f32]) {
 #[inline]
 pub fn add_assign_portable(acc: &mut [f32], row: &[f32]) {
     add_assign_kernel(acc, row);
-}
-
-/// Element-wise `acc[i] = acc[i].max(row[i])` (Rust `f32::max` NaN
-/// semantics, same as the scalar pooling loop always used).
-#[inline]
-pub fn max_assign(acc: &mut [f32], row: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: guarded by the runtime AVX2 check directly above.
-            #[allow(unsafe_code)]
-            unsafe {
-                avx2::max_assign_avx2(acc, row)
-            };
-            return;
-        }
-    }
-    max_assign_portable(acc, row);
-}
-
-/// Portable path of [`max_assign`].
-#[inline]
-pub fn max_assign_portable(acc: &mut [f32], row: &[f32]) {
-    max_assign_kernel(acc, row);
-}
-
-/// Element-wise `acc[i] /= divisor` (Avg pooling finish; trivially
-/// vectorized at the baseline feature set, so no dispatch).
-#[inline]
-pub fn div_assign(acc: &mut [f32], divisor: f32) {
-    for a in acc {
-        *a /= divisor;
-    }
 }
 
 /// The workspace's slot checksum: `LANES` FNV-1a lanes over the `f32`
@@ -334,11 +288,6 @@ mod tests {
             add_assign(&mut acc1, &b);
             add_assign_portable(&mut acc2, &b);
             assert_eq!(bits(&acc1), bits(&acc2), "add n={n}");
-            let mut m1 = a.clone();
-            let mut m2 = a.clone();
-            max_assign(&mut m1, &b);
-            max_assign_portable(&mut m2, &b);
-            assert_eq!(bits(&m1), bits(&m2), "max n={n}");
         }
     }
 
@@ -367,7 +316,7 @@ mod tests {
     }
 
     #[test]
-    fn checksum_of_one_word_follows_the_definition() {
+    fn one_word_checksum_follows_the_definition() {
         // One word lands in lane 0; lanes 1..8 stay at the basis.
         let step = |h: u32, w: u32| (h ^ w).wrapping_mul(FNV_PRIME);
         let w = 1.5f32.to_bits();
@@ -398,16 +347,6 @@ mod tests {
             unit_fill_portable(0xDEAD_BEEF ^ n as u64, &mut b);
             assert_eq!(bits(&a), bits(&b), "n={n}");
             assert!(a.iter().all(|v| (-1.0..1.0).contains(v)), "n={n}");
-        }
-    }
-
-    #[test]
-    fn div_assign_matches_scalar_division() {
-        let (a, _) = vecs(3, 9);
-        let mut out = a.clone();
-        div_assign(&mut out, 3.0);
-        for (o, x) in out.iter().zip(&a) {
-            assert_eq!(o.to_bits(), (x / 3.0).to_bits());
         }
     }
 

@@ -10,7 +10,8 @@
 //!   so the unified-index experiment can bypass only the former.
 //! * [`Deduped`] — deduplicating & restoring (paper §4): dedup all batch
 //!   IDs, query each unique key once, restore the full output matrix.
-//! * [`Pooling`] — sum/avg/max pooling of multi-hot embeddings.
+//! * [`CpuStore::pooled`] and [`pooling_kernel_work`] — sum pooling of
+//!   multi-hot embeddings, on the host and priced on the device.
 //! * [`TieredStore`] — giant-model mode (paper §5): the CPU-DRAM layer as
 //!   an LRU cache over a remote parameter server, logging evictions so the
 //!   GPU-resident unified index can invalidate stale DRAM pointers.
@@ -33,7 +34,7 @@ pub use api::{
     dedup_charged, BatchStats, EmbeddingCacheSystem, LifetimeStats, PhaseBreakdown, QueryOutput,
 };
 pub use dedup::{Deduped, DEDUP_NS_PER_ID};
-pub use pooling::Pooling;
+pub use pooling::pooling_kernel_work;
 pub use remote::{FetchReport, RemoteSpec, TieredStats, TieredStore};
 pub use table::{embedding_value, CpuStore, DRAM_INDEX_BYTES, DRAM_PROBES_PER_LOOKUP};
 pub use update::{versioned_embedding_value, UpdatePush, UpdateStream, VersionLedger};

@@ -1,129 +1,42 @@
-//! Pooling operations.
+//! Sum pooling.
 //!
 //! After embedding lookup, the vectors of each multi-hot field are
-//! compressed into one dense vector per (sample, table) by a pooling
-//! operation before concatenation into the MLP input.
+//! compressed into one dense vector per (sample, table) by an
+//! element-wise sum before concatenation into the MLP input.
+//! [`CpuStore::pooled`](crate::CpuStore::pooled) computes the sum on the
+//! host; [`pooling_kernel_work`] prices the device kernel.
 
 use fleche_gpu::KernelWork;
 
-/// Supported pooling reductions.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Pooling {
-    /// Element-wise sum.
-    Sum,
-    /// Element-wise mean.
-    Avg,
-    /// Element-wise maximum.
-    Max,
-}
-
-impl Pooling {
-    /// The accumulator initial value for this reduction.
-    pub fn identity(self) -> f32 {
-        match self {
-            Pooling::Max => f32::NEG_INFINITY,
-            _ => 0.0,
-        }
-    }
-
-    /// Accumulates one row into `acc` element-wise — the streaming
-    /// building block behind [`Pooling::reduce`] and the allocation-free
-    /// gather paths. Backed by the runtime-dispatched fleche-simd
-    /// kernels; per-element semantics (`+=` / `f32::max`) are exactly
-    /// the scalar loop's, so results are bit-identical to reducing the
-    /// materialized rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn accumulate(self, acc: &mut [f32], row: &[f32]) {
-        assert_eq!(
-            acc.len(),
-            row.len(),
-            "pooled vectors must share a dimension"
-        );
-        match self {
-            Pooling::Sum | Pooling::Avg => fleche_simd::add_assign(acc, row),
-            Pooling::Max => fleche_simd::max_assign(acc, row),
-        }
-    }
-
-    /// Finalizes an accumulator built from `count` rows (divides for
-    /// `Avg`; no-op otherwise).
-    pub fn finish(self, acc: &mut [f32], count: usize) {
-        if self == Pooling::Avg {
-            fleche_simd::div_assign(acc, count as f32);
-        }
-    }
-
-    /// Reduces `vectors` (each of equal length) into one vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vectors` is empty or lengths differ.
-    pub fn reduce(self, vectors: &[&[f32]]) -> Vec<f32> {
-        assert!(!vectors.is_empty(), "pooling needs at least one vector");
-        let dim = vectors[0].len();
-        let mut out = vec![self.identity(); dim];
-        for v in vectors {
-            self.accumulate(&mut out, v);
-        }
-        self.finish(&mut out, vectors.len());
-        out
-    }
-
-    /// GPU footprint of pooling a batch: `total_vectors` input rows of
-    /// `dim` floats reduced to `output_rows` rows.
-    pub fn kernel_work(self, total_vectors: u64, output_rows: u64, dim: u32) -> KernelWork {
-        let read = total_vectors * dim as u64 * 4;
-        let write = output_rows * dim as u64 * 4;
-        KernelWork {
-            global_bytes: read + write,
-            flops: total_vectors * dim as u64,
-            ..KernelWork::streaming(0)
-        }
+/// GPU footprint of pooling a batch: `total_vectors` input rows of
+/// `dim` floats reduced to `output_rows` rows.
+pub fn pooling_kernel_work(total_vectors: u64, output_rows: u64, dim: u32) -> KernelWork {
+    let read = total_vectors * dim as u64 * 4;
+    let write = output_rows * dim as u64 * 4;
+    KernelWork {
+        global_bytes: read + write,
+        flops: total_vectors * dim as u64,
+        ..KernelWork::streaming(0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sum_avg_max() {
-        let a = [1.0f32, 2.0, 3.0];
-        let b = [4.0f32, 0.0, -3.0];
-        let vs: Vec<&[f32]> = vec![&a, &b];
-        assert_eq!(Pooling::Sum.reduce(&vs), vec![5.0, 2.0, 0.0]);
-        assert_eq!(Pooling::Avg.reduce(&vs), vec![2.5, 1.0, 0.0]);
-        assert_eq!(Pooling::Max.reduce(&vs), vec![4.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn single_vector_is_identity_for_all_ops() {
-        let a = [7.0f32, -2.0];
-        for op in [Pooling::Sum, Pooling::Avg, Pooling::Max] {
-            assert_eq!(op.reduce(&[&a]), vec![7.0, -2.0]);
-        }
-    }
+    use crate::CpuStore;
+    use fleche_gpu::DramSpec;
+    use fleche_workload::spec;
 
     #[test]
     #[should_panic(expected = "at least one vector")]
     fn empty_input_panics() {
-        Pooling::Sum.reduce(&[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "share a dimension")]
-    fn ragged_input_panics() {
-        let a = [1.0f32];
-        let b = [1.0f32, 2.0];
-        Pooling::Sum.reduce(&[&a, &b]);
+        let store = CpuStore::new(&spec::synthetic(1, 100, 4, -1.2), DramSpec::xeon_6252());
+        store.pooled(0, &[]);
     }
 
     #[test]
     fn kernel_work_accounts_read_and_write() {
-        let w = Pooling::Sum.kernel_work(300, 100, 32);
+        let w = pooling_kernel_work(300, 100, 32);
         assert_eq!(w.global_bytes, (300 + 100) * 32 * 4);
         assert_eq!(w.flops, 300 * 32);
     }

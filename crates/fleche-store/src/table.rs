@@ -101,25 +101,24 @@ impl CpuStore {
         v
     }
 
-    /// Gathers `ids` from `table` and reduces them with `pooling`,
-    /// streaming each row through one reused scratch buffer instead of
-    /// materializing a `Vec` per row. Bit-identical to reducing the rows
-    /// returned by [`CpuStore::read`] (same per-element accumulation
-    /// order), which `tests/simd_props.rs` pins.
+    /// Gathers `ids` from `table` and sums them element-wise, streaming
+    /// each row through one reused scratch buffer instead of
+    /// materializing a `Vec` per row. Bit-identical to summing the rows
+    /// returned by [`CpuStore::read`] in `ids` order, which
+    /// `tests/simd_props.rs` pins.
     ///
     /// # Panics
     ///
     /// Panics if `ids` is empty or any id is outside the corpus.
-    pub fn pooled(&self, table: u16, ids: &[u64], pooling: crate::Pooling) -> Vec<f32> {
+    pub fn pooled(&self, table: u16, ids: &[u64]) -> Vec<f32> {
         assert!(!ids.is_empty(), "pooling needs at least one vector");
         let dim = self.dims[table as usize] as usize;
-        let mut out = vec![pooling.identity(); dim];
+        let mut out = vec![0.0f32; dim];
         let mut row = vec![0.0f32; dim];
         for &id in ids {
             self.read_into(table, id, &mut row);
-            pooling.accumulate(&mut out, &row);
+            fleche_simd::add_assign(&mut out, &row);
         }
-        pooling.finish(&mut out, ids.len());
         out
     }
 

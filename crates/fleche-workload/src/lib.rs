@@ -33,7 +33,7 @@ pub mod zipf;
 
 pub use arrivals::{ArrivalGen, BurstWindow};
 pub use dynamics::{ColdStartSpec, DiurnalSpec, HotChurnSpec, TraceDynamics};
-pub use oracle::{analytic_optimal_hit_rate, belady_hit_rate, FrequencyCensus};
+pub use oracle::{analytic_optimal_hit_rate, belady_hit_rate};
 pub use spec::{synthetic, synthetic_default, DatasetSpec, TableSpec};
 pub use stats::WorkloadStats;
 pub use trace::{Batch, Sample, TraceGenerator};

@@ -4,11 +4,11 @@
 //! "knows all accesses of datasets": with a byte budget B, it pins the set
 //! of embeddings maximizing hits. With per-table embedding dimensions the
 //! knapsack is solved greedily by hits-per-byte (optimal when all dims are
-//! equal, near-optimal otherwise). A Belady simulator is also provided for
-//! ablations beyond the paper.
+//! equal, near-optimal otherwise): analytically here, and over a sampled
+//! trace by [`WorkloadStats::optimal_hit_rate`](crate::WorkloadStats::optimal_hit_rate).
+//! A Belady simulator is also provided for ablations beyond the paper.
 
 use crate::spec::DatasetSpec;
-use crate::trace::Batch;
 use std::collections::HashMap;
 
 /// The analytic "Optimal" oracle: the hit rate of a cache that pins the
@@ -51,89 +51,9 @@ pub fn analytic_optimal_hit_rate(spec: &DatasetSpec, budget_bytes: u64) -> f64 {
     share.min(1.0)
 }
 
-/// Access-frequency census over a trace.
-#[derive(Debug, Default)]
-pub struct FrequencyCensus {
-    /// (table, id) -> access count.
-    counts: HashMap<(u16, u64), u64>,
-    total_accesses: u64,
-}
-
-impl FrequencyCensus {
-    /// Creates an empty census.
-    pub fn new() -> FrequencyCensus {
-        FrequencyCensus::default()
-    }
-
-    /// Folds a batch into the census.
-    pub fn observe(&mut self, batch: &Batch) {
-        for (t, id) in batch.iter_accesses() {
-            *self.counts.entry((t, id)).or_default() += 1;
-            self.total_accesses += 1;
-        }
-    }
-
-    /// Total accesses observed.
-    pub fn total_accesses(&self) -> u64 {
-        self.total_accesses
-    }
-
-    /// Distinct (table, id) pairs observed.
-    pub fn distinct(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Access count of one key.
-    pub fn count(&self, table: u16, id: u64) -> u64 {
-        self.counts.get(&(table, id)).copied().unwrap_or(0)
-    }
-
-    /// The optimal achievable hit rate with `budget_bytes` of cache, given
-    /// `dim_of(table)` (bytes per value = 4 * dim): greedily pins keys by
-    /// hits-per-byte.
-    pub fn optimal_hit_rate(&self, budget_bytes: u64, dim_of: impl Fn(u16) -> u32) -> f64 {
-        if self.total_accesses == 0 {
-            return 0.0;
-        }
-        let mut entries: Vec<(u64, u64)> = self
-            .counts
-            .iter()
-            .map(|(&(t, _), &c)| (c, dim_of(t) as u64 * 4))
-            .collect();
-        // Sort by density (hits per byte), descending.
-        entries.sort_by(|a, b| {
-            let da = a.0 as f64 / a.1 as f64;
-            let db = b.0 as f64 / b.1 as f64;
-            db.partial_cmp(&da).expect("finite densities")
-        });
-        let mut used = 0u64;
-        let mut hits = 0u64;
-        for (count, bytes) in entries {
-            if used + bytes > budget_bytes {
-                continue; // smaller items later may still fit
-            }
-            used += bytes;
-            hits += count;
-        }
-        hits as f64 / self.total_accesses as f64
-    }
-
-    /// Optimal hit rate when the budget is expressed in *slots* of uniform
-    /// size (used by per-table analyses).
-    pub fn optimal_hit_rate_slots(&self, slots: usize) -> f64 {
-        if self.total_accesses == 0 {
-            return 0.0;
-        }
-        let mut counts: Vec<u64> = self.counts.values().copied().collect();
-        counts.sort_unstable_by(|a, b| b.cmp(a));
-        let hits: u64 = counts.iter().take(slots).sum();
-        hits as f64 / self.total_accesses as f64
-    }
-}
-
 /// Belady's MIN algorithm over a flattened access stream with a slot
 /// budget. Included as an ablation: the paper's "Optimal" is the static
-/// frequency oracle above; Belady is the dynamic upper bound.
+/// frequency oracle; Belady is the dynamic upper bound.
 pub fn belady_hit_rate(accesses: &[(u16, u64)], slots: usize) -> f64 {
     if accesses.is_empty() || slots == 0 {
         return 0.0;
@@ -179,12 +99,13 @@ pub fn belady_hit_rate(accesses: &[(u16, u64)], slots: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::spec;
+    use crate::stats::WorkloadStats;
     use crate::trace::TraceGenerator;
 
-    fn census_of(n_batches: usize, batch: usize) -> FrequencyCensus {
+    fn census_of(n_batches: usize, batch: usize) -> WorkloadStats {
         let ds = spec::synthetic(4, 10_000, 32, -1.3);
         let mut gen = TraceGenerator::new(&ds);
-        let mut c = FrequencyCensus::new();
+        let mut c = WorkloadStats::new();
         for _ in 0..n_batches {
             c.observe(&gen.next_batch(batch));
         }
@@ -220,16 +141,7 @@ mod tests {
     fn zero_budget_hits_nothing() {
         let c = census_of(2, 100);
         assert_eq!(c.optimal_hit_rate(0, |_| 32), 0.0);
-        assert_eq!(FrequencyCensus::new().optimal_hit_rate(1000, |_| 32), 0.0);
-    }
-
-    #[test]
-    fn slot_budget_matches_byte_budget_for_uniform_dims() {
-        let c = census_of(6, 200);
-        let slots = 500;
-        let by_slots = c.optimal_hit_rate_slots(slots);
-        let by_bytes = c.optimal_hit_rate(slots as u64 * 32 * 4, |_| 32);
-        assert!((by_slots - by_bytes).abs() < 1e-9);
+        assert_eq!(WorkloadStats::new().optimal_hit_rate(1000, |_| 32), 0.0);
     }
 
     #[test]
@@ -238,7 +150,7 @@ mod tests {
         // more than 5% of accesses.
         let c = census_of(10, 500);
         let slots = c.distinct() / 20;
-        let hr = c.optimal_hit_rate_slots(slots);
+        let hr = c.optimal_hit_rate(slots as u64 * 32 * 4, |_| 32);
         assert!(hr > 0.3, "hit rate {hr} for 5% of distinct keys");
     }
 
@@ -272,7 +184,7 @@ mod tests {
         let budget = ds.cache_bytes(0.10);
         let analytic = analytic_optimal_hit_rate(&ds, budget);
         let mut gen = TraceGenerator::new(&ds);
-        let mut c = FrequencyCensus::new();
+        let mut c = WorkloadStats::new();
         for _ in 0..200 {
             c.observe(&gen.next_batch(500));
         }
@@ -306,7 +218,7 @@ mod tests {
         // set operated as a demand policy.
         let ds = spec::synthetic(2, 2_000, 16, -1.1);
         let mut gen = TraceGenerator::new(&ds);
-        let mut c = FrequencyCensus::new();
+        let mut c = WorkloadStats::new();
         let mut accesses = Vec::new();
         for _ in 0..6 {
             let b = gen.next_batch(300);
@@ -314,7 +226,7 @@ mod tests {
             c.observe(&b);
         }
         let slots = 200;
-        let freq = c.optimal_hit_rate_slots(slots);
+        let freq = c.optimal_hit_rate(slots as u64 * 16 * 4, |_| 16);
         let belady = belady_hit_rate(&accesses, slots);
         let compulsory = c.distinct() as f64 / c.total_accesses() as f64;
         assert!((0.0..=1.0).contains(&belady));

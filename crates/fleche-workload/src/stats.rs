@@ -108,11 +108,7 @@ impl WorkloadStats {
     /// the underlying `HashMap` — recovery's warm-up replayer feeds these
     /// straight into prefetch batches that must replay identically.
     pub fn hottest(&self, k: usize) -> Vec<(u16, u64)> {
-        let mut ranked: Vec<((u16, u64), u64)> =
-            self.counts.iter().map(|(&key, &n)| (key, n)).collect();
-        ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        ranked.truncate(k);
-        ranked.into_iter().map(|(key, _)| key).collect()
+        self.update_candidates(k, 1)
     }
 
     /// The up-to-`k` hottest keys observed at least `min_count` times —
@@ -131,6 +127,37 @@ impl WorkloadStats {
         ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         ranked.truncate(k);
         ranked.into_iter().map(|(key, _)| key).collect()
+    }
+
+    /// The paper's "Optimal" hit rate over the observed trace: the share
+    /// of accesses a cache of `budget_bytes` gets by pinning keys greedily
+    /// by hits per byte, given `dim_of(table)` (bytes per value =
+    /// 4 × dim). Exact for uniform dims, near-optimal for mixed ones.
+    pub fn optimal_hit_rate(&self, budget_bytes: u64, dim_of: impl Fn(u16) -> u32) -> f64 {
+        if self.total_accesses == 0 {
+            return 0.0;
+        }
+        let mut entries: Vec<(u64, u64)> = self
+            .counts
+            .iter()
+            .map(|(&(t, _), &c)| (c, dim_of(t) as u64 * 4))
+            .collect();
+        // Sort by density (hits per byte), descending.
+        entries.sort_by(|a, b| {
+            let da = a.0 as f64 / a.1 as f64;
+            let db = b.0 as f64 / b.1 as f64;
+            db.partial_cmp(&da).expect("finite densities")
+        });
+        let mut used = 0u64;
+        let mut hits = 0u64;
+        for (count, bytes) in entries {
+            if used + bytes > budget_bytes {
+                continue; // smaller items later may still fit
+            }
+            used += bytes;
+            hits += count;
+        }
+        hits as f64 / self.total_accesses as f64
     }
 
     /// Fraction of each table's corpus that the trace touched.

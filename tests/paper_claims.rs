@@ -7,7 +7,7 @@ use fleche_core::{FlecheConfig, FlecheSystem};
 use fleche_gpu::{DeviceSpec, DramSpec, Gpu, Ns};
 use fleche_store::api::EmbeddingCacheSystem;
 use fleche_store::CpuStore;
-use fleche_workload::{spec, DatasetSpec, FrequencyCensus, TraceGenerator};
+use fleche_workload::{spec, DatasetSpec, TraceGenerator, WorkloadStats};
 
 fn warm_and_measure(
     sys: &mut dyn EmbeddingCacheSystem,
@@ -61,7 +61,7 @@ fn flat_cache_closes_the_hit_rate_gap() {
 
     // Optimal hit rate over the measured window.
     let mut gen = TraceGenerator::new(&ds);
-    let mut census = FrequencyCensus::new();
+    let mut census = WorkloadStats::new();
     for _ in 0..18 {
         census.observe(&gen.next_batch(256));
     }

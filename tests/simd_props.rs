@@ -7,7 +7,7 @@
 use fleche_coding::{FixedLenCodec, FlatKeyCodec, SizeAwareCodec};
 use fleche_gpu::DramSpec;
 use fleche_index::{ClassSpec, GpuIndex, Loc, MegaKv, SlabHash, SlabPool};
-use fleche_store::{versioned_embedding_value, CpuStore, Pooling};
+use fleche_store::{versioned_embedding_value, CpuStore};
 use fleche_workload::spec;
 use proptest::prelude::*;
 
@@ -62,11 +62,6 @@ proptest! {
         let mut p = a.to_vec();
         fleche_simd::add_assign(&mut d, b);
         fleche_simd::add_assign_portable(&mut p, b);
-        prop_assert_eq!(bits(&d), bits(&p));
-        let mut d = a.to_vec();
-        let mut p = a.to_vec();
-        fleche_simd::max_assign(&mut d, b);
-        fleche_simd::max_assign_portable(&mut p, b);
         prop_assert_eq!(bits(&d), bits(&p));
     }
 
@@ -132,7 +127,7 @@ proptest! {
     }
 
     /// The batch entry point and the pool's checksummed write both give
-    /// `checksum_of` of each row.
+    /// `checksum` of each row.
     #[test]
     fn batch_checksum_is_per_slot_identical(
         slots in prop::collection::vec(f32_vec(0..40usize), 0..11),
@@ -140,23 +135,21 @@ proptest! {
         row in f32_vec(40usize),
     ) {
         let views: Vec<&[f32]> = slots.iter().map(Vec::as_slice).collect();
-        let per_slot: Vec<u32> = views.iter().map(|v| fleche_core::checksum_of(v)).collect();
+        let per_slot: Vec<u32> = views.iter().map(|v| fleche_simd::checksum(v)).collect();
         prop_assert_eq!(fleche_simd::checksum_batch(&views), per_slot);
         let mut pool = SlabPool::new(&[ClassSpec { dim: dim as u32, slots: 1 }]);
         let (slot, _) = pool.alloc(0).expect("one free slot");
         let (sum, _) = pool.write_with_checksum(0, slot, &row[..dim]).expect("live slot");
-        prop_assert_eq!(sum, fleche_core::checksum_of(&row[..dim]));
+        prop_assert_eq!(sum, fleche_simd::checksum(&row[..dim]));
     }
 
-    /// Pooling through the vectorized accumulate/finish path equals a
-    /// naive scalar reduction, bitwise, for all three modes — and the
-    /// store's streaming gather equals reducing materialized rows.
+    /// The store's streaming gather, summed through the vectorized
+    /// kernel, equals a naive scalar sum over materialized rows, bitwise.
     #[test]
     fn pooled_gather_matches_scalar_reduce(
         n_ids in 1usize..24,
         table in 0u16..4,
         seed in any::<u64>(),
-        mode in prop::sample::select(vec![Pooling::Sum, Pooling::Avg, Pooling::Max]),
     ) {
         let ds = spec::synthetic(4, 500, 8, -1.2);
         let store = CpuStore::new(&ds, DramSpec::xeon_6252());
@@ -166,29 +159,13 @@ proptest! {
         // Scalar reference: naive per-element accumulation over
         // materialized rows (the pre-vectorization shape).
         let rows: Vec<Vec<f32>> = ids.iter().map(|&id| store.read(table, id)).collect();
-        let mut want = vec![
-            match mode {
-                Pooling::Max => f32::NEG_INFINITY,
-                _ => 0.0,
-            };
-            rows[0].len()
-        ];
+        let mut want = vec![0.0f32; rows[0].len()];
         for row in &rows {
             for (w, &r) in want.iter_mut().zip(row) {
-                match mode {
-                    Pooling::Max => *w = w.max(r),
-                    _ => *w += r,
-                }
+                *w += r;
             }
         }
-        if mode == Pooling::Avg {
-            for w in &mut want {
-                *w /= ids.len() as f32;
-            }
-        }
-        prop_assert_eq!(bits(&store.pooled(table, &ids, mode)), bits(&want));
-        let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
-        prop_assert_eq!(bits(&mode.reduce(&refs)), bits(&want));
+        prop_assert_eq!(bits(&store.pooled(table, &ids)), bits(&want));
     }
 
     /// The batched probe returns, in input order, exactly what sequential
