@@ -282,7 +282,10 @@ impl EmbeddingCacheSystem for PerTableCacheSystem {
             ..BatchStats::default()
         };
         self.lifetime.observe(&stats);
-        QueryOutput { rows, stats }
+        QueryOutput {
+            rows: rows.into(),
+            stats,
+        }
     }
 
     fn lifetime_stats(&self) -> LifetimeStats {

@@ -71,21 +71,26 @@ pub trait FlatKeyCodec {
     /// same-table keys, so most lookups hit the memo. Identical output
     /// to encoding each pair individually.
     fn encode_pairs(&self, pairs: &[(u16, u64)]) -> Vec<FlatKey> {
+        let mut out = Vec::with_capacity(pairs.len());
+        self.encode_pairs_into(pairs, &mut out);
+        out
+    }
+
+    /// [`FlatKeyCodec::encode_pairs`], appending to `out` (a buffer reused
+    /// across batches allocates nothing once it is large enough).
+    fn encode_pairs_into(&self, pairs: &[(u16, u64)], out: &mut Vec<FlatKey>) {
         let mut memo: Option<(u16, TableCode)> = None;
-        pairs
-            .iter()
-            .map(|&(t, f)| {
-                let tc = match memo {
-                    Some((mt, tc)) if mt == t => tc,
-                    _ => {
-                        let tc = self.table_code(t);
-                        memo = Some((t, tc));
-                        tc
-                    }
-                };
-                encode_with(tc, f)
-            })
-            .collect()
+        out.extend(pairs.iter().map(|&(t, f)| {
+            let tc = match memo {
+                Some((mt, tc)) if mt == t => tc,
+                _ => {
+                    let tc = self.table_code(t);
+                    memo = Some((t, tc));
+                    tc
+                }
+            };
+            encode_with(tc, f)
+        }));
     }
 
     /// Recovers `(table, feature)` from a flat key, when unambiguous: the

@@ -424,7 +424,7 @@ impl MultiGpuFleche {
             agg.stale_keys += out.stats.stale_keys;
             agg.corrupt_detected += out.stats.corrupt_detected;
             agg.degraded |= out.stats.degraded;
-            shard_rows.push(out.rows);
+            shard_rows.push(out.rows.into_vec());
         }
         let shard_critical = shard_times.iter().copied().fold(Ns::ZERO, Ns::max);
 
@@ -446,7 +446,9 @@ impl MultiGpuFleche {
 
         // Reassemble rows in original batch order. Each shard's rows are in
         // its own flattening (table-major); per-(shard, table) cursors over
-        // prefix offsets recover positions.
+        // prefix offsets recover positions. `routing` numbers each shard's
+        // accesses per table in order, so every shard row lands in exactly
+        // one output position and can be moved there, not copied.
         let mut table_offset = vec![vec![0usize; self.spec.table_count()]; g];
         for (offsets, shard_batch) in table_offset.iter_mut().zip(&shard_batches) {
             let mut off = 0usize;
@@ -457,7 +459,7 @@ impl MultiGpuFleche {
         }
         let rows = routing
             .iter()
-            .map(|&(s, t, pos)| shard_rows[s][table_offset[s][t] + pos].clone())
+            .map(|&(s, t, pos)| std::mem::take(&mut shard_rows[s][table_offset[s][t] + pos]))
             .collect();
 
         agg.wall = shard_critical + gather;

@@ -27,7 +27,9 @@ use fleche_gpu::{
 };
 use fleche_index::{EpochGuard, ProbeStats, SLAB_WIDTH};
 use fleche_store::api::{BatchStats, EmbeddingCacheSystem, LifetimeStats, QueryOutput};
-use fleche_store::{CpuStore, Deduped, FetchReport, TieredStore, UpdatePush};
+use fleche_store::{
+    CpuStore, Deduped, FetchReport, RowArena, RowPool, Rows, TieredStore, UpdatePush,
+};
 use fleche_workload::{Batch, DatasetSpec};
 
 /// Host-side cost of re-encoding one key (a cached table-code fetch plus
@@ -148,29 +150,32 @@ enum MissBackend {
 
 impl MissBackend {
     /// Queries missing keys at simulated time `now` (the tiered backend's
-    /// fault windows and retry deadlines are anchored to it). The flat
-    /// backend cannot fail and always reports a clean fetch.
-    fn query_batch(&mut self, keys: &[(u16, u64)], now: Ns) -> (Vec<Vec<f32>>, Ns, FetchReport) {
+    /// fault windows and retry deadlines are anchored to it), appending
+    /// their rows to `arena`. The flat backend cannot fail and always
+    /// reports a clean fetch.
+    fn query_batch_into(
+        &mut self,
+        keys: &[(u16, u64)],
+        now: Ns,
+        arena: &mut RowArena,
+    ) -> (Ns, FetchReport) {
         match self {
-            MissBackend::Flat(s) => {
-                let (rows, cost) = s.query_batch(keys);
-                (rows, cost, FetchReport::default())
-            }
-            MissBackend::Tiered(s) => s.query_batch_at(keys, now),
+            MissBackend::Flat(s) => (s.query_batch_into(keys, arena), FetchReport::default()),
+            MissBackend::Tiered(s) => s.query_batch_at_into(keys, now, arena),
         }
     }
 
-    /// Reads keys whose location is already known (unified-index hits):
-    /// payload cost only, no index walk. Tiered mode also refreshes the
-    /// DRAM layer's LRU so located keys do not get evicted underneath
-    /// their pointers.
-    fn read_located(&mut self, keys: &[(u16, u64)]) -> (Vec<Vec<f32>>, Ns) {
+    /// Reads keys whose location is already known (unified-index hits)
+    /// into `arena`: payload cost only, no index walk. Tiered mode also
+    /// refreshes the DRAM layer's LRU so located keys do not get evicted
+    /// underneath their pointers.
+    fn read_located_into(&mut self, keys: &[(u16, u64)], arena: &mut RowArena) -> Ns {
         match self {
             MissBackend::Flat(s) => {
-                let rows = keys.iter().map(|&(t, f)| s.read(t, f)).collect();
-                (rows, s.payload_cost(keys))
+                s.read_rows_into(keys, arena);
+                s.payload_cost(keys)
             }
-            MissBackend::Tiered(s) => s.read_located(keys),
+            MissBackend::Tiered(s) => s.read_located_into(keys, arena),
         }
     }
 
@@ -211,7 +216,7 @@ struct TableRun {
 /// §4.2 has the diagram: which stage writes and reads what). Owned by the
 /// system and lent to each batch, so a steady-state batch allocates none of
 /// the working vectors; [`BatchContext::clear`] empties it when the batch
-/// ends, so nothing carries over between batches.
+/// ends, so nothing carries over between batches but capacity.
 #[derive(Default)]
 struct BatchContext {
     /// What the batch reports, filled in as the stages run. `degraded` is
@@ -241,13 +246,13 @@ struct BatchContext {
     /// Epoch pin held while the decoupled copy kernel is in flight.
     pin: Option<EpochGuard>,
     /// The fill list — every key served from the miss backend: position in
-    /// `unique`, `(table, id)`, fetched row, and the update version the row
-    /// carries (0 = frozen table value). The first `n_miss` are full
-    /// misses, the rest unified-index hits.
+    /// `unique`, `(table, id)`, fetched row (row `i` of one arena), and the
+    /// update version the row carries (0 = frozen table value). The first
+    /// `n_miss` are full misses, the rest unified-index hits.
     fill_pos: Vec<usize>,
     fill_keys: Vec<(u16, u64)>,
     n_miss: usize,
-    fill_rows: Vec<Vec<f32>>,
+    fill_rows: RowArena,
     fill_versions: Vec<u64>,
     fill_bytes: u64,
     /// Sorted fill-list indices whose fetch failed (zero row) or was served
@@ -255,21 +260,20 @@ struct BatchContext {
     unfetched: Vec<usize>,
     /// Pool locations admitted by this batch's replacement.
     admitted_slots: Vec<(u16, u32)>,
-    /// Start of the restore → batch-boundary tail, one `other` span.
+    /// Start of the `gather_rows` → batch-boundary tail, one `other` span.
     tail_start: Ns,
 }
 
 impl BatchContext {
-    /// Empties the context when its batch ends. What the batch allocated
-    /// for itself — dedup mapping, flat keys, fetched rows — is freed as a
-    /// local would be (held over, each would be alive while its successor
-    /// is allocated); the working vectors keep their capacity. (The scalars
-    /// not named here are assigned by a stage every batch runs before
-    /// anything reads them.)
+    /// Empties the context when its batch ends, keeping every vector's
+    /// capacity — the flat keys and the fill arena included — so the next
+    /// batch reuses the memory. The dedup mapping is left for stage 1 to
+    /// rebuild in place (or replace with a prepared one). (The scalars not
+    /// named here are assigned by a stage every batch runs before anything
+    /// reads them.)
     fn clear(&mut self) {
         self.stats = BatchStats::default();
-        self.dedup = Deduped::default();
-        self.keys = Vec::new();
+        self.keys.clear();
         self.runs.clear();
         self.probed.clear();
         self.max_lag = 0;
@@ -335,6 +339,9 @@ pub struct FlecheSystem {
     /// Epoch stamped into full checkpoints (increments per checkpoint).
     checkpoint_epoch: u64,
     scratch: BatchContext,
+    /// The output matrix lent to each batch; it comes back when the
+    /// batch's [`Rows`] is dropped.
+    rows: RowPool,
 }
 
 impl FlecheSystem {
@@ -381,6 +388,7 @@ impl FlecheSystem {
             last_faults: FaultCounters::default(),
             checkpoint_epoch: 0,
             scratch: BatchContext::default(),
+            rows: RowPool::default(),
         }
     }
 
@@ -667,7 +675,7 @@ fn declare_slots(
 
 /// The batch-query workflow (paper §3–§4) as stages over one
 /// [`BatchContext`]: `query_batch_inner` runs all of them, a degraded batch
-/// runs `dedup`, `fetch` and `restore`. Each stage does its functional step
+/// runs `dedup`, `fetch` and `gather_rows`. Each stage does its functional step
 /// and then prices *that* step — the tiered store reads the simulated clock
 /// at fetch time, so pricing cannot wait for the end of the batch.
 impl FlecheSystem {
@@ -687,8 +695,7 @@ impl FlecheSystem {
         let mut cx = std::mem::take(&mut self.scratch);
         cx.stats.degraded = degraded;
         cx.t_start = gpu.now();
-        let dedup = prepared.unwrap_or_else(|| Deduped::from_batch(batch));
-        self.dedup(gpu, dedup, &mut cx);
+        self.dedup(gpu, batch, prepared, &mut cx);
         let rows = if degraded {
             self.degraded_batch(gpu, &mut cx)
         } else {
@@ -698,7 +705,7 @@ impl FlecheSystem {
             self.launch_copy(gpu, &mut cx);
             self.fetch(gpu, &mut cx);
             self.replace(gpu, &mut cx);
-            let rows = self.restore(gpu, &mut cx);
+            let rows = self.gather_rows(gpu, &mut cx);
             self.close(gpu, &mut cx);
             rows
         };
@@ -719,13 +726,13 @@ impl FlecheSystem {
     /// The cache is neither consulted nor refilled and the batch boundary is
     /// not closed (staged updates wait for the next cache-path batch), so a
     /// faulty device only touches the (unavoidable) restore kernel.
-    fn degraded_batch(&mut self, gpu: &mut Gpu, cx: &mut BatchContext) -> Vec<Vec<f32>> {
+    fn degraded_batch(&mut self, gpu: &mut Gpu, cx: &mut BatchContext) -> Rows {
         // The cache is not consulted: every unique key is a full miss.
         cx.n_miss = cx.dedup.unique.len();
         cx.fill_pos.extend(0..cx.n_miss);
         cx.fill_keys.extend_from_slice(&cx.dedup.unique);
         self.fetch(gpu, cx);
-        let rows = self.restore(gpu, cx);
+        let rows = self.gather_rows(gpu, cx);
         cx.stats.phases.other += gpu.now() - cx.tail_start;
         // Faults during degraded batches must not count against the next
         // probe's sample.
@@ -733,20 +740,30 @@ impl FlecheSystem {
         rows
     }
 
-    /// Stage 1: dedup, then re-encode the unique keys to flat keys and find
-    /// the table runs (host, "other"). Whether the hashing ran here or on a
+    /// Stage 1: dedup (in place, unless a prep thread handed in the
+    /// mapping), then re-encode the unique keys to flat keys and find the
+    /// table runs (host, "other"). Whether the hashing ran here or on a
     /// prep thread, the simulated host cost charged for it is the same.
-    fn dedup(&mut self, gpu: &mut Gpu, dedup: Deduped, cx: &mut BatchContext) {
+    fn dedup(
+        &mut self,
+        gpu: &mut Gpu,
+        batch: &Batch,
+        prepared: Option<Deduped>,
+        cx: &mut BatchContext,
+    ) {
         let o0 = gpu.now();
-        gpu.elapse_host("dedup", dedup.host_cost());
-        cx.dedup = dedup;
+        match prepared {
+            Some(dedup) => cx.dedup = dedup,
+            None => cx.dedup.rebuild(batch),
+        }
+        gpu.elapse_host("dedup", cx.dedup.host_cost());
         if !cx.stats.degraded {
             let unique = &cx.dedup.unique;
             gpu.elapse_host(
                 "encode",
                 Ns(unique.len() as f64 * ENCODE_NS_PER_KEY + self.n_tables as f64 * 50.0),
             );
-            cx.keys = self.codec.encode_pairs(unique);
+            self.codec.encode_pairs_into(unique, &mut cx.keys);
             for (pos, &(t, _)) in unique.iter().enumerate() {
                 match cx.runs.last_mut() {
                     Some(run) if run.table == t => run.end = pos + 1,
@@ -934,14 +951,15 @@ impl FlecheSystem {
     fn fetch(&mut self, gpu: &mut Gpu, cx: &mut BatchContext) {
         let d0 = gpu.now();
         let (miss_keys, located_keys) = cx.fill_keys.split_at(cx.n_miss);
-        let (rows, miss_cost, report) = self.store.query_batch(miss_keys, d0);
-        cx.fill_rows.extend(rows);
+        let (miss_cost, report) = self
+            .store
+            .query_batch_into(miss_keys, d0, &mut cx.fill_rows);
         let mut located_payload = Ns::ZERO;
         if !cx.stats.degraded {
             // (Even an empty read advances the tiered store's LRU clock.)
-            let (rows, payload) = self.store.read_located(located_keys);
-            cx.fill_rows.extend(rows);
-            located_payload = payload;
+            located_payload = self
+                .store
+                .read_located_into(located_keys, &mut cx.fill_rows);
         }
         gpu.elapse_host("dram-query", miss_cost + located_payload);
         let span = gpu.now() - d0;
@@ -989,7 +1007,7 @@ impl FlecheSystem {
         let mut insert_stats = ProbeStats::new();
         // One admission roll per cleanly fetched fill key, in fill order;
         // each key's flat key was already encoded for the probe.
-        for (i, (&pos, row)) in cx.fill_pos.iter().zip(&cx.fill_rows).enumerate() {
+        for (i, (&pos, row)) in cx.fill_pos.iter().zip(cx.fill_rows.iter()).enumerate() {
             if cx.unfetched.binary_search(&i).is_ok() {
                 continue;
             }
@@ -1073,14 +1091,16 @@ impl FlecheSystem {
         cx.stats.phases.other += gpu.now() - r0;
     }
 
-    /// Stage 8: materialises the output rows and prices the restore
-    /// scatter, then drains the device. One borrowed view per unique key —
-    /// the pool slot of a hit (still readable: retired slots are reclaimed
-    /// only at the batch boundary), the fetched row of a fill key — and the
-    /// output rows are copied straight from the views: each row is copied
-    /// once. (The view table borrows the cache, so it cannot live in the
-    /// reused context.)
-    fn restore(&mut self, gpu: &mut Gpu, cx: &mut BatchContext) -> Vec<Vec<f32>> {
+    /// Stage 8: gathers the output rows and prices the restore scatter,
+    /// then drains the device. One borrowed view per unique key — the pool
+    /// slot of a hit (still readable: retired slots are reclaimed only at
+    /// the batch boundary), the arena row of a fill key — and the output
+    /// rows are copied straight from the views, each once, over the matrix
+    /// the system lends (`RowPool`): it comes back when the caller drops
+    /// the returned rows, so a steady-state batch allocates no row. (The
+    /// view table borrows the cache, so it cannot live in the reused
+    /// context.)
+    fn gather_rows(&mut self, gpu: &mut Gpu, cx: &mut BatchContext) -> Rows {
         cx.tail_start = gpu.now();
         let mut views: Vec<&[f32]> = vec![&[][..]; cx.dedup.unique.len()];
         for (&pos, &(class, slot)) in cx.hit_pos.iter().zip(&cx.hit_slots) {
@@ -1089,10 +1109,11 @@ impl FlecheSystem {
             }
             views[pos] = self.cache.read_hit(class, slot);
         }
-        for (&pos, row) in cx.fill_pos.iter().zip(&cx.fill_rows) {
+        for (&pos, row) in cx.fill_pos.iter().zip(cx.fill_rows.iter()) {
             views[pos] = row;
         }
-        let rows = cx.dedup.restore_from(&views);
+        let mut rows = self.rows.lend(cx.dedup.access_len());
+        cx.dedup.restore_into(&views, &mut rows);
         let s = gpu.default_stream();
         gpu.launch(
             s,
@@ -1106,7 +1127,7 @@ impl FlecheSystem {
         rows
     }
 
-    /// Stage 9: the batch boundary. `restore`'s sync is the happens-before
+    /// Stage 9: the batch boundary. `gather_rows`'s sync is the happens-before
     /// edge everything here relies on: the decoupled copy has completed, so
     /// its pin is released and retired slots are reclaimed; staged updates
     /// become visible (mid-batch, readers only ever saw the pre-update

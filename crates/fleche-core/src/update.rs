@@ -8,7 +8,7 @@ use fleche_chaos::{StalenessConfig, StalenessPolicy};
 use fleche_coding::{FlatKey, FlatKeyCodec, SizeAwareCodec};
 use fleche_gpu::{ledger_resource, slot_resource, Gpu, KernelDesc, KernelWork, Ns};
 use fleche_index::ProbeStats;
-use fleche_store::{versioned_embedding_value, UpdatePush, VersionLedger};
+use fleche_store::{versioned_embedding_value, RowArena, UpdatePush, VersionLedger};
 
 /// Calibration constants for ingesting, applying, and checkpointing
 /// online embedding updates, shaped like the HugeCTR inference parameter
@@ -241,7 +241,7 @@ impl UpdatePipeline {
         fill: &[(u16, u64)],
         located: Option<usize>,
         unfetched: &[usize],
-        rows: &mut [Vec<f32>],
+        rows: &mut RowArena,
         versions: &mut Vec<u64>,
     ) {
         versions.resize(fill.len(), 0);
@@ -254,10 +254,10 @@ impl UpdatePipeline {
         if let Some(located) = located {
             gpu.elapse_host("ledger-probe", Ns(located as f64 * per_key));
         }
-        for (i, (&(t, f), row)) in fill.iter().zip(rows).enumerate() {
+        for (i, &(t, f)) in fill.iter().enumerate() {
             let v = self.ledger.get(t, f);
             if v > 0 && unfetched.binary_search(&i).is_err() {
-                versioned_embedding_value(t, f, v, row);
+                versioned_embedding_value(t, f, v, rows.row_mut(i));
                 versions[i] = v;
             }
         }

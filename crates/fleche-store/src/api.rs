@@ -8,6 +8,7 @@
 use crate::dedup::Deduped;
 use fleche_gpu::{Gpu, Ns};
 use fleche_workload::Batch;
+use std::sync::{Arc, Mutex};
 
 /// Phase-attributed timing of one batch query, in the paper's taxonomy
 /// (Exp #7/#8: `Cache Query = Cache Index + Cache Copy`, same for DRAM).
@@ -83,14 +84,137 @@ impl BatchStats {
     }
 }
 
-/// Result of one batch query.
+/// Result of one batch query: the output matrix and what the batch cost.
+///
+/// The matrix may be lent by the system that produced it (see [`Rows`]):
+/// dropping the output hands it back for the system's next batch, so a
+/// caller that only reads the rows keeps the serving path free of
+/// per-access allocation without doing anything.
 #[derive(Debug)]
 pub struct QueryOutput {
     /// One embedding row per access, in the batch's flattening order
     /// (table-major). Byte-identical to the ground-truth store.
-    pub rows: Vec<Vec<f32>>,
+    pub rows: Rows,
     /// Counters and timing.
     pub stats: BatchStats,
+}
+
+/// A batch's output matrix, one row per access.
+///
+/// It reads as the `Vec<Vec<f32>>` it owns (`&out.rows` coerces to
+/// `&[Vec<f32>]`, and `&Rows` iterates rows). A matrix lent from a
+/// [`RowPool`] goes back to that pool when the `Rows` is dropped, on
+/// whatever thread drops it, so the next batch overwrites its rows in
+/// place instead of allocating one vector per access. [`Rows::into_vec`]
+/// keeps the matrix instead.
+#[derive(Debug, Default)]
+pub struct Rows {
+    rows: Vec<Vec<f32>>,
+    /// Where the matrix goes back to; `None` for an owned matrix.
+    pool: Option<RowPool>,
+}
+
+impl Rows {
+    /// Takes the matrix out; the pool that lent it does not get it back.
+    pub fn into_vec(mut self) -> Vec<Vec<f32>> {
+        self.pool = None;
+        std::mem::take(&mut self.rows)
+    }
+}
+
+impl From<Vec<Vec<f32>>> for Rows {
+    /// An owned matrix, freed on drop like the vector itself.
+    fn from(rows: Vec<Vec<f32>>) -> Rows {
+        Rows { rows, pool: None }
+    }
+}
+
+impl std::ops::Deref for Rows {
+    type Target = Vec<Vec<f32>>;
+
+    fn deref(&self) -> &Vec<Vec<f32>> {
+        &self.rows
+    }
+}
+
+impl std::ops::DerefMut for Rows {
+    fn deref_mut(&mut self) -> &mut Vec<Vec<f32>> {
+        &mut self.rows
+    }
+}
+
+impl<'a> IntoIterator for &'a Rows {
+    type Item = &'a Vec<f32>;
+    type IntoIter = std::slice::Iter<'a, Vec<f32>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.rows.iter()
+    }
+}
+
+impl Drop for Rows {
+    fn drop(&mut self) {
+        if let Some(pool) = self.pool.take() {
+            pool.give_back(&mut self.rows);
+        }
+    }
+}
+
+/// The output matrix a system lends to its batches, kept between them.
+///
+/// It holds at most one spare matrix plus the rows a shorter batch left
+/// over, so what it keeps is bounded by the largest batch times the
+/// widest row. Rows keep their capacity, so once the pool has seen the
+/// largest batch, lending and filling a matrix allocates nothing. A
+/// matrix handed back while a spare is already waiting (two outputs alive
+/// at once) is freed. Clones share one pool.
+#[derive(Clone, Debug, Default)]
+pub struct RowPool(Arc<Mutex<SpareRows>>);
+
+#[derive(Debug, Default)]
+struct SpareRows {
+    /// The matrix the last dropped output handed back; empty while lent.
+    matrix: Vec<Vec<f32>>,
+    /// Rows a shorter batch did not need, kept for a longer one.
+    surplus: Vec<Vec<f32>>,
+}
+
+impl RowPool {
+    /// Lends a matrix of exactly `len` rows whose contents are left over
+    /// from earlier batches: the caller overwrites every row (as
+    /// [`Deduped::restore_into`] does). Dropping the returned [`Rows`]
+    /// hands it back.
+    pub fn lend(&self, len: usize) -> Rows {
+        let mut rows = Vec::new();
+        // A poisoned pool (a thread panicked mid-hand-off) lends a fresh
+        // matrix instead.
+        if let Ok(mut spare) = self.0.lock() {
+            let spare = &mut *spare;
+            rows = std::mem::take(&mut spare.matrix);
+            if rows.len() > len {
+                spare.surplus.extend(rows.drain(len..));
+            } else {
+                let short = len - rows.len();
+                let from = spare.surplus.len().saturating_sub(short);
+                rows.extend(spare.surplus.drain(from..));
+            }
+        }
+        rows.resize_with(len, Vec::new);
+        Rows {
+            rows,
+            pool: Some(self.clone()),
+        }
+    }
+
+    /// Keeps `rows` as the spare matrix if none is waiting; otherwise (or
+    /// if the pool is poisoned) leaves it to be freed by its owner.
+    fn give_back(&self, rows: &mut Vec<Vec<f32>>) {
+        if let Ok(mut spare) = self.0.lock() {
+            if spare.matrix.capacity() == 0 {
+                spare.matrix = std::mem::take(rows);
+            }
+        }
+    }
 }
 
 /// A GPU-resident embedding cache system under test.
@@ -284,7 +408,7 @@ mod tests {
         fn query_batch(&mut self, _: &mut Gpu, _: &Batch) -> QueryOutput {
             self.calls.push("query_batch");
             QueryOutput {
-                rows: Vec::new(),
+                rows: Rows::default(),
                 stats: BatchStats::default(),
             }
         }
@@ -298,7 +422,7 @@ mod tests {
             self.calls.push("query_batch_prepared");
             self.prepared_unique = Some(prepared.unique_len());
             QueryOutput {
-                rows: Vec::new(),
+                rows: Rows::default(),
                 stats: BatchStats::default(),
             }
         }

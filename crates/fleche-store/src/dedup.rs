@@ -43,18 +43,33 @@ pub struct Deduped {
     /// Accesses per table, in flattening order (prefix information needed
     /// to slice `inverse` back into per-table runs).
     pub per_table_counts: Vec<u32>,
+    /// The open-addressing probe table of the last [`Deduped::rebuild`],
+    /// kept so the next one reuses its memory.
+    probe: Vec<u32>,
 }
 
 impl Deduped {
-    /// Deduplicates `batch` through an open-addressing table of indices
-    /// into `unique`: power-of-two capacity of at least twice the access
-    /// count (load factor ≤ 0.5), linear probing, sized once — no rehash,
-    /// no per-key allocation.
+    /// Deduplicates `batch` into a new mapping (see [`Deduped::rebuild`]).
     ///
     /// # Panics
     ///
     /// Panics if the batch holds `u32::MAX` accesses or more.
     pub fn from_batch(batch: &Batch) -> Deduped {
+        let mut d = Deduped::default();
+        d.rebuild(batch);
+        d
+    }
+
+    /// Replaces this mapping with `batch`'s, reusing every vector's
+    /// memory. Deduplicates through an open-addressing table of indices
+    /// into `unique`: power-of-two capacity of at least twice the access
+    /// count (load factor ≤ 0.5), linear probing, sized once per batch — no
+    /// rehash, no per-key allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch holds `u32::MAX` accesses or more.
+    pub fn rebuild(&mut self, batch: &Batch) {
         let total = batch.total_ids();
         assert!(
             total < VACANT as usize,
@@ -63,20 +78,28 @@ impl Deduped {
         let capacity = (total * 2).next_power_of_two().max(2);
         let shift = 64 - capacity.trailing_zeros();
         let mask = capacity - 1;
-        let mut table = vec![VACANT; capacity];
-        let mut unique: Vec<(u16, u64)> = Vec::new();
-        let mut inverse = Vec::with_capacity(total);
-        let mut per_table_counts = Vec::with_capacity(batch.table_ids.len());
+        let Deduped {
+            unique,
+            inverse,
+            per_table_counts,
+            probe,
+        } = self;
+        probe.clear();
+        probe.resize(capacity, VACANT);
+        unique.clear();
+        inverse.clear();
+        inverse.reserve(total);
+        per_table_counts.clear();
         for (t, ids) in batch.table_ids.iter().enumerate() {
             per_table_counts.push(ids.len() as u32);
             for &id in ids {
                 let key = (t as u16, id);
                 let mut at = (mix(t as u16, id) >> shift) as usize;
                 let idx = loop {
-                    let found = table[at];
+                    let found = probe[at];
                     if found == VACANT {
                         let next = unique.len() as u32;
-                        table[at] = next;
+                        probe[at] = next;
                         unique.push(key);
                         break next;
                     }
@@ -87,11 +110,6 @@ impl Deduped {
                 };
                 inverse.push(idx);
             }
-        }
-        Deduped {
-            unique,
-            inverse,
-            per_table_counts,
         }
     }
 
@@ -129,22 +147,39 @@ impl Deduped {
         out
     }
 
-    /// Restores the full per-access embedding matrix from unique rows:
-    /// `rows[i]` is the embedding fetched for `unique[i]`, as anything
-    /// that views as `&[f32]` — owned rows, or borrowed views straight
-    /// into wherever each row already lives, so a row is copied exactly
-    /// once, into the output. Returns one vector per access, in
-    /// flattening order.
+    /// Restores the full per-access embedding matrix from unique rows into
+    /// `out`, reusing its memory: `rows[i]` is the embedding fetched for
+    /// `unique[i]`, as anything that views as `&[f32]` — owned rows, or
+    /// borrowed views straight into wherever each row already lives, so a
+    /// row is copied exactly once, into the output. Afterwards `out` holds
+    /// one row per access, in flattening order, whatever it held before;
+    /// each row is overwritten in place, so a matrix reused across batches
+    /// allocates only where a row outgrows its capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len() != unique.len()`.
+    pub fn restore_into<R: AsRef<[f32]>>(&self, rows: &[R], out: &mut Vec<Vec<f32>>) {
+        assert_eq!(rows.len(), self.unique.len(), "row count mismatch");
+        out.truncate(self.inverse.len());
+        let reused = out.len();
+        for (dst, &u) in out.iter_mut().zip(&self.inverse) {
+            dst.clear();
+            dst.extend_from_slice(rows[u as usize].as_ref());
+        }
+        let fresh = self.inverse[reused..].iter();
+        out.extend(fresh.map(|&u| rows[u as usize].as_ref().to_vec()));
+    }
+
+    /// [`Deduped::restore_into`] a new matrix.
     ///
     /// # Panics
     ///
     /// Panics if `rows.len() != unique.len()`.
     pub fn restore_from<R: AsRef<[f32]>>(&self, rows: &[R]) -> Vec<Vec<f32>> {
-        assert_eq!(rows.len(), self.unique.len(), "row count mismatch");
-        self.inverse
-            .iter()
-            .map(|&u| rows[u as usize].as_ref().to_vec())
-            .collect()
+        let mut out = Vec::new();
+        self.restore_into(rows, &mut out);
+        out
     }
 
     /// [`Deduped::restore_from`] over owned rows.
@@ -272,6 +307,39 @@ mod tests {
             .collect();
         let views: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
         assert_eq!(d.restore_from(&views), d.restore(&rows));
+    }
+
+    #[test]
+    fn restore_into_a_reused_matrix_equals_restore_from() {
+        let b = batch();
+        let d = Deduped::from_batch(&b);
+        let rows: Vec<Vec<f32>> = d
+            .unique
+            .iter()
+            .map(|&(t, id)| vec![t as f32, id as f32, 0.5])
+            .collect();
+        let want = d.restore_from(&rows);
+        // Longer and shorter than the batch, holding rows of other dims.
+        for len in [want.len() + 7, want.len() / 2, 0] {
+            let mut out: Vec<Vec<f32>> = (0..len).map(|i| vec![-1.0; 1 + i % 5]).collect();
+            d.restore_into(&rows, &mut out);
+            assert_eq!(out, want, "reused matrix of {len} rows");
+        }
+    }
+
+    #[test]
+    fn rebuild_matches_a_fresh_dedup_at_any_previous_size() {
+        let ds = spec::synthetic(3, 50, 8, -1.5);
+        let mut gen = TraceGenerator::new(&ds);
+        let mut d = Deduped::default();
+        for size in [64, 3, 0, 40] {
+            let b = gen.next_batch(size);
+            d.rebuild(&b);
+            let fresh = Deduped::from_batch(&b);
+            assert_eq!(d.unique, fresh.unique);
+            assert_eq!(d.inverse, fresh.inverse);
+            assert_eq!(d.per_table_counts, fresh.per_table_counts);
+        }
     }
 
     #[test]

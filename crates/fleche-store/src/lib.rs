@@ -32,9 +32,10 @@ pub mod update;
 
 pub use api::{
     dedup_charged, BatchStats, EmbeddingCacheSystem, LifetimeStats, PhaseBreakdown, QueryOutput,
+    RowPool, Rows,
 };
 pub use dedup::{Deduped, DEDUP_NS_PER_ID};
 pub use pooling::pooling_kernel_work;
 pub use remote::{FetchReport, RemoteSpec, TieredStats, TieredStore};
-pub use table::{embedding_value, CpuStore, DRAM_INDEX_BYTES, DRAM_PROBES_PER_LOOKUP};
+pub use table::{embedding_value, CpuStore, RowArena, DRAM_INDEX_BYTES, DRAM_PROBES_PER_LOOKUP};
 pub use update::{versioned_embedding_value, UpdatePush, UpdateStream, VersionLedger};

@@ -9,7 +9,7 @@
 //! unified index can invalidate pointers to embeddings that left DRAM —
 //! the corner case the paper flags for this mode.
 
-use crate::table::{embedding_value, DRAM_INDEX_BYTES, DRAM_PROBES_PER_LOOKUP};
+use crate::table::{embedding_value, RowArena, DRAM_INDEX_BYTES, DRAM_PROBES_PER_LOOKUP};
 use fleche_chaos::{ChaosRng, FetchOutcome, RemoteFaultInjector, RetryPolicy};
 use fleche_gpu::{BytesPerNs, DramSpec, Ns};
 use fleche_workload::DatasetSpec;
@@ -250,9 +250,21 @@ impl TieredStore {
         (rows, cost)
     }
 
+    /// [`Self::query_batch_at_into`] a new vector per row.
+    pub fn query_batch_at(
+        &mut self,
+        keys: &[(u16, u64)],
+        now: Ns,
+    ) -> (Vec<Vec<f32>>, Ns, FetchReport) {
+        let mut arena = RowArena::default();
+        let (cost, report) = self.query_batch_at_into(keys, now, &mut arena);
+        (arena.to_rows(), cost, report)
+    }
+
     /// Fault-aware batch query at simulated time `now` (used to place the
-    /// batch relative to scheduled outage windows). Returns rows in key
-    /// order, the total host-side time, and the recovery report.
+    /// batch relative to scheduled outage windows). Appends the rows to
+    /// `arena` in key order and returns the total host-side time and the
+    /// recovery report, whose indices count from this call's first key.
     ///
     /// With faults injected, the remote phase runs the configured
     /// [`RetryPolicy`]: timed-out attempts are retried with exponential
@@ -261,13 +273,14 @@ impl TieredStore {
     /// exhausted, keys fall back to the stale buffer (if enabled and a
     /// not-yet-scrubbed evicted copy exists) or are served as zeros and
     /// reported in [`FetchReport::failed`].
-    pub fn query_batch_at(
+    pub fn query_batch_at_into(
         &mut self,
         keys: &[(u16, u64)],
         now: Ns,
-    ) -> (Vec<Vec<f32>>, Ns, FetchReport) {
+        arena: &mut RowArena,
+    ) -> (Ns, FetchReport) {
         self.clock += 1;
-        let mut rows = Vec::with_capacity(keys.len());
+        let base = arena.len();
         let mut dram_lookups = 0u64;
         let mut dram_bytes = 0u64;
         let mut missing: Vec<usize> = Vec::new();
@@ -279,8 +292,7 @@ impl TieredStore {
                 "id {id} outside corpus of table {t}"
             );
             let dim = self.dims[t as usize] as usize;
-            let mut v = vec![0.0f32; dim];
-            embedding_value(t, id, &mut v);
+            embedding_value(t, id, arena.push_zeroed(dim));
             let bytes = dim as u64 * 4 + DRAM_INDEX_BYTES;
             if let Some(stamp) = self.resident.get_mut(&(t, id)) {
                 *stamp = self.clock;
@@ -292,7 +304,6 @@ impl TieredStore {
                 remote_keys += 1;
                 remote_bytes += dim as u64 * 4;
             }
-            rows.push(v);
         }
         let dram_cost =
             self.dram
@@ -301,7 +312,7 @@ impl TieredStore {
         let mut report = FetchReport::default();
         if missing.is_empty() {
             self.evict_over_capacity();
-            return (rows, dram_cost, report);
+            return (dram_cost, report);
         }
 
         let (fetched, remote_cost) = self.remote_phase(now, remote_keys, remote_bytes, &mut report);
@@ -326,15 +337,13 @@ impl TieredStore {
                         continue;
                     }
                 }
-                let (t, _) = k;
-                let dim = self.dims[t as usize] as usize;
-                rows[i] = vec![0.0f32; dim];
+                arena.row_mut(base + i).fill(0.0);
                 self.stats.failed_keys += 1;
                 report.failed.push(i);
             }
         }
         self.evict_over_capacity();
-        (rows, dram_cost + remote_cost, report)
+        (dram_cost + remote_cost, report)
     }
 
     /// Runs the remote fetch with retries, hedging, and the deadline.
@@ -428,19 +437,18 @@ impl TieredStore {
     }
 
     /// Reads keys whose DRAM residency is already known (unified-index
-    /// hits): payload cost only, refreshing the LRU stamp so located keys
-    /// stay resident under their pointers. A key that slipped out of DRAM
-    /// despite the invalidation protocol is served remotely (defensive).
-    pub fn read_located(&mut self, keys: &[(u16, u64)]) -> (Vec<Vec<f32>>, Ns) {
+    /// hits) into `arena`, in key order: payload cost only, refreshing the
+    /// LRU stamp so located keys stay resident under their pointers. A key
+    /// that slipped out of DRAM despite the invalidation protocol is served
+    /// remotely (defensive).
+    pub fn read_located_into(&mut self, keys: &[(u16, u64)], arena: &mut RowArena) -> Ns {
         self.clock += 1;
-        let mut rows = Vec::with_capacity(keys.len());
         let mut bytes = 0u64;
         let mut stray_keys = 0u64;
         let mut stray_bytes = 0u64;
         for &(t, id) in keys {
             let dim = self.dims[t as usize] as usize;
-            let mut v = vec![0.0f32; dim];
-            embedding_value(t, id, &mut v);
+            embedding_value(t, id, arena.push_zeroed(dim));
             if let Some(stamp) = self.resident.get_mut(&(t, id)) {
                 *stamp = self.clock;
                 self.stats.dram_hits += 1;
@@ -451,12 +459,9 @@ impl TieredStore {
                 stray_bytes += dim as u64 * 4;
                 self.resident.insert((t, id), self.clock);
             }
-            rows.push(v);
         }
         self.evict_over_capacity();
-        let cost = self.dram.batch_lookup_time(0, 0.0, bytes)
-            + self.remote.fetch_time(stray_keys, stray_bytes);
-        (rows, cost)
+        self.dram.batch_lookup_time(0, 0.0, bytes) + self.remote.fetch_time(stray_keys, stray_bytes)
     }
 
     /// Cost of the DRAM-layer indexing for `lookups` keys (what the

@@ -32,6 +32,77 @@ pub fn embedding_value(table: u16, id: u64, out: &mut [f32]) {
     crate::update::versioned_embedding_value(table, id, 0, out);
 }
 
+/// Rows of mixed length packed end to end in one buffer: the fill target
+/// of both miss backends. [`RowArena::clear`] keeps the capacity, so an
+/// arena reused across batches allocates only when a batch outgrows every
+/// earlier one.
+#[derive(Clone, Debug, Default)]
+pub struct RowArena {
+    values: Vec<f32>,
+    /// `ends[i]` is where row `i` stops and row `i + 1` starts.
+    ends: Vec<usize>,
+}
+
+impl RowArena {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when the arena holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Removes every row, keeping the memory.
+    pub fn clear(&mut self) {
+        self.values.clear();
+        self.ends.clear();
+    }
+
+    /// Appends a zeroed row of `dim` values and returns it for filling.
+    pub fn push_zeroed(&mut self, dim: usize) -> &mut [f32] {
+        let start = self.values.len();
+        self.values.resize(start + dim, 0.0);
+        self.ends.push(self.values.len());
+        &mut self.values[start..]
+    }
+
+    fn span(&self, i: usize) -> std::ops::Range<usize> {
+        let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        start..self.ends[i]
+    }
+
+    /// Row `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn row(&self, i: usize) -> &[f32] {
+        &self.values[self.span(i)]
+    }
+
+    /// Row `i`, writable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
+        let span = self.span(i);
+        &mut self.values[span]
+    }
+
+    /// Every row, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[f32]> {
+        (0..self.len()).map(|i| self.row(i))
+    }
+
+    /// Copies every row out into a vector of its own.
+    pub fn to_rows(&self) -> Vec<Vec<f32>> {
+        self.iter().map(<[f32]>::to_vec).collect()
+    }
+}
+
 /// The CPU-DRAM layer: all embedding tables of a dataset, plus the cost
 /// model for querying them.
 #[derive(Clone, Debug)]
@@ -122,21 +193,40 @@ impl CpuStore {
         out
     }
 
-    /// Queries a batch of `(table, id)` keys: returns the embeddings and
-    /// the host-side time the batch costs under the DRAM model
-    /// (latency-bound for many small lookups, bandwidth-bound for bulk).
-    pub fn query_batch(&self, keys: &[(u16, u64)]) -> (Vec<Vec<f32>>, Ns) {
-        let mut out = Vec::with_capacity(keys.len());
-        let mut bytes = 0u64;
+    /// Appends the embeddings of `keys` to `arena`, in key order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is outside its table's corpus.
+    pub fn read_rows_into(&self, keys: &[(u16, u64)], arena: &mut RowArena) {
         for &(t, id) in keys {
-            let v = self.read(t, id);
-            bytes += v.len() as u64 * 4 + DRAM_INDEX_BYTES;
-            out.push(v);
+            self.read_into(t, id, arena.push_zeroed(self.dims[t as usize] as usize));
         }
-        let cost = self
-            .dram
-            .batch_lookup_time(keys.len() as u64, DRAM_PROBES_PER_LOOKUP, bytes);
-        (out, cost)
+    }
+
+    /// Queries a batch of `(table, id)` keys: appends the embeddings to
+    /// `arena`, in key order, and returns the host-side time the batch
+    /// costs under the DRAM model (latency-bound for many small lookups,
+    /// bandwidth-bound for bulk).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is outside its table's corpus.
+    pub fn query_batch_into(&self, keys: &[(u16, u64)], arena: &mut RowArena) -> Ns {
+        self.read_rows_into(keys, arena);
+        let bytes = keys
+            .iter()
+            .map(|&(t, _)| u64::from(self.dims[t as usize]) * 4 + DRAM_INDEX_BYTES)
+            .sum();
+        self.dram
+            .batch_lookup_time(keys.len() as u64, DRAM_PROBES_PER_LOOKUP, bytes)
+    }
+
+    /// [`CpuStore::query_batch_into`] a new vector per row.
+    pub fn query_batch(&self, keys: &[(u16, u64)]) -> (Vec<Vec<f32>>, Ns) {
+        let mut arena = RowArena::default();
+        let cost = self.query_batch_into(keys, &mut arena);
+        (arena.to_rows(), cost)
     }
 
     /// Cost of only the *indexing* part of a DRAM batch query (probe
@@ -215,6 +305,24 @@ mod tests {
         // More keys cost more.
         let (_, cost2) = s.query_batch(&keys[..100]);
         assert!(cost > cost2);
+    }
+
+    #[test]
+    fn arena_rows_of_mixed_length_append_and_clear() {
+        let s = store();
+        let mut arena = RowArena::default();
+        arena.push_zeroed(3).copy_from_slice(&[1.0, 2.0, 3.0]);
+        arena.push_zeroed(0);
+        s.query_batch_into(&[(1, 5), (2, 6)], &mut arena);
+        assert_eq!(arena.len(), 4);
+        assert_eq!(arena.row(0), &[1.0, 2.0, 3.0]);
+        assert!(arena.row(1).is_empty());
+        assert_eq!(arena.row(2), s.read(1, 5).as_slice());
+        arena.row_mut(3).fill(0.5);
+        assert_eq!(arena.to_rows()[3], vec![0.5; 32]);
+        arena.clear();
+        assert!(arena.is_empty());
+        assert_eq!(arena.iter().count(), 0);
     }
 
     #[test]

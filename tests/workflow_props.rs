@@ -5,7 +5,7 @@
 
 use fleche_core::{FlatCacheConfig, FlecheConfig, FlecheSystem};
 use fleche_gpu::{DeviceSpec, DramSpec, Gpu};
-use fleche_store::api::EmbeddingCacheSystem;
+use fleche_store::api::{EmbeddingCacheSystem, QueryOutput};
 use fleche_store::{CpuStore, Deduped};
 use fleche_workload::{spec, Batch, TraceGenerator};
 use proptest::prelude::*;
@@ -188,6 +188,72 @@ proptest! {
             d.unique.windows(2).all(|w| w[0].0 <= w[1].0),
             "unique must be table-contiguous, ascending"
         );
+    }
+}
+
+/// One step of a lending scenario: serve a batch of `size` samples, then
+/// drop outputs (the `pick`-th live one each time, on another thread when
+/// `on_thread`) until at most `alive` stay alive.
+#[derive(Debug, Clone)]
+struct LendStep {
+    size: usize,
+    alive: usize,
+    pick: usize,
+    on_thread: bool,
+}
+
+fn lend_steps() -> impl Strategy<Value = Vec<LendStep>> {
+    prop::collection::vec(
+        (0usize..40, 1usize..4, any::<usize>(), any::<bool>()).prop_map(
+            |(size, alive, pick, on_thread)| LendStep {
+                size,
+                alive,
+                pick,
+                on_thread,
+            },
+        ),
+        2..14,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The system lends its output matrix and gets it back when an output
+    /// is dropped. Whatever is kept alive, dropped in whatever order or on
+    /// whatever thread, a live output's rows never change under it: later
+    /// batches must never write into a matrix still lent out.
+    #[test]
+    fn a_lent_matrix_is_never_shared(steps in lend_steps(), cache_fraction in 0.02f64..0.3) {
+        let mut ds = spec::synthetic(4, 400, 8, -1.2);
+        for (table, dim) in ds.tables.iter_mut().zip([4, 16, 8, 32]) {
+            table.dim = dim;
+        }
+        let truth = CpuStore::new(&ds, DramSpec::xeon_6252());
+        let store = CpuStore::new(&ds, DramSpec::xeon_6252());
+        let mut sys = FlecheSystem::new(&ds, store, FlecheConfig::full(cache_fraction));
+        let mut gpu = Gpu::new(DeviceSpec::t4());
+        let mut gen = TraceGenerator::new(&ds);
+        let mut live: Vec<(Batch, QueryOutput)> = Vec::new();
+        for step in &steps {
+            let batch = gen.next_batch(step.size);
+            let out = sys.query_batch(&mut gpu, &batch);
+            live.push((batch, out));
+            while live.len() > step.alive {
+                let (_, out) = live.remove(step.pick % live.len());
+                if step.on_thread {
+                    std::thread::spawn(move || drop(out))
+                        .join()
+                        .expect("dropping an output does not panic");
+                }
+            }
+            for (batch, out) in &live {
+                prop_assert_eq!(out.rows.len(), batch.total_ids());
+                for ((t, id), row) in batch.iter_accesses().zip(&out.rows) {
+                    prop_assert_eq!(row, &truth.read(t, id));
+                }
+            }
+        }
     }
 }
 
