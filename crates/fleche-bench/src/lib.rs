@@ -445,6 +445,11 @@ pub fn rolling_mean(rates: &[f64], window: usize) -> f64 {
     tail.iter().sum::<f64>() / n as f64
 }
 
+/// Formats a rate as a percentage with two decimals.
+pub fn fmt_pct(rate: f64) -> String {
+    format!("{:.2}%", rate * 100.0)
+}
+
 /// Formats a simulated duration compactly.
 pub fn fmt_ns(t: Ns) -> String {
     format!("{t}")
