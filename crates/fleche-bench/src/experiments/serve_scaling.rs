@@ -366,25 +366,24 @@ fn phase_analyze(d: &mut Drill, j: &mut JsonEmitter) {
 }
 
 pub(crate) fn main(args: &Args) -> ExitCode {
-    let mut d = Drill::start(
-        args,
-        "serve_scaling: pipelined multi-worker serving front-end",
-    );
-    let mut j = d.report();
-    j.field_str(
-        "note",
-        "fields under machine_dependent vary by host; everything else is deterministic",
-    );
-    phase_identity(&mut d, &mut j);
-    let scaling_ok = phase_scaling(d.args.quick, &mut j);
-    phase_overload(&mut d, &mut j);
-    if d.args.analyze {
-        phase_analyze(&mut d, &mut j);
-    }
+    let title = "serve_scaling: pipelined multi-worker serving front-end";
     // Wall-clock acceptance is reported on stderr; a failure exits
     // nonzero so CI notices, without polluting deterministic stdout.
-    let wall_clock_only = d.code() == 0 && !scaling_ok;
-    let code = d.finish("BENCH_serve.json", j, None);
+    let mut wall_clock_only = false;
+    let code = Drill::run(args, title, "BENCH_serve.json", None, false, |d, j| {
+        j.field_str(
+            "note",
+            "fields under machine_dependent vary by host; everything else is deterministic",
+        );
+        phase_identity(d, j);
+        let scaling_ok = phase_scaling(d.args.quick, j);
+        phase_overload(d, j);
+        if d.args.analyze {
+            phase_analyze(d, j);
+        }
+        wall_clock_only = d.code() == 0 && !scaling_ok;
+        Ok(())
+    });
     if wall_clock_only {
         ExitCode::from(3)
     } else {
