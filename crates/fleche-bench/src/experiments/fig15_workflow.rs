@@ -43,8 +43,8 @@ pub(crate) fn main(args: &Args) {
             fmt_ns(base),
             fmt_ns(dec),
             fmt_ns(full),
-            format!("-{:.1}%", (1.0 - dec.as_ns() / base.as_ns()) * 100.0),
-            format!("-{:.1}%", (1.0 - full.as_ns() / dec.as_ns()) * 100.0),
+            format!("{:+.1}%", (dec.as_ns() / base.as_ns() - 1.0) * 100.0),
+            format!("{:+.1}%", (full.as_ns() / dec.as_ns() - 1.0) * 100.0),
         ]);
     }
     println!("{}", t.render());

@@ -65,7 +65,7 @@ pub(crate) fn main(args: &Args) {
             for kind in stages {
                 let (wall, p) = run_stage(kind, &ds, fraction, bs);
                 let delta = prev
-                    .map(|pr| format!("-{:.1}%", (1.0 - wall.as_ns() / pr.as_ns()) * 100.0))
+                    .map(|pr| format!("{:+.1}%", (wall.as_ns() / pr.as_ns() - 1.0) * 100.0))
                     .unwrap_or_else(|| "-".to_string());
                 t.row(&[
                     bs.to_string(),
