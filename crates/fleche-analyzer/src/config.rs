@@ -17,9 +17,10 @@ pub struct RuleConfig {
     /// Path prefixes exempted from the rule, each standing for a reviewed
     /// justification (deterministic by construction, documented panic, ...).
     pub allow: Vec<String>,
-    /// Config-file line of each `allow` entry (parallel to `allow`), so
-    /// the stale-allow audit can point at the exact entry to drop.
-    pub allow_lines: Vec<u32>,
+    /// Config-file line of each entry of each list (`allow` included),
+    /// keyed by list name, so a diagnostic about one entry (a stale allow,
+    /// a dead mutator) can point at the exact entry to drop.
+    pub lines: BTreeMap<String, Vec<u32>>,
     /// Extra string settings (rule-specific, e.g. `doc` for
     /// cost-constants).
     pub settings: BTreeMap<String, String>,
@@ -34,6 +35,15 @@ impl RuleConfig {
         let covered = self.paths.iter().any(|p| path.starts_with(p.as_str()));
         let allowed = self.allow.iter().any(|p| path.starts_with(p.as_str()));
         covered && !allowed
+    }
+
+    /// Config-file line of entry `i` of list `key` (0 when unknown).
+    pub fn line(&self, key: &str, i: usize) -> u32 {
+        self.lines
+            .get(key)
+            .and_then(|l| l.get(i))
+            .copied()
+            .unwrap_or(0)
     }
 }
 
@@ -186,16 +196,13 @@ pub fn parse(src: &str) -> Result<AnalyzerConfig, ConfigError> {
             .get_mut(rule_id)
             .expect("section header inserted the entry");
         if value.starts_with('[') && value.ends_with(']') {
-            let items = parse_array_segments(&segments)?;
+            let (items, lines) = parse_array_segments(&segments)?.into_iter().unzip();
+            rule.lines.insert(key.clone(), lines);
             match key.as_str() {
-                "paths" => rule.paths = items.into_iter().map(|(s, _)| s).collect(),
-                "allow" => {
-                    rule.allow_lines = items.iter().map(|&(_, l)| l).collect();
-                    rule.allow = items.into_iter().map(|(s, _)| s).collect();
-                }
+                "paths" => rule.paths = items,
+                "allow" => rule.allow = items,
                 _ => {
-                    rule.lists
-                        .insert(key, items.into_iter().map(|(s, _)| s).collect());
+                    rule.lists.insert(key, items);
                 }
             }
         } else {

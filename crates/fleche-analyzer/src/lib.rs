@@ -82,7 +82,8 @@ pub fn load_config(path: &Path) -> Result<AnalyzerConfig, String> {
 /// suppressed nothing becomes a `stale-allow` diagnostic — allow-listed
 /// files are still scanned (their findings just feed the audit instead
 /// of the report), so a stale entry cannot hide behind its own
-/// exemption.
+/// exemption. Likewise a `slot-resource-coverage` mutator that no call in
+/// the rule's paths matches is reported at its config line.
 pub fn run(root: &Path, config: &AnalyzerConfig) -> io::Result<Vec<Diagnostic>> {
     let files = workspace_rust_files(root)?;
     let mut diagnostics = Vec::new();
@@ -138,14 +139,18 @@ pub fn run(root: &Path, config: &AnalyzerConfig) -> io::Result<Vec<Diagnostic>> 
             Box::new(rules::target_feature_guard),
         ));
     }
-    if let Some(r) = config.rule(rules::ids::SLOT_RESOURCE_COVERAGE) {
-        let receiver = r
-            .settings
-            .get("receiver")
-            .cloned()
-            .unwrap_or_else(|| "cache".to_string());
-        let mutators = r.lists.get("mutators").cloned().unwrap_or_default();
-        let markers = r.lists.get("markers").cloned().unwrap_or_default();
+    // The slot-coverage rule's mutators, and which of them some call in the
+    // rule's paths matches (the dead ones are reported after the scan).
+    let slot_rule = config.rule(rules::ids::SLOT_RESOURCE_COVERAGE);
+    let list = |key: &str| slot_rule.and_then(|r| r.lists.get(key).cloned());
+    let mutators = list("mutators").unwrap_or_default();
+    let receiver = slot_rule
+        .and_then(|r| r.settings.get("receiver").cloned())
+        .unwrap_or_else(|| "cache".to_string());
+    let mut mutators_called = vec![false; mutators.len()];
+    if let Some(r) = slot_rule {
+        let markers = list("markers").unwrap_or_default();
+        let (receiver, mutators) = (receiver.clone(), mutators.clone());
         per_file.push((
             rules::ids::SLOT_RESOURCE_COVERAGE,
             r,
@@ -201,6 +206,9 @@ pub fn run(root: &Path, config: &AnalyzerConfig) -> io::Result<Vec<Diagnostic>> 
         if lock {
             lock_order.scan(file, &lexed);
         }
+        if slot_rule.is_some_and(|r| r.paths.iter().any(|p| file.starts_with(p.as_str()))) {
+            rules::mark_mutators_called(&lexed, &receiver, &mutators, &mut mutators_called);
+        }
         if stale_here {
             for (si, s) in lexed.suppressions.iter().enumerate() {
                 if !marker_used[si] {
@@ -220,20 +228,38 @@ pub fn run(root: &Path, config: &AnalyzerConfig) -> io::Result<Vec<Diagnostic>> 
     }
     diagnostics.extend(lock_order.finish());
 
+    let source = if config.source.is_empty() {
+        "fleche-analyzer.toml".to_string()
+    } else {
+        config.source.clone()
+    };
+    // Mutator entries no call matched: the rule cannot see that method.
+    for (i, m) in mutators
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| !mutators_called[i])
+    {
+        diagnostics.push(Diagnostic {
+            rule: rules::ids::SLOT_RESOURCE_COVERAGE,
+            file: source.clone(),
+            line: slot_rule.map_or(0, |r| r.line("mutators", i)),
+            message: format!(
+                "mutators entry `{m}` matches no `{receiver}.{m}(..)` call in the \
+                 rule's paths, so the rule checks nothing for it — drop it or \
+                 rename it after the method"
+            ),
+        });
+    }
+
     // Config allow entries that silenced nothing anywhere.
     if stale_rule.is_some() {
-        let source = if config.source.is_empty() {
-            "fleche-analyzer.toml".to_string()
-        } else {
-            config.source.clone()
-        };
         for (id, r, _) in &per_file {
             for (ai, used) in allow_used[id].iter().enumerate() {
                 if !used {
                     diagnostics.push(Diagnostic {
                         rule: rules::ids::STALE_ALLOW,
                         file: source.clone(),
-                        line: r.allow_lines.get(ai).copied().unwrap_or(0),
+                        line: r.line("allow", ai),
                         message: format!(
                             "config allow entry `{}` for rule `{id}` suppresses \
                              nothing — drop it or retarget it",

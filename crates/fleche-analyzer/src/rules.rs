@@ -17,7 +17,7 @@
 //! | `cost-constants` | every public cost-model field of the GPU spec structs is documented in DESIGN.md |
 //! | `condvar-wait-loop` | every `Condvar::wait` must sit inside a `while`/`loop` re-check |
 //! | `lock-across-await-free-hot-path` | no lock guard held across an engine/cache batch call |
-//! | `slot-resource-coverage` | every cache-mutating function declares its slots to the race checker |
+//! | `slot-resource-coverage` | every cache-mutating function declares its slots to the race checker, and every configured mutator is still called |
 //! | `target-feature-guard` | `#[target_feature]` fns stay file-private and are only called behind `is_x86_feature_detected!` |
 //! | `stale-allow` | every allow entry (inline or config) must still suppress something |
 //!
@@ -27,6 +27,7 @@
 
 use crate::lexer::{Lexed, Token, TokenKind};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// One finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -129,6 +130,37 @@ fn test_code_mask(tokens: &[Token]) -> Vec<bool> {
         i += 1;
     }
     mask
+}
+
+/// The token range inside the braces of each function body whose `fn`
+/// token `keep` admits. Bodiless declarations are skipped, and a function
+/// nested in a body is part of that body.
+fn fn_bodies(tokens: &[Token], keep: impl Fn(usize) -> bool) -> Vec<Range<usize>> {
+    let mut bodies = Vec::new();
+    let mut i = 0usize;
+    while i < tokens.len() {
+        if tokens[i].text != "fn" || !keep(i) {
+            i += 1;
+            continue;
+        }
+        let mut k = i + 1;
+        while k < tokens.len() && tokens[k].text != "{" && tokens[k].text != ";" {
+            k += 1;
+        }
+        if k >= tokens.len() || tokens[k].text == ";" {
+            i = k + 1;
+            continue;
+        }
+        // The matching close brace sits at open_depth + 1 (see above).
+        let close_depth = tokens[k].depth + 1;
+        let mut end = k + 1;
+        while end < tokens.len() && !(tokens[end].text == "}" && tokens[end].depth == close_depth) {
+            end += 1;
+        }
+        bodies.push(k + 1..end);
+        i = end + 1;
+    }
+    bodies
 }
 
 fn matches(tokens: &[Token], start: usize, texts: &[&str]) -> bool {
@@ -273,29 +305,9 @@ impl LockOrder {
     pub fn scan(&mut self, file: &str, lexed: &Lexed) {
         let tokens = &lexed.tokens;
         let mask = test_code_mask(tokens);
-        // Split into function bodies: a `fn` keyword, then its brace block.
-        let mut i = 0usize;
-        while i < tokens.len() {
-            if mask[i] || tokens[i].text != "fn" {
-                i += 1;
-                continue;
-            }
-            // Find the body's opening brace at the same or deeper depth.
-            let mut k = i + 1;
-            while k < tokens.len() && tokens[k].text != "{" && tokens[k].text != ";" {
-                k += 1;
-            }
-            if k >= tokens.len() || tokens[k].text == ";" {
-                i = k + 1;
-                continue;
-            }
-            let close_depth = tokens[k].depth + 1;
-            let mut m = k + 1;
+        for body in fn_bodies(tokens, |i| !mask[i]) {
             let mut held: Vec<String> = Vec::new();
-            while m < tokens.len() {
-                if tokens[m].text == "}" && tokens[m].depth == close_depth {
-                    break;
-                }
+            for m in body {
                 // receiver . method ( )
                 if tokens[m].kind == TokenKind::Ident
                     && LOCK_METHODS.contains(&tokens[m].text.as_str())
@@ -323,9 +335,7 @@ impl LockOrder {
                         held.push(receiver);
                     }
                 }
-                m += 1;
             }
-            i = m + 1;
         }
     }
 
@@ -572,6 +582,41 @@ pub fn lock_across_hot_path(file: &str, lexed: &Lexed, hot_calls: &[String]) -> 
     out
 }
 
+/// The index in `mutators` of the method called at `tokens[m]`, when the
+/// tokens there read `<receiver>.<mutator>(` with a receiver whose name
+/// ends in `receiver`.
+fn mutator_call(tokens: &[Token], m: usize, receiver: &str, mutators: &[String]) -> Option<usize> {
+    let t = &tokens[m];
+    if t.kind != TokenKind::Ident
+        || m < 2
+        || tokens[m - 1].text != "."
+        || tokens[m - 2].kind != TokenKind::Ident
+        || !tokens[m - 2].text.ends_with(receiver)
+        || !tokens.get(m + 1).is_some_and(|n| n.text == "(")
+    {
+        return None;
+    }
+    mutators.iter().position(|mu| mu == &t.text)
+}
+
+/// Sets `called[i]` when some non-test `<receiver>.<mutators[i]>(` call
+/// in `lexed` matches entry `i`. Across the rule's paths, an entry no call
+/// matches is dead: a rename left the rule blind to the method, which the
+/// run reports like a stale allow.
+pub fn mark_mutators_called(
+    lexed: &Lexed,
+    receiver: &str,
+    mutators: &[String],
+    called: &mut [bool],
+) {
+    let mask = test_code_mask(&lexed.tokens);
+    for m in (0..lexed.tokens.len()).filter(|&m| !mask[m]) {
+        if let Some(i) = mutator_call(&lexed.tokens, m, receiver, mutators) {
+            called[i] = true;
+        }
+    }
+}
+
 /// `slot-resource-coverage`: any function that calls a configured
 /// cache-mutating method on a cache-named receiver must also mention a
 /// race-checker resource declaration (`slot_resource`/`ledger_resource`)
@@ -587,63 +632,31 @@ pub fn slot_resource_coverage(
     let tokens = &lexed.tokens;
     let mask = test_code_mask(tokens);
     let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if mask[i] || tokens[i].text != "fn" {
-            i += 1;
-            continue;
-        }
-        let mut k = i + 1;
-        while k < tokens.len() && tokens[k].text != "{" && tokens[k].text != ";" {
-            k += 1;
-        }
-        if k >= tokens.len() || tokens[k].text == ";" {
-            i = k + 1;
-            continue;
-        }
-        let close_depth = tokens[k].depth + 1;
-        let mut m = k + 1;
-        // First undeclared mutation call in this fn, and whether any
+    for body in fn_bodies(tokens, |i| !mask[i]) {
+        // The first mutation call in this fn, and whether any
         // resource-declaration marker appears.
-        let mut first_mutation: Option<(u32, String)> = None;
-        let mut declared = false;
-        while m < tokens.len() {
-            if tokens[m].text == "}" && tokens[m].depth == close_depth {
-                break;
-            }
-            let t = &tokens[m];
-            if t.kind == TokenKind::Ident {
-                if markers.iter().any(|mk| mk == &t.text) {
-                    declared = true;
-                }
-                if mutators.iter().any(|mu| mu == &t.text)
-                    && m > 1
-                    && tokens[m - 1].text == "."
-                    && tokens[m - 2].kind == TokenKind::Ident
-                    && tokens[m - 2].text.ends_with(receiver)
-                    && tokens.get(m + 1).is_some_and(|n| n.text == "(")
-                    && first_mutation.is_none()
-                {
-                    first_mutation = Some((t.line, format!("{}.{}", tokens[m - 2].text, t.text)));
-                }
-            }
-            m += 1;
-        }
-        if let (Some((line, call)), false) = (&first_mutation, declared) {
+        let declared = body.clone().any(|m| {
+            tokens[m].kind == TokenKind::Ident && markers.iter().any(|mk| mk == &tokens[m].text)
+        });
+        let first = body
+            .into_iter()
+            .find(|&m| mutator_call(tokens, m, receiver, mutators).is_some());
+        if let (Some(m), false) = (first, declared) {
             push(
                 &mut out,
                 ids::SLOT_RESOURCE_COVERAGE,
                 file,
-                *line,
+                tokens[m].line,
                 format!(
-                    "`{call}(..)` mutates cache slots, but the enclosing function \
+                    "`{}.{}(..)` mutates cache slots, but the enclosing function \
                      declares no {} resource: the race checker cannot see these \
                      writes",
+                    tokens[m - 2].text,
+                    tokens[m].text,
                     markers.join("/")
                 ),
             );
         }
-        i = m + 1;
     }
     out
 }
@@ -734,39 +747,20 @@ pub fn target_feature_guard(file: &str, lexed: &Lexed) -> Vec<Diagnostic> {
     }
     // Pass 2: every other fn body that calls a `#[target_feature]` fn
     // must consult the runtime feature check somewhere in that body.
-    let mut m = 0usize;
-    while m < tokens.len() {
-        if tokens[m].text != "fn" || tf_fn_tokens.contains(&m) {
-            m += 1;
-            continue;
-        }
-        let mut k = m + 1;
-        while k < tokens.len() && tokens[k].text != "{" && tokens[k].text != ";" {
-            k += 1;
-        }
-        if k >= tokens.len() || tokens[k].text == ";" {
-            m = k + 1;
-            continue;
-        }
-        let close_depth = tokens[k].depth + 1;
-        let mut end = k + 1;
+    for body in fn_bodies(tokens, |m| !tf_fn_tokens.contains(&m)) {
         let mut guarded = false;
         let mut calls: Vec<(u32, String)> = Vec::new();
-        while end < tokens.len() {
-            let t = &tokens[end];
-            if t.text == "}" && t.depth == close_depth {
-                break;
-            }
+        for m in body {
+            let t = &tokens[m];
             if t.kind == TokenKind::Ident {
                 if t.text == "is_x86_feature_detected" {
                     guarded = true;
                 } else if tf_names.contains(&t.text)
-                    && tokens.get(end + 1).is_some_and(|n| n.text == "(")
+                    && tokens.get(m + 1).is_some_and(|n| n.text == "(")
                 {
                     calls.push((t.line, t.text.clone()));
                 }
             }
-            end += 1;
         }
         if !guarded {
             for (line, name) in calls {
@@ -783,7 +777,6 @@ pub fn target_feature_guard(file: &str, lexed: &Lexed) -> Vec<Diagnostic> {
                 );
             }
         }
-        m = end + 1;
     }
     out
 }
@@ -980,6 +973,28 @@ mod tests {
         assert!(
             slot_resource_coverage("x.rs", &lex(other), "cache", &mutators, &markers).is_empty()
         );
+    }
+
+    fn mutators_called(src: &str, mutators: &[String]) -> Vec<bool> {
+        let mut called = vec![false; mutators.len()];
+        mark_mutators_called(&lex(src), "cache", mutators, &mut called);
+        called
+    }
+
+    #[test]
+    fn mutators_called_marks_only_receiver_calls_outside_tests() {
+        let mutators = vec![
+            "wipe".to_string(),
+            "end_batch_with".to_string(),
+            "restore".to_string(),
+        ];
+        // `restore` is named but never called as `cache.restore(`: as a
+        // path, on another receiver, and on the cache only in test code.
+        let src = "fn f(&mut self) { self.cache.wipe(); Self::restore(); self.dedup.restore(); }\n\
+                   #[cfg(test)]\nmod tests { fn t(c: C) { c.cache.restore(); } }";
+        assert_eq!(mutators_called(src, &mutators), [true, false, false]);
+        let later = "fn g(sys: &mut S) { sys.cache.end_batch_with(|c, s| {}); }";
+        assert_eq!(mutators_called(later, &mutators), [false, true, false]);
     }
 
     #[test]

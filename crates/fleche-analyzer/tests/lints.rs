@@ -197,3 +197,39 @@ fn cli_exits_nonzero_on_fixture_and_zero_on_clean_workspace() {
     assert_eq!(clean.status.code(), Some(0), "stdout: {stdout}");
     assert!(stdout.contains("workspace clean"));
 }
+
+#[test]
+fn dead_mutator_entry_points_at_the_config_line() {
+    // The fixture's slot-coverage file calls `cache.wipe(` and
+    // `cache.end_batch_with(`; nothing calls `cache.evict_all(`, so that
+    // entry (line 7) is dead and reported, and the live ones are not.
+    let cfg_src = r#"
+[rules.slot-resource-coverage]
+paths = ["src/slot_coverage_violation.rs"]
+receiver = "cache"
+mutators = [
+  "wipe",
+  "evict_all",
+  "end_batch_with",
+]
+markers = ["slot_resource"]
+"#;
+    let mut cfg = config::parse(cfg_src).expect("config parses");
+    cfg.source = "dead.toml".to_string();
+    let diags = run(fixture_root(), &cfg).expect("fixture workspace scans");
+    let dead: Vec<_> = diags.iter().filter(|d| d.file == "dead.toml").collect();
+    assert_eq!(dead.len(), 1, "{diags:?}");
+    assert_eq!(dead[0].rule, rules::ids::SLOT_RESOURCE_COVERAGE);
+    assert_eq!(dead[0].line, 7, "wrong config line: {:?}", dead[0]);
+    assert!(dead[0].message.contains("`evict_all`"), "{:?}", dead[0]);
+    // Besides it, only the seeded undeclared `cache.wipe()`.
+    assert_eq!(
+        count(
+            &diags,
+            rules::ids::SLOT_RESOURCE_COVERAGE,
+            "src/slot_coverage_violation.rs"
+        ),
+        1
+    );
+    assert_eq!(diags.len(), 2, "{diags:?}");
+}

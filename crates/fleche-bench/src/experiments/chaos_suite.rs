@@ -132,12 +132,12 @@ fn run_cell(
     let log = serve(&mut s, &mut gen, batches, |s, _, step| match step {
         Step::Before(_) if full => {
             for _ in 0..corruption.flips_this_batch() {
-                let live = s.sys.cache_mut().live_value_count();
+                let live = s.sys.cache().live_value_count();
                 if live > 0 {
                     let nth = corruption.pick(live);
                     let word = corruption.pick(u64::from(ds.tables[0].dim)) as u32;
                     let bit = corruption.pick_bit();
-                    s.sys.cache_mut().corrupt_nth_live(nth, word, bit);
+                    s.sys.corrupt_nth_live(nth, word, bit);
                 }
             }
         }

@@ -56,7 +56,6 @@ fn drill_restart(d: &mut Drill, j: &mut JsonEmitter) -> Result<(), RacesFound> {
     };
 
     let mut plan = FaultPlan::quiet(SEED);
-    plan.restart.kill_after_batch = Some(steady_batches - 1);
     plan.snapshot.corruption_rate = 1.0;
 
     // ---- Steady phase: serve, observe the workload, checkpoint. -----
@@ -64,16 +63,13 @@ fn drill_restart(d: &mut Drill, j: &mut JsonEmitter) -> Result<(), RacesFound> {
     let mut hot_stats = WorkloadStats::new();
     let mut snapshot = None;
     let mut checkpoint_time = Ns::ZERO;
-    let log = serve(&mut s, &mut TraceGenerator::new(&ds), steady_batches, |s, log, step| {
+    let log = serve(&mut s, &mut TraceGenerator::new(&ds), steady_batches, |s, _, step| {
         if let Step::Served(b, batch, _) = step {
             hot_stats.observe(batch);
             if (b + 1) % CKPT_EVERY == 0 {
                 let t0 = s.gpu.now();
                 snapshot = Some(s.sys.checkpoint(&mut s.gpu));
                 checkpoint_time = s.gpu.now() - t0;
-            }
-            if plan.restart.kill_due(b) {
-                log.stop();
             }
         }
     });

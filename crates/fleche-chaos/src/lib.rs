@@ -11,7 +11,7 @@
 //! * **Injection** — a [`FaultPlan`] describes the fault environment (remote
 //!   parameter-server outages and per-fetch failures, transient GPU launch
 //!   faults and stream stalls, slab-pool bit flips, whole-device losses,
-//!   process restarts, snapshot-image rot) and hands out per-domain
+//!   snapshot-image rot, trainer-push channel faults) and hands out per-domain
 //!   injectors seeded from independent substreams.
 //! * **Recovery policy** — [`RetryPolicy`] (exponential backoff + jitter,
 //!   hedged second fetch, per-batch deadline) and [`CircuitBreaker`]
@@ -35,7 +35,7 @@ pub use breaker::{
 pub use plan::{
     CorruptionInjector, CorruptionSpec, DeviceLossInjector, DeviceLossSpec, FaultPlan,
     FetchOutcome, FlashCrowdSpec, GpuFaultInjector, GpuFaultSpec, OverloadSpec,
-    RemoteFaultInjector, RemoteFaultSpec, RestartSpec, SnapshotFaultInjector, SnapshotFaultSpec,
+    RemoteFaultInjector, RemoteFaultSpec, SnapshotFaultInjector, SnapshotFaultSpec,
     UpdateFaultInjector, UpdateFaultSpec,
 };
 pub use retry::RetryPolicy;

@@ -67,21 +67,6 @@ pub struct DeviceLossSpec {
     pub restored_at_batch: Option<u64>,
 }
 
-/// Process kill-and-warm-restart schedule for single-system drills.
-#[derive(Clone, Debug, Default)]
-pub struct RestartSpec {
-    /// Batch index after which the process is killed and restarted from
-    /// its latest checkpoint (`None` = never).
-    pub kill_after_batch: Option<u64>,
-}
-
-impl RestartSpec {
-    /// True when the kill lands right after batch `batch`.
-    pub fn kill_due(&self, batch: u64) -> bool {
-        self.kill_after_batch == Some(batch)
-    }
-}
-
 /// Snapshot (checkpoint image) corruption model: bit rot between the
 /// write and the restore read-back.
 #[derive(Clone, Debug, Default)]
@@ -236,8 +221,6 @@ pub struct FaultPlan {
     pub corruption: CorruptionSpec,
     /// Whole-device loss schedule.
     pub device_loss: DeviceLossSpec,
-    /// Process kill/warm-restart schedule.
-    pub restart: RestartSpec,
     /// Snapshot-image corruption.
     pub snapshot: SnapshotFaultSpec,
     /// Trainer-push channel faults.
@@ -259,7 +242,6 @@ impl FaultPlan {
             gpu: GpuFaultSpec::default(),
             corruption: CorruptionSpec::default(),
             device_loss: DeviceLossSpec::default(),
-            restart: RestartSpec::default(),
             snapshot: SnapshotFaultSpec::default(),
             update: UpdateFaultSpec::default(),
         }
@@ -800,7 +782,6 @@ mod tests {
             assert_eq!(corr.flips_this_batch(), 0);
             assert_eq!(snap.corrupt_offset(1024), None);
             assert!(!loss.lost_for_batch(i));
-            assert!(!plan.restart.kill_due(i));
         }
     }
 

@@ -12,7 +12,7 @@
 
 use crate::recovery::{CheckpointChain, RestoreReport, SnapshotEntry, SnapshotError};
 use crate::tenancy::{TenantCacheStats, TenantPartition};
-use fleche_coding::FlatKey;
+use fleche_coding::{FlatKey, FlatKeyCodec};
 use fleche_index::{
     ClassSpec, EpochGuard, EpochManager, GpuIndex, IndexInsert, Loc, MegaKv, PackedLoc, PoolError,
     ProbeStats, SlabHash, SlabPool,
@@ -214,13 +214,10 @@ pub struct FlatCache {
     /// harmless: reuse overwrites them on the next write, and grace-period
     /// reads still see the retired bytes.
     checksums: Option<SlotArray<Option<u32>>>,
-    /// Per-slot online-update version (0 = the frozen table value). Reset
-    /// on every write through the normal insert workflow — the caller that
-    /// knows the true version stamps it with
-    /// [`FlatCache::set_slot_version`] — and advanced by
-    /// [`FlatCache::apply_updates`] and chain restores, which only ever
-    /// move a slot's version forward. Sized by the first non-zero version:
-    /// a cache that never sees an update carries no slots.
+    /// Per-slot online-update version (0 = the frozen table value): stamped
+    /// by every insert with the version its row carries, then moved only
+    /// forward by [`FlatCache::apply_updates`] and chain restores. Sized by
+    /// the first non-zero version: a cache never updated carries no slots.
     versions: SlotArray<u64>,
     /// Raw keys of the batch being probed, reused across batches.
     probe_keys: Vec<u64>,
@@ -291,6 +288,321 @@ pub struct UpdateApplyReport {
     pub slots: Vec<(u16, u32)>,
 }
 
+/// One row of the miss fill: what [`FlatCache::upsert_batch`] may cache.
+#[derive(Clone, Copy, Debug)]
+pub struct Fill<'a> {
+    /// The key's `(table, id)`, which a unified-index pointer records.
+    pub id: (u16, u64),
+    /// The key's flat key.
+    pub key: FlatKey,
+    /// The row fetched for the key.
+    pub row: &'a [f32],
+    /// The update version the row carries (0 = the frozen table value).
+    pub version: u64,
+    /// False when the fetch failed or was served stale: never cached.
+    pub fetched: bool,
+}
+
+/// What one checkpoint capture read: it prices the snapshot kernel.
+#[derive(Clone, Debug, Default)]
+pub struct Captured {
+    /// Pool locations copied, declared to the race checker as reads.
+    pub slots: Vec<(u16, u32)>,
+    /// Index bytes the capture's scan streams.
+    pub scan_bytes: u64,
+}
+
+/// The contract: the batched operations the workflow performs, after
+/// HierarchicalKV's (`find`, `insert_and_evict`, `assign`, `erase`,
+/// `export`) — the one place the cache's semantics are written, and all the
+/// system layer calls (DESIGN.md §4.2): probe, verify, fill, assign, erase,
+/// export / import / wipe, the epoch pin, release and reclaim, and sizes.
+impl FlatCache {
+    /// The probe — HierarchicalKV's `find`: [`FlatCache::lookup_batch`]
+    /// into a caller-owned buffer (cleared first), so a serving loop reuses
+    /// one across batches. Every [`CacheAnswer::Hit`] also hints the CPU to
+    /// fetch that pool row, its checksum record and its version record: the
+    /// verify, the lag check and the gather that follow find them in cache
+    /// instead of each waiting on memory in turn.
+    pub fn lookup_batch_into(
+        &mut self,
+        keys: &[FlatKey],
+        stamp: u32,
+        out: &mut Vec<(CacheAnswer, ProbeStats)>,
+    ) {
+        out.clear();
+        out.reserve(keys.len());
+        let keys = keys.iter().map(|k| k.0);
+        self.walk(keys, Some(stamp), |found, stats| {
+            out.push((CacheAnswer::of(found), stats));
+        });
+    }
+
+    /// Online-update version of the value in `(class, slot)`; 0 means the
+    /// frozen table value (or a slot never stamped).
+    pub fn slot_version(&self, class: u16, slot: u32) -> u64 {
+        self.versions.get(class, slot)
+    }
+
+    /// The verify: checks each hit's bytes against the checksum recorded at
+    /// write time. Every slot passes while checksums are disabled, and so
+    /// does a slot with no record (written before enabling, which
+    /// `enable_checksums` backfills, or quarantined); an unreadable slot
+    /// fails. One pass in place: per slot, the record, the row, its
+    /// checksum and the compare — [`FlatCache::lookup_batch_into`] has
+    /// already asked for the record and the row of every hit.
+    pub fn verify_hits(&self, slots: &[(u16, u32)]) -> Vec<bool> {
+        let Some(sums) = &self.checksums else {
+            return vec![true; slots.len()];
+        };
+        slots
+            .iter()
+            .map(|&(class, slot)| match sums.get(class, slot) {
+                None => true, // no record: passes
+                Some(expected) => self
+                    .pool
+                    .read_during_grace(class, slot)
+                    .is_ok_and(|v| fleche_simd::checksum(v) == expected),
+            })
+            .collect()
+    }
+
+    /// The fill — HierarchicalKV's `insert_and_evict`. Per fill, in order:
+    /// an unfetched row is skipped without an admission roll; otherwise
+    /// [`FlatCache::admit`] rolls, an admitted row becomes a value stamped
+    /// with its version (its slot appended to `admitted`), and a rejected
+    /// one a DRAM pointer if `unified` (the codec, while the unified index
+    /// is on) is given. Then, over the high watermark, one eviction pass
+    /// ([`FlatCache::evict_pass_with`]) converts victims through `unified`.
+    /// Returns what prices the replace-index and evict-scan kernels: the
+    /// inserts' statistics and, if a pass ran, the index bytes its scan
+    /// streams and its own statistics.
+    pub fn upsert_batch<'a, C: FlatKeyCodec>(
+        &mut self,
+        fills: impl IntoIterator<Item = Fill<'a>>,
+        stamp: u32,
+        unified: Option<&C>,
+        admitted: &mut Vec<(u16, u32)>,
+    ) -> (ProbeStats, Option<(u64, ProbeStats)>) {
+        let mut insert = ProbeStats::new();
+        for fill in fills.into_iter().filter(|fill| fill.fetched) {
+            let (table, feature) = fill.id;
+            if self.admit() {
+                let class = self.class_of_table[table as usize];
+                let (loc, s) = self.insert_at_class(class, fill.key, fill.row, stamp, fill.version);
+                insert.merge(&s);
+                admitted.extend(loc);
+            } else if unified.is_some() {
+                insert.merge(&self.insert_dram_ptr(table, feature, fill.key, stamp));
+            }
+        }
+        let evicted = self.needs_eviction().then(|| {
+            let scan_bytes = self.index.device_bytes();
+            let decode = |k| unified.and_then(|codec| codec.decode(FlatKey(k)));
+            (scan_bytes, self.evict_pass_with(decode))
+        });
+        (insert, evicted)
+    }
+
+    /// The assign — HierarchicalKV's `assign`: applies trainer pushes to
+    /// resident slots, the update pipeline's batch-boundary visibility
+    /// point. Call it at a batch boundary (no in-flight kernel reading the
+    /// pool): values are overwritten in place, and the system layer
+    /// declares every written slot to the race checker. A slot is written
+    /// only by a *strictly newer* version, so duplicated or reordered
+    /// pushes are idempotent and versions never move backwards; checksums
+    /// are recomputed; keys not HBM-resident (or of another dimension) are
+    /// counted absent and left to the next miss-fill. One stamp-free index
+    /// walk resolves every key (nothing here moves an entry), then each
+    /// update is written straight into its slot.
+    pub fn apply_updates<U: PendingUpdate>(&mut self, updates: &[U]) -> UpdateApplyReport {
+        let mut locs = Vec::with_capacity(updates.len());
+        let keys = updates.iter().map(|u| u.key().0);
+        self.walk(keys, None, |found, _| {
+            locs.push(found.map(PackedLoc::unpack))
+        });
+        let mut report = UpdateApplyReport::default();
+        for (u, loc) in updates.iter().zip(locs) {
+            let Some(Loc::Hbm { class, slot }) = loc else {
+                report.absent += 1;
+                continue;
+            };
+            let len = u.value_len();
+            if self.pool.is_retired(class, slot) || self.pool.dim_of(class) != Some(len as u32) {
+                report.absent += 1;
+                continue;
+            }
+            if self.slot_version(class, slot) >= u.version() {
+                report.superseded += 1;
+                continue;
+            }
+            let Ok(row) = self.pool.row_mut(class, slot, len) else {
+                report.absent += 1;
+                continue;
+            };
+            u.write_value(row);
+            if let Some(sums) = &mut self.checksums {
+                sums.replace(class, slot, Some(fleche_simd::checksum(row)));
+            }
+            self.set_slot_version(class, slot, u.version());
+            report.applied += 1;
+            report.slots.push((class, slot));
+        }
+        report
+    }
+
+    /// The erase of a corrupt value: removes its entry from the index and
+    /// retires its slot so the bad bytes are never served again. The caller
+    /// refetches the key from the miss backend.
+    pub fn quarantine(&mut self, key: FlatKey, class: u16, slot: u32) {
+        self.index.remove(key.0);
+        self.retire_slot(class, slot, false);
+        if let Some(sums) = &mut self.checksums {
+            sums.take(class, slot);
+        }
+        self.set_slot_version(class, slot, 0);
+    }
+
+    /// The erase of stale pointers: removes the unified-index pointers of
+    /// `keys`, whose embeddings the CPU-DRAM layer evicted (giant-model
+    /// mode); cached values stay. Returns how many it removed.
+    pub fn invalidate_dram_ptrs(&mut self, keys: impl IntoIterator<Item = FlatKey>) -> u64 {
+        let before = self.unified_count;
+        for key in keys {
+            if let Some(loc) = self.index.peek(key.0).filter(|loc| loc.is_dram()) {
+                self.index.remove(key.0);
+                self.release(loc, false);
+            }
+        }
+        before - self.unified_count
+    }
+
+    /// The export — HierarchicalKV's `export`: captures every HBM-resident
+    /// value as a fresh chain (a full base at checkpoint epoch `epoch`, no
+    /// deltas yet), plus what the capture read. Call at a batch boundary
+    /// (after the reclaim, no copy kernel in flight): the image then holds
+    /// exactly the live, reachable entries. Retired slots are skipped even
+    /// if an index entry still reaches one, and so are DRAM pointers (cheap
+    /// location hints, not warm state). Entries are sorted by flat key, so
+    /// two checkpoints of one state are bit-identical on any index backend.
+    pub fn checkpoint(&self, epoch: u64) -> (CheckpointChain, Captured) {
+        let (entries, read) = self.capture_live(|_, _| true);
+        (CheckpointChain::new(epoch, &entries), read)
+    }
+
+    /// Appends an incremental delta to `chain`: exactly the live entries
+    /// whose update version advanced past what the chain's base recorded
+    /// for their key (keys the base does not hold are at version 0).
+    /// Returns what the capture read. Entries are key-sorted, so two delta
+    /// captures of the same state are bit-identical.
+    pub fn delta_checkpoint(&self, chain: &mut CheckpointChain) -> Captured {
+        let (entries, read) = self.capture_live(|key, (class, slot)| {
+            self.slot_version(class, slot) > chain.base_version_of(key)
+        });
+        chain.push_delta(&entries);
+        read
+    }
+
+    /// The import: replays a checkpoint chain (a full checkpoint is a chain
+    /// of one) through the normal insert workflow. [`CheckpointChain::verify`]
+    /// checks and decodes *every* image first: a corrupt, mis-linked or
+    /// base-less chain returns `Err` with the cache untouched, so the caller
+    /// falls back to a cold warm-up without risking garbage in the pool.
+    /// Base first, then deltas in sequence, so replay lands on the latest
+    /// checkpointed version; per-key version monotonicity makes a
+    /// re-applied chain idempotent.
+    pub fn restore(&mut self, chain: &CheckpointChain) -> Result<RestoreReport, SnapshotError> {
+        let mut report = RestoreReport::default();
+        for entries in chain.verify()? {
+            report.absorb(self.restore_entries(entries));
+        }
+        Ok(report)
+    }
+
+    /// The wipe: drops every entry and value, as a device loss does: the
+    /// index is cleared, every pool slot freed and zeroed, the epoch
+    /// machinery re-armed. Call at a batch boundary with no pinned readers
+    /// — a wiped pool has no grace period to protect in-flight kernels.
+    ///
+    /// `on_wipe(class, slot)` is called for every live slot before it is
+    /// dropped. The race checker hooks this to record the wipe as a
+    /// host-side write per slot — without the declaration, a replay would
+    /// be blind to the whole teardown.
+    pub fn wipe_with(&mut self, mut on_wipe: impl FnMut(u16, u32)) {
+        debug_assert_eq!(self.epochs.readers(), 0, "wipe with pinned readers");
+        for class in 0..self.pool.class_count() as u16 {
+            for slot in self.pool.live_slots(class) {
+                on_wipe(class, slot);
+            }
+        }
+        self.index.clear();
+        self.pool.reset();
+        self.epochs = EpochManager::new();
+        self.unified_count = 0;
+        if let Some(sums) = &mut self.checksums {
+            sums.clear();
+        }
+        self.versions.clear();
+        self.tenants.clear();
+    }
+
+    /// The epoch pin: registers an in-flight reader (a launched decoupled
+    /// copy kernel holding pool addresses).
+    pub fn pin_reader(&mut self) -> EpochGuard {
+        self.epochs.pin()
+    }
+
+    /// The epoch release: a reader's kernel completed.
+    pub fn release_reader(&mut self, guard: EpochGuard) {
+        self.epochs.unpin(guard);
+    }
+
+    /// The reclaim: [`FlatCache::end_batch`], calling `on_free(class, slot)`
+    /// for every slot physically reclaimed. The happens-before race checker
+    /// hooks this to record reclamation as a host-side write to the slot.
+    pub fn end_batch_with(&mut self, mut on_free: impl FnMut(u16, u32)) -> usize {
+        self.epochs.advance();
+        let pool = &mut self.pool;
+        self.epochs.try_reclaim(|(class, slot)| {
+            // A retired slot was live when retired; tolerate (and count) a
+            // double-free rather than bring the server down.
+            let freed = pool.free(class, slot);
+            debug_assert!(freed.is_ok(), "retired slot was live when retired");
+            on_free(class, slot);
+        })
+    }
+
+    /// Live index entries (cached values + unified pointers).
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// True when the cache holds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// Unified-index entries currently held.
+    pub fn unified_count(&self) -> u64 {
+        self.unified_count
+    }
+
+    /// Live value slots across all pool classes (sizes the corruption
+    /// injector's victim pick).
+    pub fn live_value_count(&self) -> u64 {
+        self.pool.live_count()
+    }
+
+    /// Pool utilization including the displacement pressure of unified
+    /// entries (their index slabs occupy memory that could hold values).
+    pub fn effective_utilization(&self) -> f64 {
+        self.footprint_bytes() as f64 / self.pool.capacity_bytes().max(1) as f64
+    }
+}
+
+/// Setup, the fill's per-key steps and counters, frozen as the benchmark
+/// (`bench/src/twin.rs`, `closed.rs`, `probe.rs`) calls them; the system
+/// layer reaches the per-key steps only through [`FlatCache::upsert_batch`].
 impl FlatCache {
     /// Builds a flat cache with `cache_bytes` of value capacity for the
     /// dataset's tables, partitioned into size classes by dimension
@@ -359,49 +671,6 @@ impl FlatCache {
         }
     }
 
-    /// Turns on per-tenant cache partitioning: tenant `t` may hold at most
-    /// `quotas[t] ×` the pool's byte capacity. An at-quota tenant's misses
-    /// bypass the cache instead of evicting someone else's working set,
-    /// and eviction reclaims over-quota tenants' entries first. Entries
-    /// resident before the call stay unowned: never charged, evicted in
-    /// plain LRU order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quotas` is empty, any share is non-positive, or the
-    /// shares sum above 1.
-    pub fn enable_tenant_partitioning(&mut self, quotas: &[f64]) {
-        self.tenants = TenantPartition::new(&self.pool, quotas);
-    }
-
-    /// Declares the tenant owning subsequent inserts. No-op (and
-    /// harmless) while partitioning is off.
-    pub fn set_active_tenant(&mut self, tenant: usize) {
-        self.tenants.set_active(tenant);
-    }
-
-    /// Capacity accounting for `tenant` (zeros while partitioning is
-    /// off or for an out-of-range tenant).
-    pub fn tenant_cache_stats(&self, tenant: usize) -> TenantCacheStats {
-        self.tenants.stats(tenant)
-    }
-
-    /// Value bytes of one slot in `class`.
-    fn slot_bytes(&self, class: u16) -> u64 {
-        self.pool.dim_of(class).unwrap_or(0) as u64 * 4
-    }
-
-    /// Retires a slot whose entry left the index: hands it to the epoch
-    /// manager (freed once no reader can still hold its address) and
-    /// releases it from its owner's occupancy. `evicted` counts it in the
-    /// owner's eviction tally.
-    fn retire_slot(&mut self, class: u16, slot: u32, evicted: bool) {
-        self.epochs.retire((class, slot));
-        self.pool.note_retired(class, slot);
-        self.tenants
-            .release(class, slot, self.slot_bytes(class), evicted);
-    }
-
     /// Turns on per-slot checksums: [`fleche_simd::checksum`] of each
     /// value, which changes under any change confined to one f32 word,
     /// every single-bit flip included. Existing live slots are checksummed so
@@ -422,193 +691,14 @@ impl FlatCache {
         self.checksums = Some(sums);
     }
 
-    /// Writes `value` into a live pool slot, recording its checksum
-    /// ([`fleche_simd::checksum`] over `value`, from
-    /// [`SlabPool::write_with_checksum`]) when checksums are enabled; with
-    /// checksums off it is a plain pool write.
-    fn write_slot_checksummed(
-        &mut self,
-        class: u16,
-        slot: u32,
-        value: &[f32],
-    ) -> Result<ProbeStats, PoolError> {
-        match &mut self.checksums {
-            Some(sums) => {
-                let (sum, stats) = self.pool.write_with_checksum(class, slot, value)?;
-                sums.replace(class, slot, Some(sum));
-                Ok(stats)
-            }
-            None => self.pool.write(class, slot, value),
-        }
-    }
-
-    /// Verifies each hit's bytes against the checksum recorded at write
-    /// time. Every slot passes while checksums are disabled, and so does a
-    /// slot with no record (written before enabling, which
-    /// `enable_checksums` backfills, or quarantined); an unreadable slot
-    /// fails. One pass in place: per slot, the record, the row, its
-    /// checksum and the compare — [`FlatCache::lookup_batch_into`] has
-    /// already asked for the record and the row of every hit.
-    pub fn verify_hits(&self, slots: &[(u16, u32)]) -> Vec<bool> {
-        let Some(sums) = &self.checksums else {
-            return vec![true; slots.len()];
-        };
-        slots
-            .iter()
-            .map(|&(class, slot)| match sums.get(class, slot) {
-                None => true, // no record: passes
-                Some(expected) => self
-                    .pool
-                    .read_during_grace(class, slot)
-                    .is_ok_and(|v| fleche_simd::checksum(v) == expected),
-            })
-            .collect()
-    }
-
-    /// Quarantines a corrupt entry: removes it from the index and retires
-    /// its slot so the bad bytes are never served again. The caller
-    /// refetches the key from the miss backend.
-    pub fn quarantine(&mut self, key: FlatKey, class: u16, slot: u32) {
-        self.index.remove(key.0);
-        self.retire_slot(class, slot, false);
-        if let Some(sums) = &mut self.checksums {
-            sums.take(class, slot);
-        }
-        self.set_slot_version(class, slot, 0);
-    }
-
-    /// Fault-injection hook: flips bit `bit` of float `word` of the `nth`
-    /// live pool slot (in class-major, slot order), *without* refreshing the
-    /// slot's checksum — exactly what a soft HBM error looks like. Returns
-    /// the victim location, or `None` when fewer than `nth + 1` slots are
-    /// live.
-    pub fn corrupt_nth_live(&mut self, nth: u64, word: u32, bit: u32) -> Option<(u16, u32)> {
-        let mut n = nth;
-        for class in 0..self.pool.class_count() as u16 {
-            let live = self.pool.live_slots(class);
-            if (n as usize) < live.len() {
-                let slot = live[n as usize];
-                // `live_slots` just enumerated it, so the flip can only
-                // fail if the pool is corrupted itself; report a miss
-                // rather than panic inside the fault injector.
-                self.pool.corrupt_bit(class, slot, word, bit).ok()?;
-                return Some((class, slot));
-            }
-            n -= live.len() as u64;
-        }
-        None
-    }
-
-    /// Live value slots across all pool classes (sizes the corruption
-    /// injector's victim pick).
-    pub fn live_value_count(&self) -> u64 {
-        self.pool.live_count()
-    }
-
-    /// Pool size class of `table`.
-    pub fn class_of(&self, table: u16) -> u16 {
-        self.class_of_table[table as usize]
-    }
-
-    /// Embedding dimension of `table`.
-    pub fn dim_of(&self, table: u16) -> u32 {
-        self.dim_of_table[table as usize]
-    }
-
-    /// Embedding dimension of every table, indexed by table.
-    pub fn table_dims(&self) -> &[u32] {
-        &self.dim_of_table
-    }
-
-    /// Live index entries (cached values + unified pointers).
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// True when the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Unified-index entries currently held.
-    pub fn unified_count(&self) -> u64 {
-        self.unified_count
-    }
-
-    /// Sets the unified-index capacity target (from the tuner). A target
-    /// below the current count takes effect at the next eviction pass.
-    pub fn set_unified_target(&mut self, target: u64) {
-        self.unified_target = target;
-    }
-
-    /// The current unified-index capacity target.
-    pub fn unified_target(&self) -> u64 {
-        self.unified_target
-    }
-
-    /// Eviction passes run so far.
-    pub fn evict_passes(&self) -> u64 {
-        self.evict_passes
-    }
-
-    /// Bucket chains in the GPU index (for lock-contention modeling of the
-    /// coupled query kernel).
-    pub fn bucket_count(&self) -> usize {
-        self.index.bucket_count()
-    }
-
-    /// Pool utilization including the displacement pressure of unified
-    /// entries (their index slabs occupy memory that could hold values).
-    pub fn effective_utilization(&self) -> f64 {
-        self.footprint_bytes() as f64 / self.pool.capacity_bytes().max(1) as f64
-    }
-
-    /// Looks up one flat key, bumping its LRU stamp to `stamp`.
-    pub fn lookup(&mut self, key: FlatKey, stamp: u32) -> (CacheAnswer, ProbeStats) {
-        let (found, stats) = self.index.lookup(key.0, Some(stamp));
-        (CacheAnswer::of(found), stats)
-    }
-
     /// Looks up a batch of flat keys via the index's batched probe walk
     /// (on the slab-hash backend a prefetch pipeline that overlaps the
     /// keys' memory waits). Answers and per-key [`ProbeStats`] come back
-    /// in input order, identical to calling [`FlatCache::lookup`] per key.
+    /// in input order.
     pub fn lookup_batch(&mut self, keys: &[FlatKey], stamp: u32) -> Vec<(CacheAnswer, ProbeStats)> {
         let mut out = Vec::new();
         self.lookup_batch_into(keys, stamp, &mut out);
         out
-    }
-
-    /// [`FlatCache::lookup_batch`] into a caller-owned buffer (cleared
-    /// first), so a serving loop reuses one across batches. Every
-    /// [`CacheAnswer::Hit`] it resolves also hints the CPU to fetch that
-    /// pool row, its checksum record and its version record: the verify,
-    /// the lag check and the gather that follow find them in cache instead
-    /// of each waiting on memory in turn. Until the first update there are
-    /// no version records, and that hint does nothing.
-    pub fn lookup_batch_into(
-        &mut self,
-        keys: &[FlatKey],
-        stamp: u32,
-        out: &mut Vec<(CacheAnswer, ProbeStats)>,
-    ) {
-        out.clear();
-        out.reserve(keys.len());
-        self.probe_keys.clear();
-        self.probe_keys.extend(keys.iter().map(|k| k.0));
-        let (pool, sums, versions) = (&self.pool, self.checksums.as_ref(), &self.versions);
-        self.index
-            .lookup_batch(&self.probe_keys, Some(stamp), &mut |found, stats| {
-                let answer = CacheAnswer::of(found);
-                if let CacheAnswer::Hit { class, slot } = answer {
-                    if let Some(sums) = sums {
-                        sums.prefetch(class, slot);
-                    }
-                    versions.prefetch(class, slot);
-                    prefetch_row(pool, class, slot);
-                }
-                out.push((answer, stats));
-            });
     }
 
     /// Reads the embedding behind a [`CacheAnswer::Hit`]. Valid during the
@@ -635,87 +725,6 @@ impl FlatCache {
         self.tenants.may_admit() && self.rng.gen::<f64>() < self.config.admission_probability
     }
 
-    /// Online-update version of the value in `(class, slot)`; 0 means the
-    /// frozen table value (or a slot never stamped).
-    pub fn slot_version(&self, class: u16, slot: u32) -> u64 {
-        self.versions.get(class, slot)
-    }
-
-    /// Stamps the version of a slot that was just written through the
-    /// normal insert workflow (the writer knows which version it fetched
-    /// — e.g. a miss-fill that served the parameter server's latest).
-    pub fn set_slot_version(&mut self, class: u16, slot: u32, version: u64) {
-        if version > 0 && self.versions.classes.is_empty() {
-            self.versions = SlotArray::new(&self.pool, 0);
-        }
-        self.versions.replace(class, slot, version);
-    }
-
-    /// Applies a batch of trainer pushes to resident slots — the
-    /// batch-boundary visibility point of the update pipeline.
-    ///
-    /// Must be called at a batch boundary (no in-flight kernel reading the
-    /// pool): values are overwritten in place, exactly like the replace-
-    /// copy workflow, and the system layer declares every written slot to
-    /// the race checker. Per slot the write happens only when the pushed
-    /// version is *strictly newer* than the resident one, so duplicated or
-    /// reordered pushes are idempotent and a slot's version never moves
-    /// backwards. Checksums are recomputed on every write; keys that are
-    /// not HBM-resident (or whose dimension does not match) are counted
-    /// absent and left to the next miss-fill.
-    ///
-    /// Two passes, with the result of applying the updates one at a time
-    /// (nothing here moves an index entry): one batched index walk that
-    /// bumps no stamp resolves every key and hints the CPU to fetch each
-    /// resident slot's row, version and checksum record; then each update
-    /// is written straight into its slot.
-    pub fn apply_updates<U: PendingUpdate>(&mut self, updates: &[U]) -> UpdateApplyReport {
-        self.probe_keys.clear();
-        self.probe_keys.extend(updates.iter().map(|u| u.key().0));
-        let mut locs = Vec::with_capacity(updates.len());
-        let (pool, sums, versions) = (&self.pool, self.checksums.as_ref(), &self.versions);
-        self.index
-            .lookup_batch(&self.probe_keys, None, &mut |found, _| {
-                let loc = found.map(PackedLoc::unpack);
-                if let Some(Loc::Hbm { class, slot }) = loc {
-                    if let Some(sums) = sums {
-                        sums.prefetch(class, slot);
-                    }
-                    versions.prefetch(class, slot);
-                    prefetch_row(pool, class, slot);
-                }
-                locs.push(loc);
-            });
-        let mut report = UpdateApplyReport::default();
-        for (u, loc) in updates.iter().zip(locs) {
-            let Some(Loc::Hbm { class, slot }) = loc else {
-                report.absent += 1;
-                continue;
-            };
-            let len = u.value_len();
-            if self.pool.is_retired(class, slot) || self.pool.dim_of(class) != Some(len as u32) {
-                report.absent += 1;
-                continue;
-            }
-            if self.slot_version(class, slot) >= u.version() {
-                report.superseded += 1;
-                continue;
-            }
-            let Ok(row) = self.pool.row_mut(class, slot, len) else {
-                report.absent += 1;
-                continue;
-            };
-            u.write_value(row);
-            if let Some(sums) = &mut self.checksums {
-                sums.replace(class, slot, Some(fleche_simd::checksum(row)));
-            }
-            self.set_slot_version(class, slot, u.version());
-            report.applied += 1;
-            report.slots.push((class, slot));
-        }
-        report
-    }
-
     /// Inserts an embedding for `(table, feature)` under flat key `key`.
     /// Returns `None` (plus stats) if the pool class is full even after an
     /// eviction attempt — the key simply bypasses the cache this round.
@@ -726,96 +735,7 @@ impl FlatCache {
         value: &[f32],
         stamp: u32,
     ) -> (Option<(u16, u32)>, ProbeStats) {
-        let class = self.class_of(table);
-        self.insert_at_class(class, key, value, stamp)
-    }
-
-    /// The insert workflow under an explicit pool class. [`Self::insert_value`]
-    /// resolves the class from the table; [`Self::restore`] replays snapshot
-    /// entries (which record their class directly) through this same path, so
-    /// recovery exercises the admission-free subset of the normal workflow
-    /// rather than a parallel one.
-    fn insert_at_class(
-        &mut self,
-        class: u16,
-        key: FlatKey,
-        value: &[f32],
-        stamp: u32,
-    ) -> (Option<(u16, u32)>, ProbeStats) {
-        let mut stats = ProbeStats::new();
-        // If the key is already present (collision or re-insert), refresh
-        // in place when it holds an HBM slot.
-        if let Some(loc) = self.index.peek(key.0) {
-            if let Loc::Hbm { class: c, slot } = loc.unpack() {
-                if self.write_slot_checksummed(c, slot, value).is_ok() {
-                    self.set_slot_version(c, slot, 0);
-                    let (_, s) = self.index.insert(key.0, loc, stamp);
-                    stats.merge(&s);
-                    self.tenants.charge(c, slot, self.slot_bytes(c));
-                    return (Some((c, slot)), stats);
-                }
-            }
-            // A unified pointer, or a slot the refresh cannot reuse (its
-            // class holds another dimension), falls through to allocation:
-            // the index insert below overwrites it, and only that releases
-            // it — a full class leaves the entry (and its storage) in place.
-        }
-        let slot = match self.pool.alloc(class) {
-            Ok((slot, s)) => {
-                stats.merge(&s);
-                slot
-            }
-            Err(_) => return (None, stats),
-        };
-        // A freshly allocated slot is always writable; if the pool
-        // disagrees, undo the allocation and bypass the cache this round.
-        let s = match self.write_slot_checksummed(class, slot, value) {
-            Ok(s) => s,
-            Err(_) => {
-                debug_assert!(false, "freshly allocated slot must be writable");
-                let _ = self.pool.free(class, slot);
-                return (None, stats);
-            }
-        };
-        stats.merge(&s);
-        // A reused slot must not inherit the version of whatever lived
-        // there before it was reclaimed.
-        self.set_slot_version(class, slot, 0);
-        let (outcome, s2) = self
-            .index
-            .insert(key.0, Loc::Hbm { class, slot }.pack(), stamp);
-        stats.merge(&s2);
-        match outcome {
-            // A cuckoo kick-out pushed a resident entry off the index:
-            // treat its storage like an eviction.
-            IndexInsert::Displaced { victim } => self.release(victim.loc, true),
-            IndexInsert::Rejected => {
-                // The index could not place the key: undo the allocation
-                // and report a bypass. The free cannot fail for a slot
-                // allocated two steps up; a leaked slot beats a panic.
-                let freed = self.pool.free(class, slot);
-                debug_assert!(freed.is_ok(), "just-allocated slot must free");
-                return (None, stats);
-            }
-            // The key held a unified pointer, or a slot of another class
-            // that the in-place refresh above could not reuse.
-            IndexInsert::Updated { previous } => self.release(previous, false),
-            IndexInsert::Inserted => {}
-        }
-        self.tenants.charge(class, slot, self.slot_bytes(class));
-        (Some((class, slot)), stats)
-    }
-
-    /// Retires the storage behind an index entry that was displaced
-    /// (cuckoo kick-out overflow; `evicted`) or overwritten: a slot goes
-    /// to [`Self::retire_slot`], a unified pointer leaves the count.
-    fn release(&mut self, loc: PackedLoc, evicted: bool) {
-        match loc.unpack() {
-            Loc::Hbm { class, slot } => self.retire_slot(class, slot, evicted),
-            Loc::Dram { .. } => {
-                self.unified_count = self.unified_count.saturating_sub(1);
-            }
-        }
+        self.insert_at_class(self.class_of_table[table as usize], key, value, stamp, 0)
     }
 
     /// Inserts a unified-index entry (tagged DRAM pointer) for a key whose
@@ -841,21 +761,6 @@ impl FlatCache {
         }
         self.unified_count += 1;
         stats
-    }
-
-    /// Removes a unified-index entry whose DRAM location has become stale
-    /// (the CPU-DRAM layer evicted the embedding in giant-model mode).
-    /// Returns true when a pointer was actually removed; cached values are
-    /// left untouched.
-    pub fn invalidate_dram_ptr(&mut self, key: FlatKey) -> bool {
-        match self.index.peek(key.0).map(PackedLoc::unpack) {
-            Some(Loc::Dram { .. }) => {
-                self.index.remove(key.0);
-                self.unified_count = self.unified_count.saturating_sub(1);
-                true
-            }
-            _ => false,
-        }
     }
 
     /// True when utilization exceeds the high watermark and an eviction
@@ -996,6 +901,240 @@ impl FlatCache {
         stats
     }
 
+    /// Ends a batch: advances the epoch and physically frees every retired
+    /// slot no live reader can reach. Returns how many slots were freed.
+    pub fn end_batch(&mut self) -> usize {
+        self.end_batch_with(|_, _| {})
+    }
+
+    /// Sets the unified-index capacity target (from the tuner). A target
+    /// below the current count takes effect at the next eviction pass.
+    pub fn set_unified_target(&mut self, target: u64) {
+        self.unified_target = target;
+    }
+
+    /// The current unified-index capacity target.
+    pub fn unified_target(&self) -> u64 {
+        self.unified_target
+    }
+
+    /// Eviction passes run so far.
+    pub fn evict_passes(&self) -> u64 {
+        self.evict_passes
+    }
+}
+
+/// Crate-internal: what the system layer forwards or prices with, and the
+/// helpers the operations above share.
+impl FlatCache {
+    /// See [`crate::FlecheSystem::enable_tenant_partitioning`].
+    pub(crate) fn enable_tenant_partitioning(&mut self, quotas: &[f64]) {
+        self.tenants = TenantPartition::new(&self.pool, quotas);
+    }
+
+    /// Declares the tenant owning subsequent inserts. No-op (and
+    /// harmless) while partitioning is off.
+    pub(crate) fn set_active_tenant(&mut self, tenant: usize) {
+        self.tenants.set_active(tenant);
+    }
+
+    /// Capacity accounting for `tenant` (zeros while partitioning is
+    /// off or for an out-of-range tenant).
+    pub(crate) fn tenant_cache_stats(&self, tenant: usize) -> TenantCacheStats {
+        self.tenants.stats(tenant)
+    }
+
+    /// Fault-injection hook: flips bit `bit` of float `word` of the `nth`
+    /// live pool slot (in class-major, slot order), *without* refreshing the
+    /// slot's checksum — exactly what a soft HBM error looks like. Returns
+    /// the victim location, or `None` when fewer than `nth + 1` slots are
+    /// live.
+    pub(crate) fn corrupt_nth_live(&mut self, nth: u64, word: u32, bit: u32) -> Option<(u16, u32)> {
+        let mut n = nth;
+        for class in 0..self.pool.class_count() as u16 {
+            let live = self.pool.live_slots(class);
+            if (n as usize) < live.len() {
+                let slot = live[n as usize];
+                // `live_slots` just enumerated it, so the flip can only
+                // fail if the pool is corrupted itself; report a miss
+                // rather than panic inside the fault injector.
+                self.pool.corrupt_bit(class, slot, word, bit).ok()?;
+                return Some((class, slot));
+            }
+            n -= live.len() as u64;
+        }
+        None
+    }
+
+    /// Embedding dimension of every table, indexed by table.
+    pub(crate) fn table_dims(&self) -> &[u32] {
+        &self.dim_of_table
+    }
+
+    /// Bucket chains in the GPU index (for lock-contention modeling of the
+    /// coupled query kernel).
+    pub(crate) fn bucket_count(&self) -> usize {
+        self.index.bucket_count()
+    }
+
+    /// One batched index walk over `keys`, stamping what it finds with
+    /// `stamp` (if given) and hinting the CPU to fetch each resident
+    /// value's row, checksum and version; `found` gets each key's entry.
+    fn walk(
+        &mut self,
+        keys: impl Iterator<Item = u64>,
+        stamp: Option<u32>,
+        mut found: impl FnMut(Option<PackedLoc>, ProbeStats),
+    ) {
+        self.probe_keys.clear();
+        self.probe_keys.extend(keys);
+        let (pool, sums, versions) = (&self.pool, self.checksums.as_ref(), &self.versions);
+        self.index
+            .lookup_batch(&self.probe_keys, stamp, &mut |loc, stats| {
+                if let Some(Loc::Hbm { class, slot }) = loc.map(PackedLoc::unpack) {
+                    if let Some(sums) = sums {
+                        sums.prefetch(class, slot);
+                    }
+                    versions.prefetch(class, slot);
+                    prefetch_row(pool, class, slot);
+                }
+                found(loc, stats);
+            });
+    }
+
+    /// Value bytes of one slot in `class`.
+    fn slot_bytes(&self, class: u16) -> u64 {
+        self.pool.dim_of(class).unwrap_or(0) as u64 * 4
+    }
+
+    /// Retires a slot whose entry left the index: hands it to the epoch
+    /// manager (freed once no reader can still hold its address) and
+    /// releases it from its owner's occupancy. `evicted` counts it in the
+    /// owner's eviction tally.
+    fn retire_slot(&mut self, class: u16, slot: u32, evicted: bool) {
+        self.epochs.retire((class, slot));
+        self.pool.note_retired(class, slot);
+        self.tenants
+            .release(class, slot, self.slot_bytes(class), evicted);
+    }
+
+    /// Writes `value` into a live pool slot, recording its checksum
+    /// ([`fleche_simd::checksum`] over `value`, from
+    /// [`SlabPool::write_with_checksum`]) when checksums are enabled; with
+    /// checksums off it is a plain pool write.
+    fn write_slot_checksummed(
+        &mut self,
+        class: u16,
+        slot: u32,
+        value: &[f32],
+    ) -> Result<ProbeStats, PoolError> {
+        match &mut self.checksums {
+            Some(sums) => {
+                let (sum, stats) = self.pool.write_with_checksum(class, slot, value)?;
+                sums.replace(class, slot, Some(sum));
+                Ok(stats)
+            }
+            None => self.pool.write(class, slot, value),
+        }
+    }
+
+    /// Stamps the version of a slot just written (the writer knows which
+    /// version it wrote — e.g. a miss-fill that served the parameter
+    /// server's latest).
+    fn set_slot_version(&mut self, class: u16, slot: u32, version: u64) {
+        if version > 0 && self.versions.classes.is_empty() {
+            self.versions = SlotArray::new(&self.pool, 0);
+        }
+        self.versions.replace(class, slot, version);
+    }
+
+    /// The insert workflow under an explicit pool class, stamping the slot
+    /// with `version` (a reused slot never inherits an old one). The fills
+    /// resolve the class from the table; [`Self::restore`] replays snapshot
+    /// entries (which record their class) through this same path, so
+    /// recovery runs the admission-free subset of the normal workflow.
+    fn insert_at_class(
+        &mut self,
+        class: u16,
+        key: FlatKey,
+        value: &[f32],
+        stamp: u32,
+        version: u64,
+    ) -> (Option<(u16, u32)>, ProbeStats) {
+        let mut stats = ProbeStats::new();
+        // If the key is already present (collision or re-insert), refresh
+        // in place when it holds an HBM slot.
+        if let Some(loc) = self.index.peek(key.0) {
+            if let Loc::Hbm { class: c, slot } = loc.unpack() {
+                if self.write_slot_checksummed(c, slot, value).is_ok() {
+                    self.set_slot_version(c, slot, version);
+                    let (_, s) = self.index.insert(key.0, loc, stamp);
+                    stats.merge(&s);
+                    self.tenants.charge(c, slot, self.slot_bytes(c));
+                    return (Some((c, slot)), stats);
+                }
+            }
+            // A unified pointer, or a slot the refresh cannot reuse (its
+            // class holds another dimension), falls through to allocation:
+            // the index insert below overwrites it, and only that releases
+            // it — a full class leaves the entry (and its storage) in place.
+        }
+        let slot = match self.pool.alloc(class) {
+            Ok((slot, s)) => {
+                stats.merge(&s);
+                slot
+            }
+            Err(_) => return (None, stats),
+        };
+        // A freshly allocated slot is always writable; if the pool
+        // disagrees, undo the allocation and bypass the cache this round.
+        let s = match self.write_slot_checksummed(class, slot, value) {
+            Ok(s) => s,
+            Err(_) => {
+                debug_assert!(false, "freshly allocated slot must be writable");
+                let _ = self.pool.free(class, slot);
+                return (None, stats);
+            }
+        };
+        stats.merge(&s);
+        self.set_slot_version(class, slot, version);
+        let (outcome, s2) = self
+            .index
+            .insert(key.0, Loc::Hbm { class, slot }.pack(), stamp);
+        stats.merge(&s2);
+        match outcome {
+            // A cuckoo kick-out pushed a resident entry off the index:
+            // treat its storage like an eviction.
+            IndexInsert::Displaced { victim } => self.release(victim.loc, true),
+            IndexInsert::Rejected => {
+                // The index could not place the key: undo the allocation
+                // and report a bypass. The free cannot fail for a slot
+                // allocated two steps up; a leaked slot beats a panic.
+                let freed = self.pool.free(class, slot);
+                debug_assert!(freed.is_ok(), "just-allocated slot must free");
+                return (None, stats);
+            }
+            // The key held a unified pointer, or a slot of another class
+            // that the in-place refresh above could not reuse.
+            IndexInsert::Updated { previous } => self.release(previous, false),
+            IndexInsert::Inserted => {}
+        }
+        self.tenants.charge(class, slot, self.slot_bytes(class));
+        (Some((class, slot)), stats)
+    }
+
+    /// Retires the storage behind an index entry that was displaced
+    /// (cuckoo kick-out overflow; `evicted`) or overwritten: a slot goes
+    /// to [`Self::retire_slot`], a unified pointer leaves the count.
+    fn release(&mut self, loc: PackedLoc, evicted: bool) {
+        match loc.unpack() {
+            Loc::Hbm { class, slot } => self.retire_slot(class, slot, evicted),
+            Loc::Dram { .. } => {
+                self.unified_count = self.unified_count.saturating_sub(1);
+            }
+        }
+    }
+
     /// Device bytes values and unified pointers hold, retired-but-unfreed
     /// slots included.
     fn footprint_bytes(&self) -> u64 {
@@ -1008,83 +1147,12 @@ impl FlatCache {
         (self.config.evict_low_watermark * cap) as u64
     }
 
-    /// Registers an in-flight reader (a launched decoupled copy kernel
-    /// holding pool addresses).
-    pub fn pin_reader(&mut self) -> EpochGuard {
-        self.epochs.pin()
-    }
-
-    /// Releases a reader (its kernel completed).
-    pub fn release_reader(&mut self, guard: EpochGuard) {
-        self.epochs.unpin(guard);
-    }
-
-    /// Ends a batch: advances the epoch and physically frees every retired
-    /// slot no live reader can reach. Returns how many slots were freed.
-    pub fn end_batch(&mut self) -> usize {
-        self.end_batch_with(|_, _| {})
-    }
-
-    /// Like [`FlatCache::end_batch`], but calls `on_free(class, slot)` for
-    /// every slot physically reclaimed. The happens-before race checker
-    /// hooks this to record reclamation as a host-side write to the slot.
-    pub fn end_batch_with(&mut self, mut on_free: impl FnMut(u16, u32)) -> usize {
-        self.epochs.advance();
-        let pool = &mut self.pool;
-        self.epochs.try_reclaim(|(class, slot)| {
-            // A retired slot was live when retired; tolerate (and count) a
-            // double-free rather than bring the server down.
-            let freed = pool.free(class, slot);
-            debug_assert!(freed.is_ok(), "retired slot was live when retired");
-            on_free(class, slot);
-        })
-    }
-
-    /// Scan-kernel streaming bytes (for pricing the eviction pass).
-    pub fn scan_bytes(&self) -> u64 {
-        self.index.device_bytes()
-    }
-
-    /// Captures an epoch-consistent checkpoint of every HBM-resident value
-    /// as a fresh chain (a full base at checkpoint epoch `epoch`, no deltas
-    /// yet), plus the pool locations the capture read — the system layer
-    /// declares those to the race checker as the snapshot kernel's reads.
-    ///
-    /// Call at a batch boundary (after [`FlatCache::end_batch`], with no
-    /// decoupled copy kernel in flight): the image then contains exactly the
-    /// live, reachable entries — no retired slot awaiting reclamation, no
-    /// in-flight replace-copy. Defensively, retired-but-unreclaimed slots
-    /// are skipped even if an index entry still reaches one. Unified-index
-    /// DRAM pointers are skipped too: they are location hints, cheap to
-    /// rebuild, not warm value state.
-    ///
-    /// Entries are sorted by flat key so the byte image is identical across
-    /// index backends and scan orders — two checkpoints of the same cache
-    /// state are bit-identical.
-    pub fn checkpoint(&self, epoch: u64) -> (CheckpointChain, Vec<(u16, u32)>) {
-        let (entries, slots) = self.capture_live(|_, _| true);
-        (CheckpointChain::new(epoch, &entries), slots)
-    }
-
-    /// Appends an incremental delta to `chain`: exactly the live entries
-    /// whose update version advanced past what the chain's base recorded
-    /// for their key (keys the base does not hold are at version 0).
-    /// Returns the pool locations read. Entries are key-sorted, so two
-    /// delta captures of the same state are bit-identical.
-    pub fn delta_checkpoint(&self, chain: &mut CheckpointChain) -> Vec<(u16, u32)> {
-        let (entries, slots) = self.capture_live(|key, (class, slot)| {
-            self.slot_version(class, slot) > chain.base_version_of(key)
-        });
-        chain.push_delta(&entries);
-        slots
-    }
-
     /// Shared capture walk: every live (non-retired) HBM entry passing
     /// `include(key, location)`, key-sorted for bit-identical images.
     fn capture_live(
         &self,
         include: impl Fn(u64, (u16, u32)) -> bool,
-    ) -> (Vec<SnapshotEntry>, Vec<(u16, u32)>) {
+    ) -> (Vec<SnapshotEntry>, Captured) {
         let mut captured: Vec<(SnapshotEntry, (u16, u32))> = Vec::new();
         self.index.scan_with(&mut |run| {
             for e in run {
@@ -1107,27 +1175,9 @@ impl FlatCache {
             }
         });
         captured.sort_unstable_by_key(|(e, _)| e.key);
-        captured.into_iter().unzip()
-    }
-
-    /// Replays a checkpoint chain through the normal insert workflow —
-    /// the one restore entry point; a plain full checkpoint is a chain of
-    /// length one.
-    ///
-    /// [`CheckpointChain::verify`] checks and decodes *every* image before
-    /// the first mutation: a corrupt, mis-linked or base-less chain returns
-    /// `Err` and leaves the cache exactly as it was, so the caller can fall
-    /// back to a cold warm-up without ever risking garbage bytes in the
-    /// pool. Replay order is base first, then deltas in sequence — under a
-    /// live update stream that lands on the latest checkpointed version,
-    /// not the stale base — and per-key version monotonicity makes a
-    /// re-applied chain idempotent.
-    pub fn restore(&mut self, chain: &CheckpointChain) -> Result<RestoreReport, SnapshotError> {
-        let mut report = RestoreReport::default();
-        for entries in chain.verify()? {
-            report.absorb(self.restore_entries(entries));
-        }
-        Ok(report)
+        let (entries, slots) = captured.into_iter().unzip();
+        let scan_bytes = self.index.device_bytes();
+        (entries, Captured { slots, scan_bytes })
     }
 
     /// One image's replay: hottest-first (stamp descending, key ascending
@@ -1152,10 +1202,12 @@ impl FlatCache {
                     continue;
                 }
             }
-            let (loc, _) = self.insert_at_class(e.class, FlatKey(e.key), &e.value, e.stamp);
-            match loc {
+            let key = FlatKey(e.key);
+            match self
+                .insert_at_class(e.class, key, &e.value, e.stamp, e.version)
+                .0
+            {
                 Some(loc) => {
-                    self.set_slot_version(loc.0, loc.1, e.version);
                     report.restored += 1;
                     report.max_version = report.max_version.max(e.version);
                     report.slots.push(loc);
@@ -1164,33 +1216,6 @@ impl FlatCache {
             }
         }
         report
-    }
-
-    /// Drops every entry and value, as a device loss does: the index is
-    /// cleared, every pool slot freed and zeroed, the epoch machinery
-    /// re-armed. Call at a batch boundary with no pinned readers — a wiped
-    /// pool has no grace period to protect in-flight kernels.
-    ///
-    /// `on_wipe(class, slot)` is called for every live slot before it is
-    /// dropped. The race checker hooks this to record the wipe as a
-    /// host-side write per slot — without the declaration, a replay would
-    /// be blind to the whole teardown.
-    pub fn wipe_with(&mut self, mut on_wipe: impl FnMut(u16, u32)) {
-        debug_assert_eq!(self.epochs.readers(), 0, "wipe with pinned readers");
-        for class in 0..self.pool.class_count() as u16 {
-            for slot in self.pool.live_slots(class) {
-                on_wipe(class, slot);
-            }
-        }
-        self.index.clear();
-        self.pool.reset();
-        self.epochs = EpochManager::new();
-        self.unified_count = 0;
-        if let Some(sums) = &mut self.checksums {
-            sums.clear();
-        }
-        self.versions.clear();
-        self.tenants.clear();
     }
 }
 
@@ -1221,7 +1246,7 @@ mod tests {
         let k = codec.encode(1, 7);
         let (loc, _) = c.insert_value(1, k, &val(3.0), 1);
         let (class, slot) = loc.expect("pool has room");
-        let (ans, stats) = c.lookup(k, 2);
+        let (ans, stats) = c.lookup_batch(&[k], 2)[0];
         assert_eq!(ans, CacheAnswer::Hit { class, slot });
         assert_eq!(stats.hits, 1);
         assert_eq!(c.read_hit(class, slot), val(3.0).as_slice());
@@ -1281,7 +1306,7 @@ mod tests {
     #[test]
     fn miss_on_unknown_key() {
         let (mut c, codec, _) = mk();
-        let (ans, stats) = c.lookup(codec.encode(2, 42), 1);
+        let (ans, stats) = c.lookup_batch(&[codec.encode(2, 42)], 1)[0];
         assert_eq!(ans, CacheAnswer::Miss);
         assert_eq!(stats.misses, 1);
     }
@@ -1298,7 +1323,7 @@ mod tests {
         c.insert_dram_ptr(0, 2, codec.encode(0, 2), 1);
         c.insert_dram_ptr(0, 3, codec.encode(0, 3), 1);
         assert_eq!(c.unified_count(), 2, "third exceeds target");
-        let (ans, _) = c.lookup(codec.encode(0, 1), 2);
+        let (ans, _) = c.lookup_batch(&[codec.encode(0, 1)], 2)[0];
         assert_eq!(ans, CacheAnswer::UnifiedHit);
     }
 
@@ -1308,10 +1333,13 @@ mod tests {
         c.set_unified_target(10);
         let k = codec.encode(0, 7);
         c.insert_dram_ptr(0, 7, k, 1);
-        assert_eq!(c.lookup(k, 2).0, CacheAnswer::UnifiedHit);
+        assert_eq!(c.lookup_batch(&[k], 2)[0].0, CacheAnswer::UnifiedHit);
         let (loc, _) = c.insert_value(0, k, &val(5.0), 3);
         assert!(loc.is_some());
-        assert!(matches!(c.lookup(k, 4).0, CacheAnswer::Hit { .. }));
+        assert!(matches!(
+            c.lookup_batch(&[k], 4)[0].0,
+            CacheAnswer::Hit { .. }
+        ));
         assert_eq!(c.unified_count(), 0, "pointer was upgraded");
     }
 
@@ -1365,9 +1393,9 @@ mod tests {
             c.effective_utilization()
         );
         // The survivors are the hottest (largest stamps).
-        let (ans, _) = c.lookup(codec.encode(0, 9), 100);
+        let (ans, _) = c.lookup_batch(&[codec.encode(0, 9)], 100)[0];
         assert!(matches!(ans, CacheAnswer::Hit { .. }));
-        let (ans, _) = c.lookup(codec.encode(0, 0), 100);
+        let (ans, _) = c.lookup_batch(&[codec.encode(0, 0)], 100)[0];
         assert_eq!(ans, CacheAnswer::Miss);
     }
 
@@ -1433,7 +1461,11 @@ mod tests {
             } else {
                 CacheAnswer::Miss
             };
-            assert_eq!(c.lookup(codec.encode(0, f), 100).0, expected, "pointer {f}");
+            assert_eq!(
+                c.lookup_batch(&[codec.encode(0, f)], 100)[0].0,
+                expected,
+                "pointer {f}"
+            );
         }
     }
 
@@ -1452,7 +1484,11 @@ mod tests {
         let k = codec.encode(0, 10);
         c.insert_dram_ptr(0, 10, k, 1);
         assert_eq!(c.insert_value(0, k, &val(2.0), 2).0, None, "class full");
-        assert_eq!(c.lookup(k, 3).0, CacheAnswer::UnifiedHit, "pointer stays");
+        assert_eq!(
+            c.lookup_batch(&[k], 3)[0].0,
+            CacheAnswer::UnifiedHit,
+            "pointer stays"
+        );
         assert_eq!(c.unified_count(), pointers_in_index(&c));
         assert_eq!(c.unified_count(), 1);
     }
@@ -1495,7 +1531,7 @@ mod tests {
         // serves clean bytes again.
         c.quarantine(k, class, slot);
         assert_eq!(c.verify_hits(&[(class, slot)]), [true], "record dropped");
-        assert_eq!(c.lookup(k, 2).0, CacheAnswer::Miss);
+        assert_eq!(c.lookup_batch(&[k], 2)[0].0, CacheAnswer::Miss);
         c.end_batch();
         c.end_batch();
         let (loc2, _) = c.insert_value(0, k, &val(2.0), 3);
@@ -1544,7 +1580,9 @@ mod tests {
         // not read them through the live-slot path.
         c.enable_checksums();
         for f in 0..f {
-            if let (CacheAnswer::Hit { class, slot }, _) = c.lookup(codec.encode(0, f), 100) {
+            if let (CacheAnswer::Hit { class, slot }, _) =
+                c.lookup_batch(&[codec.encode(0, f)], 100)[0]
+            {
                 assert_eq!(c.verify_hits(&[(class, slot)]), [true], "survivor {f}");
             }
         }
@@ -1566,7 +1604,7 @@ mod tests {
                     "word {word} bit {bit}"
                 );
                 c.quarantine(k, class, slot);
-                assert_eq!(c.lookup(k, 2).0, CacheAnswer::Miss);
+                assert_eq!(c.lookup_batch(&[k], 2)[0].0, CacheAnswer::Miss);
                 c.end_batch();
                 c.end_batch();
             }
@@ -1591,8 +1629,8 @@ mod tests {
             c.insert_value(0, codec.encode(0, f), &val(f as f32), f as u32);
         }
         c.end_batch();
-        let (snap, slots) = c.checkpoint(0);
-        assert_eq!(slots.len() as u64, c.live_value_count());
+        let (snap, read) = c.checkpoint(0);
+        assert_eq!(read.slots.len() as u64, c.live_value_count());
         assert!(snap.deltas().is_empty(), "a full image is a chain of one");
         let mut fresh = FlatCache::new(&ds, 8 * 4 * 200, FlatCacheConfig::default());
         let report = fresh.restore(&snap).expect("clean image restores");
@@ -1606,7 +1644,7 @@ mod tests {
         assert_eq!(snap, fresh.checkpoint(0).0);
         for f in 0..20u64 {
             let k = codec.encode(0, f);
-            let (ans, _) = fresh.lookup(k, 100);
+            let (ans, _) = fresh.lookup_batch(&[k], 100)[0];
             let CacheAnswer::Hit { class, slot } = ans else {
                 panic!("restored key {f} must hit");
             };
@@ -1697,7 +1735,7 @@ mod tests {
         for f in 12..16u64 {
             assert!(
                 matches!(
-                    small.lookup(codec.encode(0, f), 100).0,
+                    small.lookup_batch(&[codec.encode(0, f)], 100)[0].0,
                     CacheAnswer::Hit { .. }
                 ),
                 "hottest stamps must survive the shrink"
@@ -1718,7 +1756,10 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.live_value_count(), 0);
         assert_eq!(c.unified_count(), 0);
-        assert_eq!(c.lookup(codec.encode(0, 3), 9).0, CacheAnswer::Miss);
+        assert_eq!(
+            c.lookup_batch(&[codec.encode(0, 3)], 9)[0].0,
+            CacheAnswer::Miss
+        );
         // And it serves cleanly again afterwards.
         let (loc, _) = c.insert_value(0, codec.encode(0, 3), &val(3.0), 10);
         let (class, slot) = loc.expect("fresh pool has room");
@@ -1810,7 +1851,7 @@ mod tests {
                 let (class, slot) = loc.expect("room");
                 c.set_slot_version(class, slot, 1);
             }
-            if let (CacheAnswer::Hit { class, slot }, _) = c.lookup(keys[3], 20) {
+            if let (CacheAnswer::Hit { class, slot }, _) = c.lookup_batch(&[keys[3]], 20)[0] {
                 c.retire_slot(class, slot, false);
             }
             (c, codec, keys)
@@ -1886,9 +1927,9 @@ mod tests {
         assert_eq!(base.base().epoch(), 3);
         // Nothing advanced yet: the delta is empty.
         let mut chain = base.clone();
-        let slots0 = c.delta_checkpoint(&mut chain);
+        let read0 = c.delta_checkpoint(&mut chain);
         assert_eq!(chain.latest().entry_count_hint(), 0);
-        assert!(slots0.is_empty());
+        assert!(read0.slots.is_empty());
         // Advance two keys.
         for (f, v) in [(2u64, 1u64), (7, 4)] {
             c.apply_updates(&[SlotUpdate {
@@ -1898,14 +1939,14 @@ mod tests {
             }]);
         }
         let mut chain = base.clone();
-        let slots1 = c.delta_checkpoint(&mut chain);
+        let read1 = c.delta_checkpoint(&mut chain);
         let d1 = chain.latest();
         assert_eq!(d1.kind(), Some(SnapshotKind::Delta));
         assert_eq!(d1.epoch(), 3);
         assert_eq!(d1.delta_seq(), 1);
         let entries = d1.decode().expect("clean delta");
         assert_eq!(entries.len(), 2);
-        assert_eq!(slots1.len(), 2);
+        assert_eq!(read1.slots.len(), 2);
         assert!(entries.windows(2).all(|w| w[0].key < w[1].key));
     }
 
@@ -1938,7 +1979,7 @@ mod tests {
         let mut fresh = FlatCache::new(&ds, 8 * 4 * 200, FlatCacheConfig::default());
         let report = fresh.restore(&chain).expect("verified chain restores");
         assert_eq!(report.max_version, 4, "recovered to latest, not base");
-        let (ans, _) = fresh.lookup(codec.encode(0, 2), 100);
+        let (ans, _) = fresh.lookup_batch(&[codec.encode(0, 2)], 100)[0];
         let CacheAnswer::Hit { class, slot } = ans else {
             panic!("updated key must hit after chain restore");
         };
@@ -1949,7 +1990,7 @@ mod tests {
         // resident version 4 — never a regression.
         let again = fresh.restore(&chain).expect("re-restore is clean");
         assert!(again.superseded >= 2);
-        let (ans, _) = fresh.lookup(codec.encode(0, 2), 100);
+        let (ans, _) = fresh.lookup_batch(&[codec.encode(0, 2)], 100)[0];
         let CacheAnswer::Hit { class, slot } = ans else {
             panic!("updated key must still hit");
         };
@@ -2003,7 +2044,7 @@ mod tests {
         let (snap, _) = c.checkpoint(0);
         let mut fresh = FlatCache::new(&ds, 8 * 4 * 200, FlatCacheConfig::default());
         fresh.restore(&snap).expect("clean");
-        let (ans, _) = fresh.lookup(k, 10);
+        let (ans, _) = fresh.lookup_batch(&[k], 10)[0];
         let CacheAnswer::Hit { class, slot } = ans else {
             panic!("restored key must hit");
         };
@@ -2077,7 +2118,7 @@ mod tests {
         for f in 0..4u64 {
             assert!(
                 matches!(
-                    c.lookup(codec.encode(0, 100 + f), 200).0,
+                    c.lookup_batch(&[codec.encode(0, 100 + f)], 200)[0].0,
                     CacheAnswer::Hit { .. }
                 ),
                 "in-quota tenant's entry {f} must survive a neighbor's flood"
@@ -2220,7 +2261,7 @@ mod tests {
                 .map(|&(t, f)| codec.encode(t, f))
                 .collect();
             let batch = a.lookup_batch(&keys, 9);
-            let per_key: Vec<_> = keys.iter().map(|&k| b.lookup(k, 9)).collect();
+            let per_key: Vec<_> = keys.iter().map(|&k| b.lookup_batch(&[k], 9)[0]).collect();
             assert_eq!(batch, per_key, "{index:?}");
             let mut reused = vec![(CacheAnswer::Miss, ProbeStats::new()); 3];
             a.lookup_batch_into(&keys, 9, &mut reused);
@@ -2243,9 +2284,9 @@ mod tests {
         let mut ds = spec::synthetic(2, 1_000, 16, -1.2);
         ds.tables[1].dim = 64;
         let c = FlatCache::new(&ds, 1 << 20, FlatCacheConfig::default());
-        assert_ne!(c.class_of(0), c.class_of(1));
-        assert_eq!(c.dim_of(0), 16);
-        assert_eq!(c.dim_of(1), 64);
+        assert_ne!(c.class_of_table[0], c.class_of_table[1]);
+        assert_eq!(c.table_dims()[0], 16);
+        assert_eq!(c.table_dims()[1], 64);
     }
 
     #[test]
@@ -2261,7 +2302,7 @@ mod tests {
             .expect("pool has room");
         let entry = SnapshotEntry {
             key: key.0,
-            class: c.class_of(1),
+            class: c.class_of_table[1],
             stamp: 2,
             version: 0,
             value: vec![2.0; 64],
@@ -2461,7 +2502,7 @@ mod tests {
                 for (c, guards) in [(&mut fast, &mut guards.0), (&mut slow, &mut guards.1)] {
                     match op {
                         Op::Insert(t, f) => {
-                            let value = vec![f as f32; c.dim_of(t) as usize];
+                            let value = vec![f as f32; c.table_dims()[t as usize] as usize];
                             c.insert_value(t, codec.encode(t, f), &value, stamp);
                             pass |= c.needs_eviction();
                         }

@@ -41,8 +41,8 @@ pub mod tuner;
 pub mod update;
 
 pub use flat_cache::{
-    CacheAnswer, FlatCache, FlatCacheConfig, IndexBackend, PendingUpdate, SlotUpdate,
-    UpdateApplyReport, UNIFIED_ENTRY_BYTES,
+    CacheAnswer, Captured, Fill, FlatCache, FlatCacheConfig, IndexBackend, PendingUpdate,
+    SlotUpdate, UpdateApplyReport, UNIFIED_ENTRY_BYTES,
 };
 pub use fusion::{FusionError, FusionMember, FusionPlan, ARGS_ENTRY_BYTES, WARP};
 pub use multi_gpu::{FailoverStats, InterconnectSpec, MultiGpuFleche, ShardedTiming};

@@ -15,7 +15,7 @@
 //! `decoupling` (separate index/copy kernels + DRAM overlap vs coupled),
 //! `unified_index` (GPU-resident DRAM pointers + capacity tuner).
 
-use crate::flat_cache::{CacheAnswer, FlatCache, FlatCacheConfig};
+use crate::flat_cache::{CacheAnswer, Captured, Fill, FlatCache, FlatCacheConfig};
 use crate::fusion::{FusionMember, FusionPlan};
 use crate::recovery::{CacheSnapshot, CheckpointChain, RestoreReport, SnapshotError};
 use crate::tuner::UnifiedIndexTuner;
@@ -397,10 +397,18 @@ impl FlecheSystem {
         &self.cache
     }
 
-    /// Turns on per-tenant cache partitioning (see
-    /// [`FlatCache::enable_tenant_partitioning`]); subsequent batches are
-    /// attributed to whichever tenant
-    /// [`EmbeddingCacheSystem::set_active_tenant`] last declared.
+    /// Turns on per-tenant cache partitioning: tenant `t` may hold at most
+    /// `quotas[t] ×` the pool's byte capacity. An at-quota tenant's misses
+    /// bypass the cache instead of evicting someone else's working set,
+    /// and eviction reclaims over-quota tenants' entries first. Entries
+    /// resident before the call stay unowned: never charged, evicted in
+    /// plain LRU order. Subsequent batches are attributed to whichever
+    /// tenant [`EmbeddingCacheSystem::set_active_tenant`] last declared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `quotas` is empty, any share is non-positive, or the
+    /// shares sum above 1.
     pub fn enable_tenant_partitioning(&mut self, quotas: &[f64]) {
         self.cache.enable_tenant_partitioning(quotas);
     }
@@ -459,10 +467,10 @@ impl FlecheSystem {
         self.updates.stage(gpu, pushes);
     }
 
-    /// Mutable cache access for fault-injection harnesses (bit-flip
-    /// corruption); not a query-path API.
-    pub fn cache_mut(&mut self) -> &mut FlatCache {
-        &mut self.cache
+    /// Fault-injection hook: flips bit `bit` of float `word` of the `nth` of
+    /// [`FlatCache::live_value_count`] live slots, checksum left stale.
+    pub fn corrupt_nth_live(&mut self, nth: u64, word: u32, bit: u32) -> Option<(u16, u32)> {
+        self.cache.corrupt_nth_live(nth, word, bit)
     }
 
     /// Captures a checkpoint of the GPU cache at a batch boundary, as a
@@ -476,8 +484,8 @@ impl FlecheSystem {
     pub fn checkpoint(&mut self, gpu: &mut Gpu) -> CheckpointChain {
         self.close_batch_boundary(gpu);
         self.checkpoint_epoch += 1;
-        let (chain, slots) = self.cache.checkpoint(self.checkpoint_epoch);
-        self.price_snapshot(gpu, chain.latest(), &slots);
+        let (chain, read) = self.cache.checkpoint(self.checkpoint_epoch);
+        Self::price_snapshot(gpu, chain.latest(), &read);
         chain
     }
 
@@ -490,8 +498,8 @@ impl FlecheSystem {
     pub fn delta_checkpoint(&mut self, gpu: &mut Gpu, chain: &mut CheckpointChain) {
         self.close_batch_boundary(gpu);
         self.updates.price_delta_scan(gpu, self.cache.len());
-        let slots = self.cache.delta_checkpoint(chain);
-        self.price_snapshot(gpu, chain.latest(), &slots);
+        let read = self.cache.delta_checkpoint(chain);
+        Self::price_snapshot(gpu, chain.latest(), &read);
     }
 
     /// Warm-restarts the cache from a checkpoint chain — a full base plus
@@ -502,8 +510,8 @@ impl FlecheSystem {
     /// changes; a rejected chain returns `Err` with the cache untouched,
     /// and the caller falls back to a cold warm-up. On success the logical
     /// clock fast-forwards past the chain's newest stamp, the images are
-    /// copied H2D, and one replay kernel writes the restored slots
-    /// (declared to the race checker as kernel writes).
+    /// copied H2D, and one replay kernel writes the restored slots, each
+    /// declared to the race checker as one of its writes.
     pub fn restore_checkpoint(
         &mut self,
         gpu: &mut Gpu,
@@ -515,7 +523,18 @@ impl FlecheSystem {
         gpu.elapse_host("snapshot-verify", Ns(bytes as f64 * 0.1));
         let report = self.cache.restore(chain)?;
         self.clock = self.clock.max(report.max_stamp);
-        Self::price_restore(gpu, bytes, &report);
+        gpu.copy_blocking("snapshot-h2d", bytes.max(1), CopyApi::CudaMemcpy);
+        let s = gpu.default_stream();
+        let kid = gpu.launch(
+            s,
+            KernelDesc::new(
+                "restore-replay",
+                (report.restored as u32).saturating_mul(32).max(128),
+                KernelWork::streaming(bytes),
+            ),
+        );
+        declare_slots(gpu, kid, &report.slots, RaceChecker::kernel_write);
+        gpu.sync_stream(s);
         Ok(report)
     }
 
@@ -560,37 +579,19 @@ impl FlecheSystem {
     /// Prices capturing `snap` on the simulated timeline: the scan kernel,
     /// with every captured slot declared as one of its reads, then the D2H
     /// copy of the image.
-    fn price_snapshot(&self, gpu: &mut Gpu, snap: &CacheSnapshot, slots: &[(u16, u32)]) {
+    fn price_snapshot(gpu: &mut Gpu, snap: &CacheSnapshot, read: &Captured) {
         let s = gpu.default_stream();
         let kid = gpu.launch(
             s,
             KernelDesc::new(
                 "snapshot-scan",
                 16_384,
-                KernelWork::streaming(self.cache.scan_bytes() + snap.byte_len()),
+                KernelWork::streaming(read.scan_bytes + snap.byte_len()),
             ),
         );
-        declare_slots(gpu, kid, slots, RaceChecker::kernel_read);
+        declare_slots(gpu, kid, &read.slots, RaceChecker::kernel_read);
         gpu.sync_stream(s);
         gpu.copy_blocking("snapshot-d2h", snap.byte_len().max(1), CopyApi::CudaMemcpy);
-    }
-
-    /// Prices a warm restart on the simulated timeline: the H2D copy of the
-    /// `bytes` of image, then one replay kernel, with every restored slot
-    /// declared as one of its writes.
-    fn price_restore(gpu: &mut Gpu, bytes: u64, report: &RestoreReport) {
-        gpu.copy_blocking("snapshot-h2d", bytes.max(1), CopyApi::CudaMemcpy);
-        let s = gpu.default_stream();
-        let kid = gpu.launch(
-            s,
-            KernelDesc::new(
-                "restore-replay",
-                (report.restored as u32).saturating_mul(32).max(128),
-                KernelWork::streaming(bytes),
-            ),
-        );
-        declare_slots(gpu, kid, &report.slots, RaceChecker::kernel_write);
-        gpu.sync_stream(s);
     }
 
     /// Bounded cold-start warm-up: prefetches `hot` (hottest-first, e.g.
@@ -849,7 +850,7 @@ impl FlecheSystem {
                 // serialize behind each other's copies (the paper's
                 // Fig. 7). Expected queue depth ~= concurrent keys per
                 // bucket.
-                let dim = self.cache.dim_of(run.table);
+                let dim = self.cache.table_dims()[run.table as usize];
                 let copy_rounds = dim.div_ceil(SLAB_WIDTH as u32);
                 let contention =
                     (total_unique as u32).div_ceil(self.cache.bucket_count().max(1) as u32);
@@ -927,7 +928,7 @@ impl FlecheSystem {
         }
         cx.pin = Some(self.cache.pin_reader());
         let threads = (cx.hit_pos.len() as u32)
-            .saturating_mul(self.cache.dim_of(cx.runs[0].table))
+            .saturating_mul(self.cache.table_dims()[cx.runs[0].table as usize])
             .max(256);
         let work = KernelWork {
             global_bytes: cx.hit_copy_bytes,
@@ -1001,36 +1002,23 @@ impl FlecheSystem {
     }
 
     /// Stage 7: replacement — copy first, then index (paper order) — and
-    /// the eviction pass if the watermark tripped.
+    /// the eviction pass if the watermark tripped, as the cache's fill
+    /// ([`FlatCache::upsert_batch`]) decides them; this stage prices them.
     fn replace(&mut self, gpu: &mut Gpu, cx: &mut BatchContext) {
         let r0 = gpu.now();
-        let mut insert_stats = ProbeStats::new();
-        // One admission roll per cleanly fetched fill key, in fill order;
-        // each key's flat key was already encoded for the probe.
-        for (i, (&pos, row)) in cx.fill_pos.iter().zip(cx.fill_rows.iter()).enumerate() {
-            if cx.unfetched.binary_search(&i).is_ok() {
-                continue;
-            }
-            let (t, f) = cx.dedup.unique[pos];
-            let key = cx.keys[pos];
-            if self.cache.admit() {
-                let (loc, s) = self.cache.insert_value(t, key, row, self.clock);
-                insert_stats.merge(&s);
-                if let Some(slot) = loc {
-                    // Stamp the update version the rewritten row carries
-                    // (insert reset it), so later lag measurements and
-                    // delta captures see what this slot really holds.
-                    if cx.fill_versions[i] > 0 {
-                        self.cache
-                            .set_slot_version(slot.0, slot.1, cx.fill_versions[i]);
-                    }
-                    cx.admitted_slots.push(slot);
-                }
-            } else if self.config.unified_index {
-                let s = self.cache.insert_dram_ptr(t, f, key, self.clock);
-                insert_stats.merge(&s);
-            }
-        }
+        // Each fill key's flat key was already encoded for the probe.
+        let rows = cx.fill_pos.iter().zip(cx.fill_rows.iter()).enumerate();
+        let fills = rows.map(|(i, (&pos, row))| Fill {
+            id: cx.fill_keys[i],
+            key: cx.keys[pos],
+            row,
+            version: cx.fill_versions[i],
+            fetched: cx.unfetched.binary_search(&i).is_err(),
+        });
+        let unified = self.config.unified_index.then_some(&self.codec);
+        let (insert, evicted) =
+            self.cache
+                .upsert_batch(fills, self.clock, unified, &mut cx.admitted_slots);
         let admitted = cx.admitted_slots.len() as u64;
         if admitted > 0 {
             // Copy kernel (values into pool slots), then the index-update
@@ -1056,37 +1044,19 @@ impl FlecheSystem {
                     "replace-index",
                     (admitted as u32 * SLAB_WIDTH as u32).max(32),
                     KernelWork {
-                        global_bytes: insert_stats.bytes_touched,
-                        flops: 0,
-                        dependent_rounds: insert_stats.max_chain + 1,
-                        shared_accesses: 0,
+                        dependent_rounds: insert.max_chain + 1,
+                        ..KernelWork::streaming(insert.bytes_touched)
                     },
                 ),
             );
         }
-        // With the unified index on, evicted entries whose flat key decodes
-        // are converted into DRAM pointers (the paper's cold-embedding
-        // replacement).
-        if self.cache.needs_eviction() {
-            let scan_bytes = self.cache.scan_bytes();
-            let (codec, unified) = (&self.codec, self.config.unified_index);
-            let stats = self
-                .cache
-                .evict_pass_with(|k| unified.then(|| codec.decode(FlatKey(k))).flatten());
+        if let Some((scan_bytes, stats)) = evicted {
+            let work = KernelWork {
+                dependent_rounds: 2,
+                ..KernelWork::streaming(scan_bytes + stats.bytes_touched)
+            };
             let s = gpu.default_stream();
-            gpu.launch(
-                s,
-                KernelDesc::new(
-                    "evict-scan",
-                    16_384,
-                    KernelWork {
-                        global_bytes: scan_bytes + stats.bytes_touched,
-                        flops: 0,
-                        dependent_rounds: 2,
-                        shared_accesses: 0,
-                    },
-                ),
-            );
+            gpu.launch(s, KernelDesc::new("evict-scan", 16_384, work));
         }
         cx.stats.phases.other += gpu.now() - r0;
     }
@@ -1144,12 +1114,9 @@ impl FlecheSystem {
         let evicted = self.store.take_evicted();
         if !evicted.is_empty() {
             let inv0 = gpu.now();
-            let mut invalidated = 0u64;
-            for (t, f) in evicted {
-                if self.cache.invalidate_dram_ptr(self.codec.encode(t, f)) {
-                    invalidated += 1;
-                }
-            }
+            let codec = &self.codec;
+            let keys = evicted.into_iter().map(|(t, f)| codec.encode(t, f));
+            let invalidated = self.cache.invalidate_dram_ptrs(keys);
             // One small index-update kernel clears the stale pointers.
             if invalidated > 0 {
                 let s = gpu.default_stream();
@@ -1328,10 +1295,10 @@ mod tests {
         }
         // Flip a bit in every live slot: any subsequent hit on them must be
         // caught, quarantined, and refetched.
-        let live = sys.cache_mut().live_value_count();
+        let live = sys.cache().live_value_count();
         assert!(live > 0);
         for nth in 0..live {
-            sys.cache_mut().corrupt_nth_live(nth, 3, 24).unwrap();
+            sys.corrupt_nth_live(nth, 3, 24).unwrap();
         }
         let mut detected = 0;
         for _ in 0..4 {
@@ -1357,9 +1324,9 @@ mod tests {
         for _ in 0..8 {
             sys.query_batch(&mut gpu, &gen.next_batch(256));
         }
-        let live = sys.cache_mut().live_value_count();
+        let live = sys.cache().live_value_count();
         for nth in 0..live {
-            sys.cache_mut().corrupt_nth_live(nth, 3, 24).unwrap();
+            sys.corrupt_nth_live(nth, 3, 24).unwrap();
         }
         let mut wrong = 0u64;
         for _ in 0..4 {

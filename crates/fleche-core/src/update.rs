@@ -281,7 +281,7 @@ impl UpdatePipeline {
                 .iter()
                 .map(|&push| KeyedPush {
                     key: codec.encode(push.table, push.id),
-                    dim: cache.dim_of(push.table),
+                    dim: cache.table_dims()[push.table as usize],
                     push,
                 })
                 .collect();

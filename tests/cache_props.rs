@@ -3,8 +3,8 @@
 //! never double-allocate, and the flat cache must stay internally
 //! consistent under random workloads with eviction.
 
-use fleche_coding::{FlatKeyCodec, SizeAwareCodec};
-use fleche_core::{FlatCache, FlatCacheConfig};
+use fleche_coding::{FlatKey, FlatKeyCodec, SizeAwareCodec};
+use fleche_core::{Fill, FlatCache, FlatCacheConfig};
 use fleche_index::{ClassSpec, GpuIndex, Loc, SlabHash, SlabPool};
 use fleche_workload::spec;
 use proptest::prelude::*;
@@ -109,7 +109,7 @@ proptest! {
                     // After eviction, drop our model entries that are gone.
                     let snapshot: Vec<u64> = inserted.keys().copied().collect();
                     for k in snapshot {
-                        if matches!(cache.lookup(fleche_coding::FlatKey(k), stamp).0, fleche_core::CacheAnswer::Miss) {
+                        if matches!(cache.lookup_batch(&[fleche_coding::FlatKey(k)], stamp)[0].0, fleche_core::CacheAnswer::Miss) {
                             inserted.remove(&k);
                         }
                     }
@@ -121,12 +121,90 @@ proptest! {
         }
         // Every key our model believes cached must hit with the same bytes.
         for (k, v) in &inserted {
-            match cache.lookup(fleche_coding::FlatKey(*k), stamp + 1).0 {
+            match cache.lookup_batch(&[fleche_coding::FlatKey(*k)], stamp + 1)[0].0 {
                 fleche_core::CacheAnswer::Hit { class, slot } => {
                     prop_assert_eq!(cache.read_hit(class, slot), v.as_slice());
                 }
                 other => prop_assert!(false, "expected hit for {k}, got {other:?}"),
             }
+        }
+    }
+
+    /// The fill written once: a stream through
+    /// [`FlatCache::upsert_batch`] and the same stream through the per-key
+    /// sequence the bench twin runs (`bench/src/twin.rs`: `admit`, then
+    /// `insert_value` or `insert_dram_ptr`, then `needs_eviction` and
+    /// `evict_pass_with`), skipping unfetched rows as the system does, must
+    /// leave two caches of one config and seed indistinguishable after
+    /// every batch. Until the twin goes, this holds its semantics to the
+    /// system's.
+    #[test]
+    fn upsert_batch_matches_the_per_key_fill(
+        batches in prop::collection::vec(
+            prop::collection::vec((0u16..4, 0u64..300, 0u8..5), 1..48),
+            1..12,
+        ),
+        cache_slots in 16u64..96,
+        unified_target in 0u64..64,
+    ) {
+        let ds = spec::synthetic(4, 300, 8, -1.2);
+        let corpora: Vec<u64> = ds.tables.iter().map(|t| t.corpus).collect();
+        let codec = SizeAwareCodec::new(24, &corpora);
+        let new = || {
+            let mut cache = FlatCache::new(&ds, 8 * 4 * cache_slots, FlatCacheConfig::default());
+            cache.set_unified_target(unified_target);
+            cache
+        };
+        let (mut batched, mut per_key) = (new(), new());
+        let mut probe_keys: Vec<FlatKey> = batches
+            .iter()
+            .flatten()
+            .map(|&(t, f, _)| codec.encode(t, f))
+            .collect();
+        probe_keys.sort_unstable();
+        probe_keys.dedup();
+        let mut admitted = Vec::new();
+        for (b, fills) in batches.iter().enumerate() {
+            let stamp = b as u32 + 1;
+            // One row per fill; a draw of 0 is a failed or stale fetch.
+            let rows: Vec<Vec<f32>> = fills
+                .iter()
+                .map(|&(t, f, _)| vec![f32::from(t) * 1000.0 + f as f32; 8])
+                .collect();
+            let stream = fills.iter().zip(&rows).map(|(&(table, feature, draw), row)| Fill {
+                id: (table, feature),
+                key: codec.encode(table, feature),
+                row,
+                version: 0,
+                fetched: draw != 0,
+            });
+            admitted.clear();
+            batched.upsert_batch(stream.clone(), stamp, Some(&codec), &mut admitted);
+            let mut per_key_admitted = Vec::new();
+            for fill in stream.filter(|fill| fill.fetched) {
+                let (table, feature) = fill.id;
+                if per_key.admit() {
+                    let (loc, _) = per_key.insert_value(table, fill.key, fill.row, stamp);
+                    per_key_admitted.extend(loc);
+                } else {
+                    per_key.insert_dram_ptr(table, feature, fill.key, stamp);
+                }
+            }
+            if per_key.needs_eviction() {
+                per_key.evict_pass_with(|k| codec.decode(FlatKey(k)));
+            }
+            prop_assert_eq!(&admitted, &per_key_admitted, "batch {}: admitted slots", b);
+            prop_assert_eq!(
+                batched.lookup_batch(&probe_keys, stamp),
+                per_key.lookup_batch(&probe_keys, stamp),
+                "batch {}: probe answers", b
+            );
+            prop_assert_eq!(batched.len(), per_key.len());
+            prop_assert_eq!(batched.unified_count(), per_key.unified_count());
+            prop_assert_eq!(batched.evict_passes(), per_key.evict_passes());
+            prop_assert_eq!(batched.live_value_count(), per_key.live_value_count());
+            batched.end_batch();
+            per_key.end_batch();
         }
     }
 
@@ -188,7 +266,7 @@ fn collision_overwrite_keeps_latest_value() {
     assert_eq!(k1, k2);
     cache.insert_value(0, k1, &[1.0; 8], 1);
     cache.insert_value(0, k2, &[2.0; 8], 2);
-    match cache.lookup(k1, 3).0 {
+    match cache.lookup_batch(&[k1], 3)[0].0 {
         fleche_core::CacheAnswer::Hit { class, slot } => {
             assert_eq!(cache.read_hit(class, slot), &[2.0; 8]);
         }

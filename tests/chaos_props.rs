@@ -124,7 +124,7 @@ proptest! {
                 let mut captured = Vec::new();
                 for &(t, f) in inserted.iter().take(8) {
                     let key = codec.encode(t, f);
-                    if let CacheAnswer::Hit { class, slot } = cache.lookup(key, 0).0 {
+                    if let CacheAnswer::Hit { class, slot } = cache.lookup_batch(&[key], 0)[0].0 {
                         captured.push((key, class, slot, value_of(t, f)));
                     }
                 }
@@ -134,7 +134,7 @@ proptest! {
                 // The fault path: a checksum mismatch quarantines the slot
                 // (index removal + retire) while the copy is in flight.
                 if let Some(&(key, class, slot, _)) = reader.captured.get(nth) {
-                    if matches!(cache.lookup(key, 0).0, CacheAnswer::Hit { class: c, slot: s } if c == class && s == slot) {
+                    if matches!(cache.lookup_batch(&[key], 0)[0].0, CacheAnswer::Hit { class: c, slot: s } if c == class && s == slot) {
                         cache.quarantine(key, class, slot);
                     }
                 }

@@ -103,7 +103,7 @@ proptest! {
         // the restored cache checkpoints to the same bytes.
         prop_assert_eq!(&fresh.checkpoint(0).0, &snap);
         for e in snap.base().decode().expect("intact") {
-            match fresh.lookup(fleche_coding::FlatKey(e.key), u32::MAX).0 {
+            match fresh.lookup_batch(&[fleche_coding::FlatKey(e.key)], u32::MAX)[0].0 {
                 CacheAnswer::Hit { class, slot } => {
                     prop_assert_eq!(bits(fresh.read_hit(class, slot)), bits(&e.value));
                 }

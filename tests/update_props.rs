@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use fleche_chaos::{BreakerConfig, FaultPlan, StalenessConfig};
 use fleche_coding::{FlatKeyCodec, SizeAwareCodec};
 use fleche_core::{
-    CacheAnswer, CheckpointChain, FlatCache, FlatCacheConfig, FlecheConfig, FlecheSystem,
+    CacheAnswer, CheckpointChain, Fill, FlatCache, FlatCacheConfig, FlecheConfig, FlecheSystem,
     SlotUpdate,
 };
 use fleche_gpu::{DeviceSpec, DramSpec, Gpu, Ns};
@@ -38,6 +38,29 @@ fn value_at(table: u16, id: u64, version: u64) -> Vec<f32> {
     let mut v = vec![0.0; DIM as usize];
     versioned_embedding_value(table, id, version, &mut v);
     v
+}
+
+/// Fills `(table, id)` at `version` through the cache's fill, as the miss
+/// path does: the row carries the version and its slot is stamped with it.
+/// Returns the admitted slot.
+fn fill_at(
+    cache: &mut FlatCache,
+    table: u16,
+    id: u64,
+    version: u64,
+    stamp: u32,
+) -> Option<(u16, u32)> {
+    let row = value_at(table, id, version);
+    let fill = Fill {
+        id: (table, id),
+        key: codec().encode(table, id),
+        row: &row,
+        version,
+        fetched: true,
+    };
+    let mut admitted = Vec::new();
+    cache.upsert_batch([fill], stamp, None::<&SizeAwareCodec>, &mut admitted);
+    admitted.pop()
 }
 
 fn bits(values: &[f32]) -> Vec<u32> {
@@ -117,10 +140,7 @@ fn chain_under_updates(
     let mut cache = FlatCache::new(&ds, u64::from(DIM) * 4 * 1024, config);
     let mut versions = BTreeMap::new();
     for (i, &(t, f)) in keys.iter().enumerate() {
-        cache.insert_value(t, codec.encode(t, f), &value_at(t, f, 1), i as u32);
-        if let (CacheAnswer::Hit { class, slot }, _) = cache.lookup(codec.encode(t, f), 0) {
-            cache.set_slot_version(class, slot, 1);
-        }
+        fill_at(&mut cache, t, f, 1, i as u32);
         versions.insert((t, f), 1);
     }
     let (mut chain, _) = cache.checkpoint(3);
@@ -324,11 +344,7 @@ proptest! {
                     let v = ledger.entry((t, f)).or_insert(0);
                     *v += inc;
                     let v = *v;
-                    if let (Some((class, slot)), _) =
-                        cache.insert_value(t, codec.encode(t, f), &value_at(t, f, v), stamp)
-                    {
-                        cache.set_slot_version(class, slot, v);
-                    }
+                    fill_at(&mut cache, t, f, v, stamp);
                 }
                 1 => {
                     // Trainer burst over a few keys: odd slots re-send a
@@ -364,7 +380,7 @@ proptest! {
             // monotone per key and bounded by what the ledger issued.
             for &(pt, pf) in &keys {
                 if let (CacheAnswer::Hit { class, slot }, _) =
-                    cache.lookup(codec.encode(pt, pf), stamp)
+                    cache.lookup_batch(&[codec.encode(pt, pf)], stamp)[0]
                 {
                     let v = cache.slot_version(class, slot);
                     let issued = ledger.get(&(pt, pf)).copied().unwrap_or(0);
@@ -437,7 +453,7 @@ proptest! {
 
         for &(t, f) in &keys {
             let key = codec.encode(t, f);
-            let (va, vb) = match (a.lookup(key, u32::MAX).0, b.lookup(key, u32::MAX).0) {
+            let (va, vb) = match (a.lookup_batch(&[key], u32::MAX)[0].0, b.lookup_batch(&[key], u32::MAX)[0].0) {
                 (
                     CacheAnswer::Hit { class: ca, slot: sa },
                     CacheAnswer::Hit { class: cb, slot: sb },
@@ -477,10 +493,7 @@ proptest! {
         };
         let mut cache = FlatCache::new(&ds, u64::from(DIM) * 4 * 1024, config);
         for (i, &(t, f)) in keys.iter().enumerate() {
-            cache.insert_value(t, codec.encode(t, f), &value_at(t, f, 1), i as u32);
-            if let (CacheAnswer::Hit { class, slot }, _) = cache.lookup(codec.encode(t, f), 0) {
-                cache.set_slot_version(class, slot, 1);
-            }
+            fill_at(&mut cache, t, f, 1, i as u32);
         }
         let (mut chain, _) = cache.checkpoint(7);
 
@@ -516,7 +529,7 @@ proptest! {
         let report = fresh.restore(&chain).expect("intact chain restores");
         prop_assert_eq!(report.max_version, expected.values().copied().max().unwrap_or(0));
         for (&(t, f), &v) in &expected {
-            match fresh.lookup(codec.encode(t, f), u32::MAX).0 {
+            match fresh.lookup_batch(&[codec.encode(t, f)], u32::MAX)[0].0 {
                 CacheAnswer::Hit { class, slot } => {
                     prop_assert_eq!(fresh.slot_version(class, slot), v);
                     prop_assert_eq!(bits(fresh.read_hit(class, slot)), bits(&value_at(t, f, v)));
@@ -601,7 +614,7 @@ proptest! {
         prop_assert_eq!(second.max_version, first.max_version);
         prop_assert_eq!(fresh.checkpoint(9).0, after_first);
         for (&(t, f), &v) in &versions {
-            match fresh.lookup(codec.encode(t, f), u32::MAX).0 {
+            match fresh.lookup_batch(&[codec.encode(t, f)], u32::MAX)[0].0 {
                 CacheAnswer::Hit { class, slot } => {
                     prop_assert_eq!(fresh.slot_version(class, slot), v);
                     prop_assert_eq!(bits(fresh.read_hit(class, slot)), bits(&value_at(t, f, v)));
