@@ -13,9 +13,8 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use fleche_chaos::{DeviceLossSpec, FaultPlan};
 use fleche_core::{FlecheConfig, FlecheSystem, InterconnectSpec, MultiGpuFleche};
-use fleche_gpu::{Gpu, Ns};
+use fleche_gpu::{DeviceFault, Gpu, Ns};
 use fleche_model::LatencyRecorder;
 use fleche_store::api::EmbeddingCacheSystem;
 use fleche_store::Rows;
@@ -344,27 +343,20 @@ impl Drill<'_> {
             mg.enable_race_checkers();
         }
         let (lost_at, restored_at) = (batches * 2 / 5, batches * 3 / 5);
-        // The device-loss schedule draws nothing at random: any seed will do.
-        let mut plan = FaultPlan::quiet(0);
-        plan.device_loss = DeviceLossSpec {
-            victim: VICTIM,
-            lost_at_batch: Some(lost_at),
-            restored_at_batch: Some(restored_at),
-        };
-        let inj = plan.device_loss_injector();
         let mut gen = TraceGenerator::new(ds);
-        let mut lost = false;
         let mut log = serve(&mut mg, &mut gen, batches, |mg, log, step| {
             if let Step::Before(b) = step {
                 checkpoint(b, mg, log);
-                if let Some(fault) = inj.transition(lost, b) {
-                    lost = !lost;
+                // A restore due on the loss's own batch never happens.
+                let fault = if b == lost_at {
+                    Some((DeviceFault::Lost, "device lost"))
+                } else if b == restored_at {
+                    Some((DeviceFault::Restored, "device restored"))
+                } else {
+                    None
+                };
+                if let Some((fault, event)) = fault {
                     mg.shard_gpu_mut(VICTIM).inject_device_fault(fault);
-                    let event = if lost {
-                        "device lost"
-                    } else {
-                        "device restored"
-                    };
                     log.events.insert(b, event);
                 }
             }

@@ -8,11 +8,13 @@
 //!
 //! The crate has two halves:
 //!
-//! * **Injection** — a [`FaultPlan`] describes the fault environment (remote
-//!   parameter-server outages and per-fetch failures, transient GPU launch
-//!   faults and stream stalls, slab-pool bit flips, whole-device losses,
-//!   snapshot-image rot, trainer-push channel faults) and hands out per-domain
-//!   injectors seeded from independent substreams.
+//! * **Injection** — a [`FaultPlan`] describes the fault environment in five
+//!   domains (remote parameter-server outages and per-fetch timeouts,
+//!   transient GPU launch faults and stream stalls, slab-pool bit flips,
+//!   snapshot-image rot, trainer-push channel faults) and hands out
+//!   per-domain injectors seeded from independent substreams. A whole-device
+//!   loss is not a plan domain: it has no randomness, so a drill injects
+//!   [`fleche_gpu::DeviceFault`]s at the batches it chooses.
 //! * **Recovery policy** — [`RetryPolicy`] (exponential backoff + jitter,
 //!   hedged second fetch, per-batch deadline) and [`CircuitBreaker`]
 //!   (closed → open → half-open probing) are plain data + state machines the
@@ -33,9 +35,8 @@ pub use breaker::{
     StalenessPolicy,
 };
 pub use plan::{
-    CorruptionInjector, CorruptionSpec, DeviceLossInjector, DeviceLossSpec, FaultPlan,
-    FetchOutcome, FlashCrowdSpec, GpuFaultInjector, GpuFaultSpec, OverloadSpec,
-    RemoteFaultInjector, RemoteFaultSpec, SnapshotFaultInjector, SnapshotFaultSpec,
+    CorruptionInjector, CorruptionSpec, FaultPlan, FlashCrowdSpec, GpuFaultInjector, GpuFaultSpec,
+    OverloadSpec, RemoteFaultInjector, RemoteFaultSpec, SnapshotFaultInjector, SnapshotFaultSpec,
     UpdateFaultInjector, UpdateFaultSpec,
 };
 pub use retry::RetryPolicy;

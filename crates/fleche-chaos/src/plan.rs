@@ -2,10 +2,10 @@
 
 use crate::in_periodic_window;
 use crate::rng::ChaosRng;
-use fleche_gpu::{DeviceFault, LaunchFault, LaunchFaultHook, Ns};
+use fleche_gpu::{LaunchFault, LaunchFaultHook, Ns};
 
 /// Remote parameter-server fault model.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RemoteFaultSpec {
     /// Probability that one fetch attempt times out (dropped request,
     /// server-side overload). Independent per attempt, so retries help.
@@ -16,22 +16,6 @@ pub struct RemoteFaultSpec {
     pub outage_period: Ns,
     /// Length of each outage window.
     pub outage_duration: Ns,
-    /// Probability that a successful fetch is slow (degraded RTT).
-    pub slow_rate: f64,
-    /// RTT multiplier applied to slow fetches.
-    pub slow_rtt_factor: f64,
-}
-
-impl Default for RemoteFaultSpec {
-    fn default() -> RemoteFaultSpec {
-        RemoteFaultSpec {
-            fetch_failure_rate: 0.0,
-            outage_period: Ns::ZERO,
-            outage_duration: Ns::ZERO,
-            slow_rate: 0.0,
-            slow_rtt_factor: 1.0,
-        }
-    }
 }
 
 /// GPU engine fault model.
@@ -51,20 +35,6 @@ pub struct CorruptionSpec {
     /// Expected bit flips injected into live pool slots per batch. Values
     /// above 1 flip multiple bits per batch.
     pub bitflips_per_batch: f64,
-}
-
-/// Whole-device loss schedule. Unlike the rate-based domains, losses are
-/// scheduled at exact batch indices: recovery drills need the kill to
-/// land at a reproducible point in the sweep, and batch boundaries are
-/// the only points at which a multi-GPU owner re-routes anyway.
-#[derive(Clone, Debug, Default)]
-pub struct DeviceLossSpec {
-    /// Shard index of the victim device.
-    pub victim: usize,
-    /// Batch index at which the device drops (`None` = never).
-    pub lost_at_batch: Option<u64>,
-    /// Batch index at which it returns after reset (`None` = stays dead).
-    pub restored_at_batch: Option<u64>,
 }
 
 /// Snapshot (checkpoint image) corruption model: bit rot between the
@@ -219,8 +189,6 @@ pub struct FaultPlan {
     pub gpu: GpuFaultSpec,
     /// Slab-pool corruption.
     pub corruption: CorruptionSpec,
-    /// Whole-device loss schedule.
-    pub device_loss: DeviceLossSpec,
     /// Snapshot-image corruption.
     pub snapshot: SnapshotFaultSpec,
     /// Trainer-push channel faults.
@@ -241,7 +209,6 @@ impl FaultPlan {
             remote: RemoteFaultSpec::default(),
             gpu: GpuFaultSpec::default(),
             corruption: CorruptionSpec::default(),
-            device_loss: DeviceLossSpec::default(),
             snapshot: SnapshotFaultSpec::default(),
             update: UpdateFaultSpec::default(),
         }
@@ -272,14 +239,6 @@ impl FaultPlan {
         }
     }
 
-    /// The device-loss injector for this plan. Schedule-only (no RNG):
-    /// the spec pins exact batch indices.
-    pub fn device_loss_injector(&self) -> DeviceLossInjector {
-        DeviceLossInjector {
-            spec: self.device_loss.clone(),
-        }
-    }
-
     /// The snapshot-corruption injector for this plan.
     pub fn snapshot_injector(&self) -> SnapshotFaultInjector {
         SnapshotFaultInjector {
@@ -300,17 +259,6 @@ impl FaultPlan {
     }
 }
 
-/// Outcome of one remote fetch attempt.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FetchOutcome {
-    /// The fetch succeeds at nominal cost.
-    Ok,
-    /// The fetch never answers; the caller waits out its timeout.
-    TimedOut,
-    /// The fetch succeeds with its RTT multiplied by the factor.
-    Slow(f64),
-}
-
 /// Draws outcomes for remote fetch attempts.
 #[derive(Clone, Debug)]
 pub struct RemoteFaultInjector {
@@ -324,18 +272,11 @@ impl RemoteFaultInjector {
         in_periodic_window(now, self.spec.outage_period, self.spec.outage_duration)
     }
 
-    /// The outcome of one fetch attempt issued at `now`.
-    pub fn fetch_outcome(&mut self, now: Ns) -> FetchOutcome {
-        if self.in_outage(now) {
-            return FetchOutcome::TimedOut;
-        }
-        if self.rng.chance(self.spec.fetch_failure_rate) {
-            return FetchOutcome::TimedOut;
-        }
-        if self.rng.chance(self.spec.slow_rate) {
-            return FetchOutcome::Slow(self.spec.slow_rtt_factor);
-        }
-        FetchOutcome::Ok
+    /// Whether one fetch attempt issued at `now` never answers, so the
+    /// caller waits out its timeout; otherwise it succeeds at nominal cost.
+    /// Inside an outage window no draw is made.
+    pub fn times_out(&mut self, now: Ns) -> bool {
+        self.in_outage(now) || self.rng.chance(self.spec.fetch_failure_rate)
     }
 }
 
@@ -391,46 +332,6 @@ impl CorruptionInjector {
     /// without routinely producing NaN payload-only corruption.
     pub fn pick_bit(&mut self) -> u32 {
         20 + (self.rng.below(11) as u32)
-    }
-}
-
-/// Applies the scheduled device-loss window to a victim shard's `Gpu`.
-#[derive(Clone, Debug)]
-pub struct DeviceLossInjector {
-    spec: DeviceLossSpec,
-}
-
-impl DeviceLossInjector {
-    /// The shard index of the victim device.
-    pub fn victim(&self) -> usize {
-        self.spec.victim
-    }
-
-    /// Whether the victim should be lost while serving batch `batch`.
-    pub fn lost_for_batch(&self, batch: u64) -> bool {
-        let Some(lost_at) = self.spec.lost_at_batch else {
-            return false;
-        };
-        if batch < lost_at {
-            return false;
-        }
-        match self.spec.restored_at_batch {
-            // A restore scheduled at or before the loss means the device
-            // never comes back.
-            Some(back) if back > lost_at => batch < back,
-            _ => true,
-        }
-    }
-
-    /// The fault to apply before batch `batch`, given the device's current
-    /// state — `None` when no state change is due.
-    pub fn transition(&self, currently_lost: bool, batch: u64) -> Option<DeviceFault> {
-        let should = self.lost_for_batch(batch);
-        match (currently_lost, should) {
-            (false, true) => Some(DeviceFault::Lost),
-            (true, false) => Some(DeviceFault::Restored),
-            _ => None,
-        }
     }
 }
 
@@ -589,8 +490,6 @@ mod tests {
         let plan = FaultPlan {
             remote: RemoteFaultSpec {
                 fetch_failure_rate: 0.3,
-                slow_rate: 0.2,
-                slow_rtt_factor: 4.0,
                 ..RemoteFaultSpec::default()
             },
             gpu: GpuFaultSpec {
@@ -619,7 +518,7 @@ mod tests {
         let mut b = plan.remote_injector();
         for i in 0..256 {
             let t = Ns::from_us(i as f64);
-            assert_eq!(a.fetch_outcome(t), b.fetch_outcome(t));
+            assert_eq!(a.times_out(t), b.times_out(t));
         }
         let mut ga = plan.gpu_injector();
         let mut gb = plan.gpu_injector();
@@ -713,45 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn device_loss_window_is_a_pure_schedule() {
-        let plan = FaultPlan {
-            device_loss: DeviceLossSpec {
-                victim: 2,
-                lost_at_batch: Some(40),
-                restored_at_batch: Some(60),
-            },
-            ..FaultPlan::quiet(3)
-        };
-        let inj = plan.device_loss_injector();
-        assert_eq!(inj.victim(), 2);
-        assert!(!inj.lost_for_batch(39));
-        assert!(inj.lost_for_batch(40));
-        assert!(inj.lost_for_batch(59));
-        assert!(!inj.lost_for_batch(60));
-        assert_eq!(
-            inj.transition(false, 40),
-            Some(fleche_gpu::DeviceFault::Lost)
-        );
-        assert_eq!(inj.transition(true, 45), None);
-        assert_eq!(
-            inj.transition(true, 60),
-            Some(fleche_gpu::DeviceFault::Restored)
-        );
-        assert_eq!(inj.transition(false, 61), None);
-
-        // No restore scheduled: dead stays dead.
-        let forever = FaultPlan {
-            device_loss: DeviceLossSpec {
-                victim: 0,
-                lost_at_batch: Some(5),
-                restored_at_batch: None,
-            },
-            ..FaultPlan::quiet(3)
-        };
-        assert!(forever.device_loss_injector().lost_for_batch(1_000_000));
-    }
-
-    #[test]
     fn snapshot_corruption_offsets_stay_in_bounds() {
         let plan = FaultPlan {
             snapshot: SnapshotFaultSpec {
@@ -774,14 +634,12 @@ mod tests {
         let mut gpu = plan.gpu_injector();
         let mut corr = plan.corruption_injector();
         let mut snap = plan.snapshot_injector();
-        let loss = plan.device_loss_injector();
         for i in 0..128 {
             let t = Ns::from_ms(i as f64);
-            assert_eq!(remote.fetch_outcome(t), FetchOutcome::Ok);
+            assert!(!remote.times_out(t));
             assert_eq!(gpu.on_launch(t, "k"), LaunchFault::None);
             assert_eq!(corr.flips_this_batch(), 0);
             assert_eq!(snap.corrupt_offset(1024), None);
-            assert!(!loss.lost_for_batch(i));
         }
     }
 
@@ -799,9 +657,9 @@ mod tests {
         assert!(!inj.in_outage(Ns::from_ms(5.0)));
         assert!(inj.in_outage(Ns::from_ms(10.2)));
         for _ in 0..32 {
-            assert_eq!(inj.fetch_outcome(Ns::from_ms(10.5)), FetchOutcome::TimedOut);
+            assert!(inj.times_out(Ns::from_ms(10.5)));
         }
-        assert_eq!(inj.fetch_outcome(Ns::from_ms(12.0)), FetchOutcome::Ok);
+        assert!(!inj.times_out(Ns::from_ms(12.0)));
     }
 
     #[test]
@@ -814,9 +672,7 @@ mod tests {
             ..FaultPlan::quiet(11)
         };
         let mut inj = plan.remote_injector();
-        let timeouts = (0..10_000)
-            .filter(|_| inj.fetch_outcome(Ns::ZERO) == FetchOutcome::TimedOut)
-            .count();
+        let timeouts = (0..10_000).filter(|_| inj.times_out(Ns::ZERO)).count();
         assert!(
             (2_100..2_900).contains(&timeouts),
             "timeouts {timeouts} far from 25%"

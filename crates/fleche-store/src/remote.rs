@@ -10,7 +10,7 @@
 //! the corner case the paper flags for this mode.
 
 use crate::table::{embedding_value, RowArena, DRAM_INDEX_BYTES, DRAM_PROBES_PER_LOOKUP};
-use fleche_chaos::{ChaosRng, FetchOutcome, RemoteFaultInjector, RetryPolicy};
+use fleche_chaos::{ChaosRng, RemoteFaultInjector, RetryPolicy};
 use fleche_gpu::{BytesPerNs, DramSpec, Ns};
 use fleche_workload::DatasetSpec;
 use std::collections::HashMap;
@@ -48,15 +48,6 @@ impl RemoteSpec {
         }
         self.rtt + Ns(self.per_key.0 * keys as f64) + self.bandwidth.transfer_time(bytes)
     }
-
-    /// [`Self::fetch_time`] with the RTT scaled by `factor` (a degraded
-    /// network path).
-    pub fn fetch_time_degraded(&self, keys: u64, bytes: u64, factor: f64) -> Ns {
-        if keys == 0 {
-            return Ns::ZERO;
-        }
-        self.rtt * factor + Ns(self.per_key.0 * keys as f64) + self.bandwidth.transfer_time(bytes)
-    }
 }
 
 /// Counters for the tiered store.
@@ -76,8 +67,6 @@ pub struct TieredStats {
     pub hedged_fetches: u64,
     /// Hedged fetches that rescued an otherwise-dead attempt.
     pub hedge_wins: u64,
-    /// Successful fetches that ran at degraded RTT.
-    pub slow_fetches: u64,
     /// Keys served from the stale buffer after remote failure.
     pub stale_serves: u64,
     /// Sum over stale serves of (batches since the copy left DRAM); divide
@@ -377,61 +366,24 @@ impl TieredStore {
             if report.attempts > 1 {
                 self.stats.remote_retries += 1;
             }
-            match injector.fetch_outcome(now + elapsed) {
-                FetchOutcome::Ok => {
-                    elapsed += nominal;
+            if !injector.times_out(now + elapsed) {
+                elapsed += nominal;
+                return (true, elapsed);
+            }
+            // The primary never answers. If hedging is on, a second fetch
+            // fired `hedge_after` into the attempt gets its own independent
+            // outcome and can rescue the attempt.
+            if let Some(hedge_after) = self.retry.hedge_after {
+                report.hedged = true;
+                self.stats.hedged_fetches += 1;
+                if !injector.times_out(now + elapsed + hedge_after) {
+                    self.stats.hedge_wins += 1;
+                    elapsed += hedge_after + nominal;
                     return (true, elapsed);
                 }
-                FetchOutcome::Slow(factor) => {
-                    let slow = self
-                        .remote
-                        .fetch_time_degraded(remote_keys, remote_bytes, factor);
-                    if slow <= timeout {
-                        self.stats.slow_fetches += 1;
-                        elapsed += slow;
-                        return (true, elapsed);
-                    }
-                    // Too slow to distinguish from a dead request.
-                    self.stats.remote_timeouts += 1;
-                    elapsed += timeout;
-                }
-                FetchOutcome::TimedOut => {
-                    // The primary never answers. If hedging is on, a second
-                    // fetch fired `hedge_after` into the attempt gets its own
-                    // independent outcome and can rescue the attempt.
-                    let mut rescued = false;
-                    if let Some(hedge_after) = self.retry.hedge_after {
-                        report.hedged = true;
-                        self.stats.hedged_fetches += 1;
-                        match injector.fetch_outcome(now + elapsed + hedge_after) {
-                            FetchOutcome::Ok => {
-                                self.stats.hedge_wins += 1;
-                                elapsed += hedge_after + nominal;
-                                rescued = true;
-                            }
-                            FetchOutcome::Slow(factor) => {
-                                let slow = self.remote.fetch_time_degraded(
-                                    remote_keys,
-                                    remote_bytes,
-                                    factor,
-                                );
-                                if hedge_after + slow <= timeout {
-                                    self.stats.hedge_wins += 1;
-                                    self.stats.slow_fetches += 1;
-                                    elapsed += hedge_after + slow;
-                                    rescued = true;
-                                }
-                            }
-                            FetchOutcome::TimedOut => {}
-                        }
-                    }
-                    if rescued {
-                        return (true, elapsed);
-                    }
-                    self.stats.remote_timeouts += 1;
-                    elapsed += timeout;
-                }
             }
+            self.stats.remote_timeouts += 1;
+            elapsed += timeout;
         }
         (false, elapsed)
     }

@@ -1,7 +1,7 @@
 //! Non-stationary workload dynamics.
 //!
 //! The stationary power-law traces of [`crate::trace`] model a steady
-//! recommendation workload; production traffic is not steady. Three
+//! recommendation workload; production traffic is not steady. Two
 //! dynamics the overload drills exercise, each deterministic under the
 //! dataset seed like every other generator in this crate:
 //!
@@ -15,13 +15,10 @@
 //!   scattering rotates through a fixed cycle of phases, one per simulated
 //!   "hour"; after a full cycle the phase-0 popularity returns, so a cache
 //!   that adapted once can be measured re-adapting to a set it has seen
-//!   before.
-//! * **Cold-start item injection** ([`ColdStartSpec`]) — a fraction of
-//!   draws is replaced by the *coldest* ranks of the current popularity
-//!   (walking down from the last rank), modelling freshly-published items
-//!   that have no access history and therefore cannot be resident.
+//!   before. A cycle of `u64::MAX` phases never returns: that is hotspot
+//!   drift, the hot set moving every `period` samples for good.
 //!
-//! All three compose via [`TraceDynamics`] and are consumed by
+//! Both compose via [`TraceDynamics`] and are consumed by
 //! [`crate::TraceGenerator::with_dynamics`]. They draw from the
 //! generator's single RNG stream, so a given `(spec, dynamics)` pair
 //! yields one byte-identical trace forever.
@@ -88,18 +85,7 @@ impl DiurnalSpec {
     }
 }
 
-/// Cold-start item injection: a fraction of draws is replaced by the
-/// coldest ranks of the current popularity, cycling through a reserve of
-/// `reserve` tail ranks so each injection surfaces a (nearly) unseen item.
-#[derive(Clone, Copy, Debug)]
-pub struct ColdStartSpec {
-    /// Fraction of draws replaced by a cold item.
-    pub fraction: f64,
-    /// Tail ranks cycled through (walked down from the last rank).
-    pub reserve: u64,
-}
-
-/// Composition of the three dynamics; `None` fields leave the trace
+/// Composition of the two dynamics; `None` fields leave the trace
 /// stationary along that axis.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TraceDynamics {
@@ -107,8 +93,6 @@ pub struct TraceDynamics {
     pub hot_churn: Option<HotChurnSpec>,
     /// Diurnal popularity rotation, if any.
     pub diurnal: Option<DiurnalSpec>,
-    /// Cold-start item injection, if any.
-    pub cold_start: Option<ColdStartSpec>,
 }
 
 impl TraceDynamics {
@@ -130,13 +114,6 @@ impl TraceDynamics {
         if let Some(d) = &self.diurnal {
             assert!(d.period > 0, "diurnal period must be positive");
             assert!(d.phases > 0, "diurnal phases must be positive");
-        }
-        if let Some(cs) = &self.cold_start {
-            assert!(
-                (0.0..=1.0).contains(&cs.fraction),
-                "cold-start fraction must be in [0, 1]"
-            );
-            assert!(cs.reserve > 0, "cold-start reserve must be positive");
         }
     }
 }

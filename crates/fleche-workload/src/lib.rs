@@ -13,10 +13,10 @@
 //! * [`zipf`] — O(1) power-law samplers (alias method + rank scattering).
 //! * [`spec`] — dataset specifications (`avazu`, `criteo_kaggle`,
 //!   `criteo_tb`, `synthetic`).
-//! * [`trace`] — deterministic sample/batch generation with optional
-//!   hotspot drift.
+//! * [`trace`] — deterministic sample/batch generation.
 //! * [`dynamics`] — non-stationary overlays (flash-crowd hot-key churn,
-//!   diurnal popularity rotation, cold-start injection).
+//!   diurnal popularity rotation, of which hotspot drift is the cycle that
+//!   never repeats).
 //! * [`oracle`] — the paper's "Optimal" frequency oracle and a Belady
 //!   simulator for ablations.
 
@@ -32,7 +32,7 @@ pub mod trace;
 pub mod zipf;
 
 pub use arrivals::{ArrivalGen, BurstWindow};
-pub use dynamics::{ColdStartSpec, DiurnalSpec, HotChurnSpec, TraceDynamics};
+pub use dynamics::{DiurnalSpec, HotChurnSpec, TraceDynamics};
 pub use oracle::{analytic_optimal_hit_rate, belady_hit_rate};
 pub use spec::{synthetic, synthetic_default, DatasetSpec, TableSpec};
 pub use stats::WorkloadStats;

@@ -8,7 +8,7 @@ use fleche_core::{FlecheConfig, FlecheSystem};
 use fleche_gpu::{DeviceSpec, DramSpec, Gpu};
 use fleche_store::api::EmbeddingCacheSystem;
 use fleche_store::CpuStore;
-use fleche_workload::{spec, TraceGenerator};
+use fleche_workload::{spec, DiurnalSpec, TraceDynamics, TraceGenerator};
 
 const FRACTION: f64 = 0.05;
 const BATCH: usize = 512;
@@ -51,8 +51,15 @@ fn main() {
     let store = CpuStore::new(&dataset, DramSpec::xeon_6252());
     let mut sys = FlecheSystem::new(&dataset, store, FlecheConfig::full(0.02));
     let mut gpu = Gpu::new(DeviceSpec::t4());
-    // Shift the hot set halfway through.
-    let mut gen = TraceGenerator::with_drift(&dataset, Some(40 * BATCH as u64));
+    // Shift the hot set halfway through: a rotation that never repeats.
+    let shift = TraceDynamics {
+        diurnal: Some(DiurnalSpec {
+            period: 40 * BATCH as u64,
+            phases: u64::MAX,
+        }),
+        ..TraceDynamics::none()
+    };
+    let mut gen = TraceGenerator::with_dynamics(&dataset, shift);
     for i in 0..80 {
         let s = sys.query_batch(&mut gpu, &gen.next_batch(BATCH)).stats;
         if i % 10 == 9 {

@@ -7,7 +7,7 @@ use fleche_core::{FlecheConfig, FlecheSystem};
 use fleche_gpu::{DeviceSpec, DramSpec, Gpu};
 use fleche_store::api::EmbeddingCacheSystem;
 use fleche_store::CpuStore;
-use fleche_workload::{spec, DatasetSpec, TraceGenerator};
+use fleche_workload::{spec, DatasetSpec, DiurnalSpec, TraceDynamics, TraceGenerator};
 
 fn check_rows(
     sys: &mut dyn EmbeddingCacheSystem,
@@ -125,7 +125,15 @@ fn correctness_survives_hotspot_drift() {
     let store = CpuStore::new(&ds, DramSpec::xeon_6252());
     let mut sys = FlecheSystem::new(&ds, store, FlecheConfig::full(0.02));
     let mut gpu = Gpu::new(DeviceSpec::t4());
-    let mut gen = TraceGenerator::with_drift(&ds, Some(512));
+    // A rotation that never repeats: the hot set moves every 512 samples.
+    let drift = TraceDynamics {
+        diurnal: Some(DiurnalSpec {
+            period: 512,
+            phases: u64::MAX,
+        }),
+        ..TraceDynamics::none()
+    };
+    let mut gen = TraceGenerator::with_dynamics(&ds, drift);
     for _ in 0..8 {
         let batch = gen.next_batch(128);
         let out = sys.query_batch(&mut gpu, &batch);
