@@ -228,7 +228,7 @@ fn drill_failover(d: &mut Drill, j: &mut JsonEmitter) -> Result<(), RacesFound> 
         "  re-warm: {} entries replayed from checkpoint in {}  (cold starts {}, images rejected {})",
         f.rewarm_restored_entries,
         fmt_ns(f.rewarm_time),
-        f.rewarm_cold_starts,
+        f.cold_rewarms,
         f.snapshot_rejected,
     );
     let steady = sweep.steady * 100.0;

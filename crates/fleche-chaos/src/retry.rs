@@ -55,11 +55,6 @@ impl RetryPolicy {
         }
     }
 
-    /// True when the policy retries at all.
-    pub fn retries_enabled(&self) -> bool {
-        self.max_attempts > 1
-    }
-
     /// Jittered backoff to wait before attempt `attempt` (attempts count
     /// from 1; the first attempt has no backoff).
     pub fn backoff_before(&self, attempt: u32, rng: &mut ChaosRng) -> Ns {
@@ -87,7 +82,7 @@ mod tests {
     #[test]
     fn none_never_retries() {
         let p = RetryPolicy::none();
-        assert!(!p.retries_enabled());
+        assert_eq!(p.max_attempts, 1);
         assert!(p.within_deadline(Ns::from_secs(100.0)));
         let mut rng = ChaosRng::new(1);
         assert_eq!(p.backoff_before(1, &mut rng), Ns::ZERO);

@@ -45,7 +45,7 @@ pub struct FailoverStats {
     /// Entries re-warmed from a checkpoint on device restore.
     pub rewarm_restored_entries: u64,
     /// Restores that had to start cold (no checkpoint, or a rejected one).
-    pub rewarm_cold_starts: u64,
+    pub cold_rewarms: u64,
     /// Checkpoints refused at rewarm time (corrupt image detected).
     pub snapshot_rejected: u64,
     /// Newest update version any re-warm landed on (a delta chain re-warm
@@ -351,9 +351,9 @@ impl MultiGpuFleche {
                     }
                     Some(Err(_)) => {
                         self.failover.snapshot_rejected += 1;
-                        self.failover.rewarm_cold_starts += 1;
+                        self.failover.cold_rewarms += 1;
                     }
-                    None => self.failover.rewarm_cold_starts += 1,
+                    None => self.failover.cold_rewarms += 1,
                 }
                 self.failover.rewarm_time += gpu.now() - t0;
             }
@@ -730,12 +730,12 @@ mod tests {
         let f = mg.failover_stats();
         assert!(f.rewarm_restored_entries > 0, "checkpoint replayed: {f:?}");
         assert_eq!(f.snapshot_rejected, 0);
-        assert_eq!(f.rewarm_cold_starts, 0);
+        assert_eq!(f.cold_rewarms, 0);
         assert!(f.rewarm_time > Ns::ZERO);
     }
 
     #[test]
-    fn restore_without_checkpoint_is_a_cold_start() {
+    fn restore_without_checkpoint_rewarms_cold() {
         use fleche_gpu::DeviceFault;
         let (mut mg, mut gen, _) = build(2);
         mg.query_batch(&gen.next_batch(64));
@@ -745,7 +745,7 @@ mod tests {
             .inject_device_fault(DeviceFault::Restored);
         mg.query_batch(&gen.next_batch(64));
         let f = mg.failover_stats();
-        assert_eq!(f.rewarm_cold_starts, 1);
+        assert_eq!(f.cold_rewarms, 1);
         assert_eq!(f.rewarm_restored_entries, 0);
     }
 
@@ -830,7 +830,7 @@ mod tests {
         assert_eq!(mg.poll_devices(), (0, 1));
         let f = mg.failover_stats();
         assert_eq!(f.snapshot_rejected, 1);
-        assert_eq!(f.rewarm_cold_starts, 1);
+        assert_eq!(f.cold_rewarms, 1);
         assert_eq!(mg.shard_system(1).cache().len(), 0, "shard is cold");
     }
 

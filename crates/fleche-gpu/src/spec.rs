@@ -64,8 +64,6 @@ pub struct DeviceSpec {
     pub saturation_threads: u32,
     /// FP32 throughput in FLOPs per nanosecond (1 TFLOPS == 1000).
     pub flops_per_ns: f64,
-    /// Hardware warp width.
-    pub warp_size: u32,
 }
 
 impl DeviceSpec {
@@ -87,7 +85,6 @@ impl DeviceSpec {
             shared_access_latency: Ns(25.0),
             saturation_threads: 16_384,
             flops_per_ns: 8_100.0,
-            warp_size: 32,
         }
     }
 
@@ -186,7 +183,6 @@ mod tests {
     fn t4_matches_table1() {
         let t4 = DeviceSpec::t4();
         assert_eq!(t4.hbm_bandwidth.as_gbps(), 300.0);
-        assert_eq!(t4.warp_size, 32);
         let dram = DramSpec::xeon_6252();
         assert_eq!(dram.bandwidth.as_gbps(), 60.0);
         assert_eq!(dram.capacity, 512 * (1 << 30));

@@ -123,14 +123,6 @@ impl Deduped {
         self.inverse.len()
     }
 
-    /// Duplication factor (`accesses / unique`, 1.0 when all distinct).
-    pub fn dup_factor(&self) -> f64 {
-        if self.unique.is_empty() {
-            return 1.0;
-        }
-        self.access_len() as f64 / self.unique_len() as f64
-    }
-
     /// Host CPU cost of building this dedup map.
     pub fn host_cost(&self) -> Ns {
         Ns(self.access_len() as f64 * DEDUP_NS_PER_ID)
@@ -221,7 +213,6 @@ mod tests {
         let d = Deduped::from_batch(&b);
         assert_eq!(d.access_len(), b.total_ids());
         assert!(d.unique_len() < d.access_len(), "skewed trace must repeat");
-        assert!(d.dup_factor() > 1.0);
         // Unique list really is unique.
         let mut seen = std::collections::BTreeSet::new();
         for k in &d.unique {
@@ -349,7 +340,6 @@ mod tests {
         let d = Deduped::from_batch(&b);
         assert_eq!(d.unique_len(), 0);
         assert_eq!(d.access_len(), 0);
-        assert_eq!(d.dup_factor(), 1.0);
         assert!(d.restore(&[]).is_empty());
     }
 }

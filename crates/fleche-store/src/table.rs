@@ -141,11 +141,6 @@ impl CpuStore {
         self.corpora[table as usize]
     }
 
-    /// The memory-system spec this store charges against.
-    pub fn dram(&self) -> &DramSpec {
-        &self.dram
-    }
-
     /// Reads one embedding into `out` (length must equal the table's dim).
     ///
     /// # Panics

@@ -238,12 +238,6 @@ impl UpdateStream {
         push
     }
 
-    /// The trainer-side truth ledger (what drill oracles compare served
-    /// versions against).
-    pub fn truth(&self) -> &VersionLedger {
-        &self.truth
-    }
-
     /// Latest version the trainer has pushed for `(table, id)`.
     pub fn version_of(&self, table: u16, id: u64) -> u64 {
         self.truth.get(table, id)
