@@ -10,7 +10,7 @@
 //! dimension — with corpora scaled down so experiments run in seconds
 //! (cache sizes are relative, so scaling cancels).
 //!
-//! * [`zipf`] — O(1) power-law samplers (alias method + rank scattering).
+//! * `zipf` — O(1) power-law samplers (alias method + rank scattering).
 //! * [`spec`] — dataset specifications (`avazu`, `criteo_kaggle`,
 //!   `criteo_tb`, `synthetic`).
 //! * [`trace`] — deterministic sample/batch generation.
@@ -29,7 +29,7 @@ pub mod oracle;
 pub mod spec;
 pub mod stats;
 pub mod trace;
-pub mod zipf;
+mod zipf;
 
 pub use arrivals::{ArrivalGen, BurstWindow};
 pub use dynamics::{DiurnalSpec, HotChurnSpec, TraceDynamics};
@@ -37,4 +37,3 @@ pub use oracle::{analytic_optimal_hit_rate, belady_hit_rate};
 pub use spec::{synthetic, synthetic_default, DatasetSpec, TableSpec};
 pub use stats::WorkloadStats;
 pub use trace::{Batch, Sample, TraceGenerator};
-pub use zipf::{AliasTable, PowerLaw};
