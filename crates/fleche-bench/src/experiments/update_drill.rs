@@ -209,7 +209,7 @@ fn drill_delta_rewarm(d: &mut Drill, j: &mut JsonEmitter) -> Result<(), RacesFou
                 mg.checkpoint();
                 base_version = mg.shard_base_max_version(VICTIM).unwrap_or(0);
                 log.events.insert(b, "base checkpoint");
-            } else if b > base_at && (b - base_at) % delta_every == 0 {
+            } else if b > base_at && (b - base_at).is_multiple_of(delta_every) {
                 mg.delta_checkpoint();
                 last_delta_version = ledger_max(mg);
                 log.events.entry(b).or_insert("delta checkpoint");

@@ -379,7 +379,7 @@ impl UpdateFaultInjector {
     /// Push-volume multiplier for batch `batch` (1 off-storm).
     pub fn burst_multiplier(&self, batch: u64) -> u64 {
         let every = self.spec.burst_every;
-        if every > 0 && batch >= every && batch % every == 0 {
+        if every > 0 && batch >= every && batch.is_multiple_of(every) {
             self.spec.burst_factor.max(1)
         } else {
             1

@@ -819,7 +819,7 @@ impl FlatCache {
                 let mut len = values.len();
                 values.resize(len + run.len(), 0);
                 for e in run {
-                    let in_quota = band.as_ref().map_or(true, |in_quota| in_quota(e.loc));
+                    let in_quota = band.as_ref().is_none_or(|in_quota| in_quota(e.loc));
                     values[len] = evict_rank(in_quota, e.stamp, e.key);
                     len += usize::from(!e.loc.is_dram());
                 }
@@ -2345,7 +2345,7 @@ mod tests {
                 .iter()
                 .filter_map(|e| match e.loc.unpack() {
                     Loc::Hbm { class, slot } => {
-                        let in_quota = band.as_ref().map_or(true, |in_quota| in_quota(e.loc));
+                        let in_quota = band.as_ref().is_none_or(|in_quota| in_quota(e.loc));
                         Some((in_quota, e.stamp, e.key, class, slot))
                     }
                     Loc::Dram { .. } => None,
@@ -2488,7 +2488,7 @@ mod tests {
             let mut slow = FlatCache::new(&ds, slots * 48, config);
             // Every third key stays undecodable, so passes both convert
             // and remove.
-            let decode = |k: u64| (k % 3 != 0).then(|| codec.decode(FlatKey(k))).flatten();
+            let decode = |k: u64| (!k.is_multiple_of(3)).then(|| codec.decode(FlatKey(k))).flatten();
             let mut guards = (Vec::new(), Vec::new());
             let mut stamp = 1u32;
             for c in [&mut fast, &mut slow] {

@@ -180,7 +180,7 @@ impl MultiGpuFleche {
                 continue;
             }
             let w = rendezvous_weight(key, s as u64);
-            if best.map_or(true, |(bw, _)| w > bw) {
+            if best.is_none_or(|(bw, _)| w > bw) {
                 best = Some((w, s));
             }
         }

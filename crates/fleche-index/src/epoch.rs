@@ -101,7 +101,7 @@ impl<T> EpochManager<T> {
         // The queue stays sorted by retirement epoch because the global
         // epoch is monotone; try_reclaim's front-only scan relies on it.
         debug_assert!(
-            self.retired.back().map_or(true, |&(e, _)| e <= self.global),
+            self.retired.back().is_none_or(|&(e, _)| e <= self.global),
             "retirement epochs must be monotone"
         );
         self.retired.push_back((self.global, item));

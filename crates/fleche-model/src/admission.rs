@@ -449,7 +449,7 @@ impl Admission<'_> {
         let Some(controller) = self.controller.as_mut() else {
             return;
         };
-        if tally.batches % self.observe_every.max(1) != 0 {
+        if !tally.batches.is_multiple_of(self.observe_every.max(1)) {
             return;
         }
         for (t, run) in tally.tenants.iter_mut().enumerate() {
