@@ -61,9 +61,23 @@ pub struct Lexed {
     pub tokens: Vec<Token>,
     /// Inline `analyzer: allow(...)` markers found in comments.
     pub suppressions: Vec<Suppression>,
+    /// The contents of each plain (not raw, not byte) string literal, as
+    /// written between its quotes, keyed by the literal's token index in
+    /// ascending order. Only for rules that read a literal argument, such
+    /// as a `#[target_feature(enable = "…")]` list; never lexed as code.
+    pub strings: Vec<(usize, String)>,
 }
 
 impl Lexed {
+    /// The contents of the plain string literal at token `index`, if the
+    /// token is one.
+    pub fn string_at(&self, index: usize) -> Option<&str> {
+        self.strings
+            .binary_search_by_key(&index, |(i, _)| *i)
+            .ok()
+            .map(|k| self.strings[k].1.as_str())
+    }
+
     /// True when `rule` is suppressed at `line` by an inline marker.
     pub fn suppressed(&self, rule: &str, line: u32) -> bool {
         self.suppressions
@@ -182,6 +196,7 @@ pub fn lex(src: &str) -> Lexed {
                 i += 1;
             }
             i += 1; // opening quote
+            let start = i;
             while i < bytes.len() {
                 match bytes[i] {
                     '\\' => i += 2,
@@ -195,6 +210,12 @@ pub fn lex(src: &str) -> Lexed {
                     }
                     _ => i += 1,
                 }
+            }
+            if c == '"' {
+                let contents = bytes[start..i.saturating_sub(1).max(start)]
+                    .iter()
+                    .collect();
+                out.strings.push((out.tokens.len(), contents));
             }
             out.tokens.push(Token {
                 kind: TokenKind::Literal,
@@ -378,6 +399,17 @@ mod tests {
     #[test]
     fn string_contents_do_not_become_idents() {
         assert_eq!(idents(r#"let s = "HashMap unwrap";"#), vec!["let", "s"]);
+    }
+
+    #[test]
+    fn plain_string_contents_are_kept_beside_the_tokens() {
+        let l = lex(r#"f("avx2", b"x", r"raw", "", "a\"b");"#);
+        let lits: Vec<usize> = (0..l.tokens.len())
+            .filter(|&i| l.tokens[i].kind == TokenKind::Literal)
+            .collect();
+        let got: Vec<Option<&str>> = lits.iter().map(|&i| l.string_at(i)).collect();
+        assert_eq!(got, [Some("avx2"), None, None, Some(""), Some(r#"a\"b"#)]);
+        assert_eq!(l.string_at(0), None, "`f` is not a literal");
     }
 
     #[test]

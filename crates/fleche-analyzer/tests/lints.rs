@@ -99,9 +99,10 @@ fn every_rule_flags_its_seeded_fixture() {
             rules::ids::TARGET_FEATURE_GUARD,
             "src/target_feature_violation.rs"
         ),
-        2,
-        "exported specialization + unguarded call; dispatched, tf-to-tf, \
-         and pub(crate) shapes excluded"
+        3,
+        "exported specialization + unguarded call + AVX-512 call behind an \
+         AVX2 check; dispatched, all-features, tf-to-tf, and pub(crate) \
+         shapes excluded"
     );
     assert_eq!(
         count(
@@ -118,7 +119,7 @@ fn every_rule_flags_its_seeded_fixture() {
         "the unused `src/stale_allowed.rs` config allow entry"
     );
     // Nothing beyond the seeded violations.
-    assert_eq!(diags.len(), 15, "unexpected extra diagnostics: {diags:?}");
+    assert_eq!(diags.len(), 16, "unexpected extra diagnostics: {diags:?}");
 }
 
 #[test]
@@ -185,7 +186,7 @@ fn cli_exits_nonzero_on_fixture_and_zero_on_clean_workspace() {
     let stdout = String::from_utf8_lossy(&dirty.stdout);
     assert!(stdout.contains("[hash-iteration]"), "stdout: {stdout}");
     assert!(stdout.contains("[stale-allow]"), "stdout: {stdout}");
-    assert!(stdout.contains("15 violation(s)"), "stdout: {stdout}");
+    assert!(stdout.contains("16 violation(s)"), "stdout: {stdout}");
 
     // The real workspace (two directories up) must be clean — this is the
     // committed regression guarantee behind results/analyzer_report.txt.
