@@ -1,7 +1,6 @@
-//! Per-tenant cache quotas (DESIGN.md §7.3): which tenant owns each slot,
-//! which tenant inserts, and what each holds.
+//! Per-tenant cache quotas (DESIGN.md §7.3): which tenant inserts, and
+//! what each holds. Each slot's owner lives in its `SlotMeta`.
 
-use crate::flat_cache::SlotArray;
 use fleche_index::{Loc, PackedLoc, SlabPool};
 
 /// Per-tenant capacity accounting of a partitioned cache.
@@ -17,15 +16,13 @@ pub struct TenantCacheStats {
     pub evictions: u64,
 }
 
-/// `FlatCache` asks the partition whether to admit, tells it what it
-/// wrote and retired, and takes its eviction band. A partition with no
-/// tenants (the default) is partitioning off: it admits everything,
+/// `FlatCache` asks the partition whether to admit, tells it the owner of
+/// what it wrote and retired, and takes its eviction band. A partition with
+/// no tenants (the default) is partitioning off: it admits everything,
 /// charges nothing and has no band.
 #[derive(Default)]
 pub(crate) struct TenantPartition {
-    active: usize,
-    /// Owning tenant per slot; unowned slots are never charged.
-    owner: SlotArray<Option<u32>>,
+    active: u8,
     tenants: Vec<TenantCacheStats>,
 }
 
@@ -33,6 +30,7 @@ impl TenantPartition {
     /// Tenant `t` may hold at most `quotas[t] ×` the pool's byte capacity.
     pub(crate) fn new(pool: &SlabPool, quotas: &[f64]) -> TenantPartition {
         assert!(!quotas.is_empty(), "need at least one tenant");
+        assert!(quotas.len() <= 256, "a slot's owner is one byte");
         let positive = quotas.iter().all(|&q| q > 0.0);
         assert!(positive, "every tenant needs a positive share");
         let total: f64 = quotas.iter().sum();
@@ -44,7 +42,6 @@ impl TenantPartition {
         };
         TenantPartition {
             active: 0,
-            owner: SlotArray::new(pool, None),
             tenants: quotas.iter().map(|&q| quota(q)).collect(),
         }
     }
@@ -53,7 +50,7 @@ impl TenantPartition {
     pub(crate) fn set_active(&mut self, tenant: usize) {
         if !self.tenants.is_empty() {
             assert!(tenant < self.tenants.len(), "unknown tenant {tenant}");
-            self.active = tenant;
+            self.active = tenant as u8;
         }
     }
 
@@ -65,7 +62,7 @@ impl TenantPartition {
     /// Whether the active tenant may take a slot: one at its quota is
     /// denied, and the denial counted.
     pub(crate) fn may_admit(&mut self) -> bool {
-        match self.tenants.get_mut(self.active) {
+        match self.tenants.get_mut(usize::from(self.active)) {
             Some(t) if t.occupancy_bytes >= t.quota_bytes => {
                 t.denied += 1;
                 false
@@ -74,28 +71,27 @@ impl TenantPartition {
         }
     }
 
-    /// Charges a freshly written slot of `bytes` to the active tenant,
-    /// moving the charge if a refresh handed it over from another tenant.
-    pub(crate) fn charge(&mut self, class: u16, slot: u32, bytes: u64) {
-        if self.tenants.is_empty() {
-            return;
+    /// Charges a freshly written slot of `bytes`, owned by `owner`, to the
+    /// active tenant, moving the charge if a refresh handed it over from
+    /// another tenant. Returns the slot's owner from now on (`owner` while
+    /// off).
+    pub(crate) fn charge(&mut self, owner: Option<u8>, bytes: u64) -> Option<u8> {
+        if self.tenants.is_empty() || owner == Some(self.active) {
+            return owner;
         }
-        let prev = self.owner.replace(class, slot, Some(self.active as u32));
-        if prev == Some(self.active as u32) {
-            return;
-        }
-        if let Some(p) = prev {
-            let t = &mut self.tenants[p as usize];
+        if let Some(p) = owner {
+            let t = &mut self.tenants[usize::from(p)];
             t.occupancy_bytes = t.occupancy_bytes.saturating_sub(bytes);
         }
-        self.tenants[self.active].occupancy_bytes += bytes;
+        self.tenants[usize::from(self.active)].occupancy_bytes += bytes;
+        Some(self.active)
     }
 
-    /// Releases a retired slot of `bytes` from its owner; `evicted` counts
-    /// it in the owner's eviction tally.
-    pub(crate) fn release(&mut self, class: u16, slot: u32, bytes: u64, evicted: bool) {
-        if let Some(owner) = self.owner.take(class, slot) {
-            let t = &mut self.tenants[owner as usize];
+    /// Releases a retired slot of `bytes` from its `owner`; `evicted`
+    /// counts it in the owner's eviction tally.
+    pub(crate) fn release(&mut self, owner: Option<u8>, bytes: u64, evicted: bool) {
+        if let Some(owner) = owner {
+            let t = &mut self.tenants[usize::from(owner)];
             t.occupancy_bytes = t.occupancy_bytes.saturating_sub(bytes);
             t.evictions += u64::from(evicted);
         }
@@ -104,9 +100,13 @@ impl TenantPartition {
     /// The eviction band of an index entry, for one pass: `false` while it
     /// is a value whose owner is over quota — those go first, so a flash
     /// crowd reclaims from the tenant that overflowed, not its neighbors.
-    /// Pointers and unowned slots are in quota. `None` while off:
-    /// everything is in quota, and the scan skips the call.
-    pub(crate) fn band(&self) -> Option<impl Fn(PackedLoc) -> bool + '_> {
+    /// Pointers and unowned slots are in quota; `owner` reads a slot's
+    /// owner. `None` while off: everything is in quota, and the scan skips
+    /// the call.
+    pub(crate) fn band<'a>(
+        &'a self,
+        owner: impl Fn(u16, u32) -> Option<u8> + 'a,
+    ) -> Option<impl Fn(PackedLoc) -> bool + 'a> {
         if self.tenants.is_empty() {
             return None;
         }
@@ -116,18 +116,16 @@ impl TenantPartition {
             .map(|t| t.occupancy_bytes > t.quota_bytes)
             .collect();
         Some(move |loc: PackedLoc| match loc.unpack() {
-            Loc::Hbm { class, slot } => !self
-                .owner
-                .get(class, slot)
-                .is_some_and(|owner| over[owner as usize]),
+            Loc::Hbm { class, slot } => {
+                !owner(class, slot).is_some_and(|owner| over[usize::from(owner)])
+            }
             Loc::Dram { .. } => true,
         })
     }
 
-    /// Drops every slot's owner and zeroes occupancy; quotas and the
-    /// denial and eviction counters stay.
+    /// Zeroes occupancy, as a wipe that drops every slot's owner does;
+    /// quotas and the denial and eviction counters stay.
     pub(crate) fn clear(&mut self) {
-        self.owner.clear();
         self.tenants.iter_mut().for_each(|t| t.occupancy_bytes = 0);
     }
 }
