@@ -76,7 +76,7 @@ pub struct TieredStats {
     pub failed_keys: u64,
 }
 
-/// Per-batch recovery report from [`TieredStore::query_batch_at`].
+/// Per-batch recovery report from [`TieredStore::query_batch_at_into`].
 #[derive(Clone, Debug, Default)]
 pub struct FetchReport {
     /// Indices into the batch's key slice served as zeros (unrecoverable).
@@ -103,15 +103,16 @@ impl FetchReport {
 /// byte-correctness checks keep working in giant-model mode.
 ///
 /// ```
-/// use fleche_gpu::DramSpec;
-/// use fleche_store::{RemoteSpec, TieredStore};
+/// use fleche_gpu::{DramSpec, Ns};
+/// use fleche_store::{RemoteSpec, RowArena, TieredStore};
 /// use fleche_workload::spec;
 ///
 /// let ds = spec::synthetic(2, 1_000, 8, -1.2);
 /// let mut store =
 ///     TieredStore::new(&ds, DramSpec::xeon_6252(), RemoteSpec::datacenter(), 0.25);
-/// let (_, cold) = store.query_batch(&[(0, 7)]); // remote fetch
-/// let (_, warm) = store.query_batch(&[(0, 7)]); // DRAM hit
+/// let mut rows = RowArena::default();
+/// let (cold, _) = store.query_batch_at_into(&[(0, 7)], Ns::ZERO, &mut rows); // remote fetch
+/// let (warm, _) = store.query_batch_at_into(&[(0, 7)], Ns::ZERO, &mut rows); // DRAM hit
 /// assert!(cold > warm);
 /// assert!(store.is_resident(0, 7));
 /// ```
@@ -225,35 +226,13 @@ impl TieredStore {
         std::mem::take(&mut self.evicted_log)
     }
 
-    /// Queries a batch: DRAM-resident keys are served locally, the rest
-    /// fetched remotely in one batched request (and admitted to DRAM,
-    /// evicting coldest entries beyond capacity). Returns rows in key
-    /// order plus the total host-side time.
-    ///
-    /// This is the fault-oblivious entry point: with no injector installed
-    /// it behaves exactly as it always has; with one installed, callers
-    /// that care about recovery should use [`Self::query_batch_at`], which
-    /// also reports the per-batch [`FetchReport`].
-    pub fn query_batch(&mut self, keys: &[(u16, u64)]) -> (Vec<Vec<f32>>, Ns) {
-        let (rows, cost, _) = self.query_batch_at(keys, Ns::ZERO);
-        (rows, cost)
-    }
-
-    /// [`Self::query_batch_at_into`] a new vector per row.
-    pub fn query_batch_at(
-        &mut self,
-        keys: &[(u16, u64)],
-        now: Ns,
-    ) -> (Vec<Vec<f32>>, Ns, FetchReport) {
-        let mut arena = RowArena::default();
-        let (cost, report) = self.query_batch_at_into(keys, now, &mut arena);
-        (arena.to_rows(), cost, report)
-    }
-
-    /// Fault-aware batch query at simulated time `now` (used to place the
-    /// batch relative to scheduled outage windows). Appends the rows to
-    /// `arena` in key order and returns the total host-side time and the
-    /// recovery report, whose indices count from this call's first key.
+    /// Queries a batch at simulated time `now` (used to place the batch
+    /// relative to scheduled outage windows): DRAM-resident keys are served
+    /// locally, the rest fetched remotely in one batched request (and
+    /// admitted to DRAM, evicting coldest entries beyond capacity). Appends
+    /// the rows to `arena` in key order and returns the total host-side
+    /// time and the recovery report, whose indices count from this call's
+    /// first key.
     ///
     /// With faults injected, the remote phase runs the configured
     /// [`RetryPolicy`]: timed-out attempts are retried with exponential
@@ -478,14 +457,21 @@ mod tests {
         )
     }
 
+    /// [`TieredStore::query_batch_at_into`] into an arena of its own.
+    fn query(s: &mut TieredStore, keys: &[(u16, u64)], now: Ns) -> (RowArena, Ns, FetchReport) {
+        let mut rows = RowArena::default();
+        let (cost, report) = s.query_batch_at_into(keys, now, &mut rows);
+        (rows, cost, report)
+    }
+
     #[test]
     fn values_match_the_flat_store() {
         let ds = spec::synthetic(2, 1_000, 8, -1.2);
         let flat = crate::table::CpuStore::new(&ds, DramSpec::xeon_6252());
         let mut tiered = store(0.5);
         let keys: Vec<(u16, u64)> = (0..50).map(|i| ((i % 2) as u16, i * 3)).collect();
-        let (rows, _) = tiered.query_batch(&keys);
-        for (&(t, id), row) in keys.iter().zip(&rows) {
+        let (rows, _, _) = query(&mut tiered, &keys, Ns::ZERO);
+        for (&(t, id), row) in keys.iter().zip(rows.iter()) {
             assert_eq!(row, &flat.read(t, id));
         }
     }
@@ -494,9 +480,9 @@ mod tests {
     fn first_touch_is_remote_second_is_dram() {
         let mut s = store(0.5);
         let keys = vec![(0u16, 7u64), (1, 9)];
-        let (_, cold) = s.query_batch(&keys);
+        let (_, cold, _) = query(&mut s, &keys, Ns::ZERO);
         assert_eq!(s.stats().remote_fetches, 2);
-        let (_, warm) = s.query_batch(&keys);
+        let (_, warm, _) = query(&mut s, &keys, Ns::ZERO);
         assert_eq!(s.stats().dram_hits, 2);
         assert!(
             cold > warm + Ns::from_us(50.0),
@@ -516,7 +502,7 @@ mod tests {
         assert_eq!(s.capacity_entries(), 16);
         // Fill beyond capacity one batch at a time so stamps order them.
         for id in 0..20u64 {
-            s.query_batch(&[(0, id)]);
+            query(&mut s, &[(0, id)], Ns::ZERO);
         }
         assert!(s.resident_entries() <= 16);
         let evicted = s.take_evicted();
@@ -535,12 +521,12 @@ mod tests {
         let ds = spec::synthetic(1, 1_000, 8, -1.2);
         let mut s = TieredStore::new(&ds, DramSpec::xeon_6252(), RemoteSpec::datacenter(), 0.016);
         for id in 0..16u64 {
-            s.query_batch(&[(0, id)]);
+            query(&mut s, &[(0, id)], Ns::ZERO);
         }
         // Re-touch id 0, then overflow: id 0 must survive.
-        s.query_batch(&[(0, 0)]);
+        query(&mut s, &[(0, 0)], Ns::ZERO);
         for id in 16..24u64 {
-            s.query_batch(&[(0, id)]);
+            query(&mut s, &[(0, id)], Ns::ZERO);
         }
         assert!(s.is_resident(0, 0), "recently touched key evicted");
     }
@@ -596,9 +582,9 @@ mod tests {
             injected.set_fault_injector(Some(FaultPlan::quiet(1).remote_injector()));
             injected.set_retry_policy(RetryPolicy::standard());
             let keys: Vec<(u16, u64)> = (0..64).map(|i| ((i % 2) as u16, i)).collect();
-            let (rows_a, cost_a) = plain.query_batch(&keys);
-            let (rows_b, cost_b, report) = injected.query_batch_at(&keys, Ns::ZERO);
-            assert_eq!(rows_a, rows_b);
+            let (rows_a, cost_a, _) = query(&mut plain, &keys, Ns::ZERO);
+            let (rows_b, cost_b, report) = query(&mut injected, &keys, Ns::ZERO);
+            assert_eq!(rows_a.to_rows(), rows_b.to_rows());
             assert_eq!(cost_a, cost_b);
             assert!(report.clean());
             assert_eq!(report.attempts, 1);
@@ -623,7 +609,7 @@ mod tests {
             // ~t+1ms+50us lands after the 100us window closes (and well
             // before the next window at 20ms).
             let t = Ns::from_ms(10.0) + Ns::from_us(10.0);
-            let (rows, cost, report) = s.query_batch_at(&[(0, 7)], t);
+            let (rows, cost, report) = query(&mut s, &[(0, 7)], t);
             assert!(report.clean(), "retry must recover: {report:?}");
             assert_eq!(report.attempts, 2);
             let st = s.stats();
@@ -642,7 +628,7 @@ mod tests {
             // The value still arrives fresh and exact.
             let ds = spec::synthetic(2, 1_000, 8, -1.2);
             let flat = crate::table::CpuStore::new(&ds, DramSpec::xeon_6252());
-            assert_eq!(rows[0], flat.read(0, 7));
+            assert_eq!(rows.row(0), flat.read(0, 7));
         }
 
         #[test]
@@ -658,7 +644,7 @@ mod tests {
             // Warm keys 0..20 fault-free: 0..4 get evicted into the stale
             // buffer, 4..20 stay resident.
             for id in 0..20u64 {
-                s.query_batch(&[(0, id)]);
+                query(&mut s, &[(0, id)], Ns::ZERO);
             }
             assert!(!s.is_resident(0, 0));
             // Now the remote dies permanently.
@@ -666,7 +652,7 @@ mod tests {
             s.set_retry_policy(retries_only(3));
             // Key 0: evicted earlier -> stale-servable. Key 500: never seen
             // -> must fail. Key 19: resident -> fresh.
-            let (rows, _, report) = s.query_batch_at(&[(0, 0), (0, 500), (0, 19)], Ns::ZERO);
+            let (rows, _, report) = query(&mut s, &[(0, 0), (0, 500), (0, 19)], Ns::ZERO);
             assert_eq!(report.attempts, 3, "all retries spent before fallback");
             assert_eq!(report.stale, vec![0]);
             assert_eq!(report.failed, vec![1]);
@@ -678,11 +664,11 @@ mod tests {
             assert!(st.staleness_sum >= 1, "stale copy must age");
             // Stale bytes equal fresh bytes under the procedural model.
             let flat = crate::table::CpuStore::new(&ds, DramSpec::xeon_6252());
-            assert_eq!(rows[0], flat.read(0, 0));
+            assert_eq!(rows.row(0), flat.read(0, 0));
             // Failed key served as zeros.
-            assert!(rows[1].iter().all(|&x| x == 0.0));
+            assert!(rows.row(1).iter().all(|&x| x == 0.0));
             // Resident key untouched by the remote failure.
-            assert_eq!(rows[2], flat.read(0, 19));
+            assert_eq!(rows.row(2), flat.read(0, 19));
         }
 
         #[test]
@@ -699,7 +685,7 @@ mod tests {
                 hedge_after: None,
                 deadline: Some(Ns::from_ms(2.2)),
             });
-            let (_, cost, report) = s.query_batch_at(&[(0, 1)], Ns::ZERO);
+            let (_, cost, report) = query(&mut s, &[(0, 1)], Ns::ZERO);
             assert_eq!(report.attempts, 2, "deadline must stop the third attempt");
             assert!(!report.failed.is_empty());
             assert!(
@@ -730,7 +716,7 @@ mod tests {
                 deadline: None,
             });
             let t = Ns::from_ms(1.0) + Ns::from_us(10.0);
-            let (_, cost, report) = s.query_batch_at(&[(0, 3)], t);
+            let (_, cost, report) = query(&mut s, &[(0, 3)], t);
             assert!(report.clean(), "hedge must rescue: {report:?}");
             assert!(report.hedged);
             assert_eq!(report.attempts, 1);
@@ -758,7 +744,7 @@ mod tests {
                 let mut failed = 0usize;
                 for i in 0..200u64 {
                     let t = Ns::from_us(i as f64 * 37.0);
-                    let (_, cost, report) = s.query_batch_at(&[(0, i % 40), (1, (i * 7) % 40)], t);
+                    let (_, cost, report) = query(&mut s, &[(0, i % 40), (1, (i * 7) % 40)], t);
                     total += cost;
                     failed += report.failed.len();
                 }
