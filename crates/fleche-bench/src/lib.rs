@@ -377,6 +377,12 @@ pub fn host_features() -> String {
         if std::arch::is_x86_feature_detected!("avx512f") {
             feats.push("avx512f");
         }
+        if std::arch::is_x86_feature_detected!("avx512dq") {
+            feats.push("avx512dq");
+        }
+        if std::arch::is_x86_feature_detected!("avx512vl") {
+            feats.push("avx512vl");
+        }
         feats.join(",")
     }
     #[cfg(not(target_arch = "x86_64"))]
