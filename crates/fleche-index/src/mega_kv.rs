@@ -171,10 +171,11 @@ impl GpuIndex for MegaKv {
                     stats,
                 );
             }
-            // Displace the stalest entry of the full bucket.
-            let i = (0..BUCKET_WIDTH)
-                .min_by_key(|&i| self.buckets[bucket].stamps[i])
-                .expect("bucket width > 0");
+            // Displace the stalest entry of the full bucket: the first lane
+            // holding the smallest stamp.
+            let stamps = &self.buckets[bucket].stamps;
+            let i = (1..BUCKET_WIDTH)
+                .fold(0, |i, lane| if stamps[lane] < stamps[i] { lane } else { i });
             let victim = ScanEntry {
                 key: self.buckets[bucket].keys[i],
                 loc: self.buckets[bucket].locs[i],
@@ -237,6 +238,16 @@ impl GpuIndex for MegaKv {
             visit(&run);
         }
         stats
+    }
+
+    /// One bucket visited per bucket: the table never grows.
+    fn scan_stats(&self) -> ProbeStats {
+        let buckets = self.buckets.len() as u64;
+        ProbeStats {
+            slabs_visited: buckets,
+            bytes_touched: buckets * BUCKET_BYTES,
+            ..ProbeStats::new()
+        }
     }
 
     fn len(&self) -> usize {
