@@ -1,7 +1,7 @@
 //! Per-tenant cache quotas (DESIGN.md §7.3): which tenant inserts, and
 //! what each holds. Each slot's owner lives in its `SlotMeta`.
 
-use fleche_index::{Loc, PackedLoc, SlabPool};
+use fleche_index::SlabPool;
 
 /// Per-tenant capacity accounting of a partitioned cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -97,30 +97,21 @@ impl TenantPartition {
         }
     }
 
-    /// The eviction band of an index entry, for one pass: `false` while it
-    /// is a value whose owner is over quota — those go first, so a flash
-    /// crowd reclaims from the tenant that overflowed, not its neighbors.
-    /// Pointers and unowned slots are in quota; `owner` reads a slot's
-    /// owner. `None` while off: everything is in quota, and the scan skips
-    /// the call.
-    pub(crate) fn band<'a>(
-        &'a self,
-        owner: impl Fn(u16, u32) -> Option<u8> + 'a,
-    ) -> Option<impl Fn(PackedLoc) -> bool + 'a> {
+    /// The eviction band of a resident value, for one pass: `false` while
+    /// its owner is over quota — those go first, so a flash crowd reclaims
+    /// from the tenant that overflowed, not its neighbors. Unowned slots
+    /// (and pointers, which have no owner) are in quota. `None` while off:
+    /// everything is in quota, and the pass skips the call.
+    pub(crate) fn band(&self) -> Option<impl Fn(Option<u8>) -> bool> {
         if self.tenants.is_empty() {
             return None;
         }
-        let over: Vec<bool> = self
-            .tenants
-            .iter()
-            .map(|t| t.occupancy_bytes > t.quota_bytes)
-            .collect();
-        Some(move |loc: PackedLoc| match loc.unpack() {
-            Loc::Hbm { class, slot } => {
-                !owner(class, slot).is_some_and(|owner| over[usize::from(owner)])
-            }
-            Loc::Dram { .. } => true,
-        })
+        // An owner is one byte, so a table of 256 needs no allocation.
+        let mut over = [false; 256];
+        for (over, t) in over.iter_mut().zip(&self.tenants) {
+            *over = t.occupancy_bytes > t.quota_bytes;
+        }
+        Some(move |owner: Option<u8>| !owner.is_some_and(|owner| over[usize::from(owner)]))
     }
 
     /// Zeroes occupancy, as a wipe that drops every slot's owner does;

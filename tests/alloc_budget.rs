@@ -88,13 +88,14 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
 /// Warms a checksummed full Fleche over `ds` with `warmup` batches, then
 /// measures [`MEASURED`] more; `size(i)` is batch `i`'s sample count.
 /// Asserts every measured batch stays under [`BUDGET`] and every row
-/// equals ground truth.
+/// equals ground truth. Returns the eviction passes the measured batches
+/// ran.
 fn assert_budget(
     ds: &DatasetSpec,
     cache_fraction: f64,
     warmup: usize,
     size: impl Fn(usize) -> usize,
-) {
+) -> u64 {
     let config = FlecheConfig {
         checksums: true,
         ..FlecheConfig::full(cache_fraction)
@@ -107,6 +108,7 @@ fn assert_budget(
         sys.query_batch(&mut gpu, &gen.next_batch(size(i)));
     }
     let mut worst = 0;
+    let passes = sys.cache().evict_passes();
     for i in warmup..warmup + MEASURED {
         let batch: Batch = gen.next_batch(size(i));
         let (out, allocs) = counted(|| sys.query_batch(&mut gpu, &batch));
@@ -123,6 +125,7 @@ fn assert_budget(
         );
     }
     println!("{}: at most {worst} allocations per batch", ds.name);
+    sys.cache().evict_passes() - passes
 }
 
 #[test]
@@ -132,7 +135,8 @@ fn kaggle_batches_of_512_stay_under_budget() {
 
 #[test]
 fn dim_128_rows_through_a_tiny_cache_stay_under_budget() {
-    assert_budget(&spec::criteo_tb(), 0.0002, 10, |_| 256);
+    let passes = assert_budget(&spec::criteo_tb(), 0.0002, 10, |_| 256);
+    assert!(passes > 0, "the budget covers the eviction pass");
 }
 
 #[test]
