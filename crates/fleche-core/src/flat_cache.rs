@@ -5,10 +5,11 @@
 //! to locations in a pre-allocated slab memory pool (one size class per
 //! embedding dimension). Per-slot timestamps implement approximate LRU and
 //! double as versions; a probability admission filter keeps one-hit
-//! wonders out; watermark-triggered eviction scans reclaim cold entries
-//! through epoch-based grace periods so in-flight decoupled copy kernels
-//! never read freed slots; and (optionally) index entries may hold tagged
-//! CPU-DRAM pointers — the unified index.
+//! wonders out; a watermark-triggered eviction pass, ranking values from
+//! per-slot records, reclaims cold entries through epoch-based grace
+//! periods so in-flight decoupled copy kernels never read freed slots;
+//! and (optionally) index entries may hold tagged CPU-DRAM pointers — the
+//! unified index.
 
 use crate::recovery::{CheckpointChain, RestoreReport, SnapshotEntry, SnapshotError};
 use crate::tenancy::{TenantCacheStats, TenantPartition};
@@ -38,17 +39,6 @@ fn prefetch_row(pool: &SlabPool, class: u16, slot: u32) {
 /// Device bytes one unified-index (DRAM pointer) entry costs: its share of
 /// a slab (key + loc + stamp).
 pub const UNIFIED_ENTRY_BYTES: u64 = 20;
-
-/// Buckets per band of the eviction pass's stamp-age histogram.
-const AGE_BUCKETS: usize = 1024;
-
-/// How many records ahead of the one being counted the histogram walk
-/// hints the CPU to fetch.
-const RECORDS_AHEAD: usize = 32;
-
-/// Copies of the histogram the pass counts into, one per record modulo
-/// this, so records of one bucket in a row do not wait on each other.
-const AGE_WAYS: usize = 4;
 
 /// The low bits of a rank that carry a value's slot ordinal.
 const ORDINAL_BITS: u32 = 31;
@@ -80,15 +70,6 @@ fn rank_stamp(rank: u128) -> u32 {
 /// The slot ordinal of a value's rank.
 fn rank_ordinal(rank: u128) -> usize {
     (rank & ((1 << ORDINAL_BITS) - 1)) as usize
-}
-
-/// A value's bucket in the stamp-age histogram; buckets ascend in
-/// eviction order. Each band has [`AGE_BUCKETS`]: its oldest ages first,
-/// `1 << shift` stamps of age `newest − stamp` per bucket, and every age
-/// past the last bucket clamped into the band's first.
-fn age_bucket(in_quota: bool, stamp: u32, newest: u32, shift: u32) -> usize {
-    let age = (newest.saturating_sub(stamp) >> shift) as usize;
-    usize::from(in_quota) * AGE_BUCKETS + (AGE_BUCKETS - 1) - age.min(AGE_BUCKETS - 1)
 }
 
 /// How many victims can at most be needed to free `deficit` bytes when the
@@ -310,27 +291,17 @@ pub struct FlatCache {
     /// readable, and loses its owner and residency; quarantine and wipe
     /// drop the whole record.
     meta: SlotArray<SlotMeta>,
-    /// The newest stamp any record has held: the eviction histogram
-    /// measures ages from it.
-    newest_stamp: u32,
     /// Whether [`FlatCache::verify_hits`] checks the recorded checksums.
     verify: bool,
     /// Raw keys of the batch being probed, reused across batches.
     probe_keys: Vec<u64>,
     /// The eviction pass's value ranks ([`evict_rank`]), 16 bytes per
-    /// candidate victim, reused across passes.
+    /// slot record, reused across passes.
     evict_ranks: Vec<u128>,
     /// The pointer ranks of a pass that trims pointers, reused likewise.
     evict_pointers: Vec<u128>,
     /// The keys a pass removes (pointers, then values), reused likewise.
     evict_keys: Vec<u64>,
-    /// Each record's histogram bucket in the pass, reused likewise.
-    evict_marks: Vec<u16>,
-    /// The pass's stamp-age histograms ([`age_bucket`]), reused likewise.
-    evict_ages: Vec<u32>,
-    /// Stamps per histogram bucket, as a power of two: sized by each pass
-    /// so the oldest resident value it saw fits the next pass's buckets.
-    evict_age_shift: u32,
     /// Per-tenant partitioning, off (no tenants) by default.
     tenants: TenantPartition,
 }
@@ -772,14 +743,10 @@ impl FlatCache {
             rng: StdRng::seed_from_u64(spec.seed ^ 0xF1EC_4E00),
             evict_passes: 0,
             verify: false,
-            newest_stamp: 0,
             probe_keys: Vec::new(),
             evict_ranks: Vec::new(),
             evict_pointers: Vec::new(),
             evict_keys: Vec::new(),
-            evict_marks: Vec::new(),
-            evict_ages: Vec::new(),
-            evict_age_shift: 0,
             tenants: TenantPartition::default(),
         }
     }
@@ -871,8 +838,8 @@ impl FlatCache {
         self.effective_utilization() > self.config.evict_high_watermark
     }
 
-    /// Runs one eviction pass: a full index scan, then two phases in the
-    /// pinned victim order — the band first (under tenant partitioning,
+    /// Runs one eviction pass over the coldest entries, in two phases in
+    /// the pinned victim order — the band first (under tenant partitioning,
     /// over-quota tenants' values before everyone else's), then coldest
     /// stamp, then flat key. Keys are unique, so the order is total: which
     /// of the many entries one batch stamped alike dies is defined, not up
@@ -903,15 +870,21 @@ impl FlatCache {
     /// and at most the room left in the unified index is converted, so a
     /// bound `k` on the victims follows from the deficit alone
     /// (`victim_bound`): the walk never reaches past the `k` coldest
-    /// ranks, and only they are ranked in order. Each rank carries its
-    /// slot's ordinal, so the walk decides and retires every victim from
-    /// its record and sends the removals to the index as one pipelined
-    /// batch ([`GpuIndex::remove_batch`]). On `kaggle_hit` (53 k slots,
-    /// 42 k values, 95 k index entries, ~5.4 k victims a pass; 2-vCPU Xeon
-    /// 2.1 GHz, alternating runs of three seeds, median pass of each) a
-    /// pass went from 2.33–2.40 ms (scan 0.98–0.99, select and sort
-    /// 0.45, walk 0.90–0.95) to 1.27–1.46 ms (record walk 0.36–0.38,
-    /// candidates and their sort 0.32–0.38, walk 0.55–0.68).
+    /// ranks, so one walk over the records ranks every resident value and
+    /// `keep_coldest` keeps the `k` coldest in order, the selection the
+    /// pointer trim uses. Each rank carries its slot's ordinal, so the
+    /// walk decides and retires every victim from its record and sends
+    /// the removals to the index as one pipelined batch
+    /// ([`GpuIndex::remove_batch`]). Instrumented copies, alternating 10 s
+    /// runs on a 2-vCPU Emerald Rapids Xeon at 2.1 GHz, median pass of
+    /// each run: on `kaggle_hit` (53 k records, 42 k values, ~5.4 k
+    /// victims, a pass every ~31 batches; six seeds) ranks took
+    /// 0.28–0.30 ms, order 0.22 and the walk 0.38–0.41, against 0.24–0.27,
+    /// 0.21–0.25 and 0.32–0.38 ms for a stamp-age histogram that ranked
+    /// only the buckets holding the `k` coldest; on `tb_miss` (1.5 k
+    /// values, 284 victims, a pass every batch; four seeds) 3.5–3.6,
+    /// 9.1–9.8 and 14.7–15.7 µs against 6.0–6.6, 14.6–16.5 and
+    /// 14.8–16.2 µs.
     ///
     /// Returns scan instrumentation (the cost of the scan kernel).
     pub fn evict_pass_with(&mut self, decode: impl Fn(u64) -> Option<(u16, u64)>) -> ProbeStats {
@@ -1087,9 +1060,6 @@ impl FlatCache {
     ) {
         self.probe_keys.clear();
         self.probe_keys.extend(keys);
-        if let Some(stamp) = stamp {
-            self.newest_stamp = self.newest_stamp.max(stamp);
-        }
         let (pool, meta) = (&self.pool, &mut self.meta);
         self.index
             .lookup_batch(&self.probe_keys, stamp, &mut |loc, stats| {
@@ -1113,101 +1083,25 @@ impl FlatCache {
 
     /// The ranks ([`evict_rank`]) of the `k` coldest resident values,
     /// sorted, in the reused rank buffer — from one sequential walk over
-    /// the slot records, never the index. The walk notes each record's
-    /// bucket in the stamp-age histogram ([`age_bucket`]; none for a slot
-    /// that holds no value) and counts every resident value there, with no
-    /// branch per record. Buckets ascend in rank order, so the `k` coldest
-    /// all lie in the buckets up to the first at which the running count
-    /// reaches `k`. Only the values in those buckets are ranked, each
-    /// placed straight into its bucket's run (a counting sort on the
-    /// histogram), and only each run is sorted. The walk also sizes the
-    /// next pass's buckets from the oldest stamp it saw.
+    /// the slot records, never the index. Every resident value is ranked
+    /// and [`keep_coldest`] keeps the `k` coldest, as for pointers.
     fn coldest_values(&mut self, k: usize) -> Vec<u128> {
-        let (newest, shift) = (self.newest_stamp, self.evict_age_shift);
         let band = self.tenants.band();
         let in_quota = |meta: &SlotMeta| band.as_ref().is_none_or(|in_quota| in_quota(meta.owner));
-        // One histogram per record modulo `AGE_WAYS`, folded after the walk:
-        // runs of records in one bucket then add to separate counters.
-        let ages = &mut self.evict_ages;
-        ages.clear();
-        ages.resize(AGE_WAYS * 2 * AGE_BUCKETS, 0);
-        let marks = &mut self.evict_marks;
-        marks.clear();
-        let mut oldest = newest;
-        for records in &self.meta.classes {
-            for (i, meta) in records.iter().enumerate() {
-                // The walk is a stream the hardware prefetcher loses at
-                // each page boundary: hint a line a kilobyte ahead.
-                if i % 2 == 0 {
-                    if let Some(ahead) = records.get(i + RECORDS_AHEAD) {
-                        fleche_simd::prefetch_read(ahead);
-                    }
-                }
-                let bucket = age_bucket(in_quota(meta), meta.stamp, newest, shift);
-                ages[i % AGE_WAYS * 2 * AGE_BUCKETS + bucket] += u32::from(meta.resident);
-                marks.push(if meta.resident {
-                    bucket as u16
-                } else {
-                    u16::MAX
-                });
-                oldest = oldest.min(if meta.resident { meta.stamp } else { newest });
-            }
-        }
-        let oldest_age = (newest - oldest) as usize / AGE_BUCKETS;
-        self.evict_age_shift = usize::BITS - oldest_age.leading_zeros();
-        let (counts, ways) = ages.split_at_mut(2 * AGE_BUCKETS);
-        for way in ways.chunks_exact(2 * AGE_BUCKETS) {
-            counts.iter_mut().zip(way).for_each(|(n, m)| *n += m);
-        }
-        // The last bucket the `k` coldest reach, and each bucket's first
-        // place among the candidates.
-        let (mut seen, mut last) = (0u32, counts.len() - 1);
-        for (bucket, n) in counts.iter_mut().enumerate() {
-            let count = *n;
-            *n = seen;
-            seen += count;
-            if seen as usize >= k {
-                last = bucket;
-                break;
-            }
-        }
         let mut ranks = std::mem::take(&mut self.evict_ranks);
         ranks.clear();
-        ranks.resize(seen as usize, 0);
-        let mut base = 0;
-        for records in &self.meta.classes {
-            let class_marks = marks.get(base..base + records.len()).unwrap_or_default();
-            // A mask of the candidates among 32 records at a time, then a
-            // walk over its set bits: one branch per candidate, not one
-            // mispredicted branch per record.
-            for (chunk, (records, marks)) in
-                records.chunks(32).zip(class_marks.chunks(32)).enumerate()
-            {
-                let mut mask = marks.iter().enumerate().fold(0u32, |mask, (j, &bucket)| {
-                    mask | u32::from(usize::from(bucket) <= last) << j
-                });
-                while mask != 0 {
-                    let j = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    let (Some(meta), Some(&bucket)) = (records.get(j), marks.get(j)) else {
-                        continue;
-                    };
-                    let ordinal = (base + chunk * 32 + j) as u32;
-                    let next = &mut counts[usize::from(bucket)];
-                    ranks[*next as usize] =
-                        evict_rank(in_quota(meta), meta.stamp, meta.key, ordinal);
-                    *next += 1;
-                }
+        ranks.resize(self.meta.classes.iter().map(Vec::len).sum(), 0);
+        // Each record's rank is written and kept only for a resident value:
+        // free slots lie scattered, and a branch on residency mispredicts.
+        let mut kept = 0;
+        for (ordinal, meta) in self.meta.classes.iter().flatten().enumerate() {
+            if let Some(rank) = ranks.get_mut(kept) {
+                *rank = evict_rank(in_quota(meta), meta.stamp, meta.key, ordinal as u32);
             }
-            base += records.len();
+            kept += usize::from(meta.resident);
         }
-        let mut start = 0;
-        for &end in &counts[..=last] {
-            ranks[start..end as usize].sort_unstable();
-            start = end as usize;
-        }
-        debug_assert_eq!(start, ranks.len(), "every candidate placed");
-        ranks.truncate(k);
+        ranks.truncate(kept);
+        keep_coldest(&mut ranks, k);
         ranks
     }
 
@@ -1228,7 +1122,6 @@ impl FlatCache {
     /// Records that the index now maps `key` to `(class, slot)` with
     /// `stamp`: called right after every index insert of a slot.
     fn record_resident(&mut self, class: u16, slot: u32, key: u64, stamp: u32) {
-        self.newest_stamp = self.newest_stamp.max(stamp);
         if let Some(meta) = self.meta.get_mut(class, slot) {
             (meta.key, meta.stamp, meta.resident) = (key, stamp, true);
         }
@@ -1776,7 +1669,7 @@ mod tests {
     }
 
     #[test]
-    fn checksums_backfill_existing_entries_on_enable() {
+    fn checksums_recorded_at_write_verify_once_enabled() {
         let (mut c, codec, _) = mk();
         let k = codec.encode(0, 1);
         let (loc, _) = c.insert_value(0, k, &val(7.0), 1);
@@ -1792,7 +1685,7 @@ mod tests {
     }
 
     #[test]
-    fn enabling_checksums_mid_grace_skips_retired_slots() {
+    fn enabling_checksums_mid_grace_reads_no_slot() {
         let ds = spec::synthetic(1, 1_000, 8, -1.2);
         let mut c = FlatCache::new(
             &ds,
@@ -2637,11 +2530,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The histogram-filtered ranking equals a full sort of the index's
-        /// value ranks, whatever the spread of stamps (ages past
-        /// the last bucket, buckets wider than one stamp), the bands and
-        /// `k`, on this pass and on the next, whose bucket width this one
-        /// chose.
+        /// The ranking from the slot records equals a full sort of the
+        /// index's value ranks, whatever the spread of stamps, the bands
+        /// and `k`, on this pass and on the next, which must carry no
+        /// state over from this one through the reused rank buffer.
         #[test]
         fn coldest_values_equal_a_full_sort(
             values in prop::collection::vec((0u64..400, 0u32..4_000_000, 0usize..2), 1..120),
