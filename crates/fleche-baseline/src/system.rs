@@ -7,20 +7,14 @@
 //! count is what produces the kernel-maintenance overhead Fleche removes.
 
 use crate::table_cache::TableCache;
-use fleche_gpu::{CopyApi, Gpu, KernelDesc, KernelWork, Ns};
+use fleche_gpu::{CopyApi, Gpu, KernelDesc, KernelWork};
 use fleche_index::SLAB_WIDTH;
 use fleche_store::api::{
-    dedup_charged, BatchStats, EmbeddingCacheSystem, LifetimeStats, PhaseBreakdown, QueryOutput,
+    coupled_query_work, dedup_charged, BatchStats, EmbeddingCacheSystem, LifetimeStats,
+    PhaseBreakdown, QueryOutput, METADATA_COPY, PER_KERNEL_PREP,
 };
-use fleche_store::CpuStore;
+use fleche_store::{CpuStore, RowArena, RowPool};
 use fleche_workload::{Batch, DatasetSpec};
-
-/// Host-side cost of preparing one kernel's argument set (building the ID
-/// list pointer, output offsets, etc.).
-const PER_KERNEL_PREP: Ns = Ns(300.0);
-/// Copy API for small metadata transfers. The paper equips HugeCTR with
-/// GDRCopy too, for fairness.
-const METADATA_COPY: CopyApi = CopyApi::GdrCopy;
 
 /// Configuration of the baseline system.
 #[derive(Clone, Debug)]
@@ -50,6 +44,8 @@ pub struct PerTableCacheSystem {
     config: BaselineConfig,
     clock: u32,
     lifetime: LifetimeStats,
+    /// The output matrix lent to each batch, as Fleche lends its own.
+    rows: RowPool,
 }
 
 impl PerTableCacheSystem {
@@ -70,6 +66,7 @@ impl PerTableCacheSystem {
             config,
             clock: 0,
             lifetime: LifetimeStats::default(),
+            rows: RowPool::default(),
         }
     }
 
@@ -110,7 +107,7 @@ impl EmbeddingCacheSystem for PerTableCacheSystem {
         let q0 = gpu.now();
         let mut lookups = Vec::with_capacity(n);
         let mut kernels: Vec<(usize, KernelDesc)> = Vec::new();
-        let mut index_bytes = 0u64;
+        let mut total_bytes = 0u64;
         let mut copy_bytes = 0u64;
         for (t, keys) in per_table.iter().enumerate() {
             if keys.is_empty() {
@@ -119,23 +116,18 @@ impl EmbeddingCacheSystem for PerTableCacheSystem {
             }
             gpu.elapse_host("kernel-args", PER_KERNEL_PREP);
             let look = self.caches[t].lookup_batch(keys, self.clock);
-            let dim = self.caches[t].dim();
-            let hit_copy_bytes = look.hits.len() as u64 * dim as u64 * 4 * 2;
-            index_bytes += look.stats.bytes_touched;
-            copy_bytes += hit_copy_bytes;
-            // Coupled kernel: the chain walk plus the in-lock copy rounds
-            // (a warp moves 32 floats per round while holding the slot
-            // lock); queries sharing a bucket serialize behind each
-            // other's in-lock copies.
-            let copy_rounds = dim.div_ceil(SLAB_WIDTH as u32);
-            let contention =
-                (keys.len() as u32).div_ceil(self.caches[t].bucket_count().max(1) as u32);
-            let work = KernelWork {
-                global_bytes: look.stats.bytes_touched + hit_copy_bytes,
-                flops: 0,
-                dependent_rounds: look.stats.max_chain + copy_rounds * (1 + contention) + 1,
-                shared_accesses: 0,
-            };
+            let cache = &self.caches[t];
+            let hit_bytes = look.hits.len() as u64 * u64::from(cache.dim()) * 4 * 2;
+            // Each table's keys contend only for its own cache's buckets.
+            let work = coupled_query_work(
+                &look.stats,
+                hit_bytes,
+                cache.dim(),
+                keys.len(),
+                cache.bucket_count(),
+            );
+            total_bytes += work.global_bytes;
+            copy_bytes += hit_bytes;
             let threads = (keys.len() as u32) * SLAB_WIDTH as u32;
             kernels.push((t, KernelDesc::new("pt-query", threads, work)));
             lookups.push(look);
@@ -152,29 +144,18 @@ impl EmbeddingCacheSystem for PerTableCacheSystem {
             }
         }
         gpu.sync_all();
-        // Split the coupled-query span between index and copy in
-        // proportion to their traffic (the kernel cannot be split).
-        let q_span = gpu.now() - q0;
-        let total_b = (index_bytes + copy_bytes).max(1);
-        phases.cache_index += q_span * (index_bytes as f64 / total_b as f64);
-        phases.cache_copy += q_span * (copy_bytes as f64 / total_b as f64);
+        phases.add_coupled_query(gpu.now() - q0, copy_bytes, total_bytes);
 
         // Snapshot hit embeddings *now*: the coupled kernel copies them out
         // during the query, so a replacement later in this batch that
         // recycles a victim slot must not change what this batch returns.
-        let hit_rows: Vec<Vec<(u16, u64, Vec<f32>)>> = per_table
-            .iter()
-            .zip(&lookups)
-            .enumerate()
-            .map(|(t, (keys, look))| {
-                look.hits
-                    .iter()
-                    .map(|&(pos, slot)| {
-                        (t as u16, keys[pos], self.caches[t].read_slot(slot).to_vec())
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut hit_rows = RowArena::default();
+        for (cache, look) in self.caches.iter().zip(&lookups) {
+            for &(_, slot) in &look.hits {
+                let row = cache.read_slot(slot);
+                hit_rows.push_zeroed(row.len()).copy_from_slice(row);
+            }
+        }
 
         // Missing lists to host: one small D2H copy per table with misses.
         let m0 = gpu.now();
@@ -196,13 +177,13 @@ impl EmbeddingCacheSystem for PerTableCacheSystem {
 
         // CPU-DRAM layer query for all missing keys.
         let d0 = gpu.now();
-        let (missing_rows, dram_cost) = self.store.query_batch(&missing_keys);
+        let mut missing_rows = RowArena::default();
+        let dram_cost = self
+            .store
+            .query_batch_into(&missing_keys, &mut missing_rows);
         gpu.elapse_host("dram-query", dram_cost);
-        // Attribute: probe-dominated part to index, payload to payload.
         let payload = self.store.payload_cost(&missing_keys);
-        let span = gpu.now() - d0;
-        phases.dram_payload += payload.min(span);
-        phases.dram_index += span.saturating_sub(payload);
+        phases.add_dram_query(gpu.now() - d0, payload);
 
         // Copy missing embeddings up and insert them (one H2D + one insert
         // kernel per table with misses).
@@ -217,16 +198,14 @@ impl EmbeddingCacheSystem for PerTableCacheSystem {
             gpu.copy_blocking("missing-emb-h2d", bytes, CopyApi::CudaMemcpy);
             let mut stats = fleche_index::ProbeStats::new();
             for &pos in &look.missing {
-                let row = &missing_rows[row_cursor];
+                let row = missing_rows.row(row_cursor);
                 row_cursor += 1;
                 let s = self.caches[t].insert(keys[pos], row, self.clock);
                 stats.merge(&s);
             }
             let work = KernelWork {
-                global_bytes: stats.bytes_touched + bytes,
-                flops: 0,
                 dependent_rounds: stats.max_chain + 1,
-                shared_accesses: 0,
+                ..KernelWork::streaming(stats.bytes_touched + bytes)
             };
             gpu.launch(
                 streams[t],
@@ -240,29 +219,26 @@ impl EmbeddingCacheSystem for PerTableCacheSystem {
         gpu.sync_all();
         phases.dram_payload += gpu.now() - r0;
 
-        // Assemble unique rows (hits from cache, misses from DRAM), then
-        // restore the per-access matrix.
+        // Gather one row per unique key — a table's keys are the run of
+        // `unique` that starts after the tables before it — then restore
+        // the per-access matrix.
         let a0 = gpu.now();
-        let mut unique_rows: Vec<Vec<f32>> = vec![Vec::new(); dedup.unique_len()];
-        // Map (table, key) -> unique index for assembly.
-        let mut uidx = std::collections::HashMap::with_capacity(dedup.unique_len());
-        for (u, &(t, id)) in dedup.unique.iter().enumerate() {
-            uidx.insert((t, id), u);
-        }
-        let mut hits = 0u64;
-        for table_hits in &hit_rows {
-            for (t, key, row) in table_hits {
-                hits += 1;
-                unique_rows[uidx[&(*t, *key)]] = row.clone();
+        let mut views: Vec<&[f32]> = vec![&[][..]; dedup.unique_len()];
+        let (mut start, mut hit, mut miss) = (0, 0, 0);
+        for (keys, look) in per_table.iter().zip(&lookups) {
+            for &(pos, _) in &look.hits {
+                views[start + pos] = hit_rows.row(hit);
+                hit += 1;
             }
+            for &pos in &look.missing {
+                views[start + pos] = missing_rows.row(miss);
+                miss += 1;
+            }
+            start += keys.len();
         }
-        for (&(t, id), row) in missing_keys.iter().zip(&missing_rows) {
-            unique_rows[uidx[&(t, id)]] = row.clone();
-        }
-        let rows = dedup.restore(&unique_rows);
-        let dims: Vec<u32> = (0..self.caches.len() as u16)
-            .map(|t| self.caches[t as usize].dim())
-            .collect();
+        let mut rows = self.rows.lend(dedup.access_len());
+        dedup.restore_into(&views, &mut rows);
+        let dims: Vec<u32> = self.caches.iter().map(TableCache::dim).collect();
         let restore_work = dedup.restore_kernel_work(&dims);
         let s = gpu.default_stream();
         gpu.launch(
@@ -274,7 +250,7 @@ impl EmbeddingCacheSystem for PerTableCacheSystem {
 
         let stats = BatchStats {
             unique_keys: dedup.unique_len() as u64,
-            hits,
+            hits: hit as u64,
             unified_hits: 0,
             misses: missing_keys.len() as u64,
             wall: gpu.now() - t_start,
@@ -282,10 +258,7 @@ impl EmbeddingCacheSystem for PerTableCacheSystem {
             ..BatchStats::default()
         };
         self.lifetime.observe(&stats);
-        QueryOutput {
-            rows: rows.into(),
-            stats,
-        }
+        QueryOutput { rows, stats }
     }
 
     fn lifetime_stats(&self) -> LifetimeStats {
@@ -300,7 +273,7 @@ impl EmbeddingCacheSystem for PerTableCacheSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fleche_gpu::{DeviceSpec, DramSpec};
+    use fleche_gpu::{DeviceSpec, DramSpec, Ns};
     use fleche_workload::{spec, TraceGenerator};
 
     fn setup(fraction: f64) -> (Gpu, PerTableCacheSystem, TraceGenerator) {

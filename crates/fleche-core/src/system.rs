@@ -26,7 +26,10 @@ use fleche_gpu::{
     slot_resource, CopyApi, FaultCounters, Gpu, KernelDesc, KernelId, KernelWork, Ns, RaceChecker,
 };
 use fleche_index::{EpochGuard, ProbeStats, SLAB_WIDTH};
-use fleche_store::api::{BatchStats, EmbeddingCacheSystem, LifetimeStats, QueryOutput};
+use fleche_store::api::{
+    coupled_query_work, BatchStats, EmbeddingCacheSystem, LifetimeStats, QueryOutput,
+    METADATA_COPY, PER_KERNEL_PREP,
+};
 use fleche_store::{
     CpuStore, Deduped, FetchReport, RowArena, RowPool, Rows, TieredStore, UpdatePush,
 };
@@ -35,10 +38,6 @@ use fleche_workload::{Batch, DatasetSpec};
 /// Host-side cost of re-encoding one key (a cached table-code fetch plus
 /// shift/mask work — the paper calls this "ultra-fast").
 const ENCODE_NS_PER_KEY: f64 = 2.0;
-/// Host-side cost of preparing one kernel's argument set.
-const PER_KERNEL_PREP: Ns = Ns(300.0);
-/// Copy API for small metadata transfers.
-const METADATA_COPY: CopyApi = CopyApi::GdrCopy;
 
 /// Feature switches and sizing for a Fleche instance.
 #[derive(Clone, Debug)]
@@ -179,10 +178,11 @@ impl MissBackend {
         }
     }
 
-    fn payload_cost(&self, keys: &[(u16, u64)]) -> Ns {
+    /// The CPU-DRAM layer, whose prices every DRAM-resident key pays.
+    fn dram(&self) -> &CpuStore {
         match self {
-            MissBackend::Flat(s) => s.payload_cost(keys),
-            MissBackend::Tiered(s) => s.payload_cost(keys),
+            MissBackend::Flat(s) => s,
+            MissBackend::Tiered(s) => s.dram_layer(),
         }
     }
 
@@ -830,32 +830,29 @@ impl FlecheSystem {
     fn query_members(&self, cx: &BatchContext) -> Vec<FusionMember> {
         let total_unique = cx.dedup.unique.len();
         let members = cx.runs.iter().map(|run| {
-            let mut work = KernelWork {
-                global_bytes: run.stats.bytes_touched,
+            let mut work = if self.config.decoupling {
+                KernelWork {
+                    global_bytes: run.stats.bytes_touched,
+                    dependent_rounds: run.stats.max_chain,
+                    ..KernelWork::NOOP
+                }
+            } else {
+                // Coupled: the same kernel copies the hit values, and every
+                // key of the batch contends for the one index's buckets.
+                coupled_query_work(
+                    &run.stats,
+                    run.hit_bytes,
+                    self.cache.table_dims()[run.table as usize],
+                    total_unique,
+                    self.cache.bucket_count(),
+                )
+            };
+            if self.config.checksums {
                 // Checksum verification folds one lane step (xor, then
                 // multiply) per hit word into the query kernel, priced at
                 // `hit_bytes / 8` flops — the calibration every figure
                 // was captured with.
-                flops: if self.config.checksums {
-                    run.hit_bytes / 8
-                } else {
-                    0
-                },
-                dependent_rounds: run.stats.max_chain,
-                shared_accesses: 0,
-            };
-            if !self.config.decoupling {
-                // Coupled: the same kernel copies hit values while holding
-                // slot locks, so concurrent queries that share a bucket
-                // serialize behind each other's copies (the paper's
-                // Fig. 7). Expected queue depth ~= concurrent keys per
-                // bucket.
-                let dim = self.cache.table_dims()[run.table as usize];
-                let copy_rounds = dim.div_ceil(SLAB_WIDTH as u32);
-                let contention =
-                    (total_unique as u32).div_ceil(self.cache.bucket_count().max(1) as u32);
-                work.global_bytes += run.hit_bytes;
-                work.dependent_rounds += copy_rounds * (1 + contention) + 1;
+                work.flops = run.hit_bytes / 8;
             }
             FusionMember {
                 threads: (run.end - run.start) as u32 * SLAB_WIDTH as u32,
@@ -909,10 +906,10 @@ impl FlecheSystem {
         gpu.copy_blocking("answers-d2h", cx.dedup.unique.len() as u64, METADATA_COPY);
         let q_span = gpu.now() - cx.index_start;
         if coupled {
-            let total_b = (members.iter().map(|m| m.work.global_bytes).sum::<u64>()).max(1);
-            let copy_frac = cx.hit_copy_bytes as f64 / total_b as f64;
-            cx.stats.phases.cache_copy += q_span * copy_frac;
-            cx.stats.phases.cache_index += q_span * (1.0 - copy_frac);
+            let total_bytes = members.iter().map(|m| m.work.global_bytes).sum();
+            cx.stats
+                .phases
+                .add_coupled_query(q_span, cx.hit_copy_bytes, total_bytes);
         } else {
             cx.stats.phases.cache_index += q_span;
         }
@@ -963,10 +960,8 @@ impl FlecheSystem {
                 .read_located_into(located_keys, &mut cx.fill_rows);
         }
         gpu.elapse_host("dram-query", miss_cost + located_payload);
-        let span = gpu.now() - d0;
-        let payload = self.store.payload_cost(miss_keys) + located_payload;
-        cx.stats.phases.dram_payload += payload.min(span);
-        cx.stats.phases.dram_index += span.saturating_sub(payload);
+        let payload = self.store.dram().payload_cost(miss_keys) + located_payload;
+        cx.stats.phases.add_dram_query(gpu.now() - d0, payload);
         // Keys whose fetch failed (zero-filled rows) or was served stale
         // must not be promoted into the GPU cache as if they were fresh.
         // Sorted Vec + binary search instead of a HashSet: membership is

@@ -1,14 +1,51 @@
-//! The common interface both cache systems implement.
+//! The common interface both cache systems implement, and the prices
+//! they share.
 //!
 //! The model engine and every benchmark harness drive a
 //! [`EmbeddingCacheSystem`] without knowing whether it is the HugeCTR-like
 //! per-table baseline or Fleche, so every experiment compares the two
-//! under identical plumbing.
+//! under identical plumbing. A step both systems take is priced once,
+//! here, so they differ only in the design axes under study: the dedup
+//! ([`dedup_charged`]), kernel argument prep ([`PER_KERNEL_PREP`]), small
+//! metadata copies ([`METADATA_COPY`]), the coupled index+copy query
+//! kernel ([`coupled_query_work`]), and the split of the coupled query's
+//! and the CPU-DRAM query's spans into phases
+//! ([`PhaseBreakdown::add_coupled_query`], [`PhaseBreakdown::add_dram_query`]).
 
 use crate::dedup::Deduped;
-use fleche_gpu::{Gpu, Ns};
+use fleche_gpu::{CopyApi, Gpu, KernelWork, Ns};
+use fleche_index::{ProbeStats, SLAB_WIDTH};
 use fleche_workload::Batch;
 use std::sync::{Arc, Mutex};
+
+/// Host-side cost of preparing one kernel's argument set (building the ID
+/// list pointer, output offsets, etc.).
+pub const PER_KERNEL_PREP: Ns = Ns(300.0);
+
+/// Copy API for small metadata transfers. The paper equips HugeCTR with
+/// GDRCopy too, for fairness.
+pub const METADATA_COPY: CopyApi = CopyApi::GdrCopy;
+
+/// The work of one table's *coupled* query kernel (the paper's Fig. 7):
+/// the chain walk `probe`, plus copying `hit_bytes` of hits while holding
+/// slot locks, `SLAB_WIDTH` floats a round. Queries sharing a bucket queue
+/// behind each other's copies: `queries` in flight over `buckets`.
+pub fn coupled_query_work(
+    probe: &ProbeStats,
+    hit_bytes: u64,
+    dim: u32,
+    queries: usize,
+    buckets: usize,
+) -> KernelWork {
+    let copy_rounds = dim.div_ceil(SLAB_WIDTH as u32);
+    let contention = (queries as u32).div_ceil(buckets.max(1) as u32);
+    KernelWork {
+        global_bytes: probe.bytes_touched + hit_bytes,
+        flops: 0,
+        dependent_rounds: probe.max_chain + copy_rounds * (1 + contention) + 1,
+        shared_accesses: 0,
+    }
+}
 
 /// Phase-attributed timing of one batch query, in the paper's taxonomy
 /// (Exp #7/#8: `Cache Query = Cache Index + Cache Copy`, same for DRAM).
@@ -30,6 +67,21 @@ impl PhaseBreakdown {
     /// Total attributed time.
     pub fn total(&self) -> Ns {
         self.cache_index + self.cache_copy + self.dram_index + self.dram_payload + self.other
+    }
+
+    /// Splits the `span` of coupled query kernels by traffic: the
+    /// `copy_bytes` share of `total_bytes` is copy, the rest index.
+    pub fn add_coupled_query(&mut self, span: Ns, copy_bytes: u64, total_bytes: u64) {
+        let copy_share = copy_bytes as f64 / total_bytes.max(1) as f64;
+        self.cache_copy += span * copy_share;
+        self.cache_index += span * (1.0 - copy_share);
+    }
+
+    /// Splits the `span` of a CPU-DRAM query: its `payload` (at most the
+    /// span) is payload, the rest index.
+    pub fn add_dram_query(&mut self, span: Ns, payload: Ns) {
+        self.dram_payload += payload.min(span);
+        self.dram_index += span.saturating_sub(payload);
     }
 
     /// Element-wise accumulation.
@@ -390,6 +442,43 @@ mod tests {
         let b = a;
         a.accumulate(&b);
         assert_eq!(a.total(), Ns(30.0));
+    }
+
+    #[test]
+    fn shared_span_splits_match_hand_computed_values() {
+        let mut p = PhaseBreakdown::default();
+        // A quarter of the coupled kernels' traffic is hit copies.
+        p.add_coupled_query(Ns(100.0), 25, 100);
+        assert_eq!((p.cache_copy, p.cache_index), (Ns(25.0), Ns(75.0)));
+        // No traffic at all: the whole span is index.
+        p.add_coupled_query(Ns(8.0), 0, 0);
+        assert_eq!((p.cache_copy, p.cache_index), (Ns(25.0), Ns(83.0)));
+        // The payload takes its cost, the index walk the rest of the span...
+        p.add_dram_query(Ns(50.0), Ns(20.0));
+        assert_eq!((p.dram_payload, p.dram_index), (Ns(20.0), Ns(30.0)));
+        // ...and never more than the span.
+        p.add_dram_query(Ns(10.0), Ns(40.0));
+        assert_eq!((p.dram_payload, p.dram_index), (Ns(30.0), Ns(30.0)));
+    }
+
+    #[test]
+    fn coupled_query_work_matches_hand_computed_values() {
+        let probe = ProbeStats {
+            bytes_touched: 640,
+            max_chain: 3,
+            ..ProbeStats::new()
+        };
+        // 2 hits of dim 32, read and written: 512 bytes. 100 queries over
+        // 30 buckets queue 4 deep; one 32-float round per copy.
+        let work = coupled_query_work(&probe, 512, 32, 100, 30);
+        assert_eq!(work.global_bytes, 640 + 512);
+        assert_eq!(work.dependent_rounds, 3 + (1 + 4) + 1);
+        assert_eq!((work.flops, work.shared_accesses), (0, 0));
+        // Dim 128 copies in 4 rounds; a bucketless index counts as one.
+        let wide = coupled_query_work(&probe, 512, 128, 100, 30);
+        assert_eq!(wide.dependent_rounds, 3 + 4 * (1 + 4) + 1);
+        let one = coupled_query_work(&probe, 512, 32, 100, 0);
+        assert_eq!(one.dependent_rounds, 3 + (1 + 100) + 1);
     }
 
     /// Logs which methods reached it and what they were handed.

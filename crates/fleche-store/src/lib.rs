@@ -1,8 +1,8 @@
 //! # fleche-store
 //!
 //! The CPU-DRAM layer of the two-layer embedding hierarchy in the Fleche
-//! (EuroSys '22) reproduction, plus the batch plumbing both cache systems
-//! share:
+//! (EuroSys '22) reproduction, plus the batch plumbing and the prices both
+//! cache systems share ([`api`]):
 //!
 //! * [`CpuStore`] — all embedding tables, with deterministic procedural
 //!   values and a DRAM cost model (latency-bound for many small lookups,
@@ -12,9 +12,10 @@
 //!   IDs, query each unique key once, restore the full output matrix.
 //! * [`CpuStore::pooled`] and [`pooling_kernel_work`] — sum pooling of
 //!   multi-hot embeddings, on the host and priced on the device.
-//! * [`TieredStore`] — giant-model mode (paper §5): the CPU-DRAM layer as
-//!   an LRU cache over a remote parameter server, logging evictions so the
-//!   GPU-resident unified index can invalidate stale DRAM pointers.
+//! * [`TieredStore`] — giant-model mode (paper §5): the CPU-DRAM layer (a
+//!   [`CpuStore`]) as an LRU cache over a remote parameter server, logging
+//!   evictions so the GPU-resident unified index can invalidate stale DRAM
+//!   pointers.
 //! * [`UpdateStream`] / [`VersionLedger`] — online embedding updates: a
 //!   seeded trainer-push generator with per-key monotonic versions, and
 //!   the parameter-server version table serving layers consult to measure

@@ -9,7 +9,7 @@
 //! unified index can invalidate pointers to embeddings that left DRAM —
 //! the corner case the paper flags for this mode.
 
-use crate::table::{embedding_value, RowArena, DRAM_INDEX_BYTES, DRAM_PROBES_PER_LOOKUP};
+use crate::table::{CpuStore, RowArena};
 use fleche_chaos::{ChaosRng, RemoteFaultInjector, RetryPolicy};
 use fleche_gpu::{BytesPerNs, DramSpec, Ns};
 use fleche_workload::DatasetSpec;
@@ -98,9 +98,9 @@ impl FetchReport {
 
 /// The CPU-DRAM layer as an LRU cache over a remote parameter server.
 ///
-/// Values remain procedurally deterministic (the remote server is the
-/// authority and computes the same [`embedding_value`]), so end-to-end
-/// byte-correctness checks keep working in giant-model mode.
+/// The DRAM layer is a [`CpuStore`], which reads and prices every resident
+/// row. Values stay procedurally deterministic (the remote server computes
+/// the same rows), so byte-correctness checks hold in giant-model mode.
 ///
 /// ```
 /// use fleche_gpu::{DramSpec, Ns};
@@ -118,9 +118,8 @@ impl FetchReport {
 /// ```
 #[derive(Debug)]
 pub struct TieredStore {
-    dims: Vec<u32>,
-    corpora: Vec<u64>,
-    dram: DramSpec,
+    /// The DRAM layer: rows, corpus bounds and DRAM prices.
+    dram: CpuStore,
     remote: RemoteSpec,
     /// Resident set: key -> last-touch stamp.
     resident: HashMap<(u16, u64), u64>,
@@ -162,9 +161,7 @@ impl TieredStore {
         );
         let capacity = ((spec.total_corpus() as f64 * dram_fraction) as usize).max(16);
         TieredStore {
-            dims: spec.tables.iter().map(|t| t.dim).collect(),
-            corpora: spec.tables.iter().map(|t| t.corpus).collect(),
-            dram,
+            dram: CpuStore::new(spec, dram),
             remote,
             resident: HashMap::with_capacity(capacity),
             capacity_entries: capacity,
@@ -194,9 +191,9 @@ impl TieredStore {
         self.stale_serve = enabled;
     }
 
-    /// Embedding dimension of `table`.
-    pub fn dim(&self, table: u16) -> u32 {
-        self.dims[table as usize]
+    /// The DRAM layer, whose prices a resident key pays.
+    pub fn dram_layer(&self) -> &CpuStore {
+        &self.dram
     }
 
     /// DRAM-layer capacity in entries.
@@ -249,33 +246,21 @@ impl TieredStore {
     ) -> (Ns, FetchReport) {
         self.clock += 1;
         let base = arena.len();
-        let mut dram_lookups = 0u64;
-        let mut dram_bytes = 0u64;
+        self.dram.read_rows_into(keys, arena);
+        let resident = keys.iter().filter(|k| self.resident.contains_key(k));
+        let dram_cost = self.dram.lookup_cost(resident);
         let mut missing: Vec<usize> = Vec::new();
-        let mut remote_keys = 0u64;
         let mut remote_bytes = 0u64;
-        for (i, &(t, id)) in keys.iter().enumerate() {
-            assert!(
-                id < self.corpora[t as usize],
-                "id {id} outside corpus of table {t}"
-            );
-            let dim = self.dims[t as usize] as usize;
-            embedding_value(t, id, arena.push_zeroed(dim));
-            let bytes = dim as u64 * 4 + DRAM_INDEX_BYTES;
-            if let Some(stamp) = self.resident.get_mut(&(t, id)) {
+        for (i, k) in keys.iter().enumerate() {
+            if let Some(stamp) = self.resident.get_mut(k) {
                 *stamp = self.clock;
                 self.stats.dram_hits += 1;
-                dram_lookups += 1;
-                dram_bytes += bytes;
             } else {
                 missing.push(i);
-                remote_keys += 1;
-                remote_bytes += dim as u64 * 4;
+                remote_bytes += u64::from(self.dram.dim(k.0)) * 4;
             }
         }
-        let dram_cost =
-            self.dram
-                .batch_lookup_time(dram_lookups, DRAM_PROBES_PER_LOOKUP, dram_bytes);
+        let remote_keys = missing.len() as u64;
 
         let mut report = FetchReport::default();
         if missing.is_empty() {
@@ -374,41 +359,24 @@ impl TieredStore {
     /// remotely (defensive).
     pub fn read_located_into(&mut self, keys: &[(u16, u64)], arena: &mut RowArena) -> Ns {
         self.clock += 1;
-        let mut bytes = 0u64;
+        self.dram.read_rows_into(keys, arena);
+        let resident = keys.iter().filter(|k| self.resident.contains_key(k));
+        let payload = self.dram.payload_cost(resident);
         let mut stray_keys = 0u64;
         let mut stray_bytes = 0u64;
-        for &(t, id) in keys {
-            let dim = self.dims[t as usize] as usize;
-            embedding_value(t, id, arena.push_zeroed(dim));
-            if let Some(stamp) = self.resident.get_mut(&(t, id)) {
+        for &k in keys {
+            if let Some(stamp) = self.resident.get_mut(&k) {
                 *stamp = self.clock;
                 self.stats.dram_hits += 1;
-                bytes += dim as u64 * 4;
             } else {
                 self.stats.remote_fetches += 1;
                 stray_keys += 1;
-                stray_bytes += dim as u64 * 4;
-                self.resident.insert((t, id), self.clock);
+                stray_bytes += u64::from(self.dram.dim(k.0)) * 4;
+                self.resident.insert(k, self.clock);
             }
         }
         self.evict_over_capacity();
-        self.dram.batch_lookup_time(0, 0.0, bytes) + self.remote.fetch_time(stray_keys, stray_bytes)
-    }
-
-    /// Cost of the DRAM-layer indexing for `lookups` keys (what the
-    /// unified index bypasses for resident keys).
-    pub fn index_cost(&self, lookups: u64) -> Ns {
-        self.dram
-            .batch_lookup_time(lookups, DRAM_PROBES_PER_LOOKUP, lookups * DRAM_INDEX_BYTES)
-    }
-
-    /// Payload cost for reading `keys` resident embeddings.
-    pub fn payload_cost(&self, keys: &[(u16, u64)]) -> Ns {
-        let bytes: u64 = keys
-            .iter()
-            .map(|&(t, _)| self.dims[t as usize] as u64 * 4)
-            .sum();
-        self.dram.batch_lookup_time(0, 0.0, bytes)
+        payload + self.remote.fetch_time(stray_keys, stray_bytes)
     }
 
     /// Evicts coldest entries until the resident set fits capacity; the
@@ -474,6 +442,17 @@ mod tests {
         for (&(t, id), row) in keys.iter().zip(rows.iter()) {
             assert_eq!(row, &flat.read(t, id));
         }
+        // Now that DRAM holds every key, a batch is the flat store's: the
+        // same rows at the same price, to the bit.
+        let (rows, cost, report) = query(&mut tiered, &keys, Ns::ZERO);
+        let mut want = RowArena::default();
+        let want_cost = flat.query_batch_into(&keys, &mut want);
+        assert!(report.clean());
+        assert_eq!(rows.to_rows(), want.to_rows());
+        assert_eq!(cost.0.to_bits(), want_cost.0.to_bits());
+        let located = tiered.read_located_into(&keys, &mut RowArena::default());
+        assert_eq!(located.0.to_bits(), flat.payload_cost(&keys).0.to_bits());
+        assert_eq!(tiered.stats().dram_hits, 100);
     }
 
     #[test]
