@@ -46,11 +46,47 @@ pub(crate) struct Experiment {
     run: fn(&Args) -> ExitCode,
 }
 
-/// Declares each row's module and the table, in the order `all` and `list`
+// One module per row of the table below. They are declared here, outside
+// the macro, because rustfmt does not format what a macro expands to.
+mod ablation_admission;
+mod ablation_giant_model;
+mod ablation_index_backend;
+mod ablation_multi_gpu;
+mod ablation_oracle;
+mod ablation_reduction_cache;
+mod all;
+mod analyze;
+mod bench_gate;
+mod chaos_suite;
+mod fig03_motivation_hitrate;
+mod fig04_kernel_maintenance;
+mod fig09_throughput;
+mod fig10_latency;
+mod fig10_served_load;
+mod fig11_cache_sizes;
+mod fig12_hit_rate;
+mod fig13_auc_coding;
+mod fig14_kernel_fusion;
+mod fig15_workflow;
+mod fig16_breakdown;
+mod fig17_skewness;
+mod fig18_dimension;
+mod fig19_table_count;
+mod fig20_mlp;
+mod hotpath;
+mod list;
+mod overload_drill;
+mod recovery_drill;
+mod serve_scaling;
+mod simulator_trace;
+mod table2_datasets;
+mod update_drill;
+mod workload_report;
+
+/// Builds the table over the modules above, in the order `all` and `list`
 /// walk it. A row's `main` returns `()` or an `ExitCode`, as a binary's may.
 macro_rules! experiments {
     ($($name:ident $group:ident $trailing:literal $about:literal;)*) => {
-        $(mod $name;)*
         pub(crate) const EXPERIMENTS: &[Experiment] = &[$(Experiment {
             name: stringify!($name),
             group: Group::$group,

@@ -34,7 +34,11 @@ fn run_reduction(ds: &DatasetSpec, batches: usize, batch: usize) -> (f64, usize)
 }
 
 fn run_fleche_hit(ds: &DatasetSpec, batches: usize, batch: usize) -> f64 {
-    let mut sys = FlecheSystem::new(ds, xeon_store(ds), FlecheConfig::without_unified_index(0.05));
+    let mut sys = FlecheSystem::new(
+        ds,
+        xeon_store(ds),
+        FlecheConfig::without_unified_index(0.05),
+    );
     let mut gpu = t4();
     let mut gen = TraceGenerator::new(ds);
     for _ in 0..(batches * 2 / 3) {

@@ -152,135 +152,157 @@ fn run_cell(
     });
 
     let label = recovery.label();
-    d.check_races(&s.gpu, &format!("cell (rate {fault_rate}, {label}, outages {outages})"))?;
+    d.check_races(
+        &s.gpu,
+        &format!("cell (rate {fault_rate}, {label}, outages {outages})"),
+    )?;
     let breaker = s.sys.breaker().map(|b| b.transitions_at(s.gpu.now()));
-    Ok((s.sys.lifetime_stats(), log.p99(), corrupt_served, breaker.unwrap_or_default()))
+    Ok((
+        s.sys.lifetime_stats(),
+        log.p99(),
+        corrupt_served,
+        breaker.unwrap_or_default(),
+    ))
 }
 
 pub(crate) fn main(args: &Args) -> ExitCode {
     let title = "Chaos suite: availability vs latency vs staleness under injected faults";
-    Drill::run(args, title, "BENCH_chaos.json", Some((EXPECTED, "every cell")), false, |d, j| {
-        let batches = if d.args.quick { 24 } else { 60 };
-        let mut table = TextTable::new(&[
-            "fault rate",
-            "recovery",
-            "avail",
-            "p99 batch",
-            "stale",
-            "corrupt srv",
-            "corrupt det",
-            "degraded",
-        ]);
-        let mut bt = TextTable::new(&[
-            "fault rate",
-            "opened",
-            "half-opened",
-            "closed",
-            "time open",
-            "time half-open",
-            "time degraded",
-        ]);
-        let (mut worst_none_avail, mut worst_recovered_avail) = (1.0, 1.0);
-        let (mut corrupt_served_full, mut corrupt_detected_full) = (0, 0);
-        j.begin_arr("cells");
-        for rate in RATES {
-            for rec in [Recovery::None, Recovery::Retry, Recovery::RetryStale, Recovery::Full] {
-                let (life, p99, corrupt_served, breaker) = run_cell(d, rate, false, rec, batches)?;
-                let avail = life.availability();
-                if rate == RATES[3] {
-                    match rec {
-                        Recovery::None => worst_none_avail = avail,
-                        Recovery::RetryStale => worst_recovered_avail = avail,
-                        _ => {}
+    Drill::run(
+        args,
+        title,
+        "BENCH_chaos.json",
+        Some((EXPECTED, "every cell")),
+        false,
+        |d, j| {
+            let batches = if d.args.quick { 24 } else { 60 };
+            let mut table = TextTable::new(&[
+                "fault rate",
+                "recovery",
+                "avail",
+                "p99 batch",
+                "stale",
+                "corrupt srv",
+                "corrupt det",
+                "degraded",
+            ]);
+            let mut bt = TextTable::new(&[
+                "fault rate",
+                "opened",
+                "half-opened",
+                "closed",
+                "time open",
+                "time half-open",
+                "time degraded",
+            ]);
+            let (mut worst_none_avail, mut worst_recovered_avail) = (1.0, 1.0);
+            let (mut corrupt_served_full, mut corrupt_detected_full) = (0, 0);
+            j.begin_arr("cells");
+            for rate in RATES {
+                for rec in [
+                    Recovery::None,
+                    Recovery::Retry,
+                    Recovery::RetryStale,
+                    Recovery::Full,
+                ] {
+                    let (life, p99, corrupt_served, breaker) =
+                        run_cell(d, rate, false, rec, batches)?;
+                    let avail = life.availability();
+                    if rate == RATES[3] {
+                        match rec {
+                            Recovery::None => worst_none_avail = avail,
+                            Recovery::RetryStale => worst_recovered_avail = avail,
+                            _ => {}
+                        }
+                    }
+                    table.row(&[
+                        format!("{rate:.1}"),
+                        rec.label().to_string(),
+                        fmt_pct(avail),
+                        fmt_ns(p99),
+                        fmt_pct(life.stale_rate()),
+                        format!("{corrupt_served}"),
+                        format!("{}", life.corrupt_detected),
+                        format!("{}", life.degraded_batches),
+                    ]);
+                    j.begin_elem();
+                    j.field_f64("fault_rate", rate);
+                    j.field_str("recovery", rec.label());
+                    j.field_f64("availability", avail);
+                    j.field_f64("p99_batch_ns", p99.as_ns());
+                    j.field_f64("stale_rate", life.stale_rate());
+                    j.field_u64("corrupt_served", corrupt_served);
+                    j.field_u64("corrupt_detected", life.corrupt_detected);
+                    j.field_u64("degraded_batches", life.degraded_batches);
+                    j.field_u64("breaker_opened", breaker.opened);
+                    j.end_obj();
+                    if rec == Recovery::Full {
+                        corrupt_served_full += corrupt_served;
+                        corrupt_detected_full += life.corrupt_detected;
+                        bt.row(&[
+                            format!("{rate:.1}"),
+                            format!("{}", breaker.opened),
+                            format!("{}", breaker.half_opened),
+                            format!("{}", breaker.closed),
+                            fmt_ns(breaker.time_open),
+                            fmt_ns(breaker.time_half_open),
+                            fmt_ns(life.degraded_wall),
+                        ]);
                     }
                 }
-                table.row(&[
-                    format!("{rate:.1}"),
+            }
+            j.end_arr();
+            println!("{}", table.render());
+            println!("breaker + degraded-path surface (full-recovery cells; state transitions");
+            println!("and how long the system actually ran in each fallback regime):");
+            println!("{}", bt.render());
+
+            println!("outage drill: periodic hard parameter-server outages (1.4ms every 2ms),");
+            println!("no per-fetch faults — retries cannot outlast a window, stale-serve can.");
+            let mut drill =
+                TextTable::new(&["recovery", "avail", "p99 batch", "stale", "degraded"]);
+            j.begin_arr("outage_drill");
+            for rec in [Recovery::None, Recovery::Retry, Recovery::RetryStale] {
+                let (life, p99, _, _) = run_cell(d, 0.0, true, rec, batches)?;
+                drill.row(&[
                     rec.label().to_string(),
-                    fmt_pct(avail),
+                    fmt_pct(life.availability()),
                     fmt_ns(p99),
                     fmt_pct(life.stale_rate()),
-                    format!("{corrupt_served}"),
-                    format!("{}", life.corrupt_detected),
                     format!("{}", life.degraded_batches),
                 ]);
                 j.begin_elem();
-                j.field_f64("fault_rate", rate);
                 j.field_str("recovery", rec.label());
-                j.field_f64("availability", avail);
+                j.field_f64("availability", life.availability());
                 j.field_f64("p99_batch_ns", p99.as_ns());
                 j.field_f64("stale_rate", life.stale_rate());
-                j.field_u64("corrupt_served", corrupt_served);
-                j.field_u64("corrupt_detected", life.corrupt_detected);
                 j.field_u64("degraded_batches", life.degraded_batches);
-                j.field_u64("breaker_opened", breaker.opened);
                 j.end_obj();
-                if rec == Recovery::Full {
-                    corrupt_served_full += corrupt_served;
-                    corrupt_detected_full += life.corrupt_detected;
-                    bt.row(&[
-                        format!("{rate:.1}"),
-                        format!("{}", breaker.opened),
-                        format!("{}", breaker.half_opened),
-                        format!("{}", breaker.closed),
-                        fmt_ns(breaker.time_open),
-                        fmt_ns(breaker.time_half_open),
-                        fmt_ns(life.degraded_wall),
-                    ]);
-                }
             }
-        }
-        j.end_arr();
-        println!("{}", table.render());
-        println!("breaker + degraded-path surface (full-recovery cells; state transitions");
-        println!("and how long the system actually ran in each fallback regime):");
-        println!("{}", bt.render());
+            j.end_arr();
+            println!("{}", drill.render());
 
-        println!("outage drill: periodic hard parameter-server outages (1.4ms every 2ms),");
-        println!("no per-fetch faults — retries cannot outlast a window, stale-serve can.");
-        let mut drill = TextTable::new(&["recovery", "avail", "p99 batch", "stale", "degraded"]);
-        j.begin_arr("outage_drill");
-        for rec in [Recovery::None, Recovery::Retry, Recovery::RetryStale] {
-            let (life, p99, _, _) = run_cell(d, 0.0, true, rec, batches)?;
-            drill.row(&[
-                rec.label().to_string(),
-                fmt_pct(life.availability()),
-                fmt_ns(p99),
-                fmt_pct(life.stale_rate()),
-                format!("{}", life.degraded_batches),
-            ]);
-            j.begin_elem();
-            j.field_str("recovery", rec.label());
-            j.field_f64("availability", life.availability());
-            j.field_f64("p99_batch_ns", p99.as_ns());
-            j.field_f64("stale_rate", life.stale_rate());
-            j.field_u64("degraded_batches", life.degraded_batches);
-            j.end_obj();
-        }
-        j.end_arr();
-        println!("{}", drill.render());
-
-        d.accept(
-            "a",
-            worst_none_avail < 0.90 && worst_recovered_avail >= 0.99,
-            &format!(
+            d.accept(
+                "a",
+                worst_none_avail < 0.90 && worst_recovered_avail >= 0.99,
+                &format!(
                 "at fault rate {:.1}, no-recovery availability {} (target < 90%),\n                \
                  retries+fallback availability {} (target >= 99%)",
                 RATES[3],
                 fmt_pct(worst_none_avail),
                 fmt_pct(worst_recovered_avail),
             ),
-        );
-        d.accept(
-            "b",
-            corrupt_served_full == 0,
-            &format!(
-                "corrupt embeddings served with checksums on: {corrupt_served_full} \
+            );
+            d.accept(
+                "b",
+                corrupt_served_full == 0,
+                &format!(
+                    "corrupt embeddings served with checksums on: {corrupt_served_full} \
                  (detected {corrupt_detected_full})"
-            ),
-        );
-        Ok(())
-    })
+                ),
+            );
+            Ok(())
+        },
+    )
 }
 
 const EXPECTED: &str = "\

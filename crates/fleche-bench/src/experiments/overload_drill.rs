@@ -135,8 +135,7 @@ fn drill_flash_crowd(d: &mut Drill, j: &mut JsonEmitter) -> Result<(), RacesFoun
         t.quota = 500_000.0;
         t.quota_burst = 64.0;
     }
-    let (mut engine, mut gens) =
-        build_mt(d, &ds, [TraceDynamics::none(), TraceDynamics::none()]);
+    let (mut engine, mut gens) = build_mt(d, &ds, [TraceDynamics::none(), TraceDynamics::none()]);
     let base = serve_multi_tenant(&mut engine, &mut gens, &cfg);
     d.check_races(engine.gpu(), "drill A baseline")?;
 
@@ -229,7 +228,11 @@ fn drill_diurnal(d: &mut Drill, j: &mut JsonEmitter) -> Result<(), RacesFound> {
     };
     let diurnal = DiurnalSpec { period, phases };
 
-    let mut s = d.single(FlecheSystem::new(&ds, xeon_store(&ds), FlecheConfig::full(0.05)));
+    let mut s = d.single(FlecheSystem::new(
+        &ds,
+        xeon_store(&ds),
+        FlecheConfig::full(0.05),
+    ));
     let mut gen = TraceGenerator::with_dynamics(
         &ds,
         TraceDynamics {
@@ -249,7 +252,12 @@ fn drill_diurnal(d: &mut Drill, j: &mut JsonEmitter) -> Result<(), RacesFound> {
     let rotation_batches: Vec<(u64, u64)> = (1..)
         .map(|k| k * period)
         .filter(|&sample| sample >= warm_samples)
-        .map(|sample| ((sample - warm_samples) / BATCH as u64, diurnal.phase_at(sample)))
+        .map(|sample| {
+            (
+                (sample - warm_samples) / BATCH as u64,
+                diurnal.phase_at(sample),
+            )
+        })
         .take_while(|&(batch, _)| batch < batches)
         .filter(|&(batch, _)| batch >= 16)
         .collect();
@@ -345,8 +353,7 @@ fn drill_overload(d: &mut Drill, j: &mut JsonEmitter) -> Result<(), RacesFound> 
         t.slo_p99 = Ns::from_us(150.0);
     }
 
-    let (mut engine, mut gens) =
-        build_mt(d, &ds, [TraceDynamics::none(), TraceDynamics::none()]);
+    let (mut engine, mut gens) = build_mt(d, &ds, [TraceDynamics::none(), TraceDynamics::none()]);
     let run = serve_multi_tenant(&mut engine, &mut gens, &cfg);
     d.check_races(engine.gpu(), "drill C overload")?;
 
@@ -396,11 +403,8 @@ fn drill_overload(d: &mut Drill, j: &mut JsonEmitter) -> Result<(), RacesFound> 
     );
     println!();
 
-    let c_ok = conserved
-        && depth <= capacity
-        && shed_rate >= 0.5
-        && tail_spread < 0.2
-        && tightenings >= 1;
+    let c_ok =
+        conserved && depth <= capacity && shed_rate >= 0.5 && tail_spread < 0.2 && tightenings >= 1;
     d.accept(
         "c",
         c_ok,
@@ -415,11 +419,18 @@ fn drill_overload(d: &mut Drill, j: &mut JsonEmitter) -> Result<(), RacesFound> 
 
 pub(crate) fn main(args: &Args) -> ExitCode {
     let title = "Overload drill: flash-crowd isolation, diurnal adaptation, bounded overload";
-    Drill::run(args, title, "BENCH_overload.json", Some((EXPECTED, "all drills")), true, |d, j| {
-        drill_flash_crowd(d, j)?;
-        drill_diurnal(d, j)?;
-        drill_overload(d, j)
-    })
+    Drill::run(
+        args,
+        title,
+        "BENCH_overload.json",
+        Some((EXPECTED, "all drills")),
+        true,
+        |d, j| {
+            drill_flash_crowd(d, j)?;
+            drill_diurnal(d, j)?;
+            drill_overload(d, j)
+        },
+    )
 }
 
 const EXPECTED: &str = "\

@@ -9,9 +9,7 @@
 
 use std::process::ExitCode;
 
-use crate::drill::{
-    field_batches, serve, Drill, RacesFound, Single, Step, BATCH, ROLL,
-};
+use crate::drill::{field_batches, serve, Drill, RacesFound, Single, Step, BATCH, ROLL};
 use crate::{fmt_ns, fmt_pct, rolling_mean, xeon_store, Args, JsonEmitter, TextTable};
 use fleche_chaos::FaultPlan;
 use fleche_core::{FlecheConfig, FlecheSystem};
@@ -63,16 +61,21 @@ fn drill_restart(d: &mut Drill, j: &mut JsonEmitter) -> Result<(), RacesFound> {
     let mut hot_stats = WorkloadStats::new();
     let mut snapshot = None;
     let mut checkpoint_time = Ns::ZERO;
-    let log = serve(&mut s, &mut TraceGenerator::new(&ds), steady_batches, |s, _, step| {
-        if let Step::Served(b, batch, _) = step {
-            hot_stats.observe(batch);
-            if (b + 1) % CKPT_EVERY == 0 {
-                let t0 = s.gpu.now();
-                snapshot = Some(s.sys.checkpoint(&mut s.gpu));
-                checkpoint_time = s.gpu.now() - t0;
+    let log = serve(
+        &mut s,
+        &mut TraceGenerator::new(&ds),
+        steady_batches,
+        |s, _, step| {
+            if let Step::Served(b, batch, _) = step {
+                hot_stats.observe(batch);
+                if (b + 1) % CKPT_EVERY == 0 {
+                    let t0 = s.gpu.now();
+                    snapshot = Some(s.sys.checkpoint(&mut s.gpu));
+                    checkpoint_time = s.gpu.now() - t0;
+                }
             }
-        }
-    });
+        },
+    );
     d.check_races(&s.gpu, "drill A steady phase")?;
     drop(s);
     let steady_hit = rolling_mean(&log.rates, 16);
@@ -108,7 +111,9 @@ fn drill_restart(d: &mut Drill, j: &mut JsonEmitter) -> Result<(), RacesFound> {
     };
     let hot_k =
         (ds.tables.iter().map(|t| t.corpus).sum::<u64>() as f64 * RESTART_FRACTION) as usize;
-    let prefetch_batches = fb.sys.warm_up(&mut fb.gpu, &hot_stats.hottest(hot_k), BATCH);
+    let prefetch_batches = fb
+        .sys
+        .warm_up(&mut fb.gpu, &hot_stats.hottest(hot_k), BATCH);
     let (fb_batches, fb_first) = batches_to_target(&mut fb, &ds, target, max_measure);
     d.check_races(&fb.gpu, "drill A corrupt-image fallback")?;
 
@@ -139,7 +144,13 @@ fn drill_restart(d: &mut Drill, j: &mut JsonEmitter) -> Result<(), RacesFound> {
     for (label, prefetch, batches, first, note) in [
         ("cold", 0, cold_batches, cold_first, "empty cache"),
         ("warm", 0, warm_batches, warm_first, &restored),
-        ("corrupt->warm-up", prefetch_batches, fb_batches, fb_first, &reject_note),
+        (
+            "corrupt->warm-up",
+            prefetch_batches,
+            fb_batches,
+            fb_first,
+            &reject_note,
+        ),
     ] {
         ta.row(&[
             label.to_string(),
@@ -212,7 +223,9 @@ fn drill_failover(d: &mut Drill, j: &mut JsonEmitter) -> Result<(), RacesFound> 
     )?;
     let walls = &sweep.log.walls;
     let restored = sweep.restored_at as usize;
-    let recovery_end = sweep.recovery.map_or(walls.len(), |n| restored + n as usize);
+    let recovery_end = sweep
+        .recovery
+        .map_or(walls.len(), |n| restored + n as usize);
     let recovery_time: Ns = walls[restored..recovery_end].iter().copied().sum();
 
     println!("{}", sweep.header());
@@ -237,7 +250,9 @@ fn drill_failover(d: &mut Drill, j: &mut JsonEmitter) -> Result<(), RacesFound> 
             "  recovery to 99% of steady hit rate ({steady:.2}%): {n} batches / {} after restore",
             fmt_ns(recovery_time),
         ),
-        None => println!("  recovery to 99% of steady hit rate ({steady:.2}%): NOT REACHED in window"),
+        None => {
+            println!("  recovery to 99% of steady hit rate ({steady:.2}%): NOT REACHED in window")
+        }
     }
     println!();
 
@@ -274,10 +289,17 @@ fn drill_failover(d: &mut Drill, j: &mut JsonEmitter) -> Result<(), RacesFound> 
 
 pub(crate) fn main(args: &Args) -> ExitCode {
     let title = "Recovery drill: warm restart from checkpoints + device-loss failover";
-    Drill::run(args, title, "BENCH_recovery.json", Some((EXPECTED, "both drills")), false, |d, j| {
-        drill_restart(d, j)?;
-        drill_failover(d, j)
-    })
+    Drill::run(
+        args,
+        title,
+        "BENCH_recovery.json",
+        Some((EXPECTED, "both drills")),
+        false,
+        |d, j| {
+            drill_restart(d, j)?;
+            drill_failover(d, j)
+        },
+    )
 }
 
 const EXPECTED: &str = "\

@@ -28,7 +28,9 @@ use crate::drill::{pass_fail, Drill};
 use crate::{front_end_replica, Args, JsonEmitter, TextTable};
 use fleche_chaos::OverloadSpec;
 use fleche_gpu::{declare_pipeline_handoffs, Ns, RaceChecker};
-use fleche_model::{serve, serve_concurrent, ConcurrentConfig, ConcurrentRun, ServedRun, ServerConfig};
+use fleche_model::{
+    serve, serve_concurrent, ConcurrentConfig, ConcurrentRun, ServedRun, ServerConfig,
+};
 
 /// Offered load of the scaling sweep, samples per second.
 const LOAD: f64 = 2_000_000.0;

@@ -74,7 +74,11 @@ fn drill_race(d: &mut Drill, j: &mut JsonEmitter) -> Result<(), RacesFound> {
     };
     let mut inj = plan.update_injector();
 
-    let mut s = d.single(FlecheSystem::new(&ds, xeon_store(&ds), FlecheConfig::full(0.05)));
+    let mut s = d.single(FlecheSystem::new(
+        &ds,
+        xeon_store(&ds),
+        FlecheConfig::full(0.05),
+    ));
     let mut gen = TraceGenerator::new(&ds);
     let mut stream = UpdateStream::new(&ds, SEED);
 
@@ -128,10 +132,16 @@ fn drill_race(d: &mut Drill, j: &mut JsonEmitter) -> Result<(), RacesFound> {
         ("dropped in flight", format!("{dropped}")),
         ("duplicated", format!("{duplicated}")),
         ("reordered", format!("{reordered}")),
-        ("applied / superseded / absent", format!("{applied} / {superseded} / {absent}")),
+        (
+            "applied / superseded / absent",
+            format!("{applied} / {superseded} / {absent}"),
+        ),
         ("mean hit rate", fmt_pct(mean_hit)),
         ("p99 batch wall", fmt_ns(p99)),
-        ("staleness (max / mean lag)", format!("{} / {:.3}", st.max_lag, st.mean_lag())),
+        (
+            "staleness (max / mean lag)",
+            format!("{} / {:.3}", st.max_lag, st.mean_lag()),
+        ),
         ("stale serves", format!("{}", st.stale_serves)),
         ("max served lag", format!("{max_served_lag}")),
     ] {
@@ -243,7 +253,9 @@ fn drill_delta_rewarm(d: &mut Drill, j: &mut JsonEmitter) -> Result<(), RacesFou
     let f = sweep.mg.failover_stats();
     let ledger_latest = ledger_max(&sweep.mg);
     println!("{};", sweep.header());
-    println!("base checkpoint + cumulative deltas cut every {delta_every} batches under a live stream");
+    println!(
+        "base checkpoint + cumulative deltas cut every {delta_every} batches under a live stream"
+    );
     println!(
         "{}",
         sweep.timeline("ledger max ver", |b| format!("{}", ledger_trace[b]))
@@ -399,7 +411,8 @@ fn drill_outage(d: &mut Drill, j: &mut JsonEmitter) -> Result<(), RacesFound> {
     );
     println!();
 
-    let c_ok = violations == 0 && entries >= 1 && exits >= 1 && !degraded_at_end && pending_at_end == 0;
+    let c_ok =
+        violations == 0 && entries >= 1 && exits >= 1 && !degraded_at_end && pending_at_end == 0;
     d.accept(
         "c",
         c_ok,
@@ -429,11 +442,18 @@ fn drill_outage(d: &mut Drill, j: &mut JsonEmitter) -> Result<(), RacesFound> {
 
 pub(crate) fn main(args: &Args) -> ExitCode {
     let title = "Update drill: versioned writes, delta re-warm, bounded staleness";
-    Drill::run(args, title, "BENCH_update.json", Some((EXPECTED, "all drills")), true, |d, j| {
-        drill_race(d, j)?;
-        drill_delta_rewarm(d, j)?;
-        drill_outage(d, j)
-    })
+    Drill::run(
+        args,
+        title,
+        "BENCH_update.json",
+        Some((EXPECTED, "all drills")),
+        true,
+        |d, j| {
+            drill_race(d, j)?;
+            drill_delta_rewarm(d, j)?;
+            drill_outage(d, j)
+        },
+    )
 }
 
 const EXPECTED: &str = "\
