@@ -87,7 +87,10 @@ impl<'a> Drill<'a> {
         if spaced {
             println!();
         }
-        write_bench_json(file, j.finish());
+        if let Err(e) = write_bench_json(file, j.finish()) {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
         if let Some((expected, analyzed)) = closing {
             println!("\nexpected: {expected}");
             if args.analyze {

@@ -257,7 +257,7 @@ fn run_verify_phase(args: &Args) -> Result<(), String> {
         j.end_obj();
     }
     j.end_arr();
-    write_bench_json("BENCH_verify.json", j.finish());
+    write_bench_json("BENCH_verify.json", j.finish()).map_err(|e| e.to_string())?;
 
     if report.ok() {
         Ok(())

@@ -427,18 +427,23 @@ pub fn bench_report(bench: &str, quick: bool) -> JsonEmitter {
 
 /// Writes a `BENCH_*.json` report into `results/`, creating the directory
 /// when missing, and prints the canonical `wrote <path>` line (which is
-/// part of the drill's determinism-diffed stdout).
-pub fn write_bench_json(name: &str, json: String) {
-    let dir = std::path::Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: could not create results/: {e}");
-        return;
-    }
+/// part of the drill's determinism-diffed stdout). A report that could not
+/// be written is an error the run must exit non-zero on: a stale file left
+/// in its place would pass for this run's.
+pub fn write_bench_json(name: &str, json: String) -> std::io::Result<()> {
+    write_report(std::path::Path::new("results"), name, json)
+}
+
+/// [`write_bench_json`] into `dir`; the error names the path.
+fn write_report(dir: &std::path::Path, name: &str, json: String) -> std::io::Result<()> {
     let path = dir.join(name);
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
+    let failed = |e: std::io::Error| {
+        std::io::Error::new(e.kind(), format!("could not write {}: {e}", path.display()))
+    };
+    std::fs::create_dir_all(dir).map_err(failed)?;
+    std::fs::write(&path, json).map_err(failed)?;
+    println!("wrote {}", path.display());
+    Ok(())
 }
 
 /// Mean of the last up-to-`window` entries (all of them when fewer).
@@ -560,6 +565,18 @@ mod tests {
         // The fingerprint is stable within a process and embeds the arch.
         assert_eq!(host_fingerprint(), host_fingerprint());
         assert!(host_fingerprint().ends_with(std::env::consts::ARCH));
+    }
+
+    #[test]
+    fn a_report_that_cannot_be_written_is_an_error() {
+        // A regular file where the directory should be: unwritable for
+        // every user, root included.
+        let file = std::env::temp_dir().join(format!("fleche-bench-{}", std::process::id()));
+        std::fs::write(&file, "").unwrap();
+        let err = write_report(&file.join("results"), "BENCH_x.json", "{}".into())
+            .expect_err("a file is not a directory");
+        std::fs::remove_file(&file).unwrap();
+        assert!(err.to_string().contains("BENCH_x.json"), "{err}");
     }
 
     #[test]
