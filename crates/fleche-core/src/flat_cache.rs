@@ -875,16 +875,9 @@ impl FlatCache {
     /// pointer trim uses. Each rank carries its slot's ordinal, so the
     /// walk decides and retires every victim from its record and sends
     /// the removals to the index as one pipelined batch
-    /// ([`GpuIndex::remove_batch`]). Instrumented copies, alternating 10 s
-    /// runs on a 2-vCPU Emerald Rapids Xeon at 2.1 GHz, median pass of
-    /// each run: on `kaggle_hit` (53 k records, 42 k values, ~5.4 k
-    /// victims, a pass every ~31 batches; six seeds) ranks took
-    /// 0.28–0.30 ms, order 0.22 and the walk 0.38–0.41, against 0.24–0.27,
-    /// 0.21–0.25 and 0.32–0.38 ms for a stamp-age histogram that ranked
-    /// only the buckets holding the `k` coldest; on `tb_miss` (1.5 k
-    /// values, 284 victims, a pass every batch; four seeds) 3.5–3.6,
-    /// 9.1–9.8 and 14.7–15.7 µs against 6.0–6.6, 14.6–16.5 and
-    /// 14.8–16.2 µs.
+    /// ([`GpuIndex::remove_batch`]). EXPERIMENTS.md, "Eviction ranking —
+    /// histogram vs plain selection", times the pass on the host against
+    /// the stamp-age histogram it replaced.
     ///
     /// Returns scan instrumentation (the cost of the scan kernel).
     pub fn evict_pass_with(&mut self, decode: impl Fn(u64) -> Option<(u16, u64)>) -> ProbeStats {
